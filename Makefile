@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint spinvet alloccheck build test race fuzz-smoke faultcheck overloadcheck journalcheck remotecheck shardcheck bench benchsmoke profile tables json
+.PHONY: check vet lint spinvet alloccheck build test race fuzz-smoke faultcheck overloadcheck journalcheck remotecheck shardcheck bench benchsmoke benchcheck profile tables json
 
 check: vet lint build test race
 
@@ -39,8 +39,8 @@ race:
 
 # A short differential-fuzzing pass over the dispatch code generator: the
 # optimized plans (peephole, reordering, inlining, bypass, decision tree,
-# traced twin) must agree with naive reference evaluation. Go runs one
-# fuzz target per invocation.
+# stencil, sampled raises) must agree with naive reference evaluation. Go
+# runs one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzPredCompile -fuzztime 10s -run '^$$' ./internal/codegen/
 	$(GO) test -fuzz FuzzTreeDispatch -fuzztime 10s -run '^$$' ./internal/codegen/
@@ -89,8 +89,20 @@ bench:
 # Benchmark-regression smoke gate: the specialized inline-plan raise must
 # stay within 25% of the committed inline/bypass ratio recorded in
 # BENCH_dispatch.json. Ratio-based so it is meaningful on any host.
+# Selected by prefix, so a new or renamed TestBenchSmoke* joins the gate.
 benchsmoke:
-	SPIN_BENCH_SMOKE=1 $(GO) test -run 'TestBenchSmokeInlinePlan|TestBenchSmokeBatch|TestBenchSmokeRemote|TestBenchSmokeShard' -count=1 -v .
+	SPIN_BENCH_SMOKE=1 $(GO) test -run '^TestBenchSmoke' -count=1 -v .
+
+# The end-to-end benchmark's own checks (benchmark/README.md): its module's
+# tests, then one second of each workload, whose output checks (served
+# counts, fired totals, fold values, journal verification) make run.sh
+# exit non-zero. No timing is asserted.
+BENCH_WORKLOADS = http_session http_large udp_fanin raise_hot raise_heavy ctl_churn
+benchcheck:
+	cd benchmark && $(GO) test ./...
+	set -e; for w in $(BENCH_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
+	done
 
 # CPU profile of the parallel raise benchmarks. EXPERIMENTS.md ("Reading
 # the inline-plan profile") explains what to look for in the output of

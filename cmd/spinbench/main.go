@@ -428,10 +428,9 @@ func faultsTable() error {
 
 // inlineTable is the Table-1-style ablation for plan specialization
 // (DESIGN.md decision 15), measured in native time on the inline-plan
-// shape (five guarded inline handlers, one word argument): the per-step
-// interpreter, the flattened guard tree through the generic executor, and
-// the fully shape-specialized executor, with the single-handler bypass
-// alongside as the floor the specialized plan is chasing.
+// shape (five guarded inline handlers, one word argument): the general
+// executor against the shape-specialized stencil, with the single-handler
+// bypass alongside as the floor the specialized plan is chasing.
 func inlineTable() error {
 	fmt.Println("Plan-specialization ablation on the inline plan (native time, 5 inline handlers, 1 word arg)")
 	sig := rtti.Sig(nil, rtti.Word)
@@ -481,10 +480,7 @@ func inlineTable() error {
 		return err
 	}
 	noBypass := codegen.Options{DisableBypass: true}
-	if _, err = measure("interpreter", codegen.Options{DisableBypass: true, DisableSpecialize: true}, false); err != nil {
-		return err
-	}
-	if _, err = measure("flattened tree (generic)", codegen.Options{DisableBypass: true, DisableShapeSpecialize: true}, false); err != nil {
+	if _, err = measure("general executor", codegen.Options{DisableBypass: true, DisableSpecialize: true}, false); err != nil {
 		return err
 	}
 	if specNs, err = measure("shape-specialized", noBypass, false); err != nil {

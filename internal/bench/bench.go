@@ -168,13 +168,7 @@ func Table1() (*Table1Result, error) {
 // the first installation and the cumulative cost of installing n handlers
 // on one event (quadratic, since each install regenerates the plan).
 func InstallOverhead(n int) (first, total vtime.Duration, err error) {
-	return installOverheadOpts(n, codegen.Options{})
-}
-
-// installOverheadOpts is InstallOverhead under explicit generator options
-// (the incremental-installation comparison uses it).
-func installOverheadOpts(n int, opts codegen.Options) (first, total vtime.Duration, err error) {
-	d, clock := newMeteredDispatcher(opts)
+	d, clock := newMeteredDispatcher(codegen.Options{})
 	ev, err := d.DefineEvent("Bench.Install", sigN(0))
 	if err != nil {
 		return 0, 0, err

@@ -242,32 +242,3 @@ func TestTable2DecisionTreeFlattensSlope(t *testing.T) {
 	t.Logf("optimized: 1 guard %.1fus, 50 guards %.1fus (linear 50: %.1fus)",
 		vtime.InMicros(rt1), vtime.InMicros(rt50), vtime.InMicros(lin50))
 }
-
-// TestIncrementalInstallLinearizesCost verifies the other future-work
-// item: with IncrementalInstall, n installations cost O(n) instead of
-// O(n^2) — 100 handlers go in for ~100x the single-install cost instead
-// of ~200x.
-func TestIncrementalInstallLinearizesCost(t *testing.T) {
-	quadFirst, quadTotal, err := InstallOverhead(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incrFirst, incrTotal, err := installOverheadOpts(100, codegen.Options{IncrementalInstall: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vtime.InMicros(incrFirst) > vtime.InMicros(quadFirst) {
-		t.Errorf("incremental first install costs more: %v vs %v", incrFirst, quadFirst)
-	}
-	// Incremental total = 100 * base = ~15ms; quadratic = ~30ms.
-	incrMS := vtime.InMicros(incrTotal) / 1000
-	quadMS := vtime.InMicros(quadTotal) / 1000
-	if incrMS > quadMS*0.6 {
-		t.Errorf("incremental total %.1fms not well under quadratic %.1fms", incrMS, quadMS)
-	}
-	// And it is linear: total ~= n * first.
-	ratio := float64(incrTotal) / float64(incrFirst)
-	if ratio < 90 || ratio > 110 {
-		t.Errorf("incremental cost not linear: total/first = %.0f, want ~100", ratio)
-	}
-}

@@ -13,32 +13,18 @@ import (
 // TestFaultPolicyOnZeroAlloc enforces. The stack capture allocates only on
 // the panic path, where an unwind has already blown the cost budget.
 
-// callProtected runs one synchronous (or filter) step behind the fault
-// hook. ok is false when the handler panicked: the step counts as fired
-// with no result, mirroring a terminated EPHEMERAL invocation.
+// callProtected is the one handler barrier: it runs a synchronous step (a
+// handler, a filter, the direct bypass or the default handler) behind the
+// fault hook. ok is false when the handler panicked: the step counts as
+// fired with no result, mirroring a terminated EPHEMERAL invocation.
 func (p *Plan) callProtected(cpu *vtime.CPU, st *step, args []any) (res any, ok bool) {
 	defer p.captureHandler(st.b.Tag, &ok)
 	if cpu != nil {
 		start := cpu.Now()
-		res = st.call(args)
+		res = runBody(st.b, st.inline, args)
 		p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
 	} else {
-		res = st.call(args)
-	}
-	ok = true
-	return
-}
-
-// runBindingProtected is callProtected for non-step bindings (the direct
-// bypass and the default handler).
-func (p *Plan) runBindingProtected(cpu *vtime.CPU, b *Binding, args []any) (res any, ok bool) {
-	defer p.captureHandler(b.Tag, &ok)
-	if cpu != nil {
-		start := cpu.Now()
-		res = p.runBinding(b, args)
-		p.protect.SyncCost(b.Tag, cpu.Now().Sub(start))
-	} else {
-		res = p.runBinding(b, args)
+		res = runBody(st.b, st.inline, args)
 	}
 	ok = true
 	return

@@ -8,9 +8,9 @@ import (
 )
 
 // Ahead-of-time plan specialization — the reproduction's answer to the
-// paper's runtime code generation for the multi-binding case. The generic
-// interpreter in plan.go dispatches per step through the unit list,
-// `step.call`, and `Body.Run`, paying a chain of branches and an indirect
+// paper's runtime code generation for the multi-binding case. The general
+// executor in plan.go (Plan.general) dispatches per step through the unit
+// list, runBody, and `Body.Run`, paying a chain of branches and an indirect
 // dispatch per step on every raise. SPIN's generator instead emitted one
 // straight-line stub per plan. Go cannot emit machine code at runtime, but
 // it can do the next-closest thing at plan-compile time:
@@ -22,10 +22,10 @@ import (
 //     no per-guard indirect call;
 //   - handler bodies are lowered into the step record (flatStep), so the
 //     common inline bodies run without touching *Body or *Binding;
-//   - one executor specialized over (arity 0..5/any) × (no-result,
-//     result-fold) × (guarded, unguarded) is selected once at compile time
-//     (flatExecs), so a raise runs straight-line code with no per-raise
-//     shape switching;
+//   - one per-frame stencil (flatFrame) specialized over (no-result,
+//     result-fold) × (guarded, unguarded) is selected once at compile time,
+//     so a raise runs straight-line code with no per-raise shape switching;
+//     the single-raise entry and the batch entry both call it;
 //   - statistics are batched: per-binding fire counts go through one
 //     stripe shard index hoisted by the caller (Binding.FireCount), and the
 //     event-level fired total is added once per raise to Env.FiredTotal
@@ -35,16 +35,18 @@ import (
 //     one shard hash.
 //
 // Specialization is semantics-preserving and only replaces configurations
-// the interpreter handles bitwise-identically when the knobs below keep it
-// off; the differential fuzzers (FuzzPredCompile, FuzzTreeDispatch) compare
-// every specialized shape against naive reference evaluation.
+// the general executor handles bitwise-identically when
+// Options.DisableSpecialize keeps it off; the differential fuzzers
+// (FuzzPredCompile, FuzzTreeDispatch, FuzzBatchDispatch) compare every
+// specialized shape against naive reference evaluation.
 //
 // Eligibility (compileFlat): every step synchronous and unfiltered, no
-// fault-capture hook (recovery barriers are open-coded in the interpreter),
+// fault-capture hook (recovery barriers live in the general executor),
 // no decision-tree unit (the hashed lookup beats a linear flat scan for the
 // ≥4-way runs trees cover), and no unguarded direct bypass (already a plain
-// call). Metered raises (Env.CPU != nil) always take the interpreter so the
-// virtual-time charge sequence stays byte-identical to the ablation tables.
+// call). Metered raises (Env.CPU != nil) always take the general executor
+// so the virtual-time charge sequence stays byte-identical to the ablation
+// tables.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -93,17 +95,17 @@ type flatStep struct {
 	tag  any
 }
 
-// ExecFn is a compiled executor: selected once per plan, called per raise.
-// stripeIdx is the caller's hoisted stripe shard index (stripe.Index()),
-// reused for every striped counter the raise touches.
-type ExecFn func(p *Plan, env *Env, args []any, stripeIdx int) Outcome
+// frameFn is a stencil instantiation: selected once per plan, called once
+// per frame. idx is the caller's hoisted stripe shard index
+// (stripe.Index()), reused for every striped counter the frame touches.
+type frameFn func(p *Plan, env *Env, args []any, idx int) Outcome
 
 // flattenPred lowers a guard predicate into conjunction leaves. Top-level
 // And-trees split into their leaves; True leaves are elided (guards are
 // FUNCTIONAL, so elision is unobservable); any other composite (Or, Not)
 // stays a single Eval-fallback leaf. Returns false when the predicate can
 // never pass (a constant-false leaf under DisablePeephole still lowers —
-// the step simply never fires, same as the interpreter).
+// the step simply never fires, same as in the general executor).
 func flattenPred(p *Pred, out []flatPred) []flatPred {
 	switch p.Op {
 	case PredAnd:
@@ -125,14 +127,15 @@ func flattenPred(p *Pred, out []flatPred) []flatPred {
 	}
 }
 
-// lowerBody fills a flatStep's body fields from one binding, mirroring
-// step.call / Plan.runBinding exactly: the inline body runs embedded when
-// the step compiled inline; otherwise CtxFn is preferred over Fn.
-func (fs *flatStep) lowerBody(b *Binding, inline bool) {
-	fs.inline = inline
+// lowerBody fills a flatStep's body fields from one step, mirroring
+// runBody exactly: the inline body runs embedded when the step compiled
+// inline; otherwise CtxFn is preferred over Fn.
+func (fs *flatStep) lowerBody(st *step) {
+	b := st.b
+	fs.inline = st.inline
 	fs.tag = b.Tag
 	fs.fire = b.FireCount
-	if inline {
+	if st.inline {
 		body := b.Inline
 		fs.bop = body.Op
 		fs.bv = body.V
@@ -147,7 +150,7 @@ func (fs *flatStep) lowerBody(b *Binding, inline bool) {
 }
 
 // compileFlat lowers the plan into its flattened form and selects the
-// specialized executor, or leaves the plan on the interpreter when any
+// stencil, or leaves the plan on the general executor when any
 // step needs machinery the straight-line executors do not carry.
 func (p *Plan) compileFlat() {
 	if p.opts.DisableSpecialize || p.protect != nil || p.direct != nil {
@@ -174,10 +177,10 @@ func (p *Plan) compileFlat() {
 			g := &st.guards[gi]
 			switch {
 			case g.Pred != nil:
-				// With inlining disabled the interpreter still evaluates the
+				// With inlining disabled the general executor still evaluates the
 				// predicate out of line via Eval; lowering it to leaves is
 				// observationally identical (metered charge differences do
-				// not apply — metered raises take the interpreter).
+				// not apply — metered raises take the general executor).
 				preds = flattenPred(g.Pred, preds)
 			default:
 				preds = append(preds, flatPred{op: predOpCall, fn: g.Fn, clo: g.Closure})
@@ -192,88 +195,55 @@ func (p *Plan) compileFlat() {
 			fs.p0 = int32(start)
 		}
 		fs.p1 = int32(len(preds))
-		fs.lowerBody(st.b, st.inline)
+		fs.lowerBody(st)
 	}
 	var def *flatStep
-	if b := p.defaultB; b != nil {
+	if p.def != nil {
 		def = &flatStep{}
-		def.lowerBody(b, b.Inline != nil && !p.opts.DisableInline)
+		def.lowerBody(p.def)
 	}
 	p.flat = flat
 	p.flatPreds = preds
 	p.flatDefault = def
 
-	res := 0
-	if p.info.HasResult {
-		res = 1
+	// Select the stencil. Arity is not a shape axis: the stencil never
+	// reads it (argWord bounds-checks against the frame itself).
+	guards := len(preds) > 0
+	switch {
+	case p.info.HasResult && guards:
+		p.frame, p.frameName = flatFrame[resultFold, guarded], "stencil[fold,guarded]"
+	case p.info.HasResult:
+		p.frame, p.frameName = flatFrame[resultFold, unguarded], "stencil[fold,unguarded]"
+	case guards:
+		p.frame, p.frameName = flatFrame[resultVoid, guarded], "stencil[void,guarded]"
+	default:
+		p.frame, p.frameName = flatFrame[resultVoid, unguarded], "stencil[void,unguarded]"
 	}
-	g := 0
-	if len(preds) > 0 {
-		g = 1
-	}
-	ar := p.info.Arity
-	if ar > 5 || p.opts.DisableShapeSpecialize {
-		ar = arityAnyIdx
-	}
-	if p.opts.DisableShapeSpecialize {
-		// Ablation middle tier: flattened guard trees and lowered bodies,
-		// but the one generic-shape executor (arity-any, guard loop always
-		// present) instead of the compile-time-selected variant.
-		g = 1
-	}
-	p.flatExec = flatExecs[ar][res][g]
-	p.flatBatchExec = flatBatchExecs[ar][res][g]
 }
 
 // Specialized reports whether the plan compiled to a flattened,
 // shape-specialized executor (for tests and disassembly).
-func (p *Plan) Specialized() bool { return p.flatExec != nil }
+func (p *Plan) Specialized() bool { return p.frame != nil }
 
 // GuardedBypass reports whether the plan is a single guarded step compiled
-// straight-line — the guarded resident of the bypass tier: the dispatcher
-// skips the interpreter entirely and the executor runs one embedded guard
+// straight-line — the guarded resident of the bypass tier: the raise skips
+// the general executor entirely and the stencil runs one embedded guard
 // conjunction and one embedded body with no step loop. (The unguarded
 // resident is Direct.)
 func (p *Plan) GuardedBypass() bool {
-	return p.flatExec != nil && len(p.flat) == 1 && len(p.flatPreds) > 0
+	return p.frame != nil && len(p.flat) == 1 && len(p.flatPreds) > 0
 }
 
-// FastExec returns the plan's specialized executor when the plan can be
-// raised without any per-raise branching beyond the executor itself: a
-// flattened plan with no tracing compiled in (traced plans must draw the
-// sampling decision, which Execute handles). The dispatcher hoists the
-// returned function past the interpreter entirely — this is how
-// guard-constant and single-inline-guard plans reach the bypass tier.
-// Returns nil when the caller must use Execute.
-func (p *Plan) FastExec() ExecFn {
-	if p.prog != nil {
-		return nil
-	}
-	return p.flatExec
-}
-
-// Shape markers. The executor is instantiated over every (arity, result,
-// guarded) combination so each shape is a distinct straight-line function
-// chosen once at compile time. Each marker has a distinct size on purpose:
-// Go's gcshape stenciling folds all zero-size type arguments into one
-// shared instantiation whose shape methods dispatch through a generics
-// dictionary at run time. Distinct sizes force a fully stenciled
-// instantiation per shape, so the methods below resolve to constants at
-// compile time and each executor's dead branches (the guard walk in
-// unguarded shapes, the result fold in void shapes) are eliminated
-// outright — the closest Go gets to the paper's per-plan generated stubs.
-type (
-	arity0   [1]byte
-	arity1   [2]byte
-	arity2   [3]byte
-	arity3   [4]byte
-	arity4   [5]byte
-	arity5   [6]byte
-	arityAny [7]byte
-)
-
-const arityAnyIdx = 6
-
+// Shape markers. The stencil is instantiated over every (result, guarded)
+// combination so each shape is a distinct straight-line function chosen
+// once at compile time. Each marker has a distinct size on purpose: Go's
+// gcshape stenciling folds all zero-size type arguments into one shared
+// instantiation whose shape methods dispatch through a generics dictionary
+// at run time. Distinct sizes force a fully stenciled instantiation per
+// shape, so the methods below resolve to constants at compile time and each
+// instantiation's dead branches (the guard walk in unguarded shapes, the
+// result fold in void shapes) are eliminated outright — the closest Go gets
+// to the paper's per-plan generated stubs.
 type (
 	resultVoid [1]byte
 	resultFold [2]byte
@@ -283,16 +253,6 @@ type (
 	unguarded [1]byte
 	guarded   [2]byte
 )
-
-type aritySpec interface{ arity() int }
-
-func (arity0) arity() int   { return 0 }
-func (arity1) arity() int   { return 1 }
-func (arity2) arity() int   { return 2 }
-func (arity3) arity() int   { return 3 }
-func (arity4) arity() int   { return 4 }
-func (arity5) arity() int   { return 5 }
-func (arityAny) arity() int { return -1 }
 
 type resultSpec interface{ hasResult() bool }
 
@@ -305,7 +265,7 @@ func (unguarded) guarded() bool { return false }
 func (guarded) guarded() bool   { return true }
 
 // runFlatBody executes one lowered step body and returns its result,
-// mirroring step.call exactly.
+// mirroring runBody exactly.
 func runFlatBody(s *flatStep, args []any) any {
 	if s.inline {
 		switch s.bop {
@@ -328,28 +288,28 @@ func runFlatBody(s *flatStep, args []any) any {
 	return s.fn(s.clo, args)
 }
 
-// execFlat is the one executor body behind every specialized shape. The
-// type parameters pin the shape at instantiation: because the marker types
-// have distinct sizes (see above), every entry in flatExecs is its own
+// flatFrame is the one stencil behind every specialized shape: it runs one
+// frame (one raise's argument vector) through the flattened plan. The type
+// parameters pin the shape at instantiation: because the marker types have
+// distinct sizes (see above), each of the four instantiations is its own
 // stenciled function where hasResult/useGuards are compile-time constants
 // and the branches they gate are folded away.
 //
 // Statistics protocol: when env.FiredTotal is set (the dispatcher's
 // batched path), per-binding counts go to FireCount through the caller's
-// hoisted stripe shard index and the event total is added once at the end;
-// otherwise the executor falls back to the interpreter's per-fire
-// env.OnFire contract, so direct codegen users observe identical callbacks.
-func execFlat[A aritySpec, R resultSpec, G guardSpec](p *Plan, env *Env, args []any, idx int) Outcome {
-	var aSpec A
+// hoisted stripe shard index, and the CALLER adds Outcome.fires() to
+// FiredTotal — once per raise (Plan.Execute) or once per batch
+// (Plan.ExecuteBatch). Otherwise the stencil falls back to the general
+// executor's per-fire env.OnFire contract, so direct codegen users observe
+// identical callbacks.
+func flatFrame[R resultSpec, G guardSpec](p *Plan, env *Env, args []any, idx int) Outcome {
 	var rSpec R
 	var gSpec G
-	_ = aSpec.arity()
 	hasResult := rSpec.hasResult()
 	useGuards := gSpec.guarded()
 
 	onFire := env.OnFire
-	fired := env.FiredTotal
-	batched := fired != nil
+	batched := env.FiredTotal != nil
 	preds := p.flatPreds
 	flat := p.flat
 	var out Outcome
@@ -457,47 +417,14 @@ steps:
 			onFire(d.tag)
 		}
 	}
-	if batched {
-		n := out.Fired
-		if out.UsedDefault {
-			n++
-		}
-		if n > 0 {
-			fired.AddAt(idx, int64(n))
-		}
-	}
 	return out
 }
 
-// flatExecs is the compile-time selection table:
-// [arity 0..5, any][void, result-fold][unguarded, guarded].
-var flatExecs = [7][2][2]ExecFn{
-	{
-		{execFlat[arity0, resultVoid, unguarded], execFlat[arity0, resultVoid, guarded]},
-		{execFlat[arity0, resultFold, unguarded], execFlat[arity0, resultFold, guarded]},
-	},
-	{
-		{execFlat[arity1, resultVoid, unguarded], execFlat[arity1, resultVoid, guarded]},
-		{execFlat[arity1, resultFold, unguarded], execFlat[arity1, resultFold, guarded]},
-	},
-	{
-		{execFlat[arity2, resultVoid, unguarded], execFlat[arity2, resultVoid, guarded]},
-		{execFlat[arity2, resultFold, unguarded], execFlat[arity2, resultFold, guarded]},
-	},
-	{
-		{execFlat[arity3, resultVoid, unguarded], execFlat[arity3, resultVoid, guarded]},
-		{execFlat[arity3, resultFold, unguarded], execFlat[arity3, resultFold, guarded]},
-	},
-	{
-		{execFlat[arity4, resultVoid, unguarded], execFlat[arity4, resultVoid, guarded]},
-		{execFlat[arity4, resultFold, unguarded], execFlat[arity4, resultFold, guarded]},
-	},
-	{
-		{execFlat[arity5, resultVoid, unguarded], execFlat[arity5, resultVoid, guarded]},
-		{execFlat[arity5, resultFold, unguarded], execFlat[arity5, resultFold, guarded]},
-	},
-	{
-		{execFlat[arityAny, resultVoid, unguarded], execFlat[arityAny, resultVoid, guarded]},
-		{execFlat[arityAny, resultFold, unguarded], execFlat[arityAny, resultFold, guarded]},
-	},
+// fires is the number of handler firings the outcome adds to the event's
+// fired total: the handlers that ran plus a default-handler firing.
+func (o Outcome) fires() int64 {
+	if o.UsedDefault {
+		return int64(o.Fired) + 1
+	}
+	return int64(o.Fired)
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -29,54 +30,18 @@ func guardedBindings(n int, count *int) []*Binding {
 	return bs
 }
 
+// TestSpecializeEligibility is the executor inventory: which of the three
+// bodies each plan shape runs. Plan.Disassemble prints the same name.
 func TestSpecializeEligibility(t *testing.T) {
 	n := 0
-	mkPlan := func(mut func(*Binding), opts Options) *Plan {
-		bs := guardedBindings(2, &n)
+	h := func() *Binding { return &Binding{Fn: countingHandler(&n, nil)} }
+	guardedN := func(k int, mut func(*Binding)) []*Binding {
+		bs := guardedBindings(k, &n)
 		if mut != nil {
 			mut(bs[0])
 		}
-		return Compile(info(1, false), bs, nil, nil, opts)
+		return bs
 	}
-
-	if !mkPlan(nil, Options{}).Specialized() {
-		t.Error("guarded multi-binding plan must specialize")
-	}
-	if mkPlan(nil, Options{DisableSpecialize: true}).Specialized() {
-		t.Error("DisableSpecialize must keep the interpreter")
-	}
-	if !mkPlan(nil, Options{DisableShapeSpecialize: true}).Specialized() {
-		t.Error("DisableShapeSpecialize still flattens (generic shape)")
-	}
-	if mkPlan(func(b *Binding) { b.Async = true }, Options{}).Specialized() {
-		t.Error("async step must stay on the interpreter")
-	}
-	if mkPlan(func(b *Binding) { b.Ephemeral = true }, Options{}).Specialized() {
-		t.Error("ephemeral step must stay on the interpreter")
-	}
-	if mkPlan(func(b *Binding) { b.Filter = true }, Options{}).Specialized() {
-		t.Error("filter step must stay on the interpreter")
-	}
-	if mkPlan(nil, Options{Protect: nopFaultHook{}}).Specialized() {
-		t.Error("fault-protected plan must stay on the interpreter")
-	}
-
-	// An unguarded single binding compiles to the direct bypass, not a
-	// flat executor; a guarded single binding compiles to the guarded
-	// bypass (single straight-line flat step).
-	single := &Binding{Fn: countingHandler(&n, nil)}
-	p := Compile(info(0, false), []*Binding{single}, nil, nil, Options{})
-	if p.Direct() == nil || p.Specialized() {
-		t.Error("unguarded single binding must use the direct bypass")
-	}
-	gb := Compile(info(1, false),
-		guardedBindings(1, &n), nil, nil, Options{})
-	if gb.Direct() != nil || !gb.GuardedBypass() {
-		t.Errorf("guarded single binding must use the guarded bypass (direct=%v specialized=%v)",
-			gb.Direct() != nil, gb.Specialized())
-	}
-
-	// A decision-tree run stays on the interpreter's hashed lookup.
 	tree := make([]*Binding, treeThreshold)
 	for i := range tree {
 		tree[i] = &Binding{
@@ -84,9 +49,61 @@ func TestSpecializeEligibility(t *testing.T) {
 			Fn:     countingHandler(&n, nil),
 		}
 	}
-	tp := Compile(info(1, false), tree, nil, nil, Options{EnableDecisionTree: true})
-	if tp.Specialized() {
-		t.Error("decision-tree plan must stay on the interpreter")
+	fold := func(acc, res any, _ int) any { return res }
+	for _, tc := range []struct {
+		shape     string
+		arity     int
+		hasResult bool
+		bindings  []*Binding
+		resultFn  ResultFn
+		opts      Options
+		metered   bool
+		want      string
+	}{
+		{shape: "unguarded single", bindings: []*Binding{h()}, want: "direct"},
+		{shape: "unguarded single, metered", bindings: []*Binding{h()}, metered: true, want: "direct"},
+		{shape: "unguarded single, fault policy on", bindings: []*Binding{h()},
+			opts: Options{Protect: nopFaultHook{}}, want: "direct"},
+		{shape: "guarded single", arity: 1, bindings: guardedN(1, nil), want: "stencil[void,guarded]"},
+		{shape: "multi-step void, unguarded", arity: 1, bindings: []*Binding{h(), h()},
+			want: "stencil[void,unguarded]"},
+		{shape: "multi-step void, guarded", arity: 1, bindings: guardedN(2, nil),
+			want: "stencil[void,guarded]"},
+		{shape: "multi-step fold, unguarded", arity: 1, hasResult: true,
+			bindings: []*Binding{h(), h()}, resultFn: fold, want: "stencil[fold,unguarded]"},
+		{shape: "multi-step fold, guarded", arity: 1, hasResult: true,
+			bindings: guardedN(2, nil), resultFn: fold, want: "stencil[fold,guarded]"},
+		{shape: "wide arity", arity: 8, bindings: guardedN(2, nil), want: "stencil[void,guarded]"},
+		{shape: "filter", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Filter = true }),
+			want: "general"},
+		{shape: "async", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
+			want: "general"},
+		{shape: "ephemeral", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),
+			want: "general"},
+		{shape: "fault policy on", arity: 1, bindings: guardedN(2, nil),
+			opts: Options{Protect: nopFaultHook{}}, want: "general"},
+		{shape: "tree unit", arity: 1, bindings: tree,
+			opts: Options{EnableDecisionTree: true}, want: "general"},
+		{shape: "DisableSpecialize", arity: 1, bindings: guardedN(2, nil),
+			opts: Options{DisableSpecialize: true}, want: "general"},
+		{shape: "metered", arity: 1, bindings: guardedN(2, nil), metered: true, want: "general"},
+	} {
+		p := Compile(info(tc.arity, tc.hasResult), tc.bindings, tc.resultFn, nil, tc.opts)
+		if got := p.Executor(tc.metered); got != tc.want {
+			t.Errorf("%s: executor %s, want %s", tc.shape, got, tc.want)
+		}
+		if !tc.metered && !strings.Contains(p.Disassemble(), "executor: "+tc.want) {
+			t.Errorf("%s: disassembly does not name %s:\n%s", tc.shape, tc.want, p.Disassemble())
+		}
+		if (p.Direct() != nil) != (tc.want == "direct") {
+			t.Errorf("%s: Direct()=%v with executor %s", tc.shape, p.Direct() != nil, tc.want)
+		}
+		if stencil := strings.HasPrefix(p.Executor(false), "stencil"); p.Specialized() != stencil {
+			t.Errorf("%s: Specialized()=%v with executor %s", tc.shape, p.Specialized(), p.Executor(false))
+		}
+	}
+	if gb := Compile(info(1, false), guardedN(1, nil), nil, nil, Options{}); !gb.GuardedBypass() {
+		t.Error("guarded single binding must use the guarded bypass")
 	}
 }
 
@@ -104,24 +121,22 @@ func TestSpecializedExecutesIdentically(t *testing.T) {
 	run := func(opts Options, args ...any) ([]string, Outcome) {
 		p := Compile(info(1, true), bs, nil, nil, opts)
 		fired = nil
-		out := p.Execute(&Env{}, args)
+		out := p.Execute(&Env{}, args, 0)
 		return fired, out
 	}
 	for _, args := range [][]any{{uint64(80)}, {uint64(443)}, {uint64(7)}} {
 		want, wantOut := run(Options{DisableSpecialize: true}, args...)
-		for _, opts := range []Options{{}, {DisableShapeSpecialize: true}} {
-			got, gotOut := run(opts, args...)
-			if len(got) != len(want) {
-				t.Fatalf("opts %+v args %v: fired %v, interpreter %v", opts, args, got, want)
+		got, gotOut := run(Options{}, args...)
+		if len(got) != len(want) {
+			t.Fatalf("args %v: fired %v, general executor %v", args, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("args %v: order %v, general executor %v", args, got, want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("opts %+v args %v: order %v, interpreter %v", opts, args, got, want)
-				}
-			}
-			if gotOut != wantOut {
-				t.Fatalf("opts %+v args %v: outcome %+v, interpreter %+v", opts, args, gotOut, wantOut)
-			}
+		}
+		if gotOut != wantOut {
+			t.Fatalf("args %v: outcome %+v, general executor %+v", args, gotOut, wantOut)
 		}
 	}
 }
@@ -134,7 +149,7 @@ func TestSpecializedDefaultHandler(t *testing.T) {
 		t.Fatal("plan with default handler should still specialize")
 	}
 	// Guard cell is 0 -> handler fires, no default.
-	out := p.Execute(&Env{}, []any{uint64(1)})
+	out := p.Execute(&Env{}, []any{uint64(1)}, 0)
 	if out.Fired != 1 || out.UsedDefault {
 		t.Fatalf("fired=%d usedDefault=%v", out.Fired, out.UsedDefault)
 	}
@@ -147,7 +162,7 @@ func TestSpecializedDefaultHandler(t *testing.T) {
 	}}
 	p2 := Compile(info(1, true), bs, nil, d, Options{})
 	var total stripe.Counter
-	out = p2.Execute(&Env{FiredTotal: &total}, []any{uint64(1)})
+	out = p2.Execute(&Env{FiredTotal: &total}, []any{uint64(1)}, 0)
 	if out.Fired != 0 || !out.UsedDefault || out.Result != "default" {
 		t.Fatalf("default not applied: %+v", out)
 	}
@@ -192,7 +207,7 @@ func TestSpecializedStatsFallback(t *testing.T) {
 		t.Fatal("expected specialized plan")
 	}
 	var tags []any
-	p.Execute(&Env{OnFire: func(tag any) { tags = append(tags, tag) }}, []any{uint64(1)})
+	p.Execute(&Env{OnFire: func(tag any) { tags = append(tags, tag) }}, []any{uint64(1)}, 0)
 	if len(tags) != 3 || tags[0] != 0 || tags[1] != 1 || tags[2] != 2 {
 		t.Fatalf("OnFire fallback tags: %v", tags)
 	}

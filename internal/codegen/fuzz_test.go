@@ -10,10 +10,10 @@ import (
 
 // Differential fuzzing: the optimized compiled plan — peephole
 // simplification, guard reordering, inline evaluation, the single-binding
-// bypass, the decision tree, the flattened shape-specialized executors,
-// and the traced twin routine — must fire exactly the same handlers, in
-// the same order, as a naive reference model that walks the binding list
-// evaluating every guard verbatim.
+// bypass, the decision tree, the flattened shape-specialized stencil, and
+// sampled (span-recording) raises — must fire exactly the same handlers,
+// in the same order, as a naive reference model that walks the binding
+// list evaluating every guard verbatim.
 
 // fuzzReader decodes a fuzz input byte stream; exhausted streams yield
 // zeros so every input is a complete (if boring) program.
@@ -116,7 +116,6 @@ func FuzzPredCompile(f *testing.F) {
 			{DisableInline: true, DisableBypass: true},
 			{DisablePeephole: true},
 			{DisableSpecialize: true},
-			{DisableShapeSpecialize: true},
 		} {
 			plan := Compile(EventInfo{Name: "Fuzz.Pred", Arity: arity},
 				[]*Binding{binding}, nil, nil, opts)
@@ -124,7 +123,7 @@ func FuzzPredCompile(f *testing.F) {
 			for trial := 0; trial < 4; trial++ {
 				args := genArgs(&r2, arity)
 				fired = 0
-				plan.Execute(&Env{}, args)
+				plan.Execute(&Env{}, args, 0)
 				want := 0
 				if pred.Eval(args) {
 					want = 1
@@ -216,9 +215,8 @@ func FuzzTreeDispatch(f *testing.F) {
 			{},
 			{EnableDecisionTree: true},
 			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
-			{EnableDecisionTree: true, Trace: tracer}, // traced twin routine
-			{DisableSpecialize: true},                 // pure interpreter
-			{DisableShapeSpecialize: true},            // flattened, generic shape
+			{EnableDecisionTree: true, Trace: tracer}, // every raise sampled: recorder on
+			{DisableSpecialize: true},                 // general executor only
 			{Trace: tracer},                           // sampling entry over flat-eligible plans
 		}
 		for trial := 0; trial < 4; trial++ {
@@ -227,7 +225,7 @@ func FuzzTreeDispatch(f *testing.F) {
 			for _, opts := range configs {
 				plan := Compile(info, bindings, resultFn, nil, opts)
 				fired = nil
-				out := plan.Execute(&Env{}, args)
+				out := plan.Execute(&Env{}, args, 0)
 				if len(fired) != len(want) {
 					t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
 				}
@@ -269,7 +267,7 @@ func FuzzTreeDispatch(f *testing.F) {
 					if i, ok := tag.(int); ok {
 						perFire[i]++
 					}
-				}}, args)
+				}}, args, 0)
 				for i, got := range perFire {
 					var wantN int64
 					for _, w := range want {
@@ -289,7 +287,7 @@ func FuzzTreeDispatch(f *testing.F) {
 					}
 					var total stripe.Counter
 					fired = nil
-					plan.Execute(&Env{FiredTotal: &total}, args)
+					plan.Execute(&Env{FiredTotal: &total}, args, 0)
 					if total.Load() != int64(len(want)) {
 						t.Fatalf("opts %+v args %v: batched total %d, model %d",
 							opts, args, total.Load(), len(want))
@@ -319,7 +317,7 @@ func FuzzBatchDispatch(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 1, 3, 9, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		arity := int(r.byte() % 6) // 0..5: the flat batch shapes
+		arity := int(r.byte() % 9) // 0..8: the pooled widths 0..5 and wider frames
 		n := 1 + int(r.byte()%8)
 		hasResult := r.byte()%2 == 1
 		foldResults := hasResult && r.byte()%2 == 1
@@ -404,9 +402,9 @@ func FuzzBatchDispatch(f *testing.F) {
 		// The env mirrors the dispatcher's: OnFire and FiredTotal land in the
 		// SAME counters, so a path that takes the batched protocol (flat and
 		// direct batch executors, flat single-raise) and a path that takes
-		// the per-fire callback (interpreter, traced twin, direct single
-		// raise) produce identical totals — which is exactly the equivalence
-		// the dispatch layer depends on.
+		// the per-fire callback (general executor, sampled raises, direct
+		// single raise) produce identical totals — which is exactly the
+		// equivalence the dispatch layer depends on.
 		mkEnv := func(total *stripe.Counter) *Env {
 			return &Env{
 				FiredTotal: total,
@@ -427,7 +425,6 @@ func FuzzBatchDispatch(f *testing.F) {
 			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
 			{EnableDecisionTree: true, Trace: tracer},
 			{DisableSpecialize: true},
-			{DisableShapeSpecialize: true},
 			{Trace: tracer},
 		}
 		for _, opts := range configs {
@@ -443,7 +440,7 @@ func FuzzBatchDispatch(f *testing.F) {
 				loopBase[i] = b.FireCount.Load()
 			}
 			for _, fr := range frames {
-				loopOut.Add(plan.Execute(mkEnv(&loopTotal), fr))
+				loopOut.Add(plan.Execute(mkEnv(&loopTotal), fr, 0))
 			}
 			loopFired := append([]int(nil), fired...)
 			loopCounts := make([]int64, n)

@@ -84,9 +84,10 @@ type Binding struct {
 	// termination reporting). The generator never inspects it.
 	Tag any
 	// FireCount, when non-nil, is the binding's striped fire counter. The
-	// specialized executors (flat.go) increment it directly through one
+	// stencil and the direct batch tier increment it directly through one
 	// hoisted stripe shard index per raise instead of calling Env.OnFire
-	// per firing; the interpreter ignores it and keeps the OnFire contract.
+	// per firing; the general executor ignores it and keeps the OnFire
+	// contract.
 	FireCount *stripe.Counter
 	// Name is the handler's qualified procedure name, used only to label
 	// trace spans; the generated code never inspects it.
@@ -132,28 +133,17 @@ type Options struct {
 	// through a hash on the argument word instead of a linear guard
 	// scan. Off by default, matching the measured system; see tree.go.
 	EnableDecisionTree bool
-	// DisableSpecialize keeps every plan on the per-step interpreter,
-	// disabling the ahead-of-time flattened, shape-specialized executors
-	// (flat.go) — the "interpreter" row of the specialization ablation.
+	// DisableSpecialize keeps every plan on the general executor,
+	// disabling the ahead-of-time flattened, shape-specialized stencil
+	// (flat.go) — the reference the differential fuzzers compare against
+	// and the "general executor" row of the specialization ablation.
 	DisableSpecialize bool
-	// DisableShapeSpecialize keeps the flattened guard/body lowering but
-	// always selects the one generic-shape executor instead of the
-	// compile-time (arity × result × guarded) variant — the ablation's
-	// middle tier, isolating flattening from shape selection.
-	DisableShapeSpecialize bool
-	// IncrementalInstall switches handler installation from full plan
-	// regeneration (cost linear in the bindings present; O(n^2) for n
-	// installs, §3.1) to an incremental append (constant cost per
-	// install) — the "more incremental (and economical) approach to
-	// installation" the paper anticipates needing. The generated plan
-	// is identical; only the installation cost model changes.
-	IncrementalInstall bool
 	// Trace, when non-nil, compiles trace recording steps into the plan:
 	// the generated routine registers its step layout with the tracer and
-	// sampled raises execute a traced twin of the dispatch loop. A nil
-	// Trace compiles a plan with no tracing code at all, so a disabled
-	// tracer costs nothing on the hot path (the zero-cost-off property
-	// TestTracingOffZeroAlloc enforces).
+	// sampled raises run the general executor with a span recorder. A nil
+	// Trace compiles a plan that never draws a sampling decision, so a
+	// disabled tracer costs nothing on the hot path (the zero-cost-off
+	// property TestTracingOffZeroAlloc enforces).
 	Trace *trace.Tracer
 	// Protect, when non-nil, compiles fault capture into the plan: every
 	// handler invocation and out-of-line guard evaluation runs behind a
@@ -187,6 +177,9 @@ type step struct {
 	guards []Guard
 	b      *Binding
 	inline bool // binding executes fully inline
+	// mode is the binding's execution mode (bindingMode), which both
+	// selects how the step's handler is invoked and labels its trace span.
+	mode trace.Mode
 	// idx is the step's index in the live plan, assigned at compile time.
 	// Decision-tree branches copy steps out of plan order, so the index is
 	// carried on the step itself for trace-span attribution.
@@ -203,9 +196,9 @@ type Plan struct {
 	opts      Options
 	steps     []step
 	units     []unit
-	direct    *Binding // non-nil: single-binding bypass, dispatcher skipped
+	direct    *step // non-nil: single-binding bypass, dispatcher skipped
 	resultFn  ResultFn
-	defaultB  *Binding
+	def       *step // default handler, nil when none installed
 	allInline bool
 	hasFilter bool
 	// retains is set when some live binding (asynchronous or ephemeral)
@@ -232,16 +225,14 @@ type Plan struct {
 	jrnl *journal.Journal
 	// Ahead-of-time specialization (flat.go): the flattened step array, the
 	// shared guard-leaf pool its steps index into, the lowered default
-	// handler, and the shape-specialized executor selected at compile time.
-	// All nil/empty when the plan stays on the interpreter.
+	// handler, and the stencil instantiation selected at compile time (with
+	// its name, for Executor). All nil/empty when the plan stays on the
+	// general executor.
 	flat        []flatStep
 	flatPreds   []flatPred
 	flatDefault *flatStep
-	flatExec    ExecFn
-	// flatBatchExec is the batch-shaped twin of flatExec (flatbatch.go):
-	// the same stenciled guard walk and lowered bodies with the frame loop
-	// inside the executor, selected by the same shape indices.
-	flatBatchExec BatchExecFn
+	frame       frameFn
+	frameName   string
 }
 
 // Env supplies the execution hooks the generated routine needs from the
@@ -272,13 +263,13 @@ type Env struct {
 	// OnFire, if non-nil, is called with the binding tag each time a
 	// handler fires (including default handlers).
 	OnFire func(tag any)
-	// FiredTotal, if non-nil, switches the specialized executors to
-	// batched statistics: per-binding counts go directly to
+	// FiredTotal, if non-nil, switches the stencil and the direct batch
+	// tier to batched statistics: per-binding counts go directly to
 	// Binding.FireCount and the number of handlers that fired (including a
-	// default-handler firing) is added to FiredTotal once per raise, all
-	// through the caller's hoisted stripe shard index. The interpreter and
-	// the traced twin ignore it and keep the per-fire OnFire contract; a
-	// raise produces the same counter totals either way.
+	// default-handler firing) is added to FiredTotal once per raise (once
+	// per batch in ExecuteBatch), all through the caller's hoisted stripe
+	// shard index. The general executor ignores it and keeps the per-fire
+	// OnFire contract; a raise produces the same counter totals either way.
 	FiredTotal *stripe.Counter
 }
 
@@ -301,8 +292,14 @@ type Outcome struct {
 // Compile generates the dispatch routine for the given binding list. The
 // returned plan is immutable; the dispatcher swaps it in atomically.
 func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
-	p := &Plan{info: info, opts: opts, resultFn: resultFn, defaultB: defaultB,
+	p := &Plan{info: info, opts: opts, resultFn: resultFn,
 		protect: opts.Protect, admitQ: opts.Admit, jrnl: opts.Journal}
+	if defaultB != nil {
+		// The default handler runs as a step outside the step list; -1 is
+		// the step index its trace span carries.
+		p.def = &step{b: defaultB, idx: -1,
+			inline: defaultB.Inline != nil && !opts.DisableInline}
+	}
 	for _, b := range bindings {
 		st, live := compileBinding(b, opts)
 		if !live {
@@ -328,9 +325,9 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 	// binding dispatches as a direct procedure call (Figure 1's "an event
 	// with only an intrinsic handler is identical to a procedure call").
 	if !opts.DisableBypass && len(p.steps) == 1 && defaultB == nil && resultFn == nil {
-		st := p.steps[0]
+		st := &p.steps[0]
 		if len(st.guards) == 0 && !st.b.Async && !st.b.Ephemeral && !st.b.Filter {
-			p.direct = st.b
+			p.direct = st
 		}
 	}
 	p.units = buildUnits(p.steps, opts.EnableDecisionTree)
@@ -345,8 +342,7 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 		meta := trace.EventMeta{Event: info.Name,
 			Steps: make([]trace.StepMeta, len(p.steps))}
 		for i := range p.steps {
-			b := p.steps[i].b
-			meta.Steps[i] = trace.StepMeta{Name: b.Name, Mode: bindingMode(b)}
+			meta.Steps[i] = trace.StepMeta{Name: p.steps[i].b.Name, Mode: p.steps[i].mode}
 		}
 		if defaultB != nil {
 			meta.Default = defaultB.Name
@@ -402,7 +398,7 @@ func (p *Plan) TreeUnits() (units, covered int) {
 // compileBinding simplifies one binding's guard list. The second result is
 // false when peephole proved the binding can never fire.
 func compileBinding(b *Binding, opts Options) (step, bool) {
-	st := step{b: b}
+	st := step{b: b, mode: bindingMode(b)}
 	for _, g := range b.Guards {
 		if g.Pred != nil && !opts.DisablePeephole {
 			s := g.Pred.Simplify()
@@ -456,7 +452,12 @@ func reorderGuards(gs []Guard) []Guard {
 // Direct returns the bypass binding, or nil when the event dispatches
 // through the generated routine. The dispatcher uses it to skip plan
 // execution entirely.
-func (p *Plan) Direct() *Binding { return p.direct }
+func (p *Plan) Direct() *Binding {
+	if p.direct == nil {
+		return nil
+	}
+	return p.direct.b
+}
 
 // RetainsArgs reports whether executing the plan may retain the raise
 // argument slice beyond the raise itself: an asynchronous handler runs on
@@ -475,47 +476,127 @@ func (p *Plan) FullyInline() bool { return p.allInline }
 
 // Execute runs the generated dispatch routine. args is the dispatcher's
 // private per-raise argument vector: filters mutate it in place, which is
-// visible to subsequent steps but never to the raiser.
-func (p *Plan) Execute(env *Env, args []any) Outcome {
+// visible to subsequent steps but never to the raiser. stripeIdx is the
+// caller's hoisted stripe shard index (stripe.Index()), reused for every
+// striped counter the raise touches.
+func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 	if p.prog != nil {
-		// Tracing compiled in: draw the sampling decision and run the
-		// traced twin of the routine for sampled raises. Untraced plans
-		// pay only the nil check above.
-		if raise, sampled := p.prog.Begin(); sampled {
-			return p.executeTraced(env, args, raise)
+		// Tracing compiled in: draw the sampling decision; sampled raises
+		// record spans. Untraced plans pay only the nil check above.
+		var rec recorder
+		if r := p.sample(env.CPU, args, &rec); r != nil {
+			return p.general(env, args, r)
 		}
 	}
-	return p.execute(env, args)
+	if p.frame != nil && env.CPU == nil {
+		// Unmetered, unsampled raise on a specialized plan: the stencil.
+		// Metered raises stay on the general executor so the virtual-time
+		// charge sequence is byte-identical with specialization on or off.
+		out := p.frame(p, env, args, stripeIdx)
+		if n := out.fires(); n > 0 && env.FiredTotal != nil {
+			env.FiredTotal.AddAt(stripeIdx, n)
+		}
+		return out
+	}
+	return p.general(env, args, nil)
 }
 
-// execute is Execute past the sampling decision: the untraced routine. The
-// batch entry points call it per frame after drawing one decision for the
-// whole batch.
-func (p *Plan) execute(env *Env, args []any) Outcome {
-	cpu := env.CPU
-	if p.flatExec != nil && cpu == nil {
-		// Unmetered raise on a specialized plan: straight-line executor.
-		// Metered raises stay on the interpreter below so the virtual-time
-		// charge sequence is byte-identical with specialization on or off.
-		// (The dispatcher normally calls the executor directly via FastExec
-		// with its own hoisted stripe index; this route serves direct
-		// codegen users and the unsampled raises of traced plans.)
-		return p.flatExec(p, env, args, stripe.Index())
+// recorder carries one sampled raise's span recording through the general
+// executor. Unsampled raises pass a nil *recorder: open is a no-op on nil
+// and every span-closing site is nil-checked, so an unsampled raise pays
+// nil checks and records nothing.
+//
+// Span timing uses virtual time when the raise is metered (costs are then
+// the same numbers the §3 tables aggregate); on an unmetered dispatcher
+// span starts degrade to a synthetic ordering stamp and costs are zero.
+type recorder struct {
+	prog    *trace.Program
+	cpu     *vtime.CPU
+	raise   uint64
+	begin   int64 // the raise's opening stamp
+	start   int64 // the open span's stamp (see open)
+	metered bool
+}
+
+// sample draws the trace sampling decision for one raise of a traced plan:
+// on a hit it fills rec, opens the raise's span group and returns rec;
+// otherwise it returns nil.
+func (p *Plan) sample(cpu *vtime.CPU, args []any, rec *recorder) *recorder {
+	raise, sampled := p.prog.Begin()
+	if !sampled {
+		return nil
 	}
-	if p.direct != nil {
+	*rec = recorder{prog: p.prog, cpu: cpu, raise: raise, metered: p.prog.Metered(cpu)}
+	rec.begin = rec.stamp()
+	arg0, _ := argWord(args, 0)
+	rec.prog.RaiseBegin(raise, rec.begin, arg0)
+	return rec
+}
+
+func (r *recorder) stamp() int64 { return r.prog.Stamp(r.cpu) }
+
+// cost measures the virtual time a span consumed; unmetered spans record
+// zero cost rather than meaningless tick deltas.
+func (r *recorder) cost(start int64) int64 {
+	if r.metered {
+		return int64(r.cpu.Now()) - start
+	}
+	return 0
+}
+
+// open stamps the start of the next span; handler, guard and merge close
+// it. Spans never nest inside a raise, so one open stamp suffices — kept
+// here rather than in the executor so an unsampled raise carries no stamp
+// across its handler calls.
+func (r *recorder) open() {
+	if r != nil {
+		r.start = r.stamp()
+	}
+}
+
+func (r *recorder) handler(step int, mode trace.Mode, completed bool) {
+	r.prog.Handler(r.raise, step, mode, completed, r.start, r.cost(r.start))
+}
+
+func (r *recorder) guard(step, guard int, inline, pass bool) {
+	r.prog.Guard(r.raise, step, guard, inline, pass, r.start, r.cost(r.start))
+}
+
+func (r *recorder) merge(index int) {
+	r.prog.Merge(r.raise, index, r.start, r.cost(r.start))
+}
+
+// end closes the raise's span group with its outcome.
+func (r *recorder) end(out Outcome) {
+	r.prog.RaiseEnd(r.raise, r.stamp(), r.cost(r.begin), out.Fired, out.Ambiguous, out.UsedDefault)
+}
+
+// general is the general executor: it runs every plan shape, metered or
+// not — the direct bypass as a plain call at the top, everything else
+// through the unit walk — and records spans through rec on sampled raises
+// (rec is nil otherwise).
+func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
+	cpu := env.CPU
+	if st := p.direct; st != nil {
+		rec.open()
 		cpu.Charge(vtime.CallDirect)
 		cpu.ChargeN(vtime.CallDirectArg, p.info.Arity)
-		b := p.direct
 		var res any
+		completed := true
 		if p.protect != nil {
-			res, _ = p.runBindingProtected(cpu, b, args)
+			res, completed = p.callProtected(cpu, st, args)
 		} else {
-			res = p.runBinding(b, args)
+			res = runBody(st.b, st.inline, args)
 		}
 		if env.OnFire != nil {
-			env.OnFire(b.Tag)
+			env.OnFire(st.b.Tag)
 		}
-		return Outcome{Result: res, Fired: 1}
+		out := Outcome{Result: res, Fired: 1}
+		if rec != nil {
+			rec.handler(0, trace.ModeDirect, completed)
+			rec.end(out)
+		}
+		return out
 	}
 
 	if p.allInline {
@@ -539,24 +620,15 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 	// async and ephemeral paths, which genuinely need a detachable
 	// invocation, pay for one.
 	execStep := func(st *step) {
-		b := st.b
-		if b.Filter {
-			// Filters transform arguments for downstream handlers;
-			// they neither produce results nor count as the event
-			// having been handled (§2.3 "Passing arguments").
-			p.chargeHandler(cpu, st)
-			if p.protect != nil {
-				_, _ = p.callProtected(cpu, st, args)
-			} else {
-				_ = st.call(args)
-			}
-			if env.OnFire != nil {
-				env.OnFire(b.Tag)
-			}
-			return
-		}
-		if b.Async {
-			p.chargeHandler(cpu, st)
+		b, mode := st.b, st.mode
+		var res any
+		completed := true
+		rec.open()
+		p.chargeHandler(cpu, st)
+		switch {
+		case mode == trace.ModeAsync:
+			// The span covers the spawn the raiser pays for; the handler
+			// body runs on its own thread of control afterwards.
 			inv := p.invoker(st, args)
 			if p.admitQ != nil && env.SubmitHandler != nil {
 				// Admission compiled in: the invocation passes through
@@ -567,35 +639,36 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 			} else {
 				env.Spawn(p.info.Arity, func() { _ = inv(context.Background()) })
 			}
-			out.Fired++
-			if env.OnFire != nil {
-				env.OnFire(b.Tag)
-			}
-			return
-		}
-		var res any
-		completed := true
-		if b.Ephemeral {
-			p.chargeHandler(cpu, st)
+		case mode == trace.ModeEphemeral:
 			res, completed = env.RunEphemeral(b.Tag, p.invoker(st, args))
-		} else {
-			p.chargeHandler(cpu, st)
-			if p.protect != nil {
-				res, completed = p.callProtected(cpu, st, args)
-			} else {
-				res = st.call(args)
-			}
+		case p.protect != nil:
+			res, completed = p.callProtected(cpu, st, args)
+		default:
+			res = runBody(st.b, st.inline, args)
 		}
-		out.Fired++
+		if rec != nil {
+			rec.handler(st.idx, mode, completed)
+		}
 		if env.OnFire != nil {
 			env.OnFire(b.Tag)
 		}
-		if !p.info.HasResult || !completed {
+		if mode == trace.ModeFilter {
+			// Filters transform arguments for downstream handlers; they
+			// neither produce results nor count as the event having been
+			// handled (§2.3 "Passing arguments").
+			return
+		}
+		out.Fired++
+		if mode == trace.ModeAsync || !p.info.HasResult || !completed {
 			return
 		}
 		if p.resultFn != nil {
+			rec.open()
 			cpu.Charge(vtime.ResultMerge)
 			out.Result = p.resultFn(out.Result, res, out.Fired-1)
+			if rec != nil {
+				rec.merge(out.Fired - 1)
+			}
 		} else {
 			if haveResult {
 				out.Ambiguous = true
@@ -608,66 +681,80 @@ func (p *Plan) execute(env *Env, args []any) Outcome {
 	for i := range p.units {
 		u := &p.units[i]
 		if u.single != nil {
-			if !p.evalGuards(cpu, u.single, args) {
-				continue
+			if p.evalGuards(cpu, u.single, args, rec) {
+				execStep(u.single)
 			}
-			execStep(u.single)
 			continue
 		}
-		// Decision tree: one inline comparison-equivalent lookup
-		// replaces the whole run's guard evaluations (§3.2 future
-		// work; see tree.go).
+		// Decision tree: one inline comparison-equivalent lookup replaces
+		// the whole run's guard evaluations (§3.2 future work; see
+		// tree.go), so it records as one guard span (step -1) whose outcome
+		// is whether any branch matched.
+		rec.open()
 		cpu.Charge(vtime.GuardInline)
-		w, ok := argWord(args, u.treeArg)
-		if !ok {
-			continue
+		var branch []step
+		if w, ok := argWord(args, u.treeArg); ok {
+			branch = u.branches[w]
 		}
-		branch := u.branches[w]
+		if rec != nil {
+			rec.guard(-1, 0, true, len(branch) > 0)
+		}
 		for j := range branch {
 			execStep(&branch[j])
 		}
 	}
 
-	if out.Fired == 0 && p.defaultB != nil {
-		b := p.defaultB
+	if st := p.def; out.Fired == 0 && st != nil {
+		rec.open()
 		cpu.Charge(vtime.HandlerIndirect)
-		var res any
+		completed := true
 		if p.protect != nil {
-			res, _ = p.runBindingProtected(cpu, b, args)
+			out.Result, completed = p.callProtected(cpu, st, args)
 		} else {
-			res = p.runBinding(b, args)
+			out.Result = runBody(st.b, st.inline, args)
+		}
+		if rec != nil {
+			rec.handler(st.idx, trace.ModeDefault, completed)
 		}
 		if env.OnFire != nil {
-			env.OnFire(b.Tag)
+			env.OnFire(st.b.Tag)
 		}
-		out.Result = res
 		out.UsedDefault = true
+	}
+	if rec != nil {
+		rec.end(out)
 	}
 	return out
 }
 
 // evalGuards evaluates one step's guard list, charging per the generated
-// configuration.
-func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, args []any) bool {
+// configuration and recording one span per evaluation: guard index,
+// inline-versus-indirect, and outcome. Evaluation stops at the first
+// failing guard, whose failure span closes the step.
+func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, args []any, rec *recorder) bool {
 	for i := range st.guards {
 		g := &st.guards[i]
-		if g.Pred != nil && !p.opts.DisableInline {
-			cpu.Charge(vtime.GuardInline)
-			if !g.Pred.Eval(args) {
-				return false
-			}
-			continue
-		}
-		cpu.Charge(vtime.GuardIndirect)
+		rec.open()
+		inline := g.Pred != nil && !p.opts.DisableInline
 		var pass bool
-		if g.Pred != nil {
-			// Inlining disabled: the generator emitted an
-			// out-of-line call to the predicate.
+		switch {
+		case inline:
+			cpu.Charge(vtime.GuardInline)
 			pass = g.Pred.Eval(args)
-		} else if p.protect != nil {
+		case g.Pred != nil:
+			// Inlining disabled: the generator emitted an out-of-line
+			// call to the predicate.
+			cpu.Charge(vtime.GuardIndirect)
+			pass = g.Pred.Eval(args)
+		case p.protect != nil:
+			cpu.Charge(vtime.GuardIndirect)
 			pass = p.guardProtected(g, st.b.Tag, args)
-		} else {
+		default:
+			cpu.Charge(vtime.GuardIndirect)
 			pass = g.Fn(g.Closure, args)
+		}
+		if rec != nil {
+			rec.guard(st.idx, i, inline, pass)
 		}
 		if !pass {
 			return false
@@ -687,22 +774,12 @@ func (p *Plan) chargeHandler(cpu *vtime.CPU, st *step) {
 	}
 }
 
-// call invokes the step's handler synchronously — the "direct procedure
-// call" the unrolled routine makes — with no intermediate closure.
-func (st *step) call(args []any) any {
-	b := st.b
-	if st.inline {
-		return b.Inline.Run(args)
-	}
-	if b.CtxFn != nil {
-		return b.CtxFn(context.Background(), b.Closure, args)
-	}
-	return b.Fn(b.Closure, args)
-}
-
-// runBinding invokes a non-step binding (direct bypass, default handler).
-func (p *Plan) runBinding(b *Binding, args []any) any {
-	if b.Inline != nil && !p.opts.DisableInline {
+// runBody invokes a handler synchronously — the "direct procedure call" the
+// unrolled routine makes — with no intermediate closure. It is the one body
+// runner: steps, the direct bypass (and its batch tier) and the default
+// handler all run through it; inline is the step's compiled inline flag.
+func runBody(b *Binding, inline bool, args []any) any {
+	if inline {
 		return b.Inline.Run(args)
 	}
 	if b.CtxFn != nil {
@@ -726,6 +803,21 @@ func (p *Plan) invoker(st *step, args []any) func(context.Context) any {
 	return func(context.Context) any { return b.Fn(b.Closure, args) }
 }
 
+// Executor names the body an unsampled raise of the plan runs — the
+// executor inventory: "direct" (the single-binding bypass and its batch
+// tier), "stencil[R,G]" (the flatFrame instantiation compileFlat selected,
+// unmetered raises only), or "general" (everything else, including the
+// metered and the trace-sampled raises of a stencil plan).
+func (p *Plan) Executor(metered bool) string {
+	switch {
+	case p.direct != nil:
+		return "direct"
+	case p.frame != nil && !metered:
+		return p.frameName
+	}
+	return "general"
+}
+
 // Disassemble renders the plan as pseudo-code, the analog of dumping the
 // generated stub. Used by tests and the spinbench -disasm flag.
 func (p *Plan) Disassemble() string {
@@ -735,17 +827,17 @@ func (p *Plan) Disassemble() string {
 		sb.WriteString(" -> result")
 	}
 	sb.WriteByte('\n')
-	if p.direct != nil {
-		sb.WriteString("  direct call (dispatcher bypassed)\n")
+	fmt.Fprintf(&sb, "  executor: %s", p.Executor(false))
+	switch {
+	case p.direct != nil:
+		sb.WriteString(" (direct call, dispatcher bypassed)\n")
 		return sb.String()
-	}
-	if p.flatExec != nil {
-		if p.GuardedBypass() {
-			sb.WriteString("  specialized: guarded bypass (single straight-line step)\n")
-		} else {
-			fmt.Fprintf(&sb, "  specialized: flattened executor (%d steps, %d guard leaves)\n",
-				len(p.flat), len(p.flatPreds))
-		}
+	case p.GuardedBypass():
+		sb.WriteString(" (guarded bypass: single straight-line step)\n")
+	case p.frame != nil:
+		fmt.Fprintf(&sb, " (%d steps, %d guard leaves)\n", len(p.flat), len(p.flatPreds))
+	default:
+		sb.WriteByte('\n')
 	}
 	writeStep := func(indent string, i int, st *step) {
 		fmt.Fprintf(&sb, "%sstep %d:", indent, i)
@@ -791,7 +883,7 @@ func (p *Plan) Disassemble() string {
 		}
 		sb.WriteString("  }\n")
 	}
-	if p.defaultB != nil {
+	if p.def != nil {
 		sb.WriteString("  default handler installed\n")
 	}
 	if p.resultFn != nil {

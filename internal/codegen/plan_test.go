@@ -21,7 +21,7 @@ func info(arity int, hasResult bool) EventInfo {
 }
 
 func exec(p *Plan, args ...any) Outcome {
-	return p.Execute(&Env{}, args)
+	return p.Execute(&Env{}, args, 0)
 }
 
 func TestSingleBindingBypass(t *testing.T) {
@@ -87,7 +87,7 @@ func TestGuardsFilterHandlers(t *testing.T) {
 		{Fn: mark("all")},
 	}
 	p := Compile(info(1, false), bs, nil, nil, Options{})
-	out := p.Execute(&Env{}, []any{uint64(443)})
+	out := p.Execute(&Env{}, []any{uint64(443)}, 0)
 	if out.Fired != 2 {
 		t.Fatalf("fired = %d, want 2", out.Fired)
 	}
@@ -211,11 +211,11 @@ func TestDefaultHandlerRunsOnlyWhenNothingFires(t *testing.T) {
 	}
 	p := Compile(info(1, true), []*Binding{guarded}, nil, def, Options{})
 
-	out := p.Execute(&Env{}, []any{uint64(9)})
+	out := p.Execute(&Env{}, []any{uint64(9)}, 0)
 	if !out.UsedDefault || out.Result != "default" || defCalls != 1 {
 		t.Fatalf("default path broken: %+v calls=%d", out, defCalls)
 	}
-	out = p.Execute(&Env{}, []any{uint64(1)})
+	out = p.Execute(&Env{}, []any{uint64(1)}, 0)
 	if out.UsedDefault || out.Result != "real" || defCalls != 1 {
 		t.Fatalf("default ran despite a firing handler: %+v", out)
 	}
@@ -246,7 +246,7 @@ func TestFiltersMutateDownstreamArgs(t *testing.T) {
 	}}
 	p := Compile(info(1, false), []*Binding{filter, reader}, nil, nil, Options{})
 	args := []any{"README.TXT"}
-	p.Execute(&Env{}, args)
+	p.Execute(&Env{}, args, 0)
 	if seen != "readme.txt" {
 		t.Fatalf("downstream handler saw %q", seen)
 	}
@@ -264,7 +264,7 @@ func TestAsyncHandlerSpawns(t *testing.T) {
 		{Fn: func(any, []any) any { return "sync" }},
 	}
 	p := Compile(info(0, true), bs, nil, nil, Options{})
-	out := p.Execute(env, nil)
+	out := p.Execute(env, nil, 0)
 	if spawned != 1 || ran != 1 {
 		t.Fatalf("spawned=%d ran=%d", spawned, ran)
 	}
@@ -288,7 +288,7 @@ func TestEphemeralHandlerSupervised(t *testing.T) {
 	live := &Binding{Fn: func(any, []any) any { return true }}
 	eph := &Binding{Ephemeral: true, Tag: "tag", Fn: func(any, []any) any { return false }}
 	p := Compile(info(0, true), []*Binding{eph, live}, nil, nil, Options{})
-	out := p.Execute(env, nil)
+	out := p.Execute(env, nil, 0)
 	if term != 1 {
 		t.Fatalf("supervisor calls = %d", term)
 	}
@@ -307,7 +307,7 @@ func TestOnFireReportsTags(t *testing.T) {
 		{Tag: "c", Fn: func(any, []any) any { return nil }},
 	}
 	p := Compile(info(0, false), bs, nil, nil, Options{DisablePeephole: true, DisableBypass: true})
-	p.Execute(env, nil)
+	p.Execute(env, nil, 0)
 	if len(tags) != 2 || tags[0] != "a" || tags[1] != "c" {
 		t.Fatalf("tags = %v", tags)
 	}
@@ -343,7 +343,7 @@ func TestInlineBodiesExecuteInline(t *testing.T) {
 	}}
 	b2 := &Binding{Inline: AddWord(&counter, 10), Fn: nil}
 	p := Compile(info(0, false), []*Binding{b, b2}, nil, nil, Options{DisableBypass: true})
-	p.Execute(&Env{}, nil)
+	p.Execute(&Env{}, nil, 0)
 	if counter.Load() != 11 {
 		t.Fatalf("counter = %d", counter.Load())
 	}
@@ -365,7 +365,7 @@ func TestDisableInlineFallsBackToFn(t *testing.T) {
 func meteredExec(p *Plan, args []any) vtime.Duration {
 	var clock vtime.Clock
 	cpu := vtime.NewCPU(&clock, vtime.AlphaModel())
-	p.Execute(&Env{CPU: cpu}, args)
+	p.Execute(&Env{CPU: cpu}, args, 0)
 	return vtime.Duration(clock.Now())
 }
 
@@ -403,7 +403,7 @@ func TestCostNoInlineMatchesTable1(t *testing.T) {
 		}
 		var clock vtime.Clock
 		cpu := vtime.NewCPU(&clock, model)
-		p.Execute(&Env{CPU: cpu}, args)
+		p.Execute(&Env{CPU: cpu}, args, 0)
 		us := vtime.InMicros(vtime.Duration(clock.Now()))
 		if us < tc.wantLow || us > tc.wantHigh {
 			t.Errorf("no-inline args=%d handlers=%d: %.3fus outside [%.2f,%.2f]",

@@ -52,7 +52,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Inline: Nop()},
 		{Guards: []Guard{{Pred: ArgEq(0, 2)}}, Inline: Nop()},
 	}, nil, nil, Options{DisableBypass: true})
-	if n := testing.AllocsPerRun(1000, func() { inline.Execute(env, args) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { inline.Execute(env, args, 0) }); n != 0 {
 		t.Errorf("inline plan Execute allocates %v/op, want 0", n)
 	}
 
@@ -60,7 +60,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		{Fn: func(any, []any) any { return nil }},
 		{Fn: func(any, []any) any { return nil }},
 	}, nil, nil, Options{DisableBypass: true})
-	if n := testing.AllocsPerRun(1000, func() { outline.Execute(env, args) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { outline.Execute(env, args, 0) }); n != 0 {
 		t.Errorf("out-of-line plan Execute allocates %v/op, want 0", n)
 	}
 
@@ -70,7 +70,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 	if direct.Direct() == nil {
 		t.Fatal("expected single-binding bypass")
 	}
-	if n := testing.AllocsPerRun(1000, func() { direct.Execute(env, args) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { direct.Execute(env, args, 0) }); n != 0 {
 		t.Errorf("bypass Execute allocates %v/op, want 0", n)
 	}
 }

@@ -57,18 +57,18 @@ func TestTreeDispatchSelectsCorrectBinding(t *testing.T) {
 	var fired []uint64
 	p := Compile(info(1, false), portBindings(20, &fired), nil, nil,
 		Options{EnableDecisionTree: true, DisableBypass: true})
-	out := p.Execute(&Env{}, []any{uint64(1007)})
+	out := p.Execute(&Env{}, []any{uint64(1007)}, 0)
 	if out.Fired != 1 || len(fired) != 1 || fired[0] != 1007 {
 		t.Fatalf("fired=%v out=%+v", fired, out)
 	}
 	// A miss fires nothing.
 	fired = nil
-	out = p.Execute(&Env{}, []any{uint64(9999)})
+	out = p.Execute(&Env{}, []any{uint64(9999)}, 0)
 	if out.Fired != 0 || len(fired) != 0 {
 		t.Fatalf("miss fired %v", fired)
 	}
 	// A non-word argument fires nothing rather than crashing.
-	out = p.Execute(&Env{}, []any{"not-a-word"})
+	out = p.Execute(&Env{}, []any{"not-a-word"}, 0)
 	if out.Fired != 0 {
 		t.Fatal("non-word argument dispatched")
 	}
@@ -86,7 +86,7 @@ func TestTreeDuplicateConstantsPreserveOrder(t *testing.T) {
 	bs = append(bs, extra1, extra2)
 	p := Compile(info(1, false), bs, nil, nil,
 		Options{EnableDecisionTree: true, DisableBypass: true})
-	p.Execute(&Env{}, []any{uint64(1002)})
+	p.Execute(&Env{}, []any{uint64(1002)}, 0)
 	if len(fired) != 3 || fired[0] != 1002 || fired[1] != 111 || fired[2] != 222 {
 		t.Fatalf("fired = %v", fired)
 	}
@@ -152,8 +152,8 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 		lin := build(&linLog, false)
 		tr := build(&treeLog, true)
 		arg := uint64(rng.Intn(6))
-		lin.Execute(&Env{}, []any{arg})
-		tr.Execute(&Env{}, []any{arg})
+		lin.Execute(&Env{}, []any{arg}, 0)
+		tr.Execute(&Env{}, []any{arg}, 0)
 		if len(linLog) != len(treeLog) {
 			t.Fatalf("trial %d arg %d: linear fired %v, tree fired %v", trial, arg, linLog, treeLog)
 		}
@@ -175,7 +175,7 @@ func TestTreeFlattensGuardCost(t *testing.T) {
 			Options{EnableDecisionTree: tree, DisableBypass: true})
 		var clock vtime.Clock
 		cpu := vtime.NewCPU(&clock, vtime.AlphaModel())
-		p.Execute(&Env{CPU: cpu}, []any{uint64(1000)})
+		p.Execute(&Env{CPU: cpu}, []any{uint64(1000)}, 0)
 		return vtime.InMicros(vtime.Duration(clock.Now()))
 	}
 	lin10, lin50 := measure(10, false), measure(50, false)

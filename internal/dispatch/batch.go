@@ -170,24 +170,35 @@ func (e *Event) RaiseBatch(frames []ArgFrame) BatchOutcome {
 	return out
 }
 
-// raiseBatchFrames is the vectorized synchronous core: one raised-counter
-// add and one stripe index for the batch, then the plan's batch executor,
-// reloading and continuing on the new plan whenever the executor reports
-// it was superseded mid-batch. Argument validity (arity) must be
-// pre-checked by the caller.
+// raiseBatchFrames is the vectorized synchronous core: one stripe index
+// for the batch, then the plan's batch executor, reloading and continuing
+// on the new plan whenever the executor reports it was superseded
+// mid-batch. Argument validity (arity) must be pre-checked by the caller.
 func (e *Event) raiseBatchFrames(out *BatchOutcome, frames []ArgFrame) {
 	idx := stripe.Index()
-	e.raised.AddAt(idx, int64(len(frames)))
-	plan := e.plan.Load()
-	done := 0
-	for done < len(frames) {
-		b, k := plan.ExecuteBatch(e.env, frames[done:], idx, &e.plan)
-		out.foldBatch(b, k)
-		done += k
-		if done < len(frames) {
-			plan = e.plan.Load()
+	for done := 0; done < len(frames); {
+		done += e.executeBatch(out, e.plan.Load(), frames[done:], idx)
+	}
+}
+
+// executeBatch makes one batch-executor call and accounts the m frames it
+// processed, returning m. The raised total is counted after the fact:
+// frames beyond m re-dispatch on the reloaded plan in the caller's next
+// iteration, so counting m (not len(frames)) keeps the total exact. The
+// same add is the journal's raise-sampling draw, as in raiseOut: moving the
+// shard value from v to v+m wins one sample per multiple of the sampling
+// interval in (v, v+m] — what a loop of m raises would have won — each
+// recorded with this call's mean fired count.
+func (e *Event) executeBatch(out *BatchOutcome, plan *codegen.Plan, frames []ArgFrame, idx int) int {
+	b, m := plan.ExecuteBatch(e.env, frames, idx, &e.plan)
+	raised := e.raised.AddAtN(idx, int64(m))
+	out.foldBatch(b, m)
+	if jr := plan.Journal(); jr != nil {
+		for hits := jr.SampleCountN(uint64(raised), uint64(m)); hits > 0; hits-- {
+			jr.SampleHit(e.name, int(b.Fired/int64(m)))
 		}
 	}
+	return m
 }
 
 // raiseBatchLoop dispatches frames one at a time through the exact
@@ -370,14 +381,7 @@ func (e *Event) raiseBatchFlat(flat []any, width int) BatchOutcome {
 			at := (done + j) * width
 			frames[j] = flat[at : at+width : at+width]
 		}
-		idx := stripe.Index()
-		b, m := plan.ExecuteBatch(e.env, frames[:k], idx, &e.plan)
-		// Count raised after the fact: frames beyond m re-dispatch on the
-		// reloaded plan next iteration, so counting m (not k) keeps the
-		// raised total exact.
-		e.raised.AddAt(idx, int64(m))
-		out.foldBatch(b, m)
-		done += m
+		done += e.executeBatch(&out, plan, frames[:k], stripe.Index())
 	}
 	for j := range frames {
 		frames[j] = nil

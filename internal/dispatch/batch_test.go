@@ -35,8 +35,6 @@ var batchConfigs = []struct {
 	{"tree", codegen.Options{EnableDecisionTree: true}},
 	{"outofline", codegen.Options{DisableInline: true, DisableBypass: true, DisablePeephole: true}},
 	{"interp", codegen.Options{DisableSpecialize: true}},
-	{"genshape", codegen.Options{DisableShapeSpecialize: true}},
-	{"incremental", codegen.Options{IncrementalInstall: true}},
 }
 
 // batchSizes are the batch lengths the differential tests sweep; 1 and 2

@@ -272,15 +272,9 @@ func (e *Event) recompile(charge bool) {
 		cpu := e.d.cpu
 		cpu.Begin(vtime.AccountEvents)
 		cpu.Charge(vtime.PlanCompileBase)
-		if !e.d.cgOpts.IncrementalInstall {
-			// Full regeneration: cost linear in the bindings present,
-			// O(n^2) for n installs (§3.1 "Installation overhead").
-			cpu.ChargeN(vtime.PlanCompileBinding, len(e.bindings))
-		}
-		// Incremental installation (the paper's anticipated "more
-		// incremental (and economical) approach") appends one
-		// pre-generated stub and patches the dispatch chain, so only
-		// the base cost is paid regardless of population.
+		// Full regeneration: cost linear in the bindings present, O(n^2)
+		// for n installs (§3.1 "Installation overhead").
+		cpu.ChargeN(vtime.PlanCompileBinding, len(e.bindings))
 		cpu.End()
 	}
 	e.plan.Store(plan)
@@ -437,26 +431,18 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 		// FUNCTIONAL guard by panicking inside plan execution; only then
 		// does the raise need a recover barrier. The production path below
 		// carries none.
-		return e.raiseOutMonitored(plan, args)
+		return e.raiseOutMonitored(plan, args, idx)
 	}
 
 	var out codegen.Outcome
 	if cpu := e.d.cpu; cpu == nil {
 		// Unmetered: skip all virtual-time accounting up front instead of
-		// paying a nil check per meter call inside the plan. Specialized
-		// plans — flattened guard trees, shape-selected executor, batched
-		// statistics — hoist past the interpreter entirely; this is the
-		// bypass tier for guard-constant and single-inline-guard plans
-		// (GuardedBypass) as well as every other flat-eligible shape.
-		if fe := plan.FastExec(); fe != nil {
-			out = fe(plan, e.env, args, idx)
-		} else {
-			out = plan.Execute(e.env, args)
-		}
+		// paying a nil check per meter call inside the plan.
+		out = plan.Execute(e.env, args, idx)
 	} else {
 		cpu.Begin(vtime.AccountEvents)
 		start := cpu.Now()
-		out = plan.Execute(e.env, args)
+		out = plan.Execute(e.env, args, idx)
 		e.timeNanos.Add(int64(cpu.Now().Sub(start)))
 		cpu.End()
 	}
@@ -472,7 +458,7 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 // raiseOutMonitored is raiseOut's purity-checking tail: identical execution
 // behind a recover barrier that surfaces the monitor's ErrGuardMutatedArgs
 // panic as an error at the raise point.
-func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any) (out codegen.Outcome, err error) {
+func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int) (out codegen.Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == ErrGuardMutatedArgs {
@@ -483,11 +469,11 @@ func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any) (out codegen.O
 		}
 	}()
 	if cpu := e.d.cpu; cpu == nil {
-		out = plan.Execute(e.env, args)
+		out = plan.Execute(e.env, args, idx)
 	} else {
 		cpu.Begin(vtime.AccountEvents)
 		start := cpu.Now()
-		out = plan.Execute(e.env, args)
+		out = plan.Execute(e.env, args, idx)
 		e.timeNanos.Add(int64(cpu.Now().Sub(start)))
 		cpu.End()
 	}

@@ -64,6 +64,86 @@ func TestJournalLifecycleOnlyRaiseDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRaiseBatchDrawsJournalSample: a batch is observably a loop of raises
+// (DESIGN.md decision 16), and the journal's 1-in-N raise sample is
+// observable. Every batched entry point must therefore leave the KindRaise
+// records a loop of single raises leaves: one per N raises on a shard, each
+// carrying the frame's fired count. All raises come from this goroutine, so
+// they share a stripe shard unless the stack moves mid-test; each shard
+// rounds down on its own, which bounds the count from below.
+func TestRaiseBatchDrawsJournalSample(t *testing.T) {
+	const raises, every, shards = 256, 4, 8
+	for _, tc := range []struct {
+		name  string
+		drive func(e *Event)
+	}{
+		{"loop", func(e *Event) {
+			for i := 0; i < raises; i++ {
+				_, _ = e.Raise1(uint64(i))
+			}
+		}},
+		{"RaiseBatch", func(e *Event) {
+			frames := make([]ArgFrame, raises)
+			for i := range frames {
+				frames[i] = ArgFrame{uint64(i)}
+			}
+			e.RaiseBatch(frames)
+		}},
+		{"RaiseBatch1", func(e *Event) {
+			flat := make([]any, raises)
+			for i := range flat {
+				flat[i] = uint64(i)
+			}
+			e.RaiseBatch1(flat)
+		}},
+		{"uneven trains", func(e *Event) {
+			// Trains that straddle, hit and miss the sampling interval.
+			for done, k := 0, 1; done < raises; k = k%7 + 1 {
+				if k > raises-done {
+					k = raises - done
+				}
+				frames := make([]ArgFrame, k)
+				for i := range frames {
+					frames[i] = ArgFrame{uint64(done + i)}
+				}
+				e.RaiseBatch(frames)
+				done += k
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := journal.NewMemSink()
+			j := journal.New(journal.Config{Sink: sink, SampleRaises: every, FlushInterval: -1})
+			d := New(WithJournal(j))
+			e := mustDefine(t, d, "J.Sample", rtti.Sig(nil, rtti.Word))
+			for _, name := range []string{"H1", "H2"} {
+				if _, err := e.Install(handler(voidProc(name, rtti.Word), func(any, []any) any { return nil })); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.drive(e)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			res := journal.Scan(sink.Bytes())
+			sampled := 0
+			for _, r := range append(res.SealedRecords(), res.Tail...) {
+				if r.Kind != journal.KindRaise {
+					continue
+				}
+				sampled++
+				if r.Event != "J.Sample" || r.A != 2 {
+					t.Fatalf("raise record %+v, want event J.Sample with 2 fired", r)
+				}
+			}
+			if sampled > raises/every || sampled <= raises/every-shards {
+				t.Fatalf("%d raises at 1-in-%d left %d KindRaise records, want %d (at most %d fewer)",
+					raises, every, sampled, raises/every, shards-1)
+			}
+		})
+	}
+}
+
 // liveOrder returns an event's installed bindings' journal IDs in
 // dispatch order, the sequence the State oracle's Bindings must match.
 func liveOrder(e *Event) []uint64 {

@@ -332,7 +332,7 @@ func TestPlanVersionsAreIndependent(t *testing.T) {
 
 	// The stale plan still dispatches to H1 only.
 	env := &codegen.Env{}
-	out := oldPlan.Execute(env, nil)
+	out := oldPlan.Execute(env, nil, 0)
 	if out.Fired != 1 || n1 != 1 || n2 != 0 {
 		t.Fatalf("stale plan: fired=%d n1=%d n2=%d", out.Fired, n1, n2)
 	}

@@ -25,6 +25,7 @@
 package journal
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,6 +223,19 @@ func (j *Journal) SampleDraw(idx int) bool {
 // call: this compiles to two instructions at the raise tail.
 func (j *Journal) SampleCount(n uint64) bool {
 	return n&j.sampleMask == 0
+}
+
+// SampleCountN is SampleCount for a batched raise, which advances the
+// caller's counter by m in one step to n: it returns how many of the m
+// raises won the draw — the multiples of the sampling interval in
+// (n-m, n] — so a batch samples exactly as a loop of m single raises on
+// the same shard would.
+func (j *Journal) SampleCountN(n, m uint64) int {
+	if j.sampleMask == sampleOff {
+		return 0
+	}
+	shift := bits.Len64(j.sampleMask) // the interval is mask+1, a power of two
+	return int(n>>shift - (n-m)>>shift)
 }
 
 // SampleHit enqueues the sampled raise record a winning SampleDraw

@@ -387,7 +387,7 @@ func TestSampleCountOffNeverSamples(t *testing.T) {
 	j := New(Config{Sink: NewMemSink(), FlushInterval: -1})
 	defer j.Close()
 	for _, n := range []uint64{1, 2, 1024, 1 << 40} {
-		if j.SampleCount(n) {
+		if j.SampleCount(n) || j.SampleCountN(n, n) != 0 {
 			t.Fatalf("sampling-off journal sampled at n=%d", n)
 		}
 	}
@@ -401,6 +401,17 @@ func TestSampleCountOffNeverSamples(t *testing.T) {
 	}
 	if hits != 16 {
 		t.Fatalf("1-in-4 sampling hit %d of 64, want 16", hits)
+	}
+	// A counter advanced in uneven steps wins exactly the draws the
+	// unit steps it spans would have won.
+	hits = 0
+	n := uint64(0)
+	for _, m := range []uint64{1, 2, 3, 5, 8, 13, 32} {
+		n += m
+		hits += on.SampleCountN(n, m)
+	}
+	if n != 64 || hits != 16 {
+		t.Fatalf("1-in-4 batched sampling hit %d of %d, want 16 of 64", hits, n)
 	}
 }
 

@@ -42,10 +42,13 @@ type Event struct {
 	// move can re-point every handle at its reinstalled twin. Guarded by
 	// ctlMu.
 	binds map[*dispatch.Binding]*Binding
-	// base accumulates dispatch statistics from previous shard
-	// residencies; Stats() adds the current shard's on top. Guarded by
-	// ctlMu.
-	base dispatch.Stats
+	// departed are the event's previous shard residencies; Stats() adds
+	// their counters to the current shard's. They are read live rather
+	// than snapshotted at the move: a raise that resolved its route before
+	// a move counts itself on the departed residency after it, and a
+	// snapshot would lose it. One retired event is kept per move. Guarded
+	// by ctlMu.
+	departed []*dispatch.Event
 }
 
 // Binding is the routed front handle for one installation. It follows its
@@ -279,15 +282,18 @@ func (e *Event) InstallAuthorizer(fn dispatch.AuthorizerFn, proof *rtti.Module) 
 }
 
 // Stats reports the event's dispatch statistics accumulated across every
-// shard residency: counters from shards the event has departed are folded
-// into a base the current shard's live counters add to.
+// shard residency: the live counters of the shards the event has departed
+// plus the current shard's.
 func (e *Event) Stats() dispatch.Stats {
 	e.ctlMu.Lock()
 	defer e.ctlMu.Unlock()
 	st := e.loadRoute().ctl.Stats()
-	st.Raised += e.base.Raised
-	st.Fired += e.base.Fired
-	st.Time += e.base.Time
+	for _, d := range e.departed {
+		ds := d.Stats()
+		st.Raised += ds.Raised
+		st.Fired += ds.Fired
+		st.Time += ds.Time
+	}
 	return st
 }
 

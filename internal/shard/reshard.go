@@ -163,16 +163,12 @@ func moveEvent(e *Event, from, to *Shard) error {
 	// admitted.
 	dst.MigrateControls(src)
 
-	// Fold the source residency's counters into the handle's base, swap
-	// the route, and retire the source. Raises that resolved the old
-	// route drain on the source's still-published plan (their counts land
-	// in the striped counters already folded — quiesce before comparing
-	// ledgers, as the differential tests do).
-	st := src.Stats()
-	e.base.Raised += st.Raised
-	e.base.Fired += st.Fired
-	e.base.Time += st.Time
+	// Swap the route and retire the source. Raises that resolved the old
+	// route drain on the source's still-published plan and may count
+	// themselves after this point, so the source's counters are not
+	// snapshotted: Stats keeps reading them live.
 	e.storeRoute(to, dst)
+	e.departed = append(e.departed, src)
 	return fromD.RemoveEvent(src.Name())
 }
 
