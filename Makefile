@@ -9,8 +9,11 @@ vet:
 
 # Static verification of the SPIN safety attributes (paper §2.4): guard
 # purity (FUNCTIONAL), handler terminability (EPHEMERAL), and descriptor
-# consistency. Any diagnostic fails the build.
+# consistency. Any diagnostic fails the build, and so does any file gofmt
+# would rewrite.
 lint: spinvet
+	@unformatted="$$(gofmt -l .)"; [ -z "$$unformatted" ] || \
+		{ echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; }
 
 spinvet:
 	$(GO) run ./cmd/spinvet ./...
@@ -38,7 +41,7 @@ race:
 	$(GO) test -race ./...
 
 # A short differential-fuzzing pass over the dispatch code generator: the
-# optimized plans (peephole, reordering, inlining, bypass, decision tree,
+# optimized plans (peephole, reordering, inlining, bypass, guard index,
 # stencil, sampled raises) must agree with naive reference evaluation. Go
 # runs one fuzz target per invocation.
 fuzz-smoke:

@@ -679,7 +679,7 @@ func journalTable() error {
 	return nil
 }
 
-// showDisasm prints the generated dispatch plan for three representative
+// showDisasm prints the generated dispatch plan for four representative
 // configurations, the analog of dumping the runtime-generated stubs.
 func showDisasm() {
 	var cell atomic.Uint64
@@ -702,6 +702,13 @@ func showDisasm() {
 		{Guards: []codegen.Guard{{Pred: codegen.False()}}, Fn: func(any, []any) any { return nil }},
 		{Fn: func(any, []any) any { return nil }, Async: true},
 	}, codegen.Options{})
+	fmt.Println("-- port demultiplexer: a run of equality guards behind the guard index --")
+	ports := []*codegen.Binding{{Inline: codegen.Nop()}}
+	for _, port := range []uint64{53, 80, 123, 80, 443} {
+		ports = append(ports, &codegen.Binding{
+			Guards: []codegen.Guard{{Pred: codegen.ArgEq(0, port)}}, Inline: codegen.AddWord(&cell, 1)})
+	}
+	mk(ports, codegen.Options{})
 }
 
 // overloadTable measures asynchronous raise behaviour as offered load

@@ -239,9 +239,10 @@ func NewEchoRig(extraGuards int) (*EchoRig, error) {
 }
 
 // NewEchoRigOptimized is the same setup with inline predicate port guards
-// and the decision-tree generator enabled — the configuration the paper's
-// future-work paragraph predicts "would be effective for the port
-// comparison required by this example".
+// and the general executor dispatching through the guard index
+// (EnableDecisionTree) — the configuration the paper's future-work
+// paragraph predicts "would be effective for the port comparison required
+// by this example".
 func NewEchoRigOptimized(extraGuards int) (*EchoRig, error) {
 	return newEchoRig(extraGuards, true)
 }
@@ -363,8 +364,8 @@ func Table2Roundtrip(guards int) (vtime.Duration, error) {
 	return rig.Roundtrip()
 }
 
-// Table2RoundtripOptimized is Table2Roundtrip under the decision-tree
-// generator with inline port guards: the per-guard slope collapses.
+// Table2RoundtripOptimized is Table2Roundtrip through the guard index with
+// inline port guards: the per-guard slope collapses.
 func Table2RoundtripOptimized(guards int) (vtime.Duration, error) {
 	if guards < 1 {
 		guards = 1

@@ -9,7 +9,7 @@ import (
 
 // Ahead-of-time plan specialization — the reproduction's answer to the
 // paper's runtime code generation for the multi-binding case. The general
-// executor in plan.go (Plan.general) dispatches per step through the unit
+// executor in plan.go (Plan.general) dispatches per step through the step
 // list, runBody, and `Body.Run`, paying a chain of branches and an indirect
 // dispatch per step on every raise. SPIN's generator instead emitted one
 // straight-line stub per plan. Go cannot emit machine code at runtime, but
@@ -20,6 +20,9 @@ import (
 //     contiguous array of leaf comparisons (flatPred) shared by the whole
 //     plan, evaluated by a branch-predictable switch with no recursion and
 //     no per-guard indirect call;
+//   - runs of steps that start with an equality test on the same argument
+//     are entered through the guard index (tree.go): one hash of the
+//     argument word replaces the scan over every other constant;
 //   - handler bodies are lowered into the step record (flatStep), so the
 //     common inline bodies run without touching *Body or *Binding;
 //   - one per-frame stencil (flatFrame) specialized over (no-result,
@@ -41,12 +44,10 @@ import (
 // specialized shape against naive reference evaluation.
 //
 // Eligibility (compileFlat): every step synchronous and unfiltered, no
-// fault-capture hook (recovery barriers live in the general executor),
-// no decision-tree unit (the hashed lookup beats a linear flat scan for the
-// ≥4-way runs trees cover), and no unguarded direct bypass (already a plain
-// call). Metered raises (Env.CPU != nil) always take the general executor
-// so the virtual-time charge sequence stays byte-identical to the ablation
-// tables.
+// fault-capture hook (recovery barriers live in the general executor), and
+// no unguarded direct bypass (already a plain call). Metered raises
+// (Env.CPU != nil) always take the general executor so the virtual-time
+// charge sequence stays byte-identical to the ablation tables.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -156,19 +157,18 @@ func (p *Plan) compileFlat() {
 	if p.opts.DisableSpecialize || p.protect != nil || p.direct != nil {
 		return
 	}
-	for i := range p.units {
-		if p.units[i].single == nil {
-			return // decision tree: hashed lookup beats a flat scan
-		}
-	}
+	leaves := 0
 	for i := range p.steps {
 		b := p.steps[i].b
 		if b.Async || b.Ephemeral || b.Filter {
 			return
 		}
+		// A lower bound on the leaf count (And-trees split further), so the
+		// common one-leaf-per-guard plan fills the pool without regrowing.
+		leaves += len(p.steps[i].guards)
 	}
 	flat := make([]flatStep, len(p.steps))
-	var preds []flatPred
+	preds := make([]flatPred, 0, leaves)
 	for i := range p.steps {
 		st := &p.steps[i]
 		fs := &flat[i]
@@ -311,98 +311,141 @@ func flatFrame[R resultSpec, G guardSpec](p *Plan, env *Env, args []any, idx int
 	onFire := env.OnFire
 	batched := env.FiredTotal != nil
 	preds := p.flatPreds
-	flat := p.flat
 	var out Outcome
 	var haveResult bool
-steps:
-	for i := range flat {
-		s := &flat[i]
-		if useGuards {
-			// The embedded first leaf (g0) evaluates without touching the
-			// shared pool; pooled leaves (p0..p1) follow. One switch in the
-			// source serves both, walked leaf-by-leaf.
-			pr := &s.g0
-			j := s.p0
-			for {
-				switch pr.op {
-				case PredGlobalEq:
-					if pr.cell.Load() != pr.k {
+	// The plan runs as a sequence of segments: outside the guard index, the
+	// linear stretch up to the next run (or the plan's end); inside a run,
+	// one step the lookup hit, re-entered along that step's chain. The step
+	// loop is the same either way, and the walk is advanced between
+	// segments, never per step: a plan with no indexed run is one segment
+	// and pays for the index once per raise. A hit step runs whole:
+	// re-testing the equality the lookup just decided is one compare on the
+	// few steps that match.
+	ri := 0        // the next run of p.runs
+	inRun := false // walking the hits of run ri-1
+	i, stop := 0, len(p.flat)
+	if len(p.runs) > 0 {
+		stop = p.runs[0].start
+	}
+segments:
+	for {
+		seg := p.flat[i:stop]
+	steps:
+		for k := range seg {
+			s := &seg[k]
+			if useGuards {
+				// The embedded first leaf (g0) evaluates without touching the
+				// shared pool; pooled leaves (p0..p1) follow. One switch in the
+				// source serves both, walked leaf-by-leaf.
+				pr := &s.g0
+				j := s.p0
+				for {
+					switch pr.op {
+					case PredGlobalEq:
+						if pr.cell.Load() != pr.k {
+							continue steps
+						}
+					case PredGlobalNe:
+						if pr.cell.Load() == pr.k {
+							continue steps
+						}
+					case PredArgEq:
+						if w, ok := argWord(args, pr.arg); !ok || w != pr.k {
+							continue steps
+						}
+					case PredArgNe:
+						if w, ok := argWord(args, pr.arg); !ok || w == pr.k {
+							continue steps
+						}
+					case PredArgLt:
+						if w, ok := argWord(args, pr.arg); !ok || w >= pr.k {
+							continue steps
+						}
+					case PredFalse:
 						continue steps
+					case predOpTree:
+						if !pr.tree.Eval(args) {
+							continue steps
+						}
+					case predOpCall:
+						if !pr.fn(pr.clo, args) {
+							continue steps
+						}
 					}
-				case PredGlobalNe:
-					if pr.cell.Load() == pr.k {
-						continue steps
+					if j >= s.p1 {
+						break
 					}
-				case PredArgEq:
-					if w, ok := argWord(args, pr.arg); !ok || w != pr.k {
-						continue steps
-					}
-				case PredArgNe:
-					if w, ok := argWord(args, pr.arg); !ok || w == pr.k {
-						continue steps
-					}
-				case PredArgLt:
-					if w, ok := argWord(args, pr.arg); !ok || w >= pr.k {
-						continue steps
-					}
-				case PredFalse:
-					continue steps
-				case predOpTree:
-					if !pr.tree.Eval(args) {
-						continue steps
-					}
-				case predOpCall:
-					if !pr.fn(pr.clo, args) {
-						continue steps
-					}
+					pr = &preds[j]
+					j++
 				}
-				if j >= s.p1 {
-					break
-				}
-				pr = &preds[j]
-				j++
 			}
-		}
-		// The inline-body cases are open-coded (rather than calling
-		// runFlatBody) so the common Nop/ReturnConst/AddWord bodies run
-		// without a call frame.
-		var res any
-		if s.inline {
-			switch s.bop {
-			case BodyReturnConst:
-				res = s.bv
-			case BodyAddWord:
-				if s.bcell != nil {
-					s.bcell.Add(s.bk)
+			// The inline-body cases are open-coded (rather than calling
+			// runFlatBody) so the common Nop/ReturnConst/AddWord bodies run
+			// without a call frame.
+			var res any
+			if s.inline {
+				switch s.bop {
+				case BodyReturnConst:
+					res = s.bv
+				case BodyAddWord:
+					if s.bcell != nil {
+						s.bcell.Add(s.bk)
+					}
+				case BodyReturnArg:
+					if s.barg >= 0 && s.barg < len(args) {
+						res = args[s.barg]
+					}
 				}
-			case BodyReturnArg:
-				if s.barg >= 0 && s.barg < len(args) {
-					res = args[s.barg]
-				}
-			}
-		} else if s.ctxFn != nil {
-			res = s.ctxFn(context.Background(), s.clo, args)
-		} else {
-			res = s.fn(s.clo, args)
-		}
-		out.Fired++
-		if batched {
-			if s.fire != nil {
-				s.fire.AddAt(idx, 1)
-			}
-		} else if onFire != nil {
-			onFire(s.tag)
-		}
-		if hasResult {
-			if p.resultFn != nil {
-				out.Result = p.resultFn(out.Result, res, out.Fired-1)
+			} else if s.ctxFn != nil {
+				res = s.ctxFn(context.Background(), s.clo, args)
 			} else {
-				if haveResult {
-					out.Ambiguous = true
-				}
-				out.Result = res
-				haveResult = true
+				res = s.fn(s.clo, args)
 			}
+			out.Fired++
+			if batched {
+				if s.fire != nil {
+					s.fire.AddAt(idx, 1)
+				}
+			} else if onFire != nil {
+				onFire(s.tag)
+			}
+			if hasResult {
+				if p.resultFn != nil {
+					out.Result = p.resultFn(out.Result, res, out.Fired-1)
+				} else {
+					if haveResult {
+						out.Ambiguous = true
+					}
+					out.Result = res
+					haveResult = true
+				}
+			}
+		}
+		// Segment boundary. The run state lives in p.runs, re-read here, so
+		// the step loop above carries nothing for it.
+		switch {
+		case inRun:
+			// The segment was the hit step stop-1: follow its chain.
+			i = p.runs[ri-1].next(stop - 1)
+		case ri < len(p.runs):
+			// The segment ended at the head of the next run: look the
+			// argument up.
+			i = p.runs[ri].find(args)
+			ri++
+			inRun = true
+		default:
+			break segments
+		}
+		if i != p.runs[ri-1].end {
+			stop = i + 1
+			continue
+		}
+		// The run is exhausted (or missed outright): resume the linear scan
+		// behind it.
+		inRun = false
+		stop = len(p.flat)
+		if ri < len(p.runs) {
+			stop = p.runs[ri].start
 		}
 	}
 	if out.Fired == 0 && p.flatDefault != nil {

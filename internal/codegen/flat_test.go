@@ -31,7 +31,8 @@ func guardedBindings(n int, count *int) []*Binding {
 }
 
 // TestSpecializeEligibility is the executor inventory: which of the three
-// bodies each plan shape runs. Plan.Disassemble prints the same name.
+// bodies each plan shape runs, and whether the plan carries a guard index
+// for it. Plan.Disassemble prints the same name.
 func TestSpecializeEligibility(t *testing.T) {
 	n := 0
 	h := func() *Binding { return &Binding{Fn: countingHandler(&n, nil)} }
@@ -59,6 +60,7 @@ func TestSpecializeEligibility(t *testing.T) {
 		opts      Options
 		metered   bool
 		want      string
+		runs      int // indexed runs the plan carries
 	}{
 		{shape: "unguarded single", bindings: []*Binding{h()}, want: "direct"},
 		{shape: "unguarded single, metered", bindings: []*Binding{h()}, metered: true, want: "direct"},
@@ -82,8 +84,15 @@ func TestSpecializeEligibility(t *testing.T) {
 			want: "general"},
 		{shape: "fault policy on", arity: 1, bindings: guardedN(2, nil),
 			opts: Options{Protect: nopFaultHook{}}, want: "general"},
-		{shape: "tree unit", arity: 1, bindings: tree,
-			opts: Options{EnableDecisionTree: true}, want: "general"},
+		{shape: "indexed run", arity: 1, bindings: tree, want: "stencil[void,guarded]", runs: 1},
+		{shape: "indexed run, EnableDecisionTree", arity: 1, bindings: tree,
+			opts: Options{EnableDecisionTree: true}, want: "stencil[void,guarded]", runs: 1},
+		{shape: "indexed run, metered", arity: 1, bindings: tree, metered: true,
+			want: "general", runs: 1}, // the stencil's index; a metered raise scans
+		{shape: "indexed run, fault policy on", arity: 1, bindings: tree,
+			opts: Options{Protect: nopFaultHook{}}, want: "general"},
+		{shape: "indexed run, fault policy on, EnableDecisionTree", arity: 1, bindings: tree,
+			opts: Options{Protect: nopFaultHook{}, EnableDecisionTree: true}, want: "general", runs: 1},
 		{shape: "DisableSpecialize", arity: 1, bindings: guardedN(2, nil),
 			opts: Options{DisableSpecialize: true}, want: "general"},
 		{shape: "metered", arity: 1, bindings: guardedN(2, nil), metered: true, want: "general"},
@@ -94,6 +103,9 @@ func TestSpecializeEligibility(t *testing.T) {
 		}
 		if !tc.metered && !strings.Contains(p.Disassemble(), "executor: "+tc.want) {
 			t.Errorf("%s: disassembly does not name %s:\n%s", tc.shape, tc.want, p.Disassemble())
+		}
+		if runs, _ := p.IndexedRuns(); runs != tc.runs {
+			t.Errorf("%s: %d indexed runs, want %d", tc.shape, runs, tc.runs)
 		}
 		if (p.Direct() != nil) != (tc.want == "direct") {
 			t.Errorf("%s: Direct()=%v with executor %s", tc.shape, p.Direct() != nil, tc.want)

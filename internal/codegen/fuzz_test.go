@@ -70,14 +70,142 @@ func genPred(r *fuzzReader, depth int, arity int, cell *atomic.Uint64) *Pred {
 	}
 }
 
-// genArgs decodes one raise argument vector of small words.
+// genArgs decodes one raise argument vector of small words; the top bytes
+// decode to a non-word, which every argument comparison fails on.
 func genArgs(r *fuzzReader, arity int) []any {
 	args := make([]any, arity)
 	for i := range args {
-		args[i] = uint64(r.byte() % 4)
+		if b := r.byte(); b >= 0xF0 {
+			args[i] = "not-a-word"
+		} else {
+			args[i] = uint64(b % 4)
+		}
 	}
 	return args
 }
+
+// Binding kinds of genBindings, and the tails of an equality-first binding.
+const (
+	kindUnguarded = 0
+	kindEq        = 1 // 2 decodes the same: half of all bindings start a run
+	kindTree      = 3
+
+	tailNone = 0 // the bare ArgEq
+	tailAnd  = 1 // And(ArgEq, leaf-or-shallow-tree): further leaves in one guard
+	tailCall = 2 // a second, out-of-line guard
+	tailPred = 3 // a second inline guard, as an authorizer imposes one
+)
+
+// genBindings decodes n bindings. Half start with an equality test on an
+// argument, so consecutive runs form and the guard index engages; those
+// carry a tail that may add leaves behind the equality. Every handler
+// reports its index through fire and returns it as its result.
+func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, fire func(i int)) []*Binding {
+	bindings := make([]*Binding, n)
+	for i := range bindings {
+		var guards []Guard
+		switch kind := r.byte() % 4; {
+		case kind == kindUnguarded:
+		case kind == kindTree:
+			guards = []Guard{{Pred: genPred(r, 2, arity, cell)}}
+		case arity == 0:
+			guards = []Guard{{Pred: GlobalEq(cell, uint64(r.byte()%4))}}
+		default:
+			arg := int(r.byte()) % arity
+			eq := ArgEq(arg, uint64(r.byte()%4))
+			switch r.byte() % 4 {
+			case tailNone:
+				guards = []Guard{{Pred: eq}}
+			case tailAnd:
+				guards = []Guard{{Pred: And(eq, genPred(r, 1, arity, cell))}}
+			case tailCall:
+				limit := uint64(r.byte() % 5)
+				guards = []Guard{{Pred: eq}, {Fn: func(_ any, args []any) bool {
+					w, ok := argWord(args, arity-1)
+					return ok && w < limit
+				}}}
+			default:
+				guards = []Guard{{Pred: eq}, {Pred: GlobalNe(cell, uint64(r.byte()%4))}}
+			}
+		}
+		i := i
+		bindings[i] = &Binding{
+			Guards: guards,
+			Fn: func(any, []any) any {
+				fire(i)
+				return uint64(i)
+			},
+			Name:      name,
+			FireCount: new(stripe.Counter),
+			Tag:       i,
+		}
+	}
+	return bindings
+}
+
+// naivePasses is the reference model's guard evaluation: every guard of
+// the binding, verbatim, in installation order.
+func naivePasses(b *Binding, args []any) bool {
+	for _, g := range b.Guards {
+		if g.Pred != nil {
+			if !g.Pred.Eval(args) {
+				return false
+			}
+		} else if !g.Fn(g.Closure, args) {
+			return false
+		}
+	}
+	return true
+}
+
+// Seed pieces, in the decoders' field order.
+func seedEq(arg, k byte) []byte        { return []byte{kindEq, arg, k, tailNone} }
+func seedEqAnd(arg, k, k2 byte) []byte { return []byte{kindEq, arg, k, tailAnd, 3, arg, k2} } // && arg != k2
+func seedEqCall(arg, k, limit byte) []byte {
+	return []byte{kindEq, arg, k, tailCall, limit}
+}
+func seedEqPred(arg, k, k2 byte) []byte { return []byte{kindEq, arg, k, tailPred, k2} }
+func seedLt(arg, k byte) []byte         { return []byte{kindTree, 4, arg, k} }
+
+var seedUnguarded = []byte{kindUnguarded}
+
+func seedJoin(parts ...[]byte) []byte {
+	var out []byte
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// indexSeeds are binding lists aimed at the guard index, shared by the two
+// dispatch fuzzers (each prepends its own header and appends its raises).
+// All discriminate on small constants, so the raises below hit them.
+var indexSeeds = []struct {
+	arity    byte
+	churn    byte // FuzzBatchDispatch: the binding, inside a run, that uninstalls itself
+	bindings [][]byte
+}{
+	// Duplicate constants: order within a key, interleaved with other keys.
+	{1, 2, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedEq(0, 3), seedEq(0, 2), seedEq(0, 1)}},
+	// Further leaves behind the equality: And, a call guard, a second guard.
+	{2, 1, [][]byte{seedEqAnd(0, 1, 2), seedEqCall(0, 1, 2), seedEqPred(0, 1, 0), seedEq(0, 1), seedEqCall(0, 2, 4)}},
+	// Two adjacent runs on different arguments.
+	{2, 5, [][]byte{seedEq(0, 0), seedEq(0, 1), seedEq(0, 2), seedEq(0, 1),
+		seedEq(1, 1), seedEq(1, 0), seedEq(1, 1), seedEq(1, 3)}},
+	// Runs of 3, 4 and 5 around the threshold, unguarded steps between.
+	{1, 10, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedUnguarded,
+		seedEq(0, 1), seedEq(0, 2), seedEq(0, 3), seedEq(0, 1), seedUnguarded,
+		seedEq(0, 2), seedEq(0, 1), seedEq(0, 0), seedEq(0, 1), seedEq(0, 2)}},
+	// One run split by a step that starts with another comparison.
+	{1, 3, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 3), seedEq(0, 1), seedLt(0, 2),
+		seedEq(0, 1), seedEq(0, 0), seedEq(0, 2), seedEq(0, 1)}},
+	// No step compares against 0: a raise of 0 misses the whole run.
+	{1, 0, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 3), seedEq(0, 1), seedEq(0, 2)}},
+}
+
+// indexSeedRaises: hits on each small constant, a total miss where 0 is no
+// key, and a non-word in the discriminated slot.
+var indexSeedRaises = []byte{1, 0xFF, 2, 0, 0xFF, 1, 0, 0, 1, 3, 2, 1, 2, 2, 0, 1}
 
 // FuzzPredCompile checks that peephole simplification preserves predicate
 // semantics and that a plan compiled from a predicate-guarded binding fires
@@ -138,61 +266,51 @@ func FuzzPredCompile(f *testing.F) {
 }
 
 // FuzzTreeDispatch compiles a random binding list under every optimizer
-// configuration — including the decision tree, the flattened
-// shape-specialized executors, and the traced routine — and checks each
-// fires the same handler sequence as the reference model, merges results
-// identically, and produces the same statistics totals through the
-// per-fire and batched counting protocols.
+// configuration — including the guard index on both executors, the
+// flattened shape-specialized stencil, and the traced routine — and checks
+// each fires the same handler sequence as the reference model, merges
+// results identically, falls back to the default handler on the same
+// raises, and produces the same statistics totals through the per-fire and
+// batched counting protocols.
 func FuzzTreeDispatch(f *testing.F) {
-	// A decision-tree-shaped seed: six consecutive ArgEq guards on arg 0.
-	f.Add([]byte{0, 6, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 0, 1, 0, 1, 1, 0, 2, 0, 1, 2, 3})
-	f.Add([]byte{1, 4, 0, 3, 1, 7, 2, 0, 5, 5, 2, 1, 1})
+	for _, seed := range indexSeeds {
+		for _, result := range [][]byte{{0, 0}, {1, 1}, {1, 0}} { // void, fold, ambiguous
+			for _, def := range []byte{0, 1} {
+				header := []byte{seed.arity, byte(len(seed.bindings) - 1), result[0], result[1], 1, def}
+				f.Add(seedJoin(header, seedJoin(seed.bindings...), indexSeedRaises))
+			}
+		}
+	}
+	f.Add([]byte{1, 4, 0, 0, 3, 1, 7, 2, 0, 5, 5, 2, 1, 1})
 	f.Add([]byte{2, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		arity := int(r.byte() % 7) // 0..6: every arity shape plus arity-any
-		n := 1 + int(r.byte()%10)
+		n := 1 + int(r.byte()%16)
 		hasResult := r.byte()%2 == 1
-		foldResults := hasResult && r.byte()%2 == 1
+		foldResults := r.byte()%2 == 1 && hasResult
 		var cell atomic.Uint64
 		cell.Store(uint64(r.byte() % 4))
+		hasDefault := r.byte()%2 == 1
 
 		var fired []int
-		preds := make([]*Pred, n) // reference model: nil = unguarded
-		bindings := make([]*Binding, n)
-		for i := 0; i < n; i++ {
-			switch r.byte() % 4 {
-			case 0: // unguarded
-			case 3: // arbitrary predicate tree
-				preds[i] = genPred(r, 2, arity, &cell)
-			default: // ArgEq, biased so consecutive runs form decision trees
-				argB := int(r.byte())
-				k := uint64(r.byte() % 4)
-				if arity == 0 {
-					preds[i] = GlobalEq(&cell, k)
-				} else {
-					preds[i] = ArgEq(argB%arity, k)
-				}
-			}
-			i := i
-			bindings[i] = &Binding{
-				Fn: func(any, []any) any {
-					fired = append(fired, i)
-					return uint64(i)
-				},
-				Name:      "fuzz.H",
+		bindings := genBindings(r, n, arity, &cell, "fuzz.H",
+			func(i int) { fired = append(fired, i) })
+		// The default handler reports index n.
+		var defaultB *Binding
+		if hasDefault {
+			defaultB = &Binding{
+				Fn:        func(any, []any) any { return uint64(n) },
+				Name:      "fuzz.Default",
 				FireCount: new(stripe.Counter),
-			}
-			bindings[i].Tag = i
-			if preds[i] != nil {
-				bindings[i].Guards = []Guard{{Pred: preds[i]}}
+				Tag:       n,
 			}
 		}
 
 		naive := func(args []any) []int {
 			var out []int
-			for i, p := range preds {
-				if p == nil || p.Eval(args) {
+			for i, b := range bindings {
+				if naivePasses(b, args) {
 					out = append(out, i)
 				}
 			}
@@ -212,18 +330,20 @@ func FuzzTreeDispatch(f *testing.F) {
 		tracer := trace.New(trace.Config{Capacity: 64})
 		info := EventInfo{Name: "Fuzz.Tree", Arity: arity, HasResult: hasResult}
 		configs := []Options{
-			{},
+			{}, // the stencil, through the guard index
 			{EnableDecisionTree: true},
 			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
-			{EnableDecisionTree: true, Trace: tracer}, // every raise sampled: recorder on
-			{DisableSpecialize: true},                 // general executor only
-			{Trace: tracer},                           // sampling entry over flat-eligible plans
+			{EnableDecisionTree: true, Trace: tracer},           // every raise sampled: recorder on
+			{DisableSpecialize: true},                           // general executor only: the linear reference
+			{DisableSpecialize: true, EnableDecisionTree: true}, // general executor through the index
+			{Trace: tracer}, // sampling entry over flat-eligible plans
 		}
 		for trial := 0; trial < 4; trial++ {
 			args := genArgs(r, arity)
 			want := naive(args)
+			wantDefault := hasDefault && len(want) == 0
 			for _, opts := range configs {
-				plan := Compile(info, bindings, resultFn, nil, opts)
+				plan := Compile(info, bindings, resultFn, defaultB, opts)
 				fired = nil
 				out := plan.Execute(&Env{}, args, 0)
 				if len(fired) != len(want) {
@@ -238,13 +358,20 @@ func FuzzTreeDispatch(f *testing.F) {
 					t.Fatalf("opts %+v args %v: Outcome.Fired %d, model %d",
 						opts, args, out.Fired, len(want))
 				}
-				if hasResult && len(want) > 0 {
+				if out.UsedDefault != wantDefault {
+					t.Fatalf("opts %+v args %v: UsedDefault %v, model %v",
+						opts, args, out.UsedDefault, wantDefault)
+				}
+				if hasResult && (len(want) > 0 || wantDefault) {
 					var wantRes uint64
-					if foldResults {
+					switch {
+					case wantDefault:
+						wantRes = uint64(n)
+					case foldResults:
 						for _, i := range want {
 							wantRes += uint64(i)
 						}
-					} else {
+					default:
 						wantRes = uint64(want[len(want)-1])
 					}
 					if got, ok := out.Result.(uint64); !ok || got != wantRes {
@@ -261,7 +388,16 @@ func FuzzTreeDispatch(f *testing.F) {
 				// the model for every plan, and on specialized untraced plans
 				// (the only ones that take the batched route) the batched
 				// FireCount/FiredTotal protocol must produce the same totals.
-				perFire := make([]int64, n)
+				// Index n counts the default handler.
+				counters := make([]*stripe.Counter, n+1)
+				for i, b := range bindings {
+					counters[i] = b.FireCount
+				}
+				counters[n] = new(stripe.Counter)
+				if hasDefault {
+					counters[n] = defaultB.FireCount
+				}
+				perFire := make([]int64, n+1)
 				fired = nil
 				plan.Execute(&Env{OnFire: func(tag any) {
 					if i, ok := tag.(int); ok {
@@ -275,25 +411,32 @@ func FuzzTreeDispatch(f *testing.F) {
 							wantN++
 						}
 					}
+					if i == n && wantDefault {
+						wantN = 1
+					}
 					if got != wantN {
 						t.Fatalf("opts %+v args %v binding %d: per-fire %d, model %d",
 							opts, args, i, got, wantN)
 					}
 				}
 				if plan.Specialized() && opts.Trace == nil {
-					before := make([]int64, n)
-					for i, b := range bindings {
-						before[i] = b.FireCount.Load()
+					before := make([]int64, n+1)
+					for i, c := range counters {
+						before[i] = c.Load()
 					}
 					var total stripe.Counter
 					fired = nil
 					plan.Execute(&Env{FiredTotal: &total}, args, 0)
-					if total.Load() != int64(len(want)) {
-						t.Fatalf("opts %+v args %v: batched total %d, model %d",
-							opts, args, total.Load(), len(want))
+					wantTotal := int64(len(want))
+					if wantDefault {
+						wantTotal++
 					}
-					for i, b := range bindings {
-						if batched := b.FireCount.Load() - before[i]; batched != perFire[i] {
+					if total.Load() != wantTotal {
+						t.Fatalf("opts %+v args %v: batched total %d, model %d",
+							opts, args, total.Load(), wantTotal)
+					}
+					for i, c := range counters {
+						if batched := c.Load() - before[i]; batched != perFire[i] {
 							t.Fatalf("opts %+v args %v binding %d: per-fire %d, batched %d",
 								opts, args, i, perFire[i], batched)
 						}
@@ -308,54 +451,37 @@ func FuzzTreeDispatch(f *testing.F) {
 // reference the single-raise fuzzers use: for a random binding list and a
 // random frame stream, dispatching the stream as one unsplit batch, as a
 // sequence of randomly split sub-batches, and as a loop of single Execute
-// calls must fire the same handler sequence, fold the same outcome, and
-// settle the same FireCount/FiredTotal statistics under every optimizer
-// configuration.
+// calls must fire the handler sequence the naive model fires, fold the same
+// outcome, and settle the same FireCount/FiredTotal statistics under every
+// optimizer configuration — including when a handler uninstalls itself in
+// the middle of the stream, which a batch must notice before the next frame
+// exactly as a loop of raises does.
 func FuzzBatchDispatch(f *testing.F) {
-	f.Add([]byte{1, 3, 0, 0, 1, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
-	f.Add([]byte{0, 6, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 0, 16, 0, 128, 2})
+	for _, seed := range indexSeeds {
+		for _, result := range [][]byte{{0, 0}, {1, 1}} { // void, fold
+			header := []byte{seed.arity, byte(len(seed.bindings) - 1), result[0], result[1], 1, seed.churn + 1}
+			frames := seedJoin([]byte{15}, indexSeedRaises, indexSeedRaises, []byte{3, 2, 1, 3})
+			f.Add(seedJoin(header, seedJoin(seed.bindings...), frames))
+		}
+	}
+	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{3, 2, 1, 1, 3, 9, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		arity := int(r.byte() % 9) // 0..8: the pooled widths 0..5 and wider frames
-		n := 1 + int(r.byte()%8)
+		n := 1 + int(r.byte()%16)
 		hasResult := r.byte()%2 == 1
-		foldResults := hasResult && r.byte()%2 == 1
+		foldResults := r.byte()%2 == 1 && hasResult
 		var cell atomic.Uint64
 		cell.Store(uint64(r.byte() % 4))
-
-		var fired []int
-		preds := make([]*Pred, n)
-		bindings := make([]*Binding, n)
-		for i := 0; i < n; i++ {
-			switch r.byte() % 4 {
-			case 0: // unguarded
-			case 3:
-				preds[i] = genPred(r, 2, arity, &cell)
-			default:
-				argB := int(r.byte())
-				k := uint64(r.byte() % 4)
-				if arity == 0 {
-					preds[i] = GlobalEq(&cell, k)
-				} else {
-					preds[i] = ArgEq(argB%arity, k)
-				}
-			}
-			i := i
-			bindings[i] = &Binding{
-				Fn: func(any, []any) any {
-					fired = append(fired, i)
-					return uint64(i)
-				},
-				Name:      "fuzz.B",
-				FireCount: new(stripe.Counter),
-			}
-			bindings[i].Tag = i
-			if preds[i] != nil {
-				bindings[i].Guards = []Guard{{Pred: preds[i]}}
-			}
+		// churn-1, when it names a binding, is the one that uninstalls itself
+		// the first time it fires.
+		churn := int(r.byte()) - 1
+		if churn >= n {
+			churn = -1
 		}
 
+		info := EventInfo{Name: "Fuzz.Batch", Arity: arity, HasResult: hasResult}
 		var resultFn ResultFn
 		if foldResults {
 			resultFn = func(acc, res any, index int) any {
@@ -365,6 +491,31 @@ func FuzzBatchDispatch(f *testing.F) {
 				return acc.(uint64) + res.(uint64)
 			}
 		}
+
+		// live is the published-plan cell, as the dispatcher keeps one per
+		// event: publish compiles and stores the plan of the bindings still
+		// installed, under the configuration being tested.
+		var (
+			fired     []int
+			live      atomic.Pointer[Plan]
+			opts      Options
+			bindings  []*Binding
+			uninstall = -1 // the binding compiled out, or -1
+		)
+		publish := func() {
+			installed := bindings
+			if uninstall >= 0 {
+				installed = append(append([]*Binding(nil), bindings[:uninstall]...), bindings[uninstall+1:]...)
+			}
+			live.Store(Compile(info, installed, resultFn, nil, opts))
+		}
+		bindings = genBindings(r, n, arity, &cell, "fuzz.B", func(i int) {
+			fired = append(fired, i)
+			if i == churn && uninstall < 0 {
+				uninstall = i
+				publish()
+			}
+		})
 
 		// The frame stream and a set of random split points over it.
 		nFrames := 1 + int(r.byte()%24)
@@ -378,14 +529,30 @@ func FuzzBatchDispatch(f *testing.F) {
 		}
 		splits = append(splits, nFrames)
 
+		// The naive model: every guard of every installed binding, verbatim,
+		// frame by frame. An uninstall takes effect at the next frame — the
+		// raise in flight finishes on the plan it loaded.
+		var wantFired []int
+		gone := -1
+		for _, fr := range frames {
+			skip := gone
+			for i, b := range bindings {
+				if i != skip && naivePasses(b, fr) {
+					wantFired = append(wantFired, i)
+					if i == churn {
+						gone = i
+					}
+				}
+			}
+		}
+
 		// runBatch dispatches one frame span through ExecuteBatch, following
-		// the continuation contract (with live == nil the executor must
-		// consume every frame in one call, but the loop is the caller's
-		// contract either way).
-		runBatch := func(plan *Plan, env *Env, span []ArgFrame) BatchOutcome {
+		// the continuation contract: a call that stops early because the
+		// plan was superseded is resumed on the plan now published.
+		runBatch := func(env *Env, span []ArgFrame) BatchOutcome {
 			var out BatchOutcome
 			for len(span) > 0 {
-				o, m := plan.ExecuteBatch(env, span, 0, nil)
+				o, m := live.Load().ExecuteBatch(env, span, 0, &live)
 				if m <= 0 {
 					t.Fatalf("ExecuteBatch made no progress on %d frames", len(span))
 				}
@@ -416,36 +583,51 @@ func FuzzBatchDispatch(f *testing.F) {
 				},
 			}
 		}
+		// run resets the population to fully installed and measures one way
+		// of dispatching the stream.
+		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64, []int64) {
+			uninstall = -1
+			publish()
+			fired = nil
+			var total stripe.Counter
+			base := make([]int64, n)
+			for i, b := range bindings {
+				base[i] = b.FireCount.Load()
+			}
+			out := dispatch(mkEnv(&total))
+			counts := make([]int64, n)
+			for i, b := range bindings {
+				counts[i] = b.FireCount.Load() - base[i]
+			}
+			return out, fired, total.Load(), counts
+		}
 
 		tracer := trace.New(trace.Config{Capacity: 64})
-		info := EventInfo{Name: "Fuzz.Batch", Arity: arity, HasResult: hasResult}
-		configs := []Options{
-			{},
+		for _, opts = range []Options{
+			{}, // the stencil, through the guard index
 			{EnableDecisionTree: true},
 			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
 			{EnableDecisionTree: true, Trace: tracer},
 			{DisableSpecialize: true},
+			{DisableSpecialize: true, EnableDecisionTree: true},
 			{Trace: tracer},
-		}
-		for _, opts := range configs {
-			plan := Compile(info, bindings, resultFn, nil, opts)
-
-			// Reference: a loop of single raises, folded the way the batch
-			// tier folds.
-			var loopOut BatchOutcome
-			fired = nil
-			var loopTotal stripe.Counter
-			loopBase := make([]int64, n)
-			for i, b := range bindings {
-				loopBase[i] = b.FireCount.Load()
+		} {
+			// Reference: a loop of single raises, each loading the published
+			// plan afresh, folded the way the batch tier folds.
+			loopOut, loopFired, loopTotal, loopCounts := run(func(env *Env) BatchOutcome {
+				var out BatchOutcome
+				for _, fr := range frames {
+					out.Add(live.Load().Execute(env, fr, 0))
+				}
+				return out
+			})
+			if len(loopFired) != len(wantFired) {
+				t.Fatalf("opts %+v loop: fired %v, model %v", opts, loopFired, wantFired)
 			}
-			for _, fr := range frames {
-				loopOut.Add(plan.Execute(mkEnv(&loopTotal), fr, 0))
-			}
-			loopFired := append([]int(nil), fired...)
-			loopCounts := make([]int64, n)
-			for i, b := range bindings {
-				loopCounts[i] = b.FireCount.Load() - loopBase[i]
+			for i := range wantFired {
+				if loopFired[i] != wantFired[i] {
+					t.Fatalf("opts %+v loop: order %v, model %v", opts, loopFired, wantFired)
+				}
 			}
 
 			check := func(label string, out BatchOutcome, gotFired []int, total int64, counts []int64) {
@@ -460,8 +642,8 @@ func FuzzBatchDispatch(f *testing.F) {
 				if out != loopOut {
 					t.Fatalf("opts %+v %s: outcome %+v, loop %+v", opts, label, out, loopOut)
 				}
-				if total != loopTotal.Load() {
-					t.Fatalf("opts %+v %s: FiredTotal %d, loop %d", opts, label, total, loopTotal.Load())
+				if total != loopTotal {
+					t.Fatalf("opts %+v %s: FiredTotal %d, loop %d", opts, label, total, loopTotal)
 				}
 				for i := range counts {
 					if counts[i] != loopCounts[i] {
@@ -472,40 +654,27 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 
 			// One unsplit batch.
-			var total stripe.Counter
-			base := make([]int64, n)
-			for i, b := range bindings {
-				base[i] = b.FireCount.Load()
-			}
-			fired = nil
-			out := runBatch(plan, mkEnv(&total), frames)
-			counts := make([]int64, n)
-			for i, b := range bindings {
-				counts[i] = b.FireCount.Load() - base[i]
-			}
-			check("unsplit", out, fired, total.Load(), counts)
+			out, gotFired, total, counts := run(func(env *Env) BatchOutcome {
+				return runBatch(env, frames)
+			})
+			check("unsplit", out, gotFired, total, counts)
 
 			// The same stream as randomly split sub-batches.
-			var splitTotal stripe.Counter
-			for i, b := range bindings {
-				base[i] = b.FireCount.Load()
-			}
-			fired = nil
-			var splitOut BatchOutcome
-			for s := 0; s+1 < len(splits); s++ {
-				o := runBatch(plan, mkEnv(&splitTotal), frames[splits[s]:splits[s+1]])
-				splitOut.Fired += o.Fired
-				splitOut.Defaulted += o.Defaulted
-				splitOut.NoHandler += o.NoHandler
-				splitOut.Ambiguous += o.Ambiguous
-				if splits[s+1] > splits[s] {
-					splitOut.Result = o.Result
+			out, gotFired, total, counts = run(func(env *Env) BatchOutcome {
+				var out BatchOutcome
+				for s := 0; s+1 < len(splits); s++ {
+					o := runBatch(env, frames[splits[s]:splits[s+1]])
+					out.Fired += o.Fired
+					out.Defaulted += o.Defaulted
+					out.NoHandler += o.NoHandler
+					out.Ambiguous += o.Ambiguous
+					if splits[s+1] > splits[s] {
+						out.Result = o.Result
+					}
 				}
-			}
-			for i, b := range bindings {
-				counts[i] = b.FireCount.Load() - base[i]
-			}
-			check("split", splitOut, fired, splitTotal.Load(), counts)
+				return out
+			})
+			check("split", out, gotFired, total, counts)
 		}
 	})
 }

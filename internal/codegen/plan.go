@@ -127,11 +127,14 @@ type Options struct {
 	DisableBypass bool
 	// DisablePeephole skips plan simplification.
 	DisablePeephole bool
-	// EnableDecisionTree turns on the guard decision-tree optimization
-	// the paper names as future work (§3.2): consecutive bindings whose
-	// only guard is an ArgEq predicate on the same argument dispatch
-	// through a hash on the argument word instead of a linear guard
-	// scan. Off by default, matching the measured system; see tree.go.
+	// EnableDecisionTree lets the general executor consult the guard
+	// index (tree.go) — the guard optimization the paper names as future
+	// work (§3.2): a run of consecutive bindings whose first guard leaf is
+	// an ArgEq predicate on the same argument dispatches through one hash
+	// of the argument word, charged as one inline guard, instead of a
+	// linear guard scan. Off by default, so the general executor stays the
+	// linear reference and the calibrated model matches the measured
+	// system. The stencil uses the index regardless.
 	EnableDecisionTree bool
 	// DisableSpecialize keeps every plan on the general executor,
 	// disabling the ahead-of-time flattened, shape-specialized stencil
@@ -180,9 +183,8 @@ type step struct {
 	// mode is the binding's execution mode (bindingMode), which both
 	// selects how the step's handler is invoked and labels its trace span.
 	mode trace.Mode
-	// idx is the step's index in the live plan, assigned at compile time.
-	// Decision-tree branches copy steps out of plan order, so the index is
-	// carried on the step itself for trace-span attribution.
+	// idx is the step's index in the live plan, assigned at compile time
+	// (-1 for the default handler), for trace-span attribution.
 	idx int
 }
 
@@ -192,10 +194,14 @@ type step struct {
 // "handler lists are updated atomically with respect to event dispatch by
 // using a single memory access".
 type Plan struct {
-	info      EventInfo
-	opts      Options
-	steps     []step
-	units     []unit
+	info  EventInfo
+	opts  Options
+	steps []step
+	// runs is the guard index (tree.go): the runs of equality-guarded steps
+	// the stencil jumps through, and the general executor too under
+	// Options.EnableDecisionTree. Built only for plans where one of the two
+	// reads it.
+	runs      []guardRun
 	direct    *step // non-nil: single-binding bypass, dispatcher skipped
 	resultFn  ResultFn
 	def       *step // default handler, nil when none installed
@@ -300,6 +306,7 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 		p.def = &step{b: defaultB, idx: -1,
 			inline: defaultB.Inline != nil && !opts.DisableInline}
 	}
+	p.steps = make([]step, 0, len(bindings))
 	for _, b := range bindings {
 		st, live := compileBinding(b, opts)
 		if !live {
@@ -330,8 +337,10 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 			p.direct = st
 		}
 	}
-	p.units = buildUnits(p.steps, opts.EnableDecisionTree)
 	p.compileFlat()
+	if p.frame != nil || opts.EnableDecisionTree {
+		p.runs = buildGuardIndex(p.steps)
+	}
 	if opts.Trace != nil {
 		// Register the plan's step layout with the tracer: span records
 		// carry only (program, step) indices, and the registry resolves
@@ -383,16 +392,15 @@ func (p *Plan) AdmitQueue() *admit.Queue { return p.admitQ }
 // atomic swap installs use.
 func (p *Plan) Journal() *journal.Journal { return p.jrnl }
 
-// TreeUnits reports the number of decision-tree units in the plan and the
-// total bindings they cover (for tests and disassembly).
-func (p *Plan) TreeUnits() (units, covered int) {
-	for _, u := range p.units {
-		if u.single == nil {
-			units++
-			covered += u.treeSize
-		}
+// IndexedRuns reports the number of runs in the plan's guard index and the
+// total steps they cover (for tests and disassembly). The stencil always
+// dispatches through the index; a plan on the general executor carries one
+// only under Options.EnableDecisionTree.
+func (p *Plan) IndexedRuns() (runs, covered int) {
+	for i := range p.runs {
+		covered += p.runs[i].end - p.runs[i].start
 	}
-	return units, covered
+	return len(p.runs), covered
 }
 
 // compileBinding simplifies one binding's guard list. The second result is
@@ -573,7 +581,7 @@ func (r *recorder) end(out Outcome) {
 
 // general is the general executor: it runs every plan shape, metered or
 // not — the direct bypass as a plain call at the top, everything else
-// through the unit walk — and records spans through rec on sampled raises
+// through the step walk — and records spans through rec on sampled raises
 // (rec is nil otherwise).
 func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 	cpu := env.CPU
@@ -678,30 +686,46 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 		}
 	}
 
-	for i := range p.units {
-		u := &p.units[i]
-		if u.single != nil {
-			if p.evalGuards(cpu, u.single, args, rec) {
-				execStep(u.single)
+	// The general executor is the linear reference: it walks every step
+	// unless the model's ablation switch hands it the guard index.
+	var runs []guardRun
+	if p.opts.EnableDecisionTree {
+		runs = p.runs
+	}
+	for i := 0; i < len(p.steps); {
+		if len(runs) == 0 || runs[0].start != i {
+			if st := &p.steps[i]; p.evalGuards(cpu, st, 0, args, rec) {
+				execStep(st)
 			}
+			i++
 			continue
 		}
-		// Decision tree: one inline comparison-equivalent lookup replaces
-		// the whole run's guard evaluations (§3.2 future work; see
-		// tree.go), so it records as one guard span (step -1) whose outcome
-		// is whether any branch matched.
+		// Indexed run: one inline comparison-equivalent lookup replaces
+		// the whole run's equality tests (§3.2 future work; see tree.go),
+		// so it records as one guard span (step -1) whose outcome is
+		// whether any step matched.
+		run := &runs[0]
+		runs = runs[1:]
 		rec.open()
 		cpu.Charge(vtime.GuardInline)
-		var branch []step
-		if w, ok := argWord(args, u.treeArg); ok {
-			branch = u.branches[w]
-		}
+		hit := run.find(args)
 		if rec != nil {
-			rec.guard(-1, 0, true, len(branch) > 0)
+			rec.guard(-1, 0, true, hit != run.end)
 		}
-		for j := range branch {
-			execStep(&branch[j])
+		for j := hit; j != run.end; j = run.next(j) {
+			st := &p.steps[j]
+			// The lookup decided the equality. When it is the whole first
+			// guard, evaluation resumes at the second; when it is the first
+			// leaf of a conjunction, the guard is evaluated whole.
+			from := 0
+			if st.guards[0].Pred.Op == PredArgEq {
+				from = 1
+			}
+			if p.evalGuards(cpu, st, from, args, rec) {
+				execStep(st)
+			}
 		}
+		i = run.end
 	}
 
 	if st := p.def; out.Fired == 0 && st != nil {
@@ -727,12 +751,13 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 	return out
 }
 
-// evalGuards evaluates one step's guard list, charging per the generated
-// configuration and recording one span per evaluation: guard index,
-// inline-versus-indirect, and outcome. Evaluation stops at the first
-// failing guard, whose failure span closes the step.
-func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, args []any, rec *recorder) bool {
-	for i := range st.guards {
+// evalGuards evaluates one step's guard list from guard index from on (0
+// except on an index hit, whose first guard the lookup already decided),
+// charging per the generated configuration and recording one span per
+// evaluation: guard index, inline-versus-indirect, and outcome. Evaluation
+// stops at the first failing guard, whose failure span closes the step.
+func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, from int, args []any, rec *recorder) bool {
+	for i := from; i < len(st.guards); i++ {
 		g := &st.guards[i]
 		rec.open()
 		inline := g.Pred != nil && !p.opts.DisableInline
@@ -839,8 +864,8 @@ func (p *Plan) Disassemble() string {
 	default:
 		sb.WriteByte('\n')
 	}
-	writeStep := func(indent string, i int, st *step) {
-		fmt.Fprintf(&sb, "%sstep %d:", indent, i)
+	writeStep := func(i int, st *step) {
+		fmt.Fprintf(&sb, "  step %d:", i)
 		if st.inline {
 			sb.WriteString(" [inline]")
 		}
@@ -863,25 +888,15 @@ func (p *Plan) Disassemble() string {
 		}
 		sb.WriteByte('\n')
 	}
-	n := 0
-	for i := range p.units {
-		u := &p.units[i]
-		if u.single != nil {
-			writeStep("  ", n, u.single)
-			n++
-			continue
+	runs := p.runs
+	for i := range p.steps {
+		if len(runs) > 0 && runs[0].start == i {
+			r := &runs[0]
+			runs = runs[1:]
+			fmt.Fprintf(&sb, "  index arg%d: steps %d..%d, %d keys, %d slots\n",
+				r.arg, r.start, r.end-1, r.keys, len(r.slots))
 		}
-		fmt.Fprintf(&sb, "  switch arg%d { // decision tree over %d bindings\n",
-			u.treeArg, u.treeSize)
-		for k := range u.branches {
-			fmt.Fprintf(&sb, "  case %d:\n", k)
-			branch := u.branches[k]
-			for j := range branch {
-				writeStep("    ", n, &branch[j])
-				n++
-			}
-		}
-		sb.WriteString("  }\n")
+		writeStep(i, &p.steps[i])
 	}
 	if p.def != nil {
 		sb.WriteString("  default handler installed\n")

@@ -1,109 +1,153 @@
 package codegen
 
-// Decision-tree guard optimization — the paper's stated future work:
-// "we presently do not optimize the guard decision tree, which would be
-// effective for the port comparison required by this example. We are
-// currently working on a strategy by which this type of guard
-// optimization can be easily expressed" (§3.2).
+// The guard index — the paper's stated future work: "we presently do not
+// optimize the guard decision tree, which would be effective for the port
+// comparison required by this example. We are currently working on a
+// strategy by which this type of guard optimization can be easily
+// expressed" (§3.2).
 //
-// The strategy implemented here: during plan compilation, a consecutive
-// run of bindings whose entire guard list is a single ArgEq predicate on
-// the same argument index collapses into one decision-tree unit. At
-// dispatch time the argument word is extracted once and hashed to the
-// matching bindings, so evaluation cost is O(1) in the number of guarded
+// The strategy implemented here: during plan compilation, every
+// consecutive run of at least treeThreshold steps whose first guard leaf is
+// an ArgEq predicate on the same argument gets one immutable index. At
+// dispatch time the argument word is extracted once and hashed to the first
+// step of the run comparing against it; a per-step chain leads to the next
+// step with the same constant. Steps comparing against any other constant
+// are never visited, so evaluation cost is O(1) in the number of guarded
 // endpoints instead of O(n) — Table 2's per-guard slope disappears.
 //
-// Correctness: ArgEq guards on the same argument with different constants
-// are mutually exclusive, so regrouping them cannot change which handlers
-// fire; bindings sharing a constant keep their relative order inside the
-// branch; and only *consecutive* runs collapse, so ordering against
-// non-tree bindings interleaved in the handler list is preserved. The
-// transformation relies on guards being FUNCTIONAL: evaluation can be
-// skipped entirely for non-matching branches only because guards cannot
-// have side effects (§2.3 "Evaluating guards").
+// Only the first leaf is decided by the lookup: a step's remaining guards
+// (further And leaves, call guards, authorizer-imposed guards) are
+// evaluated on a hit as on any step, so any step that *starts* with the
+// equality is eligible.
 //
-// The optimization is off by default, matching the paper's system;
-// Options.EnableDecisionTree turns it on (the ablation benchmarks compare
-// both).
+// Correctness: the index only skips steps whose first leaf is already known
+// false, so regrouping cannot change which handlers fire; steps sharing a
+// constant chain in plan order; and only *consecutive* runs index, so
+// ordering against other bindings interleaved in the handler list is
+// preserved. The transformation relies on guards being FUNCTIONAL:
+// evaluation can be skipped entirely for non-matching steps only because
+// guards cannot have side effects (§2.3 "Evaluating guards"). Filters may
+// rewrite the discriminated argument, so a filter step never joins a run
+// (it ends the run before it; the next run extracts the word afresh).
+//
+// The stencil (flat.go) always uses the index. The general executor is the
+// linear reference — what the measured system did, and what the
+// differential fuzzers compare against — and consults the same index only
+// under Options.EnableDecisionTree, the calibrated model's ablation switch.
 
-// treeThreshold is the minimum run length worth a tree; below it the
-// linear scan is cheaper than the setup.
+// treeThreshold is the minimum run length worth an index; below it the
+// linear scan is cheaper than the lookup.
 const treeThreshold = 4
 
-// unit is one dispatch step after tree grouping: either a single linear
-// step or a decision tree over an argument word.
-type unit struct {
-	single *step
-	// tree fields; used when single is nil.
-	treeArg  int
-	branches map[uint64][]step
-	// treeSize is the number of bindings folded into the tree, for
-	// disassembly and tests.
-	treeSize int
+// guardRun is the index over one run of steps [start, end).
+type guardRun struct {
+	start, end int
+	arg        int   // the discriminated argument
+	keys       int   // distinct constants, for disassembly
+	shift      uint8 // 64 - log2(len(slots)): the hash keeps the top bits
+	// slots is a power-of-two open-addressed table, at most two-thirds
+	// full, from a constant to the first step of the run comparing against
+	// it. An empty slot holds end, so a miss reads as "resume behind the
+	// run" with no separate test.
+	slots []indexSlot
+	// chain[i-start] is the next step after i with step i's constant, or
+	// end.
+	chain []int32
 }
 
-// treeKey reports whether a step is eligible to join a decision tree, and
-// on which (argument, constant) it discriminates.
-func treeKey(st *step) (arg int, k uint64, ok bool) {
-	if len(st.guards) != 1 || st.guards[0].Pred == nil {
+type indexSlot struct {
+	key  uint64
+	step int32
+}
+
+// indexKey reports whether a step can join a run, and on which (argument,
+// constant) its first guard leaf discriminates.
+func indexKey(st *step) (arg int, k uint64, ok bool) {
+	if len(st.guards) == 0 || st.guards[0].Pred == nil || st.b.Filter {
 		return 0, 0, false
 	}
 	p := st.guards[0].Pred
-	if p.Op != PredArgEq {
-		return 0, 0, false
+	for p.Op == PredAnd {
+		p = p.L
 	}
-	// Async and ephemeral bindings are fine (the tree only replaces
-	// guard evaluation), but filters are not: a filter can rewrite the
-	// discriminated argument for later bindings, and the tree extracts
-	// the word once.
-	if st.b.Filter {
+	if p.Op != PredArgEq {
 		return 0, 0, false
 	}
 	return p.Arg, p.K, true
 }
 
-// buildUnits groups a compiled step list into dispatch units, collapsing
-// eligible consecutive runs into decision trees.
-func buildUnits(steps []step, enable bool) []unit {
-	var units []unit
-	i := 0
-	for i < len(steps) {
-		if !enable {
-			units = append(units, unit{single: &steps[i]})
-			i++
-			continue
-		}
-		arg, _, ok := treeKey(&steps[i])
+// buildGuardIndex finds the indexable runs of a compiled step list and
+// builds each one's table, in plan order.
+func buildGuardIndex(steps []step) []guardRun {
+	var runs []guardRun
+	for i := 0; i < len(steps); {
+		arg, _, ok := indexKey(&steps[i])
 		if !ok {
-			units = append(units, unit{single: &steps[i]})
 			i++
 			continue
 		}
-		// Extend the run of steps discriminating on the same argument.
 		j := i + 1
 		for j < len(steps) {
-			a2, _, ok2 := treeKey(&steps[j])
-			if !ok2 || a2 != arg {
+			if a, _, ok := indexKey(&steps[j]); !ok || a != arg {
 				break
 			}
 			j++
 		}
-		if j-i < treeThreshold {
-			for ; i < j; i++ {
-				units = append(units, unit{single: &steps[i]})
-			}
-			continue
+		if j-i >= treeThreshold {
+			runs = append(runs, newGuardRun(steps, i, j, arg))
 		}
-		u := unit{treeArg: arg, branches: make(map[uint64][]step), treeSize: j - i}
-		for _, st := range steps[i:j] {
-			_, k, _ := treeKey(&st)
-			// Inside a branch the guard is already decided; strip it
-			// so execution charges no per-binding guard cost.
-			st.guards = nil
-			u.branches[k] = append(u.branches[k], st)
-		}
-		units = append(units, u)
 		i = j
 	}
-	return units
+	return runs
 }
+
+// newGuardRun indexes steps[start:end]. Walking the run backwards leaves
+// each constant's slot on its first step and every chain in plan order.
+func newGuardRun(steps []step, start, end, arg int) guardRun {
+	n := end - start
+	size, shift := 2, uint8(63)
+	for size < n+n/2 {
+		size, shift = size<<1, shift-1
+	}
+	r := guardRun{start: start, end: end, arg: arg, shift: shift,
+		slots: make([]indexSlot, size), chain: make([]int32, n)}
+	for i := range r.slots {
+		r.slots[i].step = int32(end)
+	}
+	for i := end - 1; i >= start; i-- {
+		_, k, _ := indexKey(&steps[i])
+		s := r.slot(k)
+		if int(s.step) == end {
+			s.key = k
+			r.keys++
+		}
+		r.chain[i-start] = s.step
+		s.step = int32(i)
+	}
+	return r
+}
+
+// slot probes for k: the slot holding it, or the empty slot where it would
+// go (step == end).
+func (r *guardRun) slot(k uint64) *indexSlot {
+	mask := uint64(len(r.slots) - 1)
+	for h := (k * 0x9E3779B97F4A7C15) >> r.shift; ; h++ {
+		if s := &r.slots[h&mask]; s.key == k || int(s.step) == r.end {
+			return s
+		}
+	}
+}
+
+// find returns the first step of the run whose constant equals the
+// discriminated argument, or end when none does or the argument is not a
+// word (ArgEq fails on a non-word, so the whole run is skipped).
+func (r *guardRun) find(args []any) int {
+	w, ok := argWord(args, r.arg)
+	if !ok {
+		return r.end
+	}
+	return int(r.slot(w).step)
+}
+
+// next returns the step after i in i's chain, or end.
+func (r *guardRun) next(i int) int { return int(r.chain[i-r.start]) }

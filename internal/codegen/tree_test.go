@@ -25,110 +25,151 @@ func portBindings(n int, fired *[]uint64) []*Binding {
 	return bs
 }
 
+// indexConfigs are the two ways a plan dispatches through the guard index:
+// the stencil (always), and the general executor under the model's switch.
+var indexConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"stencil", Options{}},
+	{"general", Options{EnableDecisionTree: true, DisableSpecialize: true}},
+}
+
 func TestTreeBuiltAboveThreshold(t *testing.T) {
-	var fired []uint64
-	p := Compile(info(1, false), portBindings(10, &fired), nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	units, covered := p.TreeUnits()
-	if units != 1 || covered != 10 {
-		t.Fatalf("units=%d covered=%d", units, covered)
+	for _, cfg := range indexConfigs {
+		var fired []uint64
+		p := Compile(info(1, false), portBindings(10, &fired), nil, nil, cfg.opts)
+		runs, covered := p.IndexedRuns()
+		if runs != 1 || covered != 10 {
+			t.Fatalf("%s: runs=%d covered=%d", cfg.name, runs, covered)
+		}
 	}
 }
 
 func TestTreeNotBuiltBelowThreshold(t *testing.T) {
-	var fired []uint64
-	p := Compile(info(1, false), portBindings(3, &fired), nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	if units, _ := p.TreeUnits(); units != 0 {
-		t.Fatalf("tree built for %d bindings (threshold %d)", 3, treeThreshold)
+	for _, cfg := range indexConfigs {
+		var fired []uint64
+		p := Compile(info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, cfg.opts)
+		if runs, _ := p.IndexedRuns(); runs != 0 {
+			t.Fatalf("%s: index built for %d bindings (threshold %d)",
+				cfg.name, treeThreshold-1, treeThreshold)
+		}
 	}
 }
 
+// TestTreeDisabledByDefault: the general executor is the linear reference
+// unless the model's switch is on — a plan that stays on it carries no
+// index, and a metered raise of a stencil plan, which runs on it, charges
+// every guard of the run although the plan has an index for the stencil.
 func TestTreeDisabledByDefault(t *testing.T) {
 	var fired []uint64
 	p := Compile(info(1, false), portBindings(10, &fired), nil, nil,
-		Options{DisableBypass: true})
-	if units, _ := p.TreeUnits(); units != 0 {
-		t.Fatal("tree built without EnableDecisionTree")
+		Options{DisableSpecialize: true})
+	if runs, _ := p.IndexedRuns(); runs != 0 {
+		t.Fatal("general executor indexed without EnableDecisionTree")
+	}
+	cost := func(opts Options) vtime.Duration {
+		return meteredExec(Compile(info(1, false), portBindings(10, &fired), nil, nil, opts),
+			[]any{uint64(1009)})
+	}
+	if got, want := cost(Options{}), cost(Options{DisableSpecialize: true}); got != want {
+		t.Fatalf("metered raise of an indexed stencil plan charged %v, linear reference %v", got, want)
 	}
 }
 
 func TestTreeDispatchSelectsCorrectBinding(t *testing.T) {
-	var fired []uint64
-	p := Compile(info(1, false), portBindings(20, &fired), nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	out := p.Execute(&Env{}, []any{uint64(1007)}, 0)
-	if out.Fired != 1 || len(fired) != 1 || fired[0] != 1007 {
-		t.Fatalf("fired=%v out=%+v", fired, out)
-	}
-	// A miss fires nothing.
-	fired = nil
-	out = p.Execute(&Env{}, []any{uint64(9999)}, 0)
-	if out.Fired != 0 || len(fired) != 0 {
-		t.Fatalf("miss fired %v", fired)
-	}
-	// A non-word argument fires nothing rather than crashing.
-	out = p.Execute(&Env{}, []any{"not-a-word"}, 0)
-	if out.Fired != 0 {
-		t.Fatal("non-word argument dispatched")
+	for _, cfg := range indexConfigs {
+		var fired []uint64
+		p := Compile(info(1, false), portBindings(20, &fired), nil, nil, cfg.opts)
+		out := p.Execute(&Env{}, []any{uint64(1007)}, 0)
+		if out.Fired != 1 || len(fired) != 1 || fired[0] != 1007 {
+			t.Fatalf("%s: fired=%v out=%+v", cfg.name, fired, out)
+		}
+		// A miss fires nothing.
+		fired = nil
+		out = p.Execute(&Env{}, []any{uint64(9999)}, 0)
+		if out.Fired != 0 || len(fired) != 0 {
+			t.Fatalf("%s: miss fired %v", cfg.name, fired)
+		}
+		// A non-word argument fires nothing rather than crashing.
+		out = p.Execute(&Env{}, []any{"not-a-word"}, 0)
+		if out.Fired != 0 {
+			t.Fatalf("%s: non-word argument dispatched", cfg.name)
+		}
 	}
 }
 
 func TestTreeDuplicateConstantsPreserveOrder(t *testing.T) {
-	var fired []uint64
-	bs := portBindings(6, &fired)
-	// Two more bindings on an existing port; they must fire after the
-	// original, in installation order.
-	extra1 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
-		Fn: func(any, []any) any { fired = append(fired, 111); return nil }}
-	extra2 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
-		Fn: func(any, []any) any { fired = append(fired, 222); return nil }}
-	bs = append(bs, extra1, extra2)
-	p := Compile(info(1, false), bs, nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	p.Execute(&Env{}, []any{uint64(1002)}, 0)
-	if len(fired) != 3 || fired[0] != 1002 || fired[1] != 111 || fired[2] != 222 {
-		t.Fatalf("fired = %v", fired)
+	for _, cfg := range indexConfigs {
+		var fired []uint64
+		bs := portBindings(6, &fired)
+		// Two more bindings on an existing port; they must fire after the
+		// original, in installation order.
+		extra1 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
+			Fn: func(any, []any) any { fired = append(fired, 111); return nil }}
+		extra2 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
+			Fn: func(any, []any) any { fired = append(fired, 222); return nil }}
+		bs = append(bs, extra1, extra2)
+		p := Compile(info(1, false), bs, nil, nil, cfg.opts)
+		p.Execute(&Env{}, []any{uint64(1002)}, 0)
+		if len(fired) != 3 || fired[0] != 1002 || fired[1] != 111 || fired[2] != 222 {
+			t.Fatalf("%s: fired = %v", cfg.name, fired)
+		}
 	}
 }
 
 func TestTreeBreaksOnIneligibleStep(t *testing.T) {
-	var fired []uint64
-	bs := portBindings(4, &fired)
-	// An unguarded binding in the middle splits the runs.
-	mid := &Binding{Fn: func(any, []any) any { fired = append(fired, 7); return nil }}
-	bs = append(bs[:2], append([]*Binding{mid}, portBindings(4, &fired)...)...)
-	p := Compile(info(1, false), bs, nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	units, covered := p.TreeUnits()
-	// Runs of 2 and 4: only the 4-run collapses.
-	if units != 1 || covered != 4 {
-		t.Fatalf("units=%d covered=%d", units, covered)
+	for _, cfg := range indexConfigs {
+		var fired []uint64
+		bs := portBindings(4, &fired)
+		// An unguarded binding in the middle splits the runs.
+		mid := &Binding{Fn: func(any, []any) any { fired = append(fired, 7); return nil }}
+		bs = append(bs[:2], append([]*Binding{mid}, portBindings(4, &fired)...)...)
+		p := Compile(info(1, false), bs, nil, nil, cfg.opts)
+		runs, covered := p.IndexedRuns()
+		// Runs of 2 and 4: only the 4-run is indexed.
+		if runs != 1 || covered != 4 {
+			t.Fatalf("%s: runs=%d covered=%d", cfg.name, runs, covered)
+		}
+		// The port both halves share fires on both sides of the split, around
+		// the unguarded binding, in plan order.
+		fired = nil
+		p.Execute(&Env{}, []any{uint64(1001)}, 0)
+		if len(fired) != 3 || fired[0] != 1001 || fired[1] != 7 || fired[2] != 1001 {
+			t.Fatalf("%s: fired = %v", cfg.name, fired)
+		}
 	}
 }
 
 func TestTreeExcludesFilters(t *testing.T) {
 	var fired []uint64
-	bs := portBindings(5, &fired)
-	bs[2].Filter = true
-	p := Compile(info(1, false), bs, nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	if _, covered := p.TreeUnits(); covered >= 5 {
-		t.Fatal("filter binding joined a decision tree")
+	bs := portBindings(9, &fired)
+	// The filter rewrites the discriminated argument mid-list: the steps
+	// behind it must see the rewritten port, so it ends the run before it
+	// and the run behind it extracts the word afresh.
+	bs[4].Filter = true
+	bs[4].Fn = func(_ any, args []any) any { args[0] = uint64(1007); return nil }
+	p := Compile(info(1, false), bs, nil, nil, Options{EnableDecisionTree: true})
+	if runs, covered := p.IndexedRuns(); runs != 2 || covered != 8 {
+		t.Fatalf("runs=%d covered=%d: filter binding joined an indexed run", runs, covered)
+	}
+	p.Execute(&Env{}, []any{uint64(1004)}, 0)
+	if len(fired) != 1 || fired[0] != 1007 {
+		t.Fatalf("fired = %v, want the rewritten port's handler only", fired)
 	}
 }
 
-// Property: for random binding populations mixing tree-eligible and
-// general steps, tree-enabled and tree-disabled plans fire the same
-// handlers in the same order.
+// Property: for random binding populations mixing index-eligible and
+// other steps, indexed plans (on either executor) and the linear reference
+// fire the same handlers in the same order.
 func TestTreeEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(20) + 1
-		// The same generator seed drives both plan builds, so linear and
-		// tree rigs carry identical binding populations.
+		// The same generator seed drives every plan build, so the linear and
+		// indexed rigs carry identical binding populations.
 		seed := rng.Int63()
-		build := func(log *[]int, tree bool) *Plan {
+		build := func(log *[]int, opts Options) *Plan {
 			r2 := rand.New(rand.NewSource(seed))
 			bs := make([]*Binding, n)
 			for i := 0; i < n; i++ {
@@ -145,21 +186,24 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 					return nil
 				}}
 			}
-			return Compile(info(1, false), bs, nil, nil,
-				Options{EnableDecisionTree: tree, DisableBypass: true})
+			opts.DisableBypass = true
+			return Compile(info(1, false), bs, nil, nil, opts)
 		}
-		var linLog, treeLog []int
-		lin := build(&linLog, false)
-		tr := build(&treeLog, true)
 		arg := uint64(rng.Intn(6))
-		lin.Execute(&Env{}, []any{arg}, 0)
-		tr.Execute(&Env{}, []any{arg}, 0)
-		if len(linLog) != len(treeLog) {
-			t.Fatalf("trial %d arg %d: linear fired %v, tree fired %v", trial, arg, linLog, treeLog)
-		}
-		for i := range linLog {
-			if linLog[i] != treeLog[i] {
-				t.Fatalf("trial %d arg %d: order diverged: %v vs %v", trial, arg, linLog, treeLog)
+		var linLog []int
+		build(&linLog, Options{DisableSpecialize: true}).Execute(&Env{}, []any{arg}, 0)
+		for _, cfg := range indexConfigs {
+			var treeLog []int
+			build(&treeLog, cfg.opts).Execute(&Env{}, []any{arg}, 0)
+			if len(linLog) != len(treeLog) {
+				t.Fatalf("trial %d arg %d: linear fired %v, %s fired %v",
+					trial, arg, linLog, cfg.name, treeLog)
+			}
+			for i := range linLog {
+				if linLog[i] != treeLog[i] {
+					t.Fatalf("trial %d arg %d: %s order diverged: %v vs %v",
+						trial, arg, cfg.name, linLog, treeLog)
+				}
 			}
 		}
 	}
@@ -192,11 +236,62 @@ func TestTreeFlattensGuardCost(t *testing.T) {
 }
 
 func TestTreeDisassembly(t *testing.T) {
-	var fired []uint64
-	p := Compile(info(1, false), portBindings(6, &fired), nil, nil,
-		Options{EnableDecisionTree: true, DisableBypass: true})
-	d := p.Disassemble()
-	if !strings.Contains(d, "switch arg0") || !strings.Contains(d, "decision tree over 6 bindings") {
-		t.Fatalf("disassembly missing tree:\n%s", d)
+	for _, cfg := range indexConfigs {
+		var fired []uint64
+		bs := append([]*Binding{{Fn: func(any, []any) any { return nil }}},
+			portBindings(257, &fired)...)
+		d := Compile(info(1, false), bs, nil, nil, cfg.opts).Disassemble()
+		if !strings.Contains(d, "index arg0: steps 1..257, 257 keys, 512 slots\n") {
+			t.Fatalf("%s: disassembly missing the indexed run:\n%.400s", cfg.name, d)
+		}
+	}
+}
+
+// TestGuardIndexLeafEvaluationsConstant is "the slope is gone" as a count
+// rather than a timing: every step is guarded [ArgEq(0, kᵢ), counting call
+// guard], and one raise must evaluate the call guard only on the steps the
+// index hit — once per step comparing against the raised constant, whatever
+// the length of the run, and never on a miss.
+func TestGuardIndexLeafEvaluationsConstant(t *testing.T) {
+	for _, cfg := range indexConfigs {
+		for _, n := range []int{4, 64, 1024} {
+			for _, dups := range []int{1, 3} {
+				evals := 0
+				counting := Guard{Fn: func(any, []any) bool { evals++; return true }}
+				bs := make([]*Binding, 0, n+dups)
+				for i := 0; i < n; i++ {
+					bs = append(bs, &Binding{
+						Guards: []Guard{{Pred: ArgEq(0, uint64(1000+i))}, counting},
+						Fn:     func(any, []any) any { return nil },
+					})
+				}
+				// Further steps on one constant, spread over the run.
+				const key = 1002
+				for d := 1; d < dups; d++ {
+					at := d * len(bs) / dups
+					bs = append(bs[:at+1], bs[at:]...)
+					bs[at] = &Binding{
+						Guards: []Guard{{Pred: ArgEq(0, key)}, counting},
+						Fn:     func(any, []any) any { return nil },
+					}
+				}
+				p := Compile(info(1, false), bs, nil, nil, cfg.opts)
+				if runs, covered := p.IndexedRuns(); runs != 1 || covered != len(bs) {
+					t.Fatalf("%s n=%d: runs=%d covered=%d", cfg.name, n, runs, covered)
+				}
+				out := p.Execute(&Env{}, []any{uint64(key)}, 0)
+				if evals != dups || out.Fired != dups {
+					t.Errorf("%s n=%d dups=%d: hit evaluated %d call guards and fired %d, want %d",
+						cfg.name, n, dups, evals, out.Fired, dups)
+				}
+				evals = 0
+				p.Execute(&Env{}, []any{uint64(7)}, 0)
+				p.Execute(&Env{}, []any{"not-a-word"}, 0)
+				if evals != 0 {
+					t.Errorf("%s n=%d dups=%d: misses evaluated %d call guards, want 0",
+						cfg.name, n, dups, evals)
+				}
+			}
+		}
 	}
 }

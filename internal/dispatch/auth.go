@@ -68,7 +68,7 @@ func (r *AuthRequest) ImposeGuard(g Guard) error {
 	if err := r.Event.checkGuard(g); err != nil {
 		return err
 	}
-	r.Binding.imposed = append(r.Binding.imposed, g)
+	r.Binding.setImposed(append(r.Binding.imposed, g))
 	return nil
 }
 
@@ -127,7 +127,7 @@ func (e *Event) ImposeGuard(b *Binding, g Guard, proof *rtti.Module) error {
 	if !b.installed {
 		return ErrNotInstalled
 	}
-	b.imposed = append(b.imposed, g)
+	b.setImposed(append(b.imposed, g))
 	e.recompile(true)
 	return nil
 }
@@ -145,7 +145,7 @@ func (e *Event) RemoveImposedGuards(b *Binding, proof *rtti.Module) error {
 	if !b.installed {
 		return ErrNotInstalled
 	}
-	b.imposed = nil
+	b.setImposed(nil)
 	e.recompile(true)
 	return nil
 }

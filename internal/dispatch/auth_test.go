@@ -244,6 +244,75 @@ func TestImposeGuardOutsideAuthorizer(t *testing.T) {
 	}
 }
 
+// TestImposedGuardChangesReachNextRaise pins the lowered-binding cache
+// (Binding.lowered) to its one invalidation rule: a recompile reuses every
+// binding's lowering except the one whose imposed guards just changed. Each
+// way of changing them after installation — ImposeGuard,
+// RemoveImposedGuards, the shard move's MigrateImposedGuards — must change
+// what the very next raise evaluates.
+func TestImposedGuardChangesReachNextRaise(t *testing.T) {
+	d := New()
+	e := defineSyscallEvent(t, d)
+	install := func(name string) *Binding {
+		b, err := e.Install(Handler{
+			Proc: &rtti.Proc{Name: name, Module: emuModule, Sig: syscallSig}, Fn: trapHandler})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b, other := install("Emu.A"), install("Emu.B")
+	evals, pass := 0, true
+	g := Guard{
+		Proc: &rtti.Proc{Name: "MachineTrap.Confine", Module: trapModule,
+			Sig: rtti.Sig(rtti.Bool, rtti.Word, rtti.Word), Functional: true},
+		Fn: func(any, []any) bool { evals++; return pass },
+	}
+	// raise reports how often the imposed guard ran and whether b fired.
+	raise := func() (int, bool) {
+		t.Helper()
+		evals = 0
+		before := b.Fired()
+		if _, err := e.Raise(uint64(1), uint64(2)); err != nil {
+			t.Fatal(err)
+		}
+		return evals, b.Fired() > before
+	}
+	if n, fired := raise(); n != 0 || !fired {
+		t.Fatalf("before any imposition: %d guard evaluations, fired=%v", n, fired)
+	}
+
+	reused := other.lowered
+	if err := e.ImposeGuard(b, g, trapModule); err != nil {
+		t.Fatal(err)
+	}
+	if other.lowered != reused || reused == nil {
+		t.Fatal("imposing on one binding re-lowered another")
+	}
+	if n, fired := raise(); n != 1 || !fired {
+		t.Fatalf("after ImposeGuard: %d guard evaluations, fired=%v", n, fired)
+	}
+	pass = false
+	if n, fired := raise(); n != 1 || fired {
+		t.Fatalf("imposed guard failing: %d guard evaluations, fired=%v", n, fired)
+	}
+
+	if err := e.RemoveImposedGuards(b, trapModule); err != nil {
+		t.Fatal(err)
+	}
+	if n, fired := raise(); n != 0 || !fired {
+		t.Fatalf("after RemoveImposedGuards: %d guard evaluations, fired=%v", n, fired)
+	}
+
+	if err := e.MigrateImposedGuards(b, []Guard{g, g}); err != nil {
+		t.Fatal(err)
+	}
+	pass = true
+	if n, fired := raise(); n != 2 || !fired {
+		t.Fatalf("after MigrateImposedGuards: %d guard evaluations, fired=%v", n, fired)
+	}
+}
+
 func TestImposeGuardErrors(t *testing.T) {
 	d := New()
 	e := defineSyscallEvent(t, d)

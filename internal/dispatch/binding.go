@@ -130,6 +130,12 @@ type Binding struct {
 	priority int
 
 	installed bool
+	// lowered caches compile's result: the code generator's view of the
+	// binding depends only on install-time fields and imposed, so a
+	// recompile of the event re-lowers only the bindings whose imposed
+	// guards changed since the last one (setImposed drops the cache).
+	// Guarded by the event's mutex like installed.
+	lowered *codegen.Binding
 	// journalID is the binding's identity in the lifecycle journal,
 	// assigned by the install record that defined it (or adopted from the
 	// replayed record at boot). Zero on unjournaled dispatchers. Guarded
@@ -267,9 +273,21 @@ func (b *Binding) ImposedGuards() []Guard {
 	return append([]Guard(nil), b.imposed...)
 }
 
-// compile converts the binding to the code generator's representation.
-// Caller holds the event lock.
+// setImposed replaces the authority-imposed guard list and drops the
+// lowered form that embedded the old one. Caller holds the event lock.
+func (b *Binding) setImposed(gs []Guard) {
+	b.imposed = gs
+	b.lowered = nil
+}
+
+// compile converts the binding to the code generator's representation,
+// which the generator treats as immutable, so one lowering serves every
+// plan compiled until the imposed guards change. Caller holds the event
+// lock.
 func (b *Binding) compile(d *Dispatcher) *codegen.Binding {
+	if b.lowered != nil {
+		return b.lowered
+	}
 	cb := &codegen.Binding{
 		Fn:        b.handler.Fn,
 		CtxFn:     b.handler.CtxFn,
@@ -282,12 +300,16 @@ func (b *Binding) compile(d *Dispatcher) *codegen.Binding {
 		Name:      b.HandlerName(),
 		FireCount: &b.fired,
 	}
+	if n := b.countGuards(); n > 0 {
+		cb.Guards = make([]codegen.Guard, 0, n)
+	}
 	for _, g := range b.guards {
 		cb.Guards = append(cb.Guards, d.compileGuard(b, g))
 	}
 	for _, g := range b.imposed {
 		cb.Guards = append(cb.Guards, d.compileGuard(b, g))
 	}
+	b.lowered = cb
 	return cb
 }
 

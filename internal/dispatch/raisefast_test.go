@@ -496,3 +496,52 @@ func TestCachedEnvSurvivesRecompile(t *testing.T) {
 		t.Fatalf("new binding fired %d, want 1", bd.Fired())
 	}
 }
+
+// TestGuardIndexZeroAlloc: the guard index costs a lookup, never an
+// allocation. The plan is the UDP demultiplexer's shape — 257 sockets, each
+// guarded on its port — raised singly on a bound port, and as RaiseBatch2
+// trains of 1 and 64 datagrams alternating a bound port and an unbound one.
+func TestGuardIndexZeroAlloc(t *testing.T) {
+	const ports = 257
+	d := New()
+	e, err := d.DefineEvent("Fast.PortDemux", fastSig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ports; i++ {
+		if _, err := e.Install(fastHandler(2),
+			WithGuard(Guard{Pred: codegen.ArgEq(0, uint64(7000+i))})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs, covered := e.Plan().IndexedRuns(); runs != 1 || covered != ports {
+		t.Fatalf("plan indexes %d runs over %d steps, want 1 over %d:\n%.300s",
+			runs, covered, ports, e.Plan().Disassemble())
+	}
+	// Boxed once, as a steady-state producer holds its frames.
+	var bound, unbound, payload any = uint64(7000 + ports - 1), uint64(9), uint64(8)
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := e.Raise2(bound, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("single raise through the index allocates %v/op, want 0", n)
+	}
+	for _, train := range []int{1, 64} {
+		flat := make([]any, 0, 2*train)
+		for i := 0; i < train; i++ {
+			port := bound
+			if i%2 == 1 {
+				port = unbound
+			}
+			flat = append(flat, port, payload)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if out := e.RaiseBatch2(flat); out.Raised != train || out.Fired != int64((train+1)/2) {
+				t.Fatalf("outcome %+v", out)
+			}
+		}); n != 0 {
+			t.Errorf("RaiseBatch2 train of %d through the index allocates %v, want 0", train, n)
+		}
+	}
+}

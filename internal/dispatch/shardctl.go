@@ -55,7 +55,7 @@ func (e *Event) MigrateImposedGuards(b *Binding, gs []Guard) error {
 	if !b.installed {
 		return ErrNotInstalled
 	}
-	b.imposed = append(b.imposed, gs...)
+	b.setImposed(append(b.imposed, gs...))
 	e.recompile(false)
 	return nil
 }

@@ -98,9 +98,9 @@ type Machine struct {
 	// its shard 0 is Dispatcher.
 	Router *shard.Router
 	Nexus  *linker.Nexus
-	Sched      *sched.Scheduler
-	Trap       *trap.Trap
-	VM         *vm.VM
+	Sched  *sched.Scheduler
+	Trap   *trap.Trap
+	VM     *vm.VM
 }
 
 // Boot creates a machine: substrates are constructed bottom-up and the

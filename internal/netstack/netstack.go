@@ -123,9 +123,11 @@ type Config struct {
 	Prefix string
 	// InlinePortGuards makes BindUDP install its port guard as an
 	// inlinable ArgEq predicate instead of an out-of-line header-parsing
-	// procedure. Predicate guards cost less per evaluation and are
-	// eligible for the code generator's decision-tree optimization
-	// (§3.2 future work; codegen.Options.EnableDecisionTree).
+	// procedure. Predicate guards cost less per evaluation, and a run of
+	// them is dispatched through the code generator's guard index (§3.2
+	// future work; codegen/tree.go): natively one hash of the port
+	// whatever the number of bound sockets, and in the calibrated model
+	// one inline-guard charge under codegen.Options.EnableDecisionTree.
 	InlinePortGuards bool
 	// DynamicARP loads the ARP resolver module: link addresses are
 	// learned from request/reply traffic over the broadcast segment, and
@@ -318,8 +320,9 @@ func (s *Stack) HeaderGuard(name string, pred func(word uint64, pkt *Packet) boo
 }
 
 // PortGuard matches the destination port. With InlinePortGuards it is an
-// inlinable (and decision-tree-eligible) ArgEq predicate; otherwise an
-// out-of-line header-parsing guard charged at the paper's calibrated cost.
+// inlinable ArgEq predicate, which the guard index dispatches on; otherwise
+// an out-of-line header-parsing guard charged at the paper's calibrated
+// cost, scanned linearly.
 func (s *Stack) PortGuard(name string, port uint16) dispatch.Guard {
 	if s.inlineGuards {
 		return dispatch.Guard{Pred: codegen.ArgEq(0, uint64(port))}

@@ -69,16 +69,20 @@ type routedScriptEvent struct{ e *Event }
 func (r routedScriptEvent) Install(h dispatch.Handler, opts ...dispatch.InstallOption) (interface{ Fired() int64 }, error) {
 	return r.e.Install(h, opts...)
 }
-func (r routedScriptEvent) SetDefaultHandler(h dispatch.Handler) error { return r.e.SetDefaultHandler(h) }
-func (r routedScriptEvent) Raise1(a any) (any, error)                 { return r.e.Raise1(a) }
+func (r routedScriptEvent) SetDefaultHandler(h dispatch.Handler) error {
+	return r.e.SetDefaultHandler(h)
+}
+func (r routedScriptEvent) Raise1(a any) (any, error) { return r.e.Raise1(a) }
 
 type plainScriptEvent struct{ e *dispatch.Event }
 
 func (p plainScriptEvent) Install(h dispatch.Handler, opts ...dispatch.InstallOption) (interface{ Fired() int64 }, error) {
 	return p.e.Install(h, opts...)
 }
-func (p plainScriptEvent) SetDefaultHandler(h dispatch.Handler) error { return p.e.SetDefaultHandler(h) }
-func (p plainScriptEvent) Raise1(a any) (any, error)                  { return p.e.Raise1(a) }
+func (p plainScriptEvent) SetDefaultHandler(h dispatch.Handler) error {
+	return p.e.SetDefaultHandler(h)
+}
+func (p plainScriptEvent) Raise1(a any) (any, error) { return p.e.Raise1(a) }
 
 func runReshardScript(t *testing.T, define func(name string) scriptEvent, checkpoint func(batch int)) (trace []string, fired map[string]int64) {
 	t.Helper()

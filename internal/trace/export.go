@@ -40,7 +40,7 @@ func spanName(sp Span) string {
 		name := sp.Name
 		if name == "" {
 			if sp.Step < 0 {
-				name = "<decision-tree>"
+				name = "<guard-index>"
 			} else {
 				name = fmt.Sprintf("step %d", sp.Step)
 			}
