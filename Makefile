@@ -23,10 +23,22 @@ spinvet:
 # with tracing off, with the fault policy on, with admission enabled but
 # no policy, with the journal off or lifecycle-only, and with the remote
 # subsystem compiled in and serving — and trace recording itself never
-# allocates. AllocsPerRun is unreliable under the
-# race detector, so this runs without -race.
+# allocates; plus the frame path's budgets (simulator, wire, scheduler,
+# UDP echo, TCP segment, keep-alive GET). AllocsPerRun is unreliable under
+# the race detector, so this runs without -race.
+#
+# The gates are selected by name, so the target first counts what the
+# pattern selects and fails below ALLOC_GATES: renaming a gate out of the
+# pattern then breaks CI instead of silently dropping the gate. Raise the
+# floor when adding a gate.
+ALLOC_PATTERN = ZeroAlloc|DoesNotAllocate|AllocBudget
+ALLOC_GATES = 22
 alloccheck:
-	$(GO) test -run 'ZeroAlloc|DoesNotAllocate' -count=1 ./...
+	@listing="$$($(GO) test -list '$(ALLOC_PATTERN)' ./...)" || { echo "$$listing"; exit 1; }; \
+	n="$$(echo "$$listing" | grep -c '^Test')"; \
+	[ "$$n" -ge $(ALLOC_GATES) ] || \
+		{ echo "alloccheck: '$(ALLOC_PATTERN)' selects $$n tests, floor is $(ALLOC_GATES)"; exit 1; }
+	$(GO) test -run '$(ALLOC_PATTERN)' -count=1 ./...
 
 build:
 	$(GO) build ./...
@@ -42,13 +54,15 @@ race:
 
 # A short differential-fuzzing pass over the dispatch code generator: the
 # optimized plans (peephole, reordering, inlining, bypass, guard index,
-# stencil, sampled raises) must agree with naive reference evaluation. Go
-# runs one fuzz target per invocation.
+# stencil, sampled raises) must agree with naive reference evaluation, and
+# over the simulator's event heap, which must fire in stable instant order.
+# Go runs one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzPredCompile -fuzztime 10s -run '^$$' ./internal/codegen/
 	$(GO) test -fuzz FuzzTreeDispatch -fuzztime 10s -run '^$$' ./internal/codegen/
 	$(GO) test -fuzz FuzzBatchDispatch -fuzztime 10s -run '^$$' ./internal/codegen/
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 10s -run '^$$' ./internal/dispatch/
+	$(GO) test -fuzz FuzzSimulatorOrder -fuzztime 10s -run '^$$' ./internal/vtime/
 
 # The fault-injection suite under the race detector: quarantine and
 # probation recompiles race against concurrent raises, watchdog timers race

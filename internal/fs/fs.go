@@ -108,8 +108,13 @@ func New(d *dispatch.Dispatcher, cpu *vtime.CPU, prefix string) (*FS, error) {
 	return s, nil
 }
 
-// Normalize canonicalizes a UNIX path.
+// Normalize canonicalizes a UNIX path: a leading slash, no empty or "."
+// element, no trailing slash. A path already in that form is returned as
+// it is, without allocating.
 func Normalize(path string) string {
+	if isNormal(path) {
+		return path
+	}
 	if !strings.HasPrefix(path, "/") {
 		path = "/" + path
 	}
@@ -122,6 +127,27 @@ func Normalize(path string) string {
 		out = append(out, p)
 	}
 	return "/" + strings.Join(out, "/")
+}
+
+func isNormal(path string) bool {
+	if path == "/" {
+		return true
+	}
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	for start := 1; ; {
+		end := strings.IndexByte(path[start:], '/')
+		if end < 0 {
+			end = len(path) - start
+		}
+		if elem := path[start : start+end]; elem == "" || elem == "." {
+			return false
+		}
+		if start += end + 1; start > len(path) {
+			return true
+		}
+	}
 }
 
 // --- Intrinsic handlers (the native implementation) ---

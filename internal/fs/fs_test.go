@@ -104,11 +104,35 @@ func TestNormalize(t *testing.T) {
 		"":        "/",
 		"/":       "/",
 		"a/./b//": "/a/b",
+		// Around the already-normal fast path: what looks almost normal.
+		"/a/":       "/a",
+		"/a/.":      "/a",
+		"/.":        "/",
+		"//":        "/",
+		"/a/./b":    "/a/b",
+		"/.a/b./..": "/.a/b./..",
+		"/a.b/c":    "/a.b/c",
 	}
 	for in, want := range cases {
 		if got := Normalize(in); got != want {
 			t.Errorf("Normalize(%q) = %q, want %q", in, got, want)
 		}
+		if !isNormal(want) || isNormal(in) != (in == want) {
+			t.Errorf("isNormal(%q) = %v, isNormal(%q) = %v", in, isNormal(in), want, isNormal(want))
+		}
+	}
+}
+
+// Looking up a path that is already normal — every request the web server
+// resolves — does not split and rejoin it.
+func TestNormalizeNormalPathZeroAlloc(t *testing.T) {
+	path := "/www/docs/d07.html"
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if Normalize(path) != path {
+			t.Fatal("a normal path was rewritten")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Normalize of a normal path allocates %.1f times", allocs)
 	}
 }
 

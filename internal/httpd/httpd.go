@@ -18,7 +18,9 @@
 package httpd
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,6 +61,11 @@ func statusText(code int) string {
 	}
 	return "Internal Server Error"
 }
+
+// maxRequestLine bounds how many bytes a connection may buffer without a
+// line terminator before the server answers 400 and closes: a peer that
+// never sends one must not grow server memory without limit.
+const maxRequestLine = 8 << 10
 
 // Config assembles a server.
 type Config struct {
@@ -249,11 +256,10 @@ func (s *Server) untrack(conn *netstack.TCPConn) {
 // intrinsicRequest is the native file-serving implementation.
 func (s *Server) intrinsicRequest(clo any, args []any) any {
 	path, _ := args[0].(string)
-	full := fs.Normalize(s.docRoot + "/" + strings.TrimPrefix(path, "/"))
 	if path == "/" {
-		full = fs.Normalize(s.docRoot + "/index.html")
+		path = "/index.html"
 	}
-	body, ok := s.fsys.Get(full)
+	body, ok := s.fsys.Get(s.docRoot + "/" + strings.TrimPrefix(path, "/"))
 	if !ok {
 		return &Response{Status: 404, Body: []byte("not found\n")}
 	}
@@ -288,6 +294,7 @@ func (s *Server) acceptLoop(st *sched.Strand) sched.Status {
 // Scheduler.After reports ErrNoSimulator and timeouts are disabled.
 func (s *Server) connHandler(conn *netstack.TCPConn) sched.StepFunc {
 	var buf []byte
+	scanned := 0 // buf[:scanned] holds no line terminator (between steps)
 	var self *sched.Strand
 	gen, armedAt := 0, 0 // bytes-arrived generation; snapshot at last arm
 	done, timedOut := false, false
@@ -329,20 +336,31 @@ func (s *Server) connHandler(conn *netstack.TCPConn) sched.StepFunc {
 			gen++
 			buf = append(buf, data...)
 		}
-		// Serve every complete request line in the buffer.
+		// Serve every complete request line in the buffer. The first
+		// scanned bytes of what is left to serve are known to hold no
+		// terminator, so a line arriving in many segments is searched
+		// once, not once per segment.
+		rest := buf
 		for {
-			nl := strings.IndexByte(string(buf), '\n')
+			nl := bytes.IndexByte(rest[scanned:], '\n')
 			if nl < 0 {
+				scanned = len(rest)
 				break
 			}
-			line := strings.TrimRight(string(buf[:nl]), "\r")
-			buf = buf[nl+1:]
-			if line == "" {
+			line := bytes.TrimRight(rest[:scanned+nl], "\r")
+			rest, scanned = rest[scanned+nl+1:], 0
+			if len(line) == 0 {
 				continue // header terminator; headers are ignored
 			}
 			s.serve(conn, line)
 		}
-		if conn.EOF() || timedOut || s.draining.Load() {
+		// Keep the unterminated tail at the start of the one buffer.
+		buf = buf[:copy(buf, rest)]
+		tooLong := len(buf) > maxRequestLine
+		if tooLong {
+			s.badRequest(conn)
+		}
+		if tooLong || conn.EOF() || timedOut || s.draining.Load() {
 			if timedOut {
 				s.TimedOut++
 			}
@@ -358,29 +376,60 @@ func (s *Server) connHandler(conn *netstack.TCPConn) sched.StepFunc {
 
 // serve parses one request line, raises Httpd.Request, and writes the
 // response.
-func (s *Server) serve(conn *netstack.TCPConn, line string) {
-	parts := strings.Fields(line)
-	var resp *Response
-	if len(parts) < 2 || parts[0] != "GET" {
-		s.BadReqs++
-		resp = &Response{Status: 400, Body: []byte("bad request\n")}
-	} else {
-		res, err := s.Request.Raise(parts[1])
-		if err != nil {
-			resp = &Response{Status: 500, Body: []byte(err.Error() + "\n")}
-		} else if r, ok := res.(*Response); ok && r != nil {
-			resp = r
-		} else {
-			resp = &Response{Status: 500, Body: []byte("no response\n")}
-		}
+func (s *Server) serve(conn *netstack.TCPConn, line []byte) {
+	method, rest := nextField(line)
+	path, _ := nextField(rest)
+	if len(path) == 0 || string(method) != "GET" {
+		s.badRequest(conn)
+		return
 	}
+	var resp *Response
+	res, err := s.Request.Raise1(string(path))
+	if err != nil {
+		resp = &Response{Status: 500, Body: []byte(err.Error() + "\n")}
+	} else if r, ok := res.(*Response); ok && r != nil {
+		resp = r
+	} else {
+		resp = &Response{Status: 500, Body: []byte("no response\n")}
+	}
+	s.respond(conn, resp)
+}
+
+// badRequest answers 400 to a request the server cannot parse.
+func (s *Server) badRequest(conn *netstack.TCPConn) {
+	s.BadReqs++
+	s.respond(conn, &Response{Status: 400, Body: []byte("bad request\n")})
+}
+
+// nextField splits off the first whitespace-delimited field of b.
+func nextField(b []byte) (field, rest []byte) {
+	const space = " \t\r\v\f"
+	b = bytes.TrimLeft(b, space)
+	if end := bytes.IndexAny(b, space); end >= 0 {
+		return b[:end], b[end:]
+	}
+	return b, nil
+}
+
+// respond counts and writes one response. Header and body go into one
+// buffer of exactly their size; it is fresh per response because the
+// segments the client receives alias it.
+func (s *Server) respond(conn *netstack.TCPConn, resp *Response) {
 	if resp.Status == 404 {
 		s.NotFound++
 	}
 	s.Served++
-	head := fmt.Sprintf("HTTP/1.0 %d %s\r\nContent-Length: %d\r\n\r\n",
-		resp.Status, statusText(resp.Status), len(resp.Body))
-	_ = conn.Send(append([]byte(head), resp.Body...))
+	var scratch [96]byte // fits any status the server itself produces
+	head := append(scratch[:0], "HTTP/1.0 "...)
+	head = strconv.AppendInt(head, int64(resp.Status), 10)
+	head = append(head, ' ')
+	head = append(head, statusText(resp.Status)...)
+	head = append(head, "\r\nContent-Length: "...)
+	head = strconv.AppendInt(head, int64(len(resp.Body)), 10)
+	head = append(head, "\r\n\r\n"...)
+	out := make([]byte, len(head)+len(resp.Body))
+	copy(out[copy(out, head):], resp.Body)
+	_ = conn.Send(out)
 }
 
 // RouteGuard builds a FUNCTIONAL guard matching requests whose path has

@@ -25,6 +25,9 @@ const (
 	arpReply   = 2
 )
 
+// arpWireSize is the Ethernet payload size of an ARP packet.
+const arpWireSize = 28
+
 // arpResolver is the per-stack resolver state.
 type arpResolver struct {
 	s       *Stack
@@ -74,7 +77,7 @@ func (s *Stack) enableDynamicARP(prefix string) error {
 		Fn: func(clo any, args []any) any {
 			pkt := args[1].(*Packet)
 			s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-			_, _ = ev.Raise(uint64(pkt.EtherType), pkt)
+			_, _ = ev.Raise2(pkt.etherTypeWord(), pkt)
 			return nil
 		},
 	}, dispatch.WithGuard(s.HeaderGuard("Arp.IsARP", func(word uint64, pkt *Packet) bool {
@@ -109,15 +112,12 @@ func (r *arpResolver) resolveAndQueue(pkt *Packet) error {
 		return nil // request already outstanding
 	}
 	r.s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	return r.s.nic.Send(&netwire.Frame{
-		Dst: netwire.Broadcast, EtherType: netwire.TypeARP, Size: 28,
-		Payload: &Packet{
-			EtherType: netwire.TypeARP,
-			Seq:       arpRequest,
-			SrcIP:     r.s.ip, SrcMAC: r.s.nic.Addr(),
-			DstIP: ip,
-		},
-	})
+	return r.s.sendFrame(&Packet{
+		EtherType: netwire.TypeARP,
+		Seq:       arpRequest,
+		SrcIP:     r.s.ip, SrcMAC: r.s.nic.Addr(),
+		DstIP: ip,
+	}, netwire.Broadcast, arpWireSize)
 }
 
 // input processes one ARP packet at the resolver.
@@ -132,15 +132,12 @@ func (r *arpResolver) input(pkt *Packet) {
 		}
 		r.Requests++
 		r.s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-		_ = r.s.nic.Send(&netwire.Frame{
-			Dst: pkt.SrcMAC, EtherType: netwire.TypeARP, Size: 28,
-			Payload: &Packet{
-				EtherType: netwire.TypeARP,
-				Seq:       arpReply,
-				SrcIP:     r.s.ip, SrcMAC: r.s.nic.Addr(),
-				DstIP: pkt.SrcIP, DstMAC: pkt.SrcMAC,
-			},
-		})
+		_ = r.s.sendFrame(&Packet{
+			EtherType: netwire.TypeARP,
+			Seq:       arpReply,
+			SrcIP:     r.s.ip, SrcMAC: r.s.nic.Addr(),
+			DstIP: pkt.SrcIP, DstMAC: pkt.SrcMAC,
+		}, pkt.SrcMAC, arpWireSize)
 	case arpReply:
 		r.Replies++
 		r.learn(pkt.SrcIP, pkt.SrcMAC)

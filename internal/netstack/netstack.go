@@ -69,6 +69,10 @@ var PacketType = rtti.NewRef("Packet", nil)
 // Packet is a parsed packet view, shared by all layers. (A production
 // stack would reparse headers per layer; the simulation charges the layer
 // costs explicitly and keeps one struct.)
+//
+// A packet is allocated once, by its sender, and never pooled or reused by
+// the stack: whoever receives one — a handler, a socket's user — may keep
+// it.
 type Packet struct {
 	EtherType uint16
 	SrcMAC    string
@@ -81,11 +85,48 @@ type Packet struct {
 	Seq, Ack         uint32
 	Flags            uint8
 
+	// Payload aliases the buffer the sender passed to Send; see DESIGN.md,
+	// "frame path ownership".
 	Payload []byte
+
+	// wire is the frame that carries the packet: sending a packet
+	// allocates the packet and nothing else.
+	wire netwire.Frame
+	// dstPortWord, when set by the sending endpoint, is DstPort boxed as
+	// the word argument of the transport events. Endpoints box it once,
+	// not once per packet.
+	dstPortWord any
 }
 
 // RTTIType implements rtti.Described.
 func (p *Packet) RTTIType() rtti.Type { return PacketType }
+
+// The discriminating words the layer events take, boxed once.
+var (
+	wordTypeIP  any = uint64(netwire.TypeIP)
+	wordTypeARP any = uint64(netwire.TypeARP)
+)
+
+// etherTypeWord is the Ether.PacketArrived word for the packet.
+func (p *Packet) etherTypeWord() any {
+	switch p.EtherType {
+	case netwire.TypeIP:
+		return wordTypeIP
+	case netwire.TypeARP:
+		return wordTypeARP
+	}
+	return uint64(p.EtherType)
+}
+
+// portWord is the Udp/Tcp.PacketArrived word for the packet: the word its
+// sender boxed if it still matches DstPort, a fresh box otherwise (packets
+// built outside an endpoint, or rewritten on the way).
+func (p *Packet) portWord() any {
+	if w, ok := p.dstPortWord.(uint64); ok && w == uint64(p.DstPort) {
+		return p.dstPortWord
+	}
+	return uint64(p.DstPort)
+}
 
 // WireSize reports the Ethernet payload size of the packet.
 func (p *Packet) WireSize() int {
@@ -156,6 +197,9 @@ type Stack struct {
 	tcp      tcpState
 	arpR     *arpResolver
 	arpEvent *dispatch.Event
+	// rxFlat is the RX train receiver's argument buffer, reused from one
+	// train to the next.
+	rxFlat []any
 
 	// EtherFrames, IPPackets count traffic through each layer's
 	// intrinsic handler. UDPDrops counts datagrams for unbound ports
@@ -232,7 +276,7 @@ func New(cfg Config) (*Stack, error) {
 		Fn: func(clo any, args []any) any {
 			pkt := args[1].(*Packet)
 			s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-			_, _ = s.IPArrived.Raise(uint64(pkt.Proto), pkt)
+			_, _ = s.IPArrived.Raise2(uint64(pkt.Proto), pkt) // protocol numbers box without allocating
 			return nil
 		},
 	}, dispatch.WithGuard(s.HeaderGuard("Ip.IsIP", func(word uint64, pkt *Packet) bool {
@@ -248,7 +292,7 @@ func New(cfg Config) (*Stack, error) {
 		Fn: func(clo any, args []any) any {
 			pkt := args[1].(*Packet)
 			s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-			_, _ = s.UDPArrived.Raise(uint64(pkt.DstPort), pkt)
+			_, _ = s.UDPArrived.Raise2(pkt.portWord(), pkt)
 			return nil
 		},
 	}, dispatch.WithGuard(s.HeaderGuard("Udp.IsUDP", func(word uint64, pkt *Packet) bool {
@@ -262,7 +306,7 @@ func New(cfg Config) (*Stack, error) {
 		Fn: func(clo any, args []any) any {
 			pkt := args[1].(*Packet)
 			s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-			_, _ = s.TCPArrived.Raise(uint64(pkt.DstPort), pkt)
+			_, _ = s.TCPArrived.Raise2(pkt.portWord(), pkt)
 			return nil
 		},
 	}, dispatch.WithGuard(s.HeaderGuard("Tcp.IsTCP", func(word uint64, pkt *Packet) bool {
@@ -280,26 +324,37 @@ func New(cfg Config) (*Stack, error) {
 		}
 	}
 
-	// Frames landing at the same virtual instant (back-to-back on the
-	// wire) arrive as one RX train and enter the dispatcher through the
-	// batched raise ingress. The per-frame costs are unchanged — one
-	// interrupt and one Ethernet header parse each, and the metered
-	// dispatcher keeps per-frame virtual-time charges identical to the
-	// single-raise path — batching amortizes only the dispatch ingress.
-	cfg.NIC.SetBatchReceiver(func(fs []*netwire.Frame) {
-		flat := make([]any, 0, 2*len(fs))
-		for _, f := range fs {
-			s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
-			s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer) // Ethernet header parse
-			pkt, ok := f.Payload.(*Packet)
-			if !ok {
-				pkt = &Packet{EtherType: f.EtherType, SrcMAC: f.Src, DstMAC: f.Dst}
-			}
-			flat = append(flat, uint64(pkt.EtherType), pkt)
-		}
-		s.EtherArrived.RaiseBatch2(flat)
-	})
+	cfg.NIC.SetBatchReceiver(s.rxTrain)
 	return s, nil
+}
+
+// rxTrain is the NIC's receive interrupt. Frames landing at the same
+// virtual instant (back-to-back on the wire) arrive as one RX train and
+// enter the dispatcher through the batched raise ingress. The per-frame
+// costs are unchanged — one interrupt and one Ethernet header parse each,
+// and the metered dispatcher keeps per-frame virtual-time charges identical
+// to the single-raise path — batching amortizes only the dispatch ingress.
+func (s *Stack) rxTrain(fs []*netwire.Frame) {
+	// The argument buffer is detached while handlers run and kept for the
+	// next train only if no plan that saw it may still hold its frames
+	// (asynchronous or ephemeral handlers on Ether.PacketArrived).
+	flat := s.rxFlat
+	s.rxFlat = nil
+	reuse := !s.EtherArrived.Plan().RetainsArgs()
+	for _, f := range fs {
+		s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
+		s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer) // Ethernet header parse
+		pkt, ok := f.Payload.(*Packet)
+		if !ok {
+			pkt = &Packet{EtherType: f.EtherType, SrcMAC: f.Src, DstMAC: f.Dst}
+		}
+		flat = append(flat, pkt.etherTypeWord(), pkt)
+	}
+	s.EtherArrived.RaiseBatch2(flat)
+	if reuse && !s.EtherArrived.Plan().RetainsArgs() {
+		clear(flat)
+		s.rxFlat = flat[:0]
+	}
 }
 
 // IP returns the host address.
@@ -356,9 +411,14 @@ func (s *Stack) transmit(pkt *Packet, mac string) error {
 	pkt.DstMAC = mac
 	pkt.EtherType = netwire.TypeIP
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	return s.nic.Send(&netwire.Frame{
-		Dst: mac, EtherType: netwire.TypeIP, Size: pkt.WireSize(), Payload: pkt,
-	})
+	return s.sendFrame(pkt, mac, pkt.WireSize())
+}
+
+// sendFrame puts pkt on the wire to the link address dst, in the frame the
+// packet embeds.
+func (s *Stack) sendFrame(pkt *Packet, dst string, size int) error {
+	pkt.wire = netwire.Frame{Dst: dst, EtherType: pkt.EtherType, Size: size, Payload: pkt}
+	return s.nic.Send(&pkt.wire)
 }
 
 // InjectEther delivers a raw (non-IP) frame into the receive path, as the
@@ -366,5 +426,5 @@ func (s *Stack) transmit(pkt *Packet, mac string) error {
 func (s *Stack) InjectEther(pkt *Packet) {
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	_, _ = s.EtherArrived.Raise(uint64(pkt.EtherType), pkt)
+	_, _ = s.EtherArrived.Raise2(pkt.etherTypeWord(), pkt)
 }

@@ -3,6 +3,7 @@ package netstack
 import (
 	"fmt"
 
+	"spin/internal/fifo"
 	"spin/internal/rtti"
 	"spin/internal/sched"
 	"spin/internal/vtime"
@@ -114,7 +115,7 @@ func (t *tcpState) init() {
 type TCPListener struct {
 	stack   *Stack
 	port    uint16
-	pending []*TCPConn
+	pending fifo.Queue[*TCPConn]
 	waiter  *sched.Strand
 }
 
@@ -133,17 +134,10 @@ func (l *TCPListener) Port() uint16 { return l.port }
 
 // Accept pops an established inbound connection, reporting false when none
 // is ready.
-func (l *TCPListener) Accept() (*TCPConn, bool) {
-	if len(l.pending) == 0 {
-		return nil, false
-	}
-	c := l.pending[0]
-	l.pending = l.pending[1:]
-	return c, true
-}
+func (l *TCPListener) Accept() (*TCPConn, bool) { return l.pending.Pop() }
 
 // Ready reports whether Accept would succeed.
-func (l *TCPListener) Ready() bool { return len(l.pending) > 0 }
+func (l *TCPListener) Ready() bool { return l.pending.Len() > 0 }
 
 // AwaitConn registers st for wakeup when a connection becomes acceptable.
 func (l *TCPListener) AwaitConn(st *sched.Strand) { l.waiter = st }
@@ -166,10 +160,13 @@ type TCPConn struct {
 	remotePort uint16
 	remoteIP   string
 	state      tcpConnState
+	// remoteWord is remotePort boxed once, for the packets sent to it (see
+	// Packet.dstPortWord).
+	remoteWord any
 
 	seq, ack uint32
 
-	recvQ      [][]byte
+	recvQ      fifo.Queue[[]byte]
 	recvWaiter *sched.Strand
 	connWaiter *sched.Strand
 	eof        bool
@@ -189,7 +186,7 @@ func (s *Stack) DialTCP(dstIP string, dstPort uint16) (*TCPConn, error) {
 	port := s.tcp.nextPort
 	s.tcp.nextPort++
 	c := &TCPConn{stack: s, localPort: port, remotePort: dstPort, remoteIP: dstIP,
-		state: tcpSynSent, seq: 1}
+		remoteWord: uint64(dstPort), state: tcpSynSent, seq: 1}
 	s.tcp.conns[connKey{dstIP, dstPort, port}] = c
 	s.armHandshakeTimer(c)
 	if err := c.sendSeg(FlagSYN, nil); err != nil {
@@ -220,7 +217,7 @@ func (c *TCPConn) Established() bool { return c.state == tcpEstablished }
 func (c *TCPConn) Closed() bool { return c.state == tcpClosed }
 
 // EOF reports whether the peer has finished sending.
-func (c *TCPConn) EOF() bool { return c.eof && len(c.recvQ) == 0 }
+func (c *TCPConn) EOF() bool { return c.eof && c.recvQ.Len() == 0 }
 
 // AwaitEstablished registers st for wakeup when the handshake completes.
 func (c *TCPConn) AwaitEstablished(st *sched.Strand) { c.connWaiter = st }
@@ -254,17 +251,10 @@ func (c *TCPConn) Send(data []byte) error {
 }
 
 // Readable reports whether Recv would succeed or EOF has been reached.
-func (c *TCPConn) Readable() bool { return len(c.recvQ) > 0 || c.eof }
+func (c *TCPConn) Readable() bool { return c.recvQ.Len() > 0 || c.eof }
 
 // Recv pops the next received segment payload.
-func (c *TCPConn) Recv() ([]byte, bool) {
-	if len(c.recvQ) == 0 {
-		return nil, false
-	}
-	d := c.recvQ[0]
-	c.recvQ = c.recvQ[1:]
-	return d, true
-}
+func (c *TCPConn) Recv() ([]byte, bool) { return c.recvQ.Pop() }
 
 // AwaitData registers st for wakeup on the next delivery or EOF.
 func (c *TCPConn) AwaitData(st *sched.Strand) { c.recvWaiter = st }
@@ -322,7 +312,8 @@ func (c *TCPConn) sendSeg(flags uint8, payload []byte) error {
 		DstIP: c.remoteIP, Proto: ProtoTCP,
 		SrcPort: c.localPort, DstPort: c.remotePort,
 		Seq: c.seq, Ack: c.ack, Flags: flags,
-		Payload: payload,
+		Payload:     payload,
+		dstPortWord: c.remoteWord,
 	})
 }
 
@@ -353,7 +344,8 @@ func (s *Stack) tcpInput(pkt *Packet) {
 			}
 			c = &TCPConn{stack: s, localPort: pkt.DstPort,
 				remotePort: pkt.SrcPort, remoteIP: pkt.SrcIP,
-				state: tcpSynRcvd, seq: 1, ack: pkt.Seq + 1}
+				remoteWord: uint64(pkt.SrcPort),
+				state:      tcpSynRcvd, seq: 1, ack: pkt.Seq + 1}
 			s.tcp.conns[key] = c
 			s.armHandshakeTimer(c)
 			c.SegsIn++
@@ -391,7 +383,7 @@ func (s *Stack) tcpInput(pkt *Packet) {
 		// Passive open completes: hand to the listener.
 		c.state = tcpEstablished
 		if l, ok := s.tcp.listeners[c.localPort]; ok {
-			l.pending = append(l.pending, c)
+			l.pending.Push(c)
 			s.wake(&l.waiter)
 		}
 		// A completing ACK may piggyback data.
@@ -419,6 +411,17 @@ func (s *Stack) tcpInput(pkt *Packet) {
 		c.deliverData(pkt)
 		_ = c.sendSeg(FlagACK, nil)
 
+	case len(pkt.Payload) > 0 && c.state == tcpClosed:
+		// Closed on this side while the peer is still sending: nobody
+		// will read the data, but the expected position has to follow it,
+		// or the peer's FIN would never match and the endpoint never be
+		// reaped.
+		if pkt.Seq == c.ack {
+			c.ack += uint32(len(pkt.Payload))
+		} else {
+			s.tcp.OutOfOrder++
+		}
+
 	default:
 		// Pure ACK: nothing to do with an unbounded window.
 	}
@@ -444,7 +447,7 @@ func (c *TCPConn) deliverData(pkt *Packet) {
 		return
 	}
 	c.stack.cpu.ChargeTo(vtime.AccountKernel, vtime.SocketOp)
-	c.recvQ = append(c.recvQ, pkt.Payload)
+	c.recvQ.Push(pkt.Payload)
 	c.ack = pkt.Seq + uint32(len(pkt.Payload))
 	c.BytesIn += int64(len(pkt.Payload))
 	c.stack.wake(&c.recvWaiter)

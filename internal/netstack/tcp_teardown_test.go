@@ -76,6 +76,32 @@ func TestTCPTeardownCleanCloseReapsBothEnds(t *testing.T) {
 	}
 }
 
+// An endpoint closed while its peer is still sending (the web server
+// hanging up on an endless request line) discards the data but follows its
+// sequence position, so the peer's eventual FIN matches and both ends are
+// reaped; it used to leak the closed endpoint.
+func TestTCPTeardownCloseWhilePeerSendsReapsBothEnds(t *testing.T) {
+	r := twoMachines(t)
+	client, server := dialEstablished(t, r, 6004)
+	if err := client.Send(make([]byte, 3*MSS)); err != nil { // three segments in flight
+		t.Fatal(err)
+	}
+	_ = server.Close() // before any of them arrives
+	r.run()
+	if !client.EOF() {
+		t.Fatal("client never saw the server's FIN")
+	}
+	_ = client.Close()
+	r.drain(t)
+	assertNoConns(t, r)
+	if st := r.sb.TCPStats(); st.OutOfOrder != 0 {
+		t.Fatalf("the client's FIN was dropped as out of order (%d)", st.OutOfOrder)
+	}
+	if _, ok := server.Recv(); ok {
+		t.Fatal("data arriving after Close was queued")
+	}
+}
+
 func TestTCPTeardownAbortMidStreamResetsPeer(t *testing.T) {
 	r := twoMachines(t)
 	client, server := dialEstablished(t, r, 6001)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spin/internal/dispatch"
+	"spin/internal/fifo"
 	"spin/internal/rtti"
 	"spin/internal/sched"
 	"spin/internal/vtime"
@@ -17,8 +18,13 @@ type UDPSocket struct {
 	stack   *Stack
 	port    uint16
 	binding *dispatch.Binding
-	queue   []*Packet
+	queue   fifo.Queue[*Packet]
 	waiter  *sched.Strand
+	// dstPort and dstWord are the destination port last sent to and its
+	// boxed word (see Packet.dstPortWord); a socket mostly talks to one
+	// peer.
+	dstPort uint16
+	dstWord any
 
 	// Received and Sent count datagrams through the socket.
 	Received int64
@@ -54,7 +60,7 @@ func (u *UDPSocket) Port() uint16 { return u.port }
 // deliver runs in the receive chain: enqueue and wake any waiting strand.
 func (u *UDPSocket) deliver(pkt *Packet) {
 	u.stack.cpu.ChargeTo(vtime.AccountKernel, vtime.SocketOp)
-	u.queue = append(u.queue, pkt)
+	u.queue.Push(pkt)
 	u.Received++
 	if w := u.waiter; w != nil {
 		u.waiter = nil
@@ -67,22 +73,19 @@ func (u *UDPSocket) Send(dstIP string, dstPort uint16, payload []byte) error {
 	u.stack.cpu.Charge(vtime.SocketOp)
 	u.stack.cpu.Charge(vtime.ProtoLayer) // UDP header build
 	u.Sent++
+	if u.dstWord == nil || u.dstPort != dstPort {
+		u.dstPort, u.dstWord = dstPort, uint64(dstPort)
+	}
 	return u.stack.sendIP(&Packet{
 		DstIP: dstIP, Proto: ProtoUDP,
 		SrcPort: u.port, DstPort: dstPort,
-		Payload: payload,
+		Payload:     payload,
+		dstPortWord: u.dstWord,
 	})
 }
 
 // Recv pops the next datagram, reporting false when the queue is empty.
-func (u *UDPSocket) Recv() (*Packet, bool) {
-	if len(u.queue) == 0 {
-		return nil, false
-	}
-	pkt := u.queue[0]
-	u.queue = u.queue[1:]
-	return pkt, true
-}
+func (u *UDPSocket) Recv() (*Packet, bool) { return u.queue.Pop() }
 
 // AwaitPacket registers st to be woken on the next delivery; the strand
 // body returns sched.Block after calling it. The usual receive loop is
@@ -95,7 +98,7 @@ func (u *UDPSocket) Recv() (*Packet, bool) {
 func (u *UDPSocket) AwaitPacket(st *sched.Strand) { u.waiter = st }
 
 // Pending reports the queue length.
-func (u *UDPSocket) Pending() int { return len(u.queue) }
+func (u *UDPSocket) Pending() int { return u.queue.Len() }
 
 // Close unbinds the port and removes the socket's handler.
 func (u *UDPSocket) Close() error {

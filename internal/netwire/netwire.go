@@ -43,6 +43,10 @@ const Broadcast = "ff:ff:ff:ff:ff:ff"
 // Frame is one Ethernet frame. Payload is an opaque reference: the sending
 // stack passes its parsed packet representation and the receiving stack
 // re-parses, charging the protocol-processing costs explicitly.
+//
+// A frame in flight is its own simulator event: Send records how to deliver
+// it in the frame and schedules the frame itself. The sender must therefore
+// leave a frame alone, and not send it again, until it has been delivered.
 type Frame struct {
 	Src, Dst  string
 	EtherType uint16
@@ -50,7 +54,15 @@ type Frame struct {
 	Size int
 	// Payload carries the packet across the simulated wire.
 	Payload any
+
+	// Delivery state, written by Send: the transmitting NIC, and for a
+	// broadcast the peers partitioned from it at transmission time.
+	via     *NIC
+	blocked map[string]bool
 }
+
+// Fire delivers the frame; it implements vtime.Event for Send.
+func (f *Frame) Fire() { f.via.dispatchFrame(f) }
 
 // Errors.
 var (
@@ -102,6 +114,7 @@ func (l *Link) Attach(addr string) (*NIC, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateNI, addr)
 	}
 	n := &NIC{link: l, addr: addr}
+	n.flush = n.flushTrain
 	l.nics[addr] = n
 	return n, nil
 }
@@ -117,6 +130,8 @@ type NIC struct {
 	recvB      func(fs []*Frame)
 	rxTrain    []*Frame
 	flushArmed bool
+	// flush is flushTrain bound once, so arming a flush allocates nothing.
+	flush func()
 	// txBusyUntil serializes transmissions: a frame cannot start
 	// clocking out until the previous one has left the interface, so
 	// small frames never overtake large ones queued ahead of them.
@@ -139,7 +154,8 @@ func (n *NIC) SetReceiver(fn func(f *Frame)) { n.recv = fn }
 // receiver — back-to-back frames queued behind one another on the wire
 // land in a single RX train — and is the producer feeding the
 // dispatcher's batched raise ingress. When set, it takes precedence over
-// SetReceiver.
+// SetReceiver. The slice belongs to the NIC and is valid only during the
+// call.
 func (n *NIC) SetBatchReceiver(fn func(fs []*Frame)) { n.recvB = fn }
 
 // deliver hands one received frame to the NIC's callback: directly for a
@@ -154,7 +170,7 @@ func (n *NIC) deliver(f *Frame) {
 	n.rxTrain = append(n.rxTrain, f)
 	if !n.flushArmed {
 		n.flushArmed = true
-		n.link.sim.At(n.link.sim.Clock().Now(), n.flushTrain)
+		n.link.sim.At(n.link.sim.Clock().Now(), n.flush)
 	}
 }
 
@@ -167,7 +183,9 @@ func (n *NIC) flushTrain() {
 	n.rxTrain = nil
 	n.recvB(train)
 	if n.rxTrain == nil {
-		// No re-entrant delivery claimed a new train; recycle the buffer.
+		// No re-entrant delivery claimed a new train; recycle the buffer,
+		// emptied so it does not keep the delivered frames reachable.
+		clear(train)
 		n.rxTrain = train[:0]
 	}
 }
@@ -199,8 +217,8 @@ func (n *NIC) Send(f *Frame) error {
 	// transmission. Frames already in flight when a cut happens still
 	// arrive, and frames sent during a cut stay lost even if it heals
 	// before their delivery instant.
+	f.via, f.blocked = n, nil
 	out := f
-	var blocked map[string]bool
 	if fs := n.link.faults; fs != nil {
 		if len(fs.parts) > 0 {
 			if f.Dst != Broadcast {
@@ -211,10 +229,10 @@ func (n *NIC) Send(f *Frame) error {
 			} else {
 				for addr := range n.link.nics {
 					if fs.parts[pairKey(n.addr, addr)] {
-						if blocked == nil {
-							blocked = make(map[string]bool)
+						if f.blocked == nil {
+							f.blocked = make(map[string]bool)
 						}
-						blocked[addr] = true
+						f.blocked[addr] = true
 					}
 				}
 			}
@@ -239,21 +257,20 @@ func (n *NIC) Send(f *Frame) error {
 		}
 		if v.dup {
 			// The copy trails the original by one serialization delay, as
-			// a spurious retransmission would.
-			dupAt := deliverAt.Add(n.link.SerializationDelay(f.Size))
-			dupFrame := out
-			n.link.sim.At(dupAt, func() { n.dispatchFrame(dupFrame, blocked) })
+			// a spurious retransmission would: the same frame, scheduled
+			// twice.
+			n.link.sim.Schedule(deliverAt.Add(n.link.SerializationDelay(f.Size)), out)
 		}
 	}
-	n.link.sim.At(deliverAt, func() { n.dispatchFrame(out, blocked) })
+	n.link.sim.Schedule(deliverAt, out)
 	return nil
 }
 
 // dispatchFrame performs the delivery half of Send at the scheduled
-// instant. blocked is the set of peers partitioned from the sender at
+// instant. f.blocked is the set of peers partitioned from the sender at
 // transmission time (broadcast only; unicast partitions are filtered in
 // Send before the frame is scheduled).
-func (n *NIC) dispatchFrame(f *Frame, blocked map[string]bool) {
+func (n *NIC) dispatchFrame(f *Frame) {
 	l := n.link
 	if f.Dst == Broadcast {
 		delivered := false
@@ -261,7 +278,7 @@ func (n *NIC) dispatchFrame(f *Frame, blocked map[string]bool) {
 			if peer == n || !peer.hasReceiver() {
 				continue
 			}
-			if blocked[peer.addr] {
+			if f.blocked[peer.addr] {
 				l.faults.stats.PartitionDrops++
 				continue
 			}

@@ -131,3 +131,65 @@ func TestCustomBandwidthAndLatency(t *testing.T) {
 		t.Fatalf("delay = %.2fus", us)
 	}
 }
+
+// The RX train buffer is recycled from one flush to the next; it must come
+// back empty, or the NIC keeps the frames of its last train — and the
+// packets they carry — reachable until the next one overwrites them.
+func TestRXTrainClearedAfterFlush(t *testing.T) {
+	l, sim, _ := newLink()
+	a, _ := l.Attach("a")
+	b, _ := l.Attach("b")
+	c, _ := l.Attach("c")
+	got, longest := 0, 0
+	b.SetBatchReceiver(func(fs []*Frame) {
+		got += len(fs)
+		if len(fs) > longest {
+			longest = len(fs)
+		}
+	})
+	for round := 0; round < 10000; round++ {
+		// Equal frames sent at one instant from two interfaces land
+		// together: trains of one and of two alternate.
+		_ = a.Send(&Frame{Dst: "b", Size: 64})
+		if round%2 == 1 {
+			_ = c.Send(&Frame{Dst: "b", Size: 64})
+		}
+		sim.Run(0)
+		for i, f := range b.rxTrain[:cap(b.rxTrain)] {
+			if f != nil {
+				t.Fatalf("round %d: slot %d of the recycled train still holds a frame", round, i)
+			}
+		}
+	}
+	if got != 15000 || longest != 2 {
+		t.Fatalf("delivered %d frames, longest train %d", got, longest)
+	}
+	if n := cap(b.rxTrain); n < 2 || n > 4 {
+		t.Fatalf("trains of at most two frames left a buffer of %d", n)
+	}
+}
+
+// A frame's trip from Send to the receive callback allocates nothing: the
+// frame is its own simulator event, and the train flush is bound once.
+func TestSendDeliverZeroAlloc(t *testing.T) {
+	l, sim, _ := newLink()
+	a, _ := l.Attach("a")
+	b, _ := l.Attach("b")
+	c, _ := l.Attach("c")
+	got := 0
+	b.SetReceiver(func(*Frame) { got++ })
+	c.SetBatchReceiver(func(fs []*Frame) { got += len(fs) })
+	toB, toC := &Frame{Dst: "b", Size: 64}, &Frame{Dst: "c", Size: 64}
+	trip := func() {
+		_ = a.Send(toB)
+		_ = a.Send(toC)
+		sim.Run(0)
+	}
+	trip()
+	if allocs := testing.AllocsPerRun(1000, trip); allocs != 0 {
+		t.Fatalf("Send + deliver allocates %.1f times per pair of frames", allocs)
+	}
+	if got != 2*1002 {
+		t.Fatalf("delivered %d frames", got)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"spin/internal/dispatch"
+	"spin/internal/fifo"
 	"spin/internal/rtti"
 	"spin/internal/vtime"
 )
@@ -83,6 +84,9 @@ type Strand struct {
 	space uint64
 	sched *Scheduler
 	step  StepFunc
+	// idWord is id boxed once at Spawn: the first Strand.Run argument of
+	// every dispatch of this strand.
+	idWord any
 	// state holds a State value. It is atomic because supervisory policy
 	// (an EPHEMERAL-termination watchdog, which runs on its own goroutine
 	// in real-time mode) may Kill a strand while the scheduler is mid-tick
@@ -136,11 +140,14 @@ type Scheduler struct {
 	// may reenter Spawn/Wakeup/Kill freely; strand state itself is atomic
 	// (see Strand.state).
 	mu       sync.Mutex
-	runq     []*Strand
+	runq     fifo.Queue[*Strand]
 	pumping  bool
 	live     atomic.Int64
 	nextID   atomic.Uint64
 	switches atomic.Int64
+	// pump is tickFromSim bound once, so scheduling a tick allocates
+	// nothing.
+	pump func()
 
 	// WakeLatency delays the first dispatch after the run queue goes
 	// from empty to non-empty, modelling scheduling quantum and dispatch
@@ -161,6 +168,7 @@ var ErrNoSimulator = errors.New("sched: scheduler has no simulator attached")
 // freshly booted system dispatches it as a plain procedure call.
 func New(d *dispatch.Dispatcher, cpu *vtime.CPU, sim *vtime.Simulator) (*Scheduler, error) {
 	s := &Scheduler{d: d, cpu: cpu, sim: sim}
+	s.pump = s.tickFromSim
 	run, err := d.DefineEvent("Strand.Run",
 		rtti.Sig(nil, rtti.Word, rtti.RefAny),
 		dispatch.WithIntrinsic(dispatch.Handler{
@@ -179,6 +187,7 @@ func New(d *dispatch.Dispatcher, cpu *vtime.CPU, sim *vtime.Simulator) (*Schedul
 func (s *Scheduler) Spawn(name string, space uint64, step StepFunc) *Strand {
 	st := &Strand{id: s.nextID.Add(1), name: name, space: space, sched: s,
 		step: step, Locals: make(map[string]any)}
+	st.idWord = st.id
 	st.state.Store(int32(Ready))
 	s.live.Add(1)
 	s.enqueue(st, true)
@@ -197,7 +206,7 @@ func (s *Scheduler) Live() int { return int(s.live.Load()) }
 func (s *Scheduler) QueueLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.runq)
+	return s.runq.Len()
 }
 
 // Switches reports the number of scheduling operations performed (each one
@@ -252,12 +261,7 @@ func (s *Scheduler) Kill(st *Strand) {
 	}
 	s.live.Add(-1)
 	s.mu.Lock()
-	for i, q := range s.runq {
-		if q == st {
-			s.runq = append(s.runq[:i], s.runq[i+1:]...)
-			break
-		}
-	}
+	s.runq.Remove(func(q *Strand) bool { return q == st })
 	s.mu.Unlock()
 }
 
@@ -266,8 +270,8 @@ func (s *Scheduler) Kill(st *Strand) {
 // WakeLatency.
 func (s *Scheduler) enqueue(st *Strand, prompt bool) {
 	s.mu.Lock()
-	wasEmpty := len(s.runq) == 0
-	s.runq = append(s.runq, st)
+	wasEmpty := s.runq.Len() == 0
+	s.runq.Push(st)
 	pump := s.sim != nil && !s.pumping
 	if pump {
 		s.pumping = true
@@ -278,7 +282,7 @@ func (s *Scheduler) enqueue(st *Strand, prompt bool) {
 		if wasEmpty && !prompt {
 			delay = s.WakeLatency
 		}
-		s.sim.After(delay, s.tickFromSim)
+		s.sim.After(delay, s.pump)
 	}
 }
 
@@ -296,7 +300,7 @@ func (s *Scheduler) tickFromSim() {
 	}
 	s.mu.Unlock()
 	if pump {
-		s.sim.After(0, s.tickFromSim)
+		s.sim.After(0, s.pump)
 	}
 }
 
@@ -305,13 +309,11 @@ func (s *Scheduler) tickFromSim() {
 // whether more runnable work remains.
 func (s *Scheduler) tick() bool {
 	s.mu.Lock()
-	if len(s.runq) == 0 {
-		s.mu.Unlock()
+	st, ok := s.runq.Pop()
+	s.mu.Unlock()
+	if !ok {
 		return false
 	}
-	st := s.runq[0]
-	s.runq = s.runq[1:]
-	s.mu.Unlock()
 	if st.State() == Dead { // killed while queued
 		return s.moreRunnable()
 	}
@@ -321,7 +323,7 @@ func (s *Scheduler) tick() bool {
 	// arity reasons; a handler-installed guard rejecting everything
 	// would surface ErrNoHandler, which we tolerate: the intrinsic may
 	// have been deregistered by an experiment.
-	_, _ = s.RunEvent.Raise(st.id, st)
+	_, _ = s.RunEvent.Raise2(st.idWord, st)
 	if !st.casState(Ready, Running) {
 		// A context-switch handler (e.g. a terminated EPHEMERAL
 		// restore handler) killed the strand during the raise, or a
@@ -335,7 +337,7 @@ func (s *Scheduler) tick() bool {
 		// a dead strand must not reenter the queue.
 		if st.casState(Running, Ready) {
 			s.mu.Lock()
-			s.runq = append(s.runq, st)
+			s.runq.Push(st)
 			s.mu.Unlock()
 		}
 	case Block:
@@ -352,7 +354,7 @@ func (s *Scheduler) tick() bool {
 func (s *Scheduler) moreRunnable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.runq) > 0
+	return s.runq.Len() > 0
 }
 
 // RunToCompletion drives the scheduler without a simulator until the run

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,5 +259,58 @@ func TestStrandStringAndStates(t *testing.T) {
 	}
 	if st.RTTIType() != StrandType {
 		t.Fatal("RTTIType wrong")
+	}
+}
+
+// The run queue used to pop with runq = runq[1:], which kept every
+// dispatched strand reachable from the backing array until append outgrew
+// it. A retired strand must be garbage while the queue, still holding
+// others, lives on.
+func TestRunQueueReleasesPoppedStrand(t *testing.T) {
+	_, s, _, _ := newRig(t, false)
+	var finalized atomic.Bool
+	func() {
+		st := s.Spawn("short-lived", 0, func(*Strand) Status { return Done })
+		runtime.SetFinalizer(st, func(*Strand) { finalized.Store(true) })
+	}()
+	s.Spawn("parked", 0, func(*Strand) Status { return Block })
+	s.Spawn("queued", 0, func(*Strand) Status { return Block })
+	s.tick() // retires the first strand; two stay queued
+	if s.QueueLen() != 2 || s.Live() != 2 {
+		t.Fatalf("queue %d, live %d after one tick", s.QueueLen(), s.Live())
+	}
+	for i := 0; i < 200 && !finalized.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	runtime.KeepAlive(s)
+	if !finalized.Load() {
+		t.Fatal("the run queue keeps a retired strand reachable")
+	}
+}
+
+// Waking a strand and dispatching it through the simulator allocates
+// nothing: the pump callback and the strand's id word exist already, the
+// run queue reuses its buffer, and Strand.Run is raised through a pooled
+// argument frame. 10 000 rounds, so a creeping queue would show.
+func TestWakeupDispatchZeroAlloc(t *testing.T) {
+	var clock vtime.Clock
+	sim := vtime.NewSimulator(&clock)
+	s, err := New(dispatch.New(dispatch.WithSimulator(sim)), nil, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	st := s.Spawn("waiter", 0, func(*Strand) Status { steps++; return Block })
+	sim.Run(0)
+	allocs := testing.AllocsPerRun(10000, func() {
+		s.Wakeup(st)
+		sim.Run(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("Wakeup + dispatch allocates %.2f times per round", allocs)
+	}
+	if steps != 1+10001 || s.Switches() != int64(steps) {
+		t.Fatalf("%d steps, %d switches", steps, s.Switches())
 	}
 }

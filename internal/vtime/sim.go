@@ -1,9 +1,6 @@
 package vtime
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Simulator is a discrete-event scheduler over a virtual clock. Substrates
 // that need to act "later" in virtual time — wire delivery in netwire,
@@ -39,18 +36,35 @@ func (s *Simulator) Clock() *Clock { return s.clock }
 // cpu's idle account.
 func (s *Simulator) AccountIdleTo(cpu *CPU) { s.idleSink = cpu }
 
-// At schedules fn to run at instant t. Scheduling in the past (before the
-// current clock reading) panics: it would require time travel and always
-// indicates a substrate bug.
+// Event is what the simulator runs at a scheduled instant. A substrate
+// whose pending work already lives in an object — a frame in flight on the
+// wire — schedules that object itself instead of a closure over it.
+type Event interface{ Fire() }
+
+// funcEvent adapts a callback to Event. A func value is pointer-shaped, so
+// the conversion to the interface does not allocate.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
+// At schedules fn to run at instant t; see Schedule.
 func (s *Simulator) At(t Time, fn func()) {
 	if fn == nil {
 		panic("vtime: Simulator.At with nil callback")
 	}
+	s.Schedule(t, funcEvent(fn))
+}
+
+// Schedule queues ev to fire at instant t. Events at the same instant fire
+// in the order they were scheduled. Scheduling in the past (before the
+// current clock reading) panics: it would require time travel and always
+// indicates a substrate bug.
+func (s *Simulator) Schedule(t Time, ev Event) {
 	if t < s.clock.Now() {
 		panic(fmt.Sprintf("vtime: event scheduled at %v, before now %v", t, s.clock.Now()))
 	}
 	s.seq++
-	heap.Push(&s.queue, &simEvent{at: t, seq: s.seq, fn: fn})
+	s.queue.push(simEvent{at: t, seq: s.seq, ev: ev})
 }
 
 // After schedules fn to run d after the current instant.
@@ -62,20 +76,20 @@ func (s *Simulator) After(d Duration, fn func()) {
 }
 
 // Pending reports the number of scheduled, not-yet-run events.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Step runs the single earliest pending event, advancing the clock to its
 // scheduled time first. It reports whether an event ran.
 func (s *Simulator) Step() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*simEvent)
+	ev := s.queue.pop()
 	if gap := ev.at.Sub(s.clock.Now()); gap > 0 {
 		s.idleSink.Idle(gap)
 	}
 	s.clock.AdvanceTo(ev.at)
-	ev.fn()
+	ev.ev.Fire()
 	return true
 }
 
@@ -96,7 +110,7 @@ func (s *Simulator) Run(limit int) {
 // events queued. It returns the number of events run.
 func (s *Simulator) RunUntil(deadline Time) int {
 	n := 0
-	for s.queue.Len() > 0 && s.queue[0].at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		s.Step()
 		n++
 	}
@@ -110,29 +124,62 @@ func (s *Simulator) RunUntil(deadline Time) int {
 type simEvent struct {
 	at  Time
 	seq uint64 // FIFO tiebreak for simultaneous events
-	fn  func()
+	ev  Event
 }
 
-type eventHeap []*simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *simEvent) before(o *simEvent) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// eventHeap is a binary min-heap of events by (at, seq), held by value so
+// that scheduling allocates nothing once the slice has grown.
+type eventHeap []simEvent
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*simEvent)) }
+func (h *eventHeap) push(ev simEvent) {
+	q := append(*h, ev)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() simEvent {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = simEvent{} // the vacated slot must not keep the event reachable
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
