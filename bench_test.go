@@ -6,7 +6,7 @@ package spin
 // (linear scaling in handlers, the inline/no-inline gap, the
 // single-handler bypass, O(n^2) installation) on modern hardware. The
 // calibrated virtual-time reproductions, in the paper's microseconds, come
-// from `go run ./cmd/spinbench` and `go run ./cmd/spindoc`, both built on
+// from `go run ./cmd/spinbench` and `go run ./cmd/spin doc`, both built on
 // internal/bench and internal/x11.
 
 import (

@@ -17,8 +17,8 @@ import (
 	"spin/internal/codegen"
 	"spin/internal/dispatch"
 	"spin/internal/kernel"
-	"spin/internal/remote"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/shard"
 )
 
@@ -286,11 +286,14 @@ func TestBenchSmokeRemote(t *testing.T) {
 	// Subject: the two-machine drill rig, warmed with real wire traffic so
 	// the remote subsystem is resident and live, then measured on a local
 	// event that never touches it.
-	rig, err := remote.NewBenchRig()
+	rig, err := scenario.NewRemoteRig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	subjEv, err := rig.Local.DefineEvent("Smoke.Resident", sig,
+	if _, err := rig.WarmPeer(); err != nil {
+		t.Fatal(err)
+	}
+	subjEv, err := rig.A.Dispatcher.DefineEvent("Smoke.Resident", sig,
 		dispatch.WithIntrinsic(handler("Smoke.H")))
 	if err != nil {
 		t.Fatal(err)

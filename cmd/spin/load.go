@@ -1,4 +1,19 @@
-// Command spinload drills the overload-control subsystem: it ramps offered
+package main
+
+import (
+	"fmt"
+	"io"
+	"runtime"
+	"sync/atomic"
+	"time"
+
+	"spin/internal/admit"
+	"spin/internal/dispatch"
+	"spin/internal/rtti"
+	"spin/internal/scenario"
+)
+
+// loadCmd drills the overload-control subsystem: it ramps offered
 // asynchronous load on a real-time (unmetered) dispatcher from well under
 // the admission pool's drain capacity to far past it, printing the queue,
 // shed, pool, and degradation statistics at each step. Two handlers are
@@ -9,35 +24,23 @@
 // and as the ramp descends and calm observations accumulate it is compiled
 // back in.
 //
-//	spinload                     default ramp: 0.5x 2x 8x 16x 4x 0.5x
-//	spinload -step 500ms         longer steps
-//	spinload -workers 8 -depth 128
+//	spin load                     default ramp: 0.5x 2x 8x 16x 4x 0.5x
+//	spin load -step 500ms         longer steps
+//	spin load -workers 8 -depth 128
 //
 // The drill is native-time (goroutines, wall-clock pacing), so exact
 // figures vary by host; the shape — bounded depth, shed rate tracking
 // overload, degradation engaging and releasing — is the point.
-package main
-
-import (
-	"flag"
-	"fmt"
-	"log"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"spin/internal/admit"
-	"spin/internal/dispatch"
-	"spin/internal/rtti"
-)
-
-func main() {
-	step := flag.Duration("step", 250*time.Millisecond, "wall-clock duration of each ramp step")
-	workers := flag.Int("workers", 4, "admission pool worker cap")
-	depth := flag.Int("depth", 64, "admission queue depth")
-	service := flag.Duration("service", 200*time.Microsecond, "simulated handler service time (busy-wait)")
-	flag.Parse()
+func loadCmd(args []string, stdout, stderr io.Writer) error {
+	const producers = 4
+	fs := newFlags("load", stderr)
+	step := fs.Duration("step", 250*time.Millisecond, "wall-clock duration of each ramp step")
+	workers := fs.Int("workers", 4, "admission pool worker cap")
+	depth := fs.Int("depth", 64, "admission queue depth")
+	service := fs.Duration("service", 200*time.Microsecond, "simulated handler service time (busy-wait)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 
 	pol := admit.Policy{Mode: admit.Shed, Depth: *depth}
 	d := dispatch.New(dispatch.WithAdmission(dispatch.AdmissionConfig{
@@ -55,7 +58,7 @@ func main() {
 	mod := rtti.NewModule("Load")
 	ev, err := d.DefineEvent("Load.Request", sig, dispatch.AsAsync(), dispatch.WithOwner(mod))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var essential, optional atomic.Int64
 	_, err = ev.Install(dispatch.Handler{
@@ -69,7 +72,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The optional extra (think: per-request analytics) rides in priority
 	// class 2, first to be degraded away under load.
@@ -81,22 +84,24 @@ func main() {
 		},
 	}, dispatch.WithPriority(2))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Calibrate the host's real drain capacity with a short saturating
 	// flood, so the ramp multiples are honest on any core count.
-	capacity := calibrate(ev, 150*time.Millisecond)
-	fmt.Printf("spinload: %d workers, depth %d, %v service, GOMAXPROCS=%d\n",
+	start := time.Now()
+	scenario.Offer(ev, 0, 150*time.Millisecond, producers)
+	q := ev.AdmissionQueue()
+	capacity := float64(scenario.AwaitDrained(q).Completed) / time.Since(start).Seconds()
+	fmt.Fprintf(stdout, "spinload: %d workers, depth %d, %v service, GOMAXPROCS=%d\n",
 		*workers, *depth, *service, runtime.GOMAXPROCS(0))
-	fmt.Printf("calibrated drain capacity: %.0f raises/s\n\n", capacity)
-	fmt.Printf("%6s %10s %10s %8s %7s %6s %5s  %s\n",
+	fmt.Fprintf(stdout, "calibrated drain capacity: %.0f raises/s\n\n", capacity)
+	fmt.Fprintf(stdout, "%6s %10s %10s %8s %7s %6s %5s  %s\n",
 		"load", "offered/s", "served/s", "shed", "shed%", "depth", "pool", "level")
 
-	q := ev.AdmissionQueue()
 	var prev admit.QueueStats
 	for _, mult := range []float64{0.5, 2, 8, 16, 4, 0.5} {
-		offer(ev, capacity*mult, *step)
+		scenario.Offer(ev, capacity*mult, *step, producers)
 		// A few explicit observations give the controller a chance to
 		// de-escalate on the calm half of the ramp even when the sampled
 		// cadence has gone quiet.
@@ -114,70 +119,19 @@ func main() {
 		}
 		lvl, name := d.AdmissionLevel()
 		ps := d.AdmissionPool()
-		fmt.Printf("%5.1fx %10.0f %10.0f %8d %6.1f%% %6d %2d/%-2d  %d:%s\n",
+		fmt.Fprintf(stdout, "%5.1fx %10.0f %10.0f %8d %6.1f%% %6d %2d/%-2d  %d:%s\n",
 			mult, capacity*mult, float64(dCompleted)/step.Seconds(), dShed, shedPct,
 			s.Depth, ps.Running, ps.Capacity, lvl, name)
 	}
 
 	// Drain and report the final ledger: every submission accounted for.
-	for !q.Stats().Drained() {
-		time.Sleep(time.Millisecond)
-	}
-	s := q.Stats()
-	fmt.Printf("\nledger: submitted=%d completed=%d shed=%d coalesced=%d (identity holds: %v)\n",
+	s := scenario.AwaitDrained(q)
+	fmt.Fprintf(stdout, "\nledger: submitted=%d completed=%d shed=%d coalesced=%d (identity holds: %v)\n",
 		s.Submitted, s.Completed, s.Shed, s.Coalesced,
 		s.Submitted == s.Completed+s.Shed+s.Coalesced)
-	fmt.Printf("handlers: essential=%d optional=%d (gap = raises served degraded)\n",
+	fmt.Fprintf(stdout, "handlers: essential=%d optional=%d (gap = raises served degraded)\n",
 		essential.Load(), optional.Load())
 	lvl, name := d.AdmissionLevel()
-	fmt.Printf("final degradation level: %d:%s\n", lvl, name)
-}
-
-// calibrate floods the event briefly and returns the measured drain rate.
-func calibrate(ev *dispatch.Event, dur time.Duration) float64 {
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; time.Since(start) < dur; i++ {
-				_ = ev.RaiseAsync(uint64(i))
-				runtime.Gosched()
-			}
-		}()
-	}
-	wg.Wait()
-	q := ev.AdmissionQueue()
-	for !q.Stats().Drained() {
-		time.Sleep(time.Millisecond)
-	}
-	return float64(q.Stats().Completed) / time.Since(start).Seconds()
-}
-
-// offer paces an open load of rate raises/s at the event for dur,
-// self-correcting against host timer granularity.
-func offer(ev *dispatch.Event, rate float64, dur time.Duration) {
-	const producers = 4
-	perProd := rate / producers
-	var wg sync.WaitGroup
-	start := time.Now()
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sent := 0
-			for {
-				elapsed := time.Since(start)
-				if elapsed >= dur {
-					return
-				}
-				for due := int(perProd * elapsed.Seconds()); sent < due; sent++ {
-					_ = ev.RaiseAsync(uint64(sent))
-				}
-				runtime.Gosched()
-			}
-		}()
-	}
-	wg.Wait()
+	fmt.Fprintf(stdout, "final degradation level: %d:%s\n", lvl, name)
+	return nil
 }

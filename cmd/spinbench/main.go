@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -39,6 +38,7 @@ import (
 	"spin/internal/fault"
 	"spin/internal/journal"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/vtime"
 )
 
@@ -59,8 +59,10 @@ func main() {
 		}
 		return
 	}
-	run := func(name string, fn func() error) {
-		if *table != "all" && *table != name {
+	// Tables with the opt-in bit run only when named: "all" stays the
+	// byte-for-byte deterministic virtual-time set.
+	run := func(name string, fn func() error, optIn bool) {
+		if *table != name && (optIn || *table != "all") {
 			return
 		}
 		if err := fn(); err != nil {
@@ -68,67 +70,25 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	run("1", table1)
-	run("2", table2)
-	run("tree", table2Tree)
-	run("install", installOverhead)
-	run("async", asyncOverhead)
-	run("micro", micro)
-	// The faults scenario measures native (wall-clock) time, so it is not
-	// part of -table all: "all" stays the byte-for-byte deterministic
-	// virtual-time set.
-	if *table == "faults" {
-		if err := faultsTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: faults: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The overload scenario likewise measures native time (goroutines,
-	// wall-clock pacing), so it is opt-in rather than part of "all".
-	if *table == "overload" {
-		if err := overloadTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: overload: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The inline ablation also measures native time, so it too is opt-in.
-	if *table == "inline" {
-		if err := inlineTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: inline: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The batched-ingress table measures native time as well: opt-in.
-	if *table == "batch" {
-		if err := batchTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: batch: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The journal table measures native time and touches the filesystem
-	// (fsync latency): opt-in.
-	if *table == "journal" {
-		if err := journalTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: journal: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The remote drill exercises the network substrate rather than the
-	// paper's dispatch tables: opt-in (deterministic virtual time).
-	if *table == "remote" {
-		if err := remoteTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: remote: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	run("1", table1, false)
+	run("2", table2, false)
+	run("tree", table2Tree, false)
+	run("install", installOverhead, false)
+	run("async", asyncOverhead, false)
+	run("micro", micro, false)
+	// faults, overload, inline and batch measure native (wall-clock) time;
+	// journal does too and touches the filesystem (fsync latency).
+	run("faults", faultsTable, true)
+	run("overload", overloadTable, true)
+	run("inline", inlineTable, true)
+	run("batch", batchTable, true)
+	run("journal", journalTable, true)
+	// The remote drill is deterministic virtual time but exercises the
+	// network substrate rather than the paper's dispatch tables.
+	run("remote", remoteTable, true)
 	// The shard scaling sweep is deterministic virtual time; the trailing
-	// routed-vs-unrouted comparison is native, so the table is opt-in.
-	if *table == "shard" {
-		if err := shardTable(); err != nil {
-			fmt.Fprintf(os.Stderr, "spinbench: shard: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	// routed-vs-unrouted comparison is native.
+	run("shard", shardTable, true)
 }
 
 // jsonReport is the -json output shape: the same virtual-time measurements
@@ -748,42 +708,11 @@ func overloadTable() error {
 		if err != nil {
 			return admit.QueueStats{}, 0, err
 		}
-		// Self-correcting pacing: each producer tracks how many raises its
-		// share of the offered rate is due by now and catches up, so the
-		// rate holds regardless of host timer granularity. offered <= 0
-		// floods (calibration).
-		perProd := offered / float64(producers)
-		var wg sync.WaitGroup
+		// offered <= 0 floods (calibration); the queue settles before the
+		// ledger is read.
 		start := time.Now()
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sent := 0
-				for {
-					elapsed := time.Since(start)
-					if elapsed >= dur {
-						return
-					}
-					if offered <= 0 {
-						_ = ev.RaiseAsync(uint64(sent))
-						sent++
-					} else {
-						for due := int(perProd * elapsed.Seconds()); sent < due; sent++ {
-							_ = ev.RaiseAsync(uint64(sent))
-						}
-					}
-					runtime.Gosched()
-				}
-			}()
-		}
-		wg.Wait()
-		// Let the queue settle so the ledger is final.
-		q := ev.AdmissionQueue()
-		for !q.Stats().Drained() {
-			time.Sleep(time.Millisecond)
-		}
-		return q.Stats(), time.Since(start).Seconds(), nil
+		scenario.Offer(ev, offered, dur, producers)
+		return scenario.AwaitDrained(ev.AdmissionQueue()), time.Since(start).Seconds(), nil
 	}
 
 	cal, calSecs, err := runPoint(0, 150*time.Millisecond)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"spin/internal/remote"
+	"spin/internal/scenario"
 )
 
 // remoteTable prints the remote-raise drill as a bench table: the
@@ -14,7 +14,7 @@ import (
 // than part of "all" because it exercises the network substrate, not the
 // paper's dispatch tables.
 func remoteTable() error {
-	rep, err := remote.RunDrill(42)
+	rep, err := scenario.RunDrill(42)
 	if err != nil {
 		return err
 	}

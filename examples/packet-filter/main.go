@@ -16,8 +16,8 @@ import (
 	"spin/internal/dispatch"
 	"spin/internal/kernel"
 	"spin/internal/netstack"
-	"spin/internal/netwire"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/sched"
 	"spin/internal/vtime"
 
@@ -35,28 +35,12 @@ func main() {
 	}
 
 	fmt.Println("\n-- port demultiplexing with guards --")
-	a, err := kernel.Boot(kernel.Config{Name: "a", Metered: true})
+	rig, err := scenario.Pair(kernel.Config{Name: "a", Metered: true}, kernel.Config{Name: "b"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := kernel.Boot(kernel.Config{Name: "b", ShareWith: a})
-	if err != nil {
-		log.Fatal(err)
-	}
-	link := netwire.NewLink(a.Sim, 0, 0)
-	nicA, _ := link.Attach("mac-a")
-	nicB, _ := link.Attach("mac-b")
-	arp := map[string]string{"10.0.0.1": "mac-a", "10.0.0.2": "mac-b"}
-	sa, err := netstack.New(netstack.Config{Dispatcher: a.Dispatcher, CPU: a.CPU,
-		Sched: a.Sched, NIC: nicA, IP: "10.0.0.1", ARP: arp})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sb, err := netstack.New(netstack.Config{Dispatcher: b.Dispatcher, CPU: b.CPU,
-		Sched: b.Sched, NIC: nicB, IP: "10.0.0.2", ARP: arp, Prefix: "B:"})
-	if err != nil {
-		log.Fatal(err)
-	}
+	a, b := rig.Nodes[0], rig.Nodes[1]
+	sa, sb := a.Stack, b.Stack
 
 	// Three services on B, each an event handler guarded on its port.
 	// Binding a socket IS installing a guarded handler on the packet

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	// Trace every raise; a per-raise excerpt prints at the end
-	// (cmd/spintrace replays this scenario with full export options).
+	// (`spin trace` replays this scenario with full export options).
 	tracer := spin.NewTracer(spin.TraceConfig{Capacity: 4096})
 	m, err := spin.Boot(spin.MachineConfig{Name: "demo", Metered: true, Trace: tracer})
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 	"spin/internal/dispatch"
 	"spin/internal/kernel"
 	"spin/internal/netstack"
-	"spin/internal/netwire"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/txn"
 )
 
@@ -79,40 +79,27 @@ func (a *account) attach(p *txn.Participant) error {
 }
 
 func main() {
-	coordM, err := kernel.Boot(kernel.Config{Name: "coord", Metered: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	link := netwire.NewLink(coordM.Sim, 0, 0)
-	arp := map[string]string{
-		"10.2.0.1": "mac-c", "10.2.0.2": "mac-p0", "10.2.0.3": "mac-p1",
-	}
-	nicC, _ := link.Attach("mac-c")
-	sc, err := netstack.New(netstack.Config{Dispatcher: coordM.Dispatcher,
-		CPU: coordM.CPU, Sched: coordM.Sched, NIC: nicC, IP: "10.2.0.1", ARP: arp})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Two participant machines, one account each.
+	// The coordinator machine, then two participant machines with one
+	// account each, all on one wire.
 	accounts := []*account{
 		{name: "alice", balance: 100, pending: map[uint64]int{}},
 		{name: "bob", balance: 20, pending: map[uint64]int{}},
 	}
+	hosts := []scenario.Host{{Kernel: kernel.Config{Name: "coord", Metered: true},
+		Net: netstack.Config{IP: "10.2.0.1"}, MAC: "mac-c"}}
 	for i, acct := range accounts {
-		m, err := kernel.Boot(kernel.Config{Name: acct.name, ShareWith: coordM})
-		if err != nil {
-			log.Fatal(err)
-		}
-		nic, _ := link.Attach(fmt.Sprintf("mac-p%d", i))
-		stack, err := netstack.New(netstack.Config{Dispatcher: m.Dispatcher,
-			CPU: m.CPU, Sched: m.Sched, NIC: nic,
-			IP: fmt.Sprintf("10.2.0.%d", i+2), ARP: arp,
-			Prefix: acct.name + ":"})
-		if err != nil {
-			log.Fatal(err)
-		}
-		p, err := txn.NewParticipant(m.Dispatcher, stack, m.Sched, acct.name+":")
+		hosts = append(hosts, scenario.Host{Kernel: kernel.Config{Name: acct.name},
+			Net: netstack.Config{IP: fmt.Sprintf("10.2.0.%d", i+2), Prefix: acct.name + ":"},
+			MAC: fmt.Sprintf("mac-p%d", i)})
+	}
+	rig, err := scenario.Wire(hosts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	coordM, sc := rig.Nodes[0], rig.Nodes[0].Stack
+	for i, acct := range accounts {
+		m := rig.Nodes[i+1]
+		p, err := txn.NewParticipant(m.Dispatcher, m.Stack, m.Sched, acct.name+":")
 		if err != nil {
 			log.Fatal(err)
 		}

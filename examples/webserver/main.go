@@ -22,9 +22,8 @@ import (
 	"spin/internal/fs"
 	"spin/internal/httpd"
 	"spin/internal/kernel"
-	"spin/internal/netstack"
-	"spin/internal/netwire"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/sched"
 	"spin/internal/trace"
 	"spin/internal/vtime"
@@ -33,30 +32,15 @@ import (
 func main() {
 	// Boot the server machine and a client machine on one wire. The
 	// server machine traces every raise; a short excerpt prints at the
-	// end (cmd/spintrace replays this scenario with full export options).
+	// end (`spin trace` replays this scenario with full export options).
 	tracer := trace.New(trace.Config{Capacity: 16384})
-	a, err := kernel.Boot(kernel.Config{Name: "spin", Metered: true, Trace: tracer})
+	rig, err := scenario.Pair(kernel.Config{Name: "spin", Metered: true, Trace: tracer},
+		kernel.Config{Name: "browser"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := kernel.Boot(kernel.Config{Name: "browser", ShareWith: a})
-	if err != nil {
-		log.Fatal(err)
-	}
-	link := netwire.NewLink(a.Sim, 0, 0)
-	nicA, _ := link.Attach("mac-a")
-	nicB, _ := link.Attach("mac-b")
-	arp := map[string]string{"10.0.0.1": "mac-a", "10.0.0.2": "mac-b"}
-	sa, err := netstack.New(netstack.Config{Dispatcher: a.Dispatcher, CPU: a.CPU,
-		Sched: a.Sched, NIC: nicA, IP: "10.0.0.1", ARP: arp})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sb, err := netstack.New(netstack.Config{Dispatcher: b.Dispatcher, CPU: b.CPU,
-		Sched: b.Sched, NIC: nicB, IP: "10.0.0.2", ARP: arp, Prefix: "B:"})
-	if err != nil {
-		log.Fatal(err)
-	}
+	a, b := rig.Nodes[0], rig.Nodes[1]
+	sa, sb := a.Stack, b.Stack
 
 	// The document tree.
 	fsA, err := fs.New(a.Dispatcher, a.CPU, "")
@@ -137,31 +121,10 @@ func main() {
 
 	// The browser machine fetches four URLs over simulated TCP.
 	paths := []string{"/", "/PAPERS/EVENTS.PS", "/stats", "/missing"}
-	client, err := httpd.NewClient(sb, "10.0.0.1", 80)
+	client, err := rig.Browse(paths)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sent := false
-	b.Sched.Spawn("browser", 0, func(st *sched.Strand) sched.Status {
-		if !client.Conn().Established() {
-			client.Conn().AwaitEstablished(st)
-			return sched.Block
-		}
-		if !sent {
-			sent = true
-			for _, p := range paths {
-				_ = client.Get(p)
-			}
-		}
-		client.Pump()
-		if len(client.Responses) >= len(paths) {
-			_ = client.Conn().Close()
-			return sched.Done
-		}
-		client.Conn().AwaitData(st)
-		return sched.Block
-	})
-	a.Sim.Run(0)
 
 	fmt.Println("-- responses over the simulated wire --")
 	for i, r := range client.Responses {

@@ -205,7 +205,7 @@ func (s QueueStats) Add(o QueueStats) QueueStats {
 // or waiting out a retry backoff). On a drained queue it reduces to
 // Submitted == Completed + Shed + Coalesced. It holds per queue and, since
 // Add is a sum of disjoint ledgers, across any aggregation of them — the
-// per-shard invariant `make shardcheck` enforces.
+// per-shard invariant the shard suite enforces.
 func (s QueueStats) Identity() bool {
 	return s.Submitted == s.Completed+s.Shed+s.Coalesced+
 		int64(s.Depth)+int64(s.InFlight)+int64(s.Retrying)

@@ -12,8 +12,8 @@ import (
 	"spin/internal/dispatch"
 	"spin/internal/kernel"
 	"spin/internal/netstack"
-	"spin/internal/netwire"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/sched"
 	"spin/internal/vtime"
 )
@@ -252,36 +252,17 @@ func newEchoRig(extraGuards int, optimized bool) (*EchoRig, error) {
 	if optimized {
 		cg.EnableDecisionTree = true
 	}
-	a, err := kernel.Boot(kernel.Config{Name: "a", Metered: true, Codegen: cg})
+	rig, err := scenario.Wire(
+		scenario.Host{Kernel: kernel.Config{Name: "a", Metered: true, Codegen: cg},
+			Net: netstack.Config{IP: "10.0.0.1", InlinePortGuards: optimized}, MAC: "mac-a"},
+		scenario.Host{Kernel: kernel.Config{Name: "b", Codegen: cg},
+			Net: netstack.Config{IP: "10.0.0.2", Prefix: "B:", InlinePortGuards: optimized}, MAC: "mac-b"},
+	)
 	if err != nil {
 		return nil, err
 	}
-	b, err := kernel.Boot(kernel.Config{Name: "b", ShareWith: a, Codegen: cg})
-	if err != nil {
-		return nil, err
-	}
-	link := netwire.NewLink(a.Sim, 0, 0)
-	nicA, err := link.Attach("mac-a")
-	if err != nil {
-		return nil, err
-	}
-	nicB, err := link.Attach("mac-b")
-	if err != nil {
-		return nil, err
-	}
-	arp := map[string]string{"10.0.0.1": "mac-a", "10.0.0.2": "mac-b"}
-	sa, err := netstack.New(netstack.Config{Dispatcher: a.Dispatcher, CPU: a.CPU,
-		Sched: a.Sched, NIC: nicA, IP: "10.0.0.1", ARP: arp,
-		InlinePortGuards: optimized})
-	if err != nil {
-		return nil, err
-	}
-	sb, err := netstack.New(netstack.Config{Dispatcher: b.Dispatcher, CPU: b.CPU,
-		Sched: b.Sched, NIC: nicB, IP: "10.0.0.2", ARP: arp, Prefix: "B:",
-		InlinePortGuards: optimized})
-	if err != nil {
-		return nil, err
-	}
+	a, b := rig.Nodes[0].Machine, rig.Nodes[1].Machine
+	sa, sb := rig.Nodes[0].Stack, rig.Nodes[1].Stack
 	r := &EchoRig{A: a, B: b, SA: sa, SB: sb}
 
 	// The inactive endpoints: handlers whose guards discriminate on

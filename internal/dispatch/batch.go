@@ -24,7 +24,7 @@ import (
 type ArgFrame = codegen.ArgFrame
 
 // batchChunk is the number of frame headers the pooled chunks behind the
-// arity-specialized RaiseBatch0..RaiseBatch5 entry points carry; larger
+// arity-specialized RaiseBatch0..RaiseBatch3 entry points carry; larger
 // batches are processed in chunks of this size over one pooled buffer.
 const batchChunk = 64
 
@@ -317,15 +317,9 @@ func (e *Event) RaiseBatch1(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 // row-major in flat: frame i is flat[2i], flat[2i+1].
 func (e *Event) RaiseBatch2(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 2) }
 
-// RaiseBatch3 raises the event with three arguments per frame, row-major.
+// RaiseBatch3 raises the event with three arguments per frame, row-major —
+// the widest flat entry point; wider events batch through RaiseBatch.
 func (e *Event) RaiseBatch3(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 3) }
-
-// RaiseBatch4 raises the event with four arguments per frame, row-major.
-func (e *Event) RaiseBatch4(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 4) }
-
-// RaiseBatch5 raises the event with five arguments per frame, row-major —
-// the widest specialized shape.
-func (e *Event) RaiseBatch5(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 5) }
 
 // raiseBatchFlat carves width-sized frames out of flat (row-major) and
 // dispatches them in pooled chunks. Frames are zero-copy subslices while

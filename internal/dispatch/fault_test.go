@@ -37,7 +37,7 @@ func hasRecord(l *fault.Ledger, kind fault.Kind, handler string) bool {
 }
 
 // TestQuarantineProbationRelapse is the subsystem's acceptance drill, run
-// under -race by `make faultcheck`: repeated injected panics in one
+// under -race by `make race`: repeated injected panics in one
 // handler under concurrent raises quarantine its binding (the plan is
 // recompiled without it; the healthy handler keeps firing and no raise
 // fails), probation re-admits it after backoff, a relapse re-quarantines

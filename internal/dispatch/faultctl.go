@@ -20,7 +20,8 @@ import (
 //
 // Lock order: the ledger's mutex is never held while an event's mutex is
 // taken — Observe returns an Action and the controller acts on it
-// afterwards. Readmission and probation timers run through
+// afterwards; the ledger is consulted under an event's mutex, as Uninstall
+// does. Readmission and probation timers run through
 // Dispatcher.afterFunc, so the whole lifecycle is deterministic under the
 // simulator.
 type faultCtl struct {
@@ -149,23 +150,33 @@ func (f *faultCtl) observe(b *Binding, r fault.Record) {
 }
 
 // quarantine compiles b out of its event's plan and schedules probation
-// after the action's backoff.
+// after the action's backoff. Like every lifecycle transition it commits
+// under the event's mutex — recompile, span and journal record together —
+// so the journal orders it against a concurrent Uninstall the way the
+// event did. A binding that faulted on its way out (it uninstalled itself,
+// or lost the race to an uninstall) is no longer the ledger's business: a
+// quarantine record after its uninstall record would make the journal
+// unreplayable.
 func (f *faultCtl) quarantine(b *Binding, act fault.Action) {
 	e := b.event
 	e.mu.Lock()
+	if !b.installed {
+		f.ledger.Forget(b) // the entry this fault re-created after Uninstall dropped it
+		e.mu.Unlock()
+		return
+	}
 	already := b.quarantined.Swap(true)
 	if !already {
 		e.recompile(false)
+		if t := f.d.tracer; t != nil {
+			t.Quarantine(e.name, b.HandlerName(), act.Level)
+		}
+		f.d.journalBinding(journal.KindQuarantine, b, int64(act.Level))
 	}
 	e.mu.Unlock()
-	if already {
-		return
+	if !already {
+		f.d.afterFunc(act.Backoff, func() { f.readmit(b) })
 	}
-	if t := f.d.tracer; t != nil {
-		t.Quarantine(e.name, b.HandlerName(), act.Level)
-	}
-	f.d.journalBinding(journal.KindQuarantine, b, int64(act.Level))
-	f.d.afterFunc(act.Backoff, func() { f.readmit(b) })
 }
 
 // readmit moves a quarantined binding to probation: its entry is compiled
@@ -173,27 +184,32 @@ func (f *faultCtl) quarantine(b *Binding, act fault.Action) {
 // restores it to full health. A binding uninstalled while quarantined has
 // been forgotten by the ledger, so the timer finds nothing to do.
 func (f *faultCtl) readmit(b *Binding) {
-	if !f.ledger.Readmit(b) {
-		return
-	}
 	e := b.event
 	e.mu.Lock()
-	if b.quarantined.Swap(false) {
-		e.recompile(false)
+	ok := b.installed && f.ledger.Readmit(b)
+	if ok {
+		if b.quarantined.Swap(false) {
+			e.recompile(false)
+		}
+		if t := f.d.tracer; t != nil {
+			t.Probation(e.name, b.HandlerName(), false)
+		}
+		f.d.journalBinding(journal.KindProbation, b, 0)
 	}
 	e.mu.Unlock()
-	if t := f.d.tracer; t != nil {
-		t.Probation(e.name, b.HandlerName(), false)
+	if ok {
+		f.d.afterFunc(f.policy.Probation, func() { f.restore(b) })
 	}
-	f.d.journalBinding(journal.KindProbation, b, 0)
-	f.d.afterFunc(f.policy.Probation, func() { f.restore(b) })
 }
 
 // restore ends a clean probation period.
 func (f *faultCtl) restore(b *Binding) {
-	if f.ledger.Restore(b) {
+	e := b.event
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if b.installed && f.ledger.Restore(b) {
 		if t := f.d.tracer; t != nil {
-			t.Probation(b.event.name, b.HandlerName(), true)
+			t.Probation(e.name, b.HandlerName(), true)
 		}
 		f.d.journalBinding(journal.KindRestore, b, 0)
 	}

@@ -376,12 +376,7 @@ func (e *Event) SetDefaultHandler(h Handler) error {
 		if err := e.authorizeLocked(OpSetDefault, nil); err != nil {
 			return err
 		}
-		old := e.defaultB
-		e.defaultB = nil
-		e.recompile(true)
-		if old != nil {
-			e.d.journalBinding(journal.KindUninstall, old, 0)
-		}
+		e.replaceDefaultLocked(nil)
 		return nil
 	}
 	if err := checkHandlerImpl(h); err != nil {
@@ -394,14 +389,23 @@ func (e *Event) SetDefaultHandler(h Handler) error {
 	if err := e.authorizeLocked(OpSetDefault, b); err != nil {
 		return err
 	}
+	e.replaceDefaultLocked(b)
+	e.d.journalInstall(e, b)
+	return nil
+}
+
+// replaceDefaultLocked swaps the default-handler binding for b (nil clears
+// it) and retires the old one the way Uninstall retires a binding: not
+// installed, forgotten by the fault ledger, its uninstall journaled.
+func (e *Event) replaceDefaultLocked(b *Binding) {
 	old := e.defaultB
 	e.defaultB = b
 	e.recompile(true)
 	if old != nil {
+		old.installed = false
+		e.d.faults.ledger.Forget(old)
 		e.d.journalBinding(journal.KindUninstall, old, 0)
 	}
-	e.d.journalInstall(e, b)
-	return nil
 }
 
 // SetResultHandler installs the function that merges multiple handler

@@ -1,11 +1,16 @@
 package dispatch
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"spin/internal/fault"
 	"spin/internal/journal"
 	"spin/internal/rtti"
+	"spin/internal/vtime"
 )
 
 // Differential tests for the lifecycle journal: the zero-cost-off
@@ -433,4 +438,124 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replayIntoTwin replays data into a fresh dispatcher that defines event
+// name and resolves every handler to a no-op.
+func replayIntoTwin(t *testing.T, data []byte, name string) error {
+	t.Helper()
+	twin := New()
+	mustDefine(t, twin, name, rtti.Sig(nil, rtti.Word))
+	_, _, err := twin.ReplayJournal(data, func(module, hname string) (Handler, []InstallOption, bool) {
+		return handler(voidProc(hname, rtti.Word), func(any, []any) any { return nil }), nil, true
+	})
+	return err
+}
+
+// TestFaultOnUninstalledBindingLeavesReplayableJournal: a handler that
+// uninstalls itself and then panics exhausts its budget after it has left
+// the event. The fault controller must not journal a quarantine for it —
+// the record would follow the binding's uninstall, and a boot replaying
+// "quarantine of unknown binding" cannot come up.
+func TestFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
+	// leave removes the running handler's own binding from e; install puts
+	// the handler on e and returns that binding.
+	for _, tc := range []struct {
+		name    string
+		install func(e *Event, h Handler) (*Binding, error)
+		leave   func(e *Event, self *Binding) error
+	}{
+		{"handler uninstalls itself",
+			func(e *Event, h Handler) (*Binding, error) { return e.Install(h) },
+			func(e *Event, self *Binding) error { return e.Uninstall(self) }},
+		{"default handler clears itself",
+			func(e *Event, h Handler) (*Binding, error) {
+				if err := e.SetDefaultHandler(h); err != nil {
+					return nil, err
+				}
+				return e.DefaultBinding(), nil
+			},
+			func(e *Event, self *Binding) error { return e.SetDefaultHandler(Handler{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := journal.NewMemSink()
+			j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
+			sim := vtime.NewSimulator(&vtime.Clock{})
+			d := New(WithJournal(j), WithSimulator(sim),
+				WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}))
+			e := mustDefine(t, d, "F.Gone", rtti.Sig(nil, rtti.Word))
+
+			var self *Binding
+			self, err := tc.install(e, handler(voidProc("Quitter", rtti.Word), func(any, []any) any {
+				if err := tc.leave(e, self); err != nil {
+					t.Errorf("leaving the event: %v", err)
+				}
+				panic("after uninstall")
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Raise1(uint64(1)); err != nil && !errors.Is(err, ErrNoHandler) {
+				t.Fatalf("Raise1: %v", err)
+			}
+			sim.Run(0) // any backoff or probation timer the fault armed
+
+			if self.Quarantined() || d.FaultLedger().State(self) != fault.Healthy {
+				t.Errorf("departed binding left quarantined=%v, ledger state %v",
+					self.Quarantined(), d.FaultLedger().State(self))
+			}
+			// The operator path is held to the same rule.
+			if d.QuarantineBinding(self) || d.ReadmitBinding(self) {
+				t.Error("operator quarantine/readmit acted on a departed binding")
+			}
+			j.Flush()
+			for _, rec := range journal.Scan(sink.Bytes()).SealedRecords() {
+				if rec.Kind != journal.KindInstall && rec.Kind != journal.KindUninstall {
+					t.Errorf("journal holds %v for binding %d after its uninstall", rec.Kind, rec.ID)
+				}
+			}
+			if err := replayIntoTwin(t, sink.Bytes(), "F.Gone"); err != nil {
+				t.Fatalf("journal does not replay: %v", err)
+			}
+		})
+	}
+}
+
+// TestFaultRacingUninstallLeavesReplayableJournal is the same hazard with
+// the uninstall on another goroutine: whichever of the panic's quarantine
+// and the uninstall commits first, the journal must replay. Run under
+// -race.
+func TestFaultRacingUninstallLeavesReplayableJournal(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		sink := journal.NewMemSink()
+		j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
+		sim := vtime.NewSimulator(&vtime.Clock{})
+		d := New(WithJournal(j), WithSimulator(sim), WithFaultPolicy(fault.Policy{Budget: 1,
+			Backoff: time.Millisecond, Probation: time.Millisecond}))
+		e := mustDefine(t, d, "F.Race", rtti.Sig(nil, rtti.Word))
+		b, err := e.Install(handler(voidProc("Bad", rtti.Word), func(any, []any) any {
+			panic("boom")
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, _ = e.Raise1(uint64(1)) // ErrNoHandler when the uninstall wins
+		}()
+		go func() {
+			defer wg.Done()
+			if err := e.Uninstall(b); err != nil {
+				t.Errorf("Uninstall: %v", err)
+			}
+		}()
+		wg.Wait()
+		sim.Run(0) // a late readmit or restore record would land here
+		j.Flush()
+		if err := replayIntoTwin(t, sink.Bytes(), "F.Race"); err != nil {
+			t.Fatalf("round %d: journal does not replay: %v", round, err)
+		}
+	}
 }

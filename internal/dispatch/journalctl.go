@@ -197,14 +197,15 @@ func (d *Dispatcher) Quotas() (perModule, global int) {
 // QuarantineBinding compiles b out of its event's dispatch plan without
 // involving the fault ledger: the operator (and replay) override. Unlike
 // fault-driven quarantine no probation timer is armed; the binding stays
-// out until ReadmitBinding. Returns false if b was already quarantined.
+// out until ReadmitBinding. Returns false if b was already quarantined or
+// has left its event (a record after its uninstall could not be replayed).
 func (d *Dispatcher) QuarantineBinding(b *Binding) bool {
 	if b == nil {
 		return false
 	}
 	e := b.event
 	e.mu.Lock()
-	already := b.quarantined.Swap(true)
+	already := !b.installed || b.quarantined.Swap(true)
 	if !already {
 		e.recompile(false)
 		d.journalBinding(journal.KindQuarantine, b, 0)
@@ -215,14 +216,14 @@ func (d *Dispatcher) QuarantineBinding(b *Binding) bool {
 
 // ReadmitBinding compiles a quarantined binding back into its event's
 // plan, clearing any fault- or operator-driven quarantine. Returns false
-// if b was not quarantined.
+// if b was not quarantined or has left its event.
 func (d *Dispatcher) ReadmitBinding(b *Binding) bool {
 	if b == nil {
 		return false
 	}
 	e := b.event
 	e.mu.Lock()
-	was := b.quarantined.Swap(false)
+	was := b.installed && b.quarantined.Swap(false)
 	if was {
 		e.recompile(false)
 		d.journalBinding(journal.KindRestore, b, 0)

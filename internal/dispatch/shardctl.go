@@ -94,6 +94,8 @@ func (d *Dispatcher) RemoveEvent(name string) error {
 	e.intrinsic = nil
 	if old := e.defaultB; old != nil {
 		e.defaultB = nil
+		old.installed = false
+		d.faults.ledger.Forget(old)
 		d.journalBinding(journal.KindUninstall, old, 0)
 	}
 	return nil

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"strings"
@@ -49,6 +50,46 @@ func TestFrameRoundTrip(t *testing.T) {
 			got.A != want.A || got.B != want.B || !bytes.Equal(got.Root, want.Root) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
+	}
+}
+
+// TestFrameGolden pins the encoded bytes of one record with every field
+// set: testdata/record.golden was written by the encoder as it stood before
+// the framing moved to internal/frame, and journals on disk outlive the
+// code that wrote them.
+func TestFrameGolden(t *testing.T) {
+	rec := Record{Kind: KindInstall, Seq: 300, ID: 7, RefID: 3,
+		Event: "Udp.PacketArrived", Module: "Monitor", Handler: "Monitor.Privileged",
+		Flags: FlagEphemeral | 3<<OrderShift, Priority: 2,
+		A: -1500000000, B: 1 << 40, Root: []byte{0xde, 0xad, 0xbe, 0xef}}
+	golden, err := os.ReadFile("testdata/record.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendFrame(nil, &rec); !bytes.Equal(got, want) {
+		t.Fatalf("encoded record moved:\n got %x\nwant %x", got, want)
+	}
+	got, n, err := DecodeFrame(want)
+	if err != nil || n != len(want) {
+		t.Fatalf("DecodeFrame(golden) = %d bytes, %v; want %d, nil", n, err, len(want))
+	}
+	if got.Seq != rec.Seq || got.Handler != rec.Handler || got.A != rec.A || !bytes.Equal(got.Root, rec.Root) {
+		t.Fatalf("golden decodes to %+v, want %+v", got, rec)
+	}
+}
+
+// The group-commit worker encodes every record through AppendFrame into a
+// reused batch buffer; its stack payload buffer must not escape into the
+// shared framing helpers.
+func TestAppendFrameDoesNotAllocate(t *testing.T) {
+	rec := fullRecord()
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], &rec) }); n != 0 {
+		t.Fatalf("AppendFrame allocates %v times per record, want 0", n)
 	}
 }
 

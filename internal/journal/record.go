@@ -1,9 +1,9 @@
 package journal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"spin/internal/frame"
 )
 
 // Kind discriminates journal records. Every dispatcher lifecycle
@@ -146,10 +146,8 @@ type Record struct {
 	Root []byte
 }
 
-// Field identifiers for the self-describing payload encoding. A field is
-// encoded as a key uvarint (id<<1 | wire) followed by a uvarint (wire 0)
-// or a length-prefixed byte string (wire 1). Decoders skip unknown
-// fields, so the framing is forward-compatible.
+// Field identifiers for the payload encoding (internal/frame): uvarint
+// fields are wire 0, strings and bytes wire 1.
 const (
 	fieldSeq      = 1 // uvarint
 	fieldID       = 2 // uvarint
@@ -164,51 +162,6 @@ const (
 	fieldRoot     = 11 // bytes
 )
 
-// crcTable is the Castagnoli table; CRC-32C has hardware support on the
-// platforms this targets.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func putUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
-func putField(dst []byte, id int, v uint64) []byte {
-	if v == 0 {
-		return dst // zero fields are omitted; decode defaults them
-	}
-	dst = putUvarint(dst, uint64(id)<<1)
-	return putUvarint(dst, v)
-}
-
-func putStringField(dst []byte, id int, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	dst = putUvarint(dst, uint64(id)<<1|1)
-	dst = putUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func putBytesField(dst []byte, id int, b []byte) []byte {
-	if len(b) == 0 {
-		return dst
-	}
-	dst = putUvarint(dst, uint64(id)<<1|1)
-	dst = putUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// zigzag folds signed integers into unsigned space, small magnitudes
-// first.
-//
-//spinvet:pure
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-//spinvet:pure
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // AppendFrame encodes rec as one framed record onto dst and returns the
 // extended slice. Frame layout:
 //
@@ -219,24 +172,18 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 func AppendFrame(dst []byte, rec *Record) []byte {
 	var payload [192]byte
 	p := payload[:0]
-	p = putField(p, fieldSeq, rec.Seq)
-	p = putField(p, fieldID, rec.ID)
-	p = putField(p, fieldRefID, rec.RefID)
-	p = putStringField(p, fieldEvent, rec.Event)
-	p = putStringField(p, fieldModule, rec.Module)
-	p = putStringField(p, fieldHandler, rec.Handler)
-	p = putField(p, fieldFlags, uint64(rec.Flags))
-	p = putField(p, fieldPriority, uint64(rec.Priority))
-	p = putField(p, fieldA, zigzag(rec.A))
-	p = putField(p, fieldB, zigzag(rec.B))
-	p = putBytesField(p, fieldRoot, rec.Root)
-
-	start := len(dst)
-	dst = append(dst, byte(rec.Kind))
-	dst = putUvarint(dst, uint64(len(p)))
-	dst = append(dst, p...)
-	crc := crc32.Checksum(dst[start:], crcTable)
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	p = frame.AppendField(p, fieldSeq, rec.Seq)
+	p = frame.AppendField(p, fieldID, rec.ID)
+	p = frame.AppendField(p, fieldRefID, rec.RefID)
+	p = frame.AppendString(p, fieldEvent, rec.Event)
+	p = frame.AppendString(p, fieldModule, rec.Module)
+	p = frame.AppendString(p, fieldHandler, rec.Handler)
+	p = frame.AppendField(p, fieldFlags, uint64(rec.Flags))
+	p = frame.AppendField(p, fieldPriority, uint64(rec.Priority))
+	p = frame.AppendField(p, fieldA, frame.Zigzag(rec.A))
+	p = frame.AppendField(p, fieldB, frame.Zigzag(rec.B))
+	p = frame.AppendBytes(p, fieldRoot, rec.Root)
+	return frame.Append(dst, byte(rec.Kind), p)
 }
 
 // Framing errors.
@@ -256,77 +203,46 @@ var (
 // skipped, so newer writers stay readable.
 func DecodeFrame(buf []byte) (Record, int, error) {
 	var rec Record
-	if len(buf) < 1 {
-		return rec, 0, ErrTruncated
-	}
-	kind := Kind(buf[0])
-	if kind == 0 || kind > maxKind {
+	if len(buf) > 0 && (buf[0] == 0 || Kind(buf[0]) > maxKind) {
 		return rec, 0, fmt.Errorf("%w: %d", ErrBadKind, buf[0])
 	}
-	plen, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
+	kind, p, n, err := frame.Decode(buf)
+	if err == frame.ErrTruncated {
 		return rec, 0, ErrTruncated
-	}
-	head := 1 + n
-	if plen > uint64(len(buf)-head) {
-		return rec, 0, ErrTruncated
-	}
-	frameLen := head + int(plen)
-	if len(buf) < frameLen+4 {
-		return rec, 0, ErrTruncated
-	}
-	want := binary.LittleEndian.Uint32(buf[frameLen:])
-	if crc32.Checksum(buf[:frameLen], crcTable) != want {
+	} else if err != nil {
 		return rec, 0, ErrCorrupt
 	}
-	rec.Kind = kind
-	p := buf[head:frameLen]
+	rec.Kind = Kind(kind)
 	for len(p) > 0 {
-		key, kn := binary.Uvarint(p)
-		if kn <= 0 {
+		key, v, b, rest, ok := frame.Next(p)
+		if !ok {
 			return rec, 0, ErrCorrupt
 		}
-		p = p[kn:]
-		if key&1 == 1 { // length-prefixed bytes
-			slen, sn := binary.Uvarint(p)
-			if sn <= 0 || slen > uint64(len(p)-sn) {
-				return rec, 0, ErrCorrupt
-			}
-			val := p[sn : sn+int(slen)]
-			p = p[sn+int(slen):]
-			switch key >> 1 {
-			case fieldEvent:
-				rec.Event = string(val)
-			case fieldModule:
-				rec.Module = string(val)
-			case fieldHandler:
-				rec.Handler = string(val)
-			case fieldRoot:
-				rec.Root = append([]byte(nil), val...)
-			}
-			continue
-		}
-		v, vn := binary.Uvarint(p)
-		if vn <= 0 {
-			return rec, 0, ErrCorrupt
-		}
-		p = p[vn:]
-		switch key >> 1 {
-		case fieldSeq:
+		p = rest
+		switch key {
+		case frame.Varint(fieldSeq):
 			rec.Seq = v
-		case fieldID:
+		case frame.Varint(fieldID):
 			rec.ID = v
-		case fieldRefID:
+		case frame.Varint(fieldRefID):
 			rec.RefID = v
-		case fieldFlags:
+		case frame.Bytes(fieldEvent):
+			rec.Event = string(b)
+		case frame.Bytes(fieldModule):
+			rec.Module = string(b)
+		case frame.Bytes(fieldHandler):
+			rec.Handler = string(b)
+		case frame.Varint(fieldFlags):
 			rec.Flags = uint32(v)
-		case fieldPriority:
+		case frame.Varint(fieldPriority):
 			rec.Priority = int32(v)
-		case fieldA:
-			rec.A = unzigzag(v)
-		case fieldB:
-			rec.B = unzigzag(v)
+		case frame.Varint(fieldA):
+			rec.A = frame.Unzigzag(v)
+		case frame.Varint(fieldB):
+			rec.B = frame.Unzigzag(v)
+		case frame.Bytes(fieldRoot):
+			rec.Root = append([]byte(nil), b...)
 		}
 	}
-	return rec, frameLen + 4, nil
+	return rec, n, nil
 }

@@ -69,7 +69,7 @@ type bindingState struct {
 
 // State is the pure replay state machine: it reconstructs the
 // binding/quarantine/quota/degradation picture a live dispatcher would
-// hold, without needing handler code. cmd/spinjournal uses it for the
+// hold, without needing handler code. `spin journal replay` uses it for the
 // replay subcommand; the differential tests use it as an oracle against
 // the live dispatcher.
 type State struct {

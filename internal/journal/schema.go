@@ -13,7 +13,7 @@ type KindDoc struct {
 }
 
 // SchemaKinds enumerates every record kind with its field semantics, in
-// wire order. cmd/spindoc renders this table so the on-disk format is
+// wire order. `spin doc -schema journal` renders this table so the on-disk format is
 // documented from the same source of truth the encoder uses.
 //
 //spinvet:pure

@@ -11,20 +11,15 @@ package remote
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"spin/internal/frame"
 )
 
-// Wire framing mirrors the journal's record discipline exactly:
-//
-//	kind:1 | payloadLen:uvarint | payload | crc32c:4 (little-endian)
-//
-// with a self-describing TLV payload — key uvarint (id<<1 | wire), wire 0
-// a uvarint value, wire 1 a length-prefixed byte string; zero fields
-// omitted, signed values zigzag-folded, unknown fields skipped. The CRC
-// covers kind, length, and payload, so one flipped byte anywhere in a
-// frame is detected before it can reach the dispatcher (the corruption
-// sweep in wire_test.go proves every single-byte flip is caught or yields
-// a clean truncation).
+// Wire messages are framed exactly as journal records are (internal/frame:
+// kind, length, tagged-field payload, CRC-32C), so one flipped byte
+// anywhere in a frame is detected before it can reach the dispatcher (the
+// corruption sweep in wire_test.go proves every single-byte flip is caught
+// or yields a clean truncation).
 
 // MsgKind discriminates wire messages.
 type MsgKind uint8
@@ -157,75 +152,35 @@ var (
 	ErrBadArg = fmt.Errorf("remote: argument type not wire-encodable")
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func putUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
-func putField(dst []byte, id int, v uint64) []byte {
-	if v == 0 {
-		return dst
-	}
-	dst = putUvarint(dst, uint64(id)<<1)
-	return putUvarint(dst, v)
-}
-
-func putStringField(dst []byte, id int, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	dst = putUvarint(dst, uint64(id)<<1|1)
-	dst = putUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func putBytesField(dst []byte, id int, b []byte) []byte {
-	if len(b) == 0 {
-		return dst
-	}
-	dst = putUvarint(dst, uint64(id)<<1|1)
-	dst = putUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-//spinvet:pure
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-//spinvet:pure
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
 // appendArgs encodes the argument train: count, then tag+value per arg.
 func appendArgs(dst []byte, args []any) ([]byte, error) {
-	dst = putUvarint(dst, uint64(len(args)))
+	dst = binary.AppendUvarint(dst, uint64(len(args)))
 	for _, a := range args {
 		switch v := a.(type) {
 		case nil:
-			dst = putUvarint(dst, argNil)
+			dst = binary.AppendUvarint(dst, argNil)
 		case uint64:
-			dst = putUvarint(dst, argWord)
-			dst = putUvarint(dst, v)
+			dst = binary.AppendUvarint(dst, argWord)
+			dst = binary.AppendUvarint(dst, v)
 		case int64:
-			dst = putUvarint(dst, argInt)
-			dst = putUvarint(dst, zigzag(v))
+			dst = binary.AppendUvarint(dst, argInt)
+			dst = binary.AppendUvarint(dst, frame.Zigzag(v))
 		case int:
-			dst = putUvarint(dst, argInt)
-			dst = putUvarint(dst, zigzag(int64(v)))
+			dst = binary.AppendUvarint(dst, argInt)
+			dst = binary.AppendUvarint(dst, frame.Zigzag(int64(v)))
 		case bool:
 			if v {
-				dst = putUvarint(dst, argTrue)
+				dst = binary.AppendUvarint(dst, argTrue)
 			} else {
-				dst = putUvarint(dst, argFalse)
+				dst = binary.AppendUvarint(dst, argFalse)
 			}
 		case string:
-			dst = putUvarint(dst, argStr)
-			dst = putUvarint(dst, uint64(len(v)))
+			dst = binary.AppendUvarint(dst, argStr)
+			dst = binary.AppendUvarint(dst, uint64(len(v)))
 			dst = append(dst, v...)
 		case []byte:
-			dst = putUvarint(dst, argBytes)
-			dst = putUvarint(dst, uint64(len(v)))
+			dst = binary.AppendUvarint(dst, argBytes)
+			dst = binary.AppendUvarint(dst, uint64(len(v)))
 			dst = append(dst, v...)
 		default:
 			return nil, fmt.Errorf("%w: %T", ErrBadArg, a)
@@ -264,7 +219,7 @@ func decodeArgs(p []byte) ([]any, error) {
 			if tag == argWord {
 				args = append(args, v)
 			} else {
-				args = append(args, unzigzag(v))
+				args = append(args, frame.Unzigzag(v))
 			}
 		case argStr, argBytes:
 			slen, sn := binary.Uvarint(p)
@@ -290,27 +245,21 @@ func decodeArgs(p []byte) ([]any, error) {
 func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	var payload [256]byte
 	p := payload[:0]
-	p = putStringField(p, fieldSender, m.Sender)
-	p = putField(p, fieldToken, m.Token)
-	p = putStringField(p, fieldEvent, m.Event)
-	p = putField(p, fieldDeadline, zigzag(m.DeadlineNS))
-	p = putField(p, fieldStatus, uint64(m.Status))
-	p = putField(p, fieldFired, zigzag(m.Fired))
+	p = frame.AppendString(p, fieldSender, m.Sender)
+	p = frame.AppendField(p, fieldToken, m.Token)
+	p = frame.AppendString(p, fieldEvent, m.Event)
+	p = frame.AppendField(p, fieldDeadline, frame.Zigzag(m.DeadlineNS))
+	p = frame.AppendField(p, fieldStatus, uint64(m.Status))
+	p = frame.AppendField(p, fieldFired, frame.Zigzag(m.Fired))
 	if len(m.Args) > 0 {
 		var train [192]byte
 		tr, err := appendArgs(train[:0], m.Args)
 		if err != nil {
 			return nil, err
 		}
-		p = putBytesField(p, fieldArgs, tr)
+		p = frame.AppendBytes(p, fieldArgs, tr)
 	}
-
-	start := len(dst)
-	dst = append(dst, byte(m.Kind))
-	dst = putUvarint(dst, uint64(len(p)))
-	dst = append(dst, p...)
-	crc := crc32.Checksum(dst[start:], crcTable)
-	return binary.LittleEndian.AppendUint32(dst, crc), nil
+	return frame.Append(dst, byte(m.Kind), p), nil
 }
 
 // DecodeMessage decodes one frame from the front of buf, returning the
@@ -319,73 +268,40 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 // ErrBadKind mean the stream is damaged beyond resynchronization.
 func DecodeMessage(buf []byte) (Message, int, error) {
 	var m Message
-	if len(buf) < 1 {
-		return m, 0, ErrTruncated
-	}
-	kind := MsgKind(buf[0])
-	if kind == 0 || kind > MsgHeartbeatAck {
+	if len(buf) > 0 && (buf[0] == 0 || MsgKind(buf[0]) > MsgHeartbeatAck) {
 		return m, 0, fmt.Errorf("%w: %d", ErrBadKind, buf[0])
 	}
-	plen, n := binary.Uvarint(buf[1:])
-	if n <= 0 {
+	kind, p, n, err := frame.Decode(buf)
+	if err == frame.ErrTruncated {
 		return m, 0, ErrTruncated
-	}
-	head := 1 + n
-	if plen > uint64(len(buf)-head) {
-		return m, 0, ErrTruncated
-	}
-	frameLen := head + int(plen)
-	if len(buf) < frameLen+4 {
-		return m, 0, ErrTruncated
-	}
-	want := binary.LittleEndian.Uint32(buf[frameLen:])
-	if crc32.Checksum(buf[:frameLen], crcTable) != want {
+	} else if err != nil {
 		return m, 0, ErrCorrupt
 	}
-	m.Kind = kind
-	p := buf[head:frameLen]
+	m.Kind = MsgKind(kind)
 	for len(p) > 0 {
-		key, kn := binary.Uvarint(p)
-		if kn <= 0 {
+		key, v, b, rest, ok := frame.Next(p)
+		if !ok {
 			return m, 0, ErrCorrupt
 		}
-		p = p[kn:]
-		if key&1 == 1 { // length-prefixed bytes
-			slen, sn := binary.Uvarint(p)
-			if sn <= 0 || slen > uint64(len(p)-sn) {
-				return m, 0, ErrCorrupt
-			}
-			val := p[sn : sn+int(slen)]
-			p = p[sn+int(slen):]
-			switch key >> 1 {
-			case fieldSender:
-				m.Sender = string(val)
-			case fieldEvent:
-				m.Event = string(val)
-			case fieldArgs:
-				args, err := decodeArgs(val)
-				if err != nil {
-					return m, 0, err
-				}
-				m.Args = args
-			}
-			continue
-		}
-		v, vn := binary.Uvarint(p)
-		if vn <= 0 {
-			return m, 0, ErrCorrupt
-		}
-		p = p[vn:]
-		switch key >> 1 {
-		case fieldToken:
+		p = rest
+		switch key {
+		case frame.Bytes(fieldSender):
+			m.Sender = string(b)
+		case frame.Varint(fieldToken):
 			m.Token = v
-		case fieldDeadline:
-			m.DeadlineNS = unzigzag(v)
-		case fieldStatus:
+		case frame.Bytes(fieldEvent):
+			m.Event = string(b)
+		case frame.Varint(fieldDeadline):
+			m.DeadlineNS = frame.Unzigzag(v)
+		case frame.Varint(fieldStatus):
 			m.Status = Status(v)
-		case fieldFired:
-			m.Fired = unzigzag(v)
+		case frame.Varint(fieldFired):
+			m.Fired = frame.Unzigzag(v)
+		case frame.Bytes(fieldArgs):
+			if m.Args, err = decodeArgs(b); err != nil {
+				return m, 0, err
+			}
 		}
 	}
-	return m, frameLen + 4, nil
+	return m, n, nil
 }

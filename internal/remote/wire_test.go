@@ -2,8 +2,11 @@ package remote
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +71,36 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireGolden pins the encoded bytes of one message with every field
+// and every argument tag: testdata/message.golden was written by the
+// encoder as it stood before the framing moved to internal/frame, and two
+// machines on different builds must still understand each other.
+func TestWireGolden(t *testing.T) {
+	msg := Message{Kind: MsgRaise, Sender: "machine-a", Token: 1<<33 + 5,
+		Event: "Remote.Ping", DeadlineNS: -30000000, Status: StatusApplied, Fired: 3,
+		Args: []any{nil, uint64(9), int64(-4), 12, true, false, "str", []byte{1, 2, 3}}}
+	golden, err := os.ReadFile("testdata/message.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(golden)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendMessage(nil, &msg)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("encoded message moved (err %v):\n got %x\nwant %x", err, got, want)
+	}
+	dec, n, err := DecodeMessage(want)
+	if err != nil || n != len(want) {
+		t.Fatalf("DecodeMessage(golden) = %d bytes, %v; want %d, nil", n, err, len(want))
+	}
+	if dec.Sender != msg.Sender || dec.Token != msg.Token || dec.DeadlineNS != msg.DeadlineNS ||
+		dec.Fired != msg.Fired || len(dec.Args) != len(msg.Args) {
+		t.Fatalf("golden decodes to %+v, want %+v", dec, msg)
+	}
+}
+
 func TestWireArgsByteSliceIsCopied(t *testing.T) {
 	src := []byte{1, 2, 3}
 	m := Message{Kind: MsgRaise, Event: "E", Args: []any{src}}
@@ -121,7 +154,7 @@ func TestWireStreamDecodesBackToBackFrames(t *testing.T) {
 }
 
 // Every single-byte flip anywhere in a frame must be detected — decoded
-// never as a clean message. Mirrors make journalcheck's tamper sweep.
+// never as a clean message. Mirrors the journal's tamper sweep.
 func TestWireDetectsEveryByteFlip(t *testing.T) {
 	m := fullRaise()
 	frame, err := AppendMessage(nil, &m)

@@ -11,7 +11,7 @@ import (
 	"spin/internal/rtti"
 )
 
-// TestShardConcurrentInstallRaiseReshard is the shardcheck -race soak:
+// TestShardConcurrentInstallRaiseReshard is the -race soak of the sharded plane:
 // raisers hammer every event while installers churn bindings and the main
 // goroutine reshards the plane back and forth. Raises must never fail and
 // never observe a torn route; afterwards the plane quiesces with

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"spin/internal/dispatch"
-	"spin/internal/remote"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/shard"
 	"spin/internal/vtime"
 )
@@ -18,7 +18,11 @@ import (
 // handle cross the wire with the peer's failure-domain machinery. The
 // handle API is unchanged — only the route differs.
 func TestRemoteShardRaiseOverWire(t *testing.T) {
-	rig, err := remote.NewBenchRig()
+	rig, err := scenario.NewRemoteRig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := rig.WarmPeer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +33,9 @@ func TestRemoteShardRaiseOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := r.AttachRemote(1, &shard.RemoteShard{
-		Peer:    rig.Peer(),
-		Control: rig.RemoteDispatcher(),
-		Prefix:  rig.RemotePrefix(),
+		Peer:    peer,
+		Control: rig.B.Dispatcher,
+		Prefix:  scenario.RemotePrefix,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +70,8 @@ func TestRemoteShardRaiseOverWire(t *testing.T) {
 	}
 	// The control plane defined the event under the serving receiver's
 	// prefix on machine B.
-	if _, ok := rig.RemoteDispatcher().Lookup(rig.RemotePrefix() + remoteName); !ok {
-		t.Fatalf("%s%s not defined on the remote control dispatcher", rig.RemotePrefix(), remoteName)
+	if _, ok := rig.B.Dispatcher.Lookup(scenario.RemotePrefix + remoteName); !ok {
+		t.Fatalf("%s%s not defined on the remote control dispatcher", scenario.RemotePrefix, remoteName)
 	}
 
 	const raises = 12

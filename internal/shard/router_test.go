@@ -128,7 +128,7 @@ func TestRouterControlPlanePerEvent(t *testing.T) {
 
 // TestRouterAdmissionIdentity: per-shard admission ledgers satisfy the
 // conservation law independently, and so does the plane-wide sum — the
-// per-shard fault/admission domain invariant shardcheck gates on.
+// per-shard fault/admission domain invariant `make race` gates on.
 func TestRouterAdmissionIdentity(t *testing.T) {
 	r := mustRouter(t, 4)
 	events := make([]*Event, 12)

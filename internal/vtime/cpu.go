@@ -249,7 +249,7 @@ func (b Breakdown) Sum() Duration {
 func (b Breakdown) Of(a Account) Duration { return b.Totals[a] }
 
 // String renders the breakdown as one line per account, largest first,
-// with percentages of the total — the format used by cmd/spindoc to mirror
+// with percentages of the total — the format used by `spin doc` to mirror
 // the paper's §3.2 narrative.
 func (b Breakdown) String() string {
 	total := b.Sum()

@@ -31,6 +31,7 @@ import (
 	"spin/internal/netstack"
 	"spin/internal/netwire"
 	"spin/internal/rtti"
+	"spin/internal/scenario"
 	"spin/internal/sched"
 	"spin/internal/vtime"
 )
@@ -207,33 +208,18 @@ func Run(p Params) (*Result, error) {
 // setup boots both machines, loads the extensions, and installs the
 // Table 3 handler population.
 func (w *world) setup() error {
-	var err error
-	if w.spin, err = kernel.Boot(kernel.Config{Name: "spin", Metered: true}); err != nil {
-		return err
-	}
-	if w.remote, err = kernel.Boot(kernel.Config{Name: "ghost", ShareWith: w.spin}); err != nil {
-		return err
-	}
-	w.spin.Sched.WakeLatency = w.p.WakeLatency
-
-	link := netwire.NewLink(w.spin.Sim, 0, 0)
-	nicA, err := link.Attach("mac-spin")
+	rig, err := scenario.Wire(
+		scenario.Host{Kernel: kernel.Config{Name: "spin", Metered: true},
+			Net: netstack.Config{IP: "10.1.0.1"}, MAC: "mac-spin"},
+		scenario.Host{Kernel: kernel.Config{Name: "ghost"},
+			Net: netstack.Config{IP: "10.1.0.2", Prefix: "ghost:"}, MAC: "mac-ghost"},
+	)
 	if err != nil {
 		return err
 	}
-	if w.nicB, err = link.Attach("mac-ghost"); err != nil {
-		return err
-	}
-	arp := map[string]string{"10.1.0.1": "mac-spin", "10.1.0.2": "mac-ghost"}
-	if w.sa, err = netstack.New(netstack.Config{Dispatcher: w.spin.Dispatcher,
-		CPU: w.spin.CPU, Sched: w.spin.Sched, NIC: nicA, IP: "10.1.0.1", ARP: arp}); err != nil {
-		return err
-	}
-	if w.sb, err = netstack.New(netstack.Config{Dispatcher: w.remote.Dispatcher,
-		CPU: w.remote.CPU, Sched: w.remote.Sched, NIC: w.nicB, IP: "10.1.0.2", ARP: arp,
-		Prefix: "ghost:"}); err != nil {
-		return err
-	}
+	w.spin, w.remote = rig.Nodes[0].Machine, rig.Nodes[1].Machine
+	w.sa, w.sb, w.nicB = rig.Nodes[0].Stack, rig.Nodes[1].Stack, rig.Nodes[1].NIC
+	w.spin.Sched.WakeLatency = w.p.WakeLatency
 	if w.fsA, err = fs.New(w.spin.Dispatcher, w.spin.CPU, ""); err != nil {
 		return err
 	}
