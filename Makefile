@@ -32,7 +32,7 @@ spinvet:
 # pattern then breaks CI instead of silently dropping the gate. Raise the
 # floor when adding a gate.
 ALLOC_PATTERN = ZeroAlloc|DoesNotAllocate|AllocBudget
-ALLOC_GATES = 23
+ALLOC_GATES = 25
 alloccheck:
 	@listing="$$($(GO) test -list '$(ALLOC_PATTERN)' ./...)" || { echo "$$listing"; exit 1; }; \
 	n="$$(echo "$$listing" | grep -c '^Test')"; \
@@ -58,15 +58,27 @@ race:
 
 # A short differential-fuzzing pass over the dispatch code generator: the
 # optimized plans (peephole, reordering, inlining, bypass, guard index,
-# stencil, sampled raises) must agree with naive reference evaluation, and
-# over the simulator's event heap, which must fire in stable instant order.
-# Go runs one fuzz target per invocation.
+# stencil with and without its fault barrier, sampled raises) must agree
+# with naive reference evaluation; over journal replay; and over the
+# simulator's event heap, which must fire in stable instant order. Go runs
+# one fuzz target per invocation.
+#
+# The targets are discovered, not listed: the target counts what
+# `go test -list '^Fuzz'` finds, fails below FUZZ_TARGETS, and loops over
+# what it found, so a renamed target cannot leave the gate and a new one
+# joins it. Raise the floor when adding a target.
+FUZZ_TARGETS = 5
+FUZZ_TIME = 10s
 fuzz-smoke:
-	$(GO) test -fuzz FuzzPredCompile -fuzztime 10s -run '^$$' ./internal/codegen/
-	$(GO) test -fuzz FuzzTreeDispatch -fuzztime 10s -run '^$$' ./internal/codegen/
-	$(GO) test -fuzz FuzzBatchDispatch -fuzztime 10s -run '^$$' ./internal/codegen/
-	$(GO) test -fuzz FuzzJournalReplay -fuzztime 10s -run '^$$' ./internal/dispatch/
-	$(GO) test -fuzz FuzzSimulatorOrder -fuzztime 10s -run '^$$' ./internal/vtime/
+	@listing="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$listing"; exit 1; }; \
+	found="$$(echo "$$listing" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }')"; \
+	n="$$(echo "$$found" | grep -c '^.')"; \
+	[ "$$n" -ge $(FUZZ_TARGETS) ] || \
+		{ echo "fuzz-smoke: go test -list finds $$n fuzz targets, floor is $(FUZZ_TARGETS)"; exit 1; }; \
+	echo "$$found" | while read -r pkg target; do \
+		echo "fuzz-smoke: $$pkg $$target"; \
+		$(GO) test -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) -run '^$$' "$$pkg" || exit 1; \
+	done
 
 # Native (wall-clock) microbenchmarks, including the zero-allocation
 # parallel raise path.

@@ -55,7 +55,7 @@ func remoteCmd(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "  timed out              %8d\n", rep.LossyTimedOut)
 	fmt.Fprintf(stdout, "  frames dropped on wire %8d\n", rep.WireDrops)
 	fmt.Fprintf(stdout, "  applied on B           %8d  (handler fired %d times)\n", rep.LossyApplied, rep.LossyFired)
-	if rep.LossyApplied == rep.LossyFired && rep.LossyDelivered+rep.LossyDeduped == rep.LossyApplied {
+	if rep.ExactlyOnce() {
 		fmt.Fprintf(stdout, "  exactly-once           ok: every accepted raise fired once\n\n")
 	} else {
 		fmt.Fprintf(stdout, "  exactly-once           VIOLATED\n\n")

@@ -6,14 +6,79 @@ import (
 	"spin/internal/vtime"
 )
 
-// Protected execution helpers: the recovery barriers compiled into a plan
-// when Options.Protect is set. Each barrier is an open-coded defer of a
-// method call (not a closure), so the no-fault path through a protected
-// plan stays allocation-free — the acceptance property
-// TestFaultPolicyOnZeroAlloc enforces. The stack capture allocates only on
-// the panic path, where an unwind has already blown the cost budget.
+// Protected execution: the recovery barriers compiled into a plan when
+// Options.Protect is set. Each barrier is an open-coded defer of a method
+// call (not a closure), so the no-fault path through a protected plan stays
+// allocation-free — the acceptance property TestFaultPolicyOnZeroAlloc
+// enforces. The stack capture allocates only on the panic path, where an
+// unwind has already blown the cost budget.
+//
+// The stencil runs a whole frame behind one barrier (walkBehindBarrier).
+// The general executor — the metered, trace-sampled, async/ephemeral/filter
+// reference — keeps one per call (callProtected, guardProtected).
 
-// callProtected is the one handler barrier: it runs a synchronous step (a
+// walkPhase says what a protected frame's walk is inside. Only a guard or a
+// handler is the extension's code: a panic in any other phase — a result
+// handler, the walk itself — is not recovered and reaches the raiser with
+// its stack intact.
+type walkPhase uint8
+
+const (
+	inWalk    walkPhase = iota // between calls
+	walkDone                   // the frame is complete
+	inGuard                    // an out-of-line guard of step pos
+	inHandler                  // the body of step pos
+	inDefault                  // the default handler's body (pos is its record)
+)
+
+// walkState is one protected frame's walk (see flatFrame), kept in the
+// frame entry's stack frame so that it survives the unwind of the walk's.
+type walkState struct {
+	out        Outcome
+	haveResult bool
+	phase      walkPhase
+	inRun      bool
+	ri, stop   int
+	pos        int // the step in a call; after a capture, the step to resume at
+}
+
+// walkBehindBarrier runs the frame's walk from ws on under the frame's one
+// recover barrier. It returns with the walk done or, after a captured
+// panic, set to resume behind the step that panicked, guard-index chain
+// (the segment in ws) included.
+func walkBehindBarrier[R, G shapeAxis](p *Plan, env *Env, args []any, idx int, ws *walkState) {
+	defer p.capture(env, idx, ws)
+	flatFrame[R, G, on](p, env, args, idx, ws)
+}
+
+// capture is the stencil's deferred barrier. A panicking guard evaluates
+// false: the step is skipped. A panicking handler counts as fired with no
+// result: the fold is skipped. The hook may re-panic (see captureGuard).
+func (p *Plan) capture(env *Env, idx int, ws *walkState) {
+	phase := ws.phase
+	if phase < inGuard {
+		return
+	}
+	v := recover()
+	if v == nil {
+		return
+	}
+	s := &p.flat[ws.pos]
+	ws.pos, ws.phase = ws.pos+1, inWalk
+	switch phase {
+	case inGuard:
+		p.protect.GuardPanic(s.tag, v, debug.Stack())
+		return
+	case inDefault:
+		ws.out.UsedDefault, ws.phase = true, walkDone
+	default:
+		ws.out.Fired++
+	}
+	p.protect.HandlerPanic(s.tag, v, debug.Stack())
+	s.count(env, idx)
+}
+
+// callProtected is the general executor's barrier: it runs a sync step (a
 // handler, a filter, the direct bypass or the default handler) behind the
 // fault hook. ok is false when the handler panicked: the step counts as
 // fired with no result, mirroring a terminated EPHEMERAL invocation.

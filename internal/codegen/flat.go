@@ -16,26 +16,24 @@ import (
 // it can do the next-closest thing at plan-compile time:
 //
 //   - the guard decision structure is flattened: every step's guard
-//     conjunction (And-trees, multiple guards) is lowered into one
-//     contiguous array of leaf comparisons (flatPred) shared by the whole
-//     plan, evaluated by a branch-predictable switch with no recursion and
-//     no per-guard indirect call;
+//     conjunction (And-trees, multiple guards) is lowered into leaf
+//     comparisons (flatPred), evaluated by a branch-predictable switch with
+//     no recursion and no per-guard indirect call;
 //   - runs of steps that start with an equality test on the same argument
 //     are entered through the guard index (tree.go): one hash of the
 //     argument word replaces the scan over every other constant;
 //   - handler bodies are lowered into the step record (flatStep), so the
-//     common inline bodies run without touching *Body or *Binding;
+//     common inline bodies run without touching *Body or *Binding; both
+//     lowerings are memoised on the binding, so a recompile copies them;
 //   - one per-frame stencil (flatFrame) specialized over (no-result,
-//     result-fold) × (guarded, unguarded) is selected once at compile time,
-//     so a raise runs straight-line code with no per-raise shape switching;
-//     the single-raise entry and the batch entry both call it;
-//   - statistics are batched: per-binding fire counts go through one
-//     stripe shard index hoisted by the caller (Binding.FireCount), and the
-//     event-level fired total is added once per raise to Env.FiredTotal
-//     instead of once per firing through Env.OnFire — the striped-atomic
-//     traffic that dominated the inline-plan profile drops from 2 RMWs per
-//     firing plus 1 per raise to 1 per firing plus 2 per raise, all through
-//     one shard hash.
+//     result-fold) × (guarded, unguarded) × (bare, fault barrier) is
+//     selected once at compile time, so a raise runs straight-line code with
+//     no per-raise shape switching; the single-raise entry and the batch
+//     entry both call it;
+//   - statistics are batched (see flatFrame): the striped-atomic traffic
+//     that dominated the inline-plan profile drops from 2 RMWs per firing
+//     plus 1 per raise to 1 per firing plus 2 per raise, all through one
+//     shard hash hoisted by the caller.
 //
 // Specialization is semantics-preserving and only replaces configurations
 // the general executor handles bitwise-identically when
@@ -43,11 +41,13 @@ import (
 // (FuzzPredCompile, FuzzTreeDispatch, FuzzBatchDispatch) compare every
 // specialized shape against naive reference evaluation.
 //
-// Eligibility (compileFlat): every step synchronous and unfiltered, no
-// fault-capture hook (recovery barriers live in the general executor), and
-// no unguarded direct bypass (already a plain call). Metered raises
-// (Env.CPU != nil) always take the general executor so the virtual-time
-// charge sequence stays byte-identical to the ablation tables.
+// Eligibility (compileFlat): every step synchronous and unfiltered, and no
+// unguarded direct bypass (already a plain call). A fault-capture hook
+// (Options.Protect) does not take a plan off the stencil: it selects the
+// barrier instantiations, which run the same walk under one recover barrier
+// per frame (exec_protect.go). Metered raises (Env.CPU != nil) always take
+// the general executor so the virtual-time charge sequence stays
+// byte-identical to the ablation tables.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -56,9 +56,9 @@ const (
 	predOpCall PredOp = -2
 )
 
-// flatPred is one lowered guard leaf. All leaves of a step's guard
-// conjunction are contiguous in Plan.flatPreds; evaluation short-circuits
-// at the first failing leaf.
+// flatPred is one lowered guard leaf. A step's first leaf is embedded in
+// its flatStep, the rest are contiguous in Plan.flatPreds; evaluation
+// short-circuits at the first failing leaf.
 type flatPred struct {
 	op   PredOp
 	arg  int
@@ -81,11 +81,7 @@ type flatStep struct {
 	p0, p1 int32
 	// Inline body, embedded (inline == true).
 	inline bool
-	bop    BodyOp
-	bv     any
-	bcell  *atomic.Uint64
-	bk     uint64
-	barg   int
+	body   Body
 	// Out-of-line body (inline == false).
 	fn    HandlerFn
 	ctxFn CtxHandlerFn
@@ -98,15 +94,16 @@ type flatStep struct {
 
 // frameFn is a stencil instantiation: selected once per plan, called once
 // per frame. idx is the caller's hoisted stripe shard index
-// (stripe.Index()), reused for every striped counter the frame touches.
-type frameFn func(p *Plan, env *Env, args []any, idx int) Outcome
+// (stripe.Index()), reused for every striped counter the frame touches;
+// callers pass a nil ws (see flatFrame).
+type frameFn func(p *Plan, env *Env, args []any, idx int, ws *walkState) Outcome
 
 // flattenPred lowers a guard predicate into conjunction leaves. Top-level
 // And-trees split into their leaves; True leaves are elided (guards are
 // FUNCTIONAL, so elision is unobservable); any other composite (Or, Not)
-// stays a single Eval-fallback leaf. Returns false when the predicate can
-// never pass (a constant-false leaf under DisablePeephole still lowers —
-// the step simply never fires, same as in the general executor).
+// stays a single Eval-fallback leaf. A constant-false leaf under
+// DisablePeephole still lowers — the step simply never fires, same as in
+// the general executor.
 func flattenPred(p *Pred, out []flatPred) []flatPred {
 	switch p.Op {
 	case PredAnd:
@@ -128,97 +125,84 @@ func flattenPred(p *Pred, out []flatPred) []flatPred {
 	}
 }
 
-// lowerBody fills a flatStep's body fields from one step, mirroring
-// runBody exactly: the inline body runs embedded when the step compiled
-// inline; otherwise CtxFn is preferred over Fn.
-func (fs *flatStep) lowerBody(st *step) {
-	b := st.b
-	fs.inline = st.inline
-	fs.tag = b.Tag
-	fs.fire = b.FireCount
-	if st.inline {
-		body := b.Inline
-		fs.bop = body.Op
-		fs.bv = body.V
-		fs.bcell = body.Cell
-		fs.bk = body.K
-		fs.barg = body.Arg
-		return
+// flatten lowers the compiled step into its flattened twin: the guard
+// conjunction as leaves, the first hoisted into the step record, and the
+// body, mirroring runBody exactly (the inline body when the step compiled
+// inline; otherwise CtxFn is preferred over Fn).
+func (lo *lowered) flatten() {
+	var buf [4]flatPred // the usual binding has a leaf or two and none past g0
+	leaves := buf[:0]
+	for gi := range lo.st.guards {
+		if g := &lo.st.guards[gi]; g.Pred != nil {
+			// With inlining disabled the general executor still evaluates the
+			// predicate out of line via Eval; lowering it to leaves is
+			// observationally identical (metered charge differences do
+			// not apply — metered raises take the general executor).
+			leaves = flattenPred(g.Pred, leaves)
+		} else {
+			leaves = append(leaves, flatPred{op: predOpCall, fn: g.Fn, clo: g.Closure})
+		}
 	}
-	fs.fn = b.Fn
-	fs.ctxFn = b.CtxFn
-	fs.clo = b.Closure
+	if lo.leaves = len(leaves); lo.leaves > 0 {
+		lo.flat.g0 = leaves[0]
+		lo.rest = append([]flatPred(nil), leaves[1:]...)
+	}
+	b, fs := lo.st.b, &lo.flat
+	fs.tag, fs.fire = b.Tag, b.FireCount
+	if fs.inline = lo.st.inline; fs.inline {
+		fs.body = *b.Inline
+	} else {
+		fs.fn, fs.ctxFn, fs.clo = b.Fn, b.CtxFn, b.Closure
+	}
 }
 
-// compileFlat lowers the plan into its flattened form and selects the
-// stencil, or leaves the plan on the general executor when any
-// step needs machinery the straight-line executors do not carry.
-func (p *Plan) compileFlat() {
-	if p.opts.DisableSpecialize || p.protect != nil || p.direct != nil {
+// stencils holds the flatFrame instantiations, indexed result<<2 |
+// guarded<<1 | barrier. Arity is not a shape axis: the stencil never reads
+// it (argWord bounds-checks against the frame itself).
+var stencils = [8]struct {
+	fn   frameFn
+	name string
+}{
+	{flatFrame[off, off, off], "stencil[void,unguarded]"},
+	{flatFrame[off, off, on], "stencil[void,unguarded,barrier]"},
+	{flatFrame[off, on, off], "stencil[void,guarded]"},
+	{flatFrame[off, on, on], "stencil[void,guarded,barrier]"},
+	{flatFrame[on, off, off], "stencil[fold,unguarded]"},
+	{flatFrame[on, off, on], "stencil[fold,unguarded,barrier]"},
+	{flatFrame[on, on, off], "stencil[fold,guarded]"},
+	{flatFrame[on, on, on], "stencil[fold,guarded,barrier]"},
+}
+
+// compileFlat assembles the plan's flattened form from its bindings'
+// memoised lowerings (pooled of their leaves go to the pool) and selects
+// the stencil, or leaves the plan on the general executor when a step
+// needs machinery the straight-line executors do not carry.
+func (p *Plan) compileFlat(pooled int) {
+	if p.opts.DisableSpecialize || p.direct != nil || p.hasFilter || p.retains {
 		return
 	}
-	leaves := 0
+	p.flat = make([]flatStep, len(p.steps), len(p.steps)+1)
+	p.flatPreds = make([]flatPred, 0, pooled)
 	for i := range p.steps {
-		b := p.steps[i].b
-		if b.Async || b.Ephemeral || b.Filter {
-			return
-		}
-		// A lower bound on the leaf count (And-trees split further), so the
-		// common one-leaf-per-guard plan fills the pool without regrowing.
-		leaves += len(p.steps[i].guards)
+		lo := p.steps[i].b.lower(p.opts)
+		fs := &p.flat[i]
+		*fs = lo.flat
+		fs.p0 = int32(len(p.flatPreds))
+		p.flatPreds = append(p.flatPreds, lo.rest...)
+		fs.p1 = int32(len(p.flatPreds))
+		p.leaves += lo.leaves
 	}
-	flat := make([]flatStep, len(p.steps))
-	preds := make([]flatPred, 0, leaves)
-	for i := range p.steps {
-		st := &p.steps[i]
-		fs := &flat[i]
-		start := len(preds)
-		for gi := range st.guards {
-			g := &st.guards[gi]
-			switch {
-			case g.Pred != nil:
-				// With inlining disabled the general executor still evaluates the
-				// predicate out of line via Eval; lowering it to leaves is
-				// observationally identical (metered charge differences do
-				// not apply — metered raises take the general executor).
-				preds = flattenPred(g.Pred, preds)
-			default:
-				preds = append(preds, flatPred{op: predOpCall, fn: g.Fn, clo: g.Closure})
-			}
-		}
-		if len(preds) > start {
-			// Hoist the first leaf into the step record; the pool keeps the
-			// slot so later steps' ranges stay simple offsets.
-			fs.g0 = preds[start]
-			fs.p0 = int32(start + 1)
-		} else {
-			fs.p0 = int32(start)
-		}
-		fs.p1 = int32(len(preds))
-		fs.lowerBody(st)
-	}
-	var def *flatStep
 	if p.def != nil {
-		def = &flatStep{}
-		def.lowerBody(p.def)
+		// The default handler's statistics record rides behind the last step.
+		p.flat = append(p.flat, flatStep{tag: p.def.b.Tag, fire: p.def.b.FireCount})
 	}
-	p.flat = flat
-	p.flatPreds = preds
-	p.flatDefault = def
-
-	// Select the stencil. Arity is not a shape axis: the stencil never
-	// reads it (argWord bounds-checks against the frame itself).
-	guards := len(preds) > 0
-	switch {
-	case p.info.HasResult && guards:
-		p.frame, p.frameName = flatFrame[resultFold, guarded], "stencil[fold,guarded]"
-	case p.info.HasResult:
-		p.frame, p.frameName = flatFrame[resultFold, unguarded], "stencil[fold,unguarded]"
-	case guards:
-		p.frame, p.frameName = flatFrame[resultVoid, guarded], "stencil[void,guarded]"
-	default:
-		p.frame, p.frameName = flatFrame[resultVoid, unguarded], "stencil[void,unguarded]"
+	shape := 0
+	for i, set := range [3]bool{p.protect != nil, p.leaves > 0, p.info.HasResult} {
+		if set {
+			shape |= 1 << i
+		}
 	}
+	p.frame, p.frameName = stencils[shape].fn, stencils[shape].name
 }
 
 // Specialized reports whether the plan compiled to a flattened,
@@ -231,69 +215,38 @@ func (p *Plan) Specialized() bool { return p.frame != nil }
 // conjunction and one embedded body with no step loop. (The unguarded
 // resident is Direct.)
 func (p *Plan) GuardedBypass() bool {
-	return p.frame != nil && len(p.flat) == 1 && len(p.flatPreds) > 0
+	return p.frame != nil && len(p.steps) == 1 && p.leaves > 0
 }
 
-// Shape markers. The stencil is instantiated over every (result, guarded)
-// combination so each shape is a distinct straight-line function chosen
-// once at compile time. Each marker has a distinct size on purpose: Go's
-// gcshape stenciling folds all zero-size type arguments into one shared
-// instantiation whose shape methods dispatch through a generics dictionary
-// at run time. Distinct sizes force a fully stenciled instantiation per
-// shape, so the methods below resolve to constants at compile time and each
-// instantiation's dead branches (the guard walk in unguarded shapes, the
-// result fold in void shapes) are eliminated outright — the closest Go gets
-// to the paper's per-plan generated stubs.
+// Shape markers. The stencil is instantiated over every (result, guarded,
+// barrier) combination so each shape is a distinct straight-line function
+// chosen once at compile time. Go compiles one body per GC shape — here the
+// markers' array types — and a method on a marker would dispatch through
+// the generics dictionary at run time, so flatFrame reads an axis off its
+// marker's length: len of an array type is a constant where the shape is
+// compiled, and each instantiation's dead branches (the guard walk in
+// unguarded shapes, the result fold in void shapes, the walk-state stores
+// in bare shapes) are eliminated outright — the closest Go gets to the
+// paper's per-plan generated stubs.
 type (
-	resultVoid [1]byte
-	resultFold [2]byte
+	off [1]byte
+	on  [2]byte
 )
 
-type (
-	unguarded [1]byte
-	guarded   [2]byte
-)
-
-type resultSpec interface{ hasResult() bool }
-
-func (resultVoid) hasResult() bool { return false }
-func (resultFold) hasResult() bool { return true }
-
-type guardSpec interface{ guarded() bool }
-
-func (unguarded) guarded() bool { return false }
-func (guarded) guarded() bool   { return true }
-
-// runFlatBody executes one lowered step body and returns its result,
-// mirroring runBody exactly.
-func runFlatBody(s *flatStep, args []any) any {
-	if s.inline {
-		switch s.bop {
-		case BodyReturnConst:
-			return s.bv
-		case BodyAddWord:
-			if s.bcell != nil {
-				s.bcell.Add(s.bk)
-			}
-		case BodyReturnArg:
-			if s.barg >= 0 && s.barg < len(args) {
-				return args[s.barg]
-			}
-		}
-		return nil
-	}
-	if s.ctxFn != nil {
-		return s.ctxFn(context.Background(), s.clo, args)
-	}
-	return s.fn(s.clo, args)
-}
+type shapeAxis interface{ ~[1]byte | ~[2]byte }
 
 // flatFrame is the one stencil behind every specialized shape: it runs one
 // frame (one raise's argument vector) through the flattened plan. The type
-// parameters pin the shape at instantiation: because the marker types have
-// distinct sizes (see above), each of the four instantiations is its own
-// stenciled function where hasResult/useGuards are compile-time constants
-// and the branches they gate are folded away.
+// parameters pin the shape: in each of the eight instantiations
+// hasResult/useGuards/barrier are constants and the branches they gate are
+// folded away.
+//
+// A barrier instantiation (exec_protect.go) is entered with a nil ws and
+// re-enters itself through walkBehindBarrier with the frame's walkState
+// until the walk is done. The walk keeps its state in locals, as the bare
+// shapes do, and writes ws where a capture would need it: the segment at
+// each segment, the step and phase around each guard and handler call, the
+// outcome after each firing.
 //
 // Statistics protocol: when env.FiredTotal is set (the dispatcher's
 // batched path), per-binding counts go to FireCount through the caller's
@@ -302,11 +255,11 @@ func runFlatBody(s *flatStep, args []any) any {
 // (Plan.ExecuteBatch). Otherwise the stencil falls back to the general
 // executor's per-fire env.OnFire contract, so direct codegen users observe
 // identical callbacks.
-func flatFrame[R resultSpec, G guardSpec](p *Plan, env *Env, args []any, idx int) Outcome {
-	var rSpec R
-	var gSpec G
-	hasResult := rSpec.hasResult()
-	useGuards := gSpec.guarded()
+func flatFrame[R, G, B shapeAxis](p *Plan, env *Env, args []any, idx int, ws *walkState) Outcome {
+	var r R
+	var g G
+	var b B
+	hasResult, useGuards, barrier := len(r) == len(on{}), len(g) == len(on{}), len(b) == len(on{})
 
 	onFire := env.OnFire
 	batched := env.FiredTotal != nil
@@ -323,12 +276,26 @@ func flatFrame[R resultSpec, G guardSpec](p *Plan, env *Env, args []any, idx int
 	// few steps that match.
 	ri := 0        // the next run of p.runs
 	inRun := false // walking the hits of run ri-1
-	i, stop := 0, len(p.flat)
+	n := len(p.steps)
+	i, stop := 0, n
 	if len(p.runs) > 0 {
 		stop = p.runs[0].start
 	}
+	if barrier {
+		if ws == nil {
+			frame := walkState{stop: stop}
+			for frame.phase != walkDone {
+				walkBehindBarrier[R, G](p, env, args, idx, &frame)
+			}
+			return frame.out
+		}
+		out, haveResult, ri, inRun, i, stop = ws.out, ws.haveResult, ws.ri, ws.inRun, ws.pos, ws.stop
+	}
 segments:
 	for {
+		if barrier {
+			ws.ri, ws.inRun, ws.stop = ri, inRun, stop
+		}
 		seg := p.flat[i:stop]
 	steps:
 		for k := range seg {
@@ -368,7 +335,14 @@ segments:
 							continue steps
 						}
 					case predOpCall:
-						if !pr.fn(pr.clo, args) {
+						if barrier {
+							ws.pos, ws.phase = i+k, inGuard
+						}
+						pass := pr.fn(pr.clo, args)
+						if barrier {
+							ws.phase = inWalk
+						}
+						if !pass {
 							continue steps
 						}
 					}
@@ -379,27 +353,19 @@ segments:
 					j++
 				}
 			}
-			// The inline-body cases are open-coded (rather than calling
-			// runFlatBody) so the common Nop/ReturnConst/AddWord bodies run
-			// without a call frame.
 			var res any
+			if barrier {
+				ws.pos, ws.phase = i+k, inHandler
+			}
 			if s.inline {
-				switch s.bop {
-				case BodyReturnConst:
-					res = s.bv
-				case BodyAddWord:
-					if s.bcell != nil {
-						s.bcell.Add(s.bk)
-					}
-				case BodyReturnArg:
-					if s.barg >= 0 && s.barg < len(args) {
-						res = args[s.barg]
-					}
-				}
+				res = s.body.Run(args)
 			} else if s.ctxFn != nil {
 				res = s.ctxFn(context.Background(), s.clo, args)
 			} else {
 				res = s.fn(s.clo, args)
+			}
+			if barrier {
+				ws.phase = inWalk
 			}
 			out.Fired++
 			if batched {
@@ -419,6 +385,9 @@ segments:
 					out.Result = res
 					haveResult = true
 				}
+			}
+			if barrier {
+				ws.out, ws.haveResult = out, haveResult
 			}
 		}
 		// Segment boundary. The run state lives in p.runs, re-read here, so
@@ -443,24 +412,34 @@ segments:
 		// The run is exhausted (or missed outright): resume the linear scan
 		// behind it.
 		inRun = false
-		stop = len(p.flat)
+		stop = n
 		if ri < len(p.runs) {
 			stop = p.runs[ri].start
 		}
 	}
-	if out.Fired == 0 && p.flatDefault != nil {
-		d := p.flatDefault
-		out.Result = runFlatBody(d, args)
-		out.UsedDefault = true
-		if batched {
-			if d.fire != nil {
-				d.fire.AddAt(idx, 1)
-			}
-		} else if onFire != nil {
-			onFire(d.tag)
+	if st := p.def; out.Fired == 0 && st != nil {
+		if barrier {
+			ws.pos, ws.phase = n, inDefault
 		}
+		out.Result = runBody(st.b, st.inline, args)
+		out.UsedDefault = true
+		p.flat[n].count(env, idx)
+	}
+	if barrier {
+		ws.out, ws.phase = out, walkDone
 	}
 	return out
+}
+
+// count records one firing of the step (flatFrame's statistics protocol).
+func (s *flatStep) count(env *Env, idx int) {
+	if env.FiredTotal != nil {
+		if s.fire != nil {
+			s.fire.AddAt(idx, 1)
+		}
+	} else if env.OnFire != nil {
+		env.OnFire(s.tag)
+	}
 }
 
 // fires is the number of handler firings the outcome adds to the event's

@@ -1,6 +1,9 @@
 package codegen
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -8,13 +11,6 @@ import (
 	"spin/internal/stripe"
 	"spin/internal/vtime"
 )
-
-// nopFaultHook satisfies FaultHook for eligibility tests.
-type nopFaultHook struct{}
-
-func (nopFaultHook) HandlerPanic(any, any, []byte) {}
-func (nopFaultHook) GuardPanic(any, any, []byte)   {}
-func (nopFaultHook) SyncCost(any, vtime.Duration)  {}
 
 // guardedBindings builds n bindings each guarded by an always-true global
 // comparison, the canonical flat-eligible shape.
@@ -65,7 +61,7 @@ func TestSpecializeEligibility(t *testing.T) {
 		{shape: "unguarded single", bindings: []*Binding{h()}, want: "direct"},
 		{shape: "unguarded single, metered", bindings: []*Binding{h()}, metered: true, want: "direct"},
 		{shape: "unguarded single, fault policy on", bindings: []*Binding{h()},
-			opts: Options{Protect: nopFaultHook{}}, want: "direct"},
+			opts: Options{Protect: &recHook{}}, want: "direct"},
 		{shape: "guarded single", arity: 1, bindings: guardedN(1, nil), want: "stencil[void,guarded]"},
 		{shape: "multi-step void, unguarded", arity: 1, bindings: []*Binding{h(), h()},
 			want: "stencil[void,unguarded]"},
@@ -83,16 +79,19 @@ func TestSpecializeEligibility(t *testing.T) {
 		{shape: "ephemeral", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),
 			want: "general"},
 		{shape: "fault policy on", arity: 1, bindings: guardedN(2, nil),
-			opts: Options{Protect: nopFaultHook{}}, want: "general"},
+			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]"},
+		{shape: "fault policy on, metered", arity: 1, bindings: guardedN(2, nil),
+			opts: Options{Protect: &recHook{}}, metered: true, want: "general"},
 		{shape: "indexed run", arity: 1, bindings: tree, want: "stencil[void,guarded]", runs: 1},
 		{shape: "indexed run, EnableDecisionTree", arity: 1, bindings: tree,
 			opts: Options{EnableDecisionTree: true}, want: "stencil[void,guarded]", runs: 1},
 		{shape: "indexed run, metered", arity: 1, bindings: tree, metered: true,
 			want: "general", runs: 1}, // the stencil's index; a metered raise scans
 		{shape: "indexed run, fault policy on", arity: 1, bindings: tree,
-			opts: Options{Protect: nopFaultHook{}}, want: "general"},
+			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]", runs: 1},
 		{shape: "indexed run, fault policy on, EnableDecisionTree", arity: 1, bindings: tree,
-			opts: Options{Protect: nopFaultHook{}, EnableDecisionTree: true}, want: "general", runs: 1},
+			opts: Options{Protect: &recHook{}, EnableDecisionTree: true},
+			want: "stencil[void,guarded,barrier]", runs: 1},
 		{shape: "DisableSpecialize", arity: 1, bindings: guardedN(2, nil),
 			opts: Options{DisableSpecialize: true}, want: "general"},
 		{shape: "metered", arity: 1, bindings: guardedN(2, nil), metered: true, want: "general"},
@@ -222,5 +221,240 @@ func TestSpecializedStatsFallback(t *testing.T) {
 	p.Execute(&Env{OnFire: func(tag any) { tags = append(tags, tag) }}, []any{uint64(1)}, 0)
 	if len(tags) != 3 || tags[0] != 0 || tags[1] != 1 || tags[2] != 2 {
 		t.Fatalf("OnFire fallback tags: %v", tags)
+	}
+}
+
+// faultCall is one FaultHook capture, as the recording hook saw it.
+type faultCall struct {
+	guard bool
+	tag   any
+}
+
+// recHook records the captures a protected plan delivers, in order. A
+// non-nil repanic is what GuardPanic panics with after recording, the way
+// the dispatcher's hook re-panics the purity monitor's verdict.
+type recHook struct {
+	calls   []faultCall
+	repanic any
+}
+
+func (h *recHook) HandlerPanic(tag, _ any, _ []byte) {
+	h.calls = append(h.calls, faultCall{tag: tag})
+}
+
+func (h *recHook) GuardPanic(tag, _ any, _ []byte) {
+	h.calls = append(h.calls, faultCall{guard: true, tag: tag})
+	if h.repanic != nil {
+		panic(h.repanic)
+	}
+}
+
+func (*recHook) SyncCost(any, vtime.Duration) {}
+
+// barrierRun is what one raise of a protected plan did, as both executors
+// must agree on it.
+type barrierRun struct {
+	out    Outcome
+	fired  []any // OnFire tags
+	folds  []int // the index each result-handler call carried
+	faults []faultCall
+}
+
+// TestBarrierEdges walks the per-frame barrier's corners: every case runs on
+// the stencil and on the general executor (whose per-call barriers are the
+// reference) and the two must agree on the outcome, the fire sequence, the
+// fold indices and the hook's call sequence; the cases also pin the values
+// themselves.
+func TestBarrierEdges(t *testing.T) {
+	const n = 4
+	// plan builds n call-guarded result bindings (binding i returns i, tag i)
+	// and a default handler (tag n). guardAt and handlerAt name the binding
+	// whose guard or handler panics (-1: none; n as handlerAt: the default);
+	// pass is what the healthy guards return.
+	type shape struct {
+		guardAt, handlerAt int
+		pass, fold         bool
+	}
+	run := func(sh shape, opts Options) barrierRun {
+		var r barrierRun
+		hook := &recHook{}
+		opts.Protect = hook
+		bs := make([]*Binding, n)
+		for i := range bs {
+			i := i
+			bs[i] = &Binding{Tag: i,
+				Guards: []Guard{{Fn: func(any, []any) bool {
+					if i == sh.guardAt {
+						panic("guard")
+					}
+					return sh.pass
+				}}},
+				Fn: func(any, []any) any {
+					if i == sh.handlerAt {
+						panic("handler")
+					}
+					return uint64(i)
+				}}
+		}
+		def := &Binding{Tag: n, Fn: func(any, []any) any {
+			if sh.handlerAt == n {
+				panic("default")
+			}
+			return uint64(n)
+		}}
+		var resultFn ResultFn
+		if sh.fold {
+			resultFn = func(acc, res any, index int) any {
+				r.folds = append(r.folds, index)
+				sum, _ := acc.(uint64)
+				return sum + res.(uint64)
+			}
+		}
+		p := Compile(info(1, true), bs, resultFn, def, opts)
+		if want := "general"; !opts.DisableSpecialize {
+			want = "stencil[fold,guarded,barrier]"
+			if got := p.Executor(false); got != want {
+				t.Fatalf("executor %s, want %s", got, want)
+			}
+		}
+		r.out = p.Execute(&Env{OnFire: func(tag any) { r.fired = append(r.fired, tag) }}, []any{uint64(1)}, 0)
+		r.faults = hook.calls
+		return r
+	}
+	both := func(name string, sh shape) barrierRun {
+		got, want := run(sh, Options{}), run(sh, Options{DisableSpecialize: true})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stencil %+v, general executor %+v", name, got, want)
+		}
+		return got
+	}
+
+	for pos := 0; pos < n; pos++ {
+		// A handler panic: fired with no result, so its fold index is skipped
+		// and the survivors keep theirs.
+		r := both(fmt.Sprintf("handler %d panics, fold", pos), shape{guardAt: -1, handlerAt: pos, pass: true, fold: true})
+		var folds []int
+		sum := uint64(0)
+		for i := 0; i < n; i++ {
+			if i != pos {
+				folds = append(folds, i)
+				sum += uint64(i)
+			}
+		}
+		if r.out.Fired != n || r.out.Result != sum || !reflect.DeepEqual(r.folds, folds) ||
+			!reflect.DeepEqual(r.faults, []faultCall{{tag: pos}}) || len(r.fired) != n {
+			t.Errorf("handler %d panics, fold: %+v", pos, r)
+		}
+		// Unmerged: the last survivor's result, ambiguous as without the panic.
+		r = both(fmt.Sprintf("handler %d panics, no fold", pos), shape{guardAt: -1, handlerAt: pos, pass: true})
+		last := uint64(n - 1)
+		if pos == n-1 {
+			last = n - 2
+		}
+		if r.out.Fired != n || !r.out.Ambiguous || r.out.Result != last {
+			t.Errorf("handler %d panics, no fold: %+v", pos, r)
+		}
+		// A guard panic: the step is skipped and the fold indices close up.
+		r = both(fmt.Sprintf("guard %d panics", pos), shape{guardAt: pos, handlerAt: -1, pass: true, fold: true})
+		if r.out.Fired != n-1 || r.out.Result != sum || !reflect.DeepEqual(r.folds, []int{0, 1, 2}) ||
+			!reflect.DeepEqual(r.faults, []faultCall{{guard: true, tag: pos}}) {
+			t.Errorf("guard %d panics: %+v", pos, r)
+		}
+	}
+	// Every step panics, one way or the other, then the default runs.
+	r := both("guard 0 panics, rest fail, default", shape{guardAt: 0, handlerAt: -1})
+	if r.out.Fired != 0 || !r.out.UsedDefault || r.out.Result != uint64(n) {
+		t.Errorf("default after a guard panic: %+v", r)
+	}
+	// A panicking default handler: used, counted, no result.
+	r = both("default panics", shape{guardAt: -1, handlerAt: n})
+	if r.out != (Outcome{UsedDefault: true}) || !reflect.DeepEqual(r.fired, []any{n}) ||
+		!reflect.DeepEqual(r.faults, []faultCall{{tag: n}}) {
+		t.Errorf("default panics: %+v", r)
+	}
+}
+
+// TestBarrierLeavesOtherPanicsAlone: the barrier recovers only what the
+// phase byte says is extension code. A hook that re-panics (the purity
+// monitor's ErrGuardMutatedArgs) surfaces at the raise point, and so does a
+// panic in the result handler, which reaches no hook.
+func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
+	raise := func(p *Plan) (val any) {
+		defer func() { val = recover() }()
+		p.Execute(&Env{}, []any{uint64(1)}, 0)
+		return nil
+	}
+	verdict := errors.New("guard mutated its arguments")
+	for _, disable := range []bool{false, true} {
+		hook := &recHook{repanic: verdict}
+		bs := []*Binding{
+			{Tag: 0, Guards: []Guard{{Fn: func(any, []any) bool { panic("monitor") }}}, Fn: func(any, []any) any { return nil }},
+			{Tag: 1, Fn: func(any, []any) any { return nil }},
+		}
+		p := Compile(info(1, false), bs, nil, nil, Options{Protect: hook, DisableSpecialize: disable})
+		if got := raise(p); got != verdict {
+			t.Errorf("DisableSpecialize=%v: raise panicked with %v, want the hook's re-panic", disable, got)
+		}
+		if !reflect.DeepEqual(hook.calls, []faultCall{{guard: true, tag: 0}}) {
+			t.Errorf("DisableSpecialize=%v: hook calls %+v", disable, hook.calls)
+		}
+
+		hook = &recHook{}
+		n := 0
+		bs = []*Binding{{Tag: 0, Fn: countingHandler(&n, uint64(1))}, {Tag: 1, Fn: countingHandler(&n, uint64(2))}}
+		p = Compile(info(1, true), bs, func(any, any, int) any { panic("fold") }, nil,
+			Options{Protect: hook, DisableSpecialize: disable})
+		if got := raise(p); got != "fold" || len(hook.calls) != 0 || n != 1 {
+			t.Errorf("DisableSpecialize=%v: result-handler panic: raise panicked with %v, %d hook calls, %d handlers ran",
+				disable, got, len(hook.calls), n)
+		}
+	}
+}
+
+// TestBarrierNestedAndSupersededFrames: a handler that raises the same
+// event again runs the inner frame behind its own barrier, and a handler
+// that supersedes the running plan (it uninstalled itself) and then panics
+// is still captured against the plan the frame loaded; a batch notices the
+// new plan before the next frame.
+func TestBarrierNestedAndSupersededFrames(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		hook := &recHook{}
+		opts := Options{Protect: hook, DisableSpecialize: disable}
+		var p *Plan
+		env := &Env{}
+		var inner Outcome
+		g := Guard{Fn: func(any, []any) bool { return true }}
+		bs := []*Binding{
+			{Tag: 0, Guards: []Guard{g}, Fn: func(_ any, args []any) any {
+				if args[0] == uint64(0) {
+					inner = p.Execute(env, []any{uint64(1)}, 0)
+				}
+				return nil
+			}},
+			{Tag: 1, Guards: []Guard{g}, Fn: func(_ any, args []any) any { panic(args[0]) }},
+			{Tag: 2, Guards: []Guard{g}, Fn: func(any, []any) any { return nil }},
+		}
+		p = Compile(info(1, false), bs, nil, nil, opts)
+		outer := p.Execute(env, []any{uint64(0)}, 0)
+		if inner.Fired != 3 || outer.Fired != 3 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 1}, {tag: 1}}) {
+			t.Errorf("DisableSpecialize=%v: nested raise: inner %+v outer %+v hook %+v", disable, inner, outer, hook.calls)
+		}
+
+		hook.calls = nil
+		var live atomic.Pointer[Plan]
+		ran := 0
+		survivor := &Binding{Tag: 1, Guards: []Guard{g}, Fn: countingHandler(&ran, nil)}
+		quitter := &Binding{Tag: 0, Guards: []Guard{g}, Fn: func(any, []any) any {
+			live.Store(Compile(info(1, false), []*Binding{survivor}, nil, nil, opts))
+			panic("after uninstall")
+		}}
+		first := Compile(info(1, false), []*Binding{quitter, survivor}, nil, nil, opts)
+		live.Store(first)
+		frames := []ArgFrame{{uint64(1)}, {uint64(1)}}
+		out, done := first.ExecuteBatch(env, frames, 0, &live)
+		if done != 1 || out.Fired != 2 || ran != 1 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 0}}) {
+			t.Errorf("DisableSpecialize=%v: superseded frame: done %d, %+v, survivor ran %d, hook %+v",
+				disable, done, out, ran, hook.calls)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *at
 					done = i
 					break
 				}
-				o := p.frame(p, env, frames[i], stripeIdx)
+				o := p.frame(p, env, frames[i], stripeIdx, nil)
 				total += o.fires()
 				out.Add(o)
 			}

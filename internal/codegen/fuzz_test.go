@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -456,16 +457,38 @@ func FuzzTreeDispatch(f *testing.F) {
 // optimizer configuration — including when a handler uninstalls itself in
 // the middle of the stream, which a batch must notice before the next frame
 // exactly as a loop of raises does.
+//
+// A stream may also arm faults: handlers that panic after they ran (and
+// after they uninstalled themselves) and out-of-line guards that panic.
+// Every configuration then compiles fault capture in, under a recording
+// hook, and the stencil behind its per-frame barrier, the general executor
+// behind its per-call barriers and the naive model must agree on the
+// outcome, the fire counts, the fold indices and the ordered sequence of
+// hook calls.
 func FuzzBatchDispatch(f *testing.F) {
+	frames := seedJoin([]byte{15}, indexSeedRaises, indexSeedRaises, []byte{3, 2, 1, 3})
 	for _, seed := range indexSeeds {
 		for _, result := range [][]byte{{0, 0}, {1, 1}} { // void, fold
-			header := []byte{seed.arity, byte(len(seed.bindings) - 1), result[0], result[1], 1, seed.churn + 1}
-			frames := seedJoin([]byte{15}, indexSeedRaises, indexSeedRaises, []byte{3, 2, 1, 3})
-			f.Add(seedJoin(header, seedJoin(seed.bindings...), frames))
+			for _, faults := range [][]byte{{0}, {1, 0, 0, 0, 0}} { // bare, hardened with nothing armed
+				header := []byte{seed.arity, byte(len(seed.bindings) - 1), result[0], result[1], 1, seed.churn + 1}
+				f.Add(seedJoin(header, faults, seedJoin(seed.bindings...), frames))
+			}
 		}
 	}
-	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
-	f.Add([]byte{3, 2, 1, 1, 3, 9, 5})
+	// Faults over the duplicate-constant run (steps 0, 2 and 5 chain on 1; 5
+	// is the last step): a handler or guard panic on the first, a chained
+	// middle and the last step, and every step panicking either way.
+	chained := indexSeeds[0]
+	for _, mask := range []byte{1 << 0, 1 << 2, 1 << 5, 0xFF} {
+		for _, faults := range [][]byte{{1, mask, 0xFF, 0, 0}, {1, 0, 0, mask, 0xFF}, {1, mask, 0, mask >> 1, 0}} {
+			for _, churn := range []byte{0, chained.churn + 1} {
+				header := []byte{chained.arity, byte(len(chained.bindings) - 1), 1, 1, 1, churn}
+				f.Add(seedJoin(header, faults, seedJoin(chained.bindings...), frames))
+			}
+		}
+	}
+	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
+	f.Add([]byte{3, 2, 1, 1, 3, 9, 1, 5, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		arity := int(r.byte() % 9) // 0..8: the pooled widths 0..5 and wider frames
@@ -480,15 +503,24 @@ func FuzzBatchDispatch(f *testing.F) {
 		if churn >= n {
 			churn = -1
 		}
+		// The armed faults: bit i of panicH makes handler i panic once it has
+		// run, bit i of panicG gives binding i a last, panicking call guard.
+		var hook *recHook
+		var panicH, panicG uint16
+		if r.byte()%2 == 1 {
+			hook = &recHook{}
+			panicH = uint16(r.byte()) | uint16(r.byte())<<8
+			panicG = uint16(r.byte()) | uint16(r.byte())<<8
+		}
 
 		info := EventInfo{Name: "Fuzz.Batch", Arity: arity, HasResult: hasResult}
 		var resultFn ResultFn
+		var folds []int // the index each result-handler call carried
 		if foldResults {
 			resultFn = func(acc, res any, index int) any {
-				if index == 0 {
-					return res
-				}
-				return acc.(uint64) + res.(uint64)
+				folds = append(folds, index)
+				sum, _ := acc.(uint64) // nil when every earlier firing panicked
+				return sum + res.(uint64)
 			}
 		}
 
@@ -507,7 +539,11 @@ func FuzzBatchDispatch(f *testing.F) {
 			if uninstall >= 0 {
 				installed = append(append([]*Binding(nil), bindings[:uninstall]...), bindings[uninstall+1:]...)
 			}
-			live.Store(Compile(info, installed, resultFn, nil, opts))
+			o := opts
+			if hook != nil {
+				o.Protect = hook
+			}
+			live.Store(Compile(info, installed, resultFn, nil, o))
 		}
 		bindings = genBindings(r, n, arity, &cell, "fuzz.B", func(i int) {
 			fired = append(fired, i)
@@ -516,6 +552,23 @@ func FuzzBatchDispatch(f *testing.F) {
 				publish()
 			}
 		})
+		// The model evaluates the guards as generated; the compiled bindings
+		// carry the armed faults. The panicking guard goes last, behind every
+		// reordering, so it is reached exactly when the others pass.
+		model := make([]*Binding, n)
+		for i, b := range bindings {
+			model[i] = &Binding{Guards: b.Guards}
+			if panicG&(1<<i) != 0 {
+				b.Guards = append(b.Guards[:len(b.Guards):len(b.Guards)],
+					Guard{Fn: func(any, []any) bool { panic("fuzz guard") }})
+			}
+			if run := b.Fn; panicH&(1<<i) != 0 {
+				b.Fn = func(c any, args []any) any {
+					run(c, args)
+					panic("fuzz handler")
+				}
+			}
+		}
 
 		// The frame stream and a set of random split points over it.
 		nFrames := 1 + int(r.byte()%24)
@@ -533,14 +586,22 @@ func FuzzBatchDispatch(f *testing.F) {
 		// frame by frame. An uninstall takes effect at the next frame — the
 		// raise in flight finishes on the plan it loaded.
 		var wantFired []int
+		var wantFaults []faultCall
 		gone := -1
 		for _, fr := range frames {
 			skip := gone
-			for i, b := range bindings {
-				if i != skip && naivePasses(b, fr) {
+			for i, b := range model {
+				switch {
+				case i == skip || !naivePasses(b, fr):
+				case panicG&(1<<i) != 0: // evaluates false: the step is skipped
+					wantFaults = append(wantFaults, faultCall{guard: true, tag: i})
+				default:
 					wantFired = append(wantFired, i)
 					if i == churn {
 						gone = i
+					}
+					if panicH&(1<<i) != 0 { // fired, with no result
+						wantFaults = append(wantFaults, faultCall{tag: i})
 					}
 				}
 			}
@@ -588,7 +649,10 @@ func FuzzBatchDispatch(f *testing.F) {
 		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64, []int64) {
 			uninstall = -1
 			publish()
-			fired = nil
+			fired, folds = nil, nil
+			if hook != nil {
+				hook.calls = nil
+			}
 			var total stripe.Counter
 			base := make([]int64, n)
 			for i, b := range bindings {
@@ -600,6 +664,27 @@ func FuzzBatchDispatch(f *testing.F) {
 				counts[i] = b.FireCount.Load() - base[i]
 			}
 			return out, fired, total.Load(), counts
+		}
+
+		// checkFaults compares what the hook and the result handler saw with
+		// the model and with the first configuration's loop of raises — the
+		// stencil, which every later executor must match.
+		var refOut *BatchOutcome
+		var refFolds []int
+		checkFaults := func(label string, out BatchOutcome) {
+			if hook != nil && !reflect.DeepEqual(hook.calls, wantFaults) {
+				t.Fatalf("opts %+v %s: hook calls %+v, model %+v", opts, label, hook.calls, wantFaults)
+			}
+			if !hasResult {
+				out.Result = nil // not meaningful: the direct bypass passes the handler's through
+			}
+			if refOut == nil {
+				refOut, refFolds = &out, folds
+			}
+			if out != *refOut || !reflect.DeepEqual(folds, refFolds) {
+				t.Fatalf("opts %+v %s: outcome %+v folds %v, the stencil's %+v folds %v",
+					opts, label, out, folds, *refOut, refFolds)
+			}
 		}
 
 		tracer := trace.New(trace.Config{Capacity: 64})
@@ -629,6 +714,14 @@ func FuzzBatchDispatch(f *testing.F) {
 					t.Fatalf("opts %+v loop: order %v, model %v", opts, loopFired, wantFired)
 				}
 			}
+			checkFaults("loop", loopOut)
+			wantCounts := make([]int64, n)
+			for _, i := range wantFired {
+				wantCounts[i]++
+			}
+			if !reflect.DeepEqual(loopCounts, wantCounts) || loopTotal != int64(len(wantFired)) {
+				t.Fatalf("opts %+v loop: FireCount %v total %d, model %v", opts, loopCounts, loopTotal, wantCounts)
+			}
 
 			check := func(label string, out BatchOutcome, gotFired []int, total int64, counts []int64) {
 				if len(gotFired) != len(loopFired) {
@@ -639,9 +732,7 @@ func FuzzBatchDispatch(f *testing.F) {
 						t.Fatalf("opts %+v %s: order %v, loop %v", opts, label, gotFired, loopFired)
 					}
 				}
-				if out != loopOut {
-					t.Fatalf("opts %+v %s: outcome %+v, loop %+v", opts, label, out, loopOut)
-				}
+				checkFaults(label, out)
 				if total != loopTotal {
 					t.Fatalf("opts %+v %s: FiredTotal %d, loop %d", opts, label, total, loopTotal)
 				}

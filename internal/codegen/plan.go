@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"spin/internal/admit"
 	"spin/internal/journal"
@@ -60,7 +61,7 @@ type Guard struct {
 // Binding is the code generator's view of one installed handler: its guard
 // list (installer guards followed by authorizer-imposed guards), the
 // handler itself, and the execution properties that shape the generated
-// code.
+// code. It is immutable from its first Compile on.
 type Binding struct {
 	Guards  []Guard
 	Fn      HandlerFn
@@ -92,20 +93,23 @@ type Binding struct {
 	// Name is the handler's qualified procedure name, used only to label
 	// trace spans; the generated code never inspects it.
 	Name string
+	// memo is the binding's last lowering (see lowered).
+	memo atomic.Pointer[lowered]
 }
 
-// fullyInline reports whether the generator can execute the binding without
-// any indirect call.
-func (b *Binding) fullyInline() bool {
-	if b.Inline == nil || b.Async || b.Ephemeral {
-		return false
-	}
-	for _, g := range b.Guards {
-		if g.Pred == nil {
-			return false
-		}
-	}
-	return true
+// lowered is a binding's compiled form under one (DisablePeephole,
+// DisableInline) pair, the two options that shape it: the step Compile
+// copies into a plan and its flattened twin with the guard leaves behind
+// the embedded first. The binding memoises it, so recompiling an event
+// lowers the new bindings and copies the rest — a third of an install on a
+// long handler list went into redoing them.
+type lowered struct {
+	noPeephole, noInline bool
+	live                 bool // false: peephole proved the binding can never fire
+	st                   step
+	flat                 flatStep   // p0/p1 are set per plan
+	rest                 []flatPred // the leaves after flat.g0
+	leaves               int        // all guard leaves, g0 included
 }
 
 // EventInfo carries the event attributes the generator specializes on.
@@ -148,13 +152,14 @@ type Options struct {
 	// disabled tracer costs nothing on the hot path (the zero-cost-off
 	// property TestTracingOffZeroAlloc enforces).
 	Trace *trace.Tracer
-	// Protect, when non-nil, compiles fault capture into the plan: every
-	// handler invocation and out-of-line guard evaluation runs behind a
-	// recover barrier that routes panics (and virtual-time overruns) to
-	// the hook instead of the raiser. A panicking handler counts as fired
-	// with no result; a panicking guard counts as failed. Plans compiled
-	// without Protect carry no recovery code at all — the same
-	// zero-cost-off contract tracing has (DESIGN.md decision 12).
+	// Protect, when non-nil, compiles fault capture into the plan: a panic
+	// in a handler body or an out-of-line guard goes to the hook instead of
+	// the raiser, and so do virtual-time overruns. A panicking handler
+	// counts as fired with no result; a panicking guard counts as failed.
+	// The stencil runs each frame behind one recover barrier; the general
+	// executor keeps one per call. Plans compiled without Protect carry no
+	// recovery code at all — the same zero-cost-off contract tracing has
+	// (DESIGN.md decision 12).
 	Protect FaultHook
 	// Admit, when non-nil, compiles the event's admission queue into the
 	// plan: asynchronous handler invocations are submitted to the bounded
@@ -230,15 +235,16 @@ type Plan struct {
 	// nil test.
 	jrnl *journal.Journal
 	// Ahead-of-time specialization (flat.go): the flattened step array, the
-	// shared guard-leaf pool its steps index into, the lowered default
-	// handler, and the stencil instantiation selected at compile time (with
-	// its name, for Executor). All nil/empty when the plan stays on the
-	// general executor.
-	flat        []flatStep
-	flatPreds   []flatPred
-	flatDefault *flatStep
-	frame       frameFn
-	frameName   string
+	// (followed by the default handler's statistics record, if there is
+	// one), the pool of guard leaves behind each step's embedded first and
+	// the count of all leaves, and the stencil instantiation selected at
+	// compile time (with its name, for Executor). All nil/empty when the
+	// plan stays on the general executor.
+	flat      []flatStep
+	flatPreds []flatPred
+	leaves    int
+	frame     frameFn
+	frameName string
 }
 
 // Env supplies the execution hooks the generated routine needs from the
@@ -307,11 +313,16 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 			inline: defaultB.Inline != nil && !opts.DisableInline}
 	}
 	p.steps = make([]step, 0, len(bindings))
+	pooled := 0 // guard leaves behind the steps' embedded first
+	allInline := !opts.DisableInline
 	for _, b := range bindings {
-		st, live := compileBinding(b, opts)
-		if !live {
+		lo := b.lower(opts)
+		if !lo.live {
 			continue
 		}
+		pooled += len(lo.rest)
+		allInline = allInline && lo.st.inline
+		st := lo.st
 		st.idx = len(p.steps)
 		p.steps = append(p.steps, st)
 		p.Bindings++
@@ -322,12 +333,7 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 			p.retains = true
 		}
 	}
-	p.allInline = !opts.DisableInline && len(p.steps) > 0
-	for _, st := range p.steps {
-		if !st.inline {
-			p.allInline = false
-		}
-	}
+	p.allInline = allInline && len(p.steps) > 0
 	// Single-binding bypass: one live synchronous unguarded non-filter
 	// binding dispatches as a direct procedure call (Figure 1's "an event
 	// with only an intrinsic handler is identical to a procedure call").
@@ -337,7 +343,7 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 			p.direct = st
 		}
 	}
-	p.compileFlat()
+	p.compileFlat(pooled)
 	if p.frame != nil || opts.EnableDecisionTree {
 		p.runs = buildGuardIndex(p.steps)
 	}
@@ -403,10 +409,20 @@ func (p *Plan) IndexedRuns() (runs, covered int) {
 	return len(p.runs), covered
 }
 
-// compileBinding simplifies one binding's guard list. The second result is
-// false when peephole proved the binding can never fire.
-func compileBinding(b *Binding, opts Options) (step, bool) {
-	st := step{b: b, mode: bindingMode(b)}
+// lower returns the binding's lowering under opts, memoised: the guard list
+// simplified and reordered, and the flattened twin.
+func (b *Binding) lower(opts Options) *lowered {
+	lo := b.memo.Load()
+	if lo != nil && lo.noPeephole == opts.DisablePeephole && lo.noInline == opts.DisableInline {
+		return lo
+	}
+	lo = &lowered{noPeephole: opts.DisablePeephole, noInline: opts.DisableInline,
+		st: step{b: b, mode: bindingMode(b)}}
+	defer b.memo.Store(lo)
+	st := &lo.st
+	// Fully inline: the generator can execute the binding without any
+	// indirect call.
+	st.inline = !opts.DisableInline && b.Inline != nil && !b.Async && !b.Ephemeral
 	for _, g := range b.Guards {
 		if g.Pred != nil && !opts.DisablePeephole {
 			s := g.Pred.Simplify()
@@ -414,20 +430,19 @@ func compileBinding(b *Binding, opts Options) (step, bool) {
 			case PredTrue:
 				continue // elide constant-true guard
 			case PredFalse:
-				return step{}, false // dead binding
+				return lo // dead binding
 			}
 			g = Guard{Pred: s}
 		}
+		st.inline = st.inline && g.Pred != nil
 		st.guards = append(st.guards, g)
 	}
 	if !opts.DisablePeephole {
 		st.guards = reorderGuards(st.guards)
 	}
-	st.inline = !opts.DisableInline && (&Binding{
-		Guards: st.guards, Inline: b.Inline,
-		Async: b.Async, Ephemeral: b.Ephemeral,
-	}).fullyInline()
-	return st, true
+	lo.live = true
+	lo.flatten()
+	return lo
 }
 
 // reorderGuards moves inline predicates ahead of out-of-line guards,
@@ -500,7 +515,7 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 		// Unmetered, unsampled raise on a specialized plan: the stencil.
 		// Metered raises stay on the general executor so the virtual-time
 		// charge sequence is byte-identical with specialization on or off.
-		out := p.frame(p, env, args, stripeIdx)
+		out := p.frame(p, env, args, stripeIdx, nil)
 		if n := out.fires(); n > 0 && env.FiredTotal != nil {
 			env.FiredTotal.AddAt(stripeIdx, n)
 		}
@@ -830,9 +845,10 @@ func (p *Plan) invoker(st *step, args []any) func(context.Context) any {
 
 // Executor names the body an unsampled raise of the plan runs — the
 // executor inventory: "direct" (the single-binding bypass and its batch
-// tier), "stencil[R,G]" (the flatFrame instantiation compileFlat selected,
-// unmetered raises only), or "general" (everything else, including the
-// metered and the trace-sampled raises of a stencil plan).
+// tier), "stencil[R,G]" or, behind the fault barrier, "stencil[R,G,barrier]"
+// (the flatFrame instantiation compileFlat selected, unmetered raises
+// only), or "general" (everything else, including the metered and the
+// trace-sampled raises of a stencil plan).
 func (p *Plan) Executor(metered bool) string {
 	switch {
 	case p.direct != nil:
@@ -860,7 +876,7 @@ func (p *Plan) Disassemble() string {
 	case p.GuardedBypass():
 		sb.WriteString(" (guarded bypass: single straight-line step)\n")
 	case p.frame != nil:
-		fmt.Fprintf(&sb, " (%d steps, %d guard leaves)\n", len(p.flat), len(p.flatPreds))
+		fmt.Fprintf(&sb, " (%d steps, %d guard leaves)\n", len(p.steps), p.leaves)
 	default:
 		sb.WriteByte('\n')
 	}

@@ -51,6 +51,17 @@ type DrillReport struct {
 	HealedDelivered   int64    // raises delivered after the heal
 }
 
+// ExactlyOnce reports whether the lossy phase applied every raise at most
+// once: each application fired the handler once, every acknowledged raise
+// (delivered, or deduped because a retry landed after the original) was
+// applied, and the only applications beyond those are raises the sender
+// timed out on after B had applied them — the acknowledgement was what the
+// wire lost.
+func (r *DrillReport) ExactlyOnce() bool {
+	acked := r.LossyDelivered + r.LossyDeduped
+	return r.LossyApplied == r.LossyFired && acked <= r.LossyApplied && r.LossyApplied <= acked+r.LossyTimedOut
+}
+
 // RemoteRig is the two-machine bench the drill and the remote smoke gates
 // share: A raises across the wire into the receiver served on B.
 type RemoteRig struct {
