@@ -2,10 +2,16 @@ package dispatch
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
+	"spin/internal/admit"
 	"spin/internal/codegen"
+	"spin/internal/fault"
 	"spin/internal/rtti"
+	"spin/internal/trace"
+	"spin/internal/vtime"
 )
 
 // Test fixtures: a module, events of various shapes, and handler builders.
@@ -620,5 +626,95 @@ func TestBindingStringIsInformative(t *testing.T) {
 	// Strand-style String on Order values via the binding accessors.
 	if b.Order().Kind != Unordered {
 		t.Fatal("fresh binding has a constraint")
+	}
+}
+
+// TestControlChargeIsOneRecompile pins the metered price of every control
+// operation. An operation on the paper's installation workload costs
+// exactly one plan regeneration over the bindings present after it —
+// PlanCompileBase + n·PlanCompileBinding (§3.1) — and operator and
+// controller operations (quarantine, readmission, degradation, tracing,
+// admission, migration) are uncharged. A double recompile, or a flipped
+// charge bit on any path, moves an AccountEvents delta.
+func TestControlChargeIsOneRecompile(t *testing.T) {
+	clock := &vtime.Clock{}
+	cpu := vtime.NewCPU(clock, vtime.AlphaModel())
+	sim := vtime.NewSimulator(clock)
+	d := New(WithCPU(cpu), WithSimulator(sim),
+		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}),
+		WithAdmission(AdmissionConfig{Levels: []admit.Level{{Name: "brownout", MinPriority: 1}}}))
+	nop := func(any, []any) any { return nil }
+	h := func(name string) Handler { return handler(voidProc(name, rtti.Word), nop) }
+	e := mustDefine(t, d, "C.Charge", rtti.Sig(nil, rtti.Word), WithIntrinsic(h("Intr")))
+	src := mustDefine(t, d, "C.Src", rtti.Sig(nil, rtti.Word))
+	ext := rtti.NewModule("Ext")
+	var bs []*Binding
+	for i := 0; i < 4; i++ {
+		b, err := e.Install(h(fmt.Sprintf("H%d", i)), WithPriority(i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs = append(bs, b)
+	}
+	x, err := e.Install(Handler{Proc: &rtti.Proc{Name: "X", Module: ext, Sig: rtti.Sig(nil, rtti.Word)}, Fn: nop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := cpu.Model()
+	g := Guard{Pred: codegen.ArgEq(0, 1)}
+	tr := trace.New(trace.Config{})
+	pol := admit.Policy{Depth: 4}
+	var nb *Binding
+	for _, tc := range []struct {
+		name    string
+		charged bool
+		op      func() error
+	}{
+		{"Install", true, func() (err error) { nb, err = e.Install(h("New")); return }},
+		{"SetOrder", true, func() error { return e.SetOrder(nb, Order{Kind: OrderFirst}) }},
+		{"Uninstall", true, func() error { return e.Uninstall(nb) }},
+		{"SetDefaultHandler set", true, func() error { return e.SetDefaultHandler(h("D1")) }},
+		{"SetDefaultHandler replace", true, func() error { return e.SetDefaultHandler(h("D2")) }},
+		{"SetDefaultHandler clear", true, func() error { return e.SetDefaultHandler(Handler{}) }},
+		{"SetResultHandler", true, func() error { return e.SetResultHandler(func(_, r any, _ int) any { return r }) }},
+		{"ImposeGuard", true, func() error { return e.ImposeGuard(bs[0], g, testModule) }},
+		{"RemoveImposedGuards", true, func() error { return e.RemoveImposedGuards(bs[0], testModule) }},
+		{"QuarantineBinding", false, func() error { d.QuarantineBinding(bs[1]); return nil }},
+		{"ReadmitBinding", false, func() error { d.ReadmitBinding(bs[1]); return nil }},
+		{"QuarantineModule", false, func() error { d.QuarantineModule(ext); return nil }},
+		{"ReadmitModule", false, func() error { d.ReadmitModule(ext); return nil }},
+		{"ForceDegradationLevel up", false, func() error { d.ForceDegradationLevel(1); return nil }},
+		{"ForceDegradationLevel down", false, func() error { d.ForceDegradationLevel(0); return nil }},
+		{"Trace on", false, func() error { e.Trace(tr); return nil }},
+		{"Trace off", false, func() error { e.Trace(nil); return nil }},
+		{"SetAdmission on", false, func() error { e.SetAdmission(&pol); return nil }},
+		{"SetAdmission off", false, func() error { e.SetAdmission(nil); return nil }},
+		{"MigrateControls", false, func() error { src.MigrateControls(e); return nil }},
+		{"MigrateImposedGuards", false, func() error { return e.MigrateImposedGuards(bs[2], []Guard{g}) }},
+		{"fault probation and restore", false, func() error {
+			if !d.faults.ledger.Observe(bs[3], nil, fault.Record{Kind: fault.KindPanic}).Quarantine {
+				return errors.New("ledger did not quarantine")
+			}
+			d.faults.quarantine(bs[3], fault.Action{Quarantine: true, Backoff: time.Millisecond})
+			sim.Run(0)
+			return nil
+		}},
+	} {
+		before := cpu.Total(vtime.AccountEvents)
+		if err := tc.op(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := cpu.Total(vtime.AccountEvents) - before
+		var want vtime.Duration
+		if tc.charged {
+			want = model.Cost(vtime.PlanCompileBase) +
+				model.Cost(vtime.PlanCompileBinding)*vtime.Duration(len(e.Bindings()))
+		}
+		if got != want {
+			t.Errorf("%s charged %v to AccountEvents, want %v", tc.name, got, want)
+		}
+	}
+	if x.Quarantined() || bs[1].Quarantined() || bs[3].Quarantined() {
+		t.Error("an uncharged operation left a binding quarantined")
 	}
 }
