@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"spin/internal/admit"
+	"spin/internal/journal"
 	"spin/internal/trace"
 	"spin/internal/vtime"
 )
@@ -49,12 +50,9 @@ func WithAdmission(cfg AdmissionConfig) Option {
 // machine) and the dispatch machinery. It owns the shared worker pool —
 // which also backs the default spawner — creates per-event queues, wraps
 // admitted invocations in the supervised run (watchdog, panic capture,
-// retry), and turns the Degrader's level transitions into plan
-// recompilations published through the same atomic swap installs use.
-//
-// Lock order mirrors faultCtl: mu is never held while an event's mutex is
-// taken. applyMu serializes level application separately so a transition
-// can walk every event without holding mu across the walk.
+// retry), and turns the Degrader's level transitions into commits (see
+// Event.commit). applyMu serializes level application, so a transition
+// can sweep every event without holding mu across the sweep.
 type admitCtl struct {
 	d          *Dispatcher
 	pool       *admit.Pool
@@ -183,13 +181,9 @@ func (a *admitCtl) observe() {
 		rate = float64(dShd) / float64(dSub)
 	}
 	from, to, changed := a.degrader.Observe(depth, rate)
-	var name string
-	if changed {
-		name = a.degrader.LevelName(to)
-	}
 	a.mu.Unlock()
 	if changed {
-		a.applyLevel(from, to, name)
+		a.applyLevel(from, to)
 	}
 }
 
@@ -199,33 +193,25 @@ func (a *admitCtl) observe() {
 // compiled back in. The minimum disabled priority is re-read under mu at
 // apply time, so racing transitions each apply the controller's current
 // truth and the last application wins.
-func (a *admitCtl) applyLevel(from, to int, name string) {
+func (a *admitCtl) applyLevel(from, to int) {
 	a.applyMu.Lock()
 	defer a.applyMu.Unlock()
 	a.mu.Lock()
 	minPri := a.degrader.MinPriority()
 	cur := a.degrader.Level()
+	name := a.degrader.LevelName(to)
 	a.mu.Unlock()
 	a.level.Store(int32(cur))
-	for _, e := range a.d.Events() {
-		e.mu.Lock()
-		changed := false
-		for _, b := range e.bindings {
-			want := minPri > 0 && b.priority >= minPri
-			if b.degraded.Load() != want {
-				b.degraded.Store(want)
-				changed = true
-			}
+	a.d.sweep(func(t *txn, b *Binding) {
+		if want := minPri > 0 && b.priority >= minPri; b.degraded.Load() != want {
+			b.degraded.Store(want)
+			t.stale = true
 		}
-		if changed {
-			e.recompile(false)
-		}
-		e.mu.Unlock()
-	}
+	})
 	if t := a.d.tracer; t != nil {
 		t.Degrade(from, to, name)
 	}
-	a.d.journalDegrade(from, to, name)
+	a.d.record(journal.Record{Kind: journal.KindDegrade, Event: name, A: int64(from), B: int64(to)})
 }
 
 // supervised wraps one admitted handler invocation as pool work: panic

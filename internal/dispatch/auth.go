@@ -103,10 +103,10 @@ func (e *Event) InstallAuthorizer(fn AuthorizerFn, proof *rtti.Module) error {
 	if err := e.checkAuthority(proof); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.authorizer = fn
-	return nil
+	return e.commit(false, func(t *txn) error {
+		t.authorizer = fn
+		return nil
+	})
 }
 
 // ImposeGuard lets the event's authority attach a guard to an existing
@@ -116,20 +116,14 @@ func (e *Event) ImposeGuard(b *Binding, g Guard, proof *rtti.Module) error {
 	if err := e.checkAuthority(proof); err != nil {
 		return err
 	}
-	if b == nil || b.event != e {
-		return ErrNotInstalled
-	}
-	if err := e.checkGuard(g); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !b.installed {
-		return ErrNotInstalled
-	}
-	b.setImposed(append(b.imposed, g))
-	e.recompile(true)
-	return nil
+	return e.commitOn(b, true, func(t *txn) error {
+		if err := e.checkGuard(g); err != nil {
+			return err
+		}
+		b.setImposed(append(b.imposed, g))
+		t.stale = true
+		return nil
+	})
 }
 
 // RemoveImposedGuards clears all guards the authority imposed on b.
@@ -137,17 +131,11 @@ func (e *Event) RemoveImposedGuards(b *Binding, proof *rtti.Module) error {
 	if err := e.checkAuthority(proof); err != nil {
 		return err
 	}
-	if b == nil || b.event != e {
-		return ErrNotInstalled
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !b.installed {
-		return ErrNotInstalled
-	}
-	b.setImposed(nil)
-	e.recompile(true)
-	return nil
+	return e.commitOn(b, true, func(t *txn) error {
+		b.setImposed(nil)
+		t.stale = true
+		return nil
+	})
 }
 
 // checkAuthority verifies the presented module descriptor is the event's
@@ -160,21 +148,21 @@ func (e *Event) checkAuthority(proof *rtti.Module) error {
 	return nil
 }
 
-// authorizeLocked submits an operation to the event's authorizer. Caller
-// holds e.mu. Events without an authorizer allow everything, matching the
-// paper's default-open posture within a linked domain (link-time
-// authorization is the outer gate; see internal/linker).
-func (e *Event) authorizeLocked(op AuthOp, b *Binding) error {
-	if e.authorizer == nil {
+// authorize submits an operation to the event's authorizer. Events
+// without an authorizer allow everything, matching the paper's
+// default-open posture within a linked domain (link-time authorization is
+// the outer gate; see internal/linker).
+func (t *txn) authorize(op AuthOp, b *Binding) error {
+	if t.authorizer == nil {
 		return nil
 	}
-	req := &AuthRequest{Event: e, Op: op, Binding: b}
+	req := &AuthRequest{Event: (*Event)(t), Op: op, Binding: b}
 	if b != nil {
 		req.Requestor = b.Installer()
 		req.Credential = b.credential
 	}
-	if !e.authorizer(req) {
-		return fmt.Errorf("%w: %v on %s", ErrDenied, op, e.name)
+	if !t.authorizer(req) {
+		return fmt.Errorf("%w: %v on %s", ErrDenied, op, t.name)
 	}
 	return nil
 }

@@ -229,16 +229,7 @@ func (e *Event) raiseBatchLoop(frames []ArgFrame) BatchOutcome {
 func (e *Event) raiseBatchAsync(frames []ArgFrame) BatchOutcome {
 	var out BatchOutcome
 	n := len(frames)
-	if e.sig.HasResult() {
-		e.mu.Lock()
-		hasDefault := e.defaultB != nil
-		e.mu.Unlock()
-		if !hasDefault {
-			out.Rejected = n
-			return out
-		}
-	}
-	if e.sig.HasByRef() {
+	if (e.sig.HasResult() && e.DefaultBinding() == nil) || e.sig.HasByRef() {
 		out.Rejected = n
 		return out
 	}

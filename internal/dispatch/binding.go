@@ -143,13 +143,13 @@ type Binding struct {
 	journalID uint64
 	// quarantined marks a binding compiled out of its event's plan by the
 	// fault controller; recompile skips it until probation re-admits it.
-	// Atomic because the readmission timer flips it off-lock-order with
-	// fault observation (see faultctl.go).
+	// Flipped only inside a commit (txn.quarantine, txn.readmit); atomic
+	// because Quarantined reads it without the event's mutex.
 	quarantined atomic.Bool
 	// degraded marks a binding compiled out of its event's plan by the
 	// overload controller (its priority class is disabled at the current
-	// degradation level). Atomic for the same reason quarantined is: the
-	// controller flips it while walking events off the fault lock order.
+	// degradation level). Flipped only inside a commit, read lock-free by
+	// Degraded, like quarantined.
 	degraded atomic.Bool
 	// fired is striped: it is incremented on every firing of a hot
 	// binding, potentially from many cores at once (see stripe.go).

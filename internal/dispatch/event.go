@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,6 +55,9 @@ type Event struct {
 	// steps pass through the bounded admission queue. Guarded by mu for
 	// the same reason tracer is: the published plan carries the decision.
 	admitQ *admit.Queue
+	// stale marks the published plan as out of date with the fields
+	// above; set by a commit's mutations, consumed by its recompile.
+	stale bool
 
 	plan atomic.Pointer[codegen.Plan]
 
@@ -137,8 +141,7 @@ func (d *Dispatcher) DefineEvent(name string, sig rtti.Signature, opts ...EventO
 		if h.Proc.Module != nil {
 			e.authority = h.Proc.Module
 		}
-		e.intrinsic = &Binding{event: e, handler: h, intrinsic: true, installed: true}
-		e.bindings = append(e.bindings, e.intrinsic)
+		e.intrinsic = &Binding{event: e, handler: h, intrinsic: true}
 	}
 
 	d.mu.Lock()
@@ -149,15 +152,16 @@ func (d *Dispatcher) DefineEvent(name string, sig rtti.Signature, opts ...EventO
 	d.events[name] = e
 	// Intrinsic handlers — most procedures in the system — are defined
 	// without any runtime overhead (§3.1), so the initial plan compiles
-	// uncharged.
-	e.recompile(false)
-	if e.intrinsic != nil {
-		// The intrinsic binding is journaled like any install (marked
-		// FlagIntrinsic); replay binds its ID to the binding DefineEvent
-		// creates instead of re-installing.
-		d.journalInstall(e, e.intrinsic)
-	}
-	return e, nil
+	// uncharged. The intrinsic binding is journaled like any install
+	// (marked FlagIntrinsic); replay binds its ID to the binding
+	// DefineEvent creates instead of re-installing.
+	return e, e.commit(false, func(t *txn) error {
+		t.stale = true
+		if t.intrinsic != nil {
+			return t.install(t.intrinsic)
+		}
+		return nil
+	})
 }
 
 // Name returns the event's qualified name.
@@ -198,16 +202,7 @@ func (e *Event) Bindings() []*Binding {
 func (e *Event) Position(b *Binding) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.positionLocked(b)
-}
-
-func (e *Event) positionLocked(b *Binding) int {
-	for i, x := range e.bindings {
-		if x == b {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(e.bindings, b)
 }
 
 // Plan returns the currently published dispatch plan (for tests and
@@ -221,15 +216,13 @@ func (e *Event) Plan() *codegen.Plan { return e.plan.Load() }
 // blocks a raise. A nil t restores the untraced routine, returning the hot
 // path to its zero-extra-cost form.
 func (e *Event) Trace(t *trace.Tracer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tracer == t {
-		return
-	}
-	e.tracer = t
 	// Uncharged: toggling observability is operator tooling, not the
 	// paper's installation workload.
-	e.recompile(false)
+	_ = e.commit(false, func(tx *txn) error {
+		tx.stale = tx.tracer != t
+		tx.tracer = t
+		return nil
+	})
 }
 
 // Tracer returns the event's current tracer, or nil when untraced.
@@ -239,10 +232,82 @@ func (e *Event) Tracer() *trace.Tracer {
 	return e.tracer
 }
 
-// recompile regenerates and publishes the dispatch plan. The caller holds
-// e.mu (or is the defining call, before the event escapes). When charge is
-// true the O(n) regeneration cost is metered, accumulating to the paper's
-// O(n^2) total installation overhead.
+// txn is an Event inside commit: the same value, with e.mu held. Its
+// methods are the control plane's mutations — install, retire,
+// quarantine, readmit — and its binding-scoped journal emitter, so none
+// of them can run outside a commit.
+type txn Event
+
+// commit is the control plane's one transaction. Every operation that
+// changes what an event dispatches — Install, Uninstall, SetOrder, the
+// default and result handlers, imposed guards, Trace, SetAdmission,
+// quarantine and readmission (operator, fault controller, module),
+// degradation, migration, RemoveEvent — is one call:
+//
+//  1. take e.mu;
+//  2. run fn, whose txn methods mutate the event, mark the plan stale,
+//     and emit the operation's journal records in the order they run
+//     (the operation's spans are emitted from fn too);
+//  3. if fn succeeded and left the plan stale, regenerate and publish
+//     it exactly once — metered when charge is set, the paper's
+//     installation workload (§3.1) — before releasing e.mu.
+//
+// So the journal orders each event's records the way the event committed
+// them, and raises never wait: they finish on the plan they loaded.
+// Records that belong to no event (quotas, module markers, degradation,
+// shard moves) go through Dispatcher.record instead.
+//
+// Lock order: e.mu may be taken under d.mu (DefineEvent) and takes the
+// quota, fault-controller and admission mutexes inside fn; none of those
+// is held while an event's mutex is taken. The fault ledger's Observe
+// returns an Action that the controller commits afterwards, operations
+// that span events commit per event (sweep), and backoff and probation
+// timers run through Dispatcher.afterFunc, so the whole lifecycle is
+// deterministic under the simulator.
+func (e *Event) commit(charge bool, fn func(*txn) error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.stale = false
+	if err := fn((*txn)(e)); err != nil || !e.stale {
+		return err
+	}
+	e.recompile(charge)
+	return nil
+}
+
+// commitOn is commit for an operation on b, which must still be installed
+// on e: otherwise it returns ErrNotInstalled and fn never runs. A binding
+// that left its event is no longer the control plane's business — a
+// record after its uninstall record would make the journal unreplayable.
+func (e *Event) commitOn(b *Binding, charge bool, fn func(*txn) error) error {
+	if b == nil || b.event != e {
+		return ErrNotInstalled
+	}
+	return e.commit(charge, func(t *txn) error {
+		if !b.installed {
+			return ErrNotInstalled
+		}
+		return fn(t)
+	})
+}
+
+// sweep commits fn over every binding of every event, one uncharged
+// transaction per event: the shape of the operations that span events
+// (module quarantine and readmission, degradation levels).
+func (d *Dispatcher) sweep(fn func(t *txn, b *Binding)) {
+	for _, e := range d.Events() {
+		_ = e.commit(false, func(t *txn) error {
+			for _, b := range t.bindings {
+				fn(t, b)
+			}
+			return nil
+		})
+	}
+}
+
+// recompile regenerates and publishes the dispatch plan; only commit
+// calls it. When charge is true the O(n) regeneration cost is metered,
+// accumulating to the paper's O(n^2) total installation overhead.
 func (e *Event) recompile(charge bool) {
 	specs := make([]*codegen.Binding, 0, len(e.bindings))
 	for _, b := range e.bindings {
@@ -311,13 +376,8 @@ func (e *Event) RaiseAsync(args ...any) error {
 	if err := e.checkArgs(args); err != nil {
 		return err
 	}
-	if e.sig.HasResult() {
-		e.mu.Lock()
-		hasDefault := e.defaultB != nil
-		e.mu.Unlock()
-		if !hasDefault {
-			return fmt.Errorf("%w: %s", ErrAsyncNeedsDefault, e.name)
-		}
+	if e.sig.HasResult() && e.DefaultBinding() == nil {
+		return fmt.Errorf("%w: %s", ErrAsyncNeedsDefault, e.name)
 	}
 	if e.sig.HasByRef() {
 		return fmt.Errorf("%w: %s", ErrAsyncByRef, e.name)
@@ -343,19 +403,16 @@ func (e *Event) RaiseAsync(args ...any) error {
 // published with the same atomic swap installs use, so raises in flight
 // finish on the plan they loaded and the toggle never blocks a raise.
 func (e *Event) SetAdmission(pol *admit.Policy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if pol == nil {
-		if e.admitQ == nil {
-			return
-		}
-		e.admitQ = nil
-	} else {
-		e.admitQ = e.d.admit.newQueue(e.name, *pol)
-	}
 	// Uncharged, like Trace: toggling overload control is operator
 	// tooling, not the paper's installation workload.
-	e.recompile(false)
+	_ = e.commit(false, func(t *txn) error {
+		t.stale = pol != nil || t.admitQ != nil
+		t.admitQ = nil
+		if pol != nil {
+			t.admitQ = t.d.admit.newQueue(t.name, *pol)
+		}
+		return nil
+	})
 }
 
 // AdmissionQueue returns the admission queue compiled into the event's

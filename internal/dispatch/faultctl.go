@@ -15,15 +15,7 @@ import (
 // that carries its decisions out. It implements codegen.FaultHook, so a
 // plan compiled with protection delivers recovered panics and metered
 // handler costs here; the controller turns the ledger's verdicts into plan
-// recompilations (quarantine, readmission) published through the same
-// atomic swap installs use.
-//
-// Lock order: the ledger's mutex is never held while an event's mutex is
-// taken — Observe returns an Action and the controller acts on it
-// afterwards; the ledger is consulted under an event's mutex, as Uninstall
-// does. Readmission and probation timers run through
-// Dispatcher.afterFunc, so the whole lifecycle is deterministic under the
-// simulator.
+// commits (quarantine, readmission; see Event.commit).
 type faultCtl struct {
 	d       *Dispatcher
 	ledger  *fault.Ledger
@@ -49,12 +41,7 @@ func newFaultCtl(d *Dispatcher, pol fault.Policy) *faultCtl {
 // filter, and default-handler panics recovered inside a protected plan.
 func (f *faultCtl) HandlerPanic(tag, val any, stack []byte) {
 	b, _ := tag.(*Binding)
-	f.observe(b, fault.Record{
-		Kind:   fault.KindPanic,
-		Origin: fault.OriginHandler,
-		Value:  val,
-		Stack:  stack,
-	})
+	f.handlerPanic(b, val, stack)
 }
 
 // GuardPanic implements codegen.FaultHook for out-of-line guard panics.
@@ -150,31 +137,22 @@ func (f *faultCtl) observe(b *Binding, r fault.Record) {
 }
 
 // quarantine compiles b out of its event's plan and schedules probation
-// after the action's backoff. Like every lifecycle transition it commits
-// under the event's mutex — recompile, span and journal record together —
-// so the journal orders it against a concurrent Uninstall the way the
-// event did. A binding that faulted on its way out (it uninstalled itself,
-// or lost the race to an uninstall) is no longer the ledger's business: a
-// quarantine record after its uninstall record would make the journal
-// unreplayable.
+// after the action's backoff. A binding that faulted on its way out (it
+// uninstalled itself, or lost the race to an uninstall) is no longer the
+// ledger's business: the commit refuses it, and the entry this fault
+// re-created after Uninstall dropped it goes too.
 func (f *faultCtl) quarantine(b *Binding, act fault.Action) {
-	e := b.event
-	e.mu.Lock()
-	if !b.installed {
-		f.ledger.Forget(b) // the entry this fault re-created after Uninstall dropped it
-		e.mu.Unlock()
+	flipped := false
+	if err := b.event.commitOn(b, false, func(t *txn) error {
+		if flipped = t.quarantine(b, act.Level); flipped && f.d.tracer != nil {
+			f.d.tracer.Quarantine(t.name, b.HandlerName(), act.Level)
+		}
+		return nil
+	}); err != nil {
+		f.ledger.Forget(b)
 		return
 	}
-	already := b.quarantined.Swap(true)
-	if !already {
-		e.recompile(false)
-		if t := f.d.tracer; t != nil {
-			t.Quarantine(e.name, b.HandlerName(), act.Level)
-		}
-		f.d.journalBinding(journal.KindQuarantine, b, int64(act.Level))
-	}
-	e.mu.Unlock()
-	if !already {
+	if flipped {
 		f.d.afterFunc(act.Backoff, func() { f.readmit(b) })
 	}
 }
@@ -184,19 +162,16 @@ func (f *faultCtl) quarantine(b *Binding, act fault.Action) {
 // restores it to full health. A binding uninstalled while quarantined has
 // been forgotten by the ledger, so the timer finds nothing to do.
 func (f *faultCtl) readmit(b *Binding) {
-	e := b.event
-	e.mu.Lock()
-	ok := b.installed && f.ledger.Readmit(b)
-	if ok {
-		if b.quarantined.Swap(false) {
-			e.recompile(false)
+	ok := false
+	_ = b.event.commitOn(b, false, func(t *txn) error {
+		if ok = f.ledger.Readmit(b); ok {
+			t.readmit(b, journal.KindProbation)
+			if tr := f.d.tracer; tr != nil {
+				tr.Probation(t.name, b.HandlerName(), false)
+			}
 		}
-		if t := f.d.tracer; t != nil {
-			t.Probation(e.name, b.HandlerName(), false)
-		}
-		f.d.journalBinding(journal.KindProbation, b, 0)
-	}
-	e.mu.Unlock()
+		return nil
+	})
 	if ok {
 		f.d.afterFunc(f.policy.Probation, func() { f.restore(b) })
 	}
@@ -204,15 +179,35 @@ func (f *faultCtl) readmit(b *Binding) {
 
 // restore ends a clean probation period.
 func (f *faultCtl) restore(b *Binding) {
-	e := b.event
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if b.installed && f.ledger.Restore(b) {
-		if t := f.d.tracer; t != nil {
-			t.Probation(e.name, b.HandlerName(), true)
+	_ = b.event.commitOn(b, false, func(t *txn) error {
+		if f.ledger.Restore(b) {
+			if tr := f.d.tracer; tr != nil {
+				tr.Probation(t.name, b.HandlerName(), true)
+			}
+			t.record(journal.KindRestore, b, 0)
 		}
-		f.d.journalBinding(journal.KindRestore, b, 0)
+		return nil
+	})
+}
+
+// quarantine compiles b out of the plan and journals it at level;
+// false when b was already out.
+func (t *txn) quarantine(b *Binding, level int) bool {
+	if b.quarantined.Swap(true) {
+		return false
 	}
+	t.stale = true
+	t.record(journal.KindQuarantine, b, int64(level))
+	return true
+}
+
+// readmit compiles b back into the plan if it was out and journals kind:
+// a restore, or the fault controller's probation.
+func (t *txn) readmit(b *Binding, kind journal.Kind) {
+	if b.quarantined.Swap(false) {
+		t.stale = true
+	}
+	t.record(kind, b, 0)
 }
 
 // moduleQuarantined reports whether m is currently denied installations.
@@ -239,6 +234,20 @@ func (f *faultCtl) quarantineModule(m *rtti.Module, act fault.Action) {
 	})
 }
 
+// setModuleDenied changes only the install-denial set: module quarantine
+// and readmission flip it before sweeping the bindings, and replay of a
+// module marker flips only it (the per-binding compile-outs a module
+// operation caused are replayed from their own records).
+func (d *Dispatcher) setModuleDenied(m *rtti.Module, denied bool) {
+	d.faults.mu.Lock()
+	if denied {
+		d.faults.qModules[m] = true
+	} else {
+		delete(d.faults.qModules, m)
+	}
+	d.faults.mu.Unlock()
+}
+
 // QuarantineModule compiles every binding installed by m out of its
 // event's plan and denies the module new installations until
 // ReadmitModule. It returns the number of bindings quarantined. Kernels
@@ -248,29 +257,17 @@ func (d *Dispatcher) QuarantineModule(m *rtti.Module) int {
 	if m == nil {
 		return 0
 	}
-	d.faults.mu.Lock()
-	d.faults.qModules[m] = true
-	d.faults.mu.Unlock()
+	d.setModuleDenied(m, true)
 	// Journaled as effects, not intents: one module marker (the
 	// install-denial set) plus a per-binding record for every binding the
 	// operation actually flips, so replay never re-derives the walk.
-	d.journalModule(journal.KindModuleQuarantine, m, 0)
+	d.record(journal.Record{Kind: journal.KindModuleQuarantine, Module: m.Name()})
 	n := 0
-	for _, e := range d.Events() {
-		e.mu.Lock()
-		changed := false
-		for _, b := range e.bindings {
-			if b.Installer() == m && !b.quarantined.Swap(true) {
-				n++
-				changed = true
-				d.journalBinding(journal.KindQuarantine, b, 0)
-			}
+	d.sweep(func(t *txn, b *Binding) {
+		if b.Installer() == m && t.quarantine(b, 0) {
+			n++
 		}
-		if changed {
-			e.recompile(false)
-		}
-		e.mu.Unlock()
-	}
+	})
 	return n
 }
 
@@ -282,34 +279,18 @@ func (d *Dispatcher) ReadmitModule(m *rtti.Module) int {
 	if m == nil {
 		return 0
 	}
-	d.faults.mu.Lock()
-	delete(d.faults.qModules, m)
-	d.faults.mu.Unlock()
+	d.setModuleDenied(m, false)
 	// Move the module's ledger entry (if the module budget put it there)
 	// to probation, so a relapse can re-quarantine at the next level.
 	d.faults.ledger.Readmit(m)
-	d.journalModule(journal.KindModuleReadmit, m, 0)
+	d.record(journal.Record{Kind: journal.KindModuleReadmit, Module: m.Name()})
 	n := 0
-	for _, e := range d.Events() {
-		e.mu.Lock()
-		changed := false
-		for _, b := range e.bindings {
-			if b.Installer() != m || !b.quarantined.Load() {
-				continue
-			}
-			if d.faults.ledger.State(b) == fault.Quarantined {
-				continue // individual quarantine outlives the module's
-			}
-			b.quarantined.Store(false)
+	d.sweep(func(t *txn, b *Binding) {
+		if b.Installer() == m && b.quarantined.Load() && d.faults.ledger.State(b) != fault.Quarantined {
+			t.readmit(b, journal.KindRestore)
 			n++
-			changed = true
-			d.journalBinding(journal.KindRestore, b, 0)
 		}
-		if changed {
-			e.recompile(false)
-		}
-		e.mu.Unlock()
-	}
+	})
 	return n
 }
 

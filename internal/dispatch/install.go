@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"spin/internal/journal"
@@ -211,89 +212,124 @@ func (e *Event) Install(h Handler, opts ...InstallOption) (*Binding, error) {
 		priority:   cfg.priority,
 	}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// A module under fault quarantine may not install new handlers until
-	// it is re-admitted (see faultctl.go).
-	if e.d.faults.moduleQuarantined(b.Installer()) {
-		e.traceRejectLocked(trace.RejectFault, b)
-		return nil, fmt.Errorf("%w: %s", ErrModuleQuarantined, b.Installer().Name())
-	}
-	// Resource accounting (§2.6 "Too many handlers"): the installation
-	// is charged to the installing module before the authorizer sees it.
-	if err := e.d.quota.charge(b.Installer()); err != nil {
-		e.traceRejectLocked(trace.RejectQuota, b)
-		return nil, err
-	}
-	// Admission accounting: a module that declared an async quota on its
-	// rtti descriptor may not hold more asynchronous bindings than it
-	// promised (§2.6's resource accounting extended to threads of control).
-	if b.async {
-		if err := e.d.quota.chargeAsync(b.Installer()); err != nil {
-			e.d.quota.release(b.Installer())
-			e.traceRejectLocked(trace.RejectQuota, b)
-			return nil, err
+	err := e.commit(true, func(t *txn) error {
+		// A module under fault quarantine may not install new handlers
+		// until it is re-admitted (see faultctl.go).
+		if t.d.faults.moduleQuarantined(b.Installer()) {
+			t.traceReject(trace.RejectFault, b)
+			return fmt.Errorf("%w: %s", ErrModuleQuarantined, b.Installer().Name())
 		}
-	}
-	if err := e.authorizeLocked(OpInstall, b); err != nil {
-		e.releaseQuotasLocked(b)
-		e.traceRejectLocked(trace.RejectAuth, b)
+		// Resource accounting (§2.6 "Too many handlers"): the installation
+		// is charged to the installing module before the authorizer sees it.
+		if err := t.d.quota.charge(b.Installer()); err != nil {
+			t.traceReject(trace.RejectQuota, b)
+			return err
+		}
+		// Admission accounting: a module that declared an async quota on its
+		// rtti descriptor may not hold more asynchronous bindings than it
+		// promised (§2.6's resource accounting extended to threads of control).
+		if b.async {
+			if err := t.d.quota.chargeAsync(b.Installer()); err != nil {
+				t.d.quota.release(b.Installer())
+				t.traceReject(trace.RejectQuota, b)
+				return err
+			}
+		}
+		if err := t.authorize(OpInstall, b); err != nil {
+			t.releaseQuotas(b)
+			t.traceReject(trace.RejectAuth, b)
+			return err
+		}
+		if err := t.install(b); err != nil {
+			t.releaseQuotas(b)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := e.insertLocked(b); err != nil {
-		e.releaseQuotasLocked(b)
-		return nil, err
-	}
-	b.installed = true
-	e.recompile(true)
-	e.d.journalInstall(e, b)
 	return b, nil
 }
 
-// releaseQuotasLocked returns b's installation and admission accounting.
-func (e *Event) releaseQuotasLocked(b *Binding) {
-	e.d.quota.release(b.Installer())
+// install puts b on the event — into the handler list per its ordering
+// constraint, or into the default slot — and journals it.
+func (t *txn) install(b *Binding) error {
+	if b.isDefault {
+		t.defaultB = b
+	} else if err := t.insert(b); err != nil {
+		return err
+	}
+	b.installed = true
+	t.stale = true
+	t.record(journal.KindInstall, b, 0)
+	return nil
+}
+
+// retire takes b off the event the way every departure does — Uninstall,
+// a replaced or cleared default handler, RemoveEvent: out of the handler
+// list (its installation accounting returned) or the default slot, no
+// longer installed, forgotten by the fault ledger (a pending readmission
+// timer then finds nothing to do), its uninstall journaled.
+func (t *txn) retire(b *Binding) {
+	if b.isDefault {
+		t.defaultB = nil
+	} else {
+		i := slices.Index(t.bindings, b)
+		t.bindings = append(t.bindings[:i], t.bindings[i+1:]...)
+		if !b.intrinsic {
+			t.releaseQuotas(b)
+		}
+	}
+	b.installed = false
+	t.d.faults.ledger.Forget(b)
+	t.stale = true
+	t.record(journal.KindUninstall, b, 0)
+}
+
+// releaseQuotas returns b's installation and admission accounting.
+func (t *txn) releaseQuotas(b *Binding) {
+	t.d.quota.release(b.Installer())
 	if b.async {
-		e.d.quota.releaseAsync(b.Installer())
+		t.d.quota.releaseAsync(b.Installer())
 	}
 }
 
-// traceRejectLocked records a control-plane rejection span for a denied
+// traceReject records a control-plane rejection span for a denied
 // installation, labelled with the rejected handler's installing module.
-// Caller holds e.mu.
-func (e *Event) traceRejectLocked(reason trace.RejectReason, b *Binding) {
-	if e.tracer == nil {
+func (t *txn) traceReject(reason trace.RejectReason, b *Binding) {
+	if t.tracer == nil {
 		return
 	}
 	module := b.HandlerName()
 	if m := b.Installer(); m != nil {
 		module = m.Name()
 	}
-	e.tracer.Reject(e.name, reason, module)
+	t.tracer.Reject(t.name, reason, module)
 }
 
-// insertLocked places b into the handler list per its ordering constraint.
-func (e *Event) insertLocked(b *Binding) error {
+// insert places b into the handler list per its ordering constraint.
+func (t *txn) insert(b *Binding) error {
 	switch b.order.Kind {
 	case OrderFirst:
-		e.bindings = append([]*Binding{b}, e.bindings...)
+		t.bindings = append([]*Binding{b}, t.bindings...)
 	case Unordered, OrderLast:
-		e.bindings = append(e.bindings, b)
+		t.bindings = append(t.bindings, b)
 	case OrderBefore, OrderAfter:
 		ref := b.order.Ref
-		if ref == nil || ref.event != e {
-			return fmt.Errorf("%w: event %s", ErrOrderRef, e.name)
+		if ref == nil || ref.event != (*Event)(t) {
+			return fmt.Errorf("%w: event %s", ErrOrderRef, t.name)
 		}
-		i := e.positionLocked(ref)
+		i := slices.Index(t.bindings, ref)
 		if i < 0 {
-			return fmt.Errorf("%w: reference binding removed from %s", ErrOrderRef, e.name)
+			return fmt.Errorf("%w: reference binding removed from %s", ErrOrderRef, t.name)
 		}
 		if b.order.Kind == OrderAfter {
 			i++
 		}
-		e.bindings = append(e.bindings, nil)
-		copy(e.bindings[i+1:], e.bindings[i:])
-		e.bindings[i] = b
+		t.bindings = append(t.bindings, nil)
+		copy(t.bindings[i+1:], t.bindings[i:])
+		t.bindings[i] = b
 	default:
 		return fmt.Errorf("dispatch: unknown ordering constraint %v", b.order.Kind)
 	}
@@ -304,65 +340,43 @@ func (e *Event) insertLocked(b *Binding) error {
 // binding is the paper's idiom for replacing a procedure's implementation:
 // deregister the intrinsic handler, then register an alternate one (§2.1).
 func (e *Event) Uninstall(b *Binding) error {
-	if b == nil || b.event != e {
-		return ErrNotInstalled
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !b.installed {
-		return ErrNotInstalled
-	}
-	if err := e.authorizeLocked(OpUninstall, b); err != nil {
-		return err
-	}
-	i := e.positionLocked(b)
-	if i < 0 {
-		return ErrNotInstalled
-	}
-	e.bindings = append(e.bindings[:i], e.bindings[i+1:]...)
-	b.installed = false
-	if !b.intrinsic {
-		e.releaseQuotasLocked(b)
-	}
-	// Drop the binding's fault-ledger entry: a pending readmission timer
-	// finds the entry gone and does nothing.
-	e.d.faults.ledger.Forget(b)
-	e.recompile(true)
-	e.d.journalBinding(journal.KindUninstall, b, 0)
-	return nil
+	return e.commitOn(b, true, func(t *txn) error {
+		if err := t.authorize(OpUninstall, b); err != nil {
+			return err
+		}
+		if b.isDefault {
+			return ErrNotInstalled // the default slot is SetDefaultHandler's
+		}
+		t.retire(b)
+		return nil
+	})
 }
 
 // SetOrder dynamically changes a binding's ordering constraint and
 // repositions it (§2.3: "the dispatcher allows the ordering constraints
 // associated with a given handler to be queried and dynamically changed").
 func (e *Event) SetOrder(b *Binding, o Order) error {
-	if b == nil || b.event != e {
-		return ErrNotInstalled
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !b.installed {
-		return ErrNotInstalled
-	}
-	if (o.Kind == OrderBefore || o.Kind == OrderAfter) && o.Ref == b {
-		return fmt.Errorf("%w: binding ordered against itself", ErrOrderRef)
-	}
-	i := e.positionLocked(b)
-	if i < 0 {
-		return ErrNotInstalled
-	}
-	e.bindings = append(e.bindings[:i], e.bindings[i+1:]...)
-	b.order = o
-	if err := e.insertLocked(b); err != nil {
-		// Restore the previous position on failure.
-		e.bindings = append(e.bindings, nil)
-		copy(e.bindings[i+1:], e.bindings[i:])
-		e.bindings[i] = b
-		return err
-	}
-	e.recompile(true)
-	e.d.journalSetOrder(e, b)
-	return nil
+	return e.commitOn(b, true, func(t *txn) error {
+		if (o.Kind == OrderBefore || o.Kind == OrderAfter) && o.Ref == b {
+			return fmt.Errorf("%w: binding ordered against itself", ErrOrderRef)
+		}
+		i := slices.Index(t.bindings, b)
+		if i < 0 {
+			return ErrNotInstalled
+		}
+		t.bindings = append(t.bindings[:i], t.bindings[i+1:]...)
+		b.order = o
+		if err := t.insert(b); err != nil {
+			// Restore the previous position on failure.
+			t.bindings = append(t.bindings, nil)
+			copy(t.bindings[i+1:], t.bindings[i:])
+			t.bindings[i] = b
+			return err
+		}
+		t.stale = true
+		t.record(journal.KindSetOrder, b, 0)
+		return nil
+	})
 }
 
 // SetDefaultHandler installs the handler that executes only when no other
@@ -370,54 +384,41 @@ func (e *Event) SetOrder(b *Binding, o Order) error {
 // clears the default handler. The operation is submitted to the event's
 // authorizer.
 func (e *Event) SetDefaultHandler(h Handler) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if h.Fn == nil && h.CtxFn == nil && h.Inline == nil {
-		if err := e.authorizeLocked(OpSetDefault, nil); err != nil {
+	var b *Binding
+	if h.Fn != nil || h.CtxFn != nil || h.Inline != nil {
+		if err := checkHandlerImpl(h); err != nil {
 			return err
 		}
-		e.replaceDefaultLocked(nil)
-		return nil
+		if err := h.Proc.CheckHandler(e.sig, nil); err != nil {
+			return err
+		}
+		b = &Binding{event: e, handler: h, isDefault: true}
 	}
-	if err := checkHandlerImpl(h); err != nil {
-		return err
-	}
-	if err := h.Proc.CheckHandler(e.sig, nil); err != nil {
-		return err
-	}
-	b := &Binding{event: e, handler: h, isDefault: true, installed: true}
-	if err := e.authorizeLocked(OpSetDefault, b); err != nil {
-		return err
-	}
-	e.replaceDefaultLocked(b)
-	e.d.journalInstall(e, b)
-	return nil
-}
-
-// replaceDefaultLocked swaps the default-handler binding for b (nil clears
-// it) and retires the old one the way Uninstall retires a binding: not
-// installed, forgotten by the fault ledger, its uninstall journaled.
-func (e *Event) replaceDefaultLocked(b *Binding) {
-	old := e.defaultB
-	e.defaultB = b
-	e.recompile(true)
-	if old != nil {
-		old.installed = false
-		e.d.faults.ledger.Forget(old)
-		e.d.journalBinding(journal.KindUninstall, old, 0)
-	}
+	return e.commit(true, func(t *txn) error {
+		if err := t.authorize(OpSetDefault, b); err != nil {
+			return err
+		}
+		if old := t.defaultB; old != nil {
+			t.retire(old)
+		}
+		t.stale = true // a clear with nothing to clear still regenerates
+		if b == nil {
+			return nil
+		}
+		return t.install(b)
+	})
 }
 
 // SetResultHandler installs the function that merges multiple handler
 // results; it is called separately for each result (§2.3 "Handling
 // results"). A nil fn clears it.
 func (e *Event) SetResultHandler(fn ResultFn) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.authorizeLocked(OpSetResult, nil); err != nil {
-		return err
-	}
-	e.resultFn = fn
-	e.recompile(true)
-	return nil
+	return e.commit(true, func(t *txn) error {
+		if err := t.authorize(OpSetResult, nil); err != nil {
+			return err
+		}
+		t.resultFn = fn
+		t.stale = true
+		return nil
+	})
 }

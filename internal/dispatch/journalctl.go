@@ -10,14 +10,11 @@ import (
 
 // This file is the dispatcher's journal controller: the bridge between
 // the mechanism-free journal (internal/journal) and the dispatch
-// machinery, mirroring faultctl.go and admitctl.go. Lifecycle transitions
-// — installs, uninstalls, ordering changes, quarantine and readmission,
-// degradation-level transitions, quota changes — are emitted as journal
-// records at the point the dispatcher commits them (under the event's
-// mutex, so journal order matches commit order per event); sampled raise
-// records are drawn on the hot path through the journal compiled into
-// each plan. Boot-time replay re-drives a sealed journal through the
-// normal control plane (ReplayApplier), reconstructing the full
+// machinery. Lifecycle transitions are journaled by the commit that makes
+// them (see Event.commit); sampled raise records are drawn on the hot
+// path through the journal compiled into each plan. Boot-time replay
+// re-drives a sealed journal through the normal control plane
+// (ReplayApplier), reconstructing the full
 // binding/quarantine/quota/degradation state.
 //
 // What is deliberately NOT journaled: result handlers, authorizers, and
@@ -47,9 +44,7 @@ func (d *Dispatcher) Journal() *journal.Journal { return d.jrnl }
 // would duplicate records with fresh IDs).
 func (d *Dispatcher) journalOn() bool { return d.jrnl != nil && !d.jmuted.Load() }
 
-// journalFlags encodes b's shape and ordering constraint into install
-// flags. dispatch.OrderKind values coincide with the journal's ordering
-// encoding (0 unordered, 1 first, 2 last, 3 before, 4 after).
+// journalFlags encodes b's shape into install flags.
 func journalFlags(b *Binding) uint32 {
 	var f uint32
 	if b.async {
@@ -67,123 +62,65 @@ func journalFlags(b *Binding) uint32 {
 	if b.isDefault {
 		f |= journal.FlagDefault
 	}
-	f |= uint32(b.order.Kind) << journal.OrderShift
 	return f
 }
 
-// journalInstall assigns b its journal ID and emits the install record.
-// Caller holds the event's mutex, or the binding has not escaped yet
-// (DefineEvent's intrinsic).
-func (d *Dispatcher) journalInstall(e *Event, b *Binding) {
+// record journals one lifecycle record about b: its install (which
+// assigns b its journal ID and carries its shape, ordering, priority and
+// deadline), uninstall, ordering change, or quarantine transition (a is
+// the quarantine level). dispatch.OrderKind values coincide with the
+// journal's ordering encoding (0 unordered, 1 first, 2 last, 3 before,
+// 4 after).
+func (t *txn) record(kind journal.Kind, b *Binding, a int64) {
+	d := t.d
 	if !d.journalOn() {
 		return
 	}
-	if b.journalID == 0 {
+	if kind == journal.KindInstall && b.journalID == 0 {
 		b.journalID = d.jseq.Add(1)
 	}
-	rec := journal.Record{
-		Kind:     journal.KindInstall,
-		ID:       b.journalID,
-		Event:    e.name,
-		Handler:  b.HandlerName(),
-		Flags:    journalFlags(b),
-		Priority: int32(b.priority),
-		A:        int64(b.deadline),
+	if b.journalID == 0 {
+		return
 	}
-	if m := b.Installer(); m != nil {
-		rec.Module = m.Name()
+	rec := journal.Record{Kind: kind, ID: b.journalID, Event: t.name, A: a}
+	switch kind {
+	case journal.KindInstall:
+		rec.Flags, rec.Priority, rec.A = journalFlags(b), int32(b.priority), int64(b.deadline)
+		fallthrough
+	case journal.KindSetOrder:
+		rec.Flags |= uint32(b.order.Kind) << journal.OrderShift
+		if ref := b.order.Ref; ref != nil {
+			rec.RefID = ref.journalID
+		}
 	}
-	if ref := b.order.Ref; ref != nil {
-		rec.RefID = ref.journalID
+	if kind != journal.KindSetOrder {
+		rec.Handler = b.HandlerName()
+		if m := b.Installer(); m != nil {
+			rec.Module = m.Name()
+		}
 	}
 	d.jrnl.Record(rec)
 }
 
-// journalBinding emits one binding-referencing lifecycle record
-// (uninstall, quarantine, probation, restore).
-func (d *Dispatcher) journalBinding(kind journal.Kind, b *Binding, a int64) {
-	if !d.journalOn() || b.journalID == 0 {
-		return
+// record journals a record that belongs to no event: a quota change, a
+// module quarantine marker, a degradation transition, a shard move.
+func (d *Dispatcher) record(rec journal.Record) {
+	if d.journalOn() {
+		d.jrnl.Record(rec)
 	}
-	rec := journal.Record{
-		Kind:    kind,
-		ID:      b.journalID,
-		Event:   b.event.name,
-		Handler: b.HandlerName(),
-		A:       a,
-	}
-	if m := b.Installer(); m != nil {
-		rec.Module = m.Name()
-	}
-	d.jrnl.Record(rec)
-}
-
-// journalSetOrder emits a dynamic ordering change for b, capturing the
-// new constraint the way install records do. Caller holds e.mu.
-func (d *Dispatcher) journalSetOrder(e *Event, b *Binding) {
-	if !d.journalOn() || b.journalID == 0 {
-		return
-	}
-	rec := journal.Record{
-		Kind:  journal.KindSetOrder,
-		ID:    b.journalID,
-		Event: e.name,
-		Flags: uint32(b.order.Kind) << journal.OrderShift,
-	}
-	if ref := b.order.Ref; ref != nil {
-		rec.RefID = ref.journalID
-	}
-	d.jrnl.Record(rec)
-}
-
-// journalModule emits a module-level quarantine marker. The journal
-// records effects, not intents: the marker carries only the
-// install-denial set change, and the per-binding flips a module operation
-// caused are emitted as individual KindQuarantine/KindRestore records, so
-// replay never re-derives which bindings a module operation touched.
-func (d *Dispatcher) journalModule(kind journal.Kind, m *rtti.Module, a int64) {
-	if !d.journalOn() || m == nil {
-		return
-	}
-	d.jrnl.Record(journal.Record{Kind: kind, Module: m.Name(), A: a})
-}
-
-// journalDegrade emits a degradation-level transition.
-func (d *Dispatcher) journalDegrade(from, to int, name string) {
-	if !d.journalOn() {
-		return
-	}
-	d.jrnl.Record(journal.Record{
-		Kind:  journal.KindDegrade,
-		Event: name,
-		A:     int64(from),
-		B:     int64(to),
-	})
-}
-
-// journalQuota emits a runtime quota change.
-func (d *Dispatcher) journalQuota(perModule, global int) {
-	if !d.journalOn() {
-		return
-	}
-	d.jrnl.Record(journal.Record{
-		Kind: journal.KindQuota,
-		A:    int64(perModule),
-		B:    int64(global),
-	})
 }
 
 // SetQuotas changes the installation quotas at runtime (zero disables a
 // limit) and journals the change, so a replayed boot re-establishes the
 // same resource-accounting regime before replaying the installs it
-// governed. Construction-time quotas (WithHandlerQuota, WithHandlerLimit)
-// are boot configuration and are not journaled.
+// governed. The construction-time quota (WithHandlerQuota) is boot
+// configuration and is not journaled.
 func (d *Dispatcher) SetQuotas(perModule, global int) {
 	d.quota.mu.Lock()
 	d.quota.perModule = perModule
 	d.quota.global = global
 	d.quota.mu.Unlock()
-	d.journalQuota(perModule, global)
+	d.record(journal.Record{Kind: journal.KindQuota, A: int64(perModule), B: int64(global)})
 }
 
 // Quotas returns the current installation quota limits (zero =
@@ -200,35 +137,29 @@ func (d *Dispatcher) Quotas() (perModule, global int) {
 // out until ReadmitBinding. Returns false if b was already quarantined or
 // has left its event (a record after its uninstall could not be replayed).
 func (d *Dispatcher) QuarantineBinding(b *Binding) bool {
-	if b == nil {
-		return false
+	flipped := false
+	if b != nil {
+		_ = b.event.commitOn(b, false, func(t *txn) error {
+			flipped = t.quarantine(b, 0)
+			return nil
+		})
 	}
-	e := b.event
-	e.mu.Lock()
-	already := !b.installed || b.quarantined.Swap(true)
-	if !already {
-		e.recompile(false)
-		d.journalBinding(journal.KindQuarantine, b, 0)
-	}
-	e.mu.Unlock()
-	return !already
+	return flipped
 }
 
 // ReadmitBinding compiles a quarantined binding back into its event's
 // plan, clearing any fault- or operator-driven quarantine. Returns false
 // if b was not quarantined or has left its event.
 func (d *Dispatcher) ReadmitBinding(b *Binding) bool {
-	if b == nil {
-		return false
+	was := false
+	if b != nil {
+		_ = b.event.commitOn(b, false, func(t *txn) error {
+			if was = b.quarantined.Load(); was {
+				t.readmit(b, journal.KindRestore)
+			}
+			return nil
+		})
 	}
-	e := b.event
-	e.mu.Lock()
-	was := b.installed && b.quarantined.Swap(false)
-	if was {
-		e.recompile(false)
-		d.journalBinding(journal.KindRestore, b, 0)
-	}
-	e.mu.Unlock()
 	return was
 }
 
@@ -246,28 +177,11 @@ func (d *Dispatcher) ForceDegradationLevel(level int) (from, to int, changed boo
 	}
 	a.mu.Lock()
 	from, to, changed = a.degrader.Force(level)
-	var name string
-	if changed {
-		name = a.degrader.LevelName(to)
-	}
 	a.mu.Unlock()
 	if changed {
-		a.applyLevel(from, to, name)
+		a.applyLevel(from, to)
 	}
 	return from, to, changed
-}
-
-// setModuleDenied is the replay path for module quarantine markers: it
-// changes only the install-denial set. The per-binding compile-outs a
-// module operation caused are replayed from their own records.
-func (d *Dispatcher) setModuleDenied(m *rtti.Module, denied bool) {
-	d.faults.mu.Lock()
-	if denied {
-		d.faults.qModules[m] = true
-	} else {
-		delete(d.faults.qModules, m)
-	}
-	d.faults.mu.Unlock()
 }
 
 // JournalResolve maps a journaled (module, handler) name pair back to
@@ -341,45 +255,34 @@ func (ra *ReplayApplier) noteID(id uint64) {
 // Apply implements journal.Applier.
 func (ra *ReplayApplier) Apply(rec journal.Record) error {
 	d := ra.d
+	var b *Binding
+	switch rec.Kind {
+	case journal.KindUninstall, journal.KindSetOrder, journal.KindQuarantine, journal.KindProbation, journal.KindRestore:
+		if b = ra.bindings[rec.ID]; b == nil {
+			return fmt.Errorf("%s of unknown binding %d", rec.Kind, rec.ID)
+		}
+	}
 	switch rec.Kind {
 	case journal.KindInstall:
 		return ra.applyInstall(rec)
 	case journal.KindUninstall:
-		b := ra.bindings[rec.ID]
-		if b == nil {
-			return fmt.Errorf("uninstall of unknown binding %d", rec.ID)
-		}
 		delete(ra.bindings, rec.ID)
 		if b.isDefault {
 			return b.event.SetDefaultHandler(Handler{})
 		}
 		return b.event.Uninstall(b)
 	case journal.KindSetOrder:
-		b := ra.bindings[rec.ID]
-		if b == nil {
-			return fmt.Errorf("set-order of unknown binding %d", rec.ID)
-		}
 		o := Order{Kind: OrderKind(journal.OrderKind(rec.Flags))}
 		if o.Kind == OrderBefore || o.Kind == OrderAfter {
-			ref := ra.bindings[rec.RefID]
-			if ref == nil {
+			if o.Ref = ra.bindings[rec.RefID]; o.Ref == nil {
 				return fmt.Errorf("set-order of %d against unknown binding %d", rec.ID, rec.RefID)
 			}
-			o.Ref = ref
 		}
 		return b.event.SetOrder(b, o)
 	case journal.KindQuarantine:
-		b := ra.bindings[rec.ID]
-		if b == nil {
-			return fmt.Errorf("quarantine of unknown binding %d", rec.ID)
-		}
 		d.QuarantineBinding(b)
 		return nil
 	case journal.KindProbation, journal.KindRestore:
-		b := ra.bindings[rec.ID]
-		if b == nil {
-			return fmt.Errorf("%s of unknown binding %d", rec.Kind, rec.ID)
-		}
 		d.ReadmitBinding(b)
 		return nil
 	case journal.KindModuleQuarantine, journal.KindModuleReadmit:
@@ -401,11 +304,9 @@ func (ra *ReplayApplier) Apply(rec journal.Record) error {
 	case journal.KindQuota:
 		d.SetQuotas(int(rec.A), int(rec.B))
 		return nil
-	case journal.KindRaise:
-		return nil // statistical; nothing to re-drive
-	case journal.KindShardMove:
-		// An audit marker: the departures and arrivals it explains are
-		// replayed from their own uninstall/install records.
+	case journal.KindRaise, journal.KindShardMove:
+		// Statistical samples and audit markers: nothing to re-drive (a
+		// move's departures and arrivals replay from their own records).
 		return nil
 	}
 	return fmt.Errorf("unexpected record kind %v", rec.Kind)
@@ -414,41 +315,40 @@ func (ra *ReplayApplier) Apply(rec journal.Record) error {
 // applyInstall replays one install record: intrinsic installs bind the
 // journal ID to the binding DefineEvent already created; default and
 // regular installs resolve the handler and re-drive the live install
-// path.
+// path. The replayed binding adopts the record's ID.
 func (ra *ReplayApplier) applyInstall(rec journal.Record) error {
-	d := ra.d
-	e, ok := d.Lookup(rec.Event)
+	e, ok := ra.d.Lookup(rec.Event)
 	if !ok {
 		return fmt.Errorf("unknown event %q", rec.Event)
 	}
 	ra.noteID(rec.ID)
-	if rec.Flags&journal.FlagIntrinsic != 0 {
-		b := e.IntrinsicBinding()
-		if b == nil {
-			return fmt.Errorf("event %q has no intrinsic binding", rec.Event)
-		}
+	b, err := ra.install(e, rec)
+	if err != nil {
+		return err
+	}
+	ra.bindings[rec.ID] = b
+	return e.commitOn(b, false, func(*txn) error {
 		if b.journalID == 0 {
 			b.journalID = rec.ID
 		}
-		ra.bindings[rec.ID] = b
 		return nil
+	})
+}
+
+// install re-drives one install record through the live control plane.
+func (ra *ReplayApplier) install(e *Event, rec journal.Record) (*Binding, error) {
+	if rec.Flags&journal.FlagIntrinsic != 0 {
+		return e.replayIntrinsic()
 	}
 	h, ropts, ok := ra.resolve(rec.Module, rec.Handler)
 	if !ok {
-		return fmt.Errorf("no handler for %s.%s (resolver)", rec.Module, rec.Handler)
+		return nil, fmt.Errorf("no handler for %s.%s (resolver)", rec.Module, rec.Handler)
 	}
 	if rec.Flags&journal.FlagDefault != 0 {
 		if err := e.SetDefaultHandler(h); err != nil {
-			return err
+			return nil, err
 		}
-		e.mu.Lock()
-		b := e.defaultB
-		if b != nil && b.journalID == 0 {
-			b.journalID = rec.ID
-		}
-		e.mu.Unlock()
-		ra.bindings[rec.ID] = b
-		return nil
+		return e.DefaultBinding(), nil
 	}
 	opts := append([]InstallOption(nil), ropts...)
 	if rec.Flags&journal.FlagAsync != 0 {
@@ -474,7 +374,7 @@ func (ra *ReplayApplier) applyInstall(rec journal.Record) error {
 	case int(OrderBefore), int(OrderAfter):
 		ref := ra.bindings[rec.RefID]
 		if ref == nil {
-			return fmt.Errorf("install %d orders against unknown binding %d", rec.ID, rec.RefID)
+			return nil, fmt.Errorf("install %d orders against unknown binding %d", rec.ID, rec.RefID)
 		}
 		if journal.OrderKind(rec.Flags) == int(OrderBefore) {
 			opts = append(opts, Before(ref))
@@ -482,15 +382,27 @@ func (ra *ReplayApplier) applyInstall(rec journal.Record) error {
 			opts = append(opts, After(ref))
 		}
 	}
-	b, err := e.Install(h, opts...)
-	if err != nil {
-		return err
-	}
-	if b.journalID == 0 {
-		b.journalID = rec.ID
-	}
-	ra.bindings[rec.ID] = b
-	return nil
+	return e.Install(h, opts...)
+}
+
+// replayIntrinsic returns the intrinsic binding a replayed FlagIntrinsic
+// install names. When a replayed RemoveEvent retired it — the event moved
+// to another shard — the record is the event's re-definition (it moved
+// back): the intrinsic is installed afresh, first on the emptied handler
+// list, as DefineEvent installed it.
+func (e *Event) replayIntrinsic() (b *Binding, err error) {
+	err = e.commit(false, func(t *txn) error {
+		if b = t.intrinsic; b == nil {
+			return fmt.Errorf("event %q has no intrinsic binding", t.name)
+		}
+		if b.installed {
+			return nil
+		}
+		b = &Binding{event: e, handler: b.handler, intrinsic: true}
+		t.intrinsic = b
+		return t.install(b)
+	})
+	return b, err
 }
 
 // ReplayJournal reconstructs the dispatcher's binding, quarantine, quota,

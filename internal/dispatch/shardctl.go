@@ -11,8 +11,8 @@ import (
 // protocol when online resharding transfers an event from one dispatcher
 // shard to another. Like QuarantineBinding/ReadmitBinding they bypass the
 // event's authorizer — a shard move is infrastructure relocating state it
-// already holds, not a module requesting new rights — but they journal
-// through the normal emission paths so each shard's journal remains
+// already holds, not a module requesting new rights — but they commit like
+// every other control operation, so each shard's journal remains
 // independently replayable.
 
 // DefaultBinding returns the event's default-handler binding, or nil when
@@ -31,11 +31,11 @@ func (e *Event) MigrateControls(src *Event) {
 	src.mu.Lock()
 	rf, auth := src.resultFn, src.authorizer
 	src.mu.Unlock()
-	e.mu.Lock()
-	e.resultFn = rf
-	e.authorizer = auth
-	e.recompile(false)
-	e.mu.Unlock()
+	_ = e.commit(false, func(t *txn) error {
+		t.resultFn, t.authorizer = rf, auth
+		t.stale = true
+		return nil
+	})
 }
 
 // MigrateImposedGuards attaches authority-imposed guards to b without an
@@ -44,20 +44,13 @@ func (e *Event) MigrateControls(src *Event) {
 // move cannot shed restrictions the authority placed. Uncharged, like the
 // other operator recompiles.
 func (e *Event) MigrateImposedGuards(b *Binding, gs []Guard) error {
-	if b == nil || b.event != e {
-		return ErrNotInstalled
-	}
-	if len(gs) == 0 {
+	return e.commitOn(b, false, func(t *txn) error {
+		if len(gs) > 0 {
+			b.setImposed(append(b.imposed, gs...))
+			t.stale = true
+		}
 		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !b.installed {
-		return ErrNotInstalled
-	}
-	b.setImposed(append(b.imposed, gs...))
-	e.recompile(false)
-	return nil
+	})
 }
 
 // RemoveEvent retires a defined event: every binding (intrinsic, regular,
@@ -73,32 +66,22 @@ func (e *Event) MigrateImposedGuards(b *Binding, gs []Guard) error {
 func (d *Dispatcher) RemoveEvent(name string) error {
 	d.mu.Lock()
 	e, ok := d.events[name]
-	if ok {
-		delete(d.events, name)
-	}
+	delete(d.events, name)
 	d.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("dispatch: remove of undefined event %s", name)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, b := range e.bindings {
-		b.installed = false
-		if !b.intrinsic {
-			e.releaseQuotasLocked(b)
+	return e.commit(false, func(t *txn) error {
+		for len(t.bindings) > 0 {
+			t.retire(t.bindings[0])
 		}
-		d.faults.ledger.Forget(b)
-		d.journalBinding(journal.KindUninstall, b, 0)
-	}
-	e.bindings = nil
-	e.intrinsic = nil
-	if old := e.defaultB; old != nil {
-		e.defaultB = nil
-		old.installed = false
-		d.faults.ledger.Forget(old)
-		d.journalBinding(journal.KindUninstall, old, 0)
-	}
-	return nil
+		if t.defaultB != nil {
+			t.retire(t.defaultB)
+		}
+		t.intrinsic = nil
+		t.stale = false // the last plan stays published (above)
+		return nil
+	})
 }
 
 // JournalShardMove emits the resharding audit marker: event moved from
@@ -107,13 +90,5 @@ func (d *Dispatcher) RemoveEvent(name string) error {
 // the move itself emits, so each journal explains why a population of
 // bindings departed or arrived.
 func (d *Dispatcher) JournalShardMove(event string, from, to int) {
-	if !d.journalOn() {
-		return
-	}
-	d.jrnl.Record(journal.Record{
-		Kind:  journal.KindShardMove,
-		Event: event,
-		A:     int64(from),
-		B:     int64(to),
-	})
+	d.record(journal.Record{Kind: journal.KindShardMove, Event: event, A: int64(from), B: int64(to)})
 }

@@ -377,3 +377,83 @@ func TestReshardShrink(t *testing.T) {
 		t.Fatalf("post-shrink raises fired %d, want 32", len(log))
 	}
 }
+
+// TestReshardIntrinsicRoundTripReplays: intrinsic events that leave shard
+// 0 and come back (1 → 3 → 1 shards) must leave shard 0's journal
+// replayable into a twin that boots the same events with their intrinsic
+// handlers. The departure retires the intrinsic and the re-definition
+// installs a fresh one; replay must reproduce both, so the live shard, the
+// twin and the journal's State oracle agree on every event's dispatch
+// order.
+func TestReshardIntrinsicRoundTripReplays(t *testing.T) {
+	var sink0 *journal.MemSink
+	var j0 *journal.Journal
+	r, err := NewRouter(Config{Shards: 1, NewShard: func(id int) *dispatch.Dispatcher {
+		sink := journal.NewMemSink()
+		j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
+		t.Cleanup(func() { j.Close() })
+		if id == 0 {
+			sink0, j0 = sink, j
+		}
+		return dispatch.New(dispatch.WithJournal(j))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	var names []string
+	for i := 0; i < 24; i++ {
+		name := fmt.Sprintf("RT.%02d", i)
+		names = append(names, name)
+		e := mustDefine(t, r, name, dispatch.WithIntrinsic(rec(name+".intr", &log)))
+		if _, err := e.Install(rec(name+".first", &log), dispatch.First()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Install(rec(name+".last", &log)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{3, 1} {
+		if moved, err := r.Reshard(n); err != nil || moved == 0 {
+			t.Fatalf("Reshard(%d) moved %d: %v", n, moved, err)
+		}
+	}
+	j0.Flush()
+	data := sink0.Bytes()
+
+	st := journal.NewState()
+	if _, err := journal.Replay(data, st); err != nil {
+		t.Fatalf("State replay: %v", err)
+	}
+	twin := dispatch.New()
+	for _, name := range names {
+		if _, err := twin.DefineEvent(name, sig1(), dispatch.WithIntrinsic(rec(name+".intr", &log))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolve := func(module, handler string) (dispatch.Handler, []dispatch.InstallOption, bool) {
+		return rec(handler, &log), nil, true
+	}
+	if _, _, err := twin.ReplayJournal(data, resolve); err != nil {
+		t.Fatalf("shard 0 journal does not replay: %v", err)
+	}
+
+	liveOrder := func(d *dispatch.Dispatcher, name string) []uint64 {
+		e, ok := d.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not defined", name)
+		}
+		var ids []uint64
+		for _, b := range e.Bindings() {
+			ids = append(ids, b.JournalID())
+		}
+		return ids
+	}
+	shard0 := r.shards[0].Dispatcher()
+	for _, name := range names {
+		live, replayed, oracle := liveOrder(shard0, name), liveOrder(twin, name), st.Bindings(name)
+		if fmt.Sprint(live) != fmt.Sprint(replayed) || fmt.Sprint(replayed) != fmt.Sprint(oracle) {
+			t.Errorf("%s order diverged: live %v, twin %v, oracle %v", name, live, replayed, oracle)
+		}
+	}
+}
