@@ -50,13 +50,6 @@ func WithHandlerQuota(perModule int) Option {
 	return func(d *Dispatcher) { d.quota.perModule = perModule }
 }
 
-// WithHandlerLimit bounds the total number of simultaneously installed
-// handlers across the dispatcher — the analog of denying installations
-// when kernel memory runs low. Zero means unlimited.
-func WithHandlerLimit(global int) Option {
-	return func(d *Dispatcher) { d.quota.global = global }
-}
-
 // charge accounts one installation to m, denying it if a limit would be
 // exceeded. Anonymous handlers (nil module) count only against the global
 // ceiling.

@@ -62,7 +62,10 @@ func TestQuotaSpansEvents(t *testing.T) {
 }
 
 func TestGlobalHandlerLimit(t *testing.T) {
-	d := New(WithHandlerLimit(3))
+	// The global ceiling — the analog of denying installations when kernel
+	// memory runs low — is the runtime SetQuotas limit.
+	d := New()
+	d.SetQuotas(0, 3)
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil))
 	mods := []*rtti.Module{rtti.NewModule("A"), rtti.NewModule("B"),
 		rtti.NewModule("C"), rtti.NewModule("D")}
@@ -83,7 +86,8 @@ func TestGlobalHandlerLimit(t *testing.T) {
 }
 
 func TestIntrinsicExemptFromQuota(t *testing.T) {
-	d := New(WithHandlerQuota(1), WithHandlerLimit(1))
+	d := New(WithHandlerQuota(1))
+	d.SetQuotas(1, 1)
 	// Defining events with intrinsic handlers never hits the quota.
 	for _, name := range []string{"M.P1", "M.P2", "M.P3"} {
 		_, err := d.DefineEvent(name, rtti.Sig(nil), WithIntrinsic(handler(
