@@ -43,8 +43,10 @@ alloccheck:
 build:
 	$(GO) build ./...
 
+# Shuffled, like every gate below that runs the whole tree: a test that
+# leans on another's leftovers fails here rather than on a reorder.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 # The one race gate: the whole tree under the race detector, twice, with no
 # name selection — a renamed test cannot leave it. Plan swaps race against
@@ -54,7 +56,7 @@ test:
 # commit and replay, the remote breaker/dedup/partition drills and the
 # reshard differential all run here.
 race:
-	$(GO) test -race -count=2 ./...
+	$(GO) test -race -shuffle=on -count=2 ./...
 
 # A short differential-fuzzing pass over the dispatch code generator: the
 # optimized plans (peephole, reordering, inlining, bypass, guard index,
