@@ -1,15 +1,14 @@
 package spin
 
-// Benchmark-regression smoke gate for the specialized inline plan. It is
-// opt-in (SPIN_BENCH_SMOKE=1, `make benchsmoke`) because it measures native
-// time: absolute ns/op vary wildly across hosts, so the gate compares the
-// *ratio* of the inline plan to the single-handler bypass on the same
-// machine in the same process — the quantity the specialization work
-// optimizes and BENCH_dispatch.json records — and fails if it regresses
-// more than 25% past the committed figure.
+// Benchmark-regression smoke gates. They are opt-in (SPIN_BENCH_SMOKE=1,
+// `make benchsmoke`) because they measure native time: absolute ns/op vary
+// wildly across hosts, so each gate compares the *ratio* of two shapes
+// measured on the same machine in the same process against a committed
+// figure. The figures were recorded on a 1-core host when each gate
+// landed; their history is in CHANGES.md.
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -22,45 +21,46 @@ import (
 	"spin/internal/shard"
 )
 
-// smokeTrajectory is the subset of the BENCH_dispatch.json schema the gate
-// reads: the most recent entry carrying a native.smoke section wins.
-type smokeTrajectory struct {
-	Entries []struct {
-		Date   string `json:"date"`
-		Native struct {
-			Smoke *struct {
-				InlineBypassRatio float64 `json:"inline_bypass_ratio"`
-				TolerancePct      float64 `json:"tolerance_pct"`
-				// Batch64SingleRatio is a floor, not a midpoint: a
-				// 64-frame RaiseBatch1 train on the bypass shape must
-				// sustain at least this multiple of single-raise
-				// throughput. Tolerance is baked into the figure.
-				Batch64SingleRatio float64 `json:"batch64_single_ratio"`
-				// RemoteLocalRatio is a ceiling with tolerance baked in: a
-				// local bypass raise on a machine with the remote
-				// subsystem resident (receiver serving, peer constructed,
-				// wire traffic already exchanged) must cost at most this
-				// multiple of the same raise on a machine without it.
-				RemoteLocalRatio float64 `json:"remote_local_ratio"`
-				// ShardRoutedLocalRatio is a ceiling with tolerance baked
-				// in: a synchronous bypass raise through a 4-shard
-				// router's pinned route must cost at most this multiple
-				// of the same raise on a bare dispatcher event.
-				ShardRoutedLocalRatio float64 `json:"shard_routed_local_ratio"`
-			} `json:"smoke"`
-		} `json:"native"`
-	} `json:"entries"`
+const (
+	// inlineBypassRatio is the serial inline-plan/bypass ratio; the gate
+	// fails more than inlineBypassTolerancePct above it.
+	inlineBypassRatio        = 1.72
+	inlineBypassTolerancePct = 25.0
+	// batch64Floor is a floor with tolerance baked in: a 64-frame
+	// RaiseBatch1 train on the bypass shape must sustain at least this
+	// multiple of single-raise throughput (measured 5.39x when committed).
+	batch64Floor = 3.0
+	// remoteCeiling is a ceiling with tolerance baked in: a local bypass
+	// raise on a machine with the remote subsystem resident must cost at
+	// most this multiple of the same raise on a machine without it.
+	remoteCeiling = 1.25
+	// shardCeiling is a ceiling with tolerance baked in: a bypass raise
+	// through a 4-shard router's pinned route must cost at most this
+	// multiple of the same raise on a bare dispatcher event.
+	shardCeiling = 1.15
+)
+
+func requireSmoke(t *testing.T) {
+	t.Helper()
+	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
+		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
+	}
 }
 
-// measureSerialNs runs fn through testing.Benchmark and reports ns/op,
-// failing the test if any iteration allocates (the smoke gate doubles as an
-// allocation tripwire on both shapes).
-func measureSerialNs(t *testing.T, label string, ev *dispatch.Event) float64 {
+// raise1 is the call most gates measure: one synchronous raise of a word.
+func raise1(raise func(any) (any, error)) func() error {
+	return func() error { _, err := raise(uint64(7)); return err }
+}
+
+// measureNs runs raise through testing.Benchmark and reports ns per call,
+// failing the test if a call allocates: every gate doubles as an
+// allocation tripwire on the shapes it measures.
+func measureNs(t *testing.T, label string, raise func() error) float64 {
 	t.Helper()
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.Raise1(uint64(7)); err != nil {
+			if err := raise(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -71,49 +71,50 @@ func measureSerialNs(t *testing.T, label string, ev *dispatch.Event) float64 {
 	return float64(res.T.Nanoseconds()) / float64(res.N)
 }
 
-// TestBenchSmokeInlinePlan is the opt-in perf gate: the specialized
-// inline-plan raise must stay within the committed inline/bypass ratio
-// plus tolerance. Run via `make benchsmoke`.
-func TestBenchSmokeInlinePlan(t *testing.T) {
-	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
-		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
-	}
-
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
-	committed, tolerance := 0.0, 25.0
-	for _, e := range traj.Entries {
-		if s := e.Native.Smoke; s != nil && s.InlineBypassRatio > 0 {
-			committed = s.InlineBypassRatio
-			if s.TolerancePct > 0 {
-				tolerance = s.TolerancePct
-			}
+// bestRatio warms both calls, then measures them interleaved three times,
+// so slow drift (thermal, noisy neighbours) hits both alike, and returns
+// the smallest subject/base ratio of ns per call.
+func bestRatio(t *testing.T, baseLabel string, base func() error, subjLabel string, subj func() error) float64 {
+	t.Helper()
+	measureNs(t, "warmup-"+baseLabel, base)
+	measureNs(t, "warmup-"+subjLabel, subj)
+	best := 0.0
+	for trial := 0; trial < 3; trial++ {
+		baseNs := measureNs(t, baseLabel, base)
+		subjNs := measureNs(t, subjLabel, subj)
+		ratio := subjNs / baseNs
+		t.Logf("trial %d: %s %.1f ns/op, %s %.1f ns/op, ratio %.2fx", trial, baseLabel, baseNs, subjLabel, subjNs, ratio)
+		if best == 0 || ratio < best {
+			best = ratio
 		}
 	}
-	if committed == 0 {
-		t.Fatal("no entry in BENCH_dispatch.json carries native.smoke.inline_bypass_ratio")
-	}
+	return best
+}
 
-	// The bypass shape: one unguarded intrinsic handler, dispatched as a
-	// direct call — the floor the specialized plan is measured against.
+// bypassEvent defines name on d with one unguarded intrinsic handler, the
+// shape dispatched as a direct call.
+func bypassEvent(t *testing.T, d *dispatch.Dispatcher, name string) *dispatch.Event {
+	t.Helper()
 	sig := rtti.Sig(nil, rtti.Word)
-	bd := dispatch.New()
-	bypassEv, err := bd.DefineEvent("Smoke.Bypass", sig, dispatch.WithIntrinsic(dispatch.Handler{
+	ev, err := d.DefineEvent(name, sig, dispatch.WithIntrinsic(dispatch.Handler{
 		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
 		Fn:   func(any, []any) any { return nil },
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ev
+}
+
+// TestBenchSmokeInlinePlan: the specialized inline-plan raise must stay
+// within the committed inline/bypass ratio plus tolerance.
+func TestBenchSmokeInlinePlan(t *testing.T) {
+	requireSmoke(t)
+	bypassEv := bypassEvent(t, dispatch.New(), "Smoke.Bypass")
 
 	// The inline-plan shape mirrors BenchmarkRaiseParallel/inline-plan:
 	// five guarded inline handlers, one word argument, bypass disabled.
+	sig := rtti.Sig(nil, rtti.Word)
 	id := dispatch.New(dispatch.WithCodegenOptions(codegen.Options{DisableBypass: true}))
 	inlineEv, err := id.DefineEvent("Smoke.Inline", sig)
 	if err != nil {
@@ -129,159 +130,51 @@ func TestBenchSmokeInlinePlan(t *testing.T) {
 		}
 	}
 
-	// Warm both paths, then interleave measurements so slow drift (thermal,
-	// noisy neighbors) hits both shapes roughly equally.
-	measureSerialNs(t, "warmup-bypass", bypassEv)
-	measureSerialNs(t, "warmup-inline", inlineEv)
-	bestRatio := 0.0
-	for trial := 0; trial < 3; trial++ {
-		bypassNs := measureSerialNs(t, "bypass", bypassEv)
-		inlineNs := measureSerialNs(t, "inline-plan", inlineEv)
-		ratio := inlineNs / bypassNs
-		t.Logf("trial %d: bypass %.1f ns/op, inline-plan %.1f ns/op, ratio %.2fx", trial, bypassNs, inlineNs, ratio)
-		if bestRatio == 0 || ratio < bestRatio {
-			bestRatio = ratio
-		}
-	}
-
-	limit := committed * (1 + tolerance/100)
-	if bestRatio > limit {
+	ratio := bestRatio(t, "bypass", raise1(bypassEv.Raise1), "inline-plan", raise1(inlineEv.Raise1))
+	if limit := inlineBypassRatio * (1 + inlineBypassTolerancePct/100); ratio > limit {
 		t.Errorf("inline-plan/bypass ratio %.2fx exceeds committed %.2fx + %.0f%% tolerance (%.2fx): specialization regressed",
-			bestRatio, committed, tolerance, limit)
+			ratio, inlineBypassRatio, inlineBypassTolerancePct, limit)
 	}
 }
 
-// measureBatchNs reports per-frame ns for 64-frame RaiseBatch1 trains,
-// failing the test if any iteration allocates: the batched hot path must
-// stay allocation-free just like the single-raise one.
-func measureBatchNs(t *testing.T, label string, ev *dispatch.Event) float64 {
-	t.Helper()
+// TestBenchSmokeBatch: a 64-frame RaiseBatch1 train on the bypass shape
+// must sustain at least batch64Floor times single-raise throughput.
+func TestBenchSmokeBatch(t *testing.T) {
+	requireSmoke(t)
+	ev := bypassEvent(t, dispatch.New(), "Smoke.Batch")
 	const n = 64
 	flat := make([]any, n)
 	for i := range flat {
 		flat[i] = uint64(7)
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i += n {
-			if out := ev.RaiseBatch1(flat); out.Raised != n {
-				b.Fatalf("RaiseBatch1: raised %d of %d", out.Raised, n)
-			}
+	batch := func() error {
+		if out := ev.RaiseBatch1(flat); out.Raised != n {
+			return fmt.Errorf("RaiseBatch1: raised %d of %d", out.Raised, n)
 		}
-	})
-	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("%s: %d allocs/op, want 0", label, allocs)
-	}
-	return float64(res.T.Nanoseconds()) / float64(res.N)
-}
-
-// TestBenchSmokeBatch is the opt-in perf gate for the batched raise
-// ingress: a 64-frame RaiseBatch1 train on the single-handler bypass shape
-// must sustain at least the committed multiple of single-raise throughput
-// (native.smoke.batch64_single_ratio in BENCH_dispatch.json — a floor with
-// tolerance baked in). Run via `make benchsmoke`.
-func TestBenchSmokeBatch(t *testing.T) {
-	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
-		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
+		return nil
 	}
 
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
-	floor := 0.0
-	for _, e := range traj.Entries {
-		if s := e.Native.Smoke; s != nil && s.Batch64SingleRatio > 0 {
-			floor = s.Batch64SingleRatio
-		}
-	}
-	if floor == 0 {
-		t.Fatal("no entry in BENCH_dispatch.json carries native.smoke.batch64_single_ratio")
-	}
-
-	sig := rtti.Sig(nil, rtti.Word)
-	d := dispatch.New()
-	ev, err := d.DefineEvent("Smoke.Batch", sig, dispatch.WithIntrinsic(dispatch.Handler{
-		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
-		Fn:   func(any, []any) any { return nil },
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm both paths, then interleave measurements so slow drift hits the
-	// single and batched measurements roughly equally.
-	measureSerialNs(t, "warmup-single", ev)
-	measureBatchNs(t, "warmup-batch", ev)
-	bestSpeedup := 0.0
-	for trial := 0; trial < 3; trial++ {
-		singleNs := measureSerialNs(t, "single", ev)
-		batchNs := measureBatchNs(t, "batch-64", ev)
-		speedup := singleNs / batchNs
-		t.Logf("trial %d: single %.1f ns/raise, batch-64 %.1f ns/raise, %.2fx", trial, singleNs, batchNs, speedup)
-		if speedup > bestSpeedup {
-			bestSpeedup = speedup
-		}
-	}
-
-	if bestSpeedup < floor {
+	// The ratio is one train over one single raise; the train carries n.
+	speedup := n / bestRatio(t, "single", raise1(ev.Raise1), "batch-64-train", batch)
+	if speedup < batch64Floor {
 		t.Errorf("batch-64 speedup %.2fx is below the committed %.2fx floor: batched ingress regressed",
-			bestSpeedup, floor)
+			speedup, batch64Floor)
 	}
 }
 
-// TestBenchSmokeRemote is the opt-in no-regression gate for the remote
-// subsystem's local path: with a receiver serving, a peer constructed, and
+// TestBenchSmokeRemote: with a receiver serving, a peer constructed, and
 // wire traffic already exchanged on the measured machine, a purely local
-// bypass raise must cost at most the committed multiple
-// (native.smoke.remote_local_ratio, ceiling with tolerance baked in) of
-// the same raise on a machine without the remote subsystem. Run via
-// `make benchsmoke`.
+// bypass raise must cost at most remoteCeiling times the same raise on a
+// machine without the remote subsystem.
 func TestBenchSmokeRemote(t *testing.T) {
-	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
-		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
-	}
-
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
-	ceiling := 0.0
-	for _, e := range traj.Entries {
-		if s := e.Native.Smoke; s != nil && s.RemoteLocalRatio > 0 {
-			ceiling = s.RemoteLocalRatio
-		}
-	}
-	if ceiling == 0 {
-		t.Fatal("no entry in BENCH_dispatch.json carries native.smoke.remote_local_ratio")
-	}
-
-	sig := rtti.Sig(nil, rtti.Word)
-	handler := func(name string) dispatch.Handler {
-		return dispatch.Handler{
-			Proc: &rtti.Proc{Name: name, Module: benchMod, Sig: sig},
-			Fn:   func(any, []any) any { return nil },
-		}
-	}
+	requireSmoke(t)
 
 	// Baseline: a metered machine with no network or remote subsystem.
 	base, err := kernel.Boot(kernel.Config{Name: "base", Metered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseEv, err := base.Dispatcher.DefineEvent("Smoke.Plain", sig,
-		dispatch.WithIntrinsic(handler("Smoke.H")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseEv := bypassEvent(t, base.Dispatcher, "Smoke.Plain")
 
 	// Subject: the two-machine drill rig, warmed with real wire traffic so
 	// the remote subsystem is resident and live, then measured on a local
@@ -293,110 +186,37 @@ func TestBenchSmokeRemote(t *testing.T) {
 	if _, err := rig.WarmPeer(); err != nil {
 		t.Fatal(err)
 	}
-	subjEv, err := rig.A.Dispatcher.DefineEvent("Smoke.Resident", sig,
-		dispatch.WithIntrinsic(handler("Smoke.H")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	subjEv := bypassEvent(t, rig.A.Dispatcher, "Smoke.Resident")
 
-	measureSerialNs(t, "warmup-plain", baseEv)
-	measureSerialNs(t, "warmup-resident", subjEv)
-	bestRatio := 0.0
-	for trial := 0; trial < 3; trial++ {
-		plainNs := measureSerialNs(t, "plain", baseEv)
-		residentNs := measureSerialNs(t, "remote-resident", subjEv)
-		ratio := residentNs / plainNs
-		t.Logf("trial %d: plain %.1f ns/op, remote-resident %.1f ns/op, ratio %.2fx",
-			trial, plainNs, residentNs, ratio)
-		if bestRatio == 0 || ratio < bestRatio {
-			bestRatio = ratio
-		}
-	}
-
-	if bestRatio > ceiling {
+	if ratio := bestRatio(t, "plain", raise1(baseEv.Raise1), "remote-resident", raise1(subjEv.Raise1)); ratio > remoteCeiling {
 		t.Errorf("remote-resident/plain local raise ratio %.2fx exceeds committed %.2fx ceiling: remote subsystem taxes the local path",
-			bestRatio, ceiling)
+			ratio, remoteCeiling)
 	}
 }
 
 // TestBenchSmokeShard is the routing-plane tax gate: a synchronous bypass
 // raise through a routed handle — 4 shards resident, route pinned at
-// definition time — must stay within the committed multiple of the same
-// raise on a bare dispatcher event. The routed path adds exactly one
-// atomic route load and a nil check; the gate keeps it that way.
+// definition time — must cost at most shardCeiling times the same raise on
+// a bare dispatcher event. The routed path adds exactly one atomic route
+// load and a nil check; the gate keeps it that way.
 func TestBenchSmokeShard(t *testing.T) {
-	if os.Getenv("SPIN_BENCH_SMOKE") != "1" {
-		t.Skip("benchmark smoke gate is opt-in: set SPIN_BENCH_SMOKE=1 (make benchsmoke)")
-	}
-
-	raw, err := os.ReadFile("BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("reading trajectory file: %v", err)
-	}
-	var traj smokeTrajectory
-	if err := json.Unmarshal(raw, &traj); err != nil {
-		t.Fatalf("parsing BENCH_dispatch.json: %v", err)
-	}
-	ceiling := 0.0
-	for _, e := range traj.Entries {
-		if s := e.Native.Smoke; s != nil && s.ShardRoutedLocalRatio > 0 {
-			ceiling = s.ShardRoutedLocalRatio
-		}
-	}
-	if ceiling == 0 {
-		t.Fatal("no entry in BENCH_dispatch.json carries native.smoke.shard_routed_local_ratio")
-	}
-
+	requireSmoke(t)
 	sig := rtti.Sig(nil, rtti.Word)
-	intrinsic := dispatch.WithIntrinsic(dispatch.Handler{
-		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
-		Fn:   func(any, []any) any { return nil },
-	})
 	r, err := shard.NewRouter(shard.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	routedEv, err := r.DefineEvent("Smoke.Routed", sig, intrinsic)
+	routedEv, err := r.DefineEvent("Smoke.Routed", sig, dispatch.WithIntrinsic(dispatch.Handler{
+		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
+		Fn:   func(any, []any) any { return nil },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := dispatch.New()
-	plainEv, err := d.DefineEvent("Smoke.Unrouted", sig, intrinsic)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainEv := bypassEvent(t, dispatch.New(), "Smoke.Unrouted")
 
-	measureRouted := func(label string) float64 {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := routedEv.Raise1(uint64(7)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if allocs := res.AllocsPerOp(); allocs != 0 {
-			t.Fatalf("%s: %d allocs/op, want 0", label, allocs)
-		}
-		return float64(res.T.Nanoseconds()) / float64(res.N)
-	}
-
-	measureRouted("warmup-routed")
-	measureSerialNs(t, "warmup-unrouted", plainEv)
-	bestRatio := 0.0
-	for trial := 0; trial < 3; trial++ {
-		plainNs := measureSerialNs(t, "unrouted", plainEv)
-		routedNs := measureRouted("routed")
-		ratio := routedNs / plainNs
-		t.Logf("trial %d: unrouted %.1f ns/op, routed %.1f ns/op, ratio %.2fx",
-			trial, plainNs, routedNs, ratio)
-		if bestRatio == 0 || ratio < bestRatio {
-			bestRatio = ratio
-		}
-	}
-
-	if bestRatio > ceiling {
+	if ratio := bestRatio(t, "unrouted", raise1(plainEv.Raise1), "routed", raise1(routedEv.Raise1)); ratio > shardCeiling {
 		t.Errorf("routed/unrouted bypass raise ratio %.2fx exceeds committed %.2fx ceiling: the routing plane taxes the raise path",
-			bestRatio, ceiling)
+			ratio, shardCeiling)
 	}
 }
