@@ -6,8 +6,8 @@ package spin
 // (linear scaling in handlers, the inline/no-inline gap, the
 // single-handler bypass, O(n^2) installation) on modern hardware. The
 // calibrated virtual-time reproductions, in the paper's microseconds, come
-// from `go run ./cmd/spinbench` and `go run ./cmd/spin doc`, both built on
-// internal/bench and internal/x11.
+// from `go run ./cmd/spin tables` and `go run ./cmd/spin doc`, both built
+// on internal/bench and internal/x11.
 
 import (
 	"fmt"
@@ -411,8 +411,7 @@ func BenchmarkTypedOverhead(b *testing.B) {
 // event — the fast-path target of the zero-allocation work: cached env,
 // striped statistics counters, and no per-raise heap traffic. Run with
 // -cpu 1,2,4,8 to see scaling; the pre-optimization baseline (per-raise
-// env allocation plus shared atomic counters) is recorded in
-// BENCH_dispatch.json.
+// env allocation plus shared atomic counters) is recorded in CHANGES.md.
 func BenchmarkRaiseParallel(b *testing.B) {
 	b.Run("bypass", func(b *testing.B) {
 		for _, args := range []int{0, 2} {

@@ -1,7 +1,8 @@
-// Command spin is the one driver for the repository's drills and
-// inspection tools. Each subcommand takes the flags the stand-alone binary
-// it replaces took:
+// Command spin is the one driver for the repository's paper tables, drills
+// and inspection tools. Each subcommand takes the flags the stand-alone
+// binary it replaces took:
 //
+//	spin tables   the paper's tables and microbenchmarks (model clock)
 //	spin fault    webserver fault-injection drill and quarantine ledger
 //	spin load     overload-control ramp (wall clock)
 //	spin remote   two-machine remote-raise drill
@@ -9,8 +10,8 @@
 //	spin journal  dump, verify or replay a lifecycle journal
 //	spin doc      Table 3 document preview, or -schema reference docs
 //
-// spinbench (the paper's tables) and spinvet (the static verifier) stay
-// separate binaries: CI and `go vet -vettool` address them by name.
+// spinvet (the static verifier) stays a separate binary: `go vet -vettool`
+// addresses it by name.
 package main
 
 import (
@@ -31,6 +32,7 @@ type command struct {
 }
 
 var commands = []command{
+	{"tables", "the paper's tables and microbenchmarks (model clock)", tablesCmd},
 	{"fault", "webserver fault-injection drill and quarantine ledger", faultCmd},
 	{"load", "overload-control ramp (wall clock)", loadCmd},
 	{"remote", "two-machine remote-raise drill", remoteCmd},

@@ -1,6 +1,6 @@
 // Package bench is the shared experiment harness: it reconstructs each of
 // the paper's measurements (§3.1-3.2) against the virtual-time cost model,
-// so cmd/spinbench, the root benchmark suite, and EXPERIMENTS.md all draw
+// so `spin tables`, the root benchmark suite, and EXPERIMENTS.md all draw
 // from the same code.
 package bench
 

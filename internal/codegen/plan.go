@@ -860,7 +860,7 @@ func (p *Plan) Executor(metered bool) string {
 }
 
 // Disassemble renders the plan as pseudo-code, the analog of dumping the
-// generated stub. Used by tests and the spinbench -disasm flag.
+// generated stub. Used by tests and `spin tables -disasm`.
 func (p *Plan) Disassemble() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan %s/%d", p.info.Name, p.info.Arity)

@@ -57,10 +57,10 @@ func TestJournalOffZeroAlloc(t *testing.T) {
 // TestJournalLifecycleOnlyRaiseDoesNotAllocate: attaching a journal with
 // raise sampling disabled (SampleRaises: 0, lifecycle records only) must
 // leave the raise path allocation-free — the compiled-in hook is one nil
-// check plus a mask test that never passes. Sampling-on rates are covered
-// by `spinbench -table journal` (allocs/op stays 0 there too, but the
-// worker goroutine makes AllocsPerRun nondeterministic, so the alloc gate
-// pins only the sampling-off shapes).
+// check plus a mask test that never passes. The 1-in-1024 sampling rate
+// runs in the benchmark's ctl_churn workload (the journal worker goroutine
+// makes AllocsPerRun nondeterministic, so the alloc gate pins only the
+// sampling-off shapes).
 func TestJournalLifecycleOnlyRaiseDoesNotAllocate(t *testing.T) {
 	sink := journal.NewMemSink()
 	j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})

@@ -36,8 +36,8 @@ func (r *rule) applies(n uint64) bool {
 // Injector deterministically injects faults — panics, delays, wrong
 // results — into guards and handlers wrapped through it. Injection is
 // keyed by target name and driven by a per-target invocation counter, so
-// a test (or the spinbench faults scenario) reproduces the same fault
-// sequence on every run regardless of scheduling.
+// a test reproduces the same fault sequence on every run regardless of
+// scheduling.
 type Injector struct {
 	mu     sync.Mutex
 	rules  map[string][]*rule

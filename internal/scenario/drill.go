@@ -19,8 +19,7 @@ import (
 // crossover), a lossy phase proving idempotent retry + dedup, and a
 // partition phase walking the breaker through trip, heartbeat-declared
 // partition, degradation, heal, half-open, and close. `spin remote`
-// formats the report; spinbench -table remote prints the same figures as
-// a table. Everything runs in virtual time, so every number is
+// formats the report. Everything runs in virtual time, so every number is
 // reproducible byte-for-byte from the seed.
 
 // DrillReport is the measured outcome of one RunDrill.

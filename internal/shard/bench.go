@@ -8,13 +8,13 @@ import (
 	"spin/internal/vtime"
 )
 
-// Scaling measurement for the spinbench shard table. The host machine's
-// core count is irrelevant here: each shard meters its own virtual clock
-// (the same Alpha-calibrated model every other spinbench table uses), so
-// the measurement captures what sharding changes structurally — the
-// serialization domain of installs and raises — rather than whatever
-// parallelism the build machine happens to offer. A shard's clock advances
-// only by the work routed to it; the plane's makespan is the
+// Scaling measurement for `spin tables -table shard` (clock: model). The
+// host machine's core count is irrelevant here: each shard meters its own
+// virtual clock (the same Alpha-calibrated model every other paper table
+// uses), so the measurement captures what sharding changes structurally —
+// the serialization domain of installs and raises — rather than whatever
+// parallelism the build machine happens to offer. A shard's clock
+// advances only by the work routed to it; the plane's makespan is the
 // slowest-shard clock, exactly the completion time of N dispatchers
 // draining their partitions concurrently.
 
