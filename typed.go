@@ -43,10 +43,25 @@ func asT[T any](v any) T {
 	return t
 }
 
+// event is embedded in every typed event and carries the methods they
+// share.
+type event struct{ ev *dispatch.Event }
+
+// Underlying exposes the untyped event for advanced manipulation
+// (authorizers, result handlers, ordering queries).
+func (e *event) Underlying() *Event { return e.ev }
+
+// Trace enables (or, with nil, disables) dispatch tracing for this event.
+func (e *event) Trace(t *Tracer) { e.ev.Trace(t) }
+
+// SetAdmission gives the event a bounded admission queue under pol, or
+// removes it with nil (see Event.SetAdmission).
+func (e *event) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
+
 // ---- Event0: procedures with no parameters and no result ----
 
 // Event0 is a typed event with no parameters.
-type Event0 struct{ ev *dispatch.Event }
+type Event0 struct{ event }
 
 // NewEvent0 defines a typed no-parameter event.
 func NewEvent0(d *Dispatcher, name string, opts ...dispatch.EventOption) (*Event0, error) {
@@ -54,19 +69,8 @@ func NewEvent0(d *Dispatcher, name string, opts ...dispatch.EventOption) (*Event
 	if err != nil {
 		return nil, err
 	}
-	return &Event0{ev}, nil
+	return &Event0{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event for advanced manipulation
-// (authorizers, result handlers, ordering queries).
-func (e *Event0) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *Event0) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *Event0) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event through the zero-allocation arity-specialized
 // path.
@@ -87,8 +91,6 @@ func (e *Event0) Install(name string, m *Module, fn func(), opts ...dispatch.Ins
 	return e.ev.Install(h, opts...)
 }
 
-// ---- Event1 ----
-
 // InstallCtx registers a typed cancellation-aware handler: the context is
 // cancelled when a deadline watchdog (Ephemeral or Async+WithDeadline
 // under a fault policy) abandons the invocation.
@@ -98,8 +100,10 @@ func (e *Event0) InstallCtx(name string, m *Module, fn func(context.Context), op
 	return e.ev.Install(h, opts...)
 }
 
+// ---- Event1 ----
+
 // Event1 is a typed event with one parameter.
-type Event1[A1 any] struct{ ev *dispatch.Event }
+type Event1[A1 any] struct{ event }
 
 // NewEvent1 defines a typed one-parameter event.
 func NewEvent1[A1 any](d *Dispatcher, name string, opts ...dispatch.EventOption) (*Event1[A1], error) {
@@ -107,18 +111,8 @@ func NewEvent1[A1 any](d *Dispatcher, name string, opts ...dispatch.EventOption)
 	if err != nil {
 		return nil, err
 	}
-	return &Event1[A1]{ev}, nil
+	return &Event1[A1]{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event.
-func (e *Event1[A1]) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *Event1[A1]) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *Event1[A1]) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event through the arity-specialized path: the
 // argument travels in a pooled fixed-size frame, not a fresh []any.
@@ -172,7 +166,7 @@ func (e *Event1[A1]) Guard(name string, m *Module, fn func(A1) bool) Guard {
 
 // Event2 is a typed event with two parameters — the shape of the paper's
 // MachineTrap.Syscall(strand, savedState).
-type Event2[A1, A2 any] struct{ ev *dispatch.Event }
+type Event2[A1, A2 any] struct{ event }
 
 // NewEvent2 defines a typed two-parameter event.
 func NewEvent2[A1, A2 any](d *Dispatcher, name string, opts ...dispatch.EventOption) (*Event2[A1, A2], error) {
@@ -180,18 +174,8 @@ func NewEvent2[A1, A2 any](d *Dispatcher, name string, opts ...dispatch.EventOpt
 	if err != nil {
 		return nil, err
 	}
-	return &Event2[A1, A2]{ev}, nil
+	return &Event2[A1, A2]{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event.
-func (e *Event2[A1, A2]) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *Event2[A1, A2]) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *Event2[A1, A2]) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event through the arity-specialized path.
 func (e *Event2[A1, A2]) Raise(a1 A1, a2 A2) error {
@@ -253,7 +237,7 @@ func (e *Event2[A1, A2]) Guard(name string, m *Module, fn func(A1, A2) bool) Gua
 // ---- Event3 ----
 
 // Event3 is a typed event with three parameters.
-type Event3[A1, A2, A3 any] struct{ ev *dispatch.Event }
+type Event3[A1, A2, A3 any] struct{ event }
 
 // NewEvent3 defines a typed three-parameter event.
 func NewEvent3[A1, A2, A3 any](d *Dispatcher, name string, opts ...dispatch.EventOption) (*Event3[A1, A2, A3], error) {
@@ -262,18 +246,8 @@ func NewEvent3[A1, A2, A3 any](d *Dispatcher, name string, opts ...dispatch.Even
 	if err != nil {
 		return nil, err
 	}
-	return &Event3[A1, A2, A3]{ev}, nil
+	return &Event3[A1, A2, A3]{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event.
-func (e *Event3[A1, A2, A3]) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *Event3[A1, A2, A3]) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *Event3[A1, A2, A3]) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event through the arity-specialized path.
 func (e *Event3[A1, A2, A3]) Raise(a1 A1, a2 A2, a3 A3) error {
@@ -324,7 +298,7 @@ func (e *Event3[A1, A2, A3]) Guard(name string, m *Module, fn func(A1, A2, A3) b
 // ---- FuncEvent: events that return a value ----
 
 // FuncEvent0 is a typed result-returning event with no parameters.
-type FuncEvent0[R any] struct{ ev *dispatch.Event }
+type FuncEvent0[R any] struct{ event }
 
 // NewFuncEvent0 defines a typed result event.
 func NewFuncEvent0[R any](d *Dispatcher, name string, opts ...dispatch.EventOption) (*FuncEvent0[R], error) {
@@ -332,18 +306,8 @@ func NewFuncEvent0[R any](d *Dispatcher, name string, opts ...dispatch.EventOpti
 	if err != nil {
 		return nil, err
 	}
-	return &FuncEvent0[R]{ev}, nil
+	return &FuncEvent0[R]{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event.
-func (e *FuncEvent0[R]) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *FuncEvent0[R]) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *FuncEvent0[R]) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event and returns the merged result.
 func (e *FuncEvent0[R]) Raise() (R, error) {
@@ -361,7 +325,7 @@ func (e *FuncEvent0[R]) Install(name string, m *Module, fn func() R, opts ...dis
 // ---- FuncEvent1 ----
 
 // FuncEvent1 is a typed result-returning event with one parameter.
-type FuncEvent1[A1, R any] struct{ ev *dispatch.Event }
+type FuncEvent1[A1, R any] struct{ event }
 
 // NewFuncEvent1 defines a typed result event.
 func NewFuncEvent1[A1, R any](d *Dispatcher, name string, opts ...dispatch.EventOption) (*FuncEvent1[A1, R], error) {
@@ -370,18 +334,8 @@ func NewFuncEvent1[A1, R any](d *Dispatcher, name string, opts ...dispatch.Event
 	if err != nil {
 		return nil, err
 	}
-	return &FuncEvent1[A1, R]{ev}, nil
+	return &FuncEvent1[A1, R]{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event.
-func (e *FuncEvent1[A1, R]) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *FuncEvent1[A1, R]) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *FuncEvent1[A1, R]) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event and returns the merged result.
 func (e *FuncEvent1[A1, R]) Raise(a1 A1) (R, error) {
@@ -408,7 +362,7 @@ func (e *FuncEvent1[A1, R]) Guard(name string, m *Module, fn func(A1) bool) Guar
 
 // FuncEvent2 is a typed result-returning event with two parameters — the
 // shape of the paper's VM.PageFault(space, address): BOOLEAN.
-type FuncEvent2[A1, A2, R any] struct{ ev *dispatch.Event }
+type FuncEvent2[A1, A2, R any] struct{ event }
 
 // NewFuncEvent2 defines a typed result event.
 func NewFuncEvent2[A1, A2, R any](d *Dispatcher, name string, opts ...dispatch.EventOption) (*FuncEvent2[A1, A2, R], error) {
@@ -419,18 +373,8 @@ func NewFuncEvent2[A1, A2, R any](d *Dispatcher, name string, opts ...dispatch.E
 	if err != nil {
 		return nil, err
 	}
-	return &FuncEvent2[A1, A2, R]{ev}, nil
+	return &FuncEvent2[A1, A2, R]{event{ev}}, nil
 }
-
-// Underlying exposes the untyped event.
-func (e *FuncEvent2[A1, A2, R]) Underlying() *Event { return e.ev }
-
-// Trace enables (or, with nil, disables) dispatch tracing for this event.
-func (e *FuncEvent2[A1, A2, R]) Trace(t *Tracer) { e.ev.Trace(t) }
-
-// SetAdmission gives the event a bounded admission queue under pol, or
-// removes it with nil (see Event.SetAdmission).
-func (e *FuncEvent2[A1, A2, R]) SetAdmission(pol *AdmitPolicy) { e.ev.SetAdmission(pol) }
 
 // Raise announces the event and returns the merged result.
 func (e *FuncEvent2[A1, A2, R]) Raise(a1 A1, a2 A2) (R, error) {
