@@ -36,15 +36,9 @@ type Config struct {
 	// and a discrete-event simulator. Unmetered machines run in real
 	// time with goroutine-backed asynchrony.
 	Metered bool
-	// Model overrides the cost model (nil selects AlphaModel) when
-	// Metered is set; ablation benchmarks perturb single constants.
-	Model *vtime.Model
 	// Codegen overrides the dispatch code generator's optimization
 	// switches, for ablations.
 	Codegen codegen.Options
-	// PurityChecks enables the dispatcher's FUNCTIONAL-guard monitor and
-	// dynamic raise-argument typechecking.
-	PurityChecks bool
 	// Trace, when non-nil, enables dispatch tracing machine-wide: every
 	// event defined on the machine's dispatcher records sampled raises
 	// into the tracer's span ring (see internal/trace).
@@ -111,10 +105,7 @@ func Boot(cfg Config) (*Machine, error) {
 
 	var dopts []dispatch.Option
 	if cfg.Metered || cfg.ShareWith != nil {
-		model := cfg.Model
-		if model == nil {
-			model = vtime.AlphaModel()
-		}
+		model := vtime.AlphaModel()
 		if cfg.ShareWith != nil {
 			m.Clock = cfg.ShareWith.Clock
 			m.Sim = cfg.ShareWith.Sim
@@ -128,9 +119,6 @@ func Boot(cfg Config) (*Machine, error) {
 		dopts = append(dopts, dispatch.WithCPU(m.CPU), dispatch.WithSimulator(m.Sim))
 	}
 	dopts = append(dopts, dispatch.WithCodegenOptions(cfg.Codegen))
-	if cfg.PurityChecks {
-		dopts = append(dopts, dispatch.WithPurityChecking())
-	}
 	if cfg.Trace != nil {
 		dopts = append(dopts, dispatch.WithTracer(cfg.Trace))
 	}

@@ -158,47 +158,6 @@ func TestMachineRunDrainsSimulator(t *testing.T) {
 	}
 }
 
-func TestBootWithPurityChecks(t *testing.T) {
-	m, err := Boot(Config{PurityChecks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A mutating guard must be caught.
-	ev, err := m.Dispatcher.DefineEvent("T.E", rtti.Sig(nil, rtti.Word))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := rtti.NewModule("T")
-	_, err = ev.Install(dispatch.Handler{
-		Proc: &rtti.Proc{Name: "T.H", Module: mod, Sig: rtti.Sig(nil, rtti.Word)},
-		Fn:   func(any, []any) any { return nil },
-	}, dispatch.WithGuard(dispatch.Guard{
-		Proc: &rtti.Proc{Name: "T.G", Module: mod, Sig: rtti.Sig(rtti.Bool, rtti.Word), Functional: true},
-		Fn:   func(clo any, args []any) bool { args[0] = 0; return true },
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Raise(uint64(1)); !errors.Is(err, dispatch.ErrGuardMutatedArgs) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestBootWithCustomModel(t *testing.T) {
-	model := vtime.NewModel(map[vtime.Kind]vtime.Duration{
-		vtime.CallDirect: vtime.Micros(1),
-	})
-	m, err := Boot(Config{Metered: true, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.Elapsed()
-	m.CPU.Charge(vtime.CallDirect)
-	if m.Elapsed()-before != vtime.Micros(1) {
-		t.Fatalf("custom model not applied: %v", m.Elapsed()-before)
-	}
-}
-
 func TestUnmeteredRunUsesScheduler(t *testing.T) {
 	m, err := Boot(Config{})
 	if err != nil {
