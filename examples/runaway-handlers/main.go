@@ -106,7 +106,8 @@ func main() {
 
 	// --- Too many handlers: resource accounting ----------------------
 	fmt.Println("\n-- handler quotas --")
-	dq := spin.NewDispatcher(dispatch.WithHandlerQuota(3))
+	dq := spin.NewDispatcher()
+	dq.SetQuotas(3, 0)
 	ev, _ := dq.DefineEvent("M.P", sig)
 	h := spin.Handler{
 		Proc: &rtti.Proc{Name: "Greedy.H", Module: module, Sig: sig},

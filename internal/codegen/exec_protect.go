@@ -46,15 +46,15 @@ type walkState struct {
 // recover barrier. It returns with the walk done or, after a captured
 // panic, set to resume behind the step that panicked, guard-index chain
 // (the segment in ws) included.
-func walkBehindBarrier[R, G shapeAxis](p *Plan, env *Env, args []any, idx int, ws *walkState) {
-	defer p.capture(env, idx, ws)
-	flatFrame[R, G, on](p, env, args, idx, ws)
+func walkBehindBarrier[R, G shapeAxis](p *Plan, args []any, idx int, ws *walkState) {
+	defer p.capture(idx, ws)
+	flatFrame[R, G, on](p, args, idx, ws)
 }
 
 // capture is the stencil's deferred barrier. A panicking guard evaluates
 // false: the step is skipped. A panicking handler counts as fired with no
 // result: the fold is skipped. The hook may re-panic (see captureGuard).
-func (p *Plan) capture(env *Env, idx int, ws *walkState) {
+func (p *Plan) capture(idx int, ws *walkState) {
 	phase := ws.phase
 	if phase < inGuard {
 		return
@@ -75,7 +75,7 @@ func (p *Plan) capture(env *Env, idx int, ws *walkState) {
 		ws.out.Fired++
 	}
 	p.protect.HandlerPanic(s.tag, v, debug.Stack())
-	s.count(env, idx)
+	countFire(s.fire, idx)
 }
 
 // callProtected is the general executor's barrier: it runs a sync step (a

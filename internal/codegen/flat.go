@@ -30,10 +30,10 @@ import (
 //     selected once at compile time, so a raise runs straight-line code with
 //     no per-raise shape switching; the single-raise entry and the batch
 //     entry both call it;
-//   - statistics are batched (see flatFrame): the striped-atomic traffic
-//     that dominated the inline-plan profile drops from 2 RMWs per firing
-//     plus 1 per raise to 1 per firing plus 2 per raise, all through one
-//     shard hash hoisted by the caller.
+//   - statistics are batched, as on every executor (see Execute): one
+//     striped add per firing and one fired-total add per raise, all through
+//     one shard hash hoisted by the caller, because striped-atomic traffic
+//     re-hashed per firing dominated the inline-plan profile.
 //
 // Specialization is semantics-preserving and only replaces configurations
 // the general executor handles bitwise-identically when
@@ -86,8 +86,8 @@ type flatStep struct {
 	fn    HandlerFn
 	ctxFn CtxHandlerFn
 	clo   any
-	// Statistics: per-binding fire counter (may be nil) and the opaque tag
-	// for the per-fire Env.OnFire fallback.
+	// Statistics: per-binding fire counter (may be nil); the opaque tag
+	// names the binding to the fault hook.
 	fire *stripe.Counter
 	tag  any
 }
@@ -95,8 +95,10 @@ type flatStep struct {
 // frameFn is a stencil instantiation: selected once per plan, called once
 // per frame. idx is the caller's hoisted stripe shard index
 // (stripe.Index()), reused for every striped counter the frame touches;
-// callers pass a nil ws (see flatFrame).
-type frameFn func(p *Plan, env *Env, args []any, idx int, ws *walkState) Outcome
+// callers pass a nil ws (see flatFrame). The stencil needs nothing from
+// the Env: it runs unmetered raises of plans with no asynchronous or
+// ephemeral step, and the caller adds the frame's firings to the total.
+type frameFn func(p *Plan, args []any, idx int, ws *walkState) Outcome
 
 // flattenPred lowers a guard predicate into conjunction leaves. Top-level
 // And-trees split into their leaves; True leaves are elided (guards are
@@ -134,10 +136,6 @@ func (lo *lowered) flatten() {
 	leaves := buf[:0]
 	for gi := range lo.st.guards {
 		if g := &lo.st.guards[gi]; g.Pred != nil {
-			// With inlining disabled the general executor still evaluates the
-			// predicate out of line via Eval; lowering it to leaves is
-			// observationally identical (metered charge differences do
-			// not apply — metered raises take the general executor).
 			leaves = flattenPred(g.Pred, leaves)
 		} else {
 			leaves = append(leaves, flatPred{op: predOpCall, fn: g.Fn, clo: g.Closure})
@@ -248,21 +246,16 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // each segment, the step and phase around each guard and handler call, the
 // outcome after each firing.
 //
-// Statistics protocol: when env.FiredTotal is set (the dispatcher's
-// batched path), per-binding counts go to FireCount through the caller's
-// hoisted stripe shard index, and the CALLER adds Outcome.fires() to
-// FiredTotal — once per raise (Plan.Execute) or once per batch
-// (Plan.ExecuteBatch). Otherwise the stencil falls back to the general
-// executor's per-fire env.OnFire contract, so direct codegen users observe
-// identical callbacks.
-func flatFrame[R, G, B shapeAxis](p *Plan, env *Env, args []any, idx int, ws *walkState) Outcome {
+// Statistics: each firing goes to its binding's FireCount through the
+// caller's hoisted stripe shard index, and the CALLER adds Outcome.fires()
+// to Env.FiredTotal — once per raise (Plan.Execute) or once per batch
+// (Plan.ExecuteBatch).
+func flatFrame[R, G, B shapeAxis](p *Plan, args []any, idx int, ws *walkState) Outcome {
 	var r R
 	var g G
 	var b B
 	hasResult, useGuards, barrier := len(r) == len(on{}), len(g) == len(on{}), len(b) == len(on{})
 
-	onFire := env.OnFire
-	batched := env.FiredTotal != nil
 	preds := p.flatPreds
 	var out Outcome
 	var haveResult bool
@@ -285,7 +278,7 @@ func flatFrame[R, G, B shapeAxis](p *Plan, env *Env, args []any, idx int, ws *wa
 		if ws == nil {
 			frame := walkState{stop: stop}
 			for frame.phase != walkDone {
-				walkBehindBarrier[R, G](p, env, args, idx, &frame)
+				walkBehindBarrier[R, G](p, args, idx, &frame)
 			}
 			return frame.out
 		}
@@ -368,13 +361,7 @@ segments:
 				ws.phase = inWalk
 			}
 			out.Fired++
-			if batched {
-				if s.fire != nil {
-					s.fire.AddAt(idx, 1)
-				}
-			} else if onFire != nil {
-				onFire(s.tag)
-			}
+			countFire(s.fire, idx)
 			if hasResult {
 				if p.resultFn != nil {
 					out.Result = p.resultFn(out.Result, res, out.Fired-1)
@@ -423,7 +410,7 @@ segments:
 		}
 		out.Result = runBody(st.b, st.inline, args)
 		out.UsedDefault = true
-		p.flat[n].count(env, idx)
+		countFire(p.flat[n].fire, idx)
 	}
 	if barrier {
 		ws.out, ws.phase = out, walkDone
@@ -431,14 +418,19 @@ segments:
 	return out
 }
 
-// count records one firing of the step (flatFrame's statistics protocol).
-func (s *flatStep) count(env *Env, idx int) {
-	if env.FiredTotal != nil {
-		if s.fire != nil {
-			s.fire.AddAt(idx, 1)
-		}
-	} else if env.OnFire != nil {
-		env.OnFire(s.tag)
+// countFire records one firing on a binding's fire counter, if it has one,
+// on the caller's hoisted stripe shard idx.
+func countFire(c *stripe.Counter, idx int) {
+	if c != nil {
+		c.AddAt(idx, 1)
+	}
+}
+
+// addFired adds n firings to the event's fired total, if the caller keeps
+// one: the one add per raise (or batch) of the statistics protocol.
+func (env *Env) addFired(idx int, n int64) {
+	if n > 0 && env.FiredTotal != nil {
+		env.FiredTotal.AddAt(idx, n)
 	}
 }
 

@@ -204,26 +204,6 @@ func TestMeteredChargeParity(t *testing.T) {
 	}
 }
 
-// TestSpecializedStatsFallback pins the per-fire OnFire contract for
-// direct codegen users: without Env.FiredTotal the specialized executor
-// reports each firing through OnFire exactly like the interpreter.
-func TestSpecializedStatsFallback(t *testing.T) {
-	n := 0
-	bs := guardedBindings(3, &n)
-	for i, b := range bs {
-		b.Tag = i
-	}
-	p := Compile(info(1, false), bs, nil, nil, Options{})
-	if !p.Specialized() {
-		t.Fatal("expected specialized plan")
-	}
-	var tags []any
-	p.Execute(&Env{OnFire: func(tag any) { tags = append(tags, tag) }}, []any{uint64(1)}, 0)
-	if len(tags) != 3 || tags[0] != 0 || tags[1] != 1 || tags[2] != 2 {
-		t.Fatalf("OnFire fallback tags: %v", tags)
-	}
-}
-
 // faultCall is one FaultHook capture, as the recording hook saw it.
 type faultCall struct {
 	guard bool
@@ -255,8 +235,9 @@ func (*recHook) SyncCost(any, vtime.Duration) {}
 // must agree on it.
 type barrierRun struct {
 	out    Outcome
-	fired  []any // OnFire tags
-	folds  []int // the index each result-handler call carried
+	fired  []int64 // each binding's FireCount, the default handler's last
+	total  int64   // FiredTotal
+	folds  []int   // the index each result-handler call carried
 	faults []faultCall
 }
 
@@ -279,10 +260,11 @@ func TestBarrierEdges(t *testing.T) {
 		var r barrierRun
 		hook := &recHook{}
 		opts.Protect = hook
+		counts := make([]stripe.Counter, n+1)
 		bs := make([]*Binding, n)
 		for i := range bs {
 			i := i
-			bs[i] = &Binding{Tag: i,
+			bs[i] = &Binding{Tag: i, FireCount: &counts[i],
 				Guards: []Guard{{Fn: func(any, []any) bool {
 					if i == sh.guardAt {
 						panic("guard")
@@ -296,7 +278,7 @@ func TestBarrierEdges(t *testing.T) {
 					return uint64(i)
 				}}
 		}
-		def := &Binding{Tag: n, Fn: func(any, []any) any {
+		def := &Binding{Tag: n, FireCount: &counts[n], Fn: func(any, []any) any {
 			if sh.handlerAt == n {
 				panic("default")
 			}
@@ -317,7 +299,12 @@ func TestBarrierEdges(t *testing.T) {
 				t.Fatalf("executor %s, want %s", got, want)
 			}
 		}
-		r.out = p.Execute(&Env{OnFire: func(tag any) { r.fired = append(r.fired, tag) }}, []any{uint64(1)}, 0)
+		var total stripe.Counter
+		r.out = p.Execute(&Env{FiredTotal: &total}, []any{uint64(1)}, 0)
+		for i := range counts {
+			r.fired = append(r.fired, counts[i].Load())
+		}
+		r.total = total.Load()
 		r.faults = hook.calls
 		return r
 	}
@@ -342,7 +329,8 @@ func TestBarrierEdges(t *testing.T) {
 			}
 		}
 		if r.out.Fired != n || r.out.Result != sum || !reflect.DeepEqual(r.folds, folds) ||
-			!reflect.DeepEqual(r.faults, []faultCall{{tag: pos}}) || len(r.fired) != n {
+			!reflect.DeepEqual(r.faults, []faultCall{{tag: pos}}) ||
+			!reflect.DeepEqual(r.fired, []int64{1, 1, 1, 1, 0}) || r.total != n {
 			t.Errorf("handler %d panics, fold: %+v", pos, r)
 		}
 		// Unmerged: the last survivor's result, ambiguous as without the panic.
@@ -368,8 +356,8 @@ func TestBarrierEdges(t *testing.T) {
 	}
 	// A panicking default handler: used, counted, no result.
 	r = both("default panics", shape{guardAt: -1, handlerAt: n})
-	if r.out != (Outcome{UsedDefault: true}) || !reflect.DeepEqual(r.fired, []any{n}) ||
-		!reflect.DeepEqual(r.faults, []faultCall{{tag: n}}) {
+	if r.out != (Outcome{UsedDefault: true}) || !reflect.DeepEqual(r.fired, []int64{0, 0, 0, 0, 1}) ||
+		r.total != 1 || !reflect.DeepEqual(r.faults, []faultCall{{tag: n}}) {
 		t.Errorf("default panics: %+v", r)
 	}
 }

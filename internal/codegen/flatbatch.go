@@ -103,13 +103,11 @@ func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *at
 					done = i
 					break
 				}
-				o := p.frame(p, env, frames[i], stripeIdx, nil)
+				o := p.frame(p, frames[i], stripeIdx, nil)
 				total += o.fires()
 				out.Add(o)
 			}
-			if total > 0 && env.FiredTotal != nil {
-				env.FiredTotal.AddAt(stripeIdx, total)
-			}
+			env.addFired(stripeIdx, total)
 			return out, done
 		}
 	}
@@ -128,22 +126,16 @@ func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *at
 				r = p.sample(env.CPU, frames[i], &rec)
 			}
 		}
-		out.Add(p.general(env, frames[i], r))
+		out.Add(p.general(env, frames[i], stripeIdx, r))
 	}
 	return out, len(frames)
 }
 
 // executeDirectBatch is the batch tier of the single-binding bypass: the
-// frame loop wrapped directly around the handler call. Where the loop form
-// pays a per-fire OnFire callback (two striped adds, each hashing its own
-// shard), the batch uses the specialized executors' amortized protocol —
-// per-frame adds through the caller's hoisted stripe index and one
-// event-total flush at the end. The counter totals are identical.
+// frame loop wrapped directly around the handler call, with one add to the
+// binding's fire counter per frame and one event-total flush at the end.
 func (p *Plan) executeDirectBatch(env *Env, frames []ArgFrame, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	b, inline := p.direct.b, p.direct.inline
-	onFire := env.OnFire
-	fired := env.FiredTotal
-	batched := fired != nil
 	var out BatchOutcome
 	done := len(frames)
 	for i := range frames {
@@ -152,17 +144,9 @@ func (p *Plan) executeDirectBatch(env *Env, frames []ArgFrame, idx int, live *at
 			break
 		}
 		out.Result = runBody(b, inline, frames[i])
-		if batched {
-			if b.FireCount != nil {
-				b.FireCount.AddAt(idx, 1)
-			}
-		} else if onFire != nil {
-			onFire(b.Tag)
-		}
+		countFire(b.FireCount, idx)
 	}
 	out.Fired = int64(done)
-	if batched && done > 0 {
-		fired.AddAt(idx, int64(done))
-	}
+	env.addFired(idx, out.Fired)
 	return out, done
 }

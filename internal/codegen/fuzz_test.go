@@ -242,7 +242,7 @@ func FuzzPredCompile(f *testing.F) {
 		}
 		for _, opts := range []Options{
 			{},
-			{DisableInline: true, DisableBypass: true},
+			{DisableBypass: true},
 			{DisablePeephole: true},
 			{DisableSpecialize: true},
 		} {
@@ -271,8 +271,8 @@ func FuzzPredCompile(f *testing.F) {
 // flattened shape-specialized stencil, and the traced routine — and checks
 // each fires the same handler sequence as the reference model, merges
 // results identically, falls back to the default handler on the same
-// raises, and produces the same statistics totals through the per-fire and
-// batched counting protocols.
+// raises, and counts the same firings — per binding, for the default
+// handler, and in the fired total.
 func FuzzTreeDispatch(f *testing.F) {
 	for _, seed := range indexSeeds {
 		for _, result := range [][]byte{{0, 0}, {1, 1}, {1, 0}} { // void, fold, ambiguous
@@ -333,7 +333,7 @@ func FuzzTreeDispatch(f *testing.F) {
 		configs := []Options{
 			{}, // the stencil, through the guard index
 			{EnableDecisionTree: true},
-			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
+			{DisableBypass: true, DisablePeephole: true},
 			{EnableDecisionTree: true, Trace: tracer},           // every raise sampled: recorder on
 			{DisableSpecialize: true},                           // general executor only: the linear reference
 			{DisableSpecialize: true, EnableDecisionTree: true}, // general executor through the index
@@ -343,10 +343,31 @@ func FuzzTreeDispatch(f *testing.F) {
 			args := genArgs(r, arity)
 			want := naive(args)
 			wantDefault := hasDefault && len(want) == 0
+			// Index n counts the default handler.
+			counters := make([]*stripe.Counter, n+1)
+			for i, b := range bindings {
+				counters[i] = b.FireCount
+			}
+			counters[n] = new(stripe.Counter)
+			if hasDefault {
+				counters[n] = defaultB.FireCount
+			}
+			wantCounts := make([]int64, n+1)
+			for _, i := range want {
+				wantCounts[i]++
+			}
+			if wantDefault {
+				wantCounts[n] = 1
+			}
 			for _, opts := range configs {
 				plan := Compile(info, bindings, resultFn, defaultB, opts)
+				before := make([]int64, n+1)
+				for i, c := range counters {
+					before[i] = c.Load()
+				}
+				var total stripe.Counter
 				fired = nil
-				out := plan.Execute(&Env{}, args, 0)
+				out := plan.Execute(&Env{FiredTotal: &total}, args, 0)
 				if len(fired) != len(want) {
 					t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
 				}
@@ -385,63 +406,19 @@ func FuzzTreeDispatch(f *testing.F) {
 					}
 				}
 
-				// Statistics twins: the per-fire OnFire protocol must match
-				// the model for every plan, and on specialized untraced plans
-				// (the only ones that take the batched route) the batched
-				// FireCount/FiredTotal protocol must produce the same totals.
-				// Index n counts the default handler.
-				counters := make([]*stripe.Counter, n+1)
-				for i, b := range bindings {
-					counters[i] = b.FireCount
-				}
-				counters[n] = new(stripe.Counter)
-				if hasDefault {
-					counters[n] = defaultB.FireCount
-				}
-				perFire := make([]int64, n+1)
-				fired = nil
-				plan.Execute(&Env{OnFire: func(tag any) {
-					if i, ok := tag.(int); ok {
-						perFire[i]++
-					}
-				}}, args, 0)
-				for i, got := range perFire {
-					var wantN int64
-					for _, w := range want {
-						if w == i {
-							wantN++
-						}
-					}
-					if i == n && wantDefault {
-						wantN = 1
-					}
-					if got != wantN {
-						t.Fatalf("opts %+v args %v binding %d: per-fire %d, model %d",
-							opts, args, i, got, wantN)
+				// Statistics: whichever executor the configuration reached
+				// (bypass, stencil, general, sampled), the one protocol must
+				// count what the model fired — per binding, the default
+				// handler's firing, and the fired-total flush.
+				for i, c := range counters {
+					if got := c.Load() - before[i]; got != wantCounts[i] {
+						t.Fatalf("opts %+v args %v binding %d: FireCount %d, model %d",
+							opts, args, i, got, wantCounts[i])
 					}
 				}
-				if plan.Specialized() && opts.Trace == nil {
-					before := make([]int64, n+1)
-					for i, c := range counters {
-						before[i] = c.Load()
-					}
-					var total stripe.Counter
-					fired = nil
-					plan.Execute(&Env{FiredTotal: &total}, args, 0)
-					wantTotal := int64(len(want))
-					if wantDefault {
-						wantTotal++
-					}
-					if total.Load() != wantTotal {
-						t.Fatalf("opts %+v args %v: batched total %d, model %d",
-							opts, args, total.Load(), wantTotal)
-					}
-					for i, c := range counters {
-						if batched := c.Load() - before[i]; batched != perFire[i] {
-							t.Fatalf("opts %+v args %v binding %d: per-fire %d, batched %d",
-								opts, args, i, perFire[i], batched)
-						}
-					}
+				if wantTotal := int64(len(want)) + wantCounts[n]; total.Load() != wantTotal {
+					t.Fatalf("opts %+v args %v: FiredTotal %d, model %d",
+						opts, args, total.Load(), wantTotal)
 				}
 			}
 		}
@@ -627,23 +604,6 @@ func FuzzBatchDispatch(f *testing.F) {
 			return out
 		}
 
-		// The env mirrors the dispatcher's: OnFire and FiredTotal land in the
-		// SAME counters, so a path that takes the batched protocol (flat and
-		// direct batch executors, flat single-raise) and a path that takes
-		// the per-fire callback (general executor, sampled raises, direct
-		// single raise) produce identical totals — which is exactly the
-		// equivalence the dispatch layer depends on.
-		mkEnv := func(total *stripe.Counter) *Env {
-			return &Env{
-				FiredTotal: total,
-				OnFire: func(tag any) {
-					total.Add(1)
-					if i, ok := tag.(int); ok {
-						bindings[i].FireCount.Add(1)
-					}
-				},
-			}
-		}
 		// run resets the population to fully installed and measures one way
 		// of dispatching the stream.
 		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64, []int64) {
@@ -658,7 +618,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			for i, b := range bindings {
 				base[i] = b.FireCount.Load()
 			}
-			out := dispatch(mkEnv(&total))
+			out := dispatch(&Env{FiredTotal: &total})
 			counts := make([]int64, n)
 			for i, b := range bindings {
 				counts[i] = b.FireCount.Load() - base[i]
@@ -691,7 +651,7 @@ func FuzzBatchDispatch(f *testing.F) {
 		for _, opts = range []Options{
 			{}, // the stencil, through the guard index
 			{EnableDecisionTree: true},
-			{DisableInline: true, DisableBypass: true, DisablePeephole: true},
+			{DisableBypass: true, DisablePeephole: true},
 			{EnableDecisionTree: true, Trace: tracer},
 			{DisableSpecialize: true},
 			{DisableSpecialize: true, EnableDecisionTree: true},

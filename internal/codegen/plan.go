@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"spin/internal/admit"
-	"spin/internal/journal"
 	"spin/internal/stripe"
 	"spin/internal/trace"
 	"spin/internal/vtime"
@@ -73,7 +72,7 @@ type Binding struct {
 	// Inline, when non-nil, lets the generator inline the handler body.
 	Inline *Body
 	// Async handlers execute on a separate thread of control via
-	// Env.Spawn; their results are not returned to the raiser.
+	// Env.Async; their results are not returned to the raiser.
 	Async bool
 	// Ephemeral handlers run under Env.RunEphemeral, which may terminate
 	// them (paper §2.6 "Runaway handlers").
@@ -84,11 +83,9 @@ type Binding struct {
 	// Tag is an opaque back-pointer for the dispatcher (statistics,
 	// termination reporting). The generator never inspects it.
 	Tag any
-	// FireCount, when non-nil, is the binding's striped fire counter. The
-	// stencil and the direct batch tier increment it directly through one
-	// hoisted stripe shard index per raise instead of calling Env.OnFire
-	// per firing; the general executor ignores it and keeps the OnFire
-	// contract.
+	// FireCount, when non-nil, is the binding's striped fire counter: every
+	// executor adds each firing of the binding to it through the caller's
+	// hoisted stripe shard index.
 	FireCount *stripe.Counter
 	// Name is the handler's qualified procedure name, used only to label
 	// trace spans; the generated code never inspects it.
@@ -97,19 +94,19 @@ type Binding struct {
 	memo atomic.Pointer[lowered]
 }
 
-// lowered is a binding's compiled form under one (DisablePeephole,
-// DisableInline) pair, the two options that shape it: the step Compile
-// copies into a plan and its flattened twin with the guard leaves behind
-// the embedded first. The binding memoises it, so recompiling an event
-// lowers the new bindings and copies the rest — a third of an install on a
-// long handler list went into redoing them.
+// lowered is a binding's compiled form under DisablePeephole, the one
+// option that shapes it: the step Compile copies into a plan and its
+// flattened twin with the guard leaves behind the embedded first. The
+// binding memoises it, so recompiling an event lowers the new bindings and
+// copies the rest — a third of an install on a long handler list went into
+// redoing them.
 type lowered struct {
-	noPeephole, noInline bool
-	live                 bool // false: peephole proved the binding can never fire
-	st                   step
-	flat                 flatStep   // p0/p1 are set per plan
-	rest                 []flatPred // the leaves after flat.g0
-	leaves               int        // all guard leaves, g0 included
+	noPeephole bool
+	live       bool // false: peephole proved the binding can never fire
+	st         step
+	flat       flatStep   // p0/p1 are set per plan
+	rest       []flatPred // the leaves after flat.g0
+	leaves     int        // all guard leaves, g0 included
 }
 
 // EventInfo carries the event attributes the generator specializes on.
@@ -123,9 +120,6 @@ type EventInfo struct {
 // benchmarks. The zero value enables everything SPIN's generator did,
 // and nothing it did not.
 type Options struct {
-	// DisableInline forces every guard and handler out of line, the
-	// "no inline" configuration of Table 1.
-	DisableInline bool
 	// DisableBypass keeps the dispatch routine in place even for a
 	// single unguarded synchronous binding.
 	DisableBypass bool
@@ -162,22 +156,12 @@ type Options struct {
 	// (DESIGN.md decision 12).
 	Protect FaultHook
 	// Admit, when non-nil, compiles the event's admission queue into the
-	// plan: asynchronous handler invocations are submitted to the bounded
-	// queue (via Env.SubmitHandler) instead of spawned directly, and
-	// asynchronous raises of the event pass through the same queue. A nil
-	// Admit compiles the unqueued spawn path, so an event without an
-	// admission policy pays one nil check per async step and nothing else
-	// — the same zero-cost-off contract tracing and fault capture have
+	// plan: every asynchronous handler invocation hands it to Env.Async,
+	// which submits the invocation to the bounded queue instead of spawning
+	// it, and asynchronous raises of the event pass through the same queue.
+	// A nil Admit hands Env.Async a nil queue: the unqueued spawn path
 	// (DESIGN.md decision 13).
 	Admit *admit.Queue
-	// Journal, when non-nil, compiles lifecycle journaling into the plan:
-	// the raise path draws from the journal's striped sampler after
-	// execution (one pointer load and, off-sample, one masked counter
-	// increment). A nil Journal compiles a plan with no journal field at
-	// all, so a journal-off dispatcher's raise path is byte-identical to
-	// the unjournaled build — the same zero-cost-off contract tracing,
-	// fault capture, and admission have (DESIGN.md decision 17).
-	Journal *journal.Journal
 }
 
 // step is one unrolled dispatch step.
@@ -230,10 +214,6 @@ type Plan struct {
 	// admitQ is the admission queue compiled into the plan
 	// (Options.Admit); nil plans spawn asynchronous work unqueued.
 	admitQ *admit.Queue
-	// jrnl is the lifecycle journal compiled into the plan
-	// (Options.Journal); nil plans raise with no journal check beyond one
-	// nil test.
-	jrnl *journal.Journal
 	// Ahead-of-time specialization (flat.go): the flattened step array, the
 	// (followed by the default handler's statistics record, if there is
 	// one), the pool of guard leaves behind each step's embedded first and
@@ -248,40 +228,26 @@ type Plan struct {
 }
 
 // Env supplies the execution hooks the generated routine needs from the
-// dispatcher: a CPU meter (nil when unmetered), a spawner for asynchronous
-// handlers, an ephemeral supervisor, and a statistics callback.
+// dispatcher: a CPU meter (nil when unmetered), the asynchronous and
+// ephemeral supervisors, and the event's fired total.
 type Env struct {
 	CPU *vtime.CPU
-	// Spawn runs fn on a separate thread of control; arity is the number
-	// of arguments that must be copied to the new thread (it determines
-	// the spawn cost). Required if any binding is Async and SpawnHandler
-	// is nil.
-	Spawn func(arity int, fn func())
-	// SpawnHandler, when non-nil, supersedes Spawn for asynchronous
-	// handler invocations: the dispatcher supervises the spawned
-	// invocation (panic capture, wall-clock watchdog, cooperative
-	// cancellation through the context).
-	SpawnHandler func(tag any, arity int, invoke func(context.Context) any)
-	// SubmitHandler, when non-nil, supersedes SpawnHandler for plans
-	// compiled with an admission queue: the supervised invocation is
-	// submitted to the bounded queue (and may be shed) instead of
-	// spawned unconditionally.
-	SubmitHandler func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any)
+	// Async runs one asynchronous handler invocation on a separate thread
+	// of control: submitted to q, the admission queue compiled into the
+	// plan (and possibly shed), or spawned directly when q is nil. arity is
+	// the number of arguments copied to the new thread (it determines the
+	// spawn cost); invoke's context carries the supervisor's cancellation.
+	// Required if any binding is Async.
+	Async func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any)
 	// RunEphemeral runs invoke under termination supervision, returning
 	// its result and whether it ran to completion; the context is
 	// cancelled if the watchdog abandons the invocation. Required if any
 	// binding is Ephemeral.
 	RunEphemeral func(tag any, invoke func(context.Context) any) (any, bool)
-	// OnFire, if non-nil, is called with the binding tag each time a
-	// handler fires (including default handlers).
-	OnFire func(tag any)
-	// FiredTotal, if non-nil, switches the stencil and the direct batch
-	// tier to batched statistics: per-binding counts go directly to
-	// Binding.FireCount and the number of handlers that fired (including a
-	// default-handler firing) is added to FiredTotal once per raise (once
-	// per batch in ExecuteBatch), all through the caller's hoisted stripe
-	// shard index. The general executor ignores it and keeps the per-fire
-	// OnFire contract; a raise produces the same counter totals either way.
+	// FiredTotal, if non-nil, receives the number of handlers that fired
+	// (filters and a default-handler firing included) with one striped add
+	// per raise — once per batch on the stencil and direct batch tiers —
+	// through the caller's hoisted stripe shard index.
 	FiredTotal *stripe.Counter
 }
 
@@ -305,16 +271,15 @@ type Outcome struct {
 // returned plan is immutable; the dispatcher swaps it in atomically.
 func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
 	p := &Plan{info: info, opts: opts, resultFn: resultFn,
-		protect: opts.Protect, admitQ: opts.Admit, jrnl: opts.Journal}
+		protect: opts.Protect, admitQ: opts.Admit}
 	if defaultB != nil {
 		// The default handler runs as a step outside the step list; -1 is
 		// the step index its trace span carries.
-		p.def = &step{b: defaultB, idx: -1,
-			inline: defaultB.Inline != nil && !opts.DisableInline}
+		p.def = &step{b: defaultB, idx: -1, inline: defaultB.Inline != nil}
 	}
 	p.steps = make([]step, 0, len(bindings))
 	pooled := 0 // guard leaves behind the steps' embedded first
-	allInline := !opts.DisableInline
+	allInline := true
 	for _, b := range bindings {
 		lo := b.lower(opts)
 		if !lo.live {
@@ -392,12 +357,6 @@ func (p *Plan) Protected() bool { return p.protect != nil }
 // the same atomic swap installs use.
 func (p *Plan) AdmitQueue() *admit.Queue { return p.admitQ }
 
-// Journal returns the lifecycle journal compiled into the plan, or nil
-// when the dispatcher runs unjournaled. The raise path consults it on the
-// plan it loaded, so enabling journaling publishes through the same
-// atomic swap installs use.
-func (p *Plan) Journal() *journal.Journal { return p.jrnl }
-
 // IndexedRuns reports the number of runs in the plan's guard index and the
 // total steps they cover (for tests and disassembly). The stencil always
 // dispatches through the index; a plan on the general executor carries one
@@ -413,16 +372,15 @@ func (p *Plan) IndexedRuns() (runs, covered int) {
 // simplified and reordered, and the flattened twin.
 func (b *Binding) lower(opts Options) *lowered {
 	lo := b.memo.Load()
-	if lo != nil && lo.noPeephole == opts.DisablePeephole && lo.noInline == opts.DisableInline {
+	if lo != nil && lo.noPeephole == opts.DisablePeephole {
 		return lo
 	}
-	lo = &lowered{noPeephole: opts.DisablePeephole, noInline: opts.DisableInline,
-		st: step{b: b, mode: bindingMode(b)}}
+	lo = &lowered{noPeephole: opts.DisablePeephole, st: step{b: b, mode: bindingMode(b)}}
 	defer b.memo.Store(lo)
 	st := &lo.st
 	// Fully inline: the generator can execute the binding without any
 	// indirect call.
-	st.inline = !opts.DisableInline && b.Inline != nil && !b.Async && !b.Ephemeral
+	st.inline = b.Inline != nil && !b.Async && !b.Ephemeral
 	for _, g := range b.Guards {
 		if g.Pred != nil && !opts.DisablePeephole {
 			s := g.Pred.Simplify()
@@ -501,27 +459,26 @@ func (p *Plan) FullyInline() bool { return p.allInline }
 // private per-raise argument vector: filters mutate it in place, which is
 // visible to subsequent steps but never to the raiser. stripeIdx is the
 // caller's hoisted stripe shard index (stripe.Index()), reused for every
-// striped counter the raise touches.
+// striped counter the raise touches: each firing's Binding.FireCount and
+// the raise's one add to Env.FiredTotal.
 func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 	if p.prog != nil {
 		// Tracing compiled in: draw the sampling decision; sampled raises
 		// record spans. Untraced plans pay only the nil check above.
 		var rec recorder
 		if r := p.sample(env.CPU, args, &rec); r != nil {
-			return p.general(env, args, r)
+			return p.general(env, args, stripeIdx, r)
 		}
 	}
 	if p.frame != nil && env.CPU == nil {
 		// Unmetered, unsampled raise on a specialized plan: the stencil.
 		// Metered raises stay on the general executor so the virtual-time
 		// charge sequence is byte-identical with specialization on or off.
-		out := p.frame(p, env, args, stripeIdx, nil)
-		if n := out.fires(); n > 0 && env.FiredTotal != nil {
-			env.FiredTotal.AddAt(stripeIdx, n)
-		}
+		out := p.frame(p, args, stripeIdx, nil)
+		env.addFired(stripeIdx, out.fires())
 		return out
 	}
-	return p.general(env, args, nil)
+	return p.general(env, args, stripeIdx, nil)
 }
 
 // recorder carries one sampled raise's span recording through the general
@@ -597,8 +554,10 @@ func (r *recorder) end(out Outcome) {
 // general is the general executor: it runs every plan shape, metered or
 // not — the direct bypass as a plain call at the top, everything else
 // through the step walk — and records spans through rec on sampled raises
-// (rec is nil otherwise).
-func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
+// (rec is nil otherwise). It counts firings as the stencil does, on idx,
+// the caller's hoisted stripe shard index, and adds the raise's firings to
+// Env.FiredTotal itself: filters fire without entering the Outcome.
+func (p *Plan) general(env *Env, args []any, idx int, rec *recorder) Outcome {
 	cpu := env.CPU
 	if st := p.direct; st != nil {
 		rec.open()
@@ -611,9 +570,8 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 		} else {
 			res = runBody(st.b, st.inline, args)
 		}
-		if env.OnFire != nil {
-			env.OnFire(st.b.Tag)
-		}
+		countFire(st.b.FireCount, idx)
+		env.addFired(idx, 1)
 		out := Outcome{Result: res, Fired: 1}
 		if rec != nil {
 			rec.handler(0, trace.ModeDirect, completed)
@@ -637,6 +595,7 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 
 	var out Outcome
 	var haveResult bool
+	filtered := 0 // filter firings, which the Outcome does not count
 	// execStep runs one step whose guards have already passed. Synchronous
 	// handlers are called directly — routing them through invoker's
 	// deferred-call closure would heap-allocate on every raise; only the
@@ -652,16 +611,7 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 		case mode == trace.ModeAsync:
 			// The span covers the spawn the raiser pays for; the handler
 			// body runs on its own thread of control afterwards.
-			inv := p.invoker(st, args)
-			if p.admitQ != nil && env.SubmitHandler != nil {
-				// Admission compiled in: the invocation passes through
-				// the bounded queue and may be shed under overload.
-				env.SubmitHandler(p.admitQ, b.Tag, p.info.Arity, inv)
-			} else if env.SpawnHandler != nil {
-				env.SpawnHandler(b.Tag, p.info.Arity, inv)
-			} else {
-				env.Spawn(p.info.Arity, func() { _ = inv(context.Background()) })
-			}
+			env.Async(p.admitQ, b.Tag, p.info.Arity, p.invoker(st, args))
 		case mode == trace.ModeEphemeral:
 			res, completed = env.RunEphemeral(b.Tag, p.invoker(st, args))
 		case p.protect != nil:
@@ -672,13 +622,12 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 		if rec != nil {
 			rec.handler(st.idx, mode, completed)
 		}
-		if env.OnFire != nil {
-			env.OnFire(b.Tag)
-		}
+		countFire(b.FireCount, idx)
 		if mode == trace.ModeFilter {
 			// Filters transform arguments for downstream handlers; they
 			// neither produce results nor count as the event having been
 			// handled (§2.3 "Passing arguments").
+			filtered++
 			return
 		}
 		out.Fired++
@@ -755,11 +704,10 @@ func (p *Plan) general(env *Env, args []any, rec *recorder) Outcome {
 		if rec != nil {
 			rec.handler(st.idx, trace.ModeDefault, completed)
 		}
-		if env.OnFire != nil {
-			env.OnFire(st.b.Tag)
-		}
+		countFire(st.b.FireCount, idx)
 		out.UsedDefault = true
 	}
+	env.addFired(idx, out.fires()+int64(filtered))
 	if rec != nil {
 		rec.end(out)
 	}
@@ -775,16 +723,11 @@ func (p *Plan) evalGuards(cpu *vtime.CPU, st *step, from int, args []any, rec *r
 	for i := from; i < len(st.guards); i++ {
 		g := &st.guards[i]
 		rec.open()
-		inline := g.Pred != nil && !p.opts.DisableInline
+		inline := g.Pred != nil
 		var pass bool
 		switch {
 		case inline:
 			cpu.Charge(vtime.GuardInline)
-			pass = g.Pred.Eval(args)
-		case g.Pred != nil:
-			// Inlining disabled: the generator emitted an out-of-line
-			// call to the predicate.
-			cpu.Charge(vtime.GuardIndirect)
 			pass = g.Pred.Eval(args)
 		case p.protect != nil:
 			cpu.Charge(vtime.GuardIndirect)

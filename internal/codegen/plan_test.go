@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spin/internal/admit"
+	"spin/internal/stripe"
 	"spin/internal/vtime"
 )
 
@@ -255,9 +257,12 @@ func TestFiltersMutateDownstreamArgs(t *testing.T) {
 func TestAsyncHandlerSpawns(t *testing.T) {
 	spawned := 0
 	ran := 0
-	env := &Env{Spawn: func(arity int, fn func()) {
+	env := &Env{Async: func(q *admit.Queue, _ any, _ int, invoke func(context.Context) any) {
+		if q != nil {
+			t.Error("plan without an admission queue handed one to Async")
+		}
 		spawned++
-		fn()
+		invoke(context.Background())
 	}}
 	bs := []*Binding{
 		{Async: true, Fn: func(any, []any) any { ran++; return "dropped" }},
@@ -298,18 +303,56 @@ func TestEphemeralHandlerSupervised(t *testing.T) {
 	}
 }
 
-func TestOnFireReportsTags(t *testing.T) {
-	var tags []any
-	env := &Env{OnFire: func(tag any) { tags = append(tags, tag) }}
-	bs := []*Binding{
-		{Tag: "a", Fn: func(any, []any) any { return nil }},
-		{Tag: "b", Guards: []Guard{{Pred: False()}}, Fn: func(any, []any) any { return nil }},
-		{Tag: "c", Fn: func(any, []any) any { return nil }},
+// TestFireCountsReportBindings pins the one statistics protocol on every
+// executor: each firing lands on its binding's FireCount, filters and the
+// default handler included, and the raise adds its firings to FiredTotal
+// once; a caller without a FiredTotal still gets the per-binding counts.
+func TestFireCountsReportBindings(t *testing.T) {
+	nop := func(any, []any) any { return nil }
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		filter  bool
+		metered bool
+	}{
+		{name: "stencil"},
+		{name: "general", opts: Options{DisableSpecialize: true}},
+		{name: "metered", metered: true},
+		{name: "filter", filter: true},
+	} {
+		counts := make([]stripe.Counter, 3)
+		bs := []*Binding{
+			{FireCount: &counts[0], Fn: nop, Filter: tc.filter},
+			{FireCount: &counts[1], Guards: []Guard{{Pred: False()}}, Fn: nop},
+			{FireCount: &counts[2], Fn: nop},
+		}
+		p := Compile(info(0, false), bs, nil, nil, Options{DisablePeephole: true, DisableBypass: true,
+			DisableSpecialize: tc.opts.DisableSpecialize})
+		var total stripe.Counter
+		env := &Env{FiredTotal: &total}
+		if tc.metered {
+			env.CPU = vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())
+		}
+		p.Execute(env, nil, 0)
+		p.Execute(&Env{CPU: env.CPU}, nil, 0)
+		if got := [3]int64{counts[0].Load(), counts[1].Load(), counts[2].Load()}; got != [3]int64{2, 0, 2} {
+			t.Errorf("%s (%s): FireCount %v, want [2 0 2]", tc.name, p.Executor(tc.metered), got)
+		}
+		if total.Load() != 2 {
+			t.Errorf("%s (%s): FiredTotal %d, want 2", tc.name, p.Executor(tc.metered), total.Load())
+		}
 	}
-	p := Compile(info(0, false), bs, nil, nil, Options{DisablePeephole: true, DisableBypass: true})
-	p.Execute(env, nil, 0)
-	if len(tags) != 2 || tags[0] != "a" || tags[1] != "c" {
-		t.Fatalf("tags = %v", tags)
+	// The default handler fires, and counts, only when nothing else does.
+	var defCount, total stripe.Counter
+	def := &Binding{FireCount: &defCount, Fn: nop}
+	guarded := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Fn: nop}
+	for _, opts := range []Options{{}, {DisableSpecialize: true}} {
+		p := Compile(info(1, false), []*Binding{guarded}, nil, def, opts)
+		p.Execute(&Env{FiredTotal: &total}, []any{uint64(2)}, 0)
+		p.Execute(&Env{FiredTotal: &total}, []any{uint64(1)}, 0)
+	}
+	if defCount.Load() != 2 || total.Load() != 4 {
+		t.Errorf("default handler: FireCount %d, FiredTotal %d, want 2 and 4", defCount.Load(), total.Load())
 	}
 }
 
@@ -329,10 +372,6 @@ func TestInlinePlanDetection(t *testing.T) {
 	if p2.FullyInline() {
 		t.Fatal("opaque handler must break full inlining")
 	}
-	p3 := Compile(info(0, false), []*Binding{inline, inline}, nil, nil, Options{DisableInline: true})
-	if p3.FullyInline() {
-		t.Fatal("DisableInline must disable inlining")
-	}
 }
 
 func TestInlineBodiesExecuteInline(t *testing.T) {
@@ -346,16 +385,6 @@ func TestInlineBodiesExecuteInline(t *testing.T) {
 	p.Execute(&Env{}, nil, 0)
 	if counter.Load() != 11 {
 		t.Fatalf("counter = %d", counter.Load())
-	}
-}
-
-func TestDisableInlineFallsBackToFn(t *testing.T) {
-	called := 0
-	b := &Binding{Inline: ReturnConst(1), Fn: func(any, []any) any { called++; return 2 }}
-	p := Compile(info(0, true), []*Binding{b}, nil, nil, Options{DisableInline: true, DisableBypass: true})
-	out := exec(p)
-	if called != 1 || out.Result != 2 {
-		t.Fatalf("called=%d out=%+v", called, out)
 	}
 }
 

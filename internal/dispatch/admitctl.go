@@ -226,47 +226,16 @@ func (a *admitCtl) applyLevel(from, to int) {
 func (a *admitCtl) supervised(q *admit.Queue, b *Binding, invoke func(context.Context) any, attempt int) admit.Work {
 	return func() bool {
 		d := a.d
-		deadline := d.faults.asyncDeadline(b)
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		var timer *time.Timer
-		// state is the watchdog handshake: 0 running, 1 completed, 2
-		// abandoned. Exactly one side wins the CAS, so a completion racing
-		// the watchdog cannot double-account (or leak pool capacity).
-		var state atomic.Int32
-		if deadline > 0 {
-			ctx, cancel = context.WithCancel(ctx)
-			timer = time.AfterFunc(deadline, func() {
-				if !state.CompareAndSwap(0, 2) {
-					return
-				}
-				if b != nil {
-					b.terminations.Add(1)
-					b.terminated.Store(true)
-				}
-				d.faults.deadline(b, deadline)
-				cancel()
-				a.pool.Abandon()
-			})
-		}
-		_, ok, val, stack := runProtected(ctx, invoke)
-		if timer != nil {
-			timer.Stop()
-			cancel()
-			if !state.CompareAndSwap(0, 1) {
-				// The watchdog abandoned this invocation and a replacement
-				// worker may have started; hand the extra capacity back.
-				a.pool.Reclaim()
-				return true
-			}
+		_, ok, abandoned := d.watchdog(b, d.faults.asyncDeadline(b), invoke, a.pool.Abandon)
+		if abandoned {
+			// A replacement worker may have started when the watchdog
+			// abandoned this invocation; hand the extra capacity back.
+			a.pool.Reclaim()
+			return true
 		}
 		if ok {
 			return true
 		}
-		if b != nil {
-			b.terminations.Add(1)
-		}
-		d.faults.handlerPanic(b, val, stack)
 		pol := q.Policy()
 		if attempt >= pol.Retry {
 			return true // out of retries: final outcome
@@ -278,14 +247,14 @@ func (a *admitCtl) supervised(q *admit.Queue, b *Binding, invoke func(context.Co
 	}
 }
 
-// submitHandler is the Env.SubmitHandler hook: one asynchronous handler
-// invocation, admitted through the event's compiled-in queue instead of
-// spawned unconditionally. Under the simulator the queue is inactive —
-// a single-threaded simulation cannot overload itself, and determinism
-// matters more than backpressure there — so the invocation takes the plain
-// supervised spawn path.
-func (d *Dispatcher) submitHandler(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
-	if d.sim != nil {
+// asyncHandler is the Env.Async hook: one asynchronous handler invocation,
+// admitted through q, the event's compiled-in queue, or spawned under
+// supervision when the event has none. Under the simulator the queue is
+// inactive — a single-threaded simulation cannot overload itself, and
+// determinism matters more than backpressure there — so the invocation
+// takes the supervised spawn path too.
+func (d *Dispatcher) asyncHandler(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
+	if q == nil || d.sim != nil {
 		d.spawnHandler(tag, arity, invoke)
 		return
 	}

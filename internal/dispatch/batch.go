@@ -193,7 +193,7 @@ func (e *Event) executeBatch(out *BatchOutcome, plan *codegen.Plan, frames []Arg
 	b, m := plan.ExecuteBatch(e.env, frames, idx, &e.plan)
 	raised := e.raised.AddAtN(idx, int64(m))
 	out.foldBatch(b, m)
-	if jr := plan.Journal(); jr != nil {
+	if jr := e.d.jrnl; jr != nil {
 		for hits := jr.SampleCountN(uint64(raised), uint64(m)); hits > 0; hits-- {
 			jr.SampleHit(e.name, int(b.Fired/int64(m)))
 		}

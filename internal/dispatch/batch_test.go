@@ -25,15 +25,15 @@ import (
 
 // batchConfigs sweeps the code generator's optimization space: every
 // configuration selects a different executor tier (flat shape-specialized
-// batch executor, generic-shape executor, per-step interpreter, decision
-// tree, out-of-line everything).
+// batch executor, decision tree, no bypass or peephole around the
+// population's out-of-line handlers, per-step interpreter).
 var batchConfigs = []struct {
 	name string
 	opts codegen.Options
 }{
 	{"default", codegen.Options{}},
 	{"tree", codegen.Options{EnableDecisionTree: true}},
-	{"outofline", codegen.Options{DisableInline: true, DisableBypass: true, DisablePeephole: true}},
+	{"outofline", codegen.Options{DisableBypass: true, DisablePeephole: true}},
 	{"interp", codegen.Options{DisableSpecialize: true}},
 }
 

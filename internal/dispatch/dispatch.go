@@ -269,105 +269,96 @@ func (d *Dispatcher) afterFunc(dur time.Duration, fn func()) {
 func (d *Dispatcher) runEphemeral(tag any, deadline time.Duration, invoke func(context.Context) any) (any, bool) {
 	b, _ := tag.(*Binding)
 	if d.sim != nil || deadline <= 0 {
-		res, ok, val, stack := runProtected(context.Background(), invoke)
-		if !ok {
-			if b != nil {
-				b.terminations.Add(1)
-			}
-			d.faults.handlerPanic(b, val, stack)
-		}
+		res, ok, _ := d.watchdog(b, 0, invoke, nil)
 		return res, ok
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	type reply struct {
 		res any
 		ok  bool
 	}
+	// Exactly one reply arrives: the watchdog's, or the invocation's when
+	// it returns before the deadline.
 	done := make(chan reply, 1)
 	go func() {
-		defer cancel()
-		res, ok, val, stack := runProtected(ctx, invoke)
-		if !ok {
-			d.faults.handlerPanic(b, val, stack)
+		if res, ok, abandoned := d.watchdog(b, deadline, invoke, func() { done <- reply{} }); !abandoned {
+			done <- reply{res, ok}
 		}
-		done <- reply{res, ok}
 	}()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		if !r.ok && b != nil {
-			b.terminations.Add(1)
-		}
-		return r.res, r.ok
-	case <-timer.C:
-		cancel()
-		if b != nil {
-			b.terminations.Add(1)
-			b.terminated.Store(true)
-		}
-		d.faults.deadline(b, deadline)
-		return nil, false
-	}
+	r := <-done
+	return r.res, r.ok
 }
 
 // spawnHandler supervises one asynchronous handler invocation: the handler
-// runs on its own thread of control (via spawn) behind a recovery barrier,
-// so a panicking asynchronous handler is recorded as a fault instead of
+// runs on its own thread of control (via spawn) under the watchdog, so a
+// panicking asynchronous handler is recorded as a fault instead of
 // crashing the process. When the binding (or the fault policy) carries an
-// asynchronous deadline and the dispatcher runs in real time, a wall-clock
-// watchdog cancels the invocation's context and records a deadline fault;
-// as with EPHEMERAL handlers, cancellation is cooperative.
+// asynchronous deadline and the dispatcher runs in real time, the watchdog
+// cancels the invocation's context at the deadline and records a deadline
+// fault; as with EPHEMERAL handlers, cancellation is cooperative. On the
+// pooled spawner an abandoned invocation hands its squatted worker's
+// capacity back (Abandon) so stuck invocations cannot starve the pool, and
+// its eventual return takes it again (Reclaim).
 func (d *Dispatcher) spawnHandler(tag any, arity int, invoke func(context.Context) any) {
 	b, _ := tag.(*Binding)
-	deadline := d.faults.asyncDeadline(b)
+	var deadline time.Duration
+	if d.sim == nil {
+		deadline = d.faults.asyncDeadline(b)
+	}
+	var abandon func()
+	if d.pooledSpawn {
+		abandon = d.admit.pool.Abandon
+	}
 	d.spawn(arity, func() {
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		var timer *time.Timer
-		// state is the watchdog handshake: 0 running, 1 completed, 2
-		// abandoned. Exactly one side wins the CAS, so an invocation
-		// completing as its watchdog fires cannot be double-accounted as
-		// both a deadline fault and a clean completion — and on the pooled
-		// spawner the watchdog hands the squatted worker's capacity back
-		// (Abandon) so stuck invocations cannot starve the pool, with the
-		// eventual return reclaiming it.
-		var state atomic.Int32
-		if deadline > 0 && d.sim == nil {
-			ctx, cancel = context.WithCancel(ctx)
-			timer = time.AfterFunc(deadline, func() {
-				if !state.CompareAndSwap(0, 2) {
-					return
-				}
-				if b != nil {
-					b.terminations.Add(1)
-					b.terminated.Store(true)
-				}
-				d.faults.deadline(b, deadline)
-				cancel()
-				if d.pooledSpawn {
-					d.admit.pool.Abandon()
-				}
-			})
-		}
-		_, ok, val, stack := runProtected(ctx, invoke)
-		if timer != nil {
-			timer.Stop()
-			cancel()
-			if !state.CompareAndSwap(0, 1) {
-				if d.pooledSpawn {
-					d.admit.pool.Reclaim()
-				}
-				return // already accounted as a deadline termination
-			}
-		}
-		if !ok {
-			if b != nil {
-				b.terminations.Add(1)
-			}
-			d.faults.handlerPanic(b, val, stack)
+		if _, _, abandoned := d.watchdog(b, deadline, invoke, abandon); abandoned && d.pooledSpawn {
+			d.admit.pool.Reclaim()
 		}
 	})
+}
+
+// watchdog runs one supervised invocation of b's handler — EPHEMERAL,
+// asynchronous, or admitted — behind a recovery barrier and, when deadline
+// is positive, a wall-clock watchdog that cancels the invocation's context
+// at the deadline. state is the handshake: 0 running, 1 completed, 2
+// abandoned. Exactly one side wins its CAS, so every invocation is
+// accounted once: by the watchdog (a termination, the terminated flag, a
+// deadline fault, then abandon, if non-nil) or by the return (a panic is a
+// termination and a panic fault). An invocation that returns after the
+// watchdog abandoned it reports abandoned and is not accounted again, even
+// if it panicked.
+func (d *Dispatcher) watchdog(b *Binding, deadline time.Duration, invoke func(context.Context) any, abandon func()) (res any, ok, abandoned bool) {
+	ctx := context.Background()
+	var state atomic.Int32
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+		timer := time.AfterFunc(deadline, func() {
+			if !state.CompareAndSwap(0, 2) {
+				return
+			}
+			if b != nil {
+				b.terminations.Add(1)
+				b.terminated.Store(true)
+			}
+			d.faults.deadline(b, deadline)
+			cancel()
+			if abandon != nil {
+				abandon()
+			}
+		})
+		defer timer.Stop()
+	}
+	res, ok, val, stack := runProtected(ctx, invoke)
+	if !state.CompareAndSwap(0, 1) {
+		return nil, false, true // already accounted as a deadline termination
+	}
+	if !ok {
+		if b != nil {
+			b.terminations.Add(1)
+		}
+		d.faults.handlerPanic(b, val, stack)
+	}
+	return res, ok, false
 }
 
 // runProtected runs invoke, converting a panic into a termination and

@@ -479,6 +479,86 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsCountEveryExecutor: every executor counts through the one
+// statistics protocol, so Stats().Fired and each binding's Fired agree
+// after a direct, stencil, barrier, filter (general executor), metered and
+// batch raise.
+func TestStatsCountEveryExecutor(t *testing.T) {
+	nop := func(any, []any) any { return nil }
+	filterProc := &rtti.Proc{Name: "F", Module: testModule,
+		Sig: rtti.Signature{Args: []rtti.Type{rtti.Word}, ByRef: []bool{true}}}
+	raise := func(e *Event, batch bool, args ...any) {
+		if batch {
+			e.RaiseBatch1(args)
+			return
+		}
+		for _, a := range args {
+			_, _ = e.Raise1(a)
+		}
+	}
+	check := func(name string, e *Event, want map[*Binding]int64) {
+		t.Helper()
+		var total int64
+		for b, n := range want {
+			total += n
+			if b.Fired() != n {
+				t.Errorf("%s: %s fired %d, want %d", name, b.HandlerName(), b.Fired(), n)
+			}
+		}
+		if s := e.Stats(); s.Raised != 3 || s.Fired != total {
+			t.Errorf("%s: Stats raised %d fired %d, want 3 and %d", name, s.Raised, s.Fired, total)
+		}
+	}
+	for _, tc := range []struct {
+		name, executor string
+		opts           []Option
+		filter, batch  bool
+	}{
+		{name: "stencil", executor: "stencil[void,guarded]"},
+		{name: "barrier", executor: "stencil[void,guarded,barrier]",
+			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}},
+		{name: "filter", executor: "general", filter: true},
+		{name: "metered", executor: "general",
+			opts: []Option{WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))}},
+		{name: "batch", executor: "stencil[void,guarded]", batch: true},
+	} {
+		d := New(tc.opts...)
+		e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word))
+		want := map[*Binding]int64{}
+		if tc.filter {
+			f, err := e.Install(Handler{Proc: filterProc, Fn: nop}, AsFilter())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[f] = 3
+		}
+		g, err := e.Install(handler(voidProc("G", rtti.Word), nop), WithGuard(Guard{Pred: codegen.ArgEq(0, 1)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.Install(handler(voidProc("H", rtti.Word), nop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g], want[h] = 2, 3
+		if got := e.Plan().Executor(d.CPU() != nil); got != tc.executor {
+			t.Fatalf("%s: executor %s, want %s", tc.name, got, tc.executor)
+		}
+		raise(e, tc.batch, uint64(1), uint64(2), uint64(1))
+		check(tc.name, e, want)
+	}
+	// The direct bypass, single raises and its batch tier.
+	for _, batch := range []bool{false, true} {
+		e := mustDefine(t, New(), "M.D", rtti.Sig(nil, rtti.Word),
+			WithIntrinsic(handler(voidProc("D", rtti.Word), nop)))
+		if got := e.Plan().Executor(false); got != "direct" {
+			t.Fatalf("intrinsic only: executor %s, want direct", got)
+		}
+		raise(e, batch, uint64(1), uint64(2), uint64(1))
+		check(fmt.Sprintf("direct, batch %v", batch), e, map[*Binding]int64{e.IntrinsicBinding(): 3})
+	}
+}
+
 func TestBindingAccessors(t *testing.T) {
 	d := New()
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil))

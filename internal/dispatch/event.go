@@ -328,7 +328,6 @@ func (e *Event) recompile(charge bool) {
 	opts := e.d.cgOpts
 	opts.Trace = e.tracer
 	opts.Admit = e.admitQ
-	opts.Journal = e.d.jrnl
 	if e.d.faults.enforce {
 		opts.Protect = e.d.faults
 	}
@@ -424,10 +423,8 @@ func (e *Event) AdmissionQueue() *admit.Queue { return e.plan.Load().AdmitQueue(
 // shared by all raises.
 func (e *Event) newEnv() *codegen.Env {
 	return &codegen.Env{
-		CPU:           e.d.cpu,
-		Spawn:         e.d.spawn,
-		SpawnHandler:  e.d.spawnHandler,
-		SubmitHandler: e.d.submitHandler,
+		CPU:   e.d.cpu,
+		Async: e.d.asyncHandler,
 		RunEphemeral: func(tag any, invoke func(context.Context) any) (any, bool) {
 			b, _ := tag.(*Binding)
 			var deadline = DefaultEphemeralDeadline
@@ -436,17 +433,9 @@ func (e *Event) newEnv() *codegen.Env {
 			}
 			return e.d.runEphemeral(tag, deadline, invoke)
 		},
-		OnFire: func(tag any) {
-			e.firedTotal.Add(1)
-			if b, ok := tag.(*Binding); ok && b != nil {
-				b.fired.Add(1)
-			}
-		},
-		// Batched statistics for the specialized executors: per-binding
-		// counts go straight to Binding.fired (codegen.Binding.FireCount)
-		// and the event total lands here once per raise, all through one
-		// hoisted stripe index — same totals as OnFire, a fraction of the
-		// atomic RMWs and shard hashes.
+		// Every executor counts each firing on Binding.fired
+		// (codegen.Binding.FireCount) and adds the raise's firings here
+		// once, all through the raise's one hoisted stripe index.
 		FiredTotal: &e.firedTotal,
 	}
 }
@@ -479,8 +468,8 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 	}
 	// One stripe shard hash serves every striped counter this raise
 	// touches: the raised total here, the per-binding fire counts and the
-	// fired total inside the specialized executor. The increment's shard
-	// value doubles as the journal's raise-sampling draw below.
+	// fired total inside the executor. The increment's shard value doubles
+	// as the journal's raise-sampling draw below.
 	idx := stripe.Index()
 	raised := e.raised.AddAtN(idx, 1)
 	if e.d.purity {
@@ -490,23 +479,11 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 		// carries none.
 		return e.raiseOutMonitored(plan, args, idx)
 	}
-
-	var out codegen.Outcome
-	if cpu := e.d.cpu; cpu == nil {
-		// Unmetered: skip all virtual-time accounting up front instead of
-		// paying a nil check per meter call inside the plan.
-		out = plan.Execute(e.env, args, idx)
-	} else {
-		cpu.Begin(vtime.AccountEvents)
-		start := cpu.Now()
-		out = plan.Execute(e.env, args, idx)
-		e.timeNanos.Add(int64(cpu.Now().Sub(start)))
-		cpu.End()
-	}
-	// Sampled raise journaling, compiled into the plan like tracing: a
-	// journal-off plan pays one nil check; an off-sample draw is one mask
-	// test on the striped raise total already advanced above.
-	if jr := plan.Journal(); jr != nil && jr.SampleCount(uint64(raised)) {
+	out := e.execute(plan, args, idx)
+	// Sampled raise journaling: a journal-off dispatcher pays one nil
+	// check; an off-sample draw is one mask test on the striped raise total
+	// already advanced above.
+	if jr := e.d.jrnl; jr != nil && jr.SampleCount(uint64(raised)) {
 		jr.SampleHit(e.name, out.Fired)
 	}
 	return out, nil
@@ -525,16 +502,25 @@ func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int) (out 
 			panic(r)
 		}
 	}()
-	if cpu := e.d.cpu; cpu == nil {
-		out = plan.Execute(e.env, args, idx)
-	} else {
-		cpu.Begin(vtime.AccountEvents)
-		start := cpu.Now()
-		out = plan.Execute(e.env, args, idx)
-		e.timeNanos.Add(int64(cpu.Now().Sub(start)))
-		cpu.End()
+	return e.execute(plan, args, idx), nil
+}
+
+// execute runs one raise of plan, metering it when the dispatcher has a
+// CPU: the raise's virtual time is charged to the events account and added
+// to the event's time total.
+func (e *Event) execute(plan *codegen.Plan, args []any, idx int) codegen.Outcome {
+	cpu := e.d.cpu
+	if cpu == nil {
+		// Unmetered: skip all virtual-time accounting up front instead of
+		// paying a nil check per meter call inside the plan.
+		return plan.Execute(e.env, args, idx)
 	}
-	return out, nil
+	cpu.Begin(vtime.AccountEvents)
+	start := cpu.Now()
+	out := plan.Execute(e.env, args, idx)
+	e.timeNanos.Add(int64(cpu.Now().Sub(start)))
+	cpu.End()
+	return out
 }
 
 // finishRaise maps a plan outcome to the raise result and error contract.

@@ -295,6 +295,64 @@ func TestAsyncDeadlineWatchdog(t *testing.T) {
 	waitFor(t, b.Terminated, "binding terminated flag")
 }
 
+// TestOverrunThenPanicIsOneFault: an invocation its watchdog abandoned is
+// accounted once, by the watchdog, even when it panics on its way out —
+// EPHEMERAL and asynchronous alike: one deadline record, no panic record,
+// one termination.
+func TestOverrunThenPanicIsOneFault(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		eph  bool
+		opts []InstallOption
+	}{
+		{"ephemeral", true, []InstallOption{Ephemeral(5 * time.Millisecond)}},
+		{"async", false, []InstallOption{Async(), WithDeadline(5 * time.Millisecond)}},
+	} {
+		d := New(WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour}))
+		e := mustDefine(t, d, "M.P", rtti.Sig(nil))
+		proc := &rtti.Proc{Name: "LatePanic", Module: testModule, Sig: rtti.Sig(nil), Ephemeral: tc.eph}
+		panicking := make(chan struct{})
+		h := Handler{Proc: proc, CtxFn: func(ctx context.Context, _ any, _ []any) any {
+			<-ctx.Done()
+			close(panicking)
+			panic("late")
+		}}
+		b, err := e.Install(h, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Raise(); err != nil {
+			t.Fatalf("%s: raise: %v", tc.name, err)
+		}
+		select {
+		case <-panicking:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: handler context never cancelled", tc.name)
+		}
+		// The panic reaches the supervisor after the watchdog's record; give
+		// a second record time to appear.
+		records := func() (n int) {
+			for _, r := range d.FaultLedger().Records() {
+				if r.Handler == "LatePanic" {
+					n++
+				}
+			}
+			return n
+		}
+		for stop := time.Now().Add(200 * time.Millisecond); time.Now().Before(stop); time.Sleep(time.Millisecond) {
+			if n := records(); n > 1 {
+				t.Fatalf("%s: %d ledger records for one overrun: %+v", tc.name, n, d.FaultLedger().Records())
+			}
+		}
+		if records() != 1 || !hasRecord(d.FaultLedger(), fault.KindDeadline, "LatePanic") {
+			t.Errorf("%s: ledger %+v, want one deadline record", tc.name, d.FaultLedger().Records())
+		}
+		if b.Terminations() != 1 {
+			t.Errorf("%s: %d terminations, want 1", tc.name, b.Terminations())
+		}
+	}
+}
+
 // TestGuardPanicEvaluatesFalse: under enforcement a panicking out-of-line
 // guard evaluates false (its handler is skipped), the raise proceeds, and
 // the panic is recorded with guard origin.

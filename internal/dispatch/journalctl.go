@@ -12,7 +12,7 @@ import (
 // the mechanism-free journal (internal/journal) and the dispatch
 // machinery. Lifecycle transitions are journaled by the commit that makes
 // them (see Event.commit); sampled raise records are drawn on the hot
-// path through the journal compiled into each plan. Boot-time replay
+// path from the dispatcher's journal after each raise. Boot-time replay
 // re-drives a sealed journal through the normal control plane
 // (ReplayApplier), reconstructing the full
 // binding/quarantine/quota/degradation state.
@@ -21,16 +21,15 @@ import (
 // imposed guards. Those are authority wiring — code the event's owning
 // module runs at boot — not dynamic state; journaling them would record
 // function identities the journal cannot resolve. Construction-time
-// options (WithHandlerQuota, the admission ladder) are configuration the
-// boot image already carries; only the runtime SetQuotas override is
+// options (the admission ladder) are configuration the boot image already
+// carries; installation quotas are set at runtime with SetQuotas, which is
 // journaled.
 
 // WithJournal attaches a lifecycle journal to the dispatcher: every
-// binding lifecycle transition is recorded, and each event's dispatch
-// plan is compiled with the journal's sampled raise hook. Without this
-// option no journal field is compiled into plans and the raise path is
-// untouched (the zero-cost-off contract tracing, fault capture, and
-// admission share; TestJournalOffZeroAlloc enforces it).
+// binding lifecycle transition is recorded, and raises draw the journal's
+// sampled raise records. The journal is fixed at construction; without
+// one the raise path pays a single nil check (TestJournalOffZeroAlloc
+// enforces that it stays allocation-free).
 func WithJournal(j *journal.Journal) Option {
 	return func(d *Dispatcher) { d.jrnl = j }
 }
@@ -113,8 +112,7 @@ func (d *Dispatcher) record(rec journal.Record) {
 // SetQuotas changes the installation quotas at runtime (zero disables a
 // limit) and journals the change, so a replayed boot re-establishes the
 // same resource-accounting regime before replaying the installs it
-// governed. The construction-time quota (WithHandlerQuota) is boot
-// configuration and is not journaled.
+// governed.
 func (d *Dispatcher) SetQuotas(perModule, global int) {
 	d.quota.mu.Lock()
 	d.quota.perModule = perModule

@@ -505,8 +505,8 @@ func TestDegradationEmitsTraceSpans(t *testing.T) {
 	}
 }
 
-// TestPooledSpawnerWatchdogRecoversCapacity exercises the spawnHandler
-// bugfix: an async invocation abandoned by its deadline watchdog while
+// TestPooledSpawnerWatchdogRecoversCapacity exercises the watchdog on the
+// spawnHandler path: an async invocation abandoned by its deadline watchdog while
 // squatting a pooled worker must hand capacity back (Abandon), and its
 // eventual return must reclaim it — never double-count.
 func TestPooledSpawnerWatchdogRecoversCapacity(t *testing.T) {

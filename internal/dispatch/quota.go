@@ -44,12 +44,6 @@ type quotas struct {
 	asyncCounts map[*rtti.Module]int
 }
 
-// WithHandlerQuota bounds the number of simultaneously installed handlers
-// per installing module. Zero means unlimited.
-func WithHandlerQuota(perModule int) Option {
-	return func(d *Dispatcher) { d.quota.perModule = perModule }
-}
-
 // charge accounts one installation to m, denying it if a limit would be
 // exceeded. Anonymous handlers (nil module) count only against the global
 // ceiling.

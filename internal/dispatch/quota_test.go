@@ -9,7 +9,8 @@ import (
 )
 
 func TestPerModuleQuota(t *testing.T) {
-	d := New(WithHandlerQuota(2))
+	d := New()
+	d.SetQuotas(2, 0)
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil))
 	h := handler(voidProc("H"), func(any, []any) any { return nil })
 
@@ -46,7 +47,8 @@ func TestPerModuleQuota(t *testing.T) {
 func TestQuotaSpansEvents(t *testing.T) {
 	// The quota bounds a module's installations across ALL events — the
 	// §2.6 concern is total kernel memory, not per-event counts.
-	d := New(WithHandlerQuota(2))
+	d := New()
+	d.SetQuotas(2, 0)
 	e1 := mustDefine(t, d, "M.P1", rtti.Sig(nil))
 	e2 := mustDefine(t, d, "M.P2", rtti.Sig(nil))
 	h := handler(voidProc("H"), func(any, []any) any { return nil })
@@ -86,7 +88,7 @@ func TestGlobalHandlerLimit(t *testing.T) {
 }
 
 func TestIntrinsicExemptFromQuota(t *testing.T) {
-	d := New(WithHandlerQuota(1))
+	d := New()
 	d.SetQuotas(1, 1)
 	// Defining events with intrinsic handlers never hits the quota.
 	for _, name := range []string{"M.P1", "M.P2", "M.P3"} {
@@ -103,7 +105,8 @@ func TestIntrinsicExemptFromQuota(t *testing.T) {
 }
 
 func TestDeniedInstallDoesNotLeakQuota(t *testing.T) {
-	d := New(WithHandlerQuota(1))
+	d := New()
+	d.SetQuotas(1, 0)
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil), WithOwner(testModule))
 	_ = e.InstallAuthorizer(func(req *AuthRequest) bool { return false }, testModule)
 	h := handler(voidProc("H"), func(any, []any) any { return nil })

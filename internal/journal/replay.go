@@ -2,6 +2,7 @@ package journal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -108,32 +109,7 @@ func (s *State) Apply(rec Record) error {
 		if rec.Flags&FlagDefault != 0 {
 			return nil // default handlers are not on the dispatch-order list
 		}
-		ids := s.order[rec.Event]
-		switch OrderKind(rec.Flags) {
-		case 1: // first
-			ids = append([]uint64{rec.ID}, ids...)
-		case 3, 4: // before/after ref
-			pos := -1
-			for i, id := range ids {
-				if id == rec.RefID {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
-				ids = append(ids, rec.ID)
-				break
-			}
-			if OrderKind(rec.Flags) == 4 {
-				pos++
-			}
-			ids = append(ids, 0)
-			copy(ids[pos+1:], ids[pos:])
-			ids[pos] = rec.ID
-		default: // unordered, last
-			ids = append(ids, rec.ID)
-		}
-		s.order[rec.Event] = ids
+		s.order[rec.Event] = place(s.order[rec.Event], rec)
 	case KindUninstall:
 		b, ok := s.bindings[rec.ID]
 		if !ok {
@@ -141,11 +117,8 @@ func (s *State) Apply(rec Record) error {
 		}
 		delete(s.bindings, rec.ID)
 		ids := s.order[b.Event]
-		for i, id := range ids {
-			if id == rec.ID {
-				s.order[b.Event] = append(ids[:i], ids[i+1:]...)
-				break
-			}
+		if i := slices.Index(ids, rec.ID); i >= 0 {
+			s.order[b.Event] = append(ids[:i], ids[i+1:]...)
 		}
 	case KindSetOrder:
 		b, ok := s.bindings[rec.ID]
@@ -153,37 +126,10 @@ func (s *State) Apply(rec Record) error {
 			return fmt.Errorf("set-order of unknown binding %d", rec.ID)
 		}
 		ids := s.order[b.Event]
-		for i, id := range ids {
-			if id == rec.ID {
-				ids = append(ids[:i], ids[i+1:]...)
-				break
-			}
+		if i := slices.Index(ids, rec.ID); i >= 0 {
+			ids = append(ids[:i], ids[i+1:]...)
 		}
-		switch OrderKind(rec.Flags) {
-		case 1:
-			ids = append([]uint64{rec.ID}, ids...)
-		case 3, 4:
-			pos := -1
-			for i, id := range ids {
-				if id == rec.RefID {
-					pos = i
-					break
-				}
-			}
-			if pos < 0 {
-				ids = append(ids, rec.ID)
-				break
-			}
-			if OrderKind(rec.Flags) == 4 {
-				pos++
-			}
-			ids = append(ids, 0)
-			copy(ids[pos+1:], ids[pos:])
-			ids[pos] = rec.ID
-		default:
-			ids = append(ids, rec.ID)
-		}
-		s.order[b.Event] = ids
+		s.order[b.Event] = place(ids, rec)
 	// The journal records effects, not intents: a module quarantine is
 	// journaled as one module marker (the install-denial set) plus a
 	// per-binding KindQuarantine for every binding it actually flipped,
@@ -222,6 +168,24 @@ func (s *State) Apply(rec Record) error {
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
 	return nil
+}
+
+// place inserts rec's binding into an event's dispatch order where its
+// ordering constraint puts it: first, just before or after its reference,
+// or last (unordered, last, and a reference not on the list).
+func place(ids []uint64, rec Record) []uint64 {
+	switch kind := OrderKind(rec.Flags); kind {
+	case 1: // first
+		return append([]uint64{rec.ID}, ids...)
+	case 3, 4: // before/after ref
+		if pos := slices.Index(ids, rec.RefID); pos >= 0 {
+			if kind == 4 {
+				pos++
+			}
+			return slices.Insert(ids, pos, rec.ID)
+		}
+	}
+	return append(ids, rec.ID)
 }
 
 // Summary renders the reconstructed state, deterministically ordered.
