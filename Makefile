@@ -54,7 +54,7 @@ test:
 # the scheduler's watchdogs against ticks; quarantine and probation
 # recompiles, the admission soak at ~10x drain capacity, journal group
 # commit and replay, the remote breaker/dedup/partition drills and the
-# reshard differential all run here.
+# shard plane's install-versus-raise soak all run here.
 race:
 	$(GO) test -race -shuffle=on -count=2 ./...
 

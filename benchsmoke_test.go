@@ -197,8 +197,9 @@ func TestBenchSmokeRemote(t *testing.T) {
 // TestBenchSmokeShard is the routing-plane tax gate: a synchronous bypass
 // raise through a routed handle — 4 shards resident, route pinned at
 // definition time — must cost at most shardCeiling times the same raise on
-// a bare dispatcher event. The routed path adds exactly one atomic route
-// load and a nil check; the gate keeps it that way.
+// a bare dispatcher event. The routed handle embeds its dispatcher event,
+// so the routed raise is the dispatcher's raise; the gate keeps it that
+// way.
 func TestBenchSmokeShard(t *testing.T) {
 	requireSmoke(t)
 	sig := rtti.Sig(nil, rtti.Word)

@@ -237,7 +237,7 @@ func TestPoolBoundsWorkers(t *testing.T) {
 
 func TestPoolWorkersExitWhenIdle(t *testing.T) {
 	pool := NewPool(4)
-	pool.SetIdleTimeout(5 * time.Millisecond)
+	pool.idleTimeout = 5 * time.Millisecond
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

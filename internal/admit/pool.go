@@ -10,10 +10,10 @@ import (
 // exiting; the pool shrinks back to zero goroutines when idle.
 const DefaultIdleTimeout = 200 * time.Millisecond
 
-// DefaultWorkers returns the default worker cap: generous enough that
+// defaultWorkers returns the default worker cap: generous enough that
 // moderately blocking handlers do not starve each other, small enough that
 // an async burst cannot take the process down.
-func DefaultWorkers() int {
+func defaultWorkers() int {
 	n := 4 * runtime.GOMAXPROCS(0)
 	if n < 16 {
 		n = 16
@@ -55,17 +55,13 @@ type Pool struct {
 }
 
 // NewPool creates a pool capped at max workers (zero selects
-// DefaultWorkers).
+// defaultWorkers).
 func NewPool(max int) *Pool {
 	if max <= 0 {
-		max = DefaultWorkers()
+		max = defaultWorkers()
 	}
 	return &Pool{max: max, idleTimeout: DefaultIdleTimeout}
 }
-
-// SetIdleTimeout overrides how long an idle worker lingers before exiting;
-// zero or negative keeps workers parked indefinitely. Call before use.
-func (p *Pool) SetIdleTimeout(d time.Duration) { p.idleTimeout = d }
 
 // Capacity returns the configured worker cap.
 func (p *Pool) Capacity() int { return p.max }

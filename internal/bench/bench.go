@@ -48,9 +48,9 @@ func wordArgs(n int) []any {
 	return args
 }
 
-// ProcCallLatency reconstructs Table 1's "Modula-3 procedure call" column:
+// procCallLatency reconstructs Table 1's "Modula-3 procedure call" column:
 // an event with only its intrinsic handler, dispatched as a direct call.
-func ProcCallLatency(args int) (vtime.Duration, error) {
+func procCallLatency(args int) (vtime.Duration, error) {
 	d, clock := newMeteredDispatcher(codegen.Options{})
 	ev, err := d.DefineEvent("Bench.Proc", sigN(args), dispatch.WithIntrinsic(dispatch.Handler{
 		Proc: &rtti.Proc{Name: "Bench.Proc", Module: benchModule, Sig: sigN(args)},
@@ -67,19 +67,13 @@ func ProcCallLatency(args int) (vtime.Duration, error) {
 	return clock.Now().Sub(before), nil
 }
 
-// DispatchLatency reconstructs one Table 1 cell: the cost of raising an
+// dispatchLatency reconstructs one Table 1 cell: the cost of raising an
 // event with the given number of arguments and handlers. Guards compare a
 // global variable to a constant and return true; handlers return without
 // performing any work. inline selects whether the code generator may
 // inline them.
-func DispatchLatency(args, handlers int, inline bool) (vtime.Duration, error) {
+func dispatchLatency(args, handlers int, inline bool) (vtime.Duration, error) {
 	return dispatchLatencyOpts(args, handlers, inline, codegen.Options{DisableBypass: true})
-}
-
-// DispatchLatencyOptions is DispatchLatency with explicit generator
-// options, for the ablation benchmarks.
-func DispatchLatencyOptions(args, handlers int, inline bool, opts codegen.Options) (vtime.Duration, error) {
-	return dispatchLatencyOpts(args, handlers, inline, opts)
 }
 
 func dispatchLatencyOpts(args, handlers int, inline bool, opts codegen.Options) (vtime.Duration, error) {
@@ -143,17 +137,17 @@ func Table1() (*Table1Result, error) {
 		Inline:   map[[2]int]float64{},
 	}
 	for _, a := range r.Args {
-		d, err := ProcCallLatency(a)
+		d, err := procCallLatency(a)
 		if err != nil {
 			return nil, err
 		}
 		r.ProcCall[a] = vtime.InMicros(d)
 		for _, h := range r.Handlers {
-			ni, err := DispatchLatency(a, h, false)
+			ni, err := dispatchLatency(a, h, false)
 			if err != nil {
 				return nil, err
 			}
-			inl, err := DispatchLatency(a, h, true)
+			inl, err := dispatchLatency(a, h, true)
 			if err != nil {
 				return nil, err
 			}
@@ -218,10 +212,10 @@ func AsyncOverhead(args int) (vtime.Duration, error) {
 	return latency, nil
 }
 
-// EchoRig is the Table 2 experiment: two machines on a 10 Mb/s Ethernet
+// echoRig is the Table 2 experiment: two machines on a 10 Mb/s Ethernet
 // exchanging 8-byte UDP datagrams, with additional always-false guards
 // installed on both machines' Udp.PacketArrived events.
-type EchoRig struct {
+type echoRig struct {
 	A, B   *kernel.Machine
 	SA, SB *netstack.Stack
 	client *netstack.UDPSocket
@@ -231,23 +225,14 @@ type EchoRig struct {
 	replyD bool
 }
 
-// NewEchoRig builds the two-machine echo setup with extraGuards inactive
+// newEchoRig builds the two-machine echo setup with extraGuards inactive
 // endpoints per machine ("the experiment has one active endpoint and many
-// inactive ones, yet all guards are evaluated for each packet").
-func NewEchoRig(extraGuards int) (*EchoRig, error) {
-	return newEchoRig(extraGuards, false)
-}
-
-// NewEchoRigOptimized is the same setup with inline predicate port guards
-// and the general executor dispatching through the guard index
-// (EnableDecisionTree) — the configuration the paper's future-work
-// paragraph predicts "would be effective for the port comparison required
-// by this example".
-func NewEchoRigOptimized(extraGuards int) (*EchoRig, error) {
-	return newEchoRig(extraGuards, true)
-}
-
-func newEchoRig(extraGuards int, optimized bool) (*EchoRig, error) {
+// inactive ones, yet all guards are evaluated for each packet"). optimized
+// selects inline predicate port guards and the general executor
+// dispatching through the guard index (EnableDecisionTree) — the
+// configuration the paper's future-work paragraph predicts "would be
+// effective for the port comparison required by this example".
+func newEchoRig(extraGuards int, optimized bool) (*echoRig, error) {
 	var cg codegen.Options
 	if optimized {
 		cg.EnableDecisionTree = true
@@ -263,7 +248,7 @@ func newEchoRig(extraGuards int, optimized bool) (*EchoRig, error) {
 	}
 	a, b := rig.Nodes[0].Machine, rig.Nodes[1].Machine
 	sa, sb := rig.Nodes[0].Stack, rig.Nodes[1].Stack
-	r := &EchoRig{A: a, B: b, SA: sa, SB: sb}
+	r := &echoRig{A: a, B: b, SA: sa, SB: sb}
 
 	// The inactive endpoints: handlers whose guards discriminate on
 	// ports nobody sends to, so they evaluate to false on every packet.
@@ -314,9 +299,9 @@ func newEchoRig(extraGuards int, optimized bool) (*EchoRig, error) {
 	return r, nil
 }
 
-// Roundtrip sends one 8-byte datagram and runs the simulation until the
+// roundtrip sends one 8-byte datagram and runs the simulation until the
 // reply returns, reporting the roundtrip latency.
-func (r *EchoRig) Roundtrip() (vtime.Duration, error) {
+func (r *echoRig) roundtrip() (vtime.Duration, error) {
 	r.replyD = false
 	start := r.A.Clock.Now()
 	if err := r.client.Send("10.0.0.2", 7, []byte("12345678")); err != nil {
@@ -336,13 +321,13 @@ func Table2Roundtrip(guards int) (vtime.Duration, error) {
 	if guards < 1 {
 		guards = 1
 	}
-	rig, err := NewEchoRig(guards - 1)
+	rig, err := newEchoRig(guards-1, false)
 	if err != nil {
 		return 0, err
 	}
 	// Discard a warm-up trip (the client strand's Done state machine is
 	// one-shot, so re-arm via a fresh rig per measurement instead).
-	return rig.Roundtrip()
+	return rig.roundtrip()
 }
 
 // Table2RoundtripOptimized is Table2Roundtrip through the guard index with
@@ -351,11 +336,11 @@ func Table2RoundtripOptimized(guards int) (vtime.Duration, error) {
 	if guards < 1 {
 		guards = 1
 	}
-	rig, err := NewEchoRigOptimized(guards - 1)
+	rig, err := newEchoRig(guards-1, true)
 	if err != nil {
 		return 0, err
 	}
-	return rig.Roundtrip()
+	return rig.roundtrip()
 }
 
 // MicroOverhead reconstructs the §3.1 claim that event processing adds

@@ -177,11 +177,11 @@ func TestMicroOverheadBand(t *testing.T) {
 // the single-handler bypass, the intrinsic-only case pays dispatch-entry
 // cost instead of a bare procedure call.
 func TestAblationBypass(t *testing.T) {
-	with, err := ProcCallLatency(0)
+	with, err := procCallLatency(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := DispatchLatencyOptions(0, 1, false, codegen.Options{DisableBypass: true})
+	without, err := dispatchLatencyOpts(0, 1, false, codegen.Options{DisableBypass: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestAblationBypass(t *testing.T) {
 // TestAblationInline quantifies design decision 2: disabling inlining on
 // an inlinable population falls back to indirect-call cost.
 func TestAblationInline(t *testing.T) {
-	inline, err := DispatchLatency(0, 50, true)
+	inline, err := dispatchLatency(0, 50, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noInline, err := DispatchLatency(0, 50, false)
+	noInline, err := dispatchLatency(0, 50, false)
 	if err != nil {
 		t.Fatal(err)
 	}

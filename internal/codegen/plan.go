@@ -383,7 +383,7 @@ func (b *Binding) lower(opts Options) *lowered {
 	st.inline = b.Inline != nil && !b.Async && !b.Ephemeral
 	for _, g := range b.Guards {
 		if g.Pred != nil && !opts.DisablePeephole {
-			s := g.Pred.Simplify()
+			s := g.Pred.simplify()
 			switch s.Op {
 			case PredTrue:
 				continue // elide constant-true guard

@@ -111,9 +111,9 @@ func Or(l, r *Pred) *Pred { return &Pred{Op: PredOr, L: l, R: r} }
 // Not builds !p.
 func Not(p *Pred) *Pred { return &Pred{Op: PredNot, L: p} }
 
-// AsWord extracts a machine word from a raise argument. It accepts the
+// asWord extracts a machine word from a raise argument. It accepts the
 // integer kinds rtti maps to WORD. The second result reports success.
-func AsWord(v any) (uint64, bool) {
+func asWord(v any) (uint64, bool) {
 	switch v := v.(type) {
 	case uint64:
 		return v, true
@@ -177,20 +177,20 @@ func argWord(args []any, i int) (uint64, bool) {
 	if i < 0 || i >= len(args) {
 		return 0, false
 	}
-	return AsWord(args[i])
+	return asWord(args[i])
 }
 
-// Simplify returns a peephole-simplified equivalent of p, folding constant
+// simplify returns a peephole-simplified equivalent of p, folding constant
 // subtrees: And(True,x)=x, Or(False,x)=x, Not(Not(x))=x, and so on. It
 // never evaluates cells or arguments — only structurally constant facts
 // fold, so a simplified predicate is observationally identical.
-func (p *Pred) Simplify() *Pred {
+func (p *Pred) simplify() *Pred {
 	if p == nil {
 		return nil
 	}
 	switch p.Op {
 	case PredAnd:
-		l, r := p.L.Simplify(), p.R.Simplify()
+		l, r := p.L.simplify(), p.R.simplify()
 		switch {
 		case l.Op == PredFalse || r.Op == PredFalse:
 			return False()
@@ -201,7 +201,7 @@ func (p *Pred) Simplify() *Pred {
 		}
 		return And(l, r)
 	case PredOr:
-		l, r := p.L.Simplify(), p.R.Simplify()
+		l, r := p.L.simplify(), p.R.simplify()
 		switch {
 		case l.Op == PredTrue || r.Op == PredTrue:
 			return True()
@@ -212,7 +212,7 @@ func (p *Pred) Simplify() *Pred {
 		}
 		return Or(l, r)
 	case PredNot:
-		l := p.L.Simplify()
+		l := p.L.simplify()
 		switch l.Op {
 		case PredTrue:
 			return False()

@@ -79,12 +79,12 @@ func TestAsWord(t *testing.T) {
 	good := []any{uint64(1), int(1), uint(1), int64(1), int32(1), uint32(1),
 		int16(1), uint16(1), int8(1), uint8(1), uintptr(1)}
 	for _, v := range good {
-		if w, ok := AsWord(v); !ok || w != 1 {
+		if w, ok := asWord(v); !ok || w != 1 {
 			t.Errorf("AsWord(%T) = %v,%v", v, w, ok)
 		}
 	}
 	for _, v := range []any{"x", 3.14, nil, struct{}{}} {
-		if _, ok := AsWord(v); ok {
+		if _, ok := asWord(v); ok {
 			t.Errorf("AsWord(%T) accepted", v)
 		}
 	}
@@ -111,14 +111,14 @@ func TestSimplifyFoldsConstants(t *testing.T) {
 		{x, x},
 	}
 	for i, c := range cases {
-		got := c.in.Simplify()
+		got := c.in.simplify()
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("case %d: Simplify(%s) = %s, want %s", i, c.in, got, c.want)
+			t.Errorf("case %d: simplify(%s) = %s, want %s", i, c.in, got, c.want)
 		}
 	}
 	var nilPred *Pred
-	if nilPred.Simplify() != nil {
-		t.Error("nil Simplify must return nil")
+	if nilPred.simplify() != nil {
+		t.Error("nil simplify must return nil")
 	}
 }
 
@@ -151,7 +151,7 @@ func TestSimplifyEquivalenceProperty(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		p := gen(rng.Intn(4) + 1)
-		s := p.Simplify()
+		s := p.simplify()
 		args := []any{uint64(rng.Intn(3)), uint64(rng.Intn(3)), uint64(rng.Intn(3))}
 		if p.Eval(args) != s.Eval(args) {
 			t.Fatalf("simplification changed semantics: %s vs %s on %v", p, s, args)
@@ -207,10 +207,10 @@ func TestBodyString(t *testing.T) {
 	}
 }
 
-// Property: AsWord round-trips any uint64 passed through the arg vector.
+// Property: asWord round-trips any uint64 passed through the arg vector.
 func TestAsWordProperty(t *testing.T) {
 	f := func(w uint64) bool {
-		got, ok := AsWord(any(w))
+		got, ok := asWord(any(w))
 		return ok && got == w
 	}
 	if err := quick.Check(f, nil); err != nil {

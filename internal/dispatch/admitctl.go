@@ -16,7 +16,7 @@ import (
 // internal/admit and DESIGN.md decision 13).
 type AdmissionConfig struct {
 	// Workers caps the shared worker pool that drains admission queues and
-	// backs the default spawner; zero selects admit.DefaultWorkers().
+	// backs the default spawner; zero selects the pool default.
 	Workers int
 	// Default, when non-nil, gives every event defined on the dispatcher a
 	// bounded admission queue under this policy. Individual events override

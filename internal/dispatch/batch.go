@@ -229,7 +229,7 @@ func (e *Event) raiseBatchLoop(frames []ArgFrame) BatchOutcome {
 func (e *Event) raiseBatchAsync(frames []ArgFrame) BatchOutcome {
 	var out BatchOutcome
 	n := len(frames)
-	if (e.sig.HasResult() && e.DefaultBinding() == nil) || e.sig.HasByRef() {
+	if (e.sig.HasResult() && e.defaultBinding() == nil) || e.sig.HasByRef() {
 		out.Rejected = n
 		return out
 	}

@@ -180,10 +180,6 @@ func (b *Binding) Guards() []Guard {
 // when the installation carries none).
 func (b *Binding) Deadline() time.Duration { return b.deadline }
 
-// Credential returns the opaque credential attached at installation, for
-// re-submission to an authorizer (nil when none).
-func (b *Binding) Credential() any { return b.credential }
-
 // HandlerName returns the handler procedure's qualified name.
 func (b *Binding) HandlerName() string {
 	if b.handler.Proc == nil {
@@ -200,17 +196,6 @@ func (b *Binding) Installer() *rtti.Module {
 	}
 	return b.handler.Proc.Module
 }
-
-// JournalID returns the binding's identity in the lifecycle journal
-// (zero on an unjournaled dispatcher).
-func (b *Binding) JournalID() uint64 {
-	b.event.mu.Lock()
-	defer b.event.mu.Unlock()
-	return b.journalID
-}
-
-// Intrinsic reports whether this is the event's intrinsic handler.
-func (b *Binding) Intrinsic() bool { return b.intrinsic }
 
 // Async reports whether the handler executes asynchronously.
 func (b *Binding) Async() bool { return b.async }
@@ -240,11 +225,6 @@ func (b *Binding) Quarantined() bool { return b.quarantined.Load() }
 // essential).
 func (b *Binding) Priority() int { return b.priority }
 
-// Degraded reports whether the overload controller has compiled the
-// binding out of its event's dispatch plan at the current degradation
-// level.
-func (b *Binding) Degraded() bool { return b.degraded.Load() }
-
 // FaultState returns the binding's state in the dispatcher's fault ledger
 // (Healthy for a binding that has never exhausted a budget).
 func (b *Binding) FaultState() fault.State {
@@ -264,13 +244,6 @@ func (b *Binding) Order() Order {
 	b.event.mu.Lock()
 	defer b.event.mu.Unlock()
 	return b.order
-}
-
-// ImposedGuards returns a snapshot of the authority-imposed guards.
-func (b *Binding) ImposedGuards() []Guard {
-	b.event.mu.Lock()
-	defer b.event.mu.Unlock()
-	return append([]Guard(nil), b.imposed...)
 }
 
 // setImposed replaces the authority-imposed guard list and drops the

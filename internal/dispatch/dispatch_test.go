@@ -80,7 +80,7 @@ func TestIntrinsicHandlerDispatchesAsProcedureCall(t *testing.T) {
 	if err != nil || res != 42 || calls != 1 {
 		t.Fatalf("res=%v err=%v calls=%d", res, err, calls)
 	}
-	if e.Authority() != testModule {
+	if e.authority != testModule {
 		t.Fatal("authority must be the intrinsic handler's module")
 	}
 	if e.IntrinsicBinding() == nil {
@@ -714,7 +714,7 @@ func TestBindingStringIsInformative(t *testing.T) {
 // exactly one plan regeneration over the bindings present after it —
 // PlanCompileBase + n·PlanCompileBinding (§3.1) — and operator and
 // controller operations (quarantine, readmission, degradation, tracing,
-// admission, migration) are uncharged. A double recompile, or a flipped
+// admission) are uncharged. A double recompile, or a flipped
 // charge bit on any path, moves an AccountEvents delta.
 func TestControlChargeIsOneRecompile(t *testing.T) {
 	clock := &vtime.Clock{}
@@ -726,7 +726,6 @@ func TestControlChargeIsOneRecompile(t *testing.T) {
 	nop := func(any, []any) any { return nil }
 	h := func(name string) Handler { return handler(voidProc(name, rtti.Word), nop) }
 	e := mustDefine(t, d, "C.Charge", rtti.Sig(nil, rtti.Word), WithIntrinsic(h("Intr")))
-	src := mustDefine(t, d, "C.Src", rtti.Sig(nil, rtti.Word))
 	ext := rtti.NewModule("Ext")
 	var bs []*Binding
 	for i := 0; i < 4; i++ {
@@ -759,18 +758,16 @@ func TestControlChargeIsOneRecompile(t *testing.T) {
 		{"SetResultHandler", true, func() error { return e.SetResultHandler(func(_, r any, _ int) any { return r }) }},
 		{"ImposeGuard", true, func() error { return e.ImposeGuard(bs[0], g, testModule) }},
 		{"RemoveImposedGuards", true, func() error { return e.RemoveImposedGuards(bs[0], testModule) }},
-		{"QuarantineBinding", false, func() error { d.QuarantineBinding(bs[1]); return nil }},
-		{"ReadmitBinding", false, func() error { d.ReadmitBinding(bs[1]); return nil }},
+		{"QuarantineBinding", false, func() error { d.quarantineBinding(bs[1]); return nil }},
+		{"ReadmitBinding", false, func() error { d.readmitBinding(bs[1]); return nil }},
 		{"QuarantineModule", false, func() error { d.QuarantineModule(ext); return nil }},
 		{"ReadmitModule", false, func() error { d.ReadmitModule(ext); return nil }},
-		{"ForceDegradationLevel up", false, func() error { d.ForceDegradationLevel(1); return nil }},
-		{"ForceDegradationLevel down", false, func() error { d.ForceDegradationLevel(0); return nil }},
+		{"ForceDegradationLevel up", false, func() error { d.forceDegradationLevel(1); return nil }},
+		{"ForceDegradationLevel down", false, func() error { d.forceDegradationLevel(0); return nil }},
 		{"Trace on", false, func() error { e.Trace(tr); return nil }},
 		{"Trace off", false, func() error { e.Trace(nil); return nil }},
 		{"SetAdmission on", false, func() error { e.SetAdmission(&pol); return nil }},
 		{"SetAdmission off", false, func() error { e.SetAdmission(nil); return nil }},
-		{"MigrateControls", false, func() error { src.MigrateControls(e); return nil }},
-		{"MigrateImposedGuards", false, func() error { return e.MigrateImposedGuards(bs[2], []Guard{g}) }},
 		{"fault probation and restore", false, func() error {
 			if !d.faults.ledger.Observe(bs[3], nil, fault.Record{Kind: fault.KindPanic}).Quarantine {
 				return errors.New("ledger did not quarantine")
@@ -797,4 +794,27 @@ func TestControlChargeIsOneRecompile(t *testing.T) {
 	if x.Quarantined() || bs[1].Quarantined() || bs[3].Quarantined() {
 		t.Error("an uncharged operation left a binding quarantined")
 	}
+}
+
+// JournalID returns the binding's identity in the lifecycle journal
+// (zero on an unjournaled dispatcher).
+func (b *Binding) JournalID() uint64 {
+	b.event.mu.Lock()
+	defer b.event.mu.Unlock()
+	return b.journalID
+}
+
+// Intrinsic reports whether this is the event's intrinsic handler.
+func (b *Binding) Intrinsic() bool { return b.intrinsic }
+
+// Degraded reports whether the overload controller has compiled the
+// binding out of its event's dispatch plan at the current degradation
+// level.
+func (b *Binding) Degraded() bool { return b.degraded.Load() }
+
+// ImposedGuards returns a snapshot of the authority-imposed guards.
+func (b *Binding) ImposedGuards() []Guard {
+	b.event.mu.Lock()
+	defer b.event.mu.Unlock()
+	return append([]Guard(nil), b.imposed...)
 }

@@ -173,10 +173,6 @@ func (e *Event) Dispatcher() *Dispatcher { return e.d }
 // Signature returns the event's procedure signature.
 func (e *Event) Signature() rtti.Signature { return e.sig }
 
-// Authority returns the module with authority over the event (the module
-// defining the intrinsic handler), or nil for an unowned event.
-func (e *Event) Authority() *rtti.Module { return e.authority }
-
 // Async reports whether the event was defined asynchronous.
 func (e *Event) Async() bool { return e.async }
 
@@ -189,6 +185,14 @@ func (e *Event) IntrinsicBinding() *Binding {
 		return e.intrinsic
 	}
 	return nil
+}
+
+// defaultBinding returns the event's default-handler binding, or nil when
+// no default handler is installed.
+func (e *Event) defaultBinding() *Binding {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.defaultB
 }
 
 // Bindings returns a snapshot of the installed bindings in dispatch order.
@@ -242,7 +246,7 @@ type txn Event
 // changes what an event dispatches — Install, Uninstall, SetOrder, the
 // default and result handlers, imposed guards, Trace, SetAdmission,
 // quarantine and readmission (operator, fault controller, module),
-// degradation, migration, RemoveEvent — is one call:
+// degradation — is one call:
 //
 //  1. take e.mu;
 //  2. run fn, whose txn methods mutate the event, mark the plan stale,
@@ -254,8 +258,8 @@ type txn Event
 //
 // So the journal orders each event's records the way the event committed
 // them, and raises never wait: they finish on the plan they loaded.
-// Records that belong to no event (quotas, module markers, degradation,
-// shard moves) go through Dispatcher.record instead.
+// Records that belong to no event (quotas, module markers, degradation)
+// go through Dispatcher.record instead.
 //
 // Lock order: e.mu may be taken under d.mu (DefineEvent) and takes the
 // quota, fault-controller and admission mutexes inside fn; none of those
@@ -375,7 +379,7 @@ func (e *Event) RaiseAsync(args ...any) error {
 	if err := e.checkArgs(args); err != nil {
 		return err
 	}
-	if e.sig.HasResult() && e.DefaultBinding() == nil {
+	if e.sig.HasResult() && e.defaultBinding() == nil {
 		return fmt.Errorf("%w: %s", ErrAsyncNeedsDefault, e.name)
 	}
 	if e.sig.HasByRef() {

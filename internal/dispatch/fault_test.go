@@ -543,3 +543,9 @@ func TestRecordOnlyModeDoesNotProtectPlans(t *testing.T) {
 		t.Error("record-only ledger claims to be enforcing")
 	}
 }
+
+// ModuleQuarantined reports whether m is currently under module-level
+// quarantine.
+func (d *Dispatcher) ModuleQuarantined(m *rtti.Module) bool {
+	return d.faults.moduleQuarantined(m)
+}

@@ -293,9 +293,3 @@ func (d *Dispatcher) ReadmitModule(m *rtti.Module) int {
 	})
 	return n
 }
-
-// ModuleQuarantined reports whether m is currently under module-level
-// quarantine.
-func (d *Dispatcher) ModuleQuarantined(m *rtti.Module) bool {
-	return d.faults.moduleQuarantined(m)
-}

@@ -266,8 +266,8 @@ func (t *txn) install(b *Binding) error {
 	return nil
 }
 
-// retire takes b off the event the way every departure does — Uninstall,
-// a replaced or cleared default handler, RemoveEvent: out of the handler
+// retire takes b off the event the way every departure does — Uninstall
+// or a replaced or cleared default handler: out of the handler
 // list (its installation accounting returned) or the default slot, no
 // longer installed, forgotten by the fault ledger (a pending readmission
 // timer then finds nothing to do), its uninstall journaled.

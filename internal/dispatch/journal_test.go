@@ -226,7 +226,7 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	if err := hookA.Uninstall(b4); err != nil {
 		t.Fatal(err)
 	}
-	if !dA.QuarantineBinding(b5) {
+	if !dA.quarantineBinding(b5) {
 		t.Fatal("QuarantineBinding(b5) = false")
 	}
 	if err := hookA.SetOrder(b1, Order{Kind: OrderLast}); err != nil {
@@ -321,6 +321,67 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalKind13StillReplays: kind 13 was online resharding's shard-move
+// marker. A journal that carries one between installs still verifies, and
+// both the symbolic State and a live dispatcher replay it to the bindings
+// the source holds.
+func TestJournalKind13StillReplays(t *testing.T) {
+	sink := journal.NewMemSink()
+	j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
+	dA := New(WithJournal(j))
+	nop := func(name string) Handler {
+		return handler(voidProc(name, rtti.Word), func(any, []any) any { return nil })
+	}
+	eA := mustDefine(t, dA, "J.Moved", rtti.Sig(nil, rtti.Word), WithIntrinsic(nop("I")))
+	b1, err := eA.Install(nop("H1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Record(journal.Record{Kind: journal.Kind(13), Event: "J.Moved", A: 0, B: 1})
+	if _, err := eA.Install(nop("H2"), First()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eA.Install(nop("H3"), Before(b1)); err != nil {
+		t.Fatal(err)
+	}
+	j.Flush()
+	data := sink.Bytes()
+
+	if _, err := journal.Verify(data); err != nil {
+		t.Fatalf("journal with a kind-13 record does not verify: %v", err)
+	}
+	recs := journal.Scan(data).SealedRecords()
+	kinds := make([]journal.Kind, len(recs))
+	for i, r := range recs {
+		kinds[i] = r.Kind
+	}
+	want := []journal.Kind{journal.KindInstall, journal.KindInstall, 13, journal.KindInstall, journal.KindInstall}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("sealed kinds %v, want %v", kinds, want)
+	}
+
+	st := journal.NewState()
+	if _, err := journal.Replay(data, st); err != nil {
+		t.Fatalf("State replay: %v", err)
+	}
+	if err := st.Apply(recs[2]); err != nil {
+		t.Fatalf("State.Apply(kind 13): %v", err)
+	}
+	dB := New()
+	eB := mustDefine(t, dB, "J.Moved", rtti.Sig(nil, rtti.Word), WithIntrinsic(nop("I")))
+	_, sum, err := dB.ReplayJournal(data, func(_, hname string) (Handler, []InstallOption, bool) { return nop(hname), nil, true })
+	if err != nil {
+		t.Fatalf("ReplayJournal: %v", err)
+	}
+	if sum.Records != len(recs) {
+		t.Fatalf("replayed %d records, want %d", sum.Records, len(recs))
+	}
+	idsA, idsB, idsO := liveOrder(eA), liveOrder(eB), st.Bindings("J.Moved")
+	if len(idsA) != 4 || !equalIDs(idsA, idsB) || !equalIDs(idsA, idsO) {
+		t.Fatalf("bindings diverged: live %v, replayed %v, state %v", idsA, idsB, idsO)
+	}
+}
+
 // fuzzJournalOps is the number of lifecycle ops FuzzJournalReplay decodes
 // from its input bytes (op byte % fuzzJournalOps selects the op).
 const fuzzJournalOps = 11
@@ -393,11 +454,11 @@ func FuzzJournalReplay(f *testing.F) {
 				}
 			case 3:
 				if len(live) > 0 {
-					dA.QuarantineBinding(pick(op >> 3))
+					dA.quarantineBinding(pick(op >> 3))
 				}
 			case 4:
 				if len(live) > 0 {
-					dA.ReadmitBinding(pick(op >> 3))
+					dA.readmitBinding(pick(op >> 3))
 				}
 			case 5:
 				dA.SetQuotas(int(op&15), int(op))
@@ -422,7 +483,7 @@ func FuzzJournalReplay(f *testing.F) {
 					dA.ReadmitModule(ext)
 				}
 			case 9:
-				dA.ForceDegradationLevel(int(op>>4) % 3)
+				dA.forceDegradationLevel(int(op>>4) % 3)
 			case 10: // PR 15: a Budget: 1 handler uninstalls itself, then panics
 				var self *Binding
 				self, err := eA.Install(handler(voidProc("Quitter", rtti.Word), func(any, []any) any {
@@ -474,10 +535,10 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 		var defA, defB uint64
-		if db := eA.DefaultBinding(); db != nil {
+		if db := eA.defaultBinding(); db != nil {
 			defA = db.JournalID()
 		}
-		if db := eB.DefaultBinding(); db != nil {
+		if db := eB.defaultBinding(); db != nil {
 			defB = db.JournalID()
 		}
 		if defA != defB {
@@ -545,7 +606,7 @@ func TestFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
 				if err := e.SetDefaultHandler(h); err != nil {
 					return nil, err
 				}
-				return e.DefaultBinding(), nil
+				return e.defaultBinding(), nil
 			},
 			func(e *Event, self *Binding) error { return e.SetDefaultHandler(Handler{}) }},
 	} {
@@ -577,7 +638,7 @@ func TestFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
 					self.Quarantined(), d.FaultLedger().State(self))
 			}
 			// The operator path is held to the same rule.
-			if d.QuarantineBinding(self) || d.ReadmitBinding(self) {
+			if d.quarantineBinding(self) || d.readmitBinding(self) {
 				t.Error("operator quarantine/readmit acted on a departed binding")
 			}
 			j.Flush()
@@ -709,7 +770,7 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 				list = append(list, s)
 			}
 			def := "-"
-			if db := e.DefaultBinding(); db != nil {
+			if db := e.defaultBinding(); db != nil {
 				def = fmt.Sprintf("%s#%d", db.HandlerName(), db.JournalID())
 			}
 			fmt.Fprintf(&out, "  %s %v default=%s\n", e.Name(), list, def)
@@ -770,8 +831,6 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 		must(dflt.SetResultHandler(func(acc, r any, _ int) any { return r }))
 		must(dflt.ImposeGuard(x, g, testModule))
 		must(dflt.RemoveImposedGuards(x, testModule))
-		must(dflt.MigrateImposedGuards(x, []Guard{g}))
-		op.MigrateControls(dflt)
 	})
 	step("trace and admission toggles", func() {
 		op.Trace(nil)
@@ -784,10 +843,10 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 	step("operator quarantine and readmit", func() {
 		q = install(op, h("Q1"))
 		install(op, h("Q2"))
-		if !d.QuarantineBinding(q) || d.QuarantineBinding(q) {
+		if !d.quarantineBinding(q) || d.quarantineBinding(q) {
 			t.Fatal("QuarantineBinding")
 		}
-		if !d.ReadmitBinding(q) || d.ReadmitBinding(q) {
+		if !d.readmitBinding(q) || d.readmitBinding(q) {
 			t.Fatal("ReadmitBinding")
 		}
 	})
@@ -811,7 +870,7 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 		x1 = install(mod, extH("X1"))
 		install(mod, extH("X2"), WithPriority(1))
 		install(mod, h("Mine"))
-		d.QuarantineBinding(x1)
+		d.quarantineBinding(x1)
 		if n := d.QuarantineModule(ext); n != 1 {
 			t.Fatalf("QuarantineModule flipped %d, want 1", n)
 		}
@@ -825,7 +884,7 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 		}
 	})
 	for _, level := range []int{1, 2, 2, 0} {
-		step(fmt.Sprintf("degrade to level %d", level), func() { d.ForceDegradationLevel(level) })
+		step(fmt.Sprintf("degrade to level %d", level), func() { d.forceDegradationLevel(level) })
 	}
 	step("quotas", func() {
 		d.SetQuotas(1, 0)
@@ -833,14 +892,6 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 			t.Fatalf("install over quota: %v", err)
 		}
 		d.SetQuotas(0, 0)
-	})
-	step("remove event and shard-move marker", func() {
-		install(gone, h("G1"))
-		install(gone, h("G2"), First())
-		must(gone.SetDefaultHandler(h("GDef")))
-		d.JournalShardMove("C.Gone", 0, 1)
-		must(d.RemoveEvent("C.Gone"))
-		events = events[:len(events)-1]
 	})
 
 	path := filepath.Join("testdata", "control.golden")

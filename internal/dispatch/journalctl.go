@@ -102,7 +102,7 @@ func (t *txn) record(kind journal.Kind, b *Binding, a int64) {
 }
 
 // record journals a record that belongs to no event: a quota change, a
-// module quarantine marker, a degradation transition, a shard move.
+// module quarantine marker, a degradation transition.
 func (d *Dispatcher) record(rec journal.Record) {
 	if d.journalOn() {
 		d.jrnl.Record(rec)
@@ -121,20 +121,12 @@ func (d *Dispatcher) SetQuotas(perModule, global int) {
 	d.record(journal.Record{Kind: journal.KindQuota, A: int64(perModule), B: int64(global)})
 }
 
-// Quotas returns the current installation quota limits (zero =
-// unlimited).
-func (d *Dispatcher) Quotas() (perModule, global int) {
-	d.quota.mu.Lock()
-	defer d.quota.mu.Unlock()
-	return d.quota.perModule, d.quota.global
-}
-
-// QuarantineBinding compiles b out of its event's dispatch plan without
+// quarantineBinding compiles b out of its event's dispatch plan without
 // involving the fault ledger: the operator (and replay) override. Unlike
 // fault-driven quarantine no probation timer is armed; the binding stays
-// out until ReadmitBinding. Returns false if b was already quarantined or
+// out until readmitBinding. Returns false if b was already quarantined or
 // has left its event (a record after its uninstall could not be replayed).
-func (d *Dispatcher) QuarantineBinding(b *Binding) bool {
+func (d *Dispatcher) quarantineBinding(b *Binding) bool {
 	flipped := false
 	if b != nil {
 		_ = b.event.commitOn(b, false, func(t *txn) error {
@@ -145,10 +137,10 @@ func (d *Dispatcher) QuarantineBinding(b *Binding) bool {
 	return flipped
 }
 
-// ReadmitBinding compiles a quarantined binding back into its event's
+// readmitBinding compiles a quarantined binding back into its event's
 // plan, clearing any fault- or operator-driven quarantine. Returns false
 // if b was not quarantined or has left its event.
-func (d *Dispatcher) ReadmitBinding(b *Binding) bool {
+func (d *Dispatcher) readmitBinding(b *Binding) bool {
 	was := false
 	if b != nil {
 		_ = b.event.commitOn(b, false, func(t *txn) error {
@@ -161,14 +153,14 @@ func (d *Dispatcher) ReadmitBinding(b *Binding) bool {
 	return was
 }
 
-// ForceDegradationLevel pins the overload controller at level (0 =
+// forceDegradationLevel pins the overload controller at level (0 =
 // normal), applying the binding changes and journaling the transition the
 // same way load-driven transitions do. It is the operator override and
 // the replay path for KindDegrade records; subsequent load observations
 // resume normal escalation from the forced level. Returns the transition;
 // changed is false when no degradation ladder is configured or the level
 // is already current.
-func (d *Dispatcher) ForceDegradationLevel(level int) (from, to int, changed bool) {
+func (d *Dispatcher) forceDegradationLevel(level int) (from, to int, changed bool) {
 	a := d.admit
 	if a.degrader == nil {
 		return 0, 0, false
@@ -203,10 +195,10 @@ type ReplayApplier struct {
 	bindings map[uint64]*Binding
 }
 
-// NewReplayApplier builds an applier over d. Use Dispatcher.ReplayJournal
+// newReplayApplier builds an applier over d. Use Dispatcher.ReplayJournal
 // for the common whole-journal case; the applier is exported for tests
 // and tools that drive journal.Replay themselves.
-func NewReplayApplier(d *Dispatcher, resolve JournalResolve) *ReplayApplier {
+func newReplayApplier(d *Dispatcher, resolve JournalResolve) *ReplayApplier {
 	return &ReplayApplier{
 		d:        d,
 		resolve:  resolve,
@@ -226,7 +218,7 @@ func (ra *ReplayApplier) module(name string) (*rtti.Module, bool) {
 		return m, true
 	}
 	for _, e := range ra.d.Events() {
-		if m := e.Authority(); m != nil {
+		if m := e.authority; m != nil {
 			ra.mods[m.Name()] = m
 		}
 		for _, b := range e.Bindings() {
@@ -278,10 +270,10 @@ func (ra *ReplayApplier) Apply(rec journal.Record) error {
 		}
 		return b.event.SetOrder(b, o)
 	case journal.KindQuarantine:
-		d.QuarantineBinding(b)
+		d.quarantineBinding(b)
 		return nil
 	case journal.KindProbation, journal.KindRestore:
-		d.ReadmitBinding(b)
+		d.readmitBinding(b)
 		return nil
 	case journal.KindModuleQuarantine, journal.KindModuleReadmit:
 		m, ok := ra.module(rec.Module)
@@ -297,14 +289,13 @@ func (ra *ReplayApplier) Apply(rec journal.Record) error {
 			}
 			return fmt.Errorf("journaled degradation level %d but no ladder configured", rec.B)
 		}
-		d.ForceDegradationLevel(int(rec.B))
+		d.forceDegradationLevel(int(rec.B))
 		return nil
 	case journal.KindQuota:
 		d.SetQuotas(int(rec.A), int(rec.B))
 		return nil
-	case journal.KindRaise, journal.KindShardMove:
-		// Statistical samples and audit markers: nothing to re-drive (a
-		// move's departures and arrivals replay from their own records).
+	case journal.KindRaise:
+		// A statistical sample: nothing to re-drive.
 		return nil
 	}
 	return fmt.Errorf("unexpected record kind %v", rec.Kind)
@@ -336,7 +327,14 @@ func (ra *ReplayApplier) applyInstall(rec journal.Record) error {
 // install re-drives one install record through the live control plane.
 func (ra *ReplayApplier) install(e *Event, rec journal.Record) (*Binding, error) {
 	if rec.Flags&journal.FlagIntrinsic != 0 {
-		return e.replayIntrinsic()
+		// DefineEvent installed the intrinsic; the record names it.
+		e.mu.Lock()
+		b := e.intrinsic
+		e.mu.Unlock()
+		if b == nil {
+			return nil, fmt.Errorf("event %q has no intrinsic binding", rec.Event)
+		}
+		return b, nil
 	}
 	h, ropts, ok := ra.resolve(rec.Module, rec.Handler)
 	if !ok {
@@ -346,7 +344,7 @@ func (ra *ReplayApplier) install(e *Event, rec journal.Record) (*Binding, error)
 		if err := e.SetDefaultHandler(h); err != nil {
 			return nil, err
 		}
-		return e.DefaultBinding(), nil
+		return e.defaultBinding(), nil
 	}
 	opts := append([]InstallOption(nil), ropts...)
 	if rec.Flags&journal.FlagAsync != 0 {
@@ -383,26 +381,6 @@ func (ra *ReplayApplier) install(e *Event, rec journal.Record) (*Binding, error)
 	return e.Install(h, opts...)
 }
 
-// replayIntrinsic returns the intrinsic binding a replayed FlagIntrinsic
-// install names. When a replayed RemoveEvent retired it — the event moved
-// to another shard — the record is the event's re-definition (it moved
-// back): the intrinsic is installed afresh, first on the emptied handler
-// list, as DefineEvent installed it.
-func (e *Event) replayIntrinsic() (b *Binding, err error) {
-	err = e.commit(false, func(t *txn) error {
-		if b = t.intrinsic; b == nil {
-			return fmt.Errorf("event %q has no intrinsic binding", t.name)
-		}
-		if b.installed {
-			return nil
-		}
-		b = &Binding{event: e, handler: b.handler, intrinsic: true}
-		t.intrinsic = b
-		return t.install(b)
-	})
-	return b, err
-}
-
 // ReplayJournal reconstructs the dispatcher's binding, quarantine, quota,
 // and degradation state from a journal byte snapshot: sealed records are
 // re-driven in order through the normal control plane, with lifecycle
@@ -411,7 +389,7 @@ func (e *Event) replayIntrinsic() (b *Binding, err error) {
 // tail is reported in the summary but never trusted. The returned applier
 // maps journal IDs to the live bindings replay created.
 func (d *Dispatcher) ReplayJournal(data []byte, resolve JournalResolve) (*ReplayApplier, journal.Summary, error) {
-	ra := NewReplayApplier(d, resolve)
+	ra := newReplayApplier(d, resolve)
 	d.jmuted.Store(true)
 	defer d.jmuted.Store(false)
 	sum, err := journal.Replay(data, ra)

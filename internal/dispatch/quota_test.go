@@ -163,3 +163,11 @@ func TestGuardReorderingShortCircuits(t *testing.T) {
 		t.Fatalf("expensive guard calls = %d", expensiveCalls)
 	}
 }
+
+// Quotas returns the current installation quota limits (zero =
+// unlimited).
+func (d *Dispatcher) Quotas() (perModule, global int) {
+	d.quota.mu.Lock()
+	defer d.quota.mu.Unlock()
+	return d.quota.perModule, d.quota.global
+}

@@ -66,8 +66,8 @@ func (e *Emulator) MakeTask(st *sched.Strand, space *vm.AddressSpace) *Task {
 	return t
 }
 
-// TaskOf returns the Mach task a strand belongs to, if any.
-func TaskOf(st *sched.Strand) (*Task, bool) {
+// taskOf returns the Mach task a strand belongs to, if any.
+func taskOf(st *sched.Strand) (*Task, bool) {
 	t, ok := st.Locals[taskKey].(*Task)
 	return t, ok
 }
@@ -104,7 +104,7 @@ func Image(e *Emulator) *linker.Image {
 					Sig:        rtti.Sig(rtti.Bool, sched.StrandType, trap.SavedStateType)},
 				Fn: func(clo any, args []any) bool {
 					// RETURN IsMachTask(strand)
-					_, ok := TaskOf(args[0].(*sched.Strand))
+					_, ok := taskOf(args[0].(*sched.Strand))
 					return ok
 				},
 			}))
@@ -121,7 +121,7 @@ func Image(e *Emulator) *linker.Image {
 func (e *Emulator) syscall(clo any, args []any) any {
 	st := args[0].(*sched.Strand)
 	ms := args[1].(*trap.SavedState)
-	task, ok := TaskOf(st)
+	task, ok := taskOf(st)
 	if !ok {
 		return nil // guard should have filtered; be defensive
 	}

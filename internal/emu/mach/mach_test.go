@@ -152,11 +152,11 @@ func TestUnknownMachTrap(t *testing.T) {
 func TestTaskOf(t *testing.T) {
 	m, e := boot(t)
 	st := idleStrand(m)
-	if _, ok := TaskOf(st); ok {
+	if _, ok := taskOf(st); ok {
 		t.Fatal("phantom task")
 	}
 	task := e.MakeTask(st, m.VM.NewSpace())
-	got, ok := TaskOf(st)
+	got, ok := taskOf(st)
 	if !ok || got != task {
 		t.Fatal("TaskOf broken")
 	}

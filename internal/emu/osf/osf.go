@@ -99,8 +99,8 @@ type Task struct {
 	nextFD uint64
 }
 
-// TaskOf returns a strand's OSF task, if any.
-func TaskOf(st *sched.Strand) (*Task, bool) {
+// taskOf returns a strand's OSF task, if any.
+func taskOf(st *sched.Strand) (*Task, bool) {
 	t, ok := st.Locals[taskKey].(*Task)
 	return t, ok
 }
@@ -191,7 +191,7 @@ func (e *Emulator) Image() *linker.Image {
 					Functional: true,
 					Sig:        rtti.Sig(rtti.Bool, sched.StrandType, trap.SavedStateType)},
 				Fn: func(clo any, args []any) bool {
-					_, ok := TaskOf(args[0].(*sched.Strand))
+					_, ok := taskOf(args[0].(*sched.Strand))
 					return ok
 				},
 			}))
@@ -245,7 +245,7 @@ func (e *Emulator) Sys(st *sched.Strand, num uint64, extra *Extra, args ...uint6
 func (e *Emulator) syscall(clo any, args []any) any {
 	st := args[0].(*sched.Strand)
 	ms := args[1].(*trap.SavedState)
-	task, ok := TaskOf(st)
+	task, ok := taskOf(st)
 	if !ok {
 		return nil
 	}
@@ -545,7 +545,7 @@ func (e *Emulator) readable(task *Task, fd uint64) bool {
 // AwaitReadable registers st for wakeup when the descriptor becomes
 // readable; the strand returns sched.Block after calling it.
 func (e *Emulator) AwaitReadable(st *sched.Strand, fd uint64) error {
-	task, ok := TaskOf(st)
+	task, ok := taskOf(st)
 	if !ok {
 		return fmt.Errorf("osf: strand %d is not an OSF task", st.ID())
 	}
@@ -569,7 +569,7 @@ func (e *Emulator) AwaitReadable(st *sched.Strand, fd uint64) error {
 // ConnOf exposes the TCP connection behind a descriptor (for workload
 // bookkeeping).
 func (e *Emulator) ConnOf(st *sched.Strand, fd uint64) (*netstack.TCPConn, bool) {
-	task, ok := TaskOf(st)
+	task, ok := taskOf(st)
 	if !ok {
 		return nil, false
 	}

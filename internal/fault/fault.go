@@ -416,33 +416,6 @@ func (l *Ledger) Forget(key any) {
 	delete(l.modules, key)
 }
 
-// Transfer moves oldKey's lifecycle entry from src into dst under newKey,
-// reporting whether an entry existed. A shard move re-keys a binding's
-// fault history onto the destination dispatcher's ledger so resharding
-// cannot refresh an exhausted budget; the budgeted state (state, fault
-// count, quarantine generation) travels, while a pending probation timer
-// on the source finds its entry gone and does nothing — the destination
-// re-arms backoff on the next fault. Locks are taken one ledger at a time,
-// never nested, so Transfer imposes no lock order between ledgers.
-func Transfer(src, dst *Ledger, oldKey, newKey any) bool {
-	if src == nil || dst == nil {
-		return false
-	}
-	src.mu.Lock()
-	e, ok := src.entries[oldKey]
-	if ok {
-		delete(src.entries, oldKey)
-	}
-	src.mu.Unlock()
-	if !ok {
-		return false
-	}
-	dst.mu.Lock()
-	dst.entries[newKey] = e
-	dst.mu.Unlock()
-	return true
-}
-
 // State reports key's lifecycle state.
 func (l *Ledger) State(key any) State {
 	l.mu.Lock()

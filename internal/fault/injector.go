@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // InjectedPanic is the panic value the injection harness throws, carrying
@@ -25,7 +24,6 @@ type rule struct {
 	kind   Kind
 	every  uint64
 	offset uint64
-	delay  time.Duration
 	value  any
 }
 
@@ -33,10 +31,10 @@ func (r *rule) applies(n uint64) bool {
 	return r.every > 0 && n%r.every == r.offset%r.every
 }
 
-// Injector deterministically injects faults — panics, delays, wrong
-// results — into guards and handlers wrapped through it. Injection is
-// keyed by target name and driven by a per-target invocation counter, so
-// a test reproduces the same fault sequence on every run regardless of
+// Injector deterministically injects faults — panics and wrong results —
+// into guards and handlers wrapped through it. Injection is keyed by
+// target name and driven by a per-target invocation counter, so a test
+// reproduces the same fault sequence on every run regardless of
 // scheduling.
 type Injector struct {
 	mu     sync.Mutex
@@ -66,13 +64,6 @@ func (in *Injector) addRule(target string, r *rule) {
 // means the every-th, 2*every-th, ... invocations).
 func (in *Injector) PanicEvery(target string, every, offset uint64) *Injector {
 	in.addRule(target, &rule{kind: KindPanic, every: every, offset: offset})
-	return in
-}
-
-// DelayEvery makes every every-th invocation of target sleep for d before
-// running, to trip wall-clock watchdog deadlines.
-func (in *Injector) DelayEvery(target string, every, offset uint64, d time.Duration) *Injector {
-	in.addRule(target, &rule{kind: KindDeadline, every: every, offset: offset, delay: d})
 	return in
 }
 
@@ -138,8 +129,6 @@ func apply(target string, r *rule, n uint64) (skip bool, substitute any) {
 	switch r.kind {
 	case KindPanic:
 		panic(InjectedPanic{Target: target, N: n})
-	case KindDeadline:
-		time.Sleep(r.delay)
 	case KindBadResult:
 		return true, r.value
 	}

@@ -13,15 +13,15 @@ import (
 // DosModule is the MS-DOS name-space extension's module.
 var DosModule = rtti.NewModule("DosFs")
 
-// DosName converts an MS-DOS path ("C:\FONTS\FIXED.FON") to the UNIX name
+// dosName converts an MS-DOS path ("C:\FONTS\FIXED.FON") to the UNIX name
 // space ("/fonts/fixed.fon"): drive letter stripped, backslashes to
 // slashes, case folded.
-func DosName(name string) string {
+func dosName(name string) string {
 	if len(name) >= 2 && name[1] == ':' {
 		name = name[2:]
 	}
 	name = strings.ReplaceAll(name, "\\", "/")
-	return Normalize(strings.ToLower(name))
+	return normalize(strings.ToLower(name))
 }
 
 // InstallDosFilter provides the MS-DOS file name space over the UNIX file
@@ -41,7 +41,7 @@ func InstallDosFilter(s *FS) ([]*dispatch.Binding, error) {
 			Proc: &rtti.Proc{Name: name, Module: DosModule, Sig: fsig},
 			Fn: func(clo any, args []any) any {
 				if p, ok := args[0].(string); ok && looksDos(p) {
-					args[0] = DosName(p)
+					args[0] = dosName(p)
 				}
 				return nil
 			},

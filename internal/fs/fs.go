@@ -108,10 +108,10 @@ func New(d *dispatch.Dispatcher, cpu *vtime.CPU, prefix string) (*FS, error) {
 	return s, nil
 }
 
-// Normalize canonicalizes a UNIX path: a leading slash, no empty or "."
+// normalize canonicalizes a UNIX path: a leading slash, no empty or "."
 // element, no trailing slash. A path already in that form is returned as
 // it is, without allocating.
-func Normalize(path string) string {
+func normalize(path string) string {
 	if isNormal(path) {
 		return path
 	}
@@ -155,7 +155,7 @@ func isNormal(path string) bool {
 func (s *FS) intrinsicOpen(clo any, args []any) any {
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.FSOp)
 	s.Ops++
-	path := Normalize(args[0].(string))
+	path := normalize(args[0].(string))
 	f, ok := s.files[path]
 	if !ok {
 		f = &file{}
@@ -209,7 +209,7 @@ func (s *FS) intrinsicClose(clo any, args []any) any {
 func (s *FS) intrinsicRemove(clo any, args []any) any {
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.FSOp)
 	s.Ops++
-	path := Normalize(args[0].(string))
+	path := normalize(args[0].(string))
 	f, ok := s.files[path]
 	if !ok || f.open > 0 {
 		return false
@@ -276,13 +276,13 @@ func (s *FS) Remove(path string) (bool, error) {
 
 // Put stores content at path directly, without raising events.
 func (s *FS) Put(path string, content []byte) {
-	path = Normalize(path)
+	path = normalize(path)
 	s.files[path] = &file{data: append([]byte(nil), content...)}
 }
 
 // Get returns a copy of the file's content.
 func (s *FS) Get(path string) ([]byte, bool) {
-	f, ok := s.files[Normalize(path)]
+	f, ok := s.files[normalize(path)]
 	if !ok {
 		return nil, false
 	}
@@ -291,13 +291,13 @@ func (s *FS) Get(path string) ([]byte, bool) {
 
 // Exists reports whether path exists.
 func (s *FS) Exists(path string) bool {
-	_, ok := s.files[Normalize(path)]
+	_, ok := s.files[normalize(path)]
 	return ok
 }
 
 // List returns the sorted paths under the given prefix.
 func (s *FS) List(prefix string) []string {
-	prefix = Normalize(prefix)
+	prefix = normalize(prefix)
 	var out []string
 	for p := range s.files {
 		if strings.HasPrefix(p, prefix) {

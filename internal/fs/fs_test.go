@@ -114,7 +114,7 @@ func TestNormalize(t *testing.T) {
 		"/a.b/c":    "/a.b/c",
 	}
 	for in, want := range cases {
-		if got := Normalize(in); got != want {
+		if got := normalize(in); got != want {
 			t.Errorf("Normalize(%q) = %q, want %q", in, got, want)
 		}
 		if !isNormal(want) || isNormal(in) != (in == want) {
@@ -128,7 +128,7 @@ func TestNormalize(t *testing.T) {
 func TestNormalizeNormalPathZeroAlloc(t *testing.T) {
 	path := "/www/docs/d07.html"
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if Normalize(path) != path {
+		if normalize(path) != path {
 			t.Fatal("a normal path was rewritten")
 		}
 	}); allocs != 0 {
@@ -158,7 +158,7 @@ func TestDosName(t *testing.T) {
 		"README.TXT":           "/readme.txt",
 	}
 	for in, want := range cases {
-		if got := DosName(in); got != want {
+		if got := dosName(in); got != want {
 			t.Errorf("DosName(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -238,9 +238,6 @@ func (s *Server) Drained() bool {
 	return n == 0
 }
 
-// Draining reports whether Shutdown has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) track(conn *netstack.TCPConn, st *sched.Strand) {
 	s.connMu.Lock()
 	s.conns[conn] = st

@@ -29,8 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"spin/internal/stripe"
 )
 
 // Defaults for the group-commit batcher.
@@ -94,14 +92,6 @@ type Stats struct {
 	Bytes int64
 }
 
-// sampleStripe is one cache-line-padded raise-sampling cell; striping
-// mirrors internal/stripe so parallel raisers on many cores never
-// contend on the sampling counter.
-type sampleStripe struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
 // Journal collects lifecycle and sampled raise records, group-commits
 // them into sealed batches, and tracks the Merkle chain head.
 type Journal struct {
@@ -109,7 +99,6 @@ type Journal struct {
 	cfg  Config
 
 	sampleMask uint64
-	samples    [8]sampleStripe // len must match stripe package's shard count
 
 	ch      chan Record
 	flushCh chan chan struct{}
@@ -189,29 +178,6 @@ func (j *Journal) Record(rec Record) {
 	}
 }
 
-// SampleRaise submits a sampled raise record for event. idx is the
-// caller's stripe shard (stripe.Index(), already in hand on the raise
-// path), so parallel raisers draw from independent cache lines. A full
-// queue sheds the sample — raise records are statistical, and the raise
-// path never blocks.
-func (j *Journal) SampleRaise(idx int, event string, fired int) {
-	if j.SampleDraw(idx) {
-		j.SampleHit(event, fired)
-	}
-}
-
-// SampleDraw advances the stripe's sampling counter and reports whether
-// this raise is the 1-in-N winner that should be recorded via SampleHit.
-// Callers that already maintain a per-raise striped counter should pass
-// its value to SampleCount instead, which costs one mask test.
-func (j *Journal) SampleDraw(idx int) bool {
-	mask := j.sampleMask
-	if mask == sampleOff {
-		return false
-	}
-	return j.samples[idx].n.Add(1)&mask == 0
-}
-
 // SampleCount is the dispatcher's zero-extra-cost sampling draw: n is a
 // counter value the caller already advances once per raise (the striped
 // raise total), so the draw reuses an atomic RMW that is paid regardless
@@ -238,7 +204,7 @@ func (j *Journal) SampleCountN(n, m uint64) int {
 	return int(n>>shift - (n-m)>>shift)
 }
 
-// SampleHit enqueues the sampled raise record a winning SampleDraw
+// SampleHit enqueues the sampled raise record a winning SampleCount draw
 // earned, shedding it if the ingress queue is full.
 func (j *Journal) SampleHit(event string, fired int) {
 	if j.closed.Load() {
@@ -250,12 +216,6 @@ func (j *Journal) SampleHit(event string, fired int) {
 	default:
 		j.dropped.Add(1)
 	}
-}
-
-// SampleRaiseAny is SampleRaise for callers without a stripe index in
-// hand (the CLI, tests).
-func (j *Journal) SampleRaiseAny(event string, fired int) {
-	j.SampleRaise(stripe.Index(), event, fired)
 }
 
 // Flush forces a group commit of everything submitted so far and waits
@@ -351,7 +311,7 @@ func (j *Journal) run() {
 	appendRec := func(rec Record) {
 		seq++
 		rec.Seq = seq
-		frame = AppendFrame(frame[:0], &rec)
+		frame = appendFrame(frame[:0], &rec)
 		if err := j.sink.Append(frame); err != nil {
 			return // sink failure: the record is lost; seal will surface it
 		}
@@ -383,7 +343,7 @@ func (j *Journal) run() {
 			B:    int64(len(pending)),
 			Root: root[:],
 		}
-		frame = AppendFrame(frame[:0], &sealRec)
+		frame = appendFrame(frame[:0], &sealRec)
 		if err := j.sink.Append(frame); err == nil {
 			_ = j.sink.Seal()
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -35,8 +36,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: KindSeal, Root: make([]byte, 32)}, // zero root still carried
 	}
 	for _, want := range cases {
-		frame := AppendFrame(nil, &want)
-		got, n, err := DecodeFrame(frame)
+		frame := appendFrame(nil, &want)
+		got, n, err := decodeFrame(frame)
 		if err != nil {
 			t.Fatalf("DecodeFrame(%s): %v", want.Kind, err)
 		}
@@ -70,10 +71,10 @@ func TestFrameGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := AppendFrame(nil, &rec); !bytes.Equal(got, want) {
+	if got := appendFrame(nil, &rec); !bytes.Equal(got, want) {
 		t.Fatalf("encoded record moved:\n got %x\nwant %x", got, want)
 	}
-	got, n, err := DecodeFrame(want)
+	got, n, err := decodeFrame(want)
 	if err != nil || n != len(want) {
 		t.Fatalf("DecodeFrame(golden) = %d bytes, %v; want %d, nil", n, err, len(want))
 	}
@@ -82,13 +83,13 @@ func TestFrameGolden(t *testing.T) {
 	}
 }
 
-// The group-commit worker encodes every record through AppendFrame into a
+// The group-commit worker encodes every record through appendFrame into a
 // reused batch buffer; its stack payload buffer must not escape into the
 // shared framing helpers.
 func TestAppendFrameDoesNotAllocate(t *testing.T) {
 	rec := fullRecord()
 	buf := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], &rec) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { buf = appendFrame(buf[:0], &rec) }); n != 0 {
 		t.Fatalf("AppendFrame allocates %v times per record, want 0", n)
 	}
 }
@@ -97,11 +98,11 @@ func TestAppendFrameDoesNotAllocate(t *testing.T) {
 // covers kind, length, and payload.
 func TestFrameDetectsEveryByteFlip(t *testing.T) {
 	rec := fullRecord()
-	frame := AppendFrame(nil, &rec)
+	frame := appendFrame(nil, &rec)
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x5a
-		if _, _, err := DecodeFrame(mut); err == nil {
+		if _, _, err := decodeFrame(mut); err == nil {
 			t.Fatalf("flip at byte %d decoded cleanly", i)
 		}
 	}
@@ -109,9 +110,9 @@ func TestFrameDetectsEveryByteFlip(t *testing.T) {
 
 func TestFrameTruncationDetected(t *testing.T) {
 	rec := fullRecord()
-	frame := AppendFrame(nil, &rec)
+	frame := appendFrame(nil, &rec)
 	for n := 0; n < len(frame); n++ {
-		if _, _, err := DecodeFrame(frame[:n]); err == nil {
+		if _, _, err := decodeFrame(frame[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded cleanly", n, len(frame))
 		}
 	}
@@ -296,7 +297,7 @@ func TestCrashTruncationSweep(t *testing.T) {
 	data := append([]byte(nil), sealed...)
 	for i := 0; i < 3; i++ {
 		rec := Record{Kind: KindUninstall, Seq: uint64(100 + i), ID: uint64(i + 1), Event: "E"}
-		data = AppendFrame(data, &rec)
+		data = appendFrame(data, &rec)
 	}
 	for cut := len(sealed); cut <= len(data); cut++ {
 		res := Scan(data[:cut])
@@ -483,9 +484,33 @@ func TestRecordAfterCloseDropped(t *testing.T) {
 
 func TestDecodeRejectsBadKind(t *testing.T) {
 	rec := Record{Kind: KindQuota, A: 1}
-	frame := AppendFrame(nil, &rec)
+	frame := appendFrame(nil, &rec)
 	frame[0] = byte(KindSeal) + 7
-	if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrBadKind) && !errors.Is(err, ErrCorrupt) {
+	if _, _, err := decodeFrame(frame); !errors.Is(err, ErrBadKind) && !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad kind byte decoded with err=%v", err)
 	}
+}
+
+// QuarantinedModules returns the reconstructed module-quarantine set.
+func (s *State) QuarantinedModules() []string {
+	mods := make([]string, 0, len(s.qModules))
+	for m := range s.qModules {
+		mods = append(mods, m)
+	}
+	sort.Strings(mods)
+	return mods
+}
+
+// Seals returns how many group commits have sealed.
+func (s *MemSink) Seals() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seals
+}
+
+// SealOffsets returns the durable byte lengths at each seal.
+func (s *MemSink) SealOffsets() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]int(nil), s.sealOffsets...)
 }

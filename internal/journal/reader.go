@@ -3,7 +3,6 @@ package journal
 import (
 	"bytes"
 	"fmt"
-	"io"
 )
 
 // Batch is one sealed group commit read back from a journal.
@@ -69,7 +68,7 @@ func Scan(data []byte) *ScanResult {
 		return res
 	}
 	for off < len(data) {
-		rec, n, err := DecodeFrame(data[off:])
+		rec, n, err := decodeFrame(data[off:])
 		if err != nil {
 			// A frame cut off by end-of-input with no later parseable
 			// frame is the crash signature: report the valid tail records
@@ -119,7 +118,7 @@ func Scan(data []byte) *ScanResult {
 // edit mid-journal leaves later intact frames that this scan finds.
 func frameAfter(data []byte) bool {
 	for off := 0; off < len(data); off++ {
-		if _, _, err := DecodeFrame(data[off:]); err == nil {
+		if _, _, err := decodeFrame(data[off:]); err == nil {
 			return true
 		}
 	}
@@ -176,13 +175,4 @@ func VerifyAgainst(data []byte, head [HashSize]byte) (VerifyReport, error) {
 			rep.Head[:8], head[:8])
 	}
 	return rep, nil
-}
-
-// ReadAll reads r fully and scans it.
-func ReadAll(r io.Reader) (*ScanResult, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Scan(data), nil
 }

@@ -46,17 +46,16 @@ const (
 	// Root = the chained Merkle root sealing every record since the
 	// previous seal.
 	KindSeal
-	// KindShardMove is the resharding audit marker: the named event moved
-	// between dispatcher shards (A = source shard, B = destination shard).
-	// The shard router records it on both shards' journals, bracketing the
-	// uninstall/re-install records the move emits through the normal
-	// lifecycle paths; replay treats it as an annotation, not an operation.
-	KindShardMove
+	// kindShardMove is reserved: online resharding wrote it as an audit
+	// marker (Event, A = source shard, B = destination shard). Journals
+	// that carry it still decode and verify; Replay skips it, and the
+	// number is never reused.
+	kindShardMove
 )
 
 // maxKind bounds the decoder's kind validation; appended kinds must extend
 // it so older journals (whose kinds are a prefix) stay readable forever.
-const maxKind = KindShardMove
+const maxKind = kindShardMove
 
 //spinvet:pure
 func (k Kind) String() string {
@@ -85,7 +84,7 @@ func (k Kind) String() string {
 		return "raise"
 	case KindSeal:
 		return "seal"
-	case KindShardMove:
+	case kindShardMove:
 		return "shard-move"
 	}
 	return "kind(?)"
@@ -162,14 +161,14 @@ const (
 	fieldRoot     = 11 // bytes
 )
 
-// AppendFrame encodes rec as one framed record onto dst and returns the
+// appendFrame encodes rec as one framed record onto dst and returns the
 // extended slice. Frame layout:
 //
 //	kind:1 | payloadLen:uvarint | payload | crc32c:4 (little-endian)
 //
 // The CRC covers kind, length, and payload, so a single corrupted byte
 // anywhere in the frame is detected at decode.
-func AppendFrame(dst []byte, rec *Record) []byte {
+func appendFrame(dst []byte, rec *Record) []byte {
 	var payload [192]byte
 	p := payload[:0]
 	p = frame.AppendField(p, fieldSeq, rec.Seq)
@@ -198,10 +197,10 @@ var (
 	ErrBadKind = fmt.Errorf("journal: unknown record kind")
 )
 
-// DecodeFrame decodes one frame from the front of buf, returning the
+// decodeFrame decodes one frame from the front of buf, returning the
 // record and the number of bytes consumed. Unknown payload fields are
 // skipped, so newer writers stay readable.
-func DecodeFrame(buf []byte) (Record, int, error) {
+func decodeFrame(buf []byte) (Record, int, error) {
 	var rec Record
 	if len(buf) > 0 && (buf[0] == 0 || Kind(buf[0]) > maxKind) {
 		return rec, 0, fmt.Errorf("%w: %d", ErrBadKind, buf[0])

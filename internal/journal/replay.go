@@ -35,7 +35,8 @@ type Summary struct {
 // tail records are reported in the summary but never applied, so a
 // crash-recovered boot reconstructs exactly the durable prefix — replay
 // of the same sealed journal is idempotent because it always re-derives
-// the same state from the same prefix.
+// the same state from the same prefix. Reserved record kinds count as
+// replayed but never reach a.
 func Replay(data []byte, a Applier) (Summary, error) {
 	res := Scan(data)
 	sum := Summary{
@@ -46,6 +47,10 @@ func Replay(data []byte, a Applier) (Summary, error) {
 	for bi := range res.Batches {
 		for ri := range res.Batches[bi].Records {
 			rec := res.Batches[bi].Records[ri]
+			if rec.Kind == kindShardMove {
+				sum.Records++
+				continue
+			}
 			if err := a.Apply(rec); err != nil {
 				return sum, fmt.Errorf("journal: replay of record %d (batch %d, %s): %w",
 					rec.Seq, bi, rec.Kind, err)
@@ -82,7 +87,6 @@ type State struct {
 	level     int64
 	levelName string
 	raises    int
-	moves     int
 }
 
 // NewState returns an empty symbolic state.
@@ -158,12 +162,8 @@ func (s *State) Apply(rec Record) error {
 		s.perModule, s.global = rec.A, rec.B
 	case KindRaise:
 		s.raises++
-	case KindShardMove:
-		// An audit marker: the binding population change it explains
-		// arrives as ordinary uninstall/install records on each shard.
-		s.moves++
-	case KindSeal:
-		// seals never reach appliers
+	case KindSeal, kindShardMove:
+		// seals and reserved kinds never reach appliers through Replay
 	default:
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
@@ -225,9 +225,6 @@ func (s *State) Summary() string {
 	fmt.Fprintf(&sb, "quotas: per-module=%d global=%d\n", s.perModule, s.global)
 	fmt.Fprintf(&sb, "degradation level: %d (%s)\n", s.level, s.levelName)
 	fmt.Fprintf(&sb, "sampled raises: %d\n", s.raises)
-	if s.moves > 0 {
-		fmt.Fprintf(&sb, "shard moves: %d\n", s.moves)
-	}
 	return sb.String()
 }
 
@@ -252,18 +249,5 @@ func (s *State) Level() int { return int(s.level) }
 // Quotas returns the reconstructed quota limits.
 func (s *State) Quotas() (perModule, global int) { return int(s.perModule), int(s.global) }
 
-// QuarantinedModules returns the reconstructed module-quarantine set.
-func (s *State) QuarantinedModules() []string {
-	mods := make([]string, 0, len(s.qModules))
-	for m := range s.qModules {
-		mods = append(mods, m)
-	}
-	sort.Strings(mods)
-	return mods
-}
-
 // Raises returns the count of sampled raise records seen.
 func (s *State) Raises() int { return s.raises }
-
-// Moves returns the count of shard-move audit markers seen.
-func (s *State) Moves() int { return s.moves }

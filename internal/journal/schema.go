@@ -31,7 +31,6 @@ func SchemaKinds() []KindDoc {
 		{KindQuota, KindQuota.String(), "A=per-module limit, B=global limit (0 = unlimited)"},
 		{KindRaise, KindRaise.String(), "Event, A=handlers fired (1-in-N sampled)"},
 		{KindSeal, KindSeal.String(), "A=batch index, B=record count, Root=chained Merkle root"},
-		{KindShardMove, KindShardMove.String(), "Event, A=source shard, B=destination shard (audit marker)"},
 	}
 }
 

@@ -67,20 +67,6 @@ func (s *MemSink) Bytes() []byte {
 	return append([]byte(nil), s.buf...)
 }
 
-// Seals returns how many group commits have sealed.
-func (s *MemSink) Seals() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seals
-}
-
-// SealOffsets returns the durable byte lengths at each seal.
-func (s *MemSink) SealOffsets() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int(nil), s.sealOffsets...)
-}
-
 // FileSink is the single-file segment sink: frames append through a
 // buffered writer, and each seal flushes and fsyncs, so sealed batches
 // are durable and a crash costs at most the unsealed tail.

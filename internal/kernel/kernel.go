@@ -63,14 +63,13 @@ type Config struct {
 	// raises (see internal/journal). ReplayJournal reconstructs the
 	// dispatcher state from a previous boot's journal.
 	Journal *journal.Journal
-	// Shards, when greater than 1, attaches a sharded routing plane
-	// (internal/shard): shard 0 is the machine's own dispatcher and
-	// shards 1..N-1 are additional dispatchers built with the same
-	// metering, codegen, fault, and admission configuration — each its
-	// own serialization and fault domain. The journal, when configured,
-	// stays on shard 0 only: per-shard journals need per-shard streams,
-	// which callers wire through shard.Config directly. Events defined
-	// through Machine.Router are consistent-hashed across the shards.
+	// Shards, when greater than 1, attaches a routing plane of that many
+	// shards (internal/shard), fixed for the machine's life: shard 0 is
+	// the machine's own dispatcher and shards 1..N-1 are dispatchers
+	// built with the same metering, codegen, fault, and admission
+	// configuration, each its own serialization and fault domain. The
+	// journal, when configured, stays on shard 0 only. An event defined
+	// through Machine.Router lives on the shard its name hashes to.
 	Shards int
 	// ShareWith, when non-nil, makes this machine share the given
 	// machine's virtual clock and simulator — required for multi-machine
@@ -200,36 +199,6 @@ func Boot(cfg Config) (*Machine, error) {
 // exported interfaces, then the image initializer's handler registrations.
 func (m *Machine) LoadExtension(img *linker.Image) (*linker.Domain, error) {
 	return m.Nexus.Load(img)
-}
-
-// QuarantineDomain fault-quarantines a loaded extension domain: the linker
-// denies new linkage against its interfaces, the dispatcher denies its
-// module new handler installations, and every binding it installed is
-// compiled out of its event's dispatch plan. Returns the number of
-// bindings quarantined.
-func (m *Machine) QuarantineDomain(name string) (int, error) {
-	dom, err := m.Nexus.Domain(name)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.Nexus.Quarantine(name); err != nil {
-		return 0, err
-	}
-	return m.Dispatcher.QuarantineModule(dom.Module()), nil
-}
-
-// ReadmitDomain lifts a domain quarantine: linkage and installation rights
-// return and the domain's bindings are compiled back into their events'
-// plans. Returns the number of bindings readmitted.
-func (m *Machine) ReadmitDomain(name string) (int, error) {
-	dom, err := m.Nexus.Domain(name)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := m.Nexus.Readmit(name); err != nil {
-		return 0, err
-	}
-	return m.Dispatcher.ReadmitModule(dom.Module()), nil
 }
 
 // ReplayJournal reconstructs the dispatcher's binding, quarantine,

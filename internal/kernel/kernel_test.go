@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spin/internal/dispatch"
-	"spin/internal/fault"
 	"spin/internal/linker"
 	"spin/internal/rtti"
 	"spin/internal/sched"
@@ -201,77 +200,6 @@ func TestShareWithInheritsClockAndSim(t *testing.T) {
 	}
 }
 
-func TestQuarantineDomainEndToEnd(t *testing.T) {
-	pol := fault.DefaultPolicy()
-	m, err := Boot(Config{Name: "fq", FaultPolicy: &pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Dispatcher.FaultLedger().Policy().Enforcing() {
-		t.Fatal("FaultPolicy not wired into the dispatcher")
-	}
-
-	// An extension that resolves the dispatcher through the Core
-	// interface and installs a handler on a kernel-defined event.
-	ev, err := m.Dispatcher.DefineEvent("FQ.Ping", rtti.Sig(nil, rtti.Word))
-	if err != nil {
-		t.Fatal(err)
-	}
-	extMod := rtti.NewModule("FaultyExt")
-	fired := 0
-	img := &linker.Image{
-		Name: "faulty", Module: extMod,
-		Imports: []string{"Core"},
-		Init: func(ctx *linker.Context) error {
-			proc := &rtti.Proc{Name: "FaultyExt.OnPing", Module: extMod,
-				Sig: rtti.Sig(nil, rtti.Word)}
-			_, err := ev.Install(dispatch.Handler{Proc: proc,
-				Fn: func(any, []any) any { fired++; return nil }})
-			return err
-		},
-	}
-	if _, err := m.LoadExtension(img); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Raise(uint64(7)); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("extension handler fired %d times, want 1", fired)
-	}
-
-	// Quarantine the domain: its binding leaves the plan, new linkage
-	// and installs are denied.
-	n, err := m.QuarantineDomain("faulty")
-	if err != nil || n != 1 {
-		t.Fatalf("QuarantineDomain = %d, %v; want 1 binding", n, err)
-	}
-	if !m.Nexus.Quarantined("faulty") || !m.Dispatcher.ModuleQuarantined(extMod) {
-		t.Fatal("quarantine not visible on both linker and dispatcher")
-	}
-	if _, err := ev.Raise(uint64(7)); err != nil && !errors.Is(err, dispatch.ErrNoHandler) {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("quarantined handler still fired (%d)", fired)
-	}
-
-	// Readmission restores linkage and dispatch.
-	if n, err := m.ReadmitDomain("faulty"); err != nil || n != 1 {
-		t.Fatalf("ReadmitDomain = %d, %v; want 1 binding", n, err)
-	}
-	if _, err := ev.Raise(uint64(7)); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("readmitted handler did not fire (%d)", fired)
-	}
-
-	if _, err := m.QuarantineDomain("ghost"); !errors.Is(err, linker.ErrDomainUnknown) {
-		t.Fatalf("unknown domain err = %v", err)
-	}
-}
-
 // TestBootWithShards: Config.Shards attaches the routing plane with the
 // machine's own dispatcher as shard 0; events defined through the router
 // land on their ring owners and dispatch normally, and the plane is
@@ -313,9 +241,6 @@ func TestBootWithShards(t *testing.T) {
 	}
 	if fired != 8 {
 		t.Fatalf("fired %d, want 8", fired)
-	}
-	if m.Router.Moves() != 0 {
-		t.Fatal("boot performed moves")
 	}
 	// Unsharded boots stay router-free.
 	plain, err := Boot(Config{Name: "plain"})

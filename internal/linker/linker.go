@@ -66,16 +66,6 @@ func (i *Interface) Lookup(sym string) (any, error) {
 	return v, nil
 }
 
-// Symbols returns the sorted symbol names, for diagnostics.
-func (i *Interface) Symbols() []string {
-	out := make([]string, 0, len(i.symbols))
-	for s := range i.symbols {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // LinkAuthorizerFn decides whether requestor may link against an interface
 // exported by the guarded domain.
 type LinkAuthorizerFn func(requestor *rtti.Module, iface *Interface) bool
@@ -171,18 +161,6 @@ func (n *Nexus) Domain(name string) (*Domain, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDomainUnknown, name)
 	}
 	return d, nil
-}
-
-// Domains returns the sorted names of loaded domains.
-func (n *Nexus) Domains() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.domains))
-	for name := range n.domains {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Load incorporates an image: resolves imports (consulting authorizers),

@@ -3,6 +3,7 @@ package linker
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
 	"spin/internal/rtti"
@@ -291,4 +292,26 @@ func TestAuthorizerDenialAfterQuarantineLeavesNoDanglingState(t *testing.T) {
 	if _, err := n.Load(&Image{Name: "client", Module: extMod, Imports: []string{"MachineTrap"}}); err != nil {
 		t.Fatalf("readmitted exporter not linkable: %v", err)
 	}
+}
+
+// Domains returns the sorted names of loaded domains.
+func (n *Nexus) Domains() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]string, 0, len(n.domains))
+	for name := range n.domains {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Symbols returns the sorted symbol names, for diagnostics.
+func (i *Interface) Symbols() []string {
+	out := make([]string, 0, len(i.symbols))
+	for s := range i.symbols {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -38,23 +38,6 @@ type arpResolver struct {
 	Replies  int64
 }
 
-// ArpArrived is the resolver's event; nil when DynamicARP is off.
-// (Exposed for tests and workload census inspection.)
-func (s *Stack) ArpArrived() *dispatch.Event {
-	if s.arpR == nil {
-		return nil
-	}
-	return s.arpEvent
-}
-
-// ARPStats reports (requests answered, replies consumed) by the resolver.
-func (s *Stack) ARPStats() (requests, replies int64) {
-	if s.arpR == nil {
-		return 0, 0
-	}
-	return s.arpR.Requests, s.arpR.Replies
-}
-
 // enableDynamicARP wires the resolver into the stack: an Ether handler
 // guarded on the ARP ethertype, and the Arp.PacketArrived event it raises.
 func (s *Stack) enableDynamicARP(prefix string) error {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"spin/internal/dispatch"
 	"spin/internal/kernel"
 	"spin/internal/netwire"
 )
@@ -208,4 +209,21 @@ func TestArpEventCensus(t *testing.T) {
 	if got := stacks[0].ArpArrived().Stats().Raised; got != 1 {
 		t.Fatalf("sender arp raises = %d", got)
 	}
+}
+
+// ArpArrived is the resolver's event; nil when DynamicARP is off.
+// (Exposed for tests and workload census inspection.)
+func (s *Stack) ArpArrived() *dispatch.Event {
+	if s.arpR == nil {
+		return nil
+	}
+	return s.arpEvent
+}
+
+// ARPStats reports (requests answered, replies consumed) by the resolver.
+func (s *Stack) ARPStats() (requests, replies int64) {
+	if s.arpR == nil {
+		return 0, 0
+	}
+	return s.arpR.Requests, s.arpR.Replies
 }

@@ -128,8 +128,8 @@ func (p *Packet) portWord() any {
 	return uint64(p.DstPort)
 }
 
-// WireSize reports the Ethernet payload size of the packet.
-func (p *Packet) WireSize() int {
+// wireSize reports the Ethernet payload size of the packet.
+func (p *Packet) wireSize() int {
 	switch p.Proto {
 	case ProtoUDP:
 		return len(p.Payload) + udpHeader + ipHeader
@@ -411,7 +411,7 @@ func (s *Stack) transmit(pkt *Packet, mac string) error {
 	pkt.DstMAC = mac
 	pkt.EtherType = netwire.TypeIP
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	return s.sendFrame(pkt, mac, pkt.WireSize())
+	return s.sendFrame(pkt, mac, pkt.wireSize())
 }
 
 // sendFrame puts pkt on the wire to the link address dst, in the frame the
@@ -419,12 +419,4 @@ func (s *Stack) transmit(pkt *Packet, mac string) error {
 func (s *Stack) sendFrame(pkt *Packet, dst string, size int) error {
 	pkt.wire = netwire.Frame{Dst: dst, EtherType: pkt.EtherType, Size: size, Payload: pkt}
 	return s.nic.Send(&pkt.wire)
-}
-
-// InjectEther delivers a raw (non-IP) frame into the receive path, as the
-// workload driver does for ARP traffic.
-func (s *Stack) InjectEther(pkt *Packet) {
-	s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
-	s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	_, _ = s.EtherArrived.Raise2(pkt.etherTypeWord(), pkt)
 }

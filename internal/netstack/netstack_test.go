@@ -332,16 +332,16 @@ func TestInjectEtherNonIP(t *testing.T) {
 
 func TestPacketWireSize(t *testing.T) {
 	udp := &Packet{Proto: ProtoUDP, Payload: make([]byte, 8)}
-	if udp.WireSize() != 8+8+20 {
-		t.Fatalf("udp wire size = %d", udp.WireSize())
+	if udp.wireSize() != 8+8+20 {
+		t.Fatalf("udp wire size = %d", udp.wireSize())
 	}
 	tcp := &Packet{Proto: ProtoTCP, Payload: make([]byte, 100)}
-	if tcp.WireSize() != 100+20+20 {
-		t.Fatalf("tcp wire size = %d", tcp.WireSize())
+	if tcp.wireSize() != 100+20+20 {
+		t.Fatalf("tcp wire size = %d", tcp.wireSize())
 	}
 	raw := &Packet{Proto: ProtoICMP, Payload: make([]byte, 10)}
-	if raw.WireSize() != 30 {
-		t.Fatalf("raw wire size = %d", raw.WireSize())
+	if raw.wireSize() != 30 {
+		t.Fatalf("raw wire size = %d", raw.wireSize())
 	}
 	if udp.RTTIType() != PacketType {
 		t.Fatal("RTTIType wrong")
@@ -366,4 +366,12 @@ func TestSmallFrameDoesNotOvertakeLargeOne(t *testing.T) {
 	if len(first.Payload) != 1400 || len(second.Payload) != 1 {
 		t.Fatalf("order inverted: %d then %d", len(first.Payload), len(second.Payload))
 	}
+}
+
+// InjectEther delivers a raw (non-IP) frame into the receive path, as the
+// workload driver does for ARP traffic.
+func (s *Stack) InjectEther(pkt *Packet) {
+	s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
+	s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
+	_, _ = s.EtherArrived.Raise2(pkt.etherTypeWord(), pkt)
 }

@@ -223,8 +223,7 @@ func (c *TCPConn) EOF() bool { return c.eof && c.recvQ.Len() == 0 }
 func (c *TCPConn) AwaitEstablished(st *sched.Strand) { c.connWaiter = st }
 
 // LocalPort and RemotePort identify the endpoints.
-func (c *TCPConn) LocalPort() uint16  { return c.localPort }
-func (c *TCPConn) RemotePort() uint16 { return c.remotePort }
+func (c *TCPConn) LocalPort() uint16 { return c.localPort }
 
 // Send transmits data, segmenting at the MSS. Each segment is charged one
 // socket operation plus the TCP header build; the receiver acknowledges

@@ -141,12 +141,6 @@ func (l *Link) Heal(a, b string) {
 	}
 }
 
-// Partitioned reports whether traffic between the two addresses is
-// currently blackholed.
-func (l *Link) Partitioned(a, b string) bool {
-	return l.faults != nil && l.faults.parts[pairKey(a, b)]
-}
-
 func (l *Link) ensureFaults() {
 	if l.faults == nil {
 		l.faults = &faultState{parts: make(map[[2]string]bool)}

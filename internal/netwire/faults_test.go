@@ -216,3 +216,9 @@ func TestClearFaultsKeepsPartitions(t *testing.T) {
 		t.Fatal("ClearFaults healed the partition")
 	}
 }
+
+// Partitioned reports whether traffic between the two addresses is
+// currently blackholed.
+func (l *Link) Partitioned(a, b string) bool {
+	return l.faults != nil && l.faults.parts[pairKey(a, b)]
+}

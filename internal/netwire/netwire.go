@@ -98,9 +98,9 @@ func NewLink(sim *vtime.Simulator, bandwidth int64, latency vtime.Duration) *Lin
 	return &Link{sim: sim, bandwidth: bandwidth, latency: latency, nics: make(map[string]*NIC)}
 }
 
-// SerializationDelay reports the time to clock a frame with the given
+// serializationDelay reports the time to clock a frame with the given
 // payload size onto the wire.
-func (l *Link) SerializationDelay(payloadSize int) vtime.Duration {
+func (l *Link) serializationDelay(payloadSize int) vtime.Duration {
 	if payloadSize < minPayload {
 		payloadSize = minPayload
 	}
@@ -207,7 +207,7 @@ func (n *NIC) Send(f *Frame) error {
 	if n.txBusyUntil > start {
 		start = n.txBusyUntil
 	}
-	end := start.Add(n.link.SerializationDelay(f.Size))
+	end := start.Add(n.link.serializationDelay(f.Size))
 	n.txBusyUntil = end
 	deliverAt := end.Add(n.link.latency)
 
@@ -259,7 +259,7 @@ func (n *NIC) Send(f *Frame) error {
 			// The copy trails the original by one serialization delay, as
 			// a spurious retransmission would: the same frame, scheduled
 			// twice.
-			n.link.sim.Schedule(deliverAt.Add(n.link.SerializationDelay(f.Size)), out)
+			n.link.sim.Schedule(deliverAt.Add(n.link.serializationDelay(f.Size)), out)
 		}
 	}
 	n.link.sim.Schedule(deliverAt, out)

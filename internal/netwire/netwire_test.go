@@ -43,12 +43,12 @@ func TestAttachAndDeliver(t *testing.T) {
 func TestSerializationDelayAt10Mbps(t *testing.T) {
 	l, _, _ := newLink()
 	// A minimum frame: 46+38 = 84 bytes = 672 bits -> 67.2us at 10Mb/s.
-	d := l.SerializationDelay(8)
+	d := l.serializationDelay(8)
 	if us := vtime.InMicros(d); us < 67.1 || us > 67.3 {
 		t.Fatalf("min frame = %.2fus, want ~67.2", us)
 	}
 	// A full MTU frame: 1538 bytes -> 1230.4us.
-	d = l.SerializationDelay(MTU)
+	d = l.serializationDelay(MTU)
 	if us := vtime.InMicros(d); us < 1230 || us > 1231 {
 		t.Fatalf("MTU frame = %.2fus", us)
 	}
@@ -62,7 +62,7 @@ func TestDeliveryTiming(t *testing.T) {
 	b.SetReceiver(func(f *Frame) { deliveredAt = clock.Now() })
 	_ = a.Send(&Frame{Dst: "b", Size: 8})
 	sim.Run(0)
-	want := l.SerializationDelay(8) + DefaultLatency
+	want := l.serializationDelay(8) + DefaultLatency
 	if vtime.Duration(deliveredAt) != want {
 		t.Fatalf("delivered at %v, want %v", deliveredAt, want)
 	}
@@ -127,7 +127,7 @@ func TestCustomBandwidthAndLatency(t *testing.T) {
 	sim := vtime.NewSimulator(&clock)
 	l := NewLink(sim, 100_000_000, vtime.Micros(1))
 	// 84 bytes at 100Mb/s = 6.72us.
-	if us := vtime.InMicros(l.SerializationDelay(8)); us < 6.7 || us > 6.8 {
+	if us := vtime.InMicros(l.serializationDelay(8)); us < 6.7 || us > 6.8 {
 		t.Fatalf("delay = %.2fus", us)
 	}
 }

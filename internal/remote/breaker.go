@@ -54,7 +54,7 @@ type BreakerConfig struct {
 const DefaultCooldown = vtime.Duration(50 * 1000 * 1000) // 50ms
 
 // Breaker is one peer's circuit. It is driven entirely by its owner's
-// calls (Allow / Success / Failure) plus a virtual clock for the cooldown;
+// calls (allow / success / failure) plus a virtual clock for the cooldown;
 // it owns no timers, so an idle open breaker costs nothing.
 type Breaker struct {
 	cfg   BreakerConfig
@@ -73,8 +73,8 @@ type Breaker struct {
 	OnTransition func(from, to BreakerState)
 }
 
-// NewBreaker builds a breaker on the clock.
-func NewBreaker(cfg BreakerConfig, clock *vtime.Clock) *Breaker {
+// newBreaker builds a breaker on the clock.
+func newBreaker(cfg BreakerConfig, clock *vtime.Clock) *Breaker {
 	if cfg.TripBudget <= 0 {
 		cfg.TripBudget = 3
 	}
@@ -97,9 +97,9 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Allow reports whether a raise may go to the wire now. In HalfOpen it
+// allow reports whether a raise may go to the wire now. In HalfOpen it
 // admits up to HalfOpenProbes in-flight probes.
-func (b *Breaker) Allow() bool {
+func (b *Breaker) allow() bool {
 	switch b.State() {
 	case BreakerClosed:
 		return true
@@ -114,9 +114,9 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Success records a delivered raise (or heartbeat ack): a half-open probe
+// success records a delivered raise (or heartbeat ack): a half-open probe
 // success closes the breaker; in Closed it clears the failure run.
-func (b *Breaker) Success() {
+func (b *Breaker) success() {
 	switch b.state {
 	case BreakerHalfOpen:
 		b.transition(BreakerClosed)
@@ -125,10 +125,10 @@ func (b *Breaker) Success() {
 	b.probes = 0
 }
 
-// Failure records a raise that exhausted its deadline or lost its
+// failure records a raise that exhausted its deadline or lost its
 // connection. TripBudget consecutive failures in Closed — or any failure
 // in HalfOpen — opens the breaker.
-func (b *Breaker) Failure() {
+func (b *Breaker) failure() {
 	switch b.State() {
 	case BreakerHalfOpen:
 		b.trip()
@@ -140,9 +140,9 @@ func (b *Breaker) Failure() {
 	}
 }
 
-// ForceOpen trips the breaker immediately (partition detected via
+// forceOpen trips the breaker immediately (partition detected via
 // heartbeat loss), regardless of the failure run.
-func (b *Breaker) ForceOpen() {
+func (b *Breaker) forceOpen() {
 	if b.State() != BreakerOpen {
 		b.trip()
 	}

@@ -6,24 +6,24 @@ import (
 	"spin/internal/vtime"
 )
 
-func newBreaker(cfg BreakerConfig) (*Breaker, *vtime.Clock) {
+func testBreaker(cfg BreakerConfig) (*Breaker, *vtime.Clock) {
 	clock := &vtime.Clock{}
-	return NewBreaker(cfg, clock), clock
+	return newBreaker(cfg, clock), clock
 }
 
 func TestBreakerTripsAtBudget(t *testing.T) {
-	b, _ := newBreaker(BreakerConfig{TripBudget: 3})
+	b, _ := testBreaker(BreakerConfig{TripBudget: 3})
 	var transitions [][2]BreakerState
 	b.OnTransition = func(from, to BreakerState) {
 		transitions = append(transitions, [2]BreakerState{from, to})
 	}
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed || !b.Allow() {
+	b.failure()
+	b.failure()
+	if b.State() != BreakerClosed || !b.allow() {
 		t.Fatal("tripped below budget")
 	}
-	b.Failure() // third consecutive: trip
-	if b.State() != BreakerOpen || b.Allow() {
+	b.failure() // third consecutive: trip
+	if b.State() != BreakerOpen || b.allow() {
 		t.Fatal("did not trip at budget")
 	}
 	if b.Trips != 1 {
@@ -35,25 +35,25 @@ func TestBreakerTripsAtBudget(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailureRun(t *testing.T) {
-	b, _ := newBreaker(BreakerConfig{TripBudget: 3})
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
+	b, _ := testBreaker(BreakerConfig{TripBudget: 3})
+	b.failure()
+	b.failure()
+	b.success()
+	b.failure()
+	b.failure()
 	if b.State() != BreakerClosed {
 		t.Fatal("failure run survived an intervening success")
 	}
 }
 
 func TestBreakerHalfOpensAfterCooldownAndClosesOnProbeSuccess(t *testing.T) {
-	b, clock := newBreaker(BreakerConfig{TripBudget: 1, Cooldown: 100})
-	b.Failure()
+	b, clock := testBreaker(BreakerConfig{TripBudget: 1, Cooldown: 100})
+	b.failure()
 	if b.State() != BreakerOpen {
 		t.Fatal("not open")
 	}
 	clock.Advance(99)
-	if b.State() != BreakerOpen || b.Allow() {
+	if b.State() != BreakerOpen || b.allow() {
 		t.Fatal("half-opened early")
 	}
 	clock.Advance(1)
@@ -61,26 +61,26 @@ func TestBreakerHalfOpensAfterCooldownAndClosesOnProbeSuccess(t *testing.T) {
 		t.Fatal("did not half-open at cooldown")
 	}
 	// One probe admitted, further traffic rejected while it is in flight.
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("probe rejected")
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatal("second probe admitted with HalfOpenProbes=1")
 	}
-	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
+	b.success()
+	if b.State() != BreakerClosed || !b.allow() {
 		t.Fatal("probe success did not close")
 	}
 }
 
 func TestBreakerReopensOnProbeFailure(t *testing.T) {
-	b, clock := newBreaker(BreakerConfig{TripBudget: 1, Cooldown: 100})
-	b.Failure()
+	b, clock := testBreaker(BreakerConfig{TripBudget: 1, Cooldown: 100})
+	b.failure()
 	clock.Advance(100)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatal("probe rejected")
 	}
-	b.Failure()
+	b.failure()
 	if b.State() != BreakerOpen {
 		t.Fatal("probe failure did not re-open")
 	}
@@ -99,12 +99,12 @@ func TestBreakerReopensOnProbeFailure(t *testing.T) {
 }
 
 func TestBreakerForceOpen(t *testing.T) {
-	b, _ := newBreaker(BreakerConfig{})
-	b.ForceOpen()
-	if b.State() != BreakerOpen || b.Allow() {
+	b, _ := testBreaker(BreakerConfig{})
+	b.forceOpen()
+	if b.State() != BreakerOpen || b.allow() {
 		t.Fatal("ForceOpen did not trip")
 	}
-	b.ForceOpen() // idempotent while open
+	b.forceOpen() // idempotent while open
 	if b.Trips != 1 {
 		t.Fatalf("trips = %d", b.Trips)
 	}

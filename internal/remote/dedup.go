@@ -57,10 +57,10 @@ type Window struct {
 	Stales     int64
 }
 
-// NewWindow builds a dedup window over the last size tokens; size 0
+// newWindow builds a dedup window over the last size tokens; size 0
 // selects DefaultWindowSize. Token 0 is reserved (never admitted) so the
 // zero high-water mark means "nothing seen".
-func NewWindow(size int) *Window {
+func newWindow(size int) *Window {
 	if size <= 0 {
 		size = DefaultWindowSize
 	}

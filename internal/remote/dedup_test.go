@@ -3,7 +3,7 @@ package remote
 import "testing"
 
 func TestDedupFreshThenDuplicate(t *testing.T) {
-	w := NewWindow(16)
+	w := newWindow(16)
 	if v := w.Admit(1); v != Fresh {
 		t.Fatalf("first sighting = %v", v)
 	}
@@ -16,7 +16,7 @@ func TestDedupFreshThenDuplicate(t *testing.T) {
 }
 
 func TestDedupOutOfOrderWithinWindow(t *testing.T) {
-	w := NewWindow(16)
+	w := newWindow(16)
 	// Tokens land out of order (retries racing originals): each must be
 	// admitted exactly once regardless of arrival order.
 	order := []uint64{3, 1, 2, 5, 4, 3, 1, 5}
@@ -29,7 +29,7 @@ func TestDedupOutOfOrderWithinWindow(t *testing.T) {
 }
 
 func TestDedupBelowFloorIsStale(t *testing.T) {
-	w := NewWindow(8)
+	w := newWindow(8)
 	if v := w.Admit(100); v != Fresh {
 		t.Fatalf("high water = %v", v)
 	}
@@ -54,7 +54,7 @@ func TestDedupSlideClearsSkippedSlots(t *testing.T) {
 	// The bitmap is a ring: without clearing on slide, token t would
 	// alias token t-size and report Duplicate for a never-seen token.
 	size := 8
-	w := NewWindow(size)
+	w := newWindow(size)
 	if w.Admit(2) != Fresh {
 		t.Fatal("seed")
 	}
@@ -68,7 +68,7 @@ func TestDedupSlideClearsSkippedSlots(t *testing.T) {
 }
 
 func TestDedupLargeJumpZeroesWindow(t *testing.T) {
-	w := NewWindow(8)
+	w := newWindow(8)
 	for tok := uint64(1); tok <= 8; tok++ {
 		if w.Admit(tok) != Fresh {
 			t.Fatalf("seed %d", tok)
@@ -86,14 +86,14 @@ func TestDedupLargeJumpZeroesWindow(t *testing.T) {
 }
 
 func TestDedupTokenZeroReserved(t *testing.T) {
-	w := NewWindow(8)
+	w := newWindow(8)
 	if v := w.Admit(0); v != Stale {
 		t.Fatalf("token 0 = %v", v)
 	}
 }
 
 func TestDedupDefaultSize(t *testing.T) {
-	w := NewWindow(0)
+	w := newWindow(0)
 	if w.size != DefaultWindowSize {
 		t.Fatalf("size = %d", w.size)
 	}

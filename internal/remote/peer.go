@@ -186,7 +186,7 @@ func NewPeer(cfg PeerConfig) *Peer {
 		cfg.HeartbeatMisses = 3
 	}
 	p := &Peer{cfg: cfg, rng: cfg.Seed, pending: make(map[uint64]*pendingRaise)}
-	p.breaker = NewBreaker(cfg.Breaker, cfg.Clock)
+	p.breaker = newBreaker(cfg.Breaker, cfg.Clock)
 	p.breaker.OnTransition = p.onBreaker
 	return p
 }
@@ -250,7 +250,7 @@ func (p *Peer) raise(b Binding, done func(Status, error), args []any) error {
 			return p.rejectLocal(b, done, args, ErrDegraded)
 		}
 	}
-	if !p.breaker.Allow() {
+	if !p.breaker.allow() {
 		return p.rejectLocal(b, done, args, ErrPeerOpen)
 	}
 	p.startHeartbeats()
@@ -264,7 +264,7 @@ func (p *Peer) raise(b Binding, done func(Status, error), args []any) error {
 		args:       args,
 		done:       done,
 	}
-	frame, err := AppendMessage(nil, &Message{
+	frame, err := appendMessage(nil, &Message{
 		Kind:       MsgRaise,
 		Sender:     p.cfg.Self,
 		Token:      pr.token,
@@ -317,13 +317,13 @@ func (p *Peer) onTimeout(pr *pendingRaise, attempt int) {
 		return
 	}
 	if pr.attempt >= p.cfg.MaxAttempts || p.cfg.Clock.Now() >= pr.deadlineAt ||
-		p.stopped || !p.breaker.Allow() {
+		p.stopped || !p.breaker.allow() {
 		// Terminal: out of budget, or the breaker no longer admits
 		// retries for this raise. One raise charges one breaker failure
 		// regardless of how many attempts it burned, so the trip budget
 		// reads in raises, not transmissions.
 		delete(p.pending, pr.token)
-		p.breaker.Failure()
+		p.breaker.failure()
 		p.stats.TimedOut++
 		p.ledger.Shed++
 		if pr.binding.Fallback != nil {
@@ -359,7 +359,7 @@ func (p *Peer) handleAck(m *Message) {
 	}
 	delete(p.pending, m.Token)
 	p.ledger.Completed++
-	p.breaker.Success()
+	p.breaker.success()
 	switch m.Status {
 	case StatusDup:
 		p.stats.Deduped++
@@ -430,7 +430,7 @@ func (p *Peer) spawnConnStrand(c *netstack.TCPConn) {
 			buf = append(buf, d...)
 		}
 		for len(buf) > 0 {
-			m, n, err := DecodeMessage(buf)
+			m, n, err := decodeMessage(buf)
 			if errors.Is(err, ErrTruncated) {
 				break
 			}
@@ -486,13 +486,13 @@ func (p *Peer) heartbeatTick() {
 		}
 		if p.hbMisses >= p.cfg.HeartbeatMisses && !p.partitioned {
 			p.partitioned = true
-			p.breaker.ForceOpen()
+			p.breaker.forceOpen()
 		}
 	} else {
 		p.hbMisses = 0
 	}
 	p.hbToken++
-	frame, _ := AppendMessage(nil, &Message{Kind: MsgHeartbeat, Sender: p.cfg.Self, Token: p.hbToken})
+	frame, _ := appendMessage(nil, &Message{Kind: MsgHeartbeat, Sender: p.cfg.Self, Token: p.hbToken})
 	p.hbOutstanding = true
 	p.stats.HeartbeatsSent++
 	p.send(frame)
@@ -511,7 +511,7 @@ func (p *Peer) handleHeartbeatAck(m *Message) {
 		p.partitioned = false
 	}
 	if p.breaker.State() == BreakerHalfOpen {
-		p.breaker.Success()
+		p.breaker.success()
 	}
 }
 

@@ -91,10 +91,6 @@ func Serve(cfg ReceiverConfig) (*Receiver, error) {
 // Stats snapshots the receiver's counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
-// Window returns the dedup window for a sender (nil before its first
-// raise), for tests and the drill report.
-func (r *Receiver) Window(sender string) *Window { return r.windows[sender] }
-
 // serveConn spawns the reader strand for one accepted connection.
 func (r *Receiver) serveConn(c *netstack.TCPConn) {
 	var buf []byte
@@ -107,7 +103,7 @@ func (r *Receiver) serveConn(c *netstack.TCPConn) {
 			buf = append(buf, d...)
 		}
 		for len(buf) > 0 {
-			m, n, err := DecodeMessage(buf)
+			m, n, err := decodeMessage(buf)
 			if errors.Is(err, ErrTruncated) {
 				break // incomplete frame: wait for more stream
 			}
@@ -148,7 +144,7 @@ func (r *Receiver) handle(c *netstack.TCPConn, m *Message) {
 func (r *Receiver) applyRaise(m *Message) *Message {
 	w := r.windows[m.Sender]
 	if w == nil {
-		w = NewWindow(r.cfg.WindowSize)
+		w = newWindow(r.cfg.WindowSize)
 		r.windows[m.Sender] = w
 	}
 	switch w.Admit(m.Token) {
@@ -185,7 +181,7 @@ func (r *Receiver) applyRaise(m *Message) *Message {
 }
 
 func (r *Receiver) reply(c *netstack.TCPConn, m *Message) {
-	frame, err := AppendMessage(nil, m)
+	frame, err := appendMessage(nil, m)
 	if err != nil {
 		return // ack fields are always encodable; unreachable
 	}

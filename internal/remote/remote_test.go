@@ -207,7 +207,7 @@ func TestRemoteRetryUnderDropDeliversExactlyOnce(t *testing.T) {
 	if l := p.Ledger(); l.Retried == 0 {
 		t.Fatalf("no retries under 25%% drop: ledger = %+v", l)
 	}
-	if w := r.recv.Window("machine-a"); w == nil || w.Admitted != n {
+	if w := r.recv.windows["machine-a"]; w == nil || w.Admitted != n {
 		t.Fatalf("dedup window admitted = %v, want %d", w, n)
 	}
 }

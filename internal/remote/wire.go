@@ -240,9 +240,9 @@ func decodeArgs(p []byte) ([]any, error) {
 	return args, nil
 }
 
-// AppendMessage encodes m as one framed message onto dst. It fails only
+// appendMessage encodes m as one framed message onto dst. It fails only
 // for non-encodable argument values.
-func AppendMessage(dst []byte, m *Message) ([]byte, error) {
+func appendMessage(dst []byte, m *Message) ([]byte, error) {
 	var payload [256]byte
 	p := payload[:0]
 	p = frame.AppendString(p, fieldSender, m.Sender)
@@ -262,11 +262,11 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	return frame.Append(dst, byte(m.Kind), p), nil
 }
 
-// DecodeMessage decodes one frame from the front of buf, returning the
+// decodeMessage decodes one frame from the front of buf, returning the
 // message and the number of bytes consumed. ErrTruncated means the buffer
 // holds an incomplete frame (wait for more stream bytes); ErrCorrupt and
 // ErrBadKind mean the stream is damaged beyond resynchronization.
-func DecodeMessage(buf []byte) (Message, int, error) {
+func decodeMessage(buf []byte) (Message, int, error) {
 	var m Message
 	if len(buf) > 0 && (buf[0] == 0 || MsgKind(buf[0]) > MsgHeartbeatAck) {
 		return m, 0, fmt.Errorf("%w: %d", ErrBadKind, buf[0])

@@ -34,11 +34,11 @@ func TestWireRoundTrip(t *testing.T) {
 		{Kind: MsgRaise, Event: "E.Zero"}, // near-empty payload
 	}
 	for _, want := range cases {
-		frame, err := AppendMessage(nil, &want)
+		frame, err := appendMessage(nil, &want)
 		if err != nil {
 			t.Fatalf("AppendMessage(%s): %v", want.Kind, err)
 		}
-		got, n, err := DecodeMessage(frame)
+		got, n, err := decodeMessage(frame)
 		if err != nil {
 			t.Fatalf("DecodeMessage(%s): %v", want.Kind, err)
 		}
@@ -87,11 +87,11 @@ func TestWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AppendMessage(nil, &msg)
+	got, err := appendMessage(nil, &msg)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("encoded message moved (err %v):\n got %x\nwant %x", err, got, want)
 	}
-	dec, n, err := DecodeMessage(want)
+	dec, n, err := decodeMessage(want)
 	if err != nil || n != len(want) {
 		t.Fatalf("DecodeMessage(golden) = %d bytes, %v; want %d, nil", n, err, len(want))
 	}
@@ -104,8 +104,8 @@ func TestWireGolden(t *testing.T) {
 func TestWireArgsByteSliceIsCopied(t *testing.T) {
 	src := []byte{1, 2, 3}
 	m := Message{Kind: MsgRaise, Event: "E", Args: []any{src}}
-	frame, _ := AppendMessage(nil, &m)
-	got, _, err := DecodeMessage(frame)
+	frame, _ := appendMessage(nil, &m)
+	got, _, err := decodeMessage(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWireArgsByteSliceIsCopied(t *testing.T) {
 
 func TestWireRejectsUnencodableArg(t *testing.T) {
 	m := Message{Kind: MsgRaise, Event: "E", Args: []any{struct{}{}}}
-	if _, err := AppendMessage(nil, &m); !errors.Is(err, ErrBadArg) {
+	if _, err := appendMessage(nil, &m); !errors.Is(err, ErrBadArg) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestWireStreamDecodesBackToBackFrames(t *testing.T) {
 	msgs := []Message{fullRaise(), {Kind: MsgAck, Token: 1, Status: StatusApplied, Fired: 1}, {Kind: MsgHeartbeat, Token: 2}}
 	for i := range msgs {
 		var err error
-		buf, err = AppendMessage(buf, &msgs[i])
+		buf, err = appendMessage(buf, &msgs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestWireStreamDecodesBackToBackFrames(t *testing.T) {
 	whole := len(buf)
 	buf = append(buf, 0x01, 0x7F) // start of a fourth frame, cut off
 	for i := range msgs {
-		got, n, err := DecodeMessage(buf)
+		got, n, err := decodeMessage(buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -147,7 +147,7 @@ func TestWireStreamDecodesBackToBackFrames(t *testing.T) {
 		}
 		buf = buf[n:]
 	}
-	if _, _, err := DecodeMessage(buf); !errors.Is(err, ErrTruncated) {
+	if _, _, err := decodeMessage(buf); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("partial tail: err = %v", err)
 	}
 	_ = whole
@@ -157,14 +157,14 @@ func TestWireStreamDecodesBackToBackFrames(t *testing.T) {
 // never as a clean message. Mirrors the journal's tamper sweep.
 func TestWireDetectsEveryByteFlip(t *testing.T) {
 	m := fullRaise()
-	frame, err := AppendMessage(nil, &m)
+	frame, err := appendMessage(nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x5a
-		if _, _, err := DecodeMessage(mut); err == nil {
+		if _, _, err := decodeMessage(mut); err == nil {
 			t.Fatalf("flip at byte %d decoded cleanly", i)
 		}
 	}
@@ -173,7 +173,7 @@ func TestWireDetectsEveryByteFlip(t *testing.T) {
 // Exhaustive variant: all eight single-bit flips of every byte.
 func TestWireDetectsEveryBitFlip(t *testing.T) {
 	m := fullRaise()
-	frame, err := AppendMessage(nil, &m)
+	frame, err := appendMessage(nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestWireDetectsEveryBitFlip(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), frame...)
 			mut[i] ^= 1 << bit
-			if _, _, err := DecodeMessage(mut); err == nil {
+			if _, _, err := decodeMessage(mut); err == nil {
 				t.Fatalf("bit %d of byte %d flipped, decoded cleanly", bit, i)
 			}
 		}
@@ -190,22 +190,22 @@ func TestWireDetectsEveryBitFlip(t *testing.T) {
 
 func TestWireTruncationDetected(t *testing.T) {
 	m := fullRaise()
-	frame, err := AppendMessage(nil, &m)
+	frame, err := appendMessage(nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(frame); n++ {
-		if _, _, err := DecodeMessage(frame[:n]); err == nil {
+		if _, _, err := decodeMessage(frame[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded cleanly", n, len(frame))
 		}
 	}
 }
 
 func TestWireBadKindRejected(t *testing.T) {
-	if _, _, err := DecodeMessage([]byte{0x00, 0x00}); !errors.Is(err, ErrBadKind) {
+	if _, _, err := decodeMessage([]byte{0x00, 0x00}); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("kind 0: err = %v", err)
 	}
-	if _, _, err := DecodeMessage([]byte{0x7F, 0x00}); !errors.Is(err, ErrBadKind) {
+	if _, _, err := decodeMessage([]byte{0x7F, 0x00}); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("kind 127: err = %v", err)
 	}
 }

@@ -74,9 +74,6 @@ func NewRef(name string, super *RefType) *RefType {
 	return &RefType{name: name, super: super}
 }
 
-// Super returns the declared supertype (nil only for REFANY itself).
-func (r *RefType) Super() *RefType { return r.super }
-
 func (r *RefType) String() string { return r.name }
 
 // AssignableFrom implements the subtype rule: u must be r or a transitive

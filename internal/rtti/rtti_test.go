@@ -309,3 +309,6 @@ func TestProcValidate(t *testing.T) {
 		t.Error("bad signature must fail validation")
 	}
 }
+
+// Super returns the declared supertype (nil only for REFANY itself).
+func (r *RefType) Super() *RefType { return r.super }

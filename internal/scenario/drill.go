@@ -121,7 +121,7 @@ func (r *RemoteRig) WarmPeer() (*remote.Peer, error) {
 		if err := p.Raise("Remote.Ping", uint64(i)); err != nil {
 			return nil, err
 		}
-		r.RunFor(drillMs(10))
+		r.runFor(drillMs(10))
 	}
 	if p.Stats().Delivered != 8 {
 		return nil, fmt.Errorf("remote rig warmup: delivered %d of 8", p.Stats().Delivered)
@@ -155,7 +155,7 @@ func RunDrill(seed uint64) (*DrillReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("clean raise %d: %w", i, err)
 		}
-		rig.RunFor(drillMs(30))
+		rig.runFor(drillMs(30))
 		if !acked {
 			return nil, fmt.Errorf("clean raise %d: no ack within 30ms", i)
 		}
@@ -196,9 +196,9 @@ func RunDrill(seed uint64) (*DrillReport, error) {
 	rep.LossyDropRate = 0.10
 	for i := 0; i < lossyN; i++ {
 		_ = p.Raise("Remote.Ping", uint64(i))
-		rig.RunFor(drillMs(10))
+		rig.runFor(drillMs(10))
 	}
-	rig.RunFor(drillMs(600)) // drain retries through their deadlines
+	rig.runFor(drillMs(600)) // drain retries through their deadlines
 	st := p.Stats()
 	rep.LossyDelivered = st.Delivered - statsBefore.Delivered
 	rep.LossyDeduped = st.Deduped - statsBefore.Deduped
@@ -209,7 +209,7 @@ func RunDrill(seed uint64) (*DrillReport, error) {
 	rep.WireDrops = rig.Link.FaultStats().Drops
 	rig.Link.ClearFaults()
 	p.Close()
-	rig.RunFor(drillMs(100))
+	rig.runFor(drillMs(100))
 
 	// ---- Phase 3: partition. Heartbeats declare it, the breaker opens,
 	// bound raises degrade to fallbacks, the heal half-opens then closes. ----
@@ -236,9 +236,9 @@ func RunDrill(seed uint64) (*DrillReport, error) {
 	if err := p2.Raise("Remote.Ping", uint64(0)); err != nil { // warm the route
 		return nil, err
 	}
-	rig.RunFor(drillMs(25))
+	rig.runFor(drillMs(25))
 	rig.Link.Partition("mac-a", "mac-b")
-	rig.RunFor(drillMs(60)) // two missed probes declare the partition
+	rig.runFor(drillMs(60)) // two missed probes declare the partition
 	// Optional traffic during the partition: bound raises re-route, the
 	// unbound ones shed — all visible in the admission ledger.
 	for i := 0; i < 4; i++ {
@@ -246,10 +246,10 @@ func RunDrill(seed uint64) (*DrillReport, error) {
 		_ = p2.RaiseBound(remote.Binding{Event: "Remote.Ping", Priority: 2}, uint64(i))
 	}
 	rig.Link.Heal("mac-a", "mac-b")
-	rig.RunFor(drillMs(200)) // probes heal the breaker through half-open
+	rig.runFor(drillMs(200)) // probes heal the breaker through half-open
 	healedBefore := p2.Stats().Delivered
 	_ = p2.Raise("Remote.Ping", uint64(9))
-	rig.RunFor(drillMs(50))
+	rig.runFor(drillMs(50))
 
 	st2 := p2.Stats()
 	rep.PartitionShed = st2.Shed
@@ -266,6 +266,6 @@ func RunDrill(seed uint64) (*DrillReport, error) {
 		rep.Transitions = append(rep.Transitions, from.String()+"->"+to.String())
 	}
 	p2.Close()
-	rig.RunFor(drillMs(100))
+	rig.runFor(drillMs(100))
 	return rep, nil
 }

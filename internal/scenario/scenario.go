@@ -90,8 +90,8 @@ func Pair(a, b kernel.Config) (*Rig, error) {
 	)
 }
 
-// RunFor advances the shared simulation by d.
-func (r *Rig) RunFor(d vtime.Duration) {
+// runFor advances the shared simulation by d.
+func (r *Rig) runFor(d vtime.Duration) {
 	m := r.Nodes[0]
 	m.Sim.RunUntil(m.Clock.Now().Add(d))
 }

@@ -199,16 +199,6 @@ func (s *Scheduler) Spawn(name string, space uint64, step StepFunc) *Strand {
 // starved by strand scheduling.
 func (s *Scheduler) Simulator() *vtime.Simulator { return s.sim }
 
-// Live reports the number of non-dead strands.
-func (s *Scheduler) Live() int { return int(s.live.Load()) }
-
-// QueueLen reports the run-queue length.
-func (s *Scheduler) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runq.Len()
-}
-
 // Switches reports the number of scheduling operations performed (each one
 // raised Strand.Run).
 func (s *Scheduler) Switches() int64 { return s.switches.Load() }

@@ -314,3 +314,13 @@ func TestWakeupDispatchZeroAlloc(t *testing.T) {
 		t.Fatalf("%d steps, %d switches", steps, s.Switches())
 	}
 }
+
+// Live reports the number of non-dead strands.
+func (s *Scheduler) Live() int { return int(s.live.Load()) }
+
+// QueueLen reports the run-queue length.
+func (s *Scheduler) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runq.Len()
+}

@@ -4,13 +4,12 @@
 // dispatcher, while the data plane keeps the single-dispatcher contract
 // (lock-free raises against atomically published plans, 0-alloc bypass).
 //
-// Events are placed by consistent hashing with virtual nodes, so growing
-// or shrinking the shard count moves only the events landing on the new
-// (or departing) shard's ring points. The Router front preserves the
-// Event-handle API: route resolution is pinned into the handle at
-// definition time as one atomic pointer, never recomputed per raise, and
-// online resharding republishes that pointer with the same swap
-// discipline dispatch plans use (see DESIGN.md decision 19).
+// Events are placed by consistent hashing with virtual nodes, so a plane
+// built with one more shard places only the events the new shard's ring
+// points capture differently. The shard count is fixed when the Router is
+// built: each handle's shard is resolved once, at definition time, and
+// never re-pinned, so a routed raise is the owning dispatcher's raise
+// (see DESIGN.md decision 19).
 package shard
 
 import "sort"
@@ -18,8 +17,8 @@ import "sort"
 // DefaultReplicas is the virtual-node count per shard. 256 points per
 // shard keeps the per-shard population near uniform at the shard counts
 // the scaling table sweeps (1..8) — measured min/max event balance 0.81
-// for 256 events on 4 shards — while the ring stays small enough to
-// rebuild on every reshard.
+// for 256 events on 4 shards — while the ring stays small enough to build
+// at every boot.
 const DefaultReplicas = 256
 
 // point is one virtual node: a hash position owned by a shard.
@@ -28,9 +27,8 @@ type point struct {
 	shard int32
 }
 
-// ring is an immutable consistent-hash ring over shards 0..shards-1. A
-// reshard builds a new ring; lookups run against whichever ring the caller
-// holds, so the structure itself needs no locking.
+// ring is an immutable consistent-hash ring over shards 0..shards-1, so
+// lookups need no locking.
 type ring struct {
 	points   []point
 	shards   int

@@ -9,17 +9,9 @@ import (
 	"spin/internal/rtti"
 )
 
-// Raiser carries raises to a remote machine. remote.Peer satisfies it; the
-// indirection keeps this package importable from the kernel (internal/remote
-// boots kernel machines for its drill rig, so importing it here would
-// cycle).
-type Raiser interface {
-	Raise(event string, args ...any) error
-}
-
 // Config assembles a Router.
 type Config struct {
-	// Shards is the initial shard count (minimum 1).
+	// Shards is the shard count (minimum 1).
 	Shards int
 	// Replicas is the virtual-node count per shard on the hash ring; 0
 	// selects DefaultReplicas.
@@ -28,83 +20,46 @@ type Config struct {
 	// return a distinct dispatcher — the shard's own admission pool, fault
 	// ledger, quota accounting, and (if configured) journal stream are
 	// whatever the returned dispatcher owns. Nil selects dispatch.New()
-	// with no options. Reshard growth calls it for each new id.
+	// with no options.
 	NewShard func(id int) *dispatch.Dispatcher
 }
 
-// RemoteShard places a shard behind a PR-9 peer: raises cross the
-// simulated wire with the peer's full failure-domain machinery (retries,
-// dedup, circuit breaker, heartbeat partition detection), while
-// control-plane operations go to the remote machine's dispatcher directly
-// — the simulation's stand-in for the linker loading extensions on that
-// machine.
-type RemoteShard struct {
-	// Peer carries raises to the remote machine (typically *remote.Peer).
-	Peer Raiser
-	// Control is the remote machine's dispatcher, where the shard's
-	// events live.
-	Control *dispatch.Dispatcher
-	// Prefix namespaces the shard's event names on Control, matching the
-	// serving receiver's EventPrefix; wire raises carry the bare name.
-	Prefix string
-}
-
-// Shard is one slot of the routing plane: a local dispatcher or a remote
-// adapter, each its own failure and contention domain.
+// Shard is one slot of the routing plane: a dispatcher that is its own
+// failure and contention domain.
 type Shard struct {
 	id int
-	d  *dispatch.Dispatcher // nil when remote
-	rs *RemoteShard         // nil when local
+	d  *dispatch.Dispatcher
 }
 
 // ID returns the shard's slot index.
 func (s *Shard) ID() int { return s.id }
 
-// Remote reports whether the shard lives behind a peer.
-func (s *Shard) Remote() bool { return s.rs != nil }
-
-// Dispatcher returns the shard's control-plane dispatcher: its own for a
-// local shard, the remote machine's for a remote shard.
-func (s *Shard) Dispatcher() *dispatch.Dispatcher {
-	if s.rs != nil {
-		return s.rs.Control
-	}
-	return s.d
-}
-
-// prefix returns the shard's event-name prefix ("" for local shards).
-func (s *Shard) prefix() string {
-	if s.rs != nil {
-		return s.rs.Prefix
-	}
-	return ""
-}
+// Dispatcher returns the shard's dispatcher.
+func (s *Shard) Dispatcher() *dispatch.Dispatcher { return s.d }
 
 // Admission aggregates the shard's admission-queue ledgers.
 func (s *Shard) Admission() admit.QueueStats {
 	var sum admit.QueueStats
-	for _, q := range s.Dispatcher().AdmissionQueues() {
+	for _, q := range s.d.AdmissionQueues() {
 		sum = sum.Add(q.Stats())
 	}
 	return sum
 }
 
-// Router is the routing plane: it consistent-hashes event names onto
-// shards and hands out Event front handles whose routes are pinned at
-// definition time. All Router methods are control plane (they serialize on
-// the router mutex); raises go through the handles and never touch the
-// router.
+// Router is the routing plane: it consistent-hashes event names onto a
+// fixed set of shards and hands out Event front handles whose shard is
+// pinned at definition time. The ring and shards never change after
+// NewRouter; the mutex guards only the event table. Raises go through the
+// handles and never touch the router.
 type Router struct {
-	mu       sync.Mutex
-	replicas int
-	newShard func(id int) *dispatch.Dispatcher
-	ring     *ring
-	shards   []*Shard
-	events   map[string]*Event
-	moves    int64
+	ring   *ring
+	shards []*Shard
+
+	mu     sync.Mutex
+	events map[string]*Event
 }
 
-// NewRouter builds the routing plane with cfg.Shards local shards.
+// NewRouter builds the routing plane with cfg.Shards shards.
 func NewRouter(cfg Config) (*Router, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: router needs at least 1 shard, got %d", cfg.Shards)
@@ -114,10 +69,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		mk = func(int) *dispatch.Dispatcher { return dispatch.New() }
 	}
 	r := &Router{
-		replicas: cfg.Replicas,
-		newShard: mk,
-		ring:     buildRing(cfg.Shards, cfg.Replicas),
-		events:   make(map[string]*Event),
+		ring:   buildRing(cfg.Shards, cfg.Replicas),
+		events: make(map[string]*Event),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		d := mk(i)
@@ -129,66 +82,21 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// AttachRemote replaces shard id's local dispatcher with a remote adapter.
-// Only an empty slot may be converted: events already routed there hold
-// pinned local routes that a silent transport change would invalidate —
-// grow first, then attach, and let the ring (or a Reshard) place events on
-// it.
-func (r *Router) AttachRemote(id int, rs *RemoteShard) error {
-	if rs == nil || rs.Peer == nil || rs.Control == nil {
-		return fmt.Errorf("shard: remote shard needs a peer and a control dispatcher")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id < 0 || id >= len(r.shards) {
-		return fmt.Errorf("shard: no shard %d (have %d)", id, len(r.shards))
-	}
-	for name, e := range r.events {
-		if e.loadRoute().s.id == id {
-			return fmt.Errorf("shard: shard %d still owns event %s; reshard before attaching", id, name)
-		}
-	}
-	r.shards[id] = &Shard{id: id, rs: rs}
-	return nil
-}
-
-// Shards returns the current shard count.
-func (r *Router) Shards() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.shards)
-}
+// Shards returns the shard count.
+func (r *Router) Shards() int { return len(r.shards) }
 
 // Shard returns slot i's handle.
-func (r *Router) Shard(i int) *Shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shards[i]
-}
+func (r *Router) Shard(i int) *Shard { return r.shards[i] }
 
-// Owner reports which shard the ring currently assigns a name to.
-func (r *Router) Owner(name string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.owner(name)
-}
-
-// Moves reports how many event migrations resharding has performed.
-func (r *Router) Moves() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.moves
-}
+// Owner reports which shard the ring assigns a name to.
+func (r *Router) Owner(name string) int { return r.ring.owner(name) }
 
 // Admission aggregates every shard's admission ledger into the plane-wide
 // view; the conservation law (QueueStats.Identity) survives the sum
 // because shard ledgers are disjoint.
 func (r *Router) Admission() admit.QueueStats {
-	r.mu.Lock()
-	shards := append([]*Shard(nil), r.shards...)
-	r.mu.Unlock()
 	var sum admit.QueueStats
-	for _, s := range shards {
+	for _, s := range r.shards {
 		sum = sum.Add(s.Admission())
 	}
 	return sum
@@ -204,12 +112,11 @@ func (r *Router) DefineEvent(name string, sig rtti.Signature, opts ...dispatch.E
 		return nil, fmt.Errorf("%w: %s", dispatch.ErrDuplicateEvent, name)
 	}
 	s := r.shards[r.ring.owner(name)]
-	de, err := defineOn(s, name, sig, opts...)
+	de, err := s.d.DefineEvent(name, sig, opts...)
 	if err != nil {
 		return nil, err
 	}
-	e := &Event{r: r, name: name, binds: make(map[*dispatch.Binding]*Binding)}
-	e.storeRoute(s, de)
+	e := &Event{Event: de, shard: s}
 	r.events[name] = e
 	return e, nil
 }
@@ -232,10 +139,4 @@ func (r *Router) Events() []*Event {
 		out = append(out, e)
 	}
 	return out
-}
-
-// defineOn declares the underlying event on one shard, applying the
-// shard's name prefix for remote control planes.
-func defineOn(s *Shard, name string, sig rtti.Signature, opts ...dispatch.EventOption) (*dispatch.Event, error) {
-	return s.Dispatcher().DefineEvent(s.prefix()+name, sig, opts...)
 }

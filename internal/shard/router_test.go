@@ -177,40 +177,10 @@ func TestRouterAdmissionIdentity(t *testing.T) {
 	}
 }
 
-// TestAttachRemoteRejectsOccupiedSlot: converting a slot that owns events
-// would invalidate pinned local routes; the router refuses.
-func TestAttachRemoteRejectsOccupiedSlot(t *testing.T) {
-	r := mustRouter(t, 2)
-	e := mustDefine(t, r, "Occupied.A")
-	rs := &RemoteShard{Peer: nopRaiser{}, Control: dispatch.New(), Prefix: "X:"}
-	if err := r.AttachRemote(e.Shard().ID(), rs); err == nil {
-		t.Fatal("AttachRemote replaced a shard that owns events")
-	}
-	other := 1 - e.Shard().ID()
-	empty := true
-	for _, ev := range r.Events() {
-		if ev.Shard().ID() == other {
-			empty = false
-		}
-	}
-	if empty {
-		if err := r.AttachRemote(other, rs); err != nil {
-			t.Fatalf("AttachRemote on empty slot: %v", err)
-		}
-		if !r.Shard(other).Remote() {
-			t.Fatal("slot not marked remote")
-		}
-	}
-}
-
-type nopRaiser struct{}
-
-func (nopRaiser) Raise(string, ...any) error { return nil }
-
 // TestShardRoutedBypassRaiseZeroAlloc: the 0-alloc invariant the
 // alloccheck gate pins — a synchronous bypass (intrinsic-only) raise
 // through the router, with multiple shards resident, allocates nothing.
-// The routed path adds one atomic route load and a nil check over the
+// The routed handle embeds its dispatcher event, so this is the
 // dispatcher's own pooled fast path.
 func TestShardRoutedBypassRaiseZeroAlloc(t *testing.T) {
 	r := mustRouter(t, 4)

@@ -339,10 +339,6 @@ func (t *Tracer) Sample() int { return int(t.sample) }
 // Capacity returns the ring capacity in spans.
 func (t *Tracer) Capacity() int { return len(t.slots) }
 
-// Recorded returns the total number of spans recorded (including spans the
-// ring has since overwritten).
-func (t *Tracer) Recorded() uint64 { return t.head.Load() }
-
 // Dropped returns the number of recorded spans no longer in the ring.
 func (t *Tracer) Dropped() uint64 {
 	if h := t.head.Load(); h > uint64(len(t.slots)) {

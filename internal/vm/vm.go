@@ -144,9 +144,6 @@ func (s *AddressSpace) ID() uint64 { return s.id }
 // Mapped reports whether the page containing addr is mapped.
 func (s *AddressSpace) Mapped(addr uint64) bool { return s.pages[addr/PageSize] }
 
-// MappedPages reports the number of mapped pages.
-func (s *AddressSpace) MappedPages() int { return len(s.pages) }
-
 func (s *AddressSpace) mapPage(addr uint64) { s.pages[addr/PageSize] = true }
 
 // Unmap removes the page containing addr.

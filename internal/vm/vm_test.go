@@ -202,3 +202,6 @@ func TestTouchOnForeignSpaceIDFails(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// MappedPages reports the number of mapped pages.
+func (s *AddressSpace) MappedPages() int { return len(s.pages) }

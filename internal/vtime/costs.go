@@ -116,9 +116,9 @@ type Model struct {
 	costs [numKinds]Duration
 }
 
-// NewModel builds a model from an explicit table. Kinds absent from the
+// newModel builds a model from an explicit table. Kinds absent from the
 // table cost zero.
-func NewModel(table map[Kind]Duration) *Model {
+func newModel(table map[Kind]Duration) *Model {
 	m := &Model{}
 	for k, d := range table {
 		m.costs[k] = d
@@ -133,17 +133,6 @@ func (m *Model) Cost(k Kind) Duration {
 		return 0
 	}
 	return m.costs[k]
-}
-
-// WithCost returns a copy of m with the cost of k replaced; used by
-// ablation benchmarks to perturb a single constant.
-func (m *Model) WithCost(k Kind, d Duration) *Model {
-	var out Model
-	if m != nil {
-		out = *m
-	}
-	out.costs[k] = d
-	return &out
 }
 
 // AlphaModel returns the cost model calibrated to the paper's DEC Alpha
@@ -188,7 +177,7 @@ func (m *Model) WithCost(k Kind, d Duration) *Model {
 //     simulated breakdown lands near the paper's 6.8 s kernel /
 //     0.12 s events split.
 func AlphaModel() *Model {
-	return NewModel(map[Kind]Duration{
+	return newModel(map[Kind]Duration{
 		CallDirect:         Micros(0.10),
 		CallDirectArg:      Micros(0.01),
 		DispatchEntry:      Micros(0.14),

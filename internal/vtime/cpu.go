@@ -139,22 +139,15 @@ func (c *CPU) SpendTo(a Account, d Duration) {
 		return
 	}
 	c.Begin(a)
-	c.Spend(d)
+	c.spend(d)
 	c.End()
 }
 
-// Spend charges an explicit duration, used for costs that are data
+// spend charges an explicit duration, used for costs that are data
 // dependent rather than per-operation (wire serialization time, declared
 // handler work).
-func (c *CPU) Spend(d Duration) {
-	if c == nil || d <= 0 {
-		return
-	}
-	c.spend(d)
-}
-
 func (c *CPU) spend(d Duration) {
-	if d <= 0 {
+	if c == nil || d <= 0 {
 		return
 	}
 	c.mu.Lock()

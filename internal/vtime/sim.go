@@ -88,7 +88,7 @@ func (s *Simulator) Step() bool {
 	if gap := ev.at.Sub(s.clock.Now()); gap > 0 {
 		s.idleSink.Idle(gap)
 	}
-	s.clock.AdvanceTo(ev.at)
+	s.clock.advanceTo(ev.at)
 	ev.ev.Fire()
 	return true
 }
@@ -116,7 +116,7 @@ func (s *Simulator) RunUntil(deadline Time) int {
 	}
 	if gap := deadline.Sub(s.clock.Now()); gap > 0 {
 		s.idleSink.Idle(gap)
-		s.clock.AdvanceTo(deadline)
+		s.clock.advanceTo(deadline)
 	}
 	return n
 }

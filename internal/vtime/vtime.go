@@ -70,10 +70,10 @@ func (c *Clock) Advance(d Duration) Time {
 	return Time(c.now.Add(int64(d)))
 }
 
-// AdvanceTo moves the clock forward to t if t is in the future; it never
+// advanceTo moves the clock forward to t if t is in the future; it never
 // moves the clock backwards. It returns the (possibly unchanged) current
 // time.
-func (c *Clock) AdvanceTo(t Time) Time {
+func (c *Clock) advanceTo(t Time) Time {
 	for {
 		cur := c.now.Load()
 		if int64(t) <= cur {

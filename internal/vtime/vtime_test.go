@@ -52,10 +52,10 @@ func TestClockAdvanceTo(t *testing.T) {
 	var c Clock
 	c.Advance(Micros(100))
 	was := c.Now()
-	if got := c.AdvanceTo(Time(Micros(50))); got != was {
+	if got := c.advanceTo(Time(Micros(50))); got != was {
 		t.Fatalf("AdvanceTo(past) moved clock: %v", got)
 	}
-	if got := c.AdvanceTo(Time(Micros(200))); got != Time(Micros(200)) {
+	if got := c.advanceTo(Time(Micros(200))); got != Time(Micros(200)) {
 		t.Fatalf("AdvanceTo(future) = %v", got)
 	}
 }
@@ -215,7 +215,7 @@ func TestNilCPUIsSafe(t *testing.T) {
 	var cpu *CPU
 	cpu.Charge(CallDirect)
 	cpu.ChargeN(GuardInline, 5)
-	cpu.Spend(Micros(1))
+	cpu.spend(Micros(1))
 	cpu.Begin(AccountUser)
 	cpu.End()
 	cpu.Idle(Micros(1))
@@ -232,7 +232,7 @@ func TestBreakdownString(t *testing.T) {
 	var clock Clock
 	cpu := NewCPU(&clock, AlphaModel())
 	cpu.Begin(AccountUser)
-	cpu.Spend(Micros(100))
+	cpu.spend(Micros(100))
 	cpu.End()
 	cpu.Idle(Micros(300))
 	b := cpu.Breakdown()
@@ -381,4 +381,15 @@ func TestSimulatorOrderProperty(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// WithCost returns a copy of m with the cost of k replaced; used by
+// ablation benchmarks to perturb a single constant.
+func (m *Model) WithCost(k Kind, d Duration) *Model {
+	var out Model
+	if m != nil {
+		out = *m
+	}
+	out.costs[k] = d
+	return &out
 }

@@ -70,8 +70,8 @@ type Params struct {
 	DaemonPeriod vtime.Duration
 }
 
-// DefaultParams returns the calibrated workload.
-func DefaultParams() Params {
+// defaultParams returns the calibrated workload.
+func defaultParams() Params {
 	return Params{
 		Pages:            12,
 		PageBytes:        285_000,
@@ -89,7 +89,7 @@ func DefaultParams() Params {
 }
 
 func (p *Params) fill() {
-	d := DefaultParams()
+	d := defaultParams()
 	if p.Pages == 0 {
 		p.Pages = d.Pages
 	}
