@@ -5,49 +5,30 @@ import (
 	"sync/atomic"
 
 	"spin/internal/stripe"
+	"spin/internal/trace"
+	"spin/internal/vtime"
 )
 
-// Ahead-of-time plan specialization — the reproduction's answer to the
-// paper's runtime code generation for the multi-binding case. The general
-// executor in plan.go (Plan.general) dispatches per step through the step
-// list, runBody, and `Body.Run`, paying a chain of branches and an indirect
-// dispatch per step on every raise. SPIN's generator instead emitted one
-// straight-line stub per plan. Go cannot emit machine code at runtime, but
-// it can do the next-closest thing at plan-compile time:
+// Ahead-of-time plan specialization — the reproduction's answer to SPIN's
+// one straight-line stub per plan. At plan-compile time every step's guard
+// conjunction is lowered into leaf comparisons (flatPred) and its handler
+// body into the step record (flatStep), both memoised on the binding; runs
+// of equality-first steps get the guard index (tree.go). One per-frame
+// stencil (flatFrame) runs the result, instantiated over (void, fold) ×
+// (unguarded, guarded) × (bare, fault barrier) × (plain, observed), the
+// observed bodies ignoring the guard axis: 12 bodies, chosen per plan and
+// per raise, none switching on shape per step.
 //
-//   - the guard decision structure is flattened: every step's guard
-//     conjunction (And-trees, multiple guards) is lowered into leaf
-//     comparisons (flatPred), evaluated by a branch-predictable switch with
-//     no recursion and no per-guard indirect call;
-//   - runs of steps that start with an equality test on the same argument
-//     are entered through the guard index (tree.go): one hash of the
-//     argument word replaces the scan over every other constant;
-//   - handler bodies are lowered into the step record (flatStep), so the
-//     common inline bodies run without touching *Body or *Binding; both
-//     lowerings are memoised on the binding, so a recompile copies them;
-//   - one per-frame stencil (flatFrame) specialized over (no-result,
-//     result-fold) × (guarded, unguarded) × (bare, fault barrier) is
-//     selected once at compile time, so a raise runs straight-line code with
-//     no per-raise shape switching; the single-raise entry and the batch
-//     entry both call it;
-//   - statistics are batched, as on every executor (see Execute): one
-//     striped add per firing and one fired-total add per raise, all through
-//     one shard hash hoisted by the caller, because striped-atomic traffic
-//     re-hashed per firing dominated the inline-plan profile.
-//
-// Specialization is semantics-preserving and only replaces configurations
-// the general executor handles bitwise-identically when
-// Options.DisableSpecialize keeps it off; the differential fuzzers
-// (FuzzPredCompile, FuzzTreeDispatch, FuzzBatchDispatch) compare every
-// specialized shape against naive reference evaluation.
-//
-// Eligibility (compileFlat): every step synchronous and unfiltered, and no
-// unguarded direct bypass (already a plain call). A fault-capture hook
-// (Options.Protect) does not take a plan off the stencil: it selects the
-// barrier instantiations, which run the same walk under one recover barrier
-// per frame (exec_protect.go). Metered raises (Env.CPU != nil) always take
-// the general executor so the virtual-time charge sequence stays
-// byte-identical to the ablation tables.
+// Every plan but the direct bypass (executeDirect) runs the stencil. An
+// unmetered, unsampled raise of a plan with only synchronous, unfiltered
+// steps runs its plain instantiation (Plan.frame). Metered and sampled
+// raises, and every raise of a plan with a filter, async or ephemeral step,
+// run the observed one (Plan.observe): it charges the vtime costs the §3
+// tables are calibrated on — once per guard, not per leaf — records spans,
+// and runs those step kinds. Options.Protect selects the barrier
+// instantiations: the same walk under one recover barrier per frame
+// (exec_protect.go). The fuzzers hold every shape against a naive reference
+// model; testdata/observed.golden pins the observed walk.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -73,10 +54,9 @@ type flatPred struct {
 // and statistics hook, with no pointer chase through step/Binding/Body on
 // the hot path.
 type flatStep struct {
-	// g0 is the step's first guard leaf, embedded so the overwhelmingly
-	// common single-guard step never touches the shared pool; its zero
-	// value (PredTrue) always passes. p0..p1 index any remaining leaves in
-	// Plan.flatPreds.
+	// g0 is the step's first guard leaf, embedded so the common single-guard
+	// step never touches the shared pool; its zero value (PredTrue) always
+	// passes. p0..p1 index any remaining leaves in Plan.flatPreds.
 	g0     flatPred
 	p0, p1 int32
 	// Inline body, embedded (inline == true).
@@ -92,20 +72,17 @@ type flatStep struct {
 	tag  any
 }
 
-// frameFn is a stencil instantiation: selected once per plan, called once
-// per frame. idx is the caller's hoisted stripe shard index
-// (stripe.Index()), reused for every striped counter the frame touches;
-// callers pass a nil ws (see flatFrame). The stencil needs nothing from
-// the Env: it runs unmetered raises of plans with no asynchronous or
-// ephemeral step, and the caller adds the frame's firings to the total.
+// frameFn is a plain stencil instantiation: selected once per plan, called
+// once per frame with a nil ws (see flatFrame). idx is the caller's hoisted
+// stripe shard index (stripe.Index()), reused for every striped counter the
+// frame touches. It needs nothing from the Env.
 type frameFn func(p *Plan, args []any, idx int, ws *walkState) Outcome
 
 // flattenPred lowers a guard predicate into conjunction leaves. Top-level
 // And-trees split into their leaves; True leaves are elided (guards are
 // FUNCTIONAL, so elision is unobservable); any other composite (Or, Not)
 // stays a single Eval-fallback leaf. A constant-false leaf under
-// DisablePeephole still lowers — the step simply never fires, same as in
-// the general executor.
+// DisablePeephole still lowers — the step simply never fires.
 func flattenPred(p *Pred, out []flatPred) []flatPred {
 	switch p.Op {
 	case PredAnd:
@@ -154,29 +131,22 @@ func (lo *lowered) flatten() {
 	}
 }
 
-// stencils holds the flatFrame instantiations, indexed result<<2 |
+// stencils holds the plain flatFrame instantiations, indexed result<<2 |
 // guarded<<1 | barrier. Arity is not a shape axis: the stencil never reads
 // it (argWord bounds-checks against the frame itself).
-var stencils = [8]struct {
-	fn   frameFn
-	name string
-}{
-	{flatFrame[off, off, off], "stencil[void,unguarded]"},
-	{flatFrame[off, off, on], "stencil[void,unguarded,barrier]"},
-	{flatFrame[off, on, off], "stencil[void,guarded]"},
-	{flatFrame[off, on, on], "stencil[void,guarded,barrier]"},
-	{flatFrame[on, off, off], "stencil[fold,unguarded]"},
-	{flatFrame[on, off, on], "stencil[fold,unguarded,barrier]"},
-	{flatFrame[on, on, off], "stencil[fold,guarded]"},
-	{flatFrame[on, on, on], "stencil[fold,guarded,barrier]"},
+var stencils = [8]frameFn{
+	flatFrame[off, off, off, off], flatFrame[off, off, on, off],
+	flatFrame[off, on, off, off], flatFrame[off, on, on, off],
+	flatFrame[on, off, off, off], flatFrame[on, off, on, off],
+	flatFrame[on, on, off, off], flatFrame[on, on, on, off],
 }
 
 // compileFlat assembles the plan's flattened form from its bindings'
 // memoised lowerings (pooled of their leaves go to the pool) and selects
-// the stencil, or leaves the plan on the general executor when a step
-// needs machinery the straight-line executors do not carry.
+// the plain stencil, which a plan with a filter, async or ephemeral step
+// does not get: every raise of it runs the observed walk.
 func (p *Plan) compileFlat(pooled int) {
-	if p.opts.DisableSpecialize || p.direct != nil || p.hasFilter || p.retains {
+	if p.direct != nil {
 		return
 	}
 	p.flat = make([]flatStep, len(p.steps), len(p.steps)+1)
@@ -194,38 +164,33 @@ func (p *Plan) compileFlat(pooled int) {
 		// The default handler's statistics record rides behind the last step.
 		p.flat = append(p.flat, flatStep{tag: p.def.b.Tag, fire: p.def.b.FireCount})
 	}
+	if p.hasFilter || p.retains {
+		return
+	}
 	shape := 0
 	for i, set := range [3]bool{p.protect != nil, p.leaves > 0, p.info.HasResult} {
 		if set {
 			shape |= 1 << i
 		}
 	}
-	p.frame, p.frameName = stencils[shape].fn, stencils[shape].name
+	p.frame = stencils[shape]
 }
 
-// Specialized reports whether the plan compiled to a flattened,
-// shape-specialized executor (for tests and disassembly).
-func (p *Plan) Specialized() bool { return p.frame != nil }
-
 // GuardedBypass reports whether the plan is a single guarded step compiled
-// straight-line — the guarded resident of the bypass tier: the raise skips
-// the general executor entirely and the stencil runs one embedded guard
-// conjunction and one embedded body with no step loop. (The unguarded
-// resident is Direct.)
+// straight-line — the guarded resident of the bypass tier (the unguarded
+// one is Direct).
 func (p *Plan) GuardedBypass() bool {
 	return p.frame != nil && len(p.steps) == 1 && p.leaves > 0
 }
 
-// Shape markers. The stencil is instantiated over every (result, guarded,
-// barrier) combination so each shape is a distinct straight-line function
-// chosen once at compile time. Go compiles one body per GC shape — here the
-// markers' array types — and a method on a marker would dispatch through
-// the generics dictionary at run time, so flatFrame reads an axis off its
-// marker's length: len of an array type is a constant where the shape is
-// compiled, and each instantiation's dead branches (the guard walk in
-// unguarded shapes, the result fold in void shapes, the walk-state stores
-// in bare shapes) are eliminated outright — the closest Go gets to the
-// paper's per-plan generated stubs.
+// Shape markers. Go compiles one body per GC shape — here the markers'
+// array types — and a method on a marker would dispatch through the
+// generics dictionary at run time, so flatFrame reads an axis off its
+// marker's length: a constant where the shape is compiled, so each
+// instantiation's dead branches (the leaf walk in unguarded shapes, the
+// fold in void shapes, the walk-state stores in bare shapes, the charges
+// and spans in plain shapes) are eliminated outright — the closest Go gets
+// to the paper's per-plan generated stubs.
 type (
 	off [1]byte
 	on  [2]byte
@@ -233,54 +198,62 @@ type (
 
 type shapeAxis interface{ ~[1]byte | ~[2]byte }
 
-// flatFrame is the one stencil behind every specialized shape: it runs one
-// frame (one raise's argument vector) through the flattened plan. The type
-// parameters pin the shape: in each of the eight instantiations
-// hasResult/useGuards/barrier are constants and the branches they gate are
-// folded away.
+// flatFrame is the one stencil behind every shape: it runs one frame (one
+// raise's argument vector) through the flattened plan.
 //
-// A barrier instantiation (exec_protect.go) is entered with a nil ws and
-// re-enters itself through walkBehindBarrier with the frame's walkState
-// until the walk is done. The walk keeps its state in locals, as the bare
-// shapes do, and writes ws where a capture would need it: the segment at
-// each segment, the step and phase around each guard and handler call, the
-// outcome after each firing.
+// A plain instantiation is entered with a nil ws. An observed one is
+// entered with a ws holding the raise's Env and recorder (Plan.observe); it
+// charges and records as it walks, evaluates each step's guards whole
+// (evalGuards), runs filter, async and ephemeral steps, and consults the
+// guard index only under Options.EnableDecisionTree. A barrier
+// instantiation (exec_protect.go) re-enters itself through
+// walkBehindBarrier until the walk is done, keeping its state in locals and
+// writing ws where a capture would need it: the segment at each segment,
+// the step and phase around each call, the outcome after each firing.
 //
-// Statistics: each firing goes to its binding's FireCount through the
-// caller's hoisted stripe shard index, and the CALLER adds Outcome.fires()
-// to Env.FiredTotal — once per raise (Plan.Execute) or once per batch
-// (Plan.ExecuteBatch).
-func flatFrame[R, G, B shapeAxis](p *Plan, args []any, idx int, ws *walkState) Outcome {
+// Each firing goes to its binding's FireCount on the caller's hoisted
+// stripe shard idx; the caller adds Outcome.fires() to Env.FiredTotal.
+func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, idx int, ws *walkState) Outcome {
 	var r R
 	var g G
 	var b B
-	hasResult, useGuards, barrier := len(r) == len(on{}), len(g) == len(on{}), len(b) == len(on{})
+	var o O
+	hasResult, useGuards, barrier, obs := len(r) == len(on{}), len(g) == len(on{}), len(b) == len(on{}), len(o) == len(on{})
 
 	preds := p.flatPreds
 	var out Outcome
 	var haveResult bool
+	var cpu *vtime.CPU
+	var rec *recorder
+	indexed := true // whether the walk consults the guard index
+	if obs {
+		cpu, rec, indexed = ws.env.CPU, ws.recorder(), p.opts.EnableDecisionTree
+	}
+	metered := obs && barrier && cpu != nil // sync handler costs go to FaultHook.SyncCost
 	// The plan runs as a sequence of segments: outside the guard index, the
 	// linear stretch up to the next run (or the plan's end); inside a run,
-	// one step the lookup hit, re-entered along that step's chain. The step
-	// loop is the same either way, and the walk is advanced between
-	// segments, never per step: a plan with no indexed run is one segment
-	// and pays for the index once per raise. A hit step runs whole:
-	// re-testing the equality the lookup just decided is one compare on the
-	// few steps that match.
+	// one step the lookup hit, along that step's chain. The walk advances
+	// between segments, never per step, so a plan with no indexed run pays
+	// for the index once per raise. A hit step runs whole: re-testing the
+	// equality the lookup decided is one compare on the few that match.
 	ri := 0        // the next run of p.runs
 	inRun := false // walking the hits of run ri-1
 	n := len(p.steps)
 	i, stop := 0, n
-	if len(p.runs) > 0 {
+	if indexed && len(p.runs) > 0 {
 		stop = p.runs[0].start
 	}
 	if barrier {
-		if ws == nil {
-			frame := walkState{stop: stop}
-			for frame.phase != walkDone {
-				walkBehindBarrier[R, G](p, args, idx, &frame)
+		if ws == nil || ws.phase == walkEntry {
+			var frame walkState
+			if ws == nil {
+				ws = &frame
 			}
-			return frame.out
+			ws.stop, ws.phase = stop, inWalk
+			for ws.phase != walkDone {
+				walkBehindBarrier[R, G, O](p, args, idx, ws)
+			}
+			return ws.out
 		}
 		out, haveResult, ri, inRun, i, stop = ws.out, ws.haveResult, ws.ri, ws.inRun, ws.pos, ws.stop
 	}
@@ -293,10 +266,14 @@ segments:
 	steps:
 		for k := range seg {
 			s := &seg[k]
-			if useGuards {
-				// The embedded first leaf (g0) evaluates without touching the
-				// shared pool; pooled leaves (p0..p1) follow. One switch in the
-				// source serves both, walked leaf-by-leaf.
+			var st *step
+			if obs {
+				if st = &p.steps[i+k]; !p.evalGuards(st, inRun, args, ws) {
+					continue
+				}
+			} else if useGuards {
+				// The embedded first leaf (g0), then the pooled ones (p0..p1),
+				// through one switch.
 				pr := &s.g0
 				j := s.p0
 				for {
@@ -347,24 +324,58 @@ segments:
 				}
 			}
 			var res any
-			if barrier {
-				ws.pos, ws.phase = i+k, inHandler
+			completed := true
+			if obs {
+				rec.open()
+				p.chargeHandler(cpu, st)
 			}
-			if s.inline {
-				res = s.body.Run(args)
-			} else if s.ctxFn != nil {
-				res = s.ctxFn(context.Background(), s.clo, args)
-			} else {
-				res = s.fn(s.clo, args)
+			switch {
+			case obs && st.mode == trace.ModeAsync:
+				ws.env.Async(p.admitQ, s.tag, p.info.Arity, invoker(st.b, args))
+			case obs && st.mode == trace.ModeEphemeral:
+				res, completed = ws.env.RunEphemeral(s.tag, invoker(st.b, args))
+			default:
+				if barrier {
+					ws.pos, ws.phase = i+k, inHandler
+				}
+				start := cpu.Now()
+				if s.inline {
+					res = s.body.Run(args)
+				} else if s.ctxFn != nil {
+					res = s.ctxFn(context.Background(), s.clo, args)
+				} else {
+					res = s.fn(s.clo, args)
+				}
+				if metered {
+					p.protect.SyncCost(s.tag, cpu.Now().Sub(start))
+				}
+				if barrier {
+					ws.phase = inWalk
+				}
 			}
-			if barrier {
-				ws.phase = inWalk
+			countFire(s.fire, idx)
+			if obs {
+				if rec != nil {
+					rec.handler(st.idx, st.mode, completed)
+				}
+				if st.mode == trace.ModeFilter {
+					// A filter produces no result and does not count as the
+					// event having been handled (§2.3 "Passing arguments").
+					ws.filtered++
+					continue
+				}
 			}
 			out.Fired++
-			countFire(s.fire, idx)
-			if hasResult {
+			if hasResult && completed && (!obs || st.mode != trace.ModeAsync) {
 				if p.resultFn != nil {
+					if obs {
+						rec.open()
+						cpu.Charge(vtime.ResultMerge)
+					}
 					out.Result = p.resultFn(out.Result, res, out.Fired-1)
+					if obs && rec != nil {
+						rec.merge(out.Fired - 1)
+					}
 				} else {
 					if haveResult {
 						out.Ambiguous = true
@@ -377,18 +388,25 @@ segments:
 				ws.out, ws.haveResult = out, haveResult
 			}
 		}
-		// Segment boundary. The run state lives in p.runs, re-read here, so
-		// the step loop above carries nothing for it.
+		// Segment boundary: the run state is re-read from p.runs here, so
+		// the step loop carries nothing for it.
 		switch {
 		case inRun:
 			// The segment was the hit step stop-1: follow its chain.
 			i = p.runs[ri-1].next(stop - 1)
-		case ri < len(p.runs):
-			// The segment ended at the head of the next run: look the
-			// argument up.
+		case indexed && ri < len(p.runs):
+			// The head of the next run: look the argument up — one inline
+			// guard, recorded as step -1, passing when any step matched.
+			if obs {
+				rec.open()
+				cpu.Charge(vtime.GuardInline)
+			}
 			i = p.runs[ri].find(args)
 			ri++
 			inRun = true
+			if obs && rec != nil {
+				rec.guard(-1, 0, true, i != p.runs[ri-1].end)
+			}
 		default:
 			break segments
 		}
@@ -405,12 +423,23 @@ segments:
 		}
 	}
 	if st := p.def; out.Fired == 0 && st != nil {
+		if obs {
+			rec.open()
+			cpu.Charge(vtime.HandlerIndirect)
+		}
 		if barrier {
 			ws.pos, ws.phase = n, inDefault
 		}
+		start := cpu.Now()
 		out.Result = runBody(st.b, st.inline, args)
+		if metered {
+			p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
+		}
 		out.UsedDefault = true
 		countFire(p.flat[n].fire, idx)
+		if obs && rec != nil {
+			rec.handler(st.idx, trace.ModeDefault, true)
+		}
 	}
 	if barrier {
 		ws.out, ws.phase = out, walkDone

@@ -1,33 +1,25 @@
 package codegen
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Batched executor entry point — the vectorized ingress tier. A single
-// raise already runs straight-line code, but a producer delivering N frames
-// (a packet train, an accept burst) still pays the per-raise fixed costs N
-// times: the plan load, the stripe shard hash, the trace sampling decision,
-// the executor selection, the fired-total flush. ExecuteBatch pays those
-// once per batch and runs each frame through the same per-frame stencil
-// (flatFrame) a single raise runs:
+	"spin/internal/trace"
+	"spin/internal/vtime"
+)
+
+// Batched executor entry point — the vectorized ingress tier. A producer
+// delivering N frames (a packet train, an accept burst) would pay the
+// per-raise fixed costs N times: the plan load, the stripe shard hash, the
+// sampling draw, the executor selection, the fired-total flush.
+// ExecuteBatch pays them once per batch and runs each frame through the
+// same per-frame stencil (flatFrame) a single raise runs; per-binding fire
+// counts keep one striped add per firing.
 //
-//   - one plan load, sampling draw and executor selection serve the batch;
-//   - the caller's hoisted stripe shard index serves every striped counter
-//     every frame touches;
-//   - the event-level fired total accumulates in a register across the
-//     batch and is flushed with one striped add at the end;
-//   - per-binding fire counts keep one striped add per firing (identical
-//     totals to the loop-of-raises protocol).
-//
-// Loop equivalence under churn: a loop of single raises loads the plan
-// fresh per raise, so an uninstall (or quarantine, or trace toggle)
-// between frames is visible to the next frame. Every frame loop below
-// preserves exactly that: before every frame except the first it compares
-// the live plan pointer against the plan it is running and returns early
-// when it moved, reporting how many frames it processed; the dispatcher
-// reloads and continues the remainder on the new plan. One atomic load and
-// compare per frame is all the staleness check costs — the amortized
-// savings (plan load is a load+branch here versus a load, shard hash,
-// sampling draw, and flush per raise there) remain.
+// Loop equivalence under churn: a loop of single raises loads the plan per
+// raise, so an uninstall (or quarantine, or trace toggle) between frames is
+// visible to the next frame. Every frame loop below compares the live plan
+// pointer against its own before each frame but the first and returns
+// early when it moved; the dispatcher continues the rest on the new plan.
 
 // ArgFrame is one raise's argument vector within a batch.
 type ArgFrame []any
@@ -63,29 +55,23 @@ func (b *BatchOutcome) Add(o Outcome) {
 	b.Result = o.Result
 }
 
-// ExecuteBatch dispatches a batch of frames against this plan, drawing the
-// per-raise fixed costs once: one trace sampling decision, one executor
-// selection, one fired-total flush. live, when non-nil, is the event's
-// published-plan cell: the batch stops before the first frame that would
-// run on a stale plan, so a churning batch remains observably identical to
-// a loop of single raises. Returns the folded outcome and the number of
-// frames processed — fewer than len(frames) only when live reports the
-// plan was superseded mid-batch, in which case the caller reloads and
-// continues. Always processes at least one frame of a non-empty batch.
-// stripeIdx is the caller's hoisted stripe shard index, shared by every
-// striped counter the batch touches.
+// ExecuteBatch dispatches a batch of frames against this plan. live, when
+// non-nil, is the event's published-plan cell: the batch stops before the
+// first frame that would run on a stale plan. Returns the folded outcome
+// and the number of frames processed — fewer than len(frames) only when the
+// plan was superseded mid-batch, and at least one of a non-empty batch.
+// stripeIdx is the caller's hoisted stripe shard index.
 //
-// Metered plans (env.CPU != nil) take the general executor per frame so
-// the virtual-time charge sequence stays byte-identical to a loop of
-// single raises.
+// Metered and sampled batches, and plans with no plain stencil, run the
+// observed walk (or the direct entry) frame by frame, so the virtual-time
+// charges and spans are those of a loop of single raises.
 func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	var out BatchOutcome
 	if len(frames) == 0 {
 		return out, 0
 	}
-	// Tracing compiled in: one sampling decision covers the batch. An
-	// unsampled draw runs the whole batch untraced — the amortization this
-	// tier exists for.
+	// One sampling decision covers the batch: an unsampled draw runs it
+	// untraced, the amortization this tier exists for.
 	var rec recorder
 	var r *recorder
 	if p.prog != nil {
@@ -111,11 +97,9 @@ func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *at
 			return out, done
 		}
 	}
-	// The general executor, frame by frame. A sampled batch records its
-	// first frame under the raise id the batch's draw produced; every
-	// subsequent frame draws its own decision (and id), so a tracer
-	// recording every raise sees one span group per frame, exactly as a loop
-	// of single raises would produce.
+	// The observed frame loop. A sampled batch records its first frame
+	// under the batch's draw and redraws for every later one, so a tracer
+	// sees one span group per frame, as for a loop of single raises.
 	redraw := r != nil
 	for i := range frames {
 		if i > 0 {
@@ -126,9 +110,36 @@ func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *at
 				r = p.sample(env.CPU, frames[i], &rec)
 			}
 		}
-		out.Add(p.general(env, frames[i], stripeIdx, r))
+		if p.direct != nil {
+			out.Add(p.executeDirect(env, frames[i], stripeIdx, r))
+		} else {
+			out.Add(p.observe(env, frames[i], stripeIdx, r))
+		}
 	}
 	return out, len(frames)
+}
+
+// executeDirect is the single-binding bypass's entry: one handler call,
+// charged as the direct procedure call it replaces, behind the one per-call
+// barrier when the plan is protected, with its span when rec samples it.
+func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outcome {
+	st, cpu := p.direct, env.CPU
+	rec.open()
+	cpu.Charge(vtime.CallDirect)
+	cpu.ChargeN(vtime.CallDirectArg, p.info.Arity)
+	out, completed := Outcome{Fired: 1}, true
+	if p.protect != nil {
+		out.Result, completed = p.callProtected(cpu, args)
+	} else {
+		out.Result = runBody(st.b, st.inline, args)
+	}
+	countFire(st.b.FireCount, idx)
+	env.addFired(idx, 1)
+	if rec != nil {
+		rec.handler(0, trace.ModeDirect, completed)
+		rec.end(out)
+	}
+	return out
 }
 
 // executeDirectBatch is the batch tier of the single-binding bypass: the

@@ -144,6 +144,13 @@ func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, 
 	return bindings
 }
 
+// fuzzConfig is one optimizer configuration of the dispatch fuzzers; a
+// metered one raises on a CPU, so it runs the observed walk.
+type fuzzConfig struct {
+	Options
+	Metered bool
+}
+
 // naivePasses is the reference model's guard evaluation: every guard of
 // the binding, verbatim, in installation order.
 func naivePasses(b *Binding, args []any) bool {
@@ -240,19 +247,19 @@ func FuzzPredCompile(f *testing.F) {
 			Fn:     func(any, []any) any { fired++; return nil },
 			Name:   "fuzz.H",
 		}
-		for _, opts := range []Options{
+		for _, opts := range []fuzzConfig{
 			{},
-			{DisableBypass: true},
-			{DisablePeephole: true},
-			{DisableSpecialize: true},
+			{Options: Options{DisableBypass: true}},
+			{Options: Options{DisablePeephole: true}},
+			{Metered: true},
 		} {
 			plan := Compile(EventInfo{Name: "Fuzz.Pred", Arity: arity},
-				[]*Binding{binding}, nil, nil, opts)
+				[]*Binding{binding}, nil, nil, opts.Options)
 			r2 := *r // same raises for every configuration
 			for trial := 0; trial < 4; trial++ {
 				args := genArgs(&r2, arity)
 				fired = 0
-				plan.Execute(&Env{}, args, 0)
+				plan.Execute(&Env{CPU: meteredCPU(opts.Metered)}, args, 0)
 				want := 0
 				if pred.Eval(args) {
 					want = 1
@@ -267,8 +274,9 @@ func FuzzPredCompile(f *testing.F) {
 }
 
 // FuzzTreeDispatch compiles a random binding list under every optimizer
-// configuration — including the guard index on both executors, the
-// flattened shape-specialized stencil, and the traced routine — and checks
+// configuration — including the guard index on both walks, the flattened
+// shape-specialized stencil, metered raises (the observed walk) and the
+// traced routine — and checks
 // each fires the same handler sequence as the reference model, merges
 // results identically, falls back to the default handler on the same
 // raises, and counts the same firings — per binding, for the default
@@ -330,14 +338,14 @@ func FuzzTreeDispatch(f *testing.F) {
 
 		tracer := trace.New(trace.Config{Capacity: 64})
 		info := EventInfo{Name: "Fuzz.Tree", Arity: arity, HasResult: hasResult}
-		configs := []Options{
+		configs := []fuzzConfig{
 			{}, // the stencil, through the guard index
-			{EnableDecisionTree: true},
-			{DisableBypass: true, DisablePeephole: true},
-			{EnableDecisionTree: true, Trace: tracer},           // every raise sampled: recorder on
-			{DisableSpecialize: true},                           // general executor only: the linear reference
-			{DisableSpecialize: true, EnableDecisionTree: true}, // general executor through the index
-			{Trace: tracer}, // sampling entry over flat-eligible plans
+			{Options: Options{EnableDecisionTree: true}},
+			{Options: Options{DisableBypass: true, DisablePeephole: true}},
+			{Options: Options{EnableDecisionTree: true, Trace: tracer}}, // every raise sampled: recorder on
+			{Metered: true}, // the observed walk, linear
+			{Options: Options{EnableDecisionTree: true}, Metered: true}, // the observed walk through the index
+			{Options: Options{Trace: tracer}},                           // sampling entry over stencil plans
 		}
 		for trial := 0; trial < 4; trial++ {
 			args := genArgs(r, arity)
@@ -360,14 +368,14 @@ func FuzzTreeDispatch(f *testing.F) {
 				wantCounts[n] = 1
 			}
 			for _, opts := range configs {
-				plan := Compile(info, bindings, resultFn, defaultB, opts)
+				plan := Compile(info, bindings, resultFn, defaultB, opts.Options)
 				before := make([]int64, n+1)
 				for i, c := range counters {
 					before[i] = c.Load()
 				}
 				var total stripe.Counter
 				fired = nil
-				out := plan.Execute(&Env{FiredTotal: &total}, args, 0)
+				out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, args, 0)
 				if len(fired) != len(want) {
 					t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
 				}
@@ -438,10 +446,9 @@ func FuzzTreeDispatch(f *testing.F) {
 // A stream may also arm faults: handlers that panic after they ran (and
 // after they uninstalled themselves) and out-of-line guards that panic.
 // Every configuration then compiles fault capture in, under a recording
-// hook, and the stencil behind its per-frame barrier, the general executor
-// behind its per-call barriers and the naive model must agree on the
-// outcome, the fire counts, the fold indices and the ordered sequence of
-// hook calls.
+// hook, and the bare and the metered (observed) barrier and the naive
+// model must agree on the outcome, the fire counts, the fold indices and
+// the ordered sequence of hook calls.
 func FuzzBatchDispatch(f *testing.F) {
 	frames := seedJoin([]byte{15}, indexSeedRaises, indexSeedRaises, []byte{3, 2, 1, 3})
 	for _, seed := range indexSeeds {
@@ -507,7 +514,7 @@ func FuzzBatchDispatch(f *testing.F) {
 		var (
 			fired     []int
 			live      atomic.Pointer[Plan]
-			opts      Options
+			opts      fuzzConfig
 			bindings  []*Binding
 			uninstall = -1 // the binding compiled out, or -1
 		)
@@ -516,7 +523,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			if uninstall >= 0 {
 				installed = append(append([]*Binding(nil), bindings[:uninstall]...), bindings[uninstall+1:]...)
 			}
-			o := opts
+			o := opts.Options
 			if hook != nil {
 				o.Protect = hook
 			}
@@ -618,7 +625,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			for i, b := range bindings {
 				base[i] = b.FireCount.Load()
 			}
-			out := dispatch(&Env{FiredTotal: &total})
+			out := dispatch(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total})
 			counts := make([]int64, n)
 			for i, b := range bindings {
 				counts[i] = b.FireCount.Load() - base[i]
@@ -648,14 +655,14 @@ func FuzzBatchDispatch(f *testing.F) {
 		}
 
 		tracer := trace.New(trace.Config{Capacity: 64})
-		for _, opts = range []Options{
+		for _, opts = range []fuzzConfig{
 			{}, // the stencil, through the guard index
-			{EnableDecisionTree: true},
-			{DisableBypass: true, DisablePeephole: true},
-			{EnableDecisionTree: true, Trace: tracer},
-			{DisableSpecialize: true},
-			{DisableSpecialize: true, EnableDecisionTree: true},
-			{Trace: tracer},
+			{Options: Options{EnableDecisionTree: true}},
+			{Options: Options{DisableBypass: true, DisablePeephole: true}},
+			{Options: Options{EnableDecisionTree: true, Trace: tracer}},
+			{Metered: true},
+			{Options: Options{EnableDecisionTree: true}, Metered: true},
+			{Options: Options{Trace: tracer}},
 		} {
 			// Reference: a loop of single raises, each loading the published
 			// plan afresh, folded the way the batch tier folds.

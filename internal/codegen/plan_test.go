@@ -8,6 +8,7 @@ import (
 
 	"spin/internal/admit"
 	"spin/internal/stripe"
+	"spin/internal/trace"
 	"spin/internal/vtime"
 )
 
@@ -316,7 +317,7 @@ func TestFireCountsReportBindings(t *testing.T) {
 		metered bool
 	}{
 		{name: "stencil"},
-		{name: "general", opts: Options{DisableSpecialize: true}},
+		{name: "sampled", opts: Options{Trace: trace.New(trace.Config{})}},
 		{name: "metered", metered: true},
 		{name: "filter", filter: true},
 	} {
@@ -327,7 +328,7 @@ func TestFireCountsReportBindings(t *testing.T) {
 			{FireCount: &counts[2], Fn: nop},
 		}
 		p := Compile(info(0, false), bs, nil, nil, Options{DisablePeephole: true, DisableBypass: true,
-			DisableSpecialize: tc.opts.DisableSpecialize})
+			Trace: tc.opts.Trace})
 		var total stripe.Counter
 		env := &Env{FiredTotal: &total}
 		if tc.metered {
@@ -346,10 +347,10 @@ func TestFireCountsReportBindings(t *testing.T) {
 	var defCount, total stripe.Counter
 	def := &Binding{FireCount: &defCount, Fn: nop}
 	guarded := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Fn: nop}
-	for _, opts := range []Options{{}, {DisableSpecialize: true}} {
-		p := Compile(info(1, false), []*Binding{guarded}, nil, def, opts)
-		p.Execute(&Env{FiredTotal: &total}, []any{uint64(2)}, 0)
-		p.Execute(&Env{FiredTotal: &total}, []any{uint64(1)}, 0)
+	for _, cpu := range []*vtime.CPU{nil, vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())} {
+		p := Compile(info(1, false), []*Binding{guarded}, nil, def, Options{})
+		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(2)}, 0)
+		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(1)}, 0)
 	}
 	if defCount.Load() != 2 || total.Load() != 4 {
 		t.Errorf("default handler: FireCount %d, FiredTotal %d, want 2 and 4", defCount.Load(), total.Load())
@@ -364,12 +365,12 @@ func TestInlinePlanDetection(t *testing.T) {
 		Fn:     func(any, []any) any { return nil },
 	}
 	p := Compile(info(0, false), []*Binding{inline, inline}, nil, nil, Options{})
-	if !p.FullyInline() {
+	if !p.allInline {
 		t.Fatal("plan with only inlinable bindings must be fully inline")
 	}
 	opaque := &Binding{Fn: func(any, []any) any { return nil }}
 	p2 := Compile(info(0, false), []*Binding{inline, opaque}, nil, nil, Options{DisableBypass: true})
-	if p2.FullyInline() {
+	if p2.allInline {
 		t.Fatal("opaque handler must break full inlining")
 	}
 }
@@ -460,7 +461,7 @@ func TestCostInlineMatchesTable1(t *testing.T) {
 			}
 		}
 		p := Compile(info(tc.args, false), bs, nil, nil, Options{DisableBypass: true})
-		if !p.FullyInline() {
+		if !p.allInline {
 			t.Fatal("expected fully inline plan")
 		}
 		args := make([]any, tc.args)

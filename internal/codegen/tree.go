@@ -21,19 +21,14 @@ package codegen
 // equality is eligible.
 //
 // Correctness: the index only skips steps whose first leaf is already known
-// false, so regrouping cannot change which handlers fire; steps sharing a
-// constant chain in plan order; and only *consecutive* runs index, so
-// ordering against other bindings interleaved in the handler list is
-// preserved. The transformation relies on guards being FUNCTIONAL:
-// evaluation can be skipped entirely for non-matching steps only because
-// guards cannot have side effects (§2.3 "Evaluating guards"). Filters may
-// rewrite the discriminated argument, so a filter step never joins a run
-// (it ends the run before it; the next run extracts the word afresh).
+// false; steps sharing a constant chain in plan order; and only consecutive
+// runs index, so ordering against interleaved bindings is preserved. It
+// relies on guards being FUNCTIONAL (§2.3 "Evaluating guards"). A filter may
+// rewrite the discriminated argument, so it never joins a run.
 //
-// The stencil (flat.go) always uses the index. The general executor is the
-// linear reference — what the measured system did, and what the
-// differential fuzzers compare against — and consults the same index only
-// under Options.EnableDecisionTree, the calibrated model's ablation switch.
+// The plain stencil (flat.go) always uses the index. The observed walk —
+// metered raises, so the calibrated model — scans linearly, as the measured
+// system did, unless Options.EnableDecisionTree, the ablation switch.
 
 // treeThreshold is the minimum run length worth an index; below it the
 // linear scan is cheaper than the lookup.

@@ -517,8 +517,8 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 		{name: "stencil", executor: "stencil[void,guarded]"},
 		{name: "barrier", executor: "stencil[void,guarded,barrier]",
 			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}},
-		{name: "filter", executor: "general", filter: true},
-		{name: "metered", executor: "general",
+		{name: "filter", executor: "stencil[void,observed]", filter: true},
+		{name: "metered", executor: "stencil[void,observed]",
 			opts: []Option{WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))}},
 		{name: "batch", executor: "stencil[void,guarded]", batch: true},
 	} {
