@@ -14,9 +14,17 @@ vet:
 lint: spinvet
 	@unformatted="$$(gofmt -l .)"; [ -z "$$unformatted" ] || \
 		{ echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; }
+	@for c in $(DOC_CEILINGS); do f="$${c%%:*}"; max="$${c##*:}"; n="$$(wc -c < "$$f")"; \
+		[ "$$n" -le "$$max" ] || { echo "lint: $$f is $$n bytes, over its DOC_CEILINGS $$max"; exit 1; }; \
+	done
 
 spinvet:
 	$(GO) run ./cmd/spinvet ./...
+
+# The documentation diet's ratchet, checked by `make lint`: each file may
+# not grow past its byte ceiling. A change may lower a ceiling to the size
+# it leaves; raising one needs a CHANGES.md line saying why.
+DOC_CEILINGS = DESIGN.md:59377 EXPERIMENTS.md:49880 README.md:24730
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc
@@ -60,7 +68,8 @@ race:
 
 # A short differential-fuzzing pass over the dispatch code generator: the
 # optimized plans (peephole, reordering, inlining, bypass, guard index,
-# stencil with and without its fault barrier, sampled raises) must agree
+# plain and observed stencil with and without its fault barrier, sampled
+# and metered raises) must agree
 # with naive reference evaluation; over journal replay; and over the
 # simulator's event heap, which must fire in stable instant order. Go runs
 # one fuzz target per invocation.
