@@ -424,8 +424,7 @@ func TestBarrierNestedAndSupersededFrames(t *testing.T) {
 		}}
 		first := Compile(info(1, false), []*Binding{quitter, survivor}, nil, nil, opts)
 		live.Store(first)
-		frames := []ArgFrame{{uint64(1)}, {uint64(1)}}
-		out, done := first.ExecuteBatch(env, frames, 0, &live)
+		out, done := first.ExecuteBatch(env, []any{uint64(1), uint64(1)}, 1, 2, 0, &live)
 		if done != 1 || out.Fired != 2 || ran != 1 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 0}}) {
 			t.Errorf("metered=%v: superseded frame: done %d, %+v, survivor ran %d, hook %+v",
 				metered, done, out, ran, hook.calls)

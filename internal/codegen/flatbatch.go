@@ -10,19 +10,17 @@ import (
 // Batched executor entry point — the vectorized ingress tier. A producer
 // delivering N frames (a packet train, an accept burst) would pay the
 // per-raise fixed costs N times: the plan load, the stripe shard hash, the
-// sampling draw, the executor selection, the fired-total flush.
-// ExecuteBatch pays them once per batch and runs each frame through the
-// same per-frame stencil (flatFrame) a single raise runs; per-binding fire
-// counts keep one striped add per firing.
+// executor selection, the fired-total flush. ExecuteBatch's two fast loops
+// pay them once per batch and run each frame through the same body a
+// single raise runs; per-binding fire counts keep one striped add per
+// firing. The frames arrive flat, row-major in one slice, so a batch needs
+// no per-frame header.
 //
 // Loop equivalence under churn: a loop of single raises loads the plan per
 // raise, so an uninstall (or quarantine, or trace toggle) between frames is
 // visible to the next frame. Every frame loop below compares the live plan
 // pointer against its own before each frame but the first and returns
 // early when it moved; the dispatcher continues the rest on the new plan.
-
-// ArgFrame is one raise's argument vector within a batch.
-type ArgFrame []any
 
 // BatchOutcome folds per-frame Outcomes over one executor call.
 type BatchOutcome struct {
@@ -55,68 +53,61 @@ func (b *BatchOutcome) Add(o Outcome) {
 	b.Result = o.Result
 }
 
-// ExecuteBatch dispatches a batch of frames against this plan. live, when
-// non-nil, is the event's published-plan cell: the batch stops before the
-// first frame that would run on a stale plan. Returns the folded outcome
-// and the number of frames processed — fewer than len(frames) only when the
-// plan was superseded mid-batch, and at least one of a non-empty batch.
-// stripeIdx is the caller's hoisted stripe shard index.
+// ExecuteBatch dispatches n frames against this plan, laid out row-major in
+// flat: frame i is flat[i*width : (i+1)*width], width being the event's
+// arity. live, when non-nil, is the event's published-plan cell: the batch
+// stops before the first frame that would run on a stale plan. Returns the
+// folded outcome and the number of frames processed — fewer than n only
+// when the plan was superseded mid-batch, and at least one of a non-empty
+// batch. stripeIdx is the caller's hoisted stripe shard index.
 //
-// Metered and sampled batches, and plans with no plain stencil, run the
-// observed walk (or the direct entry) frame by frame, so the virtual-time
-// charges and spans are those of a loop of single raises.
-func (p *Plan) ExecuteBatch(env *Env, frames []ArgFrame, stripeIdx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
+// An unmetered batch of an untraced plan runs one of the two fast loops:
+// the direct bypass's (executeDirectBatch) or the plain stencil's. Every
+// other batch is a loop of single raises (Execute), so its charges,
+// sampling draws and spans are a loop's by construction.
+func (p *Plan) ExecuteBatch(env *Env, flat []any, width, n, stripeIdx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
+	if env.CPU == nil && p.prog == nil {
+		switch {
+		case p.direct != nil && p.protect == nil:
+			return p.executeDirectBatch(env, flat, width, n, stripeIdx, live)
+		case p.frame != nil:
+			return p.executeFrameBatch(env, flat, width, n, stripeIdx, live)
+		}
+	}
 	var out BatchOutcome
-	if len(frames) == 0 {
-		return out, 0
-	}
-	// One sampling decision covers the batch: an unsampled draw runs it
-	// untraced, the amortization this tier exists for.
-	var rec recorder
-	var r *recorder
-	if p.prog != nil {
-		r = p.sample(env.CPU, frames[0], &rec)
-	}
-	if r == nil && env.CPU == nil {
-		if p.direct != nil && p.protect == nil {
-			return p.executeDirectBatch(env, frames, stripeIdx, live)
+	for i := 0; i < n; i++ {
+		if i > 0 && live != nil && live.Load() != p {
+			return out, i
 		}
-		if p.frame != nil {
-			var total int64 // event-level fired count, flushed once per batch
-			done := len(frames)
-			for i := range frames {
-				if i > 0 && live != nil && live.Load() != p {
-					done = i
-					break
-				}
-				o := p.frame(p, frames[i], stripeIdx, nil)
-				total += o.fires()
-				out.Add(o)
-			}
-			env.addFired(stripeIdx, total)
-			return out, done
-		}
+		out.Add(p.Execute(env, frameAt(flat, width, i), stripeIdx))
 	}
-	// The observed frame loop. A sampled batch records its first frame
-	// under the batch's draw and redraws for every later one, so a tracer
-	// sees one span group per frame, as for a loop of single raises.
-	redraw := r != nil
-	for i := range frames {
-		if i > 0 {
-			if live != nil && live.Load() != p {
-				return out, i
-			}
-			if redraw {
-				r = p.sample(env.CPU, frames[i], &rec)
-			}
+	return out, n
+}
+
+// frameAt is frame i of a row-major batch, capped so that a handler
+// appending to its arguments cannot reach frame i+1.
+func frameAt(flat []any, width, i int) []any {
+	at := i * width
+	return flat[at : at+width : at+width]
+}
+
+// executeFrameBatch is the plain stencil's fast loop: the frame loop around
+// Plan.frame, with one event-total flush at the end.
+func (p *Plan) executeFrameBatch(env *Env, flat []any, width, n, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
+	var out BatchOutcome
+	var total int64
+	done := n
+	for i := 0; i < n; i++ {
+		if i > 0 && live != nil && live.Load() != p {
+			done = i
+			break
 		}
-		if p.direct != nil {
-			out.Add(p.executeDirect(env, frames[i], stripeIdx, r))
-		} else {
-			out.Add(p.observe(env, frames[i], stripeIdx, r))
-		}
+		o := p.frame(p, frameAt(flat, width, i), idx, nil)
+		total += o.fires()
+		out.Add(o)
 	}
-	return out, len(frames)
+	env.addFired(idx, total)
+	return out, done
 }
 
 // executeDirect is the single-binding bypass's entry: one handler call,
@@ -145,16 +136,16 @@ func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outco
 // executeDirectBatch is the batch tier of the single-binding bypass: the
 // frame loop wrapped directly around the handler call, with one add to the
 // binding's fire counter per frame and one event-total flush at the end.
-func (p *Plan) executeDirectBatch(env *Env, frames []ArgFrame, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
+func (p *Plan) executeDirectBatch(env *Env, flat []any, width, n, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	b, inline := p.direct.b, p.direct.inline
 	var out BatchOutcome
-	done := len(frames)
-	for i := range frames {
+	done := n
+	for i := 0; i < n; i++ {
 		if i > 0 && live != nil && live.Load() != p {
 			done = i
 			break
 		}
-		out.Result = runBody(b, inline, frames[i])
+		out.Result = runBody(b, inline, frameAt(flat, width, i))
 		countFire(b.FireCount, idx)
 	}
 	out.Fired = int64(done)

@@ -556,9 +556,11 @@ func FuzzBatchDispatch(f *testing.F) {
 
 		// The frame stream and a set of random split points over it.
 		nFrames := 1 + int(r.byte()%24)
-		frames := make([]ArgFrame, nFrames)
+		frames := make([][]any, nFrames)
+		var flat []any // the same frames, row-major: the batch layout
 		for i := range frames {
 			frames[i] = genArgs(r, arity)
+			flat = append(flat, frames[i]...)
 		}
 		splits := []int{0}
 		for at := 1 + int(r.byte()%4); at < nFrames; at += 1 + int(r.byte()%4) {
@@ -591,22 +593,22 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 		}
 
-		// runBatch dispatches one frame span through ExecuteBatch, following
+		// runBatch dispatches frames [lo, hi) through ExecuteBatch, following
 		// the continuation contract: a call that stops early because the
 		// plan was superseded is resumed on the plan now published.
-		runBatch := func(env *Env, span []ArgFrame) BatchOutcome {
+		runBatch := func(env *Env, lo, hi int) BatchOutcome {
 			var out BatchOutcome
-			for len(span) > 0 {
-				o, m := live.Load().ExecuteBatch(env, span, 0, &live)
+			for lo < hi {
+				o, m := live.Load().ExecuteBatch(env, flat[lo*arity:hi*arity], arity, hi-lo, 0, &live)
 				if m <= 0 {
-					t.Fatalf("ExecuteBatch made no progress on %d frames", len(span))
+					t.Fatalf("ExecuteBatch made no progress on %d frames", hi-lo)
 				}
 				out.Fired += o.Fired
 				out.Defaulted += o.Defaulted
 				out.NoHandler += o.NoHandler
 				out.Ambiguous += o.Ambiguous
 				out.Result = o.Result
-				span = span[m:]
+				lo += m
 			}
 			return out
 		}
@@ -713,7 +715,7 @@ func FuzzBatchDispatch(f *testing.F) {
 
 			// One unsplit batch.
 			out, gotFired, total, counts := run(func(env *Env) BatchOutcome {
-				return runBatch(env, frames)
+				return runBatch(env, 0, nFrames)
 			})
 			check("unsplit", out, gotFired, total, counts)
 
@@ -721,7 +723,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			out, gotFired, total, counts = run(func(env *Env) BatchOutcome {
 				var out BatchOutcome
 				for s := 0; s+1 < len(splits); s++ {
-					o := runBatch(env, frames[splits[s]:splits[s+1]])
+					o := runBatch(env, splits[s], splits[s+1])
 					out.Fired += o.Fired
 					out.Defaulted += o.Defaulted
 					out.NoHandler += o.NoHandler

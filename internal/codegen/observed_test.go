@@ -88,9 +88,14 @@ func (r *obsRig) raise(p *Plan, args ...any) {
 	fmt.Fprintf(r.out, "raise %v: %+v cost=%v\n", args, out, r.clock.Now().Sub(before))
 }
 
-func (r *obsRig) batch(p *Plan, frames ...ArgFrame) {
+// batch runs one-argument frames as one flat batch.
+func (r *obsRig) batch(p *Plan, frames ...[]any) {
+	var flat []any
+	for _, f := range frames {
+		flat = append(flat, f...)
+	}
 	before := r.clock.Now()
-	out, done := p.ExecuteBatch(&r.env, frames, 0, nil)
+	out, done := p.ExecuteBatch(&r.env, flat, 1, len(frames), 0, nil)
 	fmt.Fprintf(r.out, "batch %v: %+v done=%d cost=%v\n", frames, out, done, r.clock.Now().Sub(before))
 }
 
@@ -254,7 +259,7 @@ var observedCases = []struct {
 			r.bind("B1", nil, nil, Guard{Pred: ArgEq(0, 1)}),
 			r.bind("B2", nil, nil, Guard{Pred: ArgLt(0, 2)}),
 		}, nil, nil, Options{})
-		r.batch(p, ArgFrame{uint64(1)}, ArgFrame{uint64(0)}, ArgFrame{uint64(5)})
+		r.batch(p, []any{uint64(1)}, []any{uint64(0)}, []any{uint64(5)})
 	}},
 }
 

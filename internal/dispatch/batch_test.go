@@ -25,12 +25,12 @@ import (
 // middle of a batch.
 
 // batchConfigs sweeps the code generator's optimization space: every
-// configuration selects a different executor tier (flat shape-specialized
-// batch executor, decision tree, no bypass or peephole around the
-// population's out-of-line handlers, and "interp": a metered dispatcher,
-// whose raises run the observed walk, which interprets each step's guard
-// list instead of its flattened leaves). opts returns a fresh option list
-// per dispatcher.
+// configuration selects a different executor tier (the plain stencil's fast
+// loop, decision tree, no bypass or peephole around the population's
+// out-of-line handlers, and "interp": a metered dispatcher, whose batches
+// are loops of single raises on the observed walk, which evaluates each
+// step's guard list instead of its flattened leaves). opts returns a fresh
+// option list per dispatcher.
 var batchConfigs = []struct {
 	name string
 	opts func() []Option
@@ -46,8 +46,8 @@ var batchConfigs = []struct {
 }
 
 // batchSizes are the batch lengths the differential tests sweep; 1 and 2
-// cover the degenerate ends, 8 and 64 the chunked fast path (64 is one
-// full pooled chunk), 1000 crosses many chunk boundaries.
+// cover the degenerate ends, 8, 64 and 1000 the fast loops at train
+// lengths.
 var batchSizes = []int{1, 2, 8, 64, 1000}
 
 // installBatchPopulation installs a deterministic mixed handler
@@ -86,6 +86,15 @@ func batchTestFrames(n int) []ArgFrame {
 		frames[i] = ArgFrame{uint64(i % 5)}
 	}
 	return frames
+}
+
+// batchTestFlat is batchTestFrames in RaiseBatch1's flat layout.
+func batchTestFlat(n int) []any {
+	flat := make([]any, n)
+	for i := range flat {
+		flat[i] = uint64(i % 5)
+	}
+	return flat
 }
 
 // normalizeSpans prepares a tracer snapshot for differential comparison:
@@ -129,8 +138,9 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 					installBatchPopulation(t, el, &logL)
 					var trB, trL *trace.Tracer
 					if traced {
-						trB = trace.New(trace.Config{Capacity: 32768, Sample: 1})
-						trL = trace.New(trace.Config{Capacity: 32768, Sample: 1})
+						// 1 in 3: a batch draws per frame, as the loop does.
+						trB = trace.New(trace.Config{Capacity: 32768, Sample: 3})
+						trL = trace.New(trace.Config{Capacity: 32768, Sample: 3})
 						eb.Trace(trB)
 						el.Trace(trL)
 					}
@@ -171,10 +181,7 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 					// Second pass through the arity-specialized flat entry
 					// point: identical again, on top of the first pass's
 					// totals.
-					flat := make([]any, n)
-					for i := range flat {
-						flat[i] = uint64(i % 5)
-					}
+					flat := batchTestFlat(n)
 					logB, logL = nil, nil
 					out = eb.RaiseBatch1(flat)
 					for i := range flat {
@@ -205,7 +212,7 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 	for _, n := range batchSizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			frames := batchTestFrames(n)
+			frames, flat := batchTestFrames(n), batchTestFlat(n)
 
 			// Result fold: two result handlers, results summed by the fold.
 			mkFold := func(t *testing.T) *Event {
@@ -232,7 +239,7 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 				return e
 			}
 			eb, el := mkFold(t), mkFold(t)
-			out := eb.RaiseBatch(frames)
+			out := eb.RaiseBatch1(flat)
 			var last any
 			for i := range frames {
 				res, err := el.Raise(frames[i]...)
@@ -267,7 +274,7 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 			}
 			eb2, defB := mkDef(t)
 			el2, defL := mkDef(t)
-			out = eb2.RaiseBatch(frames)
+			out = eb2.RaiseBatch1(flat)
 			for i := range frames {
 				if _, err := el2.Raise(frames[i]...); err != nil {
 					t.Fatalf("loop raise: %v", err)
@@ -291,7 +298,7 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 				return e
 			}
 			eb3, el3 := mkBare(t), mkBare(t)
-			out = eb3.RaiseBatch(frames)
+			out = eb3.RaiseBatch1(flat)
 			misses := 0
 			for i := range frames {
 				if _, err := el3.Raise(frames[i]...); errors.Is(err, ErrNoHandler) {
@@ -321,7 +328,7 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 				return e
 			}
 			eb4, el4 := mkAmb(t), mkAmb(t)
-			out = eb4.RaiseBatch(frames)
+			out = eb4.RaiseBatch1(flat)
 			ambs := 0
 			for i := range frames {
 				if _, err := el4.Raise(frames[i]...); errors.Is(err, ErrAmbiguousResult) {
@@ -467,22 +474,22 @@ func TestRaiseBatchMidBatchUninstall(t *testing.T) {
 					func(any, []any) any { log = append(log, 300); return nil })); err != nil {
 					t.Fatal(err)
 				}
-				frames := make([]ArgFrame, 64)
-				for i := range frames {
+				flat := make([]any, 64)
+				for i := range flat {
 					w := uint64(i % 3)
 					if i == 40 {
 						w = 7 // the saboteur fires here and tears out the victim
 					}
-					frames[i] = ArgFrame{w}
+					flat[i] = w
 				}
 				if batched {
-					out := e.RaiseBatch(frames)
-					if out.Raised != len(frames) {
-						t.Fatalf("outcome %+v, want Raised=%d", out, len(frames))
+					out := e.RaiseBatch1(flat)
+					if out.Raised != len(flat) {
+						t.Fatalf("outcome %+v, want Raised=%d", out, len(flat))
 					}
 				} else {
-					for i := range frames {
-						if _, err := e.Raise(frames[i]...); err != nil {
+					for i := range flat {
+						if _, err := e.Raise(flat[i]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -527,15 +534,15 @@ func TestRaiseBatchFaultLedgerParity(t *testing.T) {
 			func(any, []any) any { log = append(log, 2); return nil })); err != nil {
 			t.Fatal(err)
 		}
-		frames := make([]ArgFrame, 64)
-		for i := range frames {
-			frames[i] = ArgFrame{uint64(i % 8)} // arg 4 recurs: 8 panic frames offered
+		flat := make([]any, 64)
+		for i := range flat {
+			flat[i] = uint64(i % 8) // arg 4 recurs: 8 panic frames offered
 		}
 		if batched {
-			e.RaiseBatch(frames)
+			e.RaiseBatch1(flat)
 		} else {
-			for i := range frames {
-				if _, rerr := e.Raise(frames[i]...); rerr != nil {
+			for i := range flat {
+				if _, rerr := e.Raise(flat[i]); rerr != nil {
 					t.Fatalf("raise %d: %v", i, rerr)
 				}
 			}
@@ -672,11 +679,13 @@ func TestRaiseBatchAdmissionLedger(t *testing.T) {
 	}
 }
 
-// TestRaiseBatchZeroAlloc asserts the batched fast path performs zero
-// heap allocations per frame at batch >= 8 under the three standing CI
-// invariants: tracing off, fault policy on, and admission enabled with no
-// policy on the event. The flat argument vector is built once outside the
-// measured region, as a steady-state producer would hold it.
+// TestRaiseBatchZeroAlloc asserts the one batch path performs zero heap
+// allocations per frame at batch >= 8 under the three standing CI
+// invariants — tracing off, fault policy on, and admission enabled with no
+// policy on the event — and on its loops of single raises: a metered
+// dispatcher and a traced plan whose draws miss. The flat argument vector
+// is built once outside the measured region, as a steady-state producer
+// would hold it.
 func TestRaiseBatchZeroAlloc(t *testing.T) {
 	const n = 64
 	flat := make([]any, n)
@@ -691,6 +700,10 @@ func TestRaiseBatchZeroAlloc(t *testing.T) {
 		{"faultPolicyOn", func() *Dispatcher { return New(WithFaultPolicy(fault.DefaultPolicy())) }},
 		{"admissionNoPolicy", func() *Dispatcher {
 			return New(WithAdmission(AdmissionConfig{Workers: 1}))
+		}},
+		{"metered", func() *Dispatcher { return New(WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))) }},
+		{"tracedUnsampled", func() *Dispatcher {
+			return New(WithTracer(trace.New(trace.Config{Capacity: 64, Sample: 1 << 30})))
 		}},
 	}
 	var cell atomic.Uint64

@@ -481,7 +481,7 @@ func TestStats(t *testing.T) {
 
 // TestStatsCountEveryExecutor: every executor counts through the one
 // statistics protocol, so Stats().Fired and each binding's Fired agree
-// after a direct, stencil, barrier, filter (general executor), metered and
+// after a direct, stencil, barrier, filter (observed stencil), metered and
 // batch raise.
 func TestStatsCountEveryExecutor(t *testing.T) {
 	nop := func(any, []any) any { return nil }

@@ -463,9 +463,9 @@ func (e *Event) raiseWith(plan *codegen.Plan, args []any) (any, error) {
 // raiseOut is raiseWith before the outcome mapping: it validates, counts,
 // and executes one raise, returning the raw plan outcome. The error covers
 // argument validation and purity-monitor rejections — the cases a loop of
-// raises rejects before dispatch; finishRaise maps the outcome itself. The
-// batch fallback loop (raiseBatchLoop) calls it per frame so it can fold
-// outcomes without re-deriving them from the (any, error) contract.
+// raises rejects before dispatch; finishRaise maps the outcome itself. A
+// batch's loop of single raises (raiseOne) calls it per frame so it can
+// fold outcomes without re-deriving them from the (any, error) contract.
 func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error) {
 	if err := e.checkArgs(args); err != nil {
 		return codegen.Outcome{}, err

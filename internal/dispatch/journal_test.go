@@ -114,11 +114,11 @@ func TestRaiseBatchDrawsJournalSample(t *testing.T) {
 				if k > raises-done {
 					k = raises - done
 				}
-				frames := make([]ArgFrame, k)
-				for i := range frames {
-					frames[i] = ArgFrame{uint64(done + i)}
+				flat := make([]any, k)
+				for i := range flat {
+					flat[i] = uint64(done + i)
 				}
-				e.RaiseBatch(frames)
+				e.RaiseBatch1(flat)
 				done += k
 			}
 		}},

@@ -307,8 +307,11 @@ func TestArityRaiseAsyncEvent(t *testing.T) {
 // TestArityRaiseAsyncHandlerRetainsArgs is the pooled-buffer safety
 // property: when the plan contains an asynchronous handler, the argument
 // slice may be read after the raise returns, so the fast path must hand it
-// a private copy instead of recycling the pooled frame. A deferred spawner
-// maximizes the window between raise completion and handler execution.
+// a private copy instead of recycling the pooled frame. The flat batch
+// entry points borrow their caller's slice the same way, on such a plan and
+// on an asynchronous event: the caller reuses it as soon as the call
+// returns. A deferred spawner maximizes the window between raise completion
+// and handler execution.
 func TestArityRaiseAsyncHandlerRetainsArgs(t *testing.T) {
 	var pending []func()
 	d := New(WithSpawner(func(fn func()) { pending = append(pending, fn) }))
@@ -335,17 +338,45 @@ func TestArityRaiseAsyncHandlerRetainsArgs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Then as batches: a retaining plan, and an asynchronous event.
+	asyncEv, err := d.DefineEvent("Fast.RetainAsync", fastSig(1), AsAsync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := asyncEv.Install(Handler{
+		Proc: &rtti.Proc{Name: "RaiseFast.RA", Module: fastMod, Sig: fastSig(1)},
+		Fn: func(_ any, args []any) any {
+			seen = append(seen, args[0].(uint64))
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flat := make([]any, rounds)
+	for _, e := range []*Event{ev, asyncEv} {
+		for i := range flat {
+			flat[i] = uint64(len(flat) + i)
+		}
+		if out := e.RaiseBatch1(flat); out.Raised != rounds {
+			t.Fatalf("%s: batch outcome %+v", e.Name(), out)
+		}
+		clear(flat) // the caller reuses its buffer at once
+	}
 	// Only now run the detached handlers: had the fast path recycled the
 	// buffers, later raises would have overwritten or cleared the args.
 	for _, fn := range pending {
 		fn()
 	}
-	if len(seen) != rounds {
-		t.Fatalf("async handler ran %d times, want %d", len(seen), rounds)
+	if len(seen) != 3*rounds {
+		t.Fatalf("async handlers ran %d times, want %d", len(seen), 3*rounds)
 	}
 	for i, v := range seen {
-		if v != uint64(i) {
-			t.Fatalf("async handler %d saw %d, want %d", i, v, i)
+		want := uint64(i)
+		if i >= rounds {
+			want = uint64(rounds + (i-rounds)%rounds) // the batches' frames
+		}
+		if v != want {
+			t.Fatalf("async handler %d saw %d, want %d", i, v, want)
 		}
 	}
 }

@@ -110,7 +110,7 @@ type Server struct {
 	// connection, with the connection as its argument. The intrinsic
 	// handler spawns the connection strand; extensions interpose to
 	// observe or veto connections. The accept loop drains its backlog
-	// into one RaiseBatch per wakeup, so a burst of simultaneous
+	// into one RaiseBatch1 per wakeup, so a burst of simultaneous
 	// connections pays the dispatch ingress once.
 	Accepted *dispatch.Event
 
@@ -267,16 +267,16 @@ func (s *Server) intrinsicRequest(clo any, args []any) any {
 // Httpd.Accepted per wakeup; the event's intrinsic handler spawns the
 // per-connection strand.
 func (s *Server) acceptLoop(st *sched.Strand) sched.Status {
-	var burst []dispatch.ArgFrame
+	var burst []any // one frame per connection: RaiseBatch1's flat layout
 	for {
 		conn, ok := s.listener.Accept()
 		if !ok {
 			break
 		}
-		burst = append(burst, dispatch.ArgFrame{conn})
+		burst = append(burst, conn)
 	}
 	if len(burst) > 0 {
-		s.Accepted.RaiseBatch(burst)
+		s.Accepted.RaiseBatch1(burst)
 	}
 	s.listener.AwaitConn(st)
 	return sched.Block

@@ -336,11 +336,10 @@ func New(cfg Config) (*Stack, error) {
 // to the single-raise path — batching amortizes only the dispatch ingress.
 func (s *Stack) rxTrain(fs []*netwire.Frame) {
 	// The argument buffer is detached while handlers run and kept for the
-	// next train only if no plan that saw it may still hold its frames
-	// (asynchronous or ephemeral handlers on Ether.PacketArrived).
+	// next train: the batched ingress never retains it (a plan with
+	// asynchronous or ephemeral handlers gets private copies of its frames).
 	flat := s.rxFlat
 	s.rxFlat = nil
-	reuse := !s.EtherArrived.Plan().RetainsArgs()
 	for _, f := range fs {
 		s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
 		s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer) // Ethernet header parse
@@ -351,10 +350,8 @@ func (s *Stack) rxTrain(fs []*netwire.Frame) {
 		flat = append(flat, pkt.etherTypeWord(), pkt)
 	}
 	s.EtherArrived.RaiseBatch2(flat)
-	if reuse && !s.EtherArrived.Plan().RetainsArgs() {
-		clear(flat)
-		s.rxFlat = flat[:0]
-	}
+	clear(flat)
+	s.rxFlat = flat[:0]
 }
 
 // IP returns the host address.

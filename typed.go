@@ -80,7 +80,7 @@ func (e *Event0) Raise() error {
 }
 
 // RaiseBatch announces the event n times through the batched ingress
-// tier (see Event.RaiseBatch): the dispatch plan and per-raise fixed
+// tier (see Event.RaiseBatch0): the dispatch plan and per-raise fixed
 // costs are paid once per batch.
 func (e *Event0) RaiseBatch(n int) BatchOutcome { return e.ev.RaiseBatch0(n) }
 
@@ -127,7 +127,7 @@ func (e *Event1[A1]) RaiseAsync(a1 A1) error {
 }
 
 // RaiseBatch announces the event once per element of vals through the
-// batched ingress tier (see Event.RaiseBatch). The typed arguments are
+// batched ingress tier (see Event.RaiseBatch1). The typed arguments are
 // boxed into one flat row-major slice — the only per-batch allocation.
 func (e *Event1[A1]) RaiseBatch(vals []A1) BatchOutcome {
 	flat := make([]any, len(vals))
@@ -190,7 +190,7 @@ func (e *Event2[A1, A2]) RaiseAsync(a1 A1, a2 A2) error {
 
 // RaiseBatch announces the event once per index of the parallel slices
 // (frame i is a1s[i], a2s[i]; the shorter slice bounds the batch) through
-// the batched ingress tier (see Event.RaiseBatch).
+// the batched ingress tier (see Event.RaiseBatch2).
 func (e *Event2[A1, A2]) RaiseBatch(a1s []A1, a2s []A2) BatchOutcome {
 	n := len(a1s)
 	if len(a2s) < n {
@@ -257,7 +257,7 @@ func (e *Event3[A1, A2, A3]) Raise(a1 A1, a2 A2, a3 A3) error {
 
 // RaiseBatch announces the event once per index of the parallel slices
 // (frame i is a1s[i], a2s[i], a3s[i]; the shortest slice bounds the
-// batch) through the batched ingress tier (see Event.RaiseBatch).
+// batch) through the batched ingress tier (see Event.RaiseBatch3).
 func (e *Event3[A1, A2, A3]) RaiseBatch(a1s []A1, a2s []A2, a3s []A3) BatchOutcome {
 	n := len(a1s)
 	if len(a2s) < n {
