@@ -24,7 +24,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:58645 EXPERIMENTS.md:49473 README.md:24674
+DOC_CEILINGS = DESIGN.md:58526 EXPERIMENTS.md:49238 README.md:24667
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc
@@ -101,8 +101,15 @@ bench:
 # above its floor, and the remote and shard planes under their ceilings
 # (the committed figures are constants beside the gates in
 # benchsmoke_test.go). Ratio-based so it is meaningful on any host.
-# Selected by prefix, so a new or renamed TestBenchSmoke* joins the gate.
+# Selected by prefix, so a new TestBenchSmoke* joins the gate; the target
+# first counts what the prefix selects and fails below BENCHSMOKE_GATES, so
+# a gate renamed out of the prefix breaks CI instead of silently leaving it.
+BENCHSMOKE_GATES = 4
 benchsmoke:
+	@listing="$$($(GO) test -list '^TestBenchSmoke' .)" || { echo "$$listing"; exit 1; }; \
+	n="$$(echo "$$listing" | grep -c '^TestBenchSmoke')"; \
+	[ "$$n" -ge $(BENCHSMOKE_GATES) ] || \
+		{ echo "benchsmoke: '^TestBenchSmoke' selects $$n tests, floor is $(BENCHSMOKE_GATES)"; exit 1; }
 	SPIN_BENCH_SMOKE=1 $(GO) test -run '^TestBenchSmoke' -count=1 -v .
 
 # The end-to-end benchmark's own checks (benchmark/README.md): its module's

@@ -131,127 +131,6 @@ func (q *Queue) Submit(ctx context.Context, key any, run Work) error {
 	return nil
 }
 
-// BatchStats reports how one SubmitBatch's submissions were disposed:
-// every frame ends as exactly one of admitted, coalesced, or shed, so
-// Admitted + Coalesced + Shed == len(runs) and the queue's ledger identity
-// (Submitted == Completed + Shed + Coalesced at drain) is preserved.
-type BatchStats struct {
-	Admitted  int
-	Coalesced int
-	Shed      int
-}
-
-// SubmitBatch offers a batch of work items in one ledger transaction: the
-// lock is taken once, the whole batch is accounted as submitted, and the
-// policy disposes of every item before the lock releases (Block mode
-// excepted — a full queue parks the producer per frame, as a loop of
-// Submits would). The terminal ledger is identical to a loop of Submit
-// calls against a quiescent queue:
-//
-//   - Coalesce with a pending duplicate absorbs the whole batch as
-//     coalesced; with space and no duplicate, one representative item
-//     stands for the batch and the remaining n-1 frames are coalesced
-//     into it (a loop's submissions 2..n would each find the duplicate
-//     submission 1 enqueued); with the queue full, the batch is shed.
-//   - Shed admits up to the free capacity and tail-drops the rest.
-//   - ShedOldest drops the oldest pending item per admitted overflow
-//     frame, exactly as the loop form does.
-//   - Block parks for space per frame, bounded by the policy's
-//     BlockTimeout and ctx; a timed-out frame is shed and the batch
-//     continues with the next frame.
-//
-// The pool is notified once for the whole batch instead of once per item.
-func (q *Queue) SubmitBatch(ctx context.Context, key any, runs []Work) BatchStats {
-	var st BatchStats
-	n := len(runs)
-	if n == 0 {
-		return st
-	}
-	depth := q.pol.depth()
-	q.mu.Lock()
-	q.submitted += int64(n)
-	if q.pol.Mode == Coalesce && key != nil {
-		for i := q.head; i < len(q.items); i++ {
-			if q.items[i].key == key {
-				q.coalesced += int64(n)
-				q.mu.Unlock()
-				return BatchStats{Coalesced: n}
-			}
-		}
-		if len(q.items)-q.head >= depth {
-			q.shed += int64(n)
-			q.mu.Unlock()
-			for i := 0; i < n; i++ {
-				q.notifyShed()
-			}
-			return BatchStats{Shed: n}
-		}
-		q.items = append(q.items, qitem{key: key, run: runs[0]})
-		if d := len(q.items) - q.head; d > q.maxDepth {
-			q.maxDepth = d
-		}
-		q.coalesced += int64(n - 1)
-		listed := q.listed
-		q.listed = true
-		q.mu.Unlock()
-		if !listed {
-			q.pool.enqueue(q)
-		}
-		return BatchStats{Admitted: 1, Coalesced: n - 1}
-	}
-	// pendingNotify counts sheds whose hook still needs to run after the
-	// lock releases; Block-mode timeouts notify inside blockLocked.
-	pendingNotify := 0
-admitLoop:
-	for i := 0; i < n; i++ {
-		for len(q.items)-q.head >= depth {
-			switch q.pol.Mode {
-			case Shed, Coalesce:
-				// Tail-drop the rest of the batch in one ledger write.
-				// (Coalesce reaches here only with a nil key: no merge
-				// identity, so capacity behaves as Shed, matching Submit.)
-				rest := n - i
-				q.shed += int64(rest)
-				st.Shed += rest
-				pendingNotify += rest
-				break admitLoop
-			case ShedOldest:
-				q.items[q.head] = qitem{}
-				q.head++
-				q.shed++
-				pendingNotify++
-			case Block:
-				if err := q.blockLocked(ctx, depth); err != nil {
-					// This frame timed out and was shed (accounted and
-					// notified by shedLocked, which released the lock);
-					// re-take the lock and move on to the next frame.
-					st.Shed++
-					q.mu.Lock()
-					continue admitLoop
-				}
-				// Space may have been granted; re-check under the lock.
-			}
-		}
-		q.items = append(q.items, qitem{key: key, run: runs[i]})
-		st.Admitted++
-		if d := len(q.items) - q.head; d > q.maxDepth {
-			q.maxDepth = d
-		}
-	}
-	listed := q.listed
-	if st.Admitted > 0 {
-		q.listed = true
-	}
-	q.mu.Unlock()
-	for ; pendingNotify > 0; pendingNotify-- {
-		q.notifyShed()
-	}
-	if st.Admitted > 0 && !listed {
-		q.pool.enqueue(q)
-	}
-	return st
-}
-
 // Requeue re-admits a transiently failed run (retry). It bypasses the
 // capacity bound — the item was already admitted once and stays charged to
 // the queue until it reaches a final outcome — so retry depth is bounded by

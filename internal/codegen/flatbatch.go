@@ -7,14 +7,15 @@ import (
 	"spin/internal/vtime"
 )
 
-// Batched executor entry point — the vectorized ingress tier. A producer
-// delivering N frames (a packet train, an accept burst) would pay the
-// per-raise fixed costs N times: the plan load, the stripe shard hash, the
-// executor selection, the fired-total flush. ExecuteBatch's two fast loops
-// pay them once per batch and run each frame through the same body a
-// single raise runs; per-binding fire counts keep one striped add per
-// firing. The frames arrive flat, row-major in one slice, so a batch needs
-// no per-frame header.
+// Batched executor entry point — the vectorized ingress tier. A loop of N
+// single raises pays the per-raise fixed costs N times: the plan load, the
+// stripe shard hash, the executor selection, the fired-total flush.
+// ExecuteBatch's two fast loops pay them once per batch and run each frame
+// through the same body a single raise runs; per-binding fire counts keep
+// one striped add per firing. The frames arrive flat, row-major in one
+// slice, so a batch needs no per-frame header. Only callers that measure a
+// gain use it (benchmark/raise.go's batch64, TestBenchSmokeBatch): the
+// netstack and httpd raise per frame.
 //
 // Loop equivalence under churn: a loop of single raises loads the plan per
 // raise, so an uninstall (or quarantine, or trace toggle) between frames is

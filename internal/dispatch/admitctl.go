@@ -132,19 +132,6 @@ func (a *admitCtl) noteAdmission() {
 	}
 }
 
-// noteAdmissionN accounts n admissions at once (the batched raise path),
-// observing load if the sampling window boundary was crossed anywhere in
-// the batch — the same cadence n individual noteAdmission calls produce.
-func (a *admitCtl) noteAdmissionN(n int) {
-	if a.degrader == nil || n <= 0 {
-		return
-	}
-	after := a.admissions.Add(uint64(n))
-	if (after-uint64(n))&^a.sampleMask != after&^a.sampleMask {
-		a.observe()
-	}
-}
-
 // nextRand is an xorshift64* word for retry jitter.
 func (a *admitCtl) nextRand() uint64 {
 	a.mu.Lock()
@@ -281,27 +268,6 @@ func (d *Dispatcher) submitRaise(q *admit.Queue, e *Event, args []any) error {
 		_, _ = e.raiseSync(args)
 		return true
 	})
-}
-
-// submitRaiseBatch admits a whole batch of asynchronous raises in one
-// ledger transaction: the spawn costs are charged for every frame (the
-// work still runs), admission is sampled once for the batch, and the
-// queue's lock is taken once. Coalesce-mode queues may merge the entire
-// batch into one pending raise of the same event.
-func (d *Dispatcher) submitRaiseBatch(q *admit.Queue, e *Event, frames []ArgFrame) admit.BatchStats {
-	n := len(frames)
-	d.cpu.ChargeNTo(vtime.AccountKernel, vtime.ThreadSpawnBase, n)
-	d.cpu.ChargeNTo(vtime.AccountKernel, vtime.ThreadSpawnArg, n*e.sig.Arity())
-	d.admit.noteAdmissionN(n)
-	runs := make([]admit.Work, n)
-	for i := range frames {
-		args := frames[i]
-		runs[i] = func() bool {
-			_, _ = e.raiseSync(args)
-			return true
-		}
-	}
-	return q.SubmitBatch(context.Background(), e, runs)
 }
 
 // AdmissionPool returns a snapshot of the shared worker pool backing

@@ -1,37 +1,37 @@
 package dispatch
 
 import (
+	"errors"
 	"fmt"
 
 	"spin/internal/admit"
 	"spin/internal/codegen"
 	"spin/internal/stripe"
-	"spin/internal/vtime"
 )
 
-// Batched raise ingress: the vectorized entry points high-rate producers
-// (the netstack's RX packet trains, the httpd's accept bursts) use to pay
-// the per-raise fixed costs once per batch instead of once per frame. There
-// is one batch path: the frames arrive flat, row-major in one slice
+// Batched raise ingress: the vectorized entry points that pay the
+// per-raise fixed costs once per batch instead of once per frame. There is
+// one batch path: the frames arrive flat, row-major in one slice
 // (RaiseBatch0..RaiseBatch3), the plan's two fast loops run them
 // (codegen.Plan.ExecuteBatch), and every other batch is a loop of single
-// raises. A batch is observably identical to a loop of single raises — same
-// fire counts and order, same results fold, same counter totals, same
-// admission ledger — including under mid-batch plan churn: the batch
-// executors stop at a plan swap and the loop here reloads and continues, so
-// an uninstall between frames is visible to the next frame exactly as it is
-// to the next iteration of a raise loop. See DESIGN.md decision 16.
+// raises (an asynchronous event's, of RaiseAsync). No producer in the tree
+// batches: RX trains and accept backlogs hold one frame in the measured
+// workloads, so the netstack and httpd raise per frame. A batch is
+// observably identical to a loop of single raises — same fire counts and
+// order, same results fold, same counter totals, same admission ledger —
+// including under mid-batch plan churn: the batch executors stop at a plan
+// swap and the loop here reloads and continues, so an uninstall between
+// frames is visible to the next frame exactly as it is to the next
+// iteration of a raise loop. See DESIGN.md decision 16.
 
-// ArgFrame is one raise's argument vector within a RaiseBatch.
-type ArgFrame []any
-
-// BatchOutcome reports how one RaiseBatch's frames were disposed. Every
-// frame ends in exactly one of Raised (dispatched to the plan), Rejected
-// (failed argument validation), Shed, or Coalesced (async admission), so
-// the counts always sum to the number of frames offered.
+// BatchOutcome reports how one batch's frames were disposed. Every frame
+// ends in exactly one of Raised (dispatched to the plan), Rejected (failed
+// argument validation) or Shed (async admission), so the counts always sum
+// to the number of frames offered.
 type BatchOutcome struct {
 	// Raised counts frames dispatched to the plan (for async batches:
-	// admitted to the queue or handed to the spawner).
+	// frames whose RaiseAsync returned nil — admitted, coalesced into a
+	// pending raise, or spawned).
 	Raised int
 	// Fired counts handler invocations across all dispatched frames,
 	// excluding default-handler firings.
@@ -45,10 +45,8 @@ type BatchOutcome struct {
 	// Rejected counts frames that failed argument validation (arity, and
 	// dynamic types under purity checking) or async-raise legality.
 	Rejected int
-	// Shed and Coalesced count async frames the admission policy shed or
-	// merged into a pending raise.
-	Shed      int
-	Coalesced int
+	// Shed counts async frames the admission policy shed.
+	Shed int
 	// Result is the last dispatched frame's merged result (synchronous
 	// batches on result events).
 	Result any
@@ -76,7 +74,7 @@ func (o *BatchOutcome) foldBatch(b codegen.BatchOutcome, n int) {
 // order: rejection (the raise never dispatched), overload shed, no
 // handler, ambiguous result. errors.Is works against the usual sentinels.
 func (o BatchOutcome) Err() error {
-	n := o.Raised + o.Rejected + o.Shed + o.Coalesced
+	n := o.Raised + o.Rejected + o.Shed
 	switch {
 	case o.Rejected > 0:
 		return fmt.Errorf("%w: %d of %d frames rejected", ErrBadArity, o.Rejected, n)
@@ -88,27 +86,6 @@ func (o BatchOutcome) Err() error {
 		return fmt.Errorf("%w: %d of %d frames ambiguous", ErrAmbiguousResult, o.Ambiguous, n)
 	}
 	return nil
-}
-
-// RaiseBatch announces the event once per frame. On a synchronous event it
-// is a loop of single raises; the batched ingress tier is the flat entry
-// points (RaiseBatch0..RaiseBatch3), whose frames need no headers. An
-// asynchronous event admits the whole batch in one ledger transaction.
-//
-// The batch does not copy frames; as with Raise(args...), a plan with
-// asynchronous or ephemeral handlers may retain each frame past the call.
-func (e *Event) RaiseBatch(frames []ArgFrame) BatchOutcome {
-	var out BatchOutcome
-	switch {
-	case len(frames) == 0:
-	case e.async:
-		out = e.raiseBatchAsync(frames)
-	default:
-		for _, f := range frames {
-			e.raiseOne(&out, e.plan.Load(), f)
-		}
-	}
-	return out
 }
 
 // raiseOne is one frame of a loop of single raises: exactly Raise's path
@@ -142,61 +119,6 @@ func (e *Event) executeBatch(out *BatchOutcome, plan *codegen.Plan, flat []any, 
 	return m
 }
 
-// raiseBatchAsync is RaiseBatch for asynchronous events. Event-level
-// legality (result-needs-default, by-reference arguments) is hoisted once
-// per batch; invalid frames are rejected per frame as the loop form would
-// reject them. On a queued event the whole batch is admitted in a single
-// ledger transaction (admit.Queue.SubmitBatch); unqueued events spawn one
-// thread of control that drains the batch in order, preserving per-event
-// FIFO — and amortizing the spawn, which is the point of batching the
-// async path (the loop form spawns per raise; see DESIGN.md decision 16).
-func (e *Event) raiseBatchAsync(frames []ArgFrame) BatchOutcome {
-	var out BatchOutcome
-	n := len(frames)
-	if (e.sig.HasResult() && e.defaultBinding() == nil) || e.sig.HasByRef() {
-		out.Rejected = n
-		return out
-	}
-	work := frames
-	arity := e.sig.Arity()
-	bad := 0
-	for i := range frames {
-		if e.checkArgs(frames[i]) != nil {
-			bad++
-		}
-	}
-	if bad > 0 {
-		out.Rejected = bad
-		work = make([]ArgFrame, 0, n-bad)
-		for i := range frames {
-			if e.checkArgs(frames[i]) == nil {
-				work = append(work, frames[i])
-			}
-		}
-		if len(work) == 0 {
-			return out
-		}
-	}
-	if q := e.plan.Load().AdmitQueue(); q != nil && e.d.sim == nil {
-		e.d.cpu.Begin(vtime.AccountEvents)
-		st := e.d.submitRaiseBatch(q, e, work)
-		e.d.cpu.End()
-		out.Raised = st.Admitted
-		out.Shed = st.Shed
-		out.Coalesced = st.Coalesced
-		return out
-	}
-	e.d.cpu.Begin(vtime.AccountEvents)
-	e.d.spawn(arity, func() {
-		for i := range work {
-			_, _ = e.raiseSync(work[i])
-		}
-	})
-	e.d.cpu.End()
-	out.Raised = len(work)
-	return out
-}
-
 // RaiseBatch0 raises a no-parameter event n times through the batched
 // ingress tier without allocating.
 func (e *Event) RaiseBatch0(n int) BatchOutcome { return e.raiseBatchFlat(nil, 0, n) }
@@ -211,7 +133,7 @@ func (e *Event) RaiseBatch1(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 func (e *Event) RaiseBatch2(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 2, len(flat)/2) }
 
 // RaiseBatch3 raises the event with three arguments per frame, row-major —
-// the widest flat entry point; a wider event's RaiseBatch is a loop.
+// the widest flat entry point; a wider event's batch is a loop of raises.
 func (e *Event) RaiseBatch3(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 3, len(flat)/3) }
 
 // raiseBatchFlat is the one batch path: n width-sized frames, row-major in
@@ -221,11 +143,12 @@ func (e *Event) RaiseBatch3(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 // a metered dispatcher (each raise metered and accounted on its own), under
 // purity checking (each raise behind its own monitor barrier), when width
 // is not the event's arity (each frame rejected), and on a plan that may
-// retain its frames. flat is borrowed: it is never retained past the call,
-// so the caller may reuse it at once — a retaining plan gets a private copy
-// of each frame, and an asynchronous event, whose raises all outlive the
-// call, one copy of flat. A ragged tail (len(flat) not n*width) is rejected
-// as one malformed frame.
+// retain its frames. An asynchronous event's batch is a loop of RaiseAsync.
+// flat is borrowed: it is never retained past the call, so the caller may
+// reuse it at once — a retaining plan gets a private copy of each frame,
+// and an asynchronous event, whose raises all outlive the call, one copy of
+// flat. A ragged tail (len(flat) not n*width) is rejected as one malformed
+// frame.
 func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	var out BatchOutcome
 	if len(flat) != n*width {
@@ -236,13 +159,16 @@ func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	}
 	if e.async {
 		own := append([]any(nil), flat[:n*width]...)
-		frames := make([]ArgFrame, n)
-		for i := range frames {
-			frames[i] = own[i*width : (i+1)*width : (i+1)*width]
+		for i := 0; i < n; i++ {
+			switch err := e.RaiseAsync(own[i*width : (i+1)*width : (i+1)*width]...); {
+			case err == nil:
+				out.Raised++
+			case errors.Is(err, admit.ErrOverload):
+				out.Shed++
+			default:
+				out.Rejected++
+			}
 		}
-		rejected := out.Rejected
-		out = e.raiseBatchAsync(frames)
-		out.Rejected += rejected
 		return out
 	}
 	single := e.d.purity || e.d.cpu != nil || width != e.sig.Arity()

@@ -18,7 +18,7 @@ import (
 )
 
 // Differential harness for the batched raise ingress: under every
-// optimizer configuration and across batch sizes, RaiseBatch must be
+// optimizer configuration and across batch sizes, a flat batch must be
 // observably identical to a loop of single Raise calls — same handlers
 // fired in the same order, same statistics, same results fold, same trace
 // spans, same fault and admission ledgers — including plan churn in the
@@ -77,18 +77,9 @@ func installBatchPopulation(t *testing.T, e *Event, log *[]int) {
 	add(4)
 }
 
-// batchTestFrames builds n one-word frames cycling the argument through
-// 0..4, so every guard in the population passes on some frames and fails
-// on others.
-func batchTestFrames(n int) []ArgFrame {
-	frames := make([]ArgFrame, n)
-	for i := range frames {
-		frames[i] = ArgFrame{uint64(i % 5)}
-	}
-	return frames
-}
-
-// batchTestFlat is batchTestFrames in RaiseBatch1's flat layout.
+// batchTestFlat builds n one-word frames in RaiseBatch1's flat layout,
+// cycling the argument through 0..4, so every guard in the population
+// passes on some frames and fails on others.
 func batchTestFlat(n int) []any {
 	flat := make([]any, n)
 	for i := range flat {
@@ -116,7 +107,7 @@ func normalizeSpans(spans []trace.Span) []trace.Span {
 
 // TestRaiseBatchMatchesLoop is the core differential test: for every
 // optimizer configuration, traced and untraced, at every batch size, a
-// RaiseBatch and a loop of Raise calls over identical twin dispatchers
+// RaiseBatch1 and a loop of Raise calls over identical twin dispatchers
 // must fire the same handlers in the same order, report the same event
 // statistics, produce an equivalent BatchOutcome, and (traced, at
 // sample=1) record identical span streams.
@@ -144,11 +135,11 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 						eb.Trace(trB)
 						el.Trace(trL)
 					}
-					frames := batchTestFrames(n)
+					flat := batchTestFlat(n)
 
-					out := eb.RaiseBatch(frames)
-					for i := range frames {
-						if _, err := el.Raise(frames[i]...); err != nil {
+					out := eb.RaiseBatch1(flat)
+					for i := range flat {
+						if _, err := el.Raise(flat[i]); err != nil {
 							t.Fatalf("loop raise %d: %v", i, err)
 						}
 					}
@@ -159,7 +150,7 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 					if out.Raised != n || out.Fired != int64(len(logL)) {
 						t.Fatalf("outcome = %+v, want Raised=%d Fired=%d", out, n, len(logL))
 					}
-					if out.Rejected+out.Shed+out.Coalesced+out.NoHandler+out.Defaulted+out.Ambiguous != 0 {
+					if out.Rejected+out.Shed+out.NoHandler+out.Defaulted+out.Ambiguous != 0 {
 						t.Fatalf("spurious dispositions in %+v", out)
 					}
 					if err := out.Err(); err != nil {
@@ -178,10 +169,8 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 						}
 					}
 
-					// Second pass through the arity-specialized flat entry
-					// point: identical again, on top of the first pass's
-					// totals.
-					flat := batchTestFlat(n)
+					// Second pass against the arity-specialized single raise:
+					// identical again, on top of the first pass's totals.
 					logB, logL = nil, nil
 					out = eb.RaiseBatch1(flat)
 					for i := range flat {
@@ -208,11 +197,11 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 // TestRaiseBatchResultFoldDefaultAndErrors covers the outcome-folding
 // surfaces the main differential's void event cannot reach: result
 // merging, the default handler, no-handler frames, ambiguous results, and
-// mixed-arity rejection.
+// wrong-width and ragged-tail rejection.
 func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 	for _, n := range batchSizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			frames, flat := batchTestFrames(n), batchTestFlat(n)
+			flat := batchTestFlat(n)
 
 			// Result fold: two result handlers, results summed by the fold.
 			mkFold := func(t *testing.T) *Event {
@@ -241,8 +230,8 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 			eb, el := mkFold(t), mkFold(t)
 			out := eb.RaiseBatch1(flat)
 			var last any
-			for i := range frames {
-				res, err := el.Raise(frames[i]...)
+			for i := range flat {
+				res, err := el.Raise(flat[i])
 				if err != nil {
 					t.Fatalf("loop raise: %v", err)
 				}
@@ -275,8 +264,8 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 			eb2, defB := mkDef(t)
 			el2, defL := mkDef(t)
 			out = eb2.RaiseBatch1(flat)
-			for i := range frames {
-				if _, err := el2.Raise(frames[i]...); err != nil {
+			for i := range flat {
+				if _, err := el2.Raise(flat[i]); err != nil {
 					t.Fatalf("loop raise: %v", err)
 				}
 			}
@@ -300,8 +289,8 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 			eb3, el3 := mkBare(t), mkBare(t)
 			out = eb3.RaiseBatch1(flat)
 			misses := 0
-			for i := range frames {
-				if _, err := el3.Raise(frames[i]...); errors.Is(err, ErrNoHandler) {
+			for i := range flat {
+				if _, err := el3.Raise(flat[i]); errors.Is(err, ErrNoHandler) {
 					misses++
 				}
 			}
@@ -330,8 +319,8 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 			eb4, el4 := mkAmb(t), mkAmb(t)
 			out = eb4.RaiseBatch1(flat)
 			ambs := 0
-			for i := range frames {
-				if _, err := el4.Raise(frames[i]...); errors.Is(err, ErrAmbiguousResult) {
+			for i := range flat {
+				if _, err := el4.Raise(flat[i]); errors.Is(err, ErrAmbiguousResult) {
 					ambs++
 				}
 			}
@@ -342,24 +331,32 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 				t.Fatalf("batch err = %v, want ErrAmbiguousResult", out.Err())
 			}
 
-			// Mixed arity: one malformed frame drops the batch to the loop
-			// path, which rejects exactly the bad frames.
+			// Wrong width: a one-word event raised two words per frame
+			// rejects every frame, as a loop of Raise2 calls would, and a
+			// ragged tail is one more malformed frame. At the right width
+			// the full rows dispatch and only the tail is rejected.
 			if n >= 2 {
 				d := New()
-				e := mustDefine(t, d, "Batch.M", rtti.Sig(nil, rtti.Word))
 				fired := 0
-				if _, err := e.Install(handler(voidProc("H", rtti.Word),
-					func(any, []any) any { fired++; return nil })); err != nil {
+				count := func(any, []any) any { fired++; return nil }
+				e1 := mustDefine(t, d, "Batch.M1", rtti.Sig(nil, rtti.Word))
+				e2 := mustDefine(t, d, "Batch.M2", rtti.Sig(nil, rtti.Word, rtti.Word))
+				if _, err := e1.Install(handler(voidProc("H1", rtti.Word), count)); err != nil {
 					t.Fatal(err)
 				}
-				bad := batchTestFrames(n)
-				bad[n/2] = ArgFrame{uint64(0), uint64(1)} // wrong arity
-				out = e.RaiseBatch(bad)
-				if out.Rejected != 1 || out.Raised != n-1 || fired != n-1 {
-					t.Fatalf("mixed arity: %+v fired=%d, want Rejected=1 Raised=%d", out, fired, n-1)
+				if _, err := e2.Install(handler(voidProc("H2", rtti.Word, rtti.Word), count)); err != nil {
+					t.Fatal(err)
+				}
+				out = e1.RaiseBatch2(flat)
+				if out.Rejected != n/2+n%2 || out.Raised != 0 || fired != 0 {
+					t.Fatalf("wrong width: %+v fired=%d, want Rejected=%d Raised=0", out, fired, n/2+n%2)
 				}
 				if !errors.Is(out.Err(), ErrBadArity) {
 					t.Fatalf("batch err = %v, want ErrBadArity", out.Err())
+				}
+				out = e2.RaiseBatch2(flat)
+				if out.Rejected != n%2 || out.Raised != n/2 || fired != n/2 {
+					t.Fatalf("ragged tail: %+v fired=%d, want Rejected=%d Raised=%d", out, fired, n%2, n/2)
 				}
 			}
 		})
@@ -583,10 +580,9 @@ func TestRaiseBatchAdmissionLedger(t *testing.T) {
 	}
 	const frames = 10
 	type result struct {
-		stats    admit.QueueStats
-		admitted int
-		shed     int
-		coal     int
+		stats  admit.QueueStats
+		raised int // nil returns: admitted or coalesced
+		shed   int
 	}
 	for name, pol := range modes {
 		pol := pol
@@ -618,10 +614,9 @@ func TestRaiseBatchAdmissionLedger(t *testing.T) {
 
 				var res result
 				if batched {
-					fs := batchTestFrames(frames)
-					out := e.RaiseBatch(fs)
-					res.admitted, res.shed, res.coal = out.Raised, out.Shed, out.Coalesced
-					if got := out.Raised + out.Shed + out.Coalesced + out.Rejected; got != frames {
+					out := e.RaiseBatch1(batchTestFlat(frames))
+					res.raised, res.shed = out.Raised, out.Shed
+					if got := out.Raised + out.Shed + out.Rejected; got != frames {
 						t.Fatalf("dispositions sum to %d, want %d: %+v", got, frames, out)
 					}
 				} else {
@@ -629,7 +624,7 @@ func TestRaiseBatchAdmissionLedger(t *testing.T) {
 						err := e.RaiseAsync(uint64(i % 5))
 						switch {
 						case err == nil:
-							res.admitted++ // admitted or coalesced; split below
+							res.raised++
 						case errors.Is(err, admit.ErrOverload):
 							res.shed++
 						default:
@@ -654,28 +649,70 @@ func TestRaiseBatchAdmissionLedger(t *testing.T) {
 				b.stats.Coalesced != l.stats.Coalesced {
 				t.Fatalf("terminal ledgers diverge:\nbatch %+v\nloop  %+v", b.stats, l.stats)
 			}
-			// Raiser-visible dispositions must match between batch and loop.
-			// The loop cannot distinguish an admitted submit from a coalesced
-			// one (both return nil), so compare their sum.
-			if b.admitted+b.coal != l.admitted || b.shed != l.shed {
-				t.Fatalf("raiser-visible dispositions diverge: batch adm %d coal %d shed %d, loop adm %d shed %d",
-					b.admitted, b.coal, b.shed, l.admitted, l.shed)
+			// Raiser-visible dispositions must match between batch and loop:
+			// a nil return is Raised, an overload error Shed.
+			if b.raised != l.raised || b.shed != l.shed {
+				t.Fatalf("raiser-visible dispositions diverge: batch raised %d shed %d, loop raised %d shed %d",
+					b.raised, b.shed, l.raised, l.shed)
 			}
 			// Where sheds are raiser-visible (Shed, Block, Coalesce), the
-			// BatchOutcome must agree with the queue's ledger. Under
+			// BatchOutcome must agree with the queue's ledger: every raised
+			// frame completed or coalesced into a pending raise. Under
 			// ShedOldest the victims are shed from the queue head after
 			// admission, so the raiser sees every submit succeed.
 			if pol.Mode == admit.ShedOldest {
-				if b.shed != 0 || int64(b.admitted) != b.stats.Submitted {
-					t.Fatalf("ShedOldest outcome (adm %d shed %d) not raiser-invisible: %+v",
-						b.admitted, b.shed, b.stats)
+				if b.shed != 0 || int64(b.raised) != b.stats.Submitted {
+					t.Fatalf("ShedOldest outcome (raised %d shed %d) not raiser-invisible: %+v",
+						b.raised, b.shed, b.stats)
 				}
-			} else if int64(b.admitted) != b.stats.Completed || int64(b.shed) != b.stats.Shed ||
-				int64(b.coal) != b.stats.Coalesced {
-				t.Fatalf("BatchOutcome (adm %d shed %d coal %d) disagrees with ledger %+v",
-					b.admitted, b.shed, b.coal, b.stats)
+			} else if int64(b.raised) != b.stats.Completed+b.stats.Coalesced || int64(b.shed) != b.stats.Shed {
+				t.Fatalf("BatchOutcome (raised %d shed %d) disagrees with ledger %+v",
+					b.raised, b.shed, b.stats)
 			}
 		})
+	}
+}
+
+// TestAsyncRaiseBatchIsRaiseAsyncLoop: on a metered simulator dispatcher an
+// unqueued asynchronous event's batch spawns one thread of control per
+// frame, as a loop of RaiseAsync does — the same kernel charge, with the
+// handler run on the same arguments in the same order.
+func TestAsyncRaiseBatchIsRaiseAsyncLoop(t *testing.T) {
+	run := func(batched bool) (vtime.Duration, []uint64) {
+		var clock vtime.Clock
+		cpu := vtime.NewCPU(&clock, vtime.AlphaModel())
+		sim := vtime.NewSimulator(&clock)
+		d := New(WithCPU(cpu), WithSimulator(sim))
+		e := mustDefine(t, d, "Batch.AsyncLoop", rtti.Sig(nil, rtti.Word), AsAsync())
+		var got []uint64
+		if _, err := e.Install(handler(voidProc("H", rtti.Word), func(_ any, args []any) any {
+			got = append(got, args[0].(uint64))
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		flat := []any{uint64(3), uint64(1), uint64(4), uint64(1)}
+		if batched {
+			if out := e.RaiseBatch1(flat); out.Raised != len(flat) {
+				t.Fatalf("outcome %+v, want Raised=%d", out, len(flat))
+			}
+		} else {
+			for _, a := range flat {
+				if _, err := e.Raise1(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sim.Run(0)
+		return cpu.Total(vtime.AccountKernel), got
+	}
+	kernB, gotB := run(true)
+	kernL, gotL := run(false)
+	if kernB != kernL {
+		t.Fatalf("kernel charge: batch %.1fus, loop %.1fus", vtime.InMicros(kernB), vtime.InMicros(kernL))
+	}
+	if !reflect.DeepEqual(gotB, gotL) || len(gotL) != 4 {
+		t.Fatalf("handler arguments: batch %v, loop %v", gotB, gotL)
 	}
 }
 

@@ -36,7 +36,7 @@ func waitDrained(t *testing.T, q *admit.Queue, timeout time.Duration) admit.Queu
 // exists for: the goroutine count stays bounded by the pool (no unbounded
 // go-per-raise), and the queue ledger stays consistent — every submission
 // ends as exactly one of completed, shed, or coalesced. Half the producers
-// submit through the batched ingress (RaiseBatch) while a churn goroutine
+// submit through the batched ingress (RaiseBatch1) while a churn goroutine
 // recompiles the plan underneath them — installs and uninstalls a
 // priority-classed handler, toggles tracing, and forces degradation-level
 // observations — so batched submission is soaked against every form of
@@ -85,13 +85,13 @@ func TestOverloadSoak(t *testing.T) {
 					defer wg.Done()
 					if batched {
 						// Batched ingress: the same perProd raises, submitted
-						// as trains through the vectorized path.
+						// as flat trains of batchLen frames.
 						for b := 0; b < perProd/batchLen; b++ {
-							frames := make([]ArgFrame, batchLen)
-							for i := range frames {
-								frames[i] = ArgFrame{b*batchLen + i}
+							flat := make([]any, batchLen)
+							for i := range flat {
+								flat[i] = b*batchLen + i
 							}
-							out := e.RaiseBatch(frames)
+							out := e.RaiseBatch1(flat)
 							if out.Rejected != 0 {
 								t.Errorf("batch rejected %d frames: %v", out.Rejected, out.Err())
 								return

@@ -109,9 +109,7 @@ type Server struct {
 	// Accepted is the Httpd.Accepted event: raised once per inbound
 	// connection, with the connection as its argument. The intrinsic
 	// handler spawns the connection strand; extensions interpose to
-	// observe or veto connections. The accept loop drains its backlog
-	// into one RaiseBatch1 per wakeup, so a burst of simultaneous
-	// connections pays the dispatch ingress once.
+	// observe or veto connections.
 	Accepted *dispatch.Event
 
 	readTimeout  vtime.Duration
@@ -263,20 +261,18 @@ func (s *Server) intrinsicRequest(clo any, args []any) any {
 	return &Response{Status: 200, Body: body}
 }
 
-// acceptLoop drains the accept backlog into one batched raise of
-// Httpd.Accepted per wakeup; the event's intrinsic handler spawns the
-// per-connection strand.
+// acceptLoop drains the accept backlog, raising Httpd.Accepted once per
+// connection; the event's intrinsic handler spawns the per-connection
+// strand.
 func (s *Server) acceptLoop(st *sched.Strand) sched.Status {
-	var burst []any // one frame per connection: RaiseBatch1's flat layout
 	for {
 		conn, ok := s.listener.Accept()
 		if !ok {
 			break
 		}
-		burst = append(burst, conn)
-	}
-	if len(burst) > 0 {
-		s.Accepted.RaiseBatch1(burst)
+		// The handlers decide the connection's fate; the accept loop has
+		// no caller to report a raise error to.
+		_, _ = s.Accepted.Raise1(conn)
 	}
 	s.listener.AwaitConn(st)
 	return sched.Block

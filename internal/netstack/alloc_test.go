@@ -45,7 +45,7 @@ func nativePair(t *testing.T) (*vtime.Simulator, nativeHost, nativeHost) {
 
 // skipBudgetUnderRace skips an allocation budget in a -race binary, where
 // sync.Pool drops a quarter of what it is given, so the pooled argument
-// frames of Raise2 and RaiseBatch2 allocate at random.
+// frames of Raise2 allocate at random.
 func skipBudgetUnderRace(t *testing.T) {
 	t.Helper()
 	if bi, ok := debug.ReadBuildInfo(); ok {

@@ -197,9 +197,6 @@ type Stack struct {
 	tcp      tcpState
 	arpR     *arpResolver
 	arpEvent *dispatch.Event
-	// rxFlat is the RX train receiver's argument buffer, reused from one
-	// train to the next.
-	rxFlat []any
 
 	// EtherFrames, IPPackets count traffic through each layer's
 	// intrinsic handler. UDPDrops counts datagrams for unbound ports
@@ -329,29 +326,24 @@ func New(cfg Config) (*Stack, error) {
 }
 
 // rxTrain is the NIC's receive interrupt. Frames landing at the same
-// virtual instant (back-to-back on the wire) arrive as one RX train and
-// enter the dispatcher through the batched raise ingress. The per-frame
-// costs are unchanged — one interrupt and one Ethernet header parse each,
-// and the metered dispatcher keeps per-frame virtual-time charges identical
-// to the single-raise path — batching amortizes only the dispatch ingress.
+// virtual instant (back-to-back on the wire) arrive as one RX train: each
+// frame's interrupt and Ethernet header parse are charged as the train
+// lands, in wire order, and then each frame is announced with its own
+// Raise2.
 func (s *Stack) rxTrain(fs []*netwire.Frame) {
-	// The argument buffer is detached while handlers run and kept for the
-	// next train: the batched ingress never retains it (a plan with
-	// asynchronous or ephemeral handlers gets private copies of its frames).
-	flat := s.rxFlat
-	s.rxFlat = nil
-	for _, f := range fs {
+	for range fs {
 		s.cpu.ChargeTo(vtime.AccountKernel, vtime.Interrupt)
 		s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer) // Ethernet header parse
+	}
+	for _, f := range fs {
 		pkt, ok := f.Payload.(*Packet)
 		if !ok {
 			pkt = &Packet{EtherType: f.EtherType, SrcMAC: f.Src, DstMAC: f.Dst}
 		}
-		flat = append(flat, pkt.etherTypeWord(), pkt)
+		// Ether's intrinsic handler always fires, so the raise has no
+		// error an interrupt could act on.
+		_, _ = s.EtherArrived.Raise2(pkt.etherTypeWord(), pkt)
 	}
-	s.EtherArrived.RaiseBatch2(flat)
-	clear(flat)
-	s.rxFlat = flat[:0]
 }
 
 // IP returns the host address.

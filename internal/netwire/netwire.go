@@ -152,8 +152,7 @@ func (n *NIC) SetReceiver(fn func(f *Frame)) { n.recv = fn }
 // frames delivered to this NIC at the same virtual instant arrive in one
 // call, in wire order. This models interrupt coalescing on a busy
 // receiver — back-to-back frames queued behind one another on the wire
-// land in a single RX train — and is the producer feeding the
-// dispatcher's batched raise ingress. When set, it takes precedence over
+// land in a single RX train. When set, it takes precedence over
 // SetReceiver. The slice belongs to the NIC and is valid only during the
 // call.
 func (n *NIC) SetBatchReceiver(fn func(fs []*Frame)) { n.recvB = fn }

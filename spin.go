@@ -69,9 +69,7 @@ type (
 	ResultFn = dispatch.ResultFn
 	// Stats is an event's dispatch statistics snapshot.
 	Stats = dispatch.Stats
-	// ArgFrame is one raise's argument vector within a batch.
-	ArgFrame = dispatch.ArgFrame
-	// BatchOutcome reports how one RaiseBatch's frames were disposed.
+	// BatchOutcome reports how one batch's frames were disposed.
 	BatchOutcome = dispatch.BatchOutcome
 )
 
