@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check vet lint spinvet alloccheck build test race fuzz-smoke bench benchsmoke benchcheck profile tables
 
-check: vet lint build test race
+check: vet lint build test alloccheck race
 
 vet:
 	$(GO) vet ./...
@@ -24,7 +24,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:58526 EXPERIMENTS.md:49238 README.md:24667
+DOC_CEILINGS = DESIGN.md:58526 EXPERIMENTS.md:49224 README.md:24667
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc

@@ -59,9 +59,9 @@ func (ws *walkState) recorder() *recorder {
 // recover barrier. It returns with the walk done or, after a captured
 // panic, set to resume behind the step that panicked, guard-index chain
 // (the segment in ws) included.
-func walkBehindBarrier[R, G, O shapeAxis](p *Plan, args []any, idx int, ws *walkState) {
-	defer p.capture(idx, ws)
-	flatFrame[R, G, on, O](p, args, idx, ws)
+func walkBehindBarrier[R, G, O shapeAxis](p *Plan, args []any, ws *walkState) {
+	defer p.capture(ws)
+	flatFrame[R, G, on, O](p, args, ws)
 }
 
 // capture is the stencil's deferred barrier. A panicking guard evaluates
@@ -70,7 +70,7 @@ func walkBehindBarrier[R, G, O shapeAxis](p *Plan, args []any, idx int, ws *walk
 // purity monitor does, to surface ErrGuardMutatedArgs at the raise point);
 // the re-panic propagates past the recovered frame. A sampled raise records
 // the failed guard's or the terminated handler's span.
-func (p *Plan) capture(idx int, ws *walkState) {
+func (p *Plan) capture(ws *walkState) {
 	phase := ws.phase
 	if phase < inGuard {
 		return
@@ -102,7 +102,6 @@ func (p *Plan) capture(idx int, ws *walkState) {
 		ws.out.Fired++
 	}
 	p.protect.HandlerPanic(s.tag, v, debug.Stack())
-	countFire(s.fire, idx)
 	if rec != nil {
 		rec.handler(pos, mode, false)
 	}

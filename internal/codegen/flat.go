@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"spin/internal/stripe"
 	"spin/internal/trace"
 	"spin/internal/vtime"
 )
@@ -50,9 +49,9 @@ type flatPred struct {
 	clo  any
 }
 
-// flatStep is one pre-lowered dispatch step: guard range, handler body,
-// and statistics hook, with no pointer chase through step/Binding/Body on
-// the hot path.
+// flatStep is one pre-lowered dispatch step: guard range, handler body and
+// fault tag, with no pointer chase through step/Binding/Body on the hot
+// path.
 type flatStep struct {
 	// g0 is the step's first guard leaf, embedded so the common single-guard
 	// step never touches the shared pool; its zero value (PredTrue) always
@@ -66,17 +65,14 @@ type flatStep struct {
 	fn    HandlerFn
 	ctxFn CtxHandlerFn
 	clo   any
-	// Statistics: per-binding fire counter (may be nil); the opaque tag
-	// names the binding to the fault hook.
-	fire *stripe.Counter
-	tag  any
+	// tag names the binding to the fault hook.
+	tag any
 }
 
 // frameFn is a plain stencil instantiation: selected once per plan, called
-// once per frame with a nil ws (see flatFrame). idx is the caller's hoisted
-// stripe shard index (stripe.Index()), reused for every striped counter the
-// frame touches. It needs nothing from the Env.
-type frameFn func(p *Plan, args []any, idx int, ws *walkState) Outcome
+// once per frame with a nil ws (see flatFrame). It needs nothing from the
+// Env and touches no counter.
+type frameFn func(p *Plan, args []any, ws *walkState) Outcome
 
 // flattenPred lowers a guard predicate into conjunction leaves. Top-level
 // And-trees split into their leaves; True leaves are elided (guards are
@@ -123,7 +119,7 @@ func (lo *lowered) flatten() {
 		lo.rest = append([]flatPred(nil), leaves[1:]...)
 	}
 	b, fs := lo.st.b, &lo.flat
-	fs.tag, fs.fire = b.Tag, b.FireCount
+	fs.tag = b.Tag
 	if fs.inline = lo.st.inline; fs.inline {
 		fs.body = *b.Inline
 	} else {
@@ -161,8 +157,9 @@ func (p *Plan) compileFlat(pooled int) {
 		p.leaves += lo.leaves
 	}
 	if p.def != nil {
-		// The default handler's statistics record rides behind the last step.
-		p.flat = append(p.flat, flatStep{tag: p.def.b.Tag, fire: p.def.b.FireCount})
+		// The default handler's record rides behind the last step: its tag
+		// is what the barrier's capture reports a panic under.
+		p.flat = append(p.flat, flatStep{tag: p.def.b.Tag})
 	}
 	if p.hasFilter || p.retains {
 		return
@@ -211,9 +208,9 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // writing ws where a capture would need it: the segment at each segment,
 // the step and phase around each call, the outcome after each firing.
 //
-// Each firing goes to its binding's FireCount on the caller's hoisted
-// stripe shard idx; the caller adds Outcome.fires() to Env.FiredTotal.
-func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, idx int, ws *walkState) Outcome {
+// The stencil counts firings only in its Outcome; the caller adds
+// Outcome.fires() to Env.FiredTotal once.
+func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) Outcome {
 	var r R
 	var g G
 	var b B
@@ -251,7 +248,7 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, idx int, ws *walkState
 			}
 			ws.stop, ws.phase = stop, inWalk
 			for ws.phase != walkDone {
-				walkBehindBarrier[R, G, O](p, args, idx, ws)
+				walkBehindBarrier[R, G, O](p, args, ws)
 			}
 			return ws.out
 		}
@@ -353,7 +350,6 @@ segments:
 					ws.phase = inWalk
 				}
 			}
-			countFire(s.fire, idx)
 			if obs {
 				if rec != nil {
 					rec.handler(st.idx, st.mode, completed)
@@ -436,7 +432,6 @@ segments:
 			p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
 		}
 		out.UsedDefault = true
-		countFire(p.flat[n].fire, idx)
 		if obs && rec != nil {
 			rec.handler(st.idx, trace.ModeDefault, true)
 		}
@@ -445,14 +440,6 @@ segments:
 		ws.out, ws.phase = out, walkDone
 	}
 	return out
-}
-
-// countFire records one firing on a binding's fire counter, if it has one,
-// on the caller's hoisted stripe shard idx.
-func countFire(c *stripe.Counter, idx int) {
-	if c != nil {
-		c.AddAt(idx, 1)
-	}
 }
 
 // addFired adds n firings to the event's fired total, if the caller keeps

@@ -213,7 +213,7 @@ func (*recHook) SyncCost(any, vtime.Duration) {}
 // metered barrier must agree on it.
 type barrierRun struct {
 	out    Outcome
-	fired  []int64 // each binding's FireCount, the default handler's last
+	fired  []int64 // each binding's invocations, the default handler's last
 	total  int64   // FiredTotal
 	folds  []int   // the index each result-handler call carried
 	faults []faultCall
@@ -246,11 +246,13 @@ func TestBarrierEdges(t *testing.T) {
 		var r barrierRun
 		hook := &recHook{}
 		opts := Options{Protect: hook}
-		counts := make([]stripe.Counter, n+1)
+		// Each handler counts its own invocations on entry, so a panicking
+		// one still counts as fired.
+		r.fired = make([]int64, n+1)
 		bs := make([]*Binding, n)
 		for i := range bs {
 			i := i
-			bs[i] = &Binding{Tag: i, FireCount: &counts[i],
+			bs[i] = &Binding{Tag: i,
 				Guards: []Guard{{Fn: func(any, []any) bool {
 					if i == sh.guardAt {
 						panic("guard")
@@ -258,13 +260,15 @@ func TestBarrierEdges(t *testing.T) {
 					return sh.pass
 				}}},
 				Fn: func(any, []any) any {
+					r.fired[i]++
 					if i == sh.handlerAt {
 						panic("handler")
 					}
 					return uint64(i)
 				}}
 		}
-		def := &Binding{Tag: n, FireCount: &counts[n], Fn: func(any, []any) any {
+		def := &Binding{Tag: n, Fn: func(any, []any) any {
+			r.fired[n]++
 			if sh.handlerAt == n {
 				panic("default")
 			}
@@ -288,9 +292,6 @@ func TestBarrierEdges(t *testing.T) {
 		}
 		var total stripe.Counter
 		r.out = p.Execute(&Env{CPU: meteredCPU(metered), FiredTotal: &total}, []any{uint64(1)}, 0)
-		for i := range counts {
-			r.fired = append(r.fired, counts[i].Load())
-		}
 		r.total = total.Load()
 		r.faults = hook.calls
 		return r

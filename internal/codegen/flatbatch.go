@@ -11,11 +11,10 @@ import (
 // single raises pays the per-raise fixed costs N times: the plan load, the
 // stripe shard hash, the executor selection, the fired-total flush.
 // ExecuteBatch's two fast loops pay them once per batch and run each frame
-// through the same body a single raise runs; per-binding fire counts keep
-// one striped add per firing. The frames arrive flat, row-major in one
-// slice, so a batch needs no per-frame header. Only callers that measure a
-// gain use it (benchmark/raise.go's batch64, TestBenchSmokeBatch): the
-// netstack and httpd raise per frame.
+// through the same body a single raise runs. The frames arrive flat,
+// row-major in one slice, so a batch needs no per-frame header. Only callers
+// that measure a gain use it (benchmark/raise.go's batch64,
+// TestBenchSmokeBatch): the netstack and httpd raise per frame.
 //
 // Loop equivalence under churn: a loop of single raises loads the plan per
 // raise, so an uninstall (or quarantine, or trace toggle) between frames is
@@ -103,7 +102,7 @@ func (p *Plan) executeFrameBatch(env *Env, flat []any, width, n, idx int, live *
 			done = i
 			break
 		}
-		o := p.frame(p, frameAt(flat, width, i), idx, nil)
+		o := p.frame(p, frameAt(flat, width, i), nil)
 		total += o.fires()
 		out.Add(o)
 	}
@@ -125,7 +124,6 @@ func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outco
 	} else {
 		out.Result = runBody(st.b, st.inline, args)
 	}
-	countFire(st.b.FireCount, idx)
 	env.addFired(idx, 1)
 	if rec != nil {
 		rec.handler(0, trace.ModeDirect, completed)
@@ -135,8 +133,8 @@ func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outco
 }
 
 // executeDirectBatch is the batch tier of the single-binding bypass: the
-// frame loop wrapped directly around the handler call, with one add to the
-// binding's fire counter per frame and one event-total flush at the end.
+// frame loop wrapped directly around the handler call, with one event-total
+// flush at the end.
 func (p *Plan) executeDirectBatch(env *Env, flat []any, width, n, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	b, inline := p.direct.b, p.direct.inline
 	var out BatchOutcome
@@ -147,7 +145,6 @@ func (p *Plan) executeDirectBatch(env *Env, flat []any, width, n, idx int, live 
 			break
 		}
 		out.Result = runBody(b, inline, frameAt(flat, width, i))
-		countFire(b.FireCount, idx)
 	}
 	out.Fired = int64(done)
 	env.addFired(idx, out.Fired)

@@ -136,9 +136,8 @@ func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, 
 				fire(i)
 				return uint64(i)
 			},
-			Name:      name,
-			FireCount: new(stripe.Counter),
-			Tag:       i,
+			Name: name,
+			Tag:  i,
 		}
 	}
 	return bindings
@@ -305,14 +304,14 @@ func FuzzTreeDispatch(f *testing.F) {
 		var fired []int
 		bindings := genBindings(r, n, arity, &cell, "fuzz.H",
 			func(i int) { fired = append(fired, i) })
-		// The default handler reports index n.
+		// The default handler reports index n and counts its invocations.
 		var defaultB *Binding
+		var defaultFired int64
 		if hasDefault {
 			defaultB = &Binding{
-				Fn:        func(any, []any) any { return uint64(n) },
-				Name:      "fuzz.Default",
-				FireCount: new(stripe.Counter),
-				Tag:       n,
+				Fn:   func(any, []any) any { defaultFired++; return uint64(n) },
+				Name: "fuzz.Default",
+				Tag:  n,
 			}
 		}
 
@@ -351,30 +350,14 @@ func FuzzTreeDispatch(f *testing.F) {
 			args := genArgs(r, arity)
 			want := naive(args)
 			wantDefault := hasDefault && len(want) == 0
-			// Index n counts the default handler.
-			counters := make([]*stripe.Counter, n+1)
-			for i, b := range bindings {
-				counters[i] = b.FireCount
-			}
-			counters[n] = new(stripe.Counter)
-			if hasDefault {
-				counters[n] = defaultB.FireCount
-			}
-			wantCounts := make([]int64, n+1)
-			for _, i := range want {
-				wantCounts[i]++
-			}
+			var wantDefaultFired int64
 			if wantDefault {
-				wantCounts[n] = 1
+				wantDefaultFired = 1
 			}
 			for _, opts := range configs {
 				plan := Compile(info, bindings, resultFn, defaultB, opts.Options)
-				before := make([]int64, n+1)
-				for i, c := range counters {
-					before[i] = c.Load()
-				}
 				var total stripe.Counter
-				fired = nil
+				fired, defaultFired = nil, 0
 				out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, args, 0)
 				if len(fired) != len(want) {
 					t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
@@ -415,16 +398,14 @@ func FuzzTreeDispatch(f *testing.F) {
 				}
 
 				// Statistics: whichever executor the configuration reached
-				// (bypass, stencil, general, sampled), the one protocol must
-				// count what the model fired — per binding, the default
-				// handler's firing, and the fired-total flush.
-				for i, c := range counters {
-					if got := c.Load() - before[i]; got != wantCounts[i] {
-						t.Fatalf("opts %+v args %v binding %d: FireCount %d, model %d",
-							opts, args, i, got, wantCounts[i])
-					}
+				// (bypass, stencil, general, sampled), the fired-total flush
+				// must count what the model fired, the default handler's
+				// firing included; the fire log above holds the bindings'.
+				if defaultFired != wantDefaultFired {
+					t.Fatalf("opts %+v args %v: default fired %d, model %d",
+						opts, args, defaultFired, wantDefaultFired)
 				}
-				if wantTotal := int64(len(want)) + wantCounts[n]; total.Load() != wantTotal {
+				if wantTotal := int64(len(want)) + wantDefaultFired; total.Load() != wantTotal {
 					t.Fatalf("opts %+v args %v: FiredTotal %d, model %d",
 						opts, args, total.Load(), wantTotal)
 				}
@@ -438,7 +419,7 @@ func FuzzTreeDispatch(f *testing.F) {
 // random frame stream, dispatching the stream as one unsplit batch, as a
 // sequence of randomly split sub-batches, and as a loop of single Execute
 // calls must fire the handler sequence the naive model fires, fold the same
-// outcome, and settle the same FireCount/FiredTotal statistics under every
+// outcome, and settle the same FiredTotal statistics under every
 // optimizer configuration — including when a handler uninstalls itself in
 // the middle of the stream, which a batch must notice before the next frame
 // exactly as a loop of raises does.
@@ -615,7 +596,7 @@ func FuzzBatchDispatch(f *testing.F) {
 
 		// run resets the population to fully installed and measures one way
 		// of dispatching the stream.
-		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64, []int64) {
+		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64) {
 			uninstall = -1
 			publish()
 			fired, folds = nil, nil
@@ -623,16 +604,8 @@ func FuzzBatchDispatch(f *testing.F) {
 				hook.calls = nil
 			}
 			var total stripe.Counter
-			base := make([]int64, n)
-			for i, b := range bindings {
-				base[i] = b.FireCount.Load()
-			}
 			out := dispatch(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total})
-			counts := make([]int64, n)
-			for i, b := range bindings {
-				counts[i] = b.FireCount.Load() - base[i]
-			}
-			return out, fired, total.Load(), counts
+			return out, fired, total.Load()
 		}
 
 		// checkFaults compares what the hook and the result handler saw with
@@ -668,7 +641,7 @@ func FuzzBatchDispatch(f *testing.F) {
 		} {
 			// Reference: a loop of single raises, each loading the published
 			// plan afresh, folded the way the batch tier folds.
-			loopOut, loopFired, loopTotal, loopCounts := run(func(env *Env) BatchOutcome {
+			loopOut, loopFired, loopTotal := run(func(env *Env) BatchOutcome {
 				var out BatchOutcome
 				for _, fr := range frames {
 					out.Add(live.Load().Execute(env, fr, 0))
@@ -684,15 +657,11 @@ func FuzzBatchDispatch(f *testing.F) {
 				}
 			}
 			checkFaults("loop", loopOut)
-			wantCounts := make([]int64, n)
-			for _, i := range wantFired {
-				wantCounts[i]++
-			}
-			if !reflect.DeepEqual(loopCounts, wantCounts) || loopTotal != int64(len(wantFired)) {
-				t.Fatalf("opts %+v loop: FireCount %v total %d, model %v", opts, loopCounts, loopTotal, wantCounts)
+			if loopTotal != int64(len(wantFired)) {
+				t.Fatalf("opts %+v loop: FiredTotal %d, model %d", opts, loopTotal, len(wantFired))
 			}
 
-			check := func(label string, out BatchOutcome, gotFired []int, total int64, counts []int64) {
+			check := func(label string, out BatchOutcome, gotFired []int, total int64) {
 				if len(gotFired) != len(loopFired) {
 					t.Fatalf("opts %+v %s: fired %v, loop %v", opts, label, gotFired, loopFired)
 				}
@@ -705,22 +674,16 @@ func FuzzBatchDispatch(f *testing.F) {
 				if total != loopTotal {
 					t.Fatalf("opts %+v %s: FiredTotal %d, loop %d", opts, label, total, loopTotal)
 				}
-				for i := range counts {
-					if counts[i] != loopCounts[i] {
-						t.Fatalf("opts %+v %s binding %d: FireCount %d, loop %d",
-							opts, label, i, counts[i], loopCounts[i])
-					}
-				}
 			}
 
 			// One unsplit batch.
-			out, gotFired, total, counts := run(func(env *Env) BatchOutcome {
+			out, gotFired, total := run(func(env *Env) BatchOutcome {
 				return runBatch(env, 0, nFrames)
 			})
-			check("unsplit", out, gotFired, total, counts)
+			check("unsplit", out, gotFired, total)
 
 			// The same stream as randomly split sub-batches.
-			out, gotFired, total, counts = run(func(env *Env) BatchOutcome {
+			out, gotFired, total = run(func(env *Env) BatchOutcome {
 				var out BatchOutcome
 				for s := 0; s+1 < len(splits); s++ {
 					o := runBatch(env, splits[s], splits[s+1])
@@ -734,7 +697,7 @@ func FuzzBatchDispatch(f *testing.F) {
 				}
 				return out
 			})
-			check("split", out, gotFired, total, counts)
+			check("split", out, gotFired, total)
 		}
 	})
 }

@@ -23,8 +23,11 @@ const observedGolden = "testdata/observed.golden"
 // obsRig runs one observed-golden case: a metered CPU (unless the case is
 // the unmetered one), a tracer that samples every raise (unless traced is
 // off), and a log of every call the plan makes into the fault hook, the
-// Env supervisors and the handler bodies. It is the FaultHook of the plans
-// it compiles with protect set.
+// Env supervisors and the handler bodies. It counts each binding's firings
+// by name: a handler body counts itself on entry, so a panicking one still
+// counts, and the ephemeral supervisor counts the firing it abandons
+// without running it. It is the FaultHook of the plans it compiles with
+// protect set.
 type obsRig struct {
 	out     *strings.Builder
 	traced  bool
@@ -34,6 +37,7 @@ type obsRig struct {
 	cpu     *vtime.CPU
 	env     Env
 	total   stripe.Counter
+	fires   map[string]int64
 	calls   []string
 	bs      []*Binding      // every binding compiled, in report order
 	abandon map[string]bool // tags the fake ephemeral supervisor abandons
@@ -50,8 +54,9 @@ func (r *obsRig) SyncCost(tag any, cost vtime.Duration) {
 // bind builds a named handler returning res; body, when non-nil, runs first
 // (it may charge the CPU or panic).
 func (r *obsRig) bind(name string, res any, body func(args []any), guards ...Guard) *Binding {
-	return &Binding{Name: name, Tag: name, Guards: guards, FireCount: new(stripe.Counter),
+	return &Binding{Name: name, Tag: name, Guards: guards,
 		Fn: func(_ any, args []any) any {
+			r.fires[name]++
 			r.log("run %s %v", name, args)
 			if body != nil {
 				body(args)
@@ -104,7 +109,7 @@ func (r *obsRig) batch(p *Plan, frames ...[]any) {
 func (r *obsRig) report() {
 	fmt.Fprintf(r.out, "fires:")
 	for _, b := range r.bs {
-		fmt.Fprintf(r.out, " %s=%d", b.Name, b.FireCount.Load())
+		fmt.Fprintf(r.out, " %s=%d", b.Name, r.fires[b.Name])
 	}
 	fmt.Fprintf(r.out, " total=%d\n", r.total.Load())
 	for _, c := range r.calls {
@@ -196,8 +201,12 @@ var observedCases = []struct {
 	}},
 	{name: "filter before a guarded step", run: func(r *obsRig) {
 		p := r.compile(info(2, true), []*Binding{
-			{Name: "Filt", Tag: "Filt", Filter: true, FireCount: new(stripe.Counter),
-				Fn: func(_ any, args []any) any { r.log("filter %v", args); args[0] = uint64(2); return nil }},
+			{Name: "Filt", Tag: "Filt", Filter: true, Fn: func(_ any, args []any) any {
+				r.fires["Filt"]++
+				r.log("filter %v", args)
+				args[0] = uint64(2)
+				return nil
+			}},
 			r.bind("Old", uint64(1), nil, Guard{Pred: ArgEq(0, 1)}),
 			r.bind("New", uint64(2), nil, Guard{Pred: ArgEq(0, 2)}, callGuard(4)),
 		}, nil, nil, Options{})
@@ -288,7 +297,7 @@ func runObserved(traced bool) string {
 	var out strings.Builder
 	for _, c := range observedCases {
 		r := &obsRig{out: &out, traced: traced, protect: c.protect,
-			tracer: trace.New(trace.Config{Capacity: 256})}
+			tracer: trace.New(trace.Config{Capacity: 256}), fires: map[string]int64{}}
 		if !c.unmetered {
 			r.cpu = vtime.NewCPU(&r.clock, vtime.AlphaModel())
 		}
@@ -300,6 +309,7 @@ func runObserved(traced bool) string {
 			RunEphemeral: func(tag any, invoke func(context.Context) any) (any, bool) {
 				r.log("RunEphemeral %v", tag)
 				if r.abandon[tag.(string)] {
+					r.fires[tag.(string)]++
 					return nil, false
 				}
 				return invoke(context.Background()), true
@@ -314,9 +324,10 @@ func runObserved(traced bool) string {
 // TestObservedGolden pins what a metered raise sampled by a tracer does on
 // every plan shape: the spans (as the text export renders them, and field
 // by field), the virtual time each raise charged, the outcome, every
-// binding's FireCount and the fired total, and each call into the fault
-// hook and the Env supervisors. -update rewrites the golden; only a change
-// meant to move a charge, a span or a hook call may do so.
+// binding's firings as the rig counts them and the fired total, and each
+// call into the fault hook and the Env supervisors. -update rewrites the
+// golden; only a change meant to move a charge, a span or a hook call may
+// do so.
 func TestObservedGolden(t *testing.T) {
 	got := runObserved(true)
 	if *updateObserved {

@@ -83,10 +83,6 @@ type Binding struct {
 	// Tag is an opaque back-pointer for the dispatcher (statistics,
 	// termination reporting). The generator never inspects it.
 	Tag any
-	// FireCount, when non-nil, is the binding's striped fire counter: every
-	// executor adds each firing of the binding to it through the caller's
-	// hoisted stripe shard index.
-	FireCount *stripe.Counter
 	// Name is the handler's qualified procedure name, used only to label
 	// trace spans; the generated code never inspects it.
 	Name string
@@ -437,9 +433,8 @@ func (p *Plan) Steps() int { return len(p.steps) }
 // Execute runs the generated dispatch routine. args is the dispatcher's
 // private per-raise argument vector: filters mutate it in place, which is
 // visible to subsequent steps but never to the raiser. stripeIdx is the
-// caller's hoisted stripe shard index (stripe.Index()), reused for every
-// striped counter the raise touches: each firing's Binding.FireCount and
-// the raise's one add to Env.FiredTotal.
+// caller's hoisted stripe shard index (stripe.Index()) for the raise's one
+// statistics add, of its firings to Env.FiredTotal.
 func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 	var r *recorder
 	if p.prog != nil {
@@ -453,7 +448,7 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 		return p.executeDirect(env, args, stripeIdx, r)
 	case p.frame != nil && r == nil && env.CPU == nil:
 		// Unmetered, unsampled raise of a synchronous plan: the plain stencil.
-		out := p.frame(p, args, stripeIdx, nil)
+		out := p.frame(p, args, nil)
 		env.addFired(stripeIdx, out.fires())
 		return out
 	}
@@ -485,13 +480,13 @@ func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 	var out Outcome
 	switch {
 	case p.protect != nil && p.info.HasResult:
-		out = flatFrame[on, off, on, on](p, args, idx, &ws)
+		out = flatFrame[on, off, on, on](p, args, &ws)
 	case p.protect != nil:
-		out = flatFrame[off, off, on, on](p, args, idx, &ws)
+		out = flatFrame[off, off, on, on](p, args, &ws)
 	case p.info.HasResult:
-		out = flatFrame[on, off, off, on](p, args, idx, &ws)
+		out = flatFrame[on, off, off, on](p, args, &ws)
 	default:
-		out = flatFrame[off, off, off, on](p, args, idx, &ws)
+		out = flatFrame[off, off, off, on](p, args, &ws)
 	}
 	env.addFired(idx, out.fires()+ws.filtered)
 	if rec := ws.recorder(); rec != nil {

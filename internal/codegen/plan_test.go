@@ -305,11 +305,11 @@ func TestEphemeralHandlerSupervised(t *testing.T) {
 }
 
 // TestFireCountsReportBindings pins the one statistics protocol on every
-// executor: each firing lands on its binding's FireCount, filters and the
-// default handler included, and the raise adds its firings to FiredTotal
-// once; a caller without a FiredTotal still gets the per-binding counts.
+// executor: the raise adds its firings, filters and the default handler
+// included, to FiredTotal once, and they are exactly the handlers that ran
+// (each counts its own invocations); a caller without a FiredTotal runs the
+// same handlers.
 func TestFireCountsReportBindings(t *testing.T) {
-	nop := func(any, []any) any { return nil }
 	for _, tc := range []struct {
 		name    string
 		opts    Options
@@ -321,11 +321,12 @@ func TestFireCountsReportBindings(t *testing.T) {
 		{name: "metered", metered: true},
 		{name: "filter", filter: true},
 	} {
-		counts := make([]stripe.Counter, 3)
+		var counts [3]int64
+		count := func(i int) HandlerFn { return func(any, []any) any { counts[i]++; return nil } }
 		bs := []*Binding{
-			{FireCount: &counts[0], Fn: nop, Filter: tc.filter},
-			{FireCount: &counts[1], Guards: []Guard{{Pred: False()}}, Fn: nop},
-			{FireCount: &counts[2], Fn: nop},
+			{Fn: count(0), Filter: tc.filter},
+			{Guards: []Guard{{Pred: False()}}, Fn: count(1)},
+			{Fn: count(2)},
 		}
 		p := Compile(info(0, false), bs, nil, nil, Options{DisablePeephole: true, DisableBypass: true,
 			Trace: tc.opts.Trace})
@@ -336,24 +337,25 @@ func TestFireCountsReportBindings(t *testing.T) {
 		}
 		p.Execute(env, nil, 0)
 		p.Execute(&Env{CPU: env.CPU}, nil, 0)
-		if got := [3]int64{counts[0].Load(), counts[1].Load(), counts[2].Load()}; got != [3]int64{2, 0, 2} {
-			t.Errorf("%s (%s): FireCount %v, want [2 0 2]", tc.name, p.Executor(tc.metered), got)
+		if counts != [3]int64{2, 0, 2} {
+			t.Errorf("%s (%s): invocations %v, want [2 0 2]", tc.name, p.Executor(tc.metered), counts)
 		}
 		if total.Load() != 2 {
 			t.Errorf("%s (%s): FiredTotal %d, want 2", tc.name, p.Executor(tc.metered), total.Load())
 		}
 	}
 	// The default handler fires, and counts, only when nothing else does.
-	var defCount, total stripe.Counter
-	def := &Binding{FireCount: &defCount, Fn: nop}
-	guarded := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Fn: nop}
+	var defCount int64
+	var total stripe.Counter
+	def := &Binding{Fn: func(any, []any) any { defCount++; return nil }}
+	guarded := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Fn: func(any, []any) any { return nil }}
 	for _, cpu := range []*vtime.CPU{nil, vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())} {
 		p := Compile(info(1, false), []*Binding{guarded}, nil, def, Options{})
 		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(2)}, 0)
 		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(1)}, 0)
 	}
-	if defCount.Load() != 2 || total.Load() != 4 {
-		t.Errorf("default handler: FireCount %d, FiredTotal %d, want 2 and 4", defCount.Load(), total.Load())
+	if defCount != 2 || total.Load() != 4 {
+		t.Errorf("default handler: invocations %d, FiredTotal %d, want 2 and 4", defCount, total.Load())
 	}
 }
 

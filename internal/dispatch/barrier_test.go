@@ -120,7 +120,9 @@ func TestStencilFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var self *Binding
+	quit := 0
 	self, err := e.Install(handler(voidProc("Quitter", rtti.Word), func(any, []any) any {
+		quit++
 		if err := e.Uninstall(self); err != nil {
 			t.Errorf("leaving the event: %v", err)
 		}
@@ -142,9 +144,9 @@ func TestStencilFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
 	if ran != 2 {
 		t.Errorf("%d of the 2 healthy handlers ran around the panic", ran)
 	}
-	if self.Fired() != 1 || self.Quarantined() || d.FaultLedger().State(self) != fault.Healthy {
-		t.Errorf("departed binding: fired %d, quarantined=%v, ledger state %v",
-			self.Fired(), self.Quarantined(), d.FaultLedger().State(self))
+	if s := e.Stats(); quit != 1 || s.Fired != 3 || self.Quarantined() || d.FaultLedger().State(self) != fault.Healthy {
+		t.Errorf("departed binding: fired %d (event %d of 3), quarantined=%v, ledger state %v",
+			quit, s.Fired, self.Quarantined(), d.FaultLedger().State(self))
 	}
 	if !hasRecord(d.FaultLedger(), fault.KindPanic, "Quitter") {
 		t.Error("the panic did not reach the ledger")

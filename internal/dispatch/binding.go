@@ -150,10 +150,7 @@ type Binding struct {
 	// overload controller (its priority class is disabled at the current
 	// degradation level). Flipped only inside a commit, read lock-free by
 	// Degraded, like quarantined.
-	degraded atomic.Bool
-	// fired is striped: it is incremented on every firing of a hot
-	// binding, potentially from many cores at once (see stripe.go).
-	fired        stripedCounter
+	degraded     atomic.Bool
 	terminations atomic.Int64
 	terminated   atomic.Bool
 }
@@ -205,9 +202,6 @@ func (b *Binding) Ephemeral() bool { return b.ephemeral }
 
 // Filter reports whether the handler was installed as a filter.
 func (b *Binding) Filter() bool { return b.filter }
-
-// Fired reports how many times the handler has fired.
-func (b *Binding) Fired() int64 { return b.fired.Load() }
 
 // Terminations reports how many invocations were terminated (EPHEMERAL
 // deadline overruns and panics).
@@ -271,7 +265,6 @@ func (b *Binding) compile(d *Dispatcher) *codegen.Binding {
 		Filter:    b.filter,
 		Tag:       b,
 		Name:      b.HandlerName(),
-		FireCount: &b.fired,
 	}
 	if n := b.countGuards(); n > 0 {
 		cb.Guards = make([]codegen.Guard, 0, n)

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -480,13 +481,17 @@ func TestStats(t *testing.T) {
 }
 
 // TestStatsCountEveryExecutor: every executor counts through the one
-// statistics protocol, so Stats().Fired and each binding's Fired agree
-// after a direct, stencil, barrier, filter (observed stencil), metered and
-// batch raise.
+// statistics protocol, so Stats().Fired counts one firing per invocation
+// the handlers count themselves, after a direct (bare and protected, whose
+// handler panics; single raises and batch), stencil, barrier, filter,
+// ephemeral (completed and abandoned), async (observed stencil), metered
+// and batch raise.
 func TestStatsCountEveryExecutor(t *testing.T) {
-	nop := func(any, []any) any { return nil }
 	filterProc := &rtti.Proc{Name: "F", Module: testModule,
 		Sig: rtti.Signature{Args: []rtti.Type{rtti.Word}, ByRef: []bool{true}}}
+	ephemeralProc := func(name string) *rtti.Proc {
+		return &rtti.Proc{Name: name, Module: testModule, Sig: rtti.Sig(nil, rtti.Word), Ephemeral: true}
+	}
 	raise := func(e *Event, batch bool, args ...any) {
 		if batch {
 			e.RaiseBatch1(args)
@@ -496,13 +501,31 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 			_, _ = e.Raise1(a)
 		}
 	}
-	check := func(name string, e *Event, want map[*Binding]int64) {
+	// release unblocks the abandoned ephemeral invocations at the end.
+	release := make(chan struct{})
+	defer close(release)
+	// counted is a handler body that counts its invocation on entry, so a
+	// panicking or abandoned one still counts, then runs then.
+	counted := func(n *atomic.Int64, then func()) HandlerFn {
+		return func(any, []any) any {
+			n.Add(1)
+			if then != nil {
+				then()
+			}
+			return nil
+		}
+	}
+	// check waits for the handlers' counts (an async or abandoned invocation
+	// may finish after its raise returns) and holds Stats() to their sum.
+	check := func(name string, e *Event, got map[string]*atomic.Int64, want map[string]int64) {
 		t.Helper()
 		var total int64
-		for b, n := range want {
+		for h, n := range want {
 			total += n
-			if b.Fired() != n {
-				t.Errorf("%s: %s fired %d, want %d", name, b.HandlerName(), b.Fired(), n)
+			c := got[h]
+			waitFor(t, func() bool { return c.Load() >= n }, fmt.Sprintf("%s: %s to fire %d times", name, h, n))
+			if c.Load() != n {
+				t.Errorf("%s: %s fired %d, want %d", name, h, c.Load(), n)
 			}
 		}
 		if s := e.Stats(); s.Raised != 3 || s.Fired != total {
@@ -512,57 +535,83 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 	for _, tc := range []struct {
 		name, executor string
 		opts           []Option
-		filter, batch  bool
+		// kind names the bindings installed ahead of G and H: "filter",
+		// "ephemeral" (one completing, one abandoned) or "async".
+		kind  string
+		batch bool
 	}{
 		{name: "stencil", executor: "stencil[void,guarded]"},
 		{name: "barrier", executor: "stencil[void,guarded,barrier]",
 			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}},
-		{name: "filter", executor: "stencil[void,observed]", filter: true},
+		{name: "filter", executor: "stencil[void,observed]", kind: "filter"},
+		{name: "ephemeral, completed and abandoned", executor: "stencil[void,observed]", kind: "ephemeral"},
+		{name: "async", executor: "stencil[void,observed]", kind: "async"},
 		{name: "metered", executor: "stencil[void,observed]",
 			opts: []Option{WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))}},
 		{name: "batch", executor: "stencil[void,guarded]", batch: true},
 	} {
 		d := New(tc.opts...)
 		e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word))
-		want := map[*Binding]int64{}
-		if tc.filter {
-			f, err := e.Install(Handler{Proc: filterProc, Fn: nop}, AsFilter())
-			if err != nil {
-				t.Fatal(err)
+		got := map[string]*atomic.Int64{}
+		want := map[string]int64{"G": 2, "H": 3}
+		install := func(name string, h Handler, opts ...InstallOption) {
+			if _, err := e.Install(h, opts...); err != nil {
+				t.Fatalf("%s: install %s: %v", tc.name, name, err)
 			}
-			want[f] = 3
 		}
-		g, err := e.Install(handler(voidProc("G", rtti.Word), nop), WithGuard(Guard{Pred: codegen.ArgEq(0, 1)}))
-		if err != nil {
-			t.Fatal(err)
+		count := func(name string, then func()) HandlerFn {
+			got[name] = new(atomic.Int64)
+			return counted(got[name], then)
 		}
-		h, err := e.Install(handler(voidProc("H", rtti.Word), nop))
-		if err != nil {
-			t.Fatal(err)
+		switch tc.kind {
+		case "filter":
+			install("F", Handler{Proc: filterProc, Fn: count("F", nil)}, AsFilter())
+			want["F"] = 3
+		case "ephemeral":
+			install("E1", Handler{Proc: ephemeralProc("E1"), Fn: count("E1", nil)}, Ephemeral(time.Minute))
+			install("E2", Handler{Proc: ephemeralProc("E2"), Fn: count("E2", func() { <-release })},
+				Ephemeral(2*time.Millisecond))
+			want["E1"], want["E2"] = 3, 3
+		case "async":
+			install("A", handler(voidProc("A", rtti.Word), count("A", nil)), Async())
+			want["A"] = 3
 		}
-		want[g], want[h] = 2, 3
+		install("G", handler(voidProc("G", rtti.Word), count("G", nil)), WithGuard(Guard{Pred: codegen.ArgEq(0, 1)}))
+		install("H", handler(voidProc("H", rtti.Word), count("H", nil)))
 		if got := e.Plan().Executor(d.CPU() != nil); got != tc.executor {
 			t.Fatalf("%s: executor %s, want %s", tc.name, got, tc.executor)
 		}
 		raise(e, tc.batch, uint64(1), uint64(2), uint64(1))
-		check(tc.name, e, want)
+		check(tc.name, e, got, want)
 	}
-	// The direct bypass, single raises and its batch tier.
-	for _, batch := range []bool{false, true} {
-		e := mustDefine(t, New(), "M.D", rtti.Sig(nil, rtti.Word),
-			WithIntrinsic(handler(voidProc("D", rtti.Word), nop)))
-		if got := e.Plan().Executor(false); got != "direct" {
-			t.Fatalf("intrinsic only: executor %s, want direct", got)
+	// The direct bypass, single raises and its batch tier, bare and behind
+	// its per-call barrier with a handler that panics on every call.
+	for _, protected := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			var opts []Option
+			var then func()
+			if protected {
+				opts = append(opts, WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour}))
+				then = func() { panic("direct") }
+			}
+			var n atomic.Int64
+			e := mustDefine(t, New(opts...), "M.D", rtti.Sig(nil, rtti.Word),
+				WithIntrinsic(handler(voidProc("D", rtti.Word), counted(&n, then))))
+			if got := e.Plan().Executor(false); got != "direct" {
+				t.Fatalf("intrinsic only: executor %s, want direct", got)
+			}
+			raise(e, batch, uint64(1), uint64(2), uint64(1))
+			check(fmt.Sprintf("direct, protected %v, batch %v", protected, batch), e,
+				map[string]*atomic.Int64{"D": &n}, map[string]int64{"D": 3})
 		}
-		raise(e, batch, uint64(1), uint64(2), uint64(1))
-		check(fmt.Sprintf("direct, batch %v", batch), e, map[*Binding]int64{e.IntrinsicBinding(): 3})
 	}
 }
 
 func TestBindingAccessors(t *testing.T) {
 	d := New()
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil))
-	b, _ := e.Install(handler(voidProc("Mod.H"), func(any, []any) any { return nil }))
+	fired := 0
+	b, _ := e.Install(handler(voidProc("Mod.H"), func(any, []any) any { fired++; return nil }))
 	if b.Event() != e {
 		t.Error("Event() wrong")
 	}
@@ -576,8 +625,8 @@ func TestBindingAccessors(t *testing.T) {
 		t.Error("property flags wrong")
 	}
 	_, _ = e.Raise()
-	if b.Fired() != 1 {
-		t.Errorf("Fired = %d", b.Fired())
+	if fired != 1 || e.Stats().Fired != 1 {
+		t.Errorf("fired %d, Stats().Fired %d, want 1 and 1", fired, e.Stats().Fired)
 	}
 	anon := &Binding{event: e}
 	if anon.HandlerName() != "<anonymous>" || anon.Installer() != nil {

@@ -437,9 +437,9 @@ func (e *Event) newEnv() *codegen.Env {
 			}
 			return e.d.runEphemeral(tag, deadline, invoke)
 		},
-		// Every executor counts each firing on Binding.fired
-		// (codegen.Binding.FireCount) and adds the raise's firings here
-		// once, all through the raise's one hoisted stripe index.
+		// Every executor adds the raise's firings here once, on the
+		// raise's hoisted stripe index: the one statistics add per raise.
+		// No per-binding count is kept on the raise path.
 		FiredTotal: &e.firedTotal,
 	}
 }
@@ -471,9 +471,9 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 		return codegen.Outcome{}, err
 	}
 	// One stripe shard hash serves every striped counter this raise
-	// touches: the raised total here, the per-binding fire counts and the
-	// fired total inside the executor. The increment's shard value doubles
-	// as the journal's raise-sampling draw below.
+	// touches: the raised total here and the executor's one add to the
+	// fired total. The increment's shard value doubles as the journal's
+	// raise-sampling draw below.
 	idx := stripe.Index()
 	raised := e.raised.AddAtN(idx, 1)
 	if e.d.purity {

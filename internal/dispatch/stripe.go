@@ -3,8 +3,8 @@ package dispatch
 import "spin/internal/stripe"
 
 // stripedCounter is the dispatcher's statistics counter, sharded across
-// cache-line-padded cells; see internal/stripe. It moved to its own package
-// so the code generator's specialized executors can update per-binding fire
-// counts through the same stripes (codegen.Binding.FireCount) with one
-// hoisted shard index per raise.
+// cache-line-padded cells; see internal/stripe. It lives in its own package
+// so the code generator's executors can add a raise's firings to the
+// event's total (codegen.Env.FiredTotal) on the raise's one hoisted shard
+// index.
 type stripedCounter = stripe.Counter

@@ -2,8 +2,8 @@
 // statistics. A counter is sharded across independent cache lines so
 // parallel writers on one hot event do not serialize on a shared line;
 // reads sum all shards. It lives in its own package so both the dispatcher
-// (per-event raise/fire totals) and the code generator's specialized
-// executors (per-binding fire counts, updated with a hoisted stripe index)
+// (per-event raised and time totals) and the code generator's executors
+// (the per-event fired total, one add per raise on a hoisted stripe index)
 // share one implementation.
 package stripe
 
@@ -41,8 +41,8 @@ func (c *Counter) Add(delta int64) {
 }
 
 // AddAt increments the counter on shard idx, previously obtained from
-// Index. The specialized dispatch executors hoist one Index call per raise
-// and reuse it for every per-binding count, instead of re-hashing per
+// Index. A raise hoists one Index call and reuses it for every counter it
+// touches (the raised and fired totals), instead of re-hashing per
 // increment.
 func (c *Counter) AddAt(idx int, delta int64) {
 	c.stripes[idx].n.Add(delta)
