@@ -38,6 +38,12 @@ const (
 	// through a 4-shard router's pinned route must cost at most this
 	// multiple of the same raise on a bare dispatcher event.
 	shardCeiling = 1.15
+	// filterCeiling is a ceiling with tolerance baked in: a filter ahead of
+	// two handlers, raised through Raise1, must cost at most this multiple
+	// of the same plan with the filter installed as a plain handler
+	// (measured 0.94-1.08x when committed, 1.36-1.65x with the filter on the
+	// observed walk; 2-vCPU Xeon).
+	filterCeiling = 1.30
 )
 
 func requireSmoke(t *testing.T) {
@@ -219,5 +225,50 @@ func TestBenchSmokeShard(t *testing.T) {
 	if ratio := bestRatio(t, "unrouted", raise1(plainEv.Raise1), "routed", raise1(routedEv.Raise1)); ratio > shardCeiling {
 		t.Errorf("routed/unrouted bypass raise ratio %.2fx exceeds committed %.2fx ceiling: the routing plane taxes the raise path",
 			ratio, shardCeiling)
+	}
+}
+
+// TestBenchSmokeFilter is the filter tax gate: a rewriting filter ahead of
+// two handlers must cost at most filterCeiling times the same three bodies
+// with the filter installed as a plain handler, both through Raise1. The
+// filter runs on the plain stencil, at a segment boundary; a filter plan
+// sent back to the observed walk fails it.
+func TestBenchSmokeFilter(t *testing.T) {
+	requireSmoke(t)
+	sig := rtti.Sig(nil, rtti.Word)
+	event := func(name string, filter bool) *dispatch.Event {
+		ev, err := dispatch.New().DefineEvent(name, sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []dispatch.InstallOption{dispatch.First()}
+		if filter {
+			opts = append(opts, dispatch.AsFilter())
+		}
+		if _, err := ev.Install(dispatch.Handler{
+			Proc: &rtti.Proc{Name: "Smoke.F", Module: benchMod,
+				Sig: rtti.Signature{Args: sig.Args, ByRef: []bool{true}}},
+			Fn: func(_ any, args []any) any { args[0] = args[0].(uint64) + 1; return nil },
+		}, opts...); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := ev.Install(dispatch.Handler{
+				Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
+				Fn:   func(any, []any) any { return nil },
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ev
+	}
+	plainEv, filterEv := event("Smoke.Unfiltered", false), event("Smoke.Filtered", true)
+	if got, want := filterEv.Plan().Executor(false), plainEv.Plan().Executor(false); got != want {
+		t.Fatalf("filter plan runs %s, the unfiltered one %s", got, want)
+	}
+
+	if ratio := bestRatio(t, "unfiltered", raise1(plainEv.Raise1), "filtered", raise1(filterEv.Raise1)); ratio > filterCeiling {
+		t.Errorf("filtered/unfiltered raise ratio %.2fx exceeds committed %.2fx ceiling: filters left the plain stencil",
+			ratio, filterCeiling)
 	}
 }

@@ -42,7 +42,8 @@ type walkState struct {
 	haveResult bool
 	phase      walkPhase
 	inRun      bool
-	ri, stop   int
+	ri, fi     int
+	stop       int
 	pos        int // the step in a call; after a capture, the step to resume at
 	guard      int
 }
@@ -58,7 +59,7 @@ func (ws *walkState) recorder() *recorder {
 // walkBehindBarrier runs the frame's walk from ws on under the frame's one
 // recover barrier. It returns with the walk done or, after a captured
 // panic, set to resume behind the step that panicked, guard-index chain
-// (the segment in ws) included.
+// and next filter (the segment in ws) included.
 func walkBehindBarrier[R, G, O shapeAxis](p *Plan, args []any, ws *walkState) {
 	defer p.capture(ws)
 	flatFrame[R, G, on, O](p, args, ws)

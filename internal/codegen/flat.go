@@ -19,15 +19,17 @@ import (
 // per raise, none switching on shape per step.
 //
 // Every plan but the direct bypass (executeDirect) runs the stencil. An
-// unmetered, unsampled raise of a plan with only synchronous, unfiltered
-// steps runs its plain instantiation (Plan.frame). Metered and sampled
-// raises, and every raise of a plan with a filter, async or ephemeral step,
-// run the observed one (Plan.observe): it charges the vtime costs the §3
-// tables are calibrated on — once per guard, not per leaf — records spans,
-// and runs those step kinds. Options.Protect selects the barrier
-// instantiations: the same walk under one recover barrier per frame
-// (exec_protect.go). The fuzzers hold every shape against a naive reference
-// model; testdata/observed.golden pins the observed walk.
+// unmetered, unsampled raise of a plan with only synchronous steps runs its
+// plain instantiation (Plan.frame), filters included: a filter step is a
+// segment boundary, run between the stretches of the step loop, so a plan
+// without one pays no per-step test for it. Metered and sampled raises, and
+// every raise of a plan with an async or ephemeral step, run the observed
+// one (Plan.observe): it charges the vtime costs the §3 tables are
+// calibrated on — once per guard, not per leaf — records spans, and runs
+// those step kinds. Options.Protect selects the barrier instantiations: the
+// same walk under one recover barrier per frame (exec_protect.go). The
+// fuzzers hold every shape against a naive reference model;
+// testdata/observed.golden pins the observed walk.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -71,8 +73,10 @@ type flatStep struct {
 
 // frameFn is a plain stencil instantiation: selected once per plan, called
 // once per frame with a nil ws (see flatFrame). It needs nothing from the
-// Env and touches no counter.
-type frameFn func(p *Plan, args []any, ws *walkState) Outcome
+// Env and touches no counter: besides the outcome it returns the frame's
+// firings — handlers, filters and a default-handler firing — for the
+// caller's one add to Env.FiredTotal.
+type frameFn func(p *Plan, args []any, ws *walkState) (Outcome, int64)
 
 // flattenPred lowers a guard predicate into conjunction leaves. Top-level
 // And-trees split into their leaves; True leaves are elided (guards are
@@ -139,8 +143,9 @@ var stencils = [8]frameFn{
 
 // compileFlat assembles the plan's flattened form from its bindings'
 // memoised lowerings (pooled of their leaves go to the pool) and selects
-// the plain stencil, which a plan with a filter, async or ephemeral step
-// does not get: every raise of it runs the observed walk.
+// the plain stencil, which only a plan that may retain its arguments (an
+// async or ephemeral step) does not get: every raise of it runs the
+// observed walk.
 func (p *Plan) compileFlat(pooled int) {
 	if p.direct != nil {
 		return
@@ -161,7 +166,7 @@ func (p *Plan) compileFlat(pooled int) {
 		// is what the barrier's capture reports a panic under.
 		p.flat = append(p.flat, flatStep{tag: p.def.b.Tag})
 	}
-	if p.hasFilter || p.retains {
+	if p.retains {
 		return
 	}
 	shape := 0
@@ -198,19 +203,22 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // flatFrame is the one stencil behind every shape: it runs one frame (one
 // raise's argument vector) through the flattened plan.
 //
-// A plain instantiation is entered with a nil ws. An observed one is
-// entered with a ws holding the raise's Env and recorder (Plan.observe); it
-// charges and records as it walks, evaluates each step's guards whole
-// (evalGuards), runs filter, async and ephemeral steps, and consults the
-// guard index only under Options.EnableDecisionTree. A barrier
-// instantiation (exec_protect.go) re-enters itself through
-// walkBehindBarrier until the walk is done, keeping its state in locals and
-// writing ws where a capture would need it: the segment at each segment,
-// the step and phase around each call, the outcome after each firing.
+// A plain instantiation is entered with a nil ws. It walks the guard index
+// and runs each filter step at a segment boundary (runFilter). An observed
+// one is entered with a ws holding the raise's Env and recorder
+// (Plan.observe); it charges and records as it walks, evaluates each step's
+// guards whole (evalGuards), runs filter, async and ephemeral steps as
+// steps, and consults the guard index only under
+// Options.EnableDecisionTree. A barrier instantiation (exec_protect.go)
+// re-enters itself through walkBehindBarrier until the walk is done,
+// keeping its state in locals and writing ws where a capture would need it:
+// the segment at each segment, the step and phase around each call, the
+// outcome after each firing.
 //
-// The stencil counts firings only in its Outcome; the caller adds
-// Outcome.fires() to Env.FiredTotal once.
-func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) Outcome {
+// The stencil counts firings only in what it returns: the Outcome, and the
+// frame's firings, filters included, which the caller adds to
+// Env.FiredTotal once.
+func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) (Outcome, int64) {
 	var r R
 	var g G
 	var b B
@@ -220,6 +228,7 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) Outcome
 	preds := p.flatPreds
 	var out Outcome
 	var haveResult bool
+	var filtered int64 // filter firings, which the Outcome does not count
 	var cpu *vtime.CPU
 	var rec *recorder
 	indexed := true // whether the walk consults the guard index
@@ -228,18 +237,16 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) Outcome
 	}
 	metered := obs && barrier && cpu != nil // sync handler costs go to FaultHook.SyncCost
 	// The plan runs as a sequence of segments: outside the guard index, the
-	// linear stretch up to the next run (or the plan's end); inside a run,
-	// one step the lookup hit, along that step's chain. The walk advances
-	// between segments, never per step, so a plan with no indexed run pays
-	// for the index once per raise. A hit step runs whole: re-testing the
-	// equality the lookup decided is one compare on the few that match.
-	ri := 0        // the next run of p.runs
+	// linear stretch up to the next run or filter (or the plan's end);
+	// inside a run, one step the lookup hit, along that step's chain. The
+	// walk advances between segments, never per step, so a plan with no
+	// indexed run or filter pays for them once per raise. A hit step runs
+	// whole: re-testing the equality the lookup decided is one compare on
+	// the few that match.
+	ri, fi := 0, 0 // the next run of p.runs, the next filter of p.filters
 	inRun := false // walking the hits of run ri-1
 	n := len(p.steps)
-	i, stop := 0, n
-	if indexed && len(p.runs) > 0 {
-		stop = p.runs[0].start
-	}
+	i, stop := 0, p.stretchEnd(indexed, !obs, 0, 0)
 	if barrier {
 		if ws == nil || ws.phase == walkEntry {
 			var frame walkState
@@ -250,14 +257,15 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) Outcome
 			for ws.phase != walkDone {
 				walkBehindBarrier[R, G, O](p, args, ws)
 			}
-			return ws.out
+			return ws.out, ws.out.fires() + ws.filtered
 		}
-		out, haveResult, ri, inRun, i, stop = ws.out, ws.haveResult, ws.ri, ws.inRun, ws.pos, ws.stop
+		out, haveResult, filtered = ws.out, ws.haveResult, ws.filtered
+		ri, fi, inRun, i, stop = ws.ri, ws.fi, ws.inRun, ws.pos, ws.stop
 	}
 segments:
 	for {
 		if barrier {
-			ws.ri, ws.inRun, ws.stop = ri, inRun, stop
+			ws.ri, ws.fi, ws.inRun, ws.stop = ri, fi, inRun, stop
 		}
 		seg := p.flat[i:stop]
 	steps:
@@ -357,7 +365,10 @@ segments:
 				if st.mode == trace.ModeFilter {
 					// A filter produces no result and does not count as the
 					// event having been handled (§2.3 "Passing arguments").
-					ws.filtered++
+					filtered++
+					if barrier {
+						ws.filtered = filtered
+					}
 					continue
 				}
 			}
@@ -384,12 +395,35 @@ segments:
 				ws.out, ws.haveResult = out, haveResult
 			}
 		}
-		// Segment boundary: the run state is re-read from p.runs here, so
-		// the step loop carries nothing for it.
+		// Segment boundary: the run and filter state is re-read from p.runs
+		// and p.filters here, so the step loop carries nothing for it.
 		switch {
 		case inRun:
 			// The segment was the hit step stop-1: follow its chain.
-			i = p.runs[ri-1].next(stop - 1)
+			if i = p.runs[ri-1].next(stop - 1); i != p.runs[ri-1].end {
+				stop = i + 1
+				continue
+			}
+			// The run is exhausted: resume the linear scan behind it.
+			inRun = false
+		case !obs && fi < len(p.filters) && p.filters[fi] == stop:
+			// A filter: run it between the stretches on either side, after
+			// setting up the next one, where a capture resumes. A filter
+			// never joins a run (indexKey), so a run head behind it looks
+			// up the argument as the filter left it.
+			f := stop
+			fi++
+			i, stop = f+1, p.stretchEnd(indexed, true, ri, fi)
+			if barrier {
+				ws.fi, ws.stop = fi, stop
+			}
+			if p.runFilter(f, args, ws) {
+				filtered++
+				if barrier {
+					ws.filtered = filtered
+				}
+			}
+			continue
 		case indexed && ri < len(p.runs):
 			// The head of the next run: look the argument up — one inline
 			// guard, recorded as step -1, passing when any step matched.
@@ -399,24 +433,19 @@ segments:
 			}
 			i = p.runs[ri].find(args)
 			ri++
-			inRun = true
 			if obs && rec != nil {
 				rec.guard(-1, 0, true, i != p.runs[ri-1].end)
 			}
+			if i != p.runs[ri-1].end {
+				inRun = true
+				stop = i + 1
+				continue
+			}
+			// A miss: resume the linear scan behind the run.
 		default:
 			break segments
 		}
-		if i != p.runs[ri-1].end {
-			stop = i + 1
-			continue
-		}
-		// The run is exhausted (or missed outright): resume the linear scan
-		// behind it.
-		inRun = false
-		stop = n
-		if ri < len(p.runs) {
-			stop = p.runs[ri].start
-		}
+		stop = p.stretchEnd(indexed, !obs, ri, fi)
 	}
 	if st := p.def; out.Fired == 0 && st != nil {
 		if obs {
@@ -439,7 +468,58 @@ segments:
 	if barrier {
 		ws.out, ws.phase = out, walkDone
 	}
-	return out
+	return out, out.fires() + filtered
+}
+
+// stretchEnd is where the linear stretch ahead of a walk ends: at run ri's
+// head when the walk is indexed, at filter fi when it runs filters at
+// segment boundaries (the plain walk), or at the plan's end.
+func (p *Plan) stretchEnd(indexed, filters bool, ri, fi int) int {
+	n := len(p.steps)
+	if indexed && ri < len(p.runs) {
+		n = p.runs[ri].start
+	}
+	if filters && fi < len(p.filters) && p.filters[fi] < n {
+		n = p.filters[fi]
+	}
+	return n
+}
+
+// runFilter runs filter step f where the plain walk meets it, at a segment
+// boundary, and reports whether it fired: its guards in their compiled
+// form (the leaves the step loop would test, evaluated whole), then its
+// body, whose result is dropped — a filter is not a handling (§2.3). Behind
+// a barrier ws says which call is in flight, as the step loop's stores do;
+// a bare walk passes nil.
+func (p *Plan) runFilter(f int, args []any, ws *walkState) bool {
+	st := &p.steps[f]
+	for gi := range st.guards {
+		g := &st.guards[gi]
+		if g.Pred != nil {
+			if !g.Pred.Eval(args) {
+				return false
+			}
+			continue
+		}
+		if ws != nil {
+			ws.pos, ws.phase = f, inGuard
+		}
+		pass := g.Fn(g.Closure, args)
+		if ws != nil {
+			ws.phase = inWalk
+		}
+		if !pass {
+			return false
+		}
+	}
+	if ws != nil {
+		ws.pos, ws.phase = f, inHandler
+	}
+	runBody(st.b, st.inline, args)
+	if ws != nil {
+		ws.phase = inWalk
+	}
+	return true
 }
 
 // addFired adds n firings to the event's fired total, if the caller keeps

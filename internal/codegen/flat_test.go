@@ -74,7 +74,11 @@ func TestSpecializeEligibility(t *testing.T) {
 			bindings: guardedN(2, nil), resultFn: fold, want: "stencil[fold,guarded]"},
 		{shape: "wide arity", arity: 8, bindings: guardedN(2, nil), want: "stencil[void,guarded]"},
 		{shape: "filter", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Filter = true }),
-			want: "stencil[void,observed]"},
+			want: "stencil[void,guarded]"},
+		{shape: "filter, fault policy on", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Filter = true }),
+			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]"},
+		{shape: "filter, metered", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Filter = true }),
+			metered: true, want: "stencil[void,observed]"},
 		{shape: "async", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
 			want: "stencil[fold,observed]"},
 		{shape: "ephemeral, fault policy on", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),

@@ -59,7 +59,9 @@ func (b *BatchOutcome) Add(o Outcome) {
 // stops before the first frame that would run on a stale plan. Returns the
 // folded outcome and the number of frames processed — fewer than n only
 // when the plan was superseded mid-batch, and at least one of a non-empty
-// batch. stripeIdx is the caller's hoisted stripe shard index.
+// batch. stripeIdx is the caller's hoisted stripe shard index. A filter
+// rewrites its frame in flat in place, as Execute's args: a caller whose
+// raiser keeps flat passes a copy when HasFilter reports true.
 //
 // An unmetered batch of an untraced plan runs one of the two fast loops:
 // the direct bypass's (executeDirectBatch) or the plain stencil's. Every
@@ -102,8 +104,8 @@ func (p *Plan) executeFrameBatch(env *Env, flat []any, width, n, idx int, live *
 			done = i
 			break
 		}
-		o := p.frame(p, frameAt(flat, width, i), nil)
-		total += o.fires()
+		o, fired := p.frame(p, frameAt(flat, width, i), nil)
+		total += fired
 		out.Add(o)
 	}
 	env.addFired(idx, total)

@@ -12,9 +12,10 @@ import (
 // Differential fuzzing: the optimized compiled plan — peephole
 // simplification, guard reordering, inline evaluation, the single-binding
 // bypass, the decision tree, the flattened shape-specialized stencil, and
-// sampled (span-recording) raises — must fire exactly the same handlers,
-// in the same order, as a naive reference model that walks the binding
-// list evaluating every guard verbatim.
+// sampled (span-recording) raises — must fire exactly the same handlers and
+// filters, in the same order, as a naive reference model that walks the
+// binding list evaluating every guard verbatim on the frame as the filters
+// ahead of it rewrote it.
 
 // fuzzReader decodes a fuzz input byte stream; exhausted streams yield
 // zeros so every input is a complete (if boring) program.
@@ -88,8 +89,9 @@ func genArgs(r *fuzzReader, arity int) []any {
 // Binding kinds of genBindings, and the tails of an equality-first binding.
 const (
 	kindUnguarded = 0
-	kindEq        = 1 // 2 decodes the same: half of all bindings start a run
+	kindEq        = 1 // 2 decodes the same: two in five bindings start a run
 	kindTree      = 3
+	kindFilter    = 4 // a filter overwriting one argument word
 
 	tailNone = 0 // the bare ArgEq
 	tailAnd  = 1 // And(ArgEq, leaf-or-shallow-tree): further leaves in one guard
@@ -97,18 +99,42 @@ const (
 	tailPred = 3 // a second inline guard, as an authorizer imposes one
 )
 
-// genBindings decodes n bindings. Half start with an equality test on an
-// argument, so consecutive runs form and the guard index engages; those
-// carry a tail that may add leaves behind the equality. Every handler
+// rewrite is a generated filter's rewrite, carried as its binding's
+// closure so the reference model can apply it: argument arg becomes k.
+type rewrite struct {
+	arg int
+	k   uint64
+}
+
+func (w rewrite) apply(args []any) {
+	if w.arg < len(args) {
+		args[w.arg] = w.k
+	}
+}
+
+// genBindings decodes n bindings. Two in five start with an equality test
+// on an argument, so consecutive runs form and the guard index engages;
+// those carry a tail that may add leaves behind the equality. One in five
+// is a filter, maybe guarded, overwriting an argument word — ahead of a
+// run, the very word the run discriminates on. Every handler and filter
 // reports its index through fire and returns it as its result.
 func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, fire func(i int)) []*Binding {
 	bindings := make([]*Binding, n)
 	for i := range bindings {
 		var guards []Guard
-		switch kind := r.byte() % 4; {
+		var filter *rewrite
+		switch kind := r.byte() % 5; {
 		case kind == kindUnguarded:
 		case kind == kindTree:
 			guards = []Guard{{Pred: genPred(r, 2, arity, cell)}}
+		case kind == kindFilter:
+			if r.byte()%2 == 1 {
+				guards = []Guard{{Pred: genPred(r, 1, arity, cell)}}
+			}
+			filter = &rewrite{k: uint64(r.byte() % 4)}
+			if arity > 0 {
+				filter.arg = int(r.byte()) % arity
+			}
 		case arity == 0:
 			guards = []Guard{{Pred: GlobalEq(cell, uint64(r.byte()%4))}}
 		default:
@@ -138,6 +164,14 @@ func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, 
 			},
 			Name: name,
 			Tag:  i,
+		}
+		if filter != nil {
+			bindings[i].Filter, bindings[i].Closure = true, *filter
+			bindings[i].Fn = func(c any, args []any) any {
+				fire(i)
+				c.(rewrite).apply(args)
+				return uint64(i)
+			}
 		}
 	}
 	return bindings
@@ -173,6 +207,7 @@ func seedEqCall(arg, k, limit byte) []byte {
 }
 func seedEqPred(arg, k, k2 byte) []byte { return []byte{kindEq, arg, k, tailPred, k2} }
 func seedLt(arg, k byte) []byte         { return []byte{kindTree, 4, arg, k} }
+func seedFilter(arg, k byte) []byte     { return []byte{kindFilter, 0, k, arg} } // unguarded: arg = k
 
 var seedUnguarded = []byte{kindUnguarded}
 
@@ -208,6 +243,12 @@ var indexSeeds = []struct {
 		seedEq(0, 1), seedEq(0, 0), seedEq(0, 2), seedEq(0, 1)}},
 	// No step compares against 0: a raise of 0 misses the whole run.
 	{1, 0, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 3), seedEq(0, 1), seedEq(0, 2)}},
+	// A filter just ahead of a run, overwriting the word it discriminates
+	// on: every raise looks up 2.
+	{1, 2, [][]byte{seedFilter(0, 2), seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedEq(0, 3), seedEq(0, 2)}},
+	// A filter splitting a run in two, the second half looking up its 3.
+	{2, 6, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedEq(0, 3), seedFilter(0, 3),
+		seedEq(0, 3), seedEq(0, 1), seedEq(0, 3), seedEq(0, 2)}},
 }
 
 // indexSeedRaises: hits on each small constant, a total miss where 0 is no
@@ -276,9 +317,9 @@ func FuzzPredCompile(f *testing.F) {
 // configuration — including the guard index on both walks, the flattened
 // shape-specialized stencil, metered raises (the observed walk) and the
 // traced routine — and checks
-// each fires the same handler sequence as the reference model, merges
-// results identically, falls back to the default handler on the same
-// raises, and counts the same firings — per binding, for the default
+// each fires the same handler and filter sequence as the reference model,
+// merges results identically, falls back to the default handler on the
+// same raises, and counts the same firings — per binding, for the default
 // handler, and in the fired total.
 func FuzzTreeDispatch(f *testing.F) {
 	for _, seed := range indexSeeds {
@@ -315,14 +356,24 @@ func FuzzTreeDispatch(f *testing.F) {
 			}
 		}
 
-		naive := func(args []any) []int {
-			var out []int
+		// naive is the reference model: it returns the bindings that fire,
+		// filters included, in plan order, and the handlers among them. A
+		// passing filter rewrites the model's copy of the frame for every
+		// binding behind it.
+		naive := func(args []any) (fired, handled []int) {
+			frame := append([]any(nil), args...)
 			for i, b := range bindings {
-				if naivePasses(b, args) {
-					out = append(out, i)
+				if !naivePasses(b, frame) {
+					continue
+				}
+				fired = append(fired, i)
+				if b.Filter {
+					b.Closure.(rewrite).apply(frame)
+				} else {
+					handled = append(handled, i)
 				}
 			}
-			return out
+			return fired, handled
 		}
 
 		var resultFn ResultFn
@@ -348,8 +399,8 @@ func FuzzTreeDispatch(f *testing.F) {
 		}
 		for trial := 0; trial < 4; trial++ {
 			args := genArgs(r, arity)
-			want := naive(args)
-			wantDefault := hasDefault && len(want) == 0
+			want, handled := naive(args)
+			wantDefault := hasDefault && len(handled) == 0
 			var wantDefaultFired int64
 			if wantDefault {
 				wantDefaultFired = 1
@@ -358,7 +409,8 @@ func FuzzTreeDispatch(f *testing.F) {
 				plan := Compile(info, bindings, resultFn, defaultB, opts.Options)
 				var total stripe.Counter
 				fired, defaultFired = nil, 0
-				out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, args, 0)
+				frame := append([]any(nil), args...) // the filters rewrite it
+				out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, frame, 0)
 				if len(fired) != len(want) {
 					t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
 				}
@@ -367,31 +419,31 @@ func FuzzTreeDispatch(f *testing.F) {
 						t.Fatalf("opts %+v args %v: order %v, model %v", opts, args, fired, want)
 					}
 				}
-				if out.Fired != len(want) {
+				if out.Fired != len(handled) {
 					t.Fatalf("opts %+v args %v: Outcome.Fired %d, model %d",
-						opts, args, out.Fired, len(want))
+						opts, args, out.Fired, len(handled))
 				}
 				if out.UsedDefault != wantDefault {
 					t.Fatalf("opts %+v args %v: UsedDefault %v, model %v",
 						opts, args, out.UsedDefault, wantDefault)
 				}
-				if hasResult && (len(want) > 0 || wantDefault) {
+				if hasResult && (len(handled) > 0 || wantDefault) {
 					var wantRes uint64
 					switch {
 					case wantDefault:
 						wantRes = uint64(n)
 					case foldResults:
-						for _, i := range want {
+						for _, i := range handled {
 							wantRes += uint64(i)
 						}
 					default:
-						wantRes = uint64(want[len(want)-1])
+						wantRes = uint64(handled[len(handled)-1])
 					}
 					if got, ok := out.Result.(uint64); !ok || got != wantRes {
 						t.Fatalf("opts %+v args %v: result %v, model %d",
 							opts, args, out.Result, wantRes)
 					}
-					if wantAmb := !foldResults && len(want) > 1; out.Ambiguous != wantAmb {
+					if wantAmb := !foldResults && len(handled) > 1; out.Ambiguous != wantAmb {
 						t.Fatalf("opts %+v args %v: ambiguous %v, model %v",
 							opts, args, out.Ambiguous, wantAmb)
 					}
@@ -399,8 +451,9 @@ func FuzzTreeDispatch(f *testing.F) {
 
 				// Statistics: whichever executor the configuration reached
 				// (bypass, stencil, general, sampled), the fired-total flush
-				// must count what the model fired, the default handler's
-				// firing included; the fire log above holds the bindings'.
+				// must count what the model fired, filters and the default
+				// handler's firing included; the fire log above holds the
+				// bindings'.
 				if defaultFired != wantDefaultFired {
 					t.Fatalf("opts %+v args %v: default fired %d, model %d",
 						opts, args, defaultFired, wantDefaultFired)
@@ -451,6 +504,14 @@ func FuzzBatchDispatch(f *testing.F) {
 				f.Add(seedJoin(header, faults, seedJoin(chained.bindings...), frames))
 			}
 		}
+	}
+	// Faults on the filter ahead of a run (step 0): its handler panics after
+	// its rewrite, or a panicking guard skips it, and the walk resumes behind
+	// it at the run head.
+	ahead := indexSeeds[len(indexSeeds)-2]
+	for _, faults := range [][]byte{{1, 1, 0, 0, 0}, {1, 0, 0, 1, 0}} {
+		header := []byte{ahead.arity, byte(len(ahead.bindings) - 1), 1, 1, 1, ahead.churn + 1}
+		f.Add(seedJoin(header, faults, seedJoin(ahead.bindings...), frames))
 	}
 	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{3, 2, 1, 1, 3, 9, 1, 5, 0, 2, 0})
@@ -522,7 +583,7 @@ func FuzzBatchDispatch(f *testing.F) {
 		// reordering, so it is reached exactly when the others pass.
 		model := make([]*Binding, n)
 		for i, b := range bindings {
-			model[i] = &Binding{Guards: b.Guards}
+			model[i] = &Binding{Guards: b.Guards, Filter: b.Filter, Closure: b.Closure}
 			if panicG&(1<<i) != 0 {
 				b.Guards = append(b.Guards[:len(b.Guards):len(b.Guards)],
 					Guard{Fn: func(any, []any) bool { panic("fuzz guard") }})
@@ -535,14 +596,16 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 		}
 
-		// The frame stream and a set of random split points over it.
+		// The frame stream and a set of random split points over it. Filters
+		// rewrite the frames they run on, so every run dispatches fresh
+		// copies of these (see run).
 		nFrames := 1 + int(r.byte()%24)
+		frames0 := make([][]any, nFrames)
+		for i := range frames0 {
+			frames0[i] = genArgs(r, arity)
+		}
 		frames := make([][]any, nFrames)
 		var flat []any // the same frames, row-major: the batch layout
-		for i := range frames {
-			frames[i] = genArgs(r, arity)
-			flat = append(flat, frames[i]...)
-		}
 		splits := []int{0}
 		for at := 1 + int(r.byte()%4); at < nFrames; at += 1 + int(r.byte()%4) {
 			splits = append(splits, at)
@@ -550,12 +613,14 @@ func FuzzBatchDispatch(f *testing.F) {
 		splits = append(splits, nFrames)
 
 		// The naive model: every guard of every installed binding, verbatim,
-		// frame by frame. An uninstall takes effect at the next frame — the
-		// raise in flight finishes on the plan it loaded.
+		// frame by frame, on the frame as the filters ahead of it rewrote
+		// it. An uninstall takes effect at the next frame — the raise in
+		// flight finishes on the plan it loaded.
 		var wantFired []int
 		var wantFaults []faultCall
 		gone := -1
-		for _, fr := range frames {
+		for _, fr := range frames0 {
+			fr = append([]any(nil), fr...)
 			skip := gone
 			for i, b := range model {
 				switch {
@@ -564,6 +629,9 @@ func FuzzBatchDispatch(f *testing.F) {
 					wantFaults = append(wantFaults, faultCall{guard: true, tag: i})
 				default:
 					wantFired = append(wantFired, i)
+					if b.Filter {
+						b.Closure.(rewrite).apply(fr)
+					}
 					if i == churn {
 						gone = i
 					}
@@ -594,11 +662,16 @@ func FuzzBatchDispatch(f *testing.F) {
 			return out
 		}
 
-		// run resets the population to fully installed and measures one way
-		// of dispatching the stream.
+		// run resets the population to fully installed and the frames to
+		// fresh copies, and measures one way of dispatching the stream.
 		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64) {
 			uninstall = -1
 			publish()
+			flat = flat[:0]
+			for i, fr := range frames0 {
+				frames[i] = append([]any(nil), fr...)
+				flat = append(flat, fr...)
+			}
 			fired, folds = nil, nil
 			if hook != nil {
 				hook.calls = nil

@@ -180,7 +180,9 @@ type Plan struct {
 	resultFn  ResultFn
 	def       *step // default handler, nil when none installed
 	allInline bool
-	hasFilter bool
+	// filters are the positions of the filter steps, in plan order: the
+	// plain walk runs each at a segment boundary (flat.go).
+	filters []int
 	// retains is set when some live binding (asynchronous or ephemeral)
 	// may hold the raise argument slice past the raise, so callers must
 	// not recycle it. Dispatcher fast paths consult RetainsArgs before
@@ -203,8 +205,8 @@ type Plan struct {
 	// (followed by the default handler's statistics record, if there is
 	// one), the pool of guard leaves behind each step's embedded first, the
 	// count of all leaves, and the plain stencil instantiation selected at
-	// compile time (nil when a step needs the observed walk). All nil/empty
-	// on a direct plan.
+	// compile time (nil when a step may retain the arguments, which only
+	// the observed walk runs). All nil/empty on a direct plan.
 	flat      []flatStep
 	flatPreds []flatPred
 	leaves    int
@@ -274,9 +276,11 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 		allInline = allInline && lo.st.inline
 		st := lo.st
 		st.idx = len(p.steps)
+		if b.Filter {
+			p.filters = append(p.filters, st.idx)
+		}
 		p.steps = append(p.steps, st)
 		p.Bindings++
-		p.hasFilter = p.hasFilter || b.Filter
 		p.retains = p.retains || b.Async || b.Ephemeral
 	}
 	p.allInline = allInline && len(p.steps) > 0
@@ -419,6 +423,11 @@ func (p *Plan) Direct() *Binding {
 	return p.direct.b
 }
 
+// HasFilter reports whether the plan has a filter step, which rewrites the
+// argument vector in place: a caller whose raiser keeps the vector passes
+// Execute and ExecuteBatch a copy.
+func (p *Plan) HasFilter() bool { return p.filters != nil }
+
 // RetainsArgs reports whether executing the plan may retain the raise
 // argument slice beyond the raise itself: an asynchronous handler runs on
 // another thread of control after the raiser proceeds, and an abandoned
@@ -432,9 +441,10 @@ func (p *Plan) Steps() int { return len(p.steps) }
 
 // Execute runs the generated dispatch routine. args is the dispatcher's
 // private per-raise argument vector: filters mutate it in place, which is
-// visible to subsequent steps but never to the raiser. stripeIdx is the
-// caller's hoisted stripe shard index (stripe.Index()) for the raise's one
-// statistics add, of its firings to Env.FiredTotal.
+// visible to subsequent steps, so a caller whose raiser keeps the slice
+// passes a copy when HasFilter reports true. stripeIdx is the caller's
+// hoisted stripe shard index (stripe.Index()) for the raise's one
+// statistics add, of its firings, filters included, to Env.FiredTotal.
 func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 	var r *recorder
 	if p.prog != nil {
@@ -448,8 +458,8 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 		return p.executeDirect(env, args, stripeIdx, r)
 	case p.frame != nil && r == nil && env.CPU == nil:
 		// Unmetered, unsampled raise of a synchronous plan: the plain stencil.
-		out := p.frame(p, args, nil)
-		env.addFired(stripeIdx, out.fires())
+		out, fired := p.frame(p, args, nil)
+		env.addFired(stripeIdx, fired)
 		return out
 	}
 	return p.observe(env, args, stripeIdx, r)
@@ -458,7 +468,7 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 // observe runs one frame through the plan's observed instantiation, which
 // charges env.CPU and records through rec (either may be nil). It calls the
 // instantiations statically, so ws stays on the stack, and adds the frame's
-// firings, filters included, to the total.
+// firings to the total.
 func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 	cpu := env.CPU
 	if p.allInline {
@@ -468,7 +478,7 @@ func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 		cpu.Charge(vtime.DispatchEntry)
 		cpu.ChargeN(vtime.DispatchEntryArg, p.info.Arity)
 	}
-	if p.hasFilter {
+	if p.filters != nil {
 		// Snapshot cost for preserving the raiser's view of arguments
 		// ahead of the first filter (§2.4 Typechecking).
 		cpu.ChargeN(vtime.ArgCopy, p.info.Arity)
@@ -478,17 +488,18 @@ func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 		ws.rec = *rec
 	}
 	var out Outcome
+	var fired int64
 	switch {
 	case p.protect != nil && p.info.HasResult:
-		out = flatFrame[on, off, on, on](p, args, &ws)
+		out, fired = flatFrame[on, off, on, on](p, args, &ws)
 	case p.protect != nil:
-		out = flatFrame[off, off, on, on](p, args, &ws)
+		out, fired = flatFrame[off, off, on, on](p, args, &ws)
 	case p.info.HasResult:
-		out = flatFrame[on, off, off, on](p, args, &ws)
+		out, fired = flatFrame[on, off, off, on](p, args, &ws)
 	default:
-		out = flatFrame[off, off, off, on](p, args, &ws)
+		out, fired = flatFrame[off, off, off, on](p, args, &ws)
 	}
-	env.addFired(idx, out.fires()+ws.filtered)
+	env.addFired(idx, fired)
 	if rec := ws.recorder(); rec != nil {
 		rec.end(out)
 	}
@@ -630,10 +641,11 @@ func invoker(b *Binding, args []any) func(context.Context) any {
 
 // Executor names the body an unsampled raise of the plan runs: "direct"
 // (the single-binding bypass and its batch tier), the plain stencil
-// "stencil[R,G]" (unmetered raises of a synchronous plan), or the observed
-// one, "stencil[R,observed]" (metered raises, every raise of a plan with a
-// filter, async or ephemeral step, and sampled raises); ",barrier" is
-// appended behind the fault barrier.
+// "stencil[R,G]" (unmetered raises of a plan whose steps are all
+// synchronous, filters included), or the observed one,
+// "stencil[R,observed]" (metered raises, every raise of a plan with an
+// async or ephemeral step, and sampled raises); ",barrier" is appended
+// behind the fault barrier.
 func (p *Plan) Executor(metered bool) string {
 	if p.direct != nil {
 		return "direct"

@@ -74,12 +74,18 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		t.Errorf("bypass Execute allocates %v/op, want 0", n)
 	}
 
-	// The observed walk: a filter plan (every raise), and metered raises of
-	// a guarded plan and of a protected one (the barrier, with SyncCost).
+	// A filter plan on the plain stencil, bare and behind the barrier (its
+	// filter runs at a segment boundary), and the observed walk: metered
+	// raises of a guarded plan and of a protected one (the barrier, with
+	// SyncCost).
 	guarded := []*Binding{
 		{Guards: []Guard{{Pred: ArgEq(0, 1)}, {Fn: func(any, []any) bool { return true }}},
 			Fn: func(any, []any) any { return nil }},
 		{Guards: []Guard{{Pred: ArgEq(0, 2)}}, Inline: Nop()},
+	}
+	filtered := []*Binding{
+		{Filter: true, Fn: func(_ any, args []any) any { args[0] = uint64(1); return nil }},
+		guarded[0],
 	}
 	metered := &Env{CPU: meteredCPU(true)}
 	for _, tc := range []struct {
@@ -87,10 +93,8 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		env  *Env
 		p    *Plan
 	}{
-		{"filter", env, Compile(info, []*Binding{
-			{Filter: true, Fn: func(_ any, args []any) any { args[0] = uint64(1); return nil }},
-			guarded[0],
-		}, nil, nil, Options{})},
+		{"filter", env, Compile(info, filtered, nil, nil, Options{})},
+		{"protected filter", env, Compile(info, filtered, nil, nil, Options{Protect: &recHook{}})},
 		{"metered guarded", metered, Compile(info, guarded, nil, nil, Options{})},
 		{"metered protected", metered, Compile(info, guarded, nil, nil, Options{Protect: &recHook{}})},
 	} {

@@ -144,9 +144,10 @@ func (e *Event) RaiseBatch3(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 // purity checking (each raise behind its own monitor barrier), when width
 // is not the event's arity (each frame rejected), and on a plan that may
 // retain its frames. An asynchronous event's batch is a loop of RaiseAsync.
-// flat is borrowed: it is never retained past the call, so the caller may
-// reuse it at once — a retaining plan gets a private copy of each frame,
-// and an asynchronous event, whose raises all outlive the call, one copy of
+// flat is borrowed: it is never retained past the call or written, so the
+// caller may reuse it at once — a retaining plan gets a private copy of
+// each frame, and an asynchronous event, whose raises all outlive the call,
+// and a plan with a filter, which rewrites its frames in place, one copy of
 // flat. A ragged tail (len(flat) not n*width) is rejected as one malformed
 // frame.
 func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
@@ -173,8 +174,12 @@ func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	}
 	single := e.d.purity || e.d.cpu != nil || width != e.sig.Arity()
 	idx := stripe.Index()
+	owned := false
 	for done := 0; done < n; {
 		plan := e.plan.Load()
+		if plan.HasFilter() && !owned {
+			flat, owned = append([]any(nil), flat[:n*width]...), true
+		}
 		retains := plan.RetainsArgs()
 		if !single && !retains {
 			done += e.executeBatch(&out, plan, flat[done*width:], width, n-done, idx)

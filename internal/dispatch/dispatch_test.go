@@ -543,7 +543,10 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 		{name: "stencil", executor: "stencil[void,guarded]"},
 		{name: "barrier", executor: "stencil[void,guarded,barrier]",
 			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}},
-		{name: "filter", executor: "stencil[void,observed]", kind: "filter"},
+		{name: "filter", executor: "stencil[void,guarded]", kind: "filter"},
+		{name: "filter, barrier", executor: "stencil[void,guarded,barrier]", kind: "filter",
+			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}},
+		{name: "filter, batch", executor: "stencil[void,guarded]", kind: "filter", batch: true},
 		{name: "ephemeral, completed and abandoned", executor: "stencil[void,observed]", kind: "ephemeral"},
 		{name: "async", executor: "stencil[void,observed]", kind: "async"},
 		{name: "metered", executor: "stencil[void,observed]",

@@ -444,8 +444,16 @@ func (e *Event) newEnv() *codegen.Env {
 	}
 }
 
+// raiseSync raises args, which the raiser keeps: a plan with a filter,
+// which rewrites its frame in place, runs on a pooled private copy instead.
 func (e *Event) raiseSync(args []any) (any, error) {
-	return e.raiseWith(e.plan.Load(), args)
+	plan := e.plan.Load()
+	if len(args) > 0 && plan.HasFilter() {
+		bp := argPool.Get().(*[]any)
+		*bp = append((*bp)[:0], args...)
+		return e.raisePooled(plan, bp)
+	}
+	return e.raiseWith(plan, args)
 }
 
 // raiseWith executes one synchronous raise against a specific plan. The
@@ -538,12 +546,11 @@ func (e *Event) finishRaise(out codegen.Outcome) (any, error) {
 	return out.Result, nil
 }
 
-// raisePooled runs a synchronous raise over a pooled argument buffer,
-// falling back to a private copy when the plan may retain the slice past
-// the raise (asynchronous or ephemeral handlers).
-func (e *Event) raisePooled(bp *[]any) (any, error) {
+// raisePooled runs a synchronous raise of plan over a pooled argument
+// buffer, falling back to a private copy when the plan may retain the slice
+// past the raise (asynchronous or ephemeral handlers).
+func (e *Event) raisePooled(plan *codegen.Plan, bp *[]any) (any, error) {
 	args := *bp
-	plan := e.plan.Load()
 	if plan.RetainsArgs() {
 		// A spawned handler may still read args after the raise returns;
 		// give it a private copy and recycle the buffer immediately.
@@ -580,7 +587,7 @@ func (e *Event) Raise1(a1 any) (any, error) {
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1)
-	return e.raisePooled(bp)
+	return e.raisePooled(e.plan.Load(), bp)
 }
 
 // Raise2 raises the event with two arguments through a pooled argument
@@ -591,7 +598,7 @@ func (e *Event) Raise2(a1, a2 any) (any, error) {
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2)
-	return e.raisePooled(bp)
+	return e.raisePooled(e.plan.Load(), bp)
 }
 
 // Raise3 raises the event with three arguments through a pooled argument
@@ -602,7 +609,7 @@ func (e *Event) Raise3(a1, a2, a3 any) (any, error) {
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3)
-	return e.raisePooled(bp)
+	return e.raisePooled(e.plan.Load(), bp)
 }
 
 // Raise4 raises the event with four arguments through a pooled argument
@@ -613,7 +620,7 @@ func (e *Event) Raise4(a1, a2, a3, a4 any) (any, error) {
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3, a4)
-	return e.raisePooled(bp)
+	return e.raisePooled(e.plan.Load(), bp)
 }
 
 // Raise5 raises the event with five arguments through a pooled argument
@@ -625,7 +632,7 @@ func (e *Event) Raise5(a1, a2, a3, a4, a5 any) (any, error) {
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3, a4, a5)
-	return e.raisePooled(bp)
+	return e.raisePooled(e.plan.Load(), bp)
 }
 
 // checkArgs validates the raise argument vector: arity always, dynamic

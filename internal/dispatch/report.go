@@ -1,6 +1,10 @@
 package dispatch
 
-import "spin/internal/codegen"
+import (
+	"slices"
+
+	"spin/internal/codegen"
+)
 
 // RaiseReport is the structured outcome of one raise, for callers that
 // need more than the (any, error) contract — the remote-raise receiver
@@ -36,7 +40,11 @@ func (e *Event) RaiseReport(args ...any) (RaiseReport, error) {
 		err := e.RaiseAsync(args...)
 		return RaiseReport{Async: true}, err
 	}
-	out, err := e.raiseOut(e.plan.Load(), args)
+	plan := e.plan.Load()
+	if plan.HasFilter() {
+		args = slices.Clone(args) // the raiser keeps args; a filter rewrites its frame
+	}
+	out, err := e.raiseOut(plan, args)
 	if err != nil {
 		return RaiseReport{}, err
 	}
