@@ -24,7 +24,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:58518 EXPERIMENTS.md:49217 README.md:24667
+DOC_CEILINGS = DESIGN.md:58481 EXPERIMENTS.md:49177 README.md:24632
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc
@@ -98,14 +98,14 @@ bench:
 
 # Benchmark-regression smoke gate: the specialized inline-plan raise must
 # stay within 25% of the committed inline/bypass ratio, the batched ingress
-# above its floor, and the remote and shard planes and a filter plan under
-# their ceilings
+# above its floor, and the remote and shard planes, a filter plan and the
+# growth of install cost with the handler list under their ceilings
 # (the committed figures are constants beside the gates in
 # benchsmoke_test.go). Ratio-based so it is meaningful on any host.
 # Selected by prefix, so a new TestBenchSmoke* joins the gate; the target
 # first counts what the prefix selects and fails below BENCHSMOKE_GATES, so
 # a gate renamed out of the prefix breaks CI instead of silently leaving it.
-BENCHSMOKE_GATES = 5
+BENCHSMOKE_GATES = 6
 benchsmoke:
 	@listing="$$($(GO) test -list '^TestBenchSmoke' .)" || { echo "$$listing"; exit 1; }; \
 	n="$$(echo "$$listing" | grep -c '^TestBenchSmoke')"; \

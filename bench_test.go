@@ -4,10 +4,12 @@ package spin
 // Each benchmark mirrors one experiment; `go test -bench=. -benchmem`
 // reports nanoseconds on the host machine, confirming the paper's *shapes*
 // (linear scaling in handlers, the inline/no-inline gap, the
-// single-handler bypass, O(n^2) installation) on modern hardware. The
-// calibrated virtual-time reproductions, in the paper's microseconds, come
-// from `go run ./cmd/spin tables` and `go run ./cmd/spin doc`, both built
-// on internal/bench and internal/x11.
+// single-handler bypass) on modern hardware. Installation is the
+// exception: natively it is incremental (BenchmarkInstall), where the
+// paper's regenerated the whole plan. The calibrated virtual-time
+// reproductions, in the paper's microseconds, come from `go run ./cmd/spin
+// tables` and `go run ./cmd/spin doc`, both built on internal/bench and
+// internal/x11.
 
 import (
 	"fmt"
@@ -129,9 +131,13 @@ func BenchmarkTable1Dispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkInstall is §3.1 "Installation overhead": each installation
-// regenerates the event's dispatch plan, so cost grows with the number of
-// handlers already present.
+// BenchmarkInstall is §3.1 "Installation overhead": one install onto an
+// event with present handlers, uninstalled again untimed. The plan is
+// compiled from the published one, but behind an uninstall the space past
+// the residents is already claimed, so each install copies the residents'
+// steps into a new chain: cost still grows with the handlers present, by a
+// copy per step. An append behind a line of appends writes in place
+// instead (TestBenchSmokeInstallScaling).
 func BenchmarkInstall(b *testing.B) {
 	for _, present := range []int{0, 10, 100} {
 		b.Run(fmt.Sprintf("present=%d", present), func(b *testing.B) {

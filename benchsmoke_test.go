@@ -44,6 +44,13 @@ const (
 	// (measured 0.94-1.08x when committed, 1.36-1.65x with the filter on the
 	// observed walk; 2-vCPU Xeon).
 	filterCeiling = 1.30
+	// installScalingCeiling is a ceiling with tolerance baked in: 256
+	// appends onto a fresh event, each binding guarded by an ArgEq, must
+	// take at most this multiple of 8 times 32 such appends. A cost linear
+	// in the residents per install reads 8; incremental installation keeps
+	// it nearly flat (best of three 2.12-2.51x when committed, 4.46-4.62x
+	// with every install regenerating the plan; 2-vCPU Xeon).
+	installScalingCeiling = 3.5
 )
 
 func requireSmoke(t *testing.T) {
@@ -270,5 +277,50 @@ func TestBenchSmokeFilter(t *testing.T) {
 	if ratio := bestRatio(t, "unfiltered", raise1(plainEv.Raise1), "filtered", raise1(filterEv.Raise1)); ratio > filterCeiling {
 		t.Errorf("filtered/unfiltered raise ratio %.2fx exceeds committed %.2fx ceiling: filters left the plain stencil",
 			ratio, filterCeiling)
+	}
+}
+
+// TestBenchSmokeInstallScaling is the incremental-installation gate: the
+// time of 256 appends onto a fresh event, over 8 times that of 32, stays
+// under installScalingCeiling. Each append compiles its plan from the
+// published one, extending its steps and guard index in place; a change
+// that sends installs back to full regeneration fails it.
+func TestBenchSmokeInstallScaling(t *testing.T) {
+	requireSmoke(t)
+	sig := rtti.Sig(nil, rtti.Word)
+	h := dispatch.Handler{
+		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
+		Fn:   func(any, []any) any { return nil },
+	}
+	appends := func(b *testing.B, n int) {
+		for i := 0; i < b.N; i++ {
+			ev, err := dispatch.New().DefineEvent("Smoke.Install", sig)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < n; k++ {
+				if _, err := ev.Install(h, dispatch.WithGuard(dispatch.Guard{Pred: codegen.ArgEq(0, uint64(k))})); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	measure := func(n int) float64 {
+		res := testing.Benchmark(func(b *testing.B) { appends(b, n) })
+		return float64(res.T.Nanoseconds()) / float64(res.N)
+	}
+	measure(32) // warm up
+	best := 0.0
+	for trial := 0; trial < 3; trial++ {
+		small, large := measure(32), measure(256)
+		ratio := large / (8 * small)
+		t.Logf("trial %d: 32 appends %.1f us, 256 appends %.1f us, ratio %.2fx", trial, small/1e3, large/1e3, ratio)
+		if best == 0 || ratio < best {
+			best = ratio
+		}
+	}
+	if best > installScalingCeiling {
+		t.Errorf("256/(8x32) append ratio %.2fx exceeds committed %.2fx ceiling: installs regenerate the plan again",
+			best, installScalingCeiling)
 	}
 }

@@ -211,7 +211,7 @@ func shardScaling(w io.Writer) error {
 func showDisasm(w io.Writer) {
 	var cell atomic.Uint64
 	mk := func(bindings []*codegen.Binding, opts codegen.Options) {
-		p := codegen.Compile(codegen.EventInfo{Name: "Demo.Event", Arity: 1},
+		p := codegen.Compile(nil, codegen.EventInfo{Name: "Demo.Event", Arity: 1},
 			bindings, nil, nil, opts)
 		fmt.Fprintln(w, p.Disassemble())
 	}

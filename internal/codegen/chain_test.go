@@ -1,0 +1,193 @@
+package codegen
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"spin/internal/trace"
+)
+
+// logBinding is a handler guarded on ArgEq(0, key) that appends id to the
+// log its raise carries as argument 1, so concurrent raisers keep separate
+// fire logs.
+func logBinding(id int, key uint64) *Binding {
+	return &Binding{
+		Guards:  []Guard{{Pred: ArgEq(0, key)}},
+		Closure: id,
+		Fn: func(c any, args []any) any {
+			log := args[1].(*[]int)
+			*log = append(*log, c.(int))
+			return nil
+		},
+	}
+}
+
+// logFires raises p once with arg0 = key and returns the ids that fired.
+func logFires(p *Plan, key uint64) []int {
+	var log []int
+	p.Execute(&Env{}, []any{key, &log}, 0)
+	return log
+}
+
+// wantFires is the reference: the ids of the list's bindings keyed on key,
+// in list order.
+func wantFires(list []*Binding, key uint64) []int {
+	var ids []int
+	for _, b := range list {
+		if b.Guards[0].Pred.K == key {
+			ids = append(ids, b.Closure.(int))
+		}
+	}
+	return ids
+}
+
+// checkFires raises every key the lists use on p and compares the fire log
+// with the reference over list.
+func checkFires(t *testing.T, label string, p *Plan, list []*Binding) {
+	t.Helper()
+	for key := uint64(0); key < 8; key++ {
+		if got, want := logFires(p, key), wantFires(list, key); !slices.Equal(got, want) {
+			t.Fatalf("%s: key %d fired %v, want %v", label, key, got, want)
+		}
+	}
+}
+
+// sharesSteps reports whether two plans read one backing array.
+func sharesSteps(a, b *Plan) bool { return &a.steps[0] == &b.steps[0] && &a.flat[0] == &b.flat[0] }
+
+// TestChainSharesStorage walks the storage rules of incremental
+// installation: an append at the chain's marks writes in place; a
+// truncation and a recompile that changes no step share the arrays and the
+// guard index; an append behind a truncation copies, leaving the plan it
+// was compiled from intact.
+func TestChainSharesStorage(t *testing.T) {
+	list := make([]*Binding, 6)
+	for i := range list {
+		list[i] = logBinding(i, uint64(i%3))
+	}
+	inf := info(2, false)
+	p4 := Compile(nil, inf, list[:4], nil, nil, Options{})
+	p5 := Compile(p4, inf, list[:5], nil, nil, Options{})
+	if !sharesSteps(p4, p5) {
+		t.Error("an append at the marks copied the prefix")
+	}
+	if &p4.runs[0].slots[0] == &p5.runs[0].slots[0] {
+		t.Error("an extended run shares the table a published plan reads")
+	}
+	traced := Compile(p5, inf, list[:5], nil, nil, Options{Trace: trace.New(trace.Config{Capacity: 8})})
+	if !sharesSteps(p5, traced) || &p5.runs[0].slots[0] != &traced.runs[0].slots[0] {
+		t.Error("a trace toggle did not share the steps and the index")
+	}
+	p4again := Compile(p5, inf, list[:4], nil, nil, Options{})
+	if !sharesSteps(p5, p4again) {
+		t.Error("uninstalling the last binding copied the prefix")
+	}
+	other := Compile(p4again, inf, append(list[:4:4], list[5]), nil, nil, Options{})
+	if sharesSteps(p4again, other) {
+		t.Error("an append behind a truncation wrote into the chain")
+	}
+	for _, c := range []struct {
+		label string
+		p     *Plan
+		list  []*Binding
+	}{
+		{"p4", p4, list[:4]}, {"p5", p5, list[:5]}, {"traced", traced, list[:5]},
+		{"p4again", p4again, list[:4]}, {"other", other, append(list[:4:4], list[5])},
+	} {
+		checkFires(t, c.label, c.p, c.list)
+		if want := Compile(nil, inf, c.list, nil, nil, c.p.opts).Disassemble(); c.p.Disassemble() != want {
+			t.Errorf("%s disassembles\n%s\nfrom scratch\n%s", c.label, c.p.Disassemble(), want)
+		}
+	}
+}
+
+// TestCompileSamePrevClaimsOnce: two plans compiled concurrently from one
+// predecessor, each appending a different binding, claim the chain behind
+// it at most once between them, and both dispatch their own lists.
+func TestCompileSamePrevClaimsOnce(t *testing.T) {
+	base := make([]*Binding, 5)
+	for i := range base {
+		base[i] = logBinding(i, uint64(i%4))
+	}
+	inf := info(2, false)
+	for trial := 0; trial < 50; trial++ {
+		prev := Compile(nil, inf, base, nil, nil, Options{})
+		lists := [2][]*Binding{append(base[:5:5], logBinding(5, 1)), append(base[:5:5], logBinding(6, 2))}
+		var plans [2]*Plan
+		var wg sync.WaitGroup
+		for i := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				plans[i] = Compile(prev, inf, lists[i], nil, nil, Options{})
+			}()
+		}
+		wg.Wait()
+		if sharesSteps(prev, plans[0]) && sharesSteps(prev, plans[1]) {
+			t.Fatal("both plans appended in place behind one predecessor")
+		}
+		checkFires(t, "prev", prev, base)
+		for i, p := range plans {
+			checkFires(t, fmt.Sprintf("plan %d", i), p, lists[i])
+		}
+	}
+}
+
+// TestChainRaisesMatchPublishedPlans races raisers against a writer that
+// appends behind an indexed run, uninstalls the last binding and appends
+// again, each plan compiled from the published one. Every raise must fire
+// what the list of the plan it loaded fires. Run it under -race.
+func TestChainRaisesMatchPublishedPlans(t *testing.T) {
+	type published struct {
+		plan *Plan
+		list []*Binding
+	}
+	inf := info(2, false)
+	base := make([]*Binding, 8)
+	for i := range base {
+		base[i] = logBinding(i, uint64(i%5))
+	}
+	var live atomic.Pointer[published]
+	live.Store(&published{Compile(nil, inf, base, nil, nil, Options{}), base})
+	publish := func(list []*Binding) {
+		live.Store(&published{Compile(live.Load().plan, inf, list, nil, nil, Options{}), list})
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	const raisers = 2
+	errs := make(chan string, raisers) // each raiser sends at most once
+	for r := 0; r < raisers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for key := uint64(r); !done.Load(); key = (key + 1) % 8 {
+				v := live.Load()
+				if got, want := logFires(v.plan, key), wantFires(v.list, key); !slices.Equal(got, want) {
+					errs <- fmt.Sprintf("key %d fired %v on a plan of %d steps, want %v", key, got, v.plan.Steps(), want)
+					return
+				}
+			}
+		}()
+	}
+	id := len(base)
+	for op := 0; op < 600 && len(errs) == 0; op++ {
+		list := live.Load().list
+		switch {
+		case op%3 == 2 || len(list) > 40: // uninstall the last binding
+			publish(list[: len(list)-1 : len(list)-1])
+		default: // append behind the run
+			publish(append(list[:len(list):len(list)], logBinding(id, uint64(id%7))))
+			id++
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}

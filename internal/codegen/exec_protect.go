@@ -26,7 +26,7 @@ const (
 	walkDone                   // the frame is complete
 	inGuard                    // out-of-line guard number guard of step pos
 	inHandler                  // the body of step pos
-	inDefault                  // the default handler's body (pos is its record)
+	inDefault                  // the default handler's body (pos is past the steps)
 )
 
 // walkState is one frame's walk (see flatFrame): the observed walk's Env
@@ -81,28 +81,29 @@ func (p *Plan) capture(ws *walkState) {
 		return
 	}
 	pos := ws.pos
-	s := &p.flat[pos]
 	ws.pos, ws.phase = pos+1, inWalk
 	rec := ws.recorder()
 	if phase == inGuard {
-		p.protect.GuardPanic(s.tag, v, debug.Stack())
+		p.protect.GuardPanic(p.flat[pos].tag, v, debug.Stack())
 		if rec != nil {
 			rec.guard(pos, ws.guard, false, false)
 		}
 		return
 	}
 	mode := trace.ModeDefault
+	var tag any
 	switch {
 	case phase == inDefault:
+		tag = p.def.b.Tag
 		pos, ws.out.UsedDefault, ws.phase = -1, true, walkDone
 	case p.steps[pos].mode == trace.ModeFilter:
-		mode = trace.ModeFilter
+		tag, mode = p.flat[pos].tag, trace.ModeFilter
 		ws.filtered++
 	default:
-		mode = p.steps[pos].mode
+		tag, mode = p.flat[pos].tag, p.steps[pos].mode
 		ws.out.Fired++
 	}
-	p.protect.HandlerPanic(s.tag, v, debug.Stack())
+	p.protect.HandlerPanic(tag, v, debug.Stack())
 	if rec != nil {
 		rec.handler(pos, mode, false)
 	}

@@ -118,7 +118,7 @@ func (lo *lowered) flatten() {
 			leaves = append(leaves, flatPred{op: predOpCall, fn: g.Fn, clo: g.Closure})
 		}
 	}
-	if lo.leaves = len(leaves); lo.leaves > 0 {
+	if len(leaves) > 0 {
 		lo.flat.g0 = leaves[0]
 		lo.rest = append([]flatPred(nil), leaves[1:]...)
 	}
@@ -141,32 +141,11 @@ var stencils = [8]frameFn{
 	flatFrame[on, on, off, off], flatFrame[on, on, on, off],
 }
 
-// compileFlat assembles the plan's flattened form from its bindings'
-// memoised lowerings (pooled of their leaves go to the pool) and selects
-// the plain stencil, which only a plan that may retain its arguments (an
-// async or ephemeral step) does not get: every raise of it runs the
-// observed walk.
-func (p *Plan) compileFlat(pooled int) {
-	if p.direct != nil {
-		return
-	}
-	p.flat = make([]flatStep, len(p.steps), len(p.steps)+1)
-	p.flatPreds = make([]flatPred, 0, pooled)
-	for i := range p.steps {
-		lo := p.steps[i].b.lower(p.opts)
-		fs := &p.flat[i]
-		*fs = lo.flat
-		fs.p0 = int32(len(p.flatPreds))
-		p.flatPreds = append(p.flatPreds, lo.rest...)
-		fs.p1 = int32(len(p.flatPreds))
-		p.leaves += lo.leaves
-	}
-	if p.def != nil {
-		// The default handler's record rides behind the last step: its tag
-		// is what the barrier's capture reports a panic under.
-		p.flat = append(p.flat, flatStep{tag: p.def.b.Tag})
-	}
-	if p.retains {
+// selectStencil selects the plan's plain stencil, which only the direct
+// bypass and a plan that may retain its arguments (an async or ephemeral
+// step) do not get: every raise of the latter runs the observed walk.
+func (p *Plan) selectStencil() {
+	if p.direct != nil || p.retaining > 0 {
 		return
 	}
 	shape := 0

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -293,7 +294,7 @@ func FuzzPredCompile(f *testing.F) {
 			{Options: Options{DisablePeephole: true}},
 			{Metered: true},
 		} {
-			plan := Compile(EventInfo{Name: "Fuzz.Pred", Arity: arity},
+			plan := Compile(nil, EventInfo{Name: "Fuzz.Pred", Arity: arity},
 				[]*Binding{binding}, nil, nil, opts.Options)
 			r2 := *r // same raises for every configuration
 			for trial := 0; trial < 4; trial++ {
@@ -313,14 +314,113 @@ func FuzzPredCompile(f *testing.F) {
 	})
 }
 
+// Chain ops: how chainPlan reaches a binding list through a line of plans,
+// each compiled from the last. Each op is a code byte and an operand byte.
+const (
+	opAppend      = 0 // the list's next binding, behind the chain's
+	opFirst       = 1 // a decoy, installed First
+	opBefore      = 2 // a decoy at position operand (Before or After a binding)
+	opUninstLast  = 3
+	opUninstMid   = 4 // the binding at position operand
+	opTrace       = 5 // toggle tracing
+	opProtect     = 6 // toggle the fault policy
+	opRecompile   = 7 // a recompile that changes nothing
+	chainOpsLimit = 16
+)
+
+// chainPlan compiles the binding list a second time, through a line of
+// plans each compiled from the last (Compile's prev), starting at the empty
+// plan. The ops decoded into ops (pairs of code and operand) append the
+// list's bindings, install decoys first, before or after other bindings,
+// uninstall the last or a middle binding, and toggle tracing and the fault
+// policy. The line then uninstalls back to the longest prefix of the list
+// it holds, appends the rest one binding at a time, and recompiles under
+// opts itself: every plan of a from-scratch compile, reached as an event
+// reaches it.
+func chainPlan(ops []byte, info EventInfo, bindings, decoys []*Binding, resultFn ResultFn, def *Binding, opts Options, tracer *trace.Tracer) *Plan {
+	o := opts
+	var cur []*Binding
+	next := 0 // the list's next binding to append
+	p := Compile(nil, info, nil, resultFn, def, o)
+	install := func(at int, b *Binding) { cur = slices.Insert(cur, at, b) }
+	for i := 0; i+1 < len(ops); i += 2 {
+		x := int(ops[i+1])
+		switch ops[i] % 8 {
+		case opAppend:
+			if next < len(bindings) {
+				install(len(cur), bindings[next])
+				next++
+			}
+		case opFirst:
+			install(0, decoys[x%len(decoys)])
+		case opBefore:
+			install(x%(len(cur)+1), decoys[x%len(decoys)])
+		case opUninstLast, opUninstMid:
+			if len(cur) == 0 {
+				break
+			}
+			at := len(cur) - 1
+			if ops[i]%8 == opUninstMid {
+				at = x % len(cur)
+			}
+			if next > 0 && cur[at] == bindings[next-1] && at == len(cur)-1 {
+				next-- // appended again later
+			}
+			cur = slices.Delete(cur, at, at+1)
+		case opTrace:
+			if o.Trace == nil {
+				o.Trace = tracer
+			} else {
+				o.Trace = nil
+			}
+		case opProtect:
+			if o.Protect == nil {
+				o.Protect = &recHook{}
+			} else {
+				o.Protect = nil
+			}
+		}
+		p = Compile(p, info, cur, resultFn, def, o)
+	}
+	keep := 0
+	for keep < len(cur) && keep < len(bindings) && cur[keep] == bindings[keep] {
+		keep++
+	}
+	if keep < len(cur) {
+		p = Compile(p, info, bindings[:keep], resultFn, def, o)
+	}
+	for n := keep + 1; n <= len(bindings); n++ {
+		p = Compile(p, info, bindings[:n], resultFn, def, o)
+	}
+	return Compile(p, info, bindings, resultFn, def, opts)
+}
+
+// genDecoys builds the bindings chainPlan installs and uninstalls around
+// the list's: an equality on argument 0 (so it joins or splits a run), a
+// filter and an async binding (whose plans carry no plain stencil and, so,
+// no guard index). A plan that still holds one is never raised.
+func genDecoys(arity int, k uint64, cell *atomic.Uint64) []*Binding {
+	g := Guard{Pred: GlobalEq(cell, k)}
+	if arity > 0 {
+		g = Guard{Pred: ArgEq(0, k)}
+	}
+	nop := func(any, []any) any { return nil }
+	return []*Binding{
+		{Guards: []Guard{g}, Fn: nop, Name: "fuzz.Decoy"},
+		{Filter: true, Fn: nop, Name: "fuzz.DecoyFilter"},
+		{Async: true, Fn: nop, Name: "fuzz.DecoyAsync"},
+	}
+}
+
 // FuzzTreeDispatch compiles a random binding list under every optimizer
 // configuration — including the guard index on both walks, the flattened
 // shape-specialized stencil, metered raises (the observed walk) and the
-// traced routine — and checks
-// each fires the same handler and filter sequence as the reference model,
-// merges results identically, falls back to the default handler on the
-// same raises, and counts the same firings — per binding, for the default
-// handler, and in the fired total.
+// traced routine — twice: from scratch, and through a random line of plans
+// each compiled from the last (chainPlan). The two must disassemble
+// byte-identically, and each must fire the same handler and filter
+// sequence as the reference model, merge results identically, fall back to
+// the default handler on the same raises, and count the same firings — per
+// binding, for the default handler, and in the fired total.
 func FuzzTreeDispatch(f *testing.F) {
 	for _, seed := range indexSeeds {
 		for _, result := range [][]byte{{0, 0}, {1, 1}, {1, 0}} { // void, fold, ambiguous
@@ -332,6 +432,35 @@ func FuzzTreeDispatch(f *testing.F) {
 	}
 	f.Add([]byte{1, 4, 0, 0, 3, 1, 7, 2, 0, 5, 5, 2, 1, 1})
 	f.Add([]byte{2, 8})
+	// Lines of plans aimed at incremental installation: header, bindings,
+	// four one-word raises, then the chain ops. Zero ops append the list
+	// one binding at a time.
+	chained := func(def byte, bindings [][]byte, ops ...byte) {
+		header := []byte{1, byte(len(bindings) - 1), 1, 1, 1, def}
+		f.Add(seedJoin(header, seedJoin(bindings...), []byte{1, 2, 0, 3, byte(len(ops) / 2)}, ops))
+	}
+	eqs := func(keys ...byte) [][]byte {
+		var out [][]byte
+		for _, k := range keys {
+			out = append(out, seedEq(0, k))
+		}
+		return out
+	}
+	// The fourth append makes the run reach treeThreshold.
+	chained(0, eqs(1, 2, 3, 1, 2))
+	// An append after an uninstall of the last binding, which must copy.
+	chained(0, eqs(1, 2, 1, 3, 2, 1), opAppend, 0, opAppend, 0, opAppend, 0, opAppend, 0, opAppend, 0, opUninstLast, 0)
+	// Appends that grow the index table, at the sixth and the eleventh step.
+	chained(0, eqs(1, 2, 3, 0, 1, 2, 3, 1, 2, 1, 2, 3))
+	// Appends behind a filter, ahead of the run and splitting it.
+	chained(0, append(append(append([][]byte{seedFilter(0, 2)}, eqs(1, 2, 1, 3, 2)...), seedFilter(0, 1)), eqs(1, 2)...))
+	// An append with a default handler installed.
+	chained(1, eqs(1, 2, 3, 1, 2))
+	// First, Before/After and middle uninstalls of decoys, and toggles.
+	chained(1, eqs(1, 2, 3, 1, 2, 3), opAppend, 0, opFirst, 0, opAppend, 0, opAppend, 0, opBefore, 2,
+		opTrace, 0, opAppend, 0, opUninstMid, 0, opProtect, 0, opAppend, 0, opFirst, 2, opRecompile, 0)
+	chained(0, eqs(1, 2, 3, 1, 2, 3, 1), opAppend, 0, opAppend, 0, opAppend, 0, opAppend, 0, opAppend, 0,
+		opUninstMid, 1, opBefore, 1, opProtect, 0, opTrace, 0, opUninstLast, 0, opUninstLast, 0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		arity := int(r.byte() % 7) // 0..6: every arity shape plus arity-any
@@ -386,6 +515,17 @@ func FuzzTreeDispatch(f *testing.F) {
 			}
 		}
 
+		// The raises, then the chain ops.
+		var raises [4][]any
+		for i := range raises {
+			raises[i] = genArgs(r, arity)
+		}
+		ops := make([]byte, 2*int(r.byte()%chainOpsLimit))
+		for i := range ops {
+			ops[i] = r.byte()
+		}
+		decoys := genDecoys(arity, 1, &cell)
+
 		tracer := trace.New(trace.Config{Capacity: 64})
 		info := EventInfo{Name: "Fuzz.Tree", Arity: arity, HasResult: hasResult}
 		configs := []fuzzConfig{
@@ -397,70 +537,75 @@ func FuzzTreeDispatch(f *testing.F) {
 			{Options: Options{EnableDecisionTree: true}, Metered: true}, // the observed walk through the index
 			{Options: Options{Trace: tracer}},                           // sampling entry over stencil plans
 		}
-		for trial := 0; trial < 4; trial++ {
-			args := genArgs(r, arity)
-			want, handled := naive(args)
-			wantDefault := hasDefault && len(handled) == 0
-			var wantDefaultFired int64
-			if wantDefault {
-				wantDefaultFired = 1
+		for _, opts := range configs {
+			scratch := Compile(nil, info, bindings, resultFn, defaultB, opts.Options)
+			chained := chainPlan(ops, info, bindings, decoys, resultFn, defaultB, opts.Options, tracer)
+			if got, want := chained.Disassemble(), scratch.Disassemble(); got != want {
+				t.Fatalf("opts %+v ops %v: the chained plan disassembles\n%s\nfrom scratch\n%s", opts, ops, got, want)
 			}
-			for _, opts := range configs {
-				plan := Compile(info, bindings, resultFn, defaultB, opts.Options)
-				var total stripe.Counter
-				fired, defaultFired = nil, 0
-				frame := append([]any(nil), args...) // the filters rewrite it
-				out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, frame, 0)
-				if len(fired) != len(want) {
-					t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
-				}
-				for i := range want {
-					if fired[i] != want[i] {
-						t.Fatalf("opts %+v args %v: order %v, model %v", opts, args, fired, want)
+			for _, plan := range []*Plan{scratch, chained} {
+				for _, args := range raises {
+					want, handled := naive(args)
+					wantDefault := hasDefault && len(handled) == 0
+					var wantDefaultFired int64
+					if wantDefault {
+						wantDefaultFired = 1
 					}
-				}
-				if out.Fired != len(handled) {
-					t.Fatalf("opts %+v args %v: Outcome.Fired %d, model %d",
-						opts, args, out.Fired, len(handled))
-				}
-				if out.UsedDefault != wantDefault {
-					t.Fatalf("opts %+v args %v: UsedDefault %v, model %v",
-						opts, args, out.UsedDefault, wantDefault)
-				}
-				if hasResult && (len(handled) > 0 || wantDefault) {
-					var wantRes uint64
-					switch {
-					case wantDefault:
-						wantRes = uint64(n)
-					case foldResults:
-						for _, i := range handled {
-							wantRes += uint64(i)
+					var total stripe.Counter
+					fired, defaultFired = nil, 0
+					frame := append([]any(nil), args...) // the filters rewrite it
+					out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, frame, 0)
+					if len(fired) != len(want) {
+						t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
+					}
+					for i := range want {
+						if fired[i] != want[i] {
+							t.Fatalf("opts %+v args %v: order %v, model %v", opts, args, fired, want)
 						}
-					default:
-						wantRes = uint64(handled[len(handled)-1])
 					}
-					if got, ok := out.Result.(uint64); !ok || got != wantRes {
-						t.Fatalf("opts %+v args %v: result %v, model %d",
-							opts, args, out.Result, wantRes)
+					if out.Fired != len(handled) {
+						t.Fatalf("opts %+v args %v: Outcome.Fired %d, model %d",
+							opts, args, out.Fired, len(handled))
 					}
-					if wantAmb := !foldResults && len(handled) > 1; out.Ambiguous != wantAmb {
-						t.Fatalf("opts %+v args %v: ambiguous %v, model %v",
-							opts, args, out.Ambiguous, wantAmb)
+					if out.UsedDefault != wantDefault {
+						t.Fatalf("opts %+v args %v: UsedDefault %v, model %v",
+							opts, args, out.UsedDefault, wantDefault)
 					}
-				}
+					if hasResult && (len(handled) > 0 || wantDefault) {
+						var wantRes uint64
+						switch {
+						case wantDefault:
+							wantRes = uint64(n)
+						case foldResults:
+							for _, i := range handled {
+								wantRes += uint64(i)
+							}
+						default:
+							wantRes = uint64(handled[len(handled)-1])
+						}
+						if got, ok := out.Result.(uint64); !ok || got != wantRes {
+							t.Fatalf("opts %+v args %v: result %v, model %d",
+								opts, args, out.Result, wantRes)
+						}
+						if wantAmb := !foldResults && len(handled) > 1; out.Ambiguous != wantAmb {
+							t.Fatalf("opts %+v args %v: ambiguous %v, model %v",
+								opts, args, out.Ambiguous, wantAmb)
+						}
+					}
 
-				// Statistics: whichever executor the configuration reached
-				// (bypass, stencil, general, sampled), the fired-total flush
-				// must count what the model fired, filters and the default
-				// handler's firing included; the fire log above holds the
-				// bindings'.
-				if defaultFired != wantDefaultFired {
-					t.Fatalf("opts %+v args %v: default fired %d, model %d",
-						opts, args, defaultFired, wantDefaultFired)
-				}
-				if wantTotal := int64(len(want)) + wantDefaultFired; total.Load() != wantTotal {
-					t.Fatalf("opts %+v args %v: FiredTotal %d, model %d",
-						opts, args, total.Load(), wantTotal)
+					// Statistics: whichever executor the configuration reached
+					// (bypass, stencil, general, sampled), the fired-total flush
+					// must count what the model fired, filters and the default
+					// handler's firing included; the fire log above holds the
+					// bindings'.
+					if defaultFired != wantDefaultFired {
+						t.Fatalf("opts %+v args %v: default fired %d, model %d",
+							opts, args, defaultFired, wantDefaultFired)
+					}
+					if wantTotal := int64(len(want)) + wantDefaultFired; total.Load() != wantTotal {
+						t.Fatalf("opts %+v args %v: FiredTotal %d, model %d",
+							opts, args, total.Load(), wantTotal)
+					}
 				}
 			}
 		}
@@ -551,8 +696,9 @@ func FuzzBatchDispatch(f *testing.F) {
 		}
 
 		// live is the published-plan cell, as the dispatcher keeps one per
-		// event: publish compiles and stores the plan of the bindings still
-		// installed, under the configuration being tested.
+		// event: publish compiles the plan of the bindings still installed,
+		// under the configuration being tested, from the live one (as
+		// Event.recompile does), and stores it.
 		var (
 			fired     []int
 			live      atomic.Pointer[Plan]
@@ -569,7 +715,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			if hook != nil {
 				o.Protect = hook
 			}
-			live.Store(Compile(info, installed, resultFn, nil, o))
+			live.Store(Compile(live.Load(), info, installed, resultFn, nil, o))
 		}
 		bindings = genBindings(r, n, arity, &cell, "fuzz.B", func(i int) {
 			fired = append(fired, i)

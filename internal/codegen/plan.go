@@ -93,14 +93,14 @@ type Binding struct {
 // lowered is a binding's compiled form under DisablePeephole, the one
 // option that shapes it: the step Compile copies into a plan and its
 // flattened twin with the guard leaves behind the embedded first. The
-// binding memoises it, so recompiling an event lowers only new bindings.
+// binding memoises it, so a plan lowers only the bindings behind the prefix
+// it keeps of its predecessor, and those from the memo.
 type lowered struct {
 	noPeephole bool
 	live       bool // false: peephole proved the binding can never fire
 	st         step
 	flat       flatStep   // p0/p1 are set per plan
 	rest       []flatPred // the leaves after flat.g0
-	leaves     int        // all guard leaves, g0 included
 }
 
 // EventInfo carries the event attributes the generator specializes on.
@@ -183,14 +183,13 @@ type Plan struct {
 	// filters are the positions of the filter steps, in plan order: the
 	// plain walk runs each at a segment boundary (flat.go).
 	filters []int
-	// retains is set when some live binding (asynchronous or ephemeral)
+	// retaining counts the live bindings (asynchronous or ephemeral) that
 	// may hold the raise argument slice past the raise, so callers must
 	// not recycle it. Dispatcher fast paths consult RetainsArgs before
 	// reusing pooled argument buffers.
-	retains bool
-	// Bindings is the number of live bindings compiled into the plan,
-	// used by the dispatcher to charge the O(n) regeneration cost.
-	Bindings int
+	retaining int
+	// outOfLine counts the steps that do not execute fully inline.
+	outOfLine int
 	// prog is the plan's trace recording handle, non-nil only when the
 	// plan was compiled with Options.Trace. Untraced plans pay a single
 	// nil check per raise and nothing else.
@@ -201,16 +200,18 @@ type Plan struct {
 	// admitQ is the admission queue compiled into the plan
 	// (Options.Admit); nil plans spawn asynchronous work unqueued.
 	admitQ *admit.Queue
-	// Ahead-of-time specialization (flat.go): the flattened step array
-	// (followed by the default handler's statistics record, if there is
-	// one), the pool of guard leaves behind each step's embedded first, the
-	// count of all leaves, and the plain stencil instantiation selected at
-	// compile time (nil when a step may retain the arguments, which only
-	// the observed walk runs). All nil/empty on a direct plan.
+	// Ahead-of-time specialization (flat.go): the flattened step array, the
+	// pool of guard leaves behind each step's embedded first, the count of
+	// all leaves, and the plain stencil instantiation selected at compile
+	// time (nil on a direct plan, and when a step may retain the arguments,
+	// which only the observed walk runs).
 	flat      []flatStep
 	flatPreds []flatPred
 	leaves    int
 	frame     frameFn
+	// chain is the storage steps, flat and flatPreds share with the plans
+	// compiled before and after this one (nil while the plan is empty).
+	chain *chain
 }
 
 // Env supplies the execution hooks the generated routine needs from the
@@ -254,9 +255,14 @@ type Outcome struct {
 	UsedDefault bool
 }
 
-// Compile generates the dispatch routine for the given binding list. The
-// returned plan is immutable; the dispatcher swaps it in atomically.
-func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
+// Compile generates the dispatch routine for the given binding list. prev
+// is the event's current plan, or nil to compile from scratch. The new plan
+// keeps the longest prefix of prev's steps that run the same bindings,
+// sharing their storage and the guard index over them (chain.go), and
+// lowers only the bindings behind it, from their memos: an install
+// appended behind the residents lowers one binding, not n. The returned
+// plan is immutable; the dispatcher swaps it in atomically.
+func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
 	p := &Plan{info: info, opts: opts, resultFn: resultFn,
 		protect: opts.Protect, admitQ: opts.Admit}
 	if defaultB != nil {
@@ -264,26 +270,30 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 		// the step index its trace span carries.
 		p.def = &step{b: defaultB, idx: -1, inline: defaultB.Inline != nil}
 	}
-	p.steps = make([]step, 0, len(bindings))
-	pooled := 0 // guard leaves behind the steps' embedded first
-	allInline := true
-	for _, b := range bindings {
-		lo := b.lower(opts)
-		if !lo.live {
-			continue
-		}
-		pooled += len(lo.rest)
-		allInline = allInline && lo.st.inline
-		st := lo.st
-		st.idx = len(p.steps)
-		if b.Filter {
-			p.filters = append(p.filters, st.idx)
-		}
-		p.steps = append(p.steps, st)
-		p.Bindings++
-		p.retains = p.retains || b.Async || b.Ephemeral
+	if prev != nil && prev.opts.DisablePeephole != opts.DisablePeephole {
+		prev = nil // its steps were lowered differently
 	}
-	p.allInline = allInline && len(p.steps) > 0
+	// The kept prefix: prev's first k steps, while they run the bindings
+	// listed (a dead binding has no step to compare).
+	k, rest := 0, bindings
+	if prev != nil {
+		for ; len(rest) > 0 && k < len(prev.steps); rest = rest[1:] {
+			if rest[0] == prev.steps[k].b {
+				k++
+			} else if rest[0].lower(opts).live {
+				break
+			}
+		}
+	}
+	var buf [4]*lowered // the usual recompile appends one binding or none
+	suffix := buf[:0]
+	for _, b := range rest {
+		if lo := b.lower(opts); lo.live {
+			suffix = append(suffix, lo)
+		}
+	}
+	p.extend(prev, k, suffix)
+	p.allInline = p.outOfLine == 0 && len(p.steps) > 0
 	// Single-binding bypass: one live synchronous unguarded non-filter
 	// binding dispatches as a direct procedure call (Figure 1's "an event
 	// with only an intrinsic handler is identical to a procedure call").
@@ -293,9 +303,14 @@ func Compile(info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *B
 			p.direct = st
 		}
 	}
-	p.compileFlat(pooled)
-	if p.frame != nil || opts.EnableDecisionTree {
-		p.runs = buildGuardIndex(p.steps)
+	p.selectStencil()
+	if p.indexed() {
+		var runs []guardRun
+		kept := 0
+		if prev != nil && prev.indexed() {
+			runs, kept = prev.runs, k
+		}
+		p.runs = buildGuardIndex(p.steps, runs, kept)
 	}
 	if opts.Trace != nil {
 		// Register the plan's step layout with the tracer: spans carry only
@@ -338,6 +353,11 @@ func (p *Plan) Protected() bool { return p.protect != nil }
 // consults it on the plan it loaded, so a policy toggle publishes through
 // the same atomic swap installs use.
 func (p *Plan) AdmitQueue() *admit.Queue { return p.admitQ }
+
+// indexed reports whether the plan carries a guard index: the plain
+// stencil always reads one, the observed walk only under
+// Options.EnableDecisionTree.
+func (p *Plan) indexed() bool { return p.frame != nil || p.opts.EnableDecisionTree }
 
 // IndexedRuns reports the number of runs in the plan's guard index and the
 // total steps they cover (for tests and disassembly). The plain stencil
@@ -433,7 +453,7 @@ func (p *Plan) HasFilter() bool { return p.filters != nil }
 // another thread of control after the raiser proceeds, and an abandoned
 // EPHEMERAL handler keeps executing past its deadline. Callers that pool
 // argument buffers must pass such plans a private copy.
-func (p *Plan) RetainsArgs() bool { return p.retains }
+func (p *Plan) RetainsArgs() bool { return p.retaining > 0 }
 
 // Steps reports the number of live dispatch steps (for tests and
 // disassembly).

@@ -26,6 +26,13 @@ package codegen
 // relies on guards being FUNCTIONAL (§2.3 "Evaluating guards"). A filter may
 // rewrite the discriminated argument, so it never joins a run.
 //
+// Incremental installation (chain.go): a plan compiled from its predecessor
+// shares every run of the predecessor's index that ends before the first
+// step it changes. The run ending at that step, when the new steps extend
+// it, is copied and only the new keys are inserted; it is rebuilt when its
+// table must grow (amortised: the table doubles) or when the new plan cuts
+// into it. Every run behind it is built from scratch.
+//
 // The plain stencil (flat.go) always uses the index. The observed walk —
 // metered raises, so the calibrated model — scans linearly, as the measured
 // system did, unless Options.EnableDecisionTree, the ablation switch.
@@ -72,10 +79,12 @@ func indexKey(st *step) (arg int, k uint64, ok bool) {
 }
 
 // buildGuardIndex finds the indexable runs of a compiled step list and
-// builds each one's table, in plan order.
-func buildGuardIndex(steps []step) []guardRun {
-	var runs []guardRun
-	for i := 0; i < len(steps); {
+// builds each one's table, in plan order. prev is the index of a plan whose
+// first k steps the list shares (nil and 0 when there is none), from which
+// keptRuns takes what still holds.
+func buildGuardIndex(steps []step, prev []guardRun, k int) []guardRun {
+	runs, i := keptRuns(steps, prev, k)
+	for i < len(steps) {
 		arg, _, ok := indexKey(&steps[i])
 		if !ok {
 			i++
@@ -94,6 +103,52 @@ func buildGuardIndex(steps []step) []guardRun {
 		i = j
 	}
 	return runs
+}
+
+// keptRuns returns the runs of prev a plan sharing its first k steps keeps,
+// and the step its scan for further runs starts at: the start of the
+// stretch of steps that may discriminate on one argument around step k.
+func keptRuns(steps []step, prev []guardRun, k int) ([]guardRun, int) {
+	if k == 0 {
+		return nil, 0
+	}
+	m := len(prev) // prev's runs that start in the kept prefix
+	for m > 0 && prev[m-1].start >= k {
+		m--
+	}
+	lo := 0 // where a stretch ending at step k-1 may start
+	if m > 0 {
+		r := &prev[m-1]
+		switch {
+		case r.end > k: // the prefix cuts into the run: rebuild it
+			return prev[: m-1 : m-1], r.start
+		case r.end == k:
+			end := k
+			for end < len(steps) {
+				if a, _, ok := indexKey(&steps[end]); !ok || a != r.arg {
+					break
+				}
+				end++
+			}
+			if end == k {
+				return prev[:m:m], k
+			}
+			return append(prev[:m-1:m-1], r.extend(steps, end)), end
+		}
+		lo = r.end
+	}
+	// Step k-1 ends no run: any stretch it ends is shorter than
+	// treeThreshold (prev would have indexed it), and the new steps may
+	// lengthen it into one.
+	start := k
+	if arg, _, ok := indexKey(&steps[k-1]); ok {
+		for start--; start > lo; start-- {
+			if a, _, ok := indexKey(&steps[start-1]); !ok || a != arg {
+				break
+			}
+		}
+	}
+	return prev[:m:m], start
 }
 
 // newGuardRun indexes steps[start:end]. Walking the run backwards leaves
@@ -120,6 +175,51 @@ func newGuardRun(steps []step, start, end, arg int) guardRun {
 		s.step = int32(i)
 	}
 	return r
+}
+
+// extend returns the run grown to steps[start:end]: a copy of its table
+// with the steps behind its old end inserted, or a rebuilt one when the
+// table must grow. Either is the table newGuardRun builds for that range up
+// to slot placement.
+func (r *guardRun) extend(steps []step, end int) guardRun {
+	n := end - r.start
+	if len(r.slots) < n+n/2 {
+		return newGuardRun(steps, r.start, end, r.arg)
+	}
+	// Copy, moving the misses (empty slots, chain tails) from the old end to
+	// the new.
+	x := *r
+	x.end = end
+	x.slots = make([]indexSlot, len(r.slots))
+	for i, s := range r.slots {
+		if int(s.step) == r.end {
+			s.step = int32(end)
+		}
+		x.slots[i] = s
+	}
+	x.chain = make([]int32, n)
+	for i, c := range r.chain {
+		if int(c) == r.end {
+			c = int32(end)
+		}
+		x.chain[i] = c
+	}
+	for i := r.end; i < end; i++ {
+		_, k, _ := indexKey(&steps[i])
+		x.chain[i-x.start] = int32(end)
+		s := x.slot(k)
+		if int(s.step) == end {
+			s.key, s.step = k, int32(i)
+			x.keys++
+			continue
+		}
+		t := int(s.step) - x.start // the tail of k's chain
+		for int(x.chain[t]) != end {
+			t = int(x.chain[t]) - x.start
+		}
+		x.chain[t] = int32(i)
+	}
+	return x
 }
 
 // slot probes for k: the slot holding it, or the empty slot where it would

@@ -47,7 +47,7 @@ func (c indexConfig) exec(p *Plan, args ...any) Outcome {
 func TestTreeBuiltAboveThreshold(t *testing.T) {
 	for _, cfg := range indexConfigs {
 		var fired []uint64
-		p := Compile(info(1, false), portBindings(10, &fired), nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), portBindings(10, &fired), nil, nil, cfg.opts)
 		runs, covered := p.IndexedRuns()
 		if runs != 1 || covered != 10 {
 			t.Fatalf("%s: runs=%d covered=%d", cfg.name, runs, covered)
@@ -58,7 +58,7 @@ func TestTreeBuiltAboveThreshold(t *testing.T) {
 func TestTreeNotBuiltBelowThreshold(t *testing.T) {
 	for _, cfg := range indexConfigs {
 		var fired []uint64
-		p := Compile(info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, cfg.opts)
 		if runs, _ := p.IndexedRuns(); runs != 0 {
 			t.Fatalf("%s: index built for %d bindings (threshold %d)",
 				cfg.name, treeThreshold-1, treeThreshold)
@@ -74,14 +74,14 @@ func TestTreeNotBuiltBelowThreshold(t *testing.T) {
 func TestTreeDisabledByDefault(t *testing.T) {
 	var fired []uint64
 	async := &Binding{Async: true, Fn: func(any, []any) any { return nil }}
-	p := Compile(info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{})
+	p := Compile(nil, info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{})
 	if runs, _ := p.IndexedRuns(); runs != 0 {
 		t.Fatal("observed-only plan indexed without EnableDecisionTree")
 	}
 	m := vtime.AlphaModel()
 	want := m.Cost(vtime.DispatchEntry) + m.Cost(vtime.DispatchEntryArg) + 10*m.Cost(vtime.GuardInline) +
 		m.Cost(vtime.HandlerIndirect) + m.Cost(vtime.BindingIndirectArg)
-	got := meteredExec(Compile(info(1, false), portBindings(10, &fired), nil, nil, Options{}), []any{uint64(1009)})
+	got := meteredExec(Compile(nil, info(1, false), portBindings(10, &fired), nil, nil, Options{}), []any{uint64(1009)})
 	if got != want {
 		t.Fatalf("metered raise of an indexed stencil plan charged %v, a linear scan %v", got, want)
 	}
@@ -90,7 +90,7 @@ func TestTreeDisabledByDefault(t *testing.T) {
 func TestTreeDispatchSelectsCorrectBinding(t *testing.T) {
 	for _, cfg := range indexConfigs {
 		var fired []uint64
-		p := Compile(info(1, false), portBindings(20, &fired), nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), portBindings(20, &fired), nil, nil, cfg.opts)
 		out := cfg.exec(p, uint64(1007))
 		if out.Fired != 1 || len(fired) != 1 || fired[0] != 1007 {
 			t.Fatalf("%s: fired=%v out=%+v", cfg.name, fired, out)
@@ -120,7 +120,7 @@ func TestTreeDuplicateConstantsPreserveOrder(t *testing.T) {
 		extra2 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
 			Fn: func(any, []any) any { fired = append(fired, 222); return nil }}
 		bs = append(bs, extra1, extra2)
-		p := Compile(info(1, false), bs, nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), bs, nil, nil, cfg.opts)
 		cfg.exec(p, uint64(1002))
 		if len(fired) != 3 || fired[0] != 1002 || fired[1] != 111 || fired[2] != 222 {
 			t.Fatalf("%s: fired = %v", cfg.name, fired)
@@ -135,7 +135,7 @@ func TestTreeBreaksOnIneligibleStep(t *testing.T) {
 		// An unguarded binding in the middle splits the runs.
 		mid := &Binding{Fn: func(any, []any) any { fired = append(fired, 7); return nil }}
 		bs = append(bs[:2], append([]*Binding{mid}, portBindings(4, &fired)...)...)
-		p := Compile(info(1, false), bs, nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), bs, nil, nil, cfg.opts)
 		runs, covered := p.IndexedRuns()
 		// Runs of 2 and 4: only the 4-run is indexed.
 		if runs != 1 || covered != 4 {
@@ -159,7 +159,7 @@ func TestTreeExcludesFilters(t *testing.T) {
 	// and the run behind it extracts the word afresh.
 	bs[4].Filter = true
 	bs[4].Fn = func(_ any, args []any) any { args[0] = uint64(1007); return nil }
-	p := Compile(info(1, false), bs, nil, nil, Options{EnableDecisionTree: true})
+	p := Compile(nil, info(1, false), bs, nil, nil, Options{EnableDecisionTree: true})
 	if runs, covered := p.IndexedRuns(); runs != 2 || covered != 8 {
 		t.Fatalf("runs=%d covered=%d: filter binding joined an indexed run", runs, covered)
 	}
@@ -203,7 +203,7 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 			treeLog = nil
 			opts := cfg.opts
 			opts.DisableBypass = true
-			cfg.exec(Compile(info(1, false), bs, nil, nil, opts), arg)
+			cfg.exec(Compile(nil, info(1, false), bs, nil, nil, opts), arg)
 			if len(linLog) != len(treeLog) {
 				t.Fatalf("trial %d arg %d: model fires %v, %s fired %v",
 					trial, arg, linLog, cfg.name, treeLog)
@@ -224,7 +224,7 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 func TestTreeFlattensGuardCost(t *testing.T) {
 	measure := func(n int, tree bool) float64 {
 		var fired []uint64
-		p := Compile(info(1, false), portBindings(n, &fired), nil, nil,
+		p := Compile(nil, info(1, false), portBindings(n, &fired), nil, nil,
 			Options{EnableDecisionTree: tree, DisableBypass: true})
 		var clock vtime.Clock
 		cpu := vtime.NewCPU(&clock, vtime.AlphaModel())
@@ -249,7 +249,7 @@ func TestTreeDisassembly(t *testing.T) {
 		var fired []uint64
 		bs := append([]*Binding{{Fn: func(any, []any) any { return nil }}},
 			portBindings(257, &fired)...)
-		d := Compile(info(1, false), bs, nil, nil, cfg.opts).Disassemble()
+		d := Compile(nil, info(1, false), bs, nil, nil, cfg.opts).Disassemble()
 		if !strings.Contains(d, "index arg0: steps 1..257, 257 keys, 512 slots\n") {
 			t.Fatalf("%s: disassembly missing the indexed run:\n%.400s", cfg.name, d)
 		}
@@ -284,7 +284,7 @@ func TestGuardIndexLeafEvaluationsConstant(t *testing.T) {
 						Fn:     func(any, []any) any { return nil },
 					}
 				}
-				p := Compile(info(1, false), bs, nil, nil, cfg.opts)
+				p := Compile(nil, info(1, false), bs, nil, nil, cfg.opts)
 				if runs, covered := p.IndexedRuns(); runs != 1 || covered != len(bs) {
 					t.Fatalf("%s n=%d: runs=%d covered=%d", cfg.name, n, runs, covered)
 				}
