@@ -24,7 +24,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:58481 EXPERIMENTS.md:49177 README.md:24632
+DOC_CEILINGS = DESIGN.md:58466 EXPERIMENTS.md:49148 README.md:24612
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc

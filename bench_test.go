@@ -46,7 +46,7 @@ func benchArgs(n int) []any {
 // with one guard, inline or out-of-line, on an unmetered dispatcher.
 func buildEvent(b *testing.B, args, handlers int, inline bool, opts ...dispatch.Option) *dispatch.Event {
 	b.Helper()
-	d := dispatch.New(append(opts, dispatch.WithCodegenOptions(codegen.Options{DisableBypass: true}))...)
+	d := dispatch.New(opts...)
 	ev, err := d.DefineEvent("Bench.Event", benchSig(args))
 	if err != nil {
 		b.Fatal(err)
@@ -279,47 +279,25 @@ func BenchmarkTable3Preview(b *testing.B) {
 }
 
 // BenchmarkAblationNoBypass quantifies the single-handler bypass (DESIGN.md
-// decision 1): the same intrinsic-only event raised with the bypass
-// enabled and disabled.
+// decision 1): the same intrinsic-only event raised alone, and beside a
+// default handler, which keeps the plan off the bypass.
 func BenchmarkAblationNoBypass(b *testing.B) {
-	for _, disable := range []bool{false, true} {
+	for _, withDefault := range []bool{false, true} {
 		name := "bypass"
-		if disable {
+		if withDefault {
 			name = "no-bypass"
 		}
 		b.Run(name, func(b *testing.B) {
-			d := dispatch.New(dispatch.WithCodegenOptions(codegen.Options{DisableBypass: disable}))
-			ev, _ := d.DefineEvent("Bench.P", benchSig(0), dispatch.WithIntrinsic(dispatch.Handler{
+			d := dispatch.New()
+			nop := dispatch.Handler{
 				Proc: &rtti.Proc{Name: "P", Module: benchMod, Sig: benchSig(0)},
 				Fn:   func(any, []any) any { return nil },
-			}))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, _ = ev.Raise()
 			}
-		})
-	}
-}
-
-// BenchmarkAblationPeephole quantifies plan simplification (DESIGN.md
-// decision 2's peephole half): fifty constant-true guards either elided at
-// compile time or evaluated on every raise.
-func BenchmarkAblationPeephole(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "peephole"
-		if disable {
-			name = "no-peephole"
-		}
-		b.Run(name, func(b *testing.B) {
-			d := dispatch.New(dispatch.WithCodegenOptions(codegen.Options{
-				DisableBypass: true, DisablePeephole: disable,
-			}))
-			ev, _ := d.DefineEvent("Bench.P", benchSig(0))
-			for i := 0; i < 50; i++ {
-				_, _ = ev.Install(dispatch.Handler{
-					Proc:   &rtti.Proc{Name: "H", Module: benchMod, Sig: benchSig(0)},
-					Inline: codegen.Nop(),
-				}, dispatch.WithGuard(dispatch.Guard{Pred: codegen.And(codegen.True(), codegen.True())}))
+			ev, _ := d.DefineEvent("Bench.P", benchSig(0), dispatch.WithIntrinsic(nop))
+			if withDefault {
+				if err := ev.SetDefaultHandler(nop); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

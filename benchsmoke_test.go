@@ -126,9 +126,9 @@ func TestBenchSmokeInlinePlan(t *testing.T) {
 	bypassEv := bypassEvent(t, dispatch.New(), "Smoke.Bypass")
 
 	// The inline-plan shape mirrors BenchmarkRaiseParallel/inline-plan:
-	// five guarded inline handlers, one word argument, bypass disabled.
+	// five guarded inline handlers, one word argument.
 	sig := rtti.Sig(nil, rtti.Word)
-	id := dispatch.New(dispatch.WithCodegenOptions(codegen.Options{DisableBypass: true}))
+	id := dispatch.New()
 	inlineEv, err := id.DefineEvent("Smoke.Inline", sig)
 	if err != nil {
 		t.Fatal(err)

@@ -126,7 +126,7 @@ func table2(w io.Writer) error {
 
 func table2Tree(w io.Writer) error {
 	fmt.Fprintln(w, "Table 2 under the guard decision tree (the paper's §3.2 future work):")
-	fmt.Fprintln(w, "  inline ArgEq port guards + codegen.EnableDecisionTree; linear scan alongside")
+	fmt.Fprintln(w, "  inline ArgEq port guards through the guard index; out-of-line linear scan alongside")
 	for _, guards := range []int{1, 5, 10, 50} {
 		opt, err := bench.Table2RoundtripOptimized(guards)
 		if err != nil {
@@ -191,7 +191,7 @@ func micro(w io.Writer) error {
 func shardScaling(w io.Writer) error {
 	fmt.Fprintln(w, "Sharded dispatch plane: raise throughput under install/raise churn")
 	fmt.Fprintln(w, "  (virtual time, 256 events, 8 install rounds x 32 raises, per-shard Alpha clocks)")
-	pts, err := shard.MeasureScalingSweep([]int{1, 2, 4, 8}, shard.ScalingConfig{})
+	pts, err := shard.MeasureScalingSweep([]int{1, 2, 4, 8})
 	if err != nil {
 		return err
 	}

@@ -32,10 +32,10 @@ func sigN(n int) rtti.Signature {
 
 // newMeteredDispatcher returns a dispatcher wired to a fresh Alpha-model
 // meter.
-func newMeteredDispatcher(opts codegen.Options) (*dispatch.Dispatcher, *vtime.Clock) {
+func newMeteredDispatcher() (*dispatch.Dispatcher, *vtime.Clock) {
 	clock := &vtime.Clock{}
 	cpu := vtime.NewCPU(clock, vtime.AlphaModel())
-	d := dispatch.New(dispatch.WithCPU(cpu), dispatch.WithCodegenOptions(opts))
+	d := dispatch.New(dispatch.WithCPU(cpu))
 	return d, clock
 }
 
@@ -51,7 +51,7 @@ func wordArgs(n int) []any {
 // procCallLatency reconstructs Table 1's "Modula-3 procedure call" column:
 // an event with only its intrinsic handler, dispatched as a direct call.
 func procCallLatency(args int) (vtime.Duration, error) {
-	d, clock := newMeteredDispatcher(codegen.Options{})
+	d, clock := newMeteredDispatcher()
 	ev, err := d.DefineEvent("Bench.Proc", sigN(args), dispatch.WithIntrinsic(dispatch.Handler{
 		Proc: &rtti.Proc{Name: "Bench.Proc", Module: benchModule, Sig: sigN(args)},
 		Fn:   func(any, []any) any { return nil },
@@ -73,11 +73,7 @@ func procCallLatency(args int) (vtime.Duration, error) {
 // performing any work. inline selects whether the code generator may
 // inline them.
 func dispatchLatency(args, handlers int, inline bool) (vtime.Duration, error) {
-	return dispatchLatencyOpts(args, handlers, inline, codegen.Options{DisableBypass: true})
-}
-
-func dispatchLatencyOpts(args, handlers int, inline bool, opts codegen.Options) (vtime.Duration, error) {
-	d, clock := newMeteredDispatcher(opts)
+	d, clock := newMeteredDispatcher()
 	ev, err := d.DefineEvent("Bench.Event", sigN(args))
 	if err != nil {
 		return 0, err
@@ -162,7 +158,7 @@ func Table1() (*Table1Result, error) {
 // the first installation and the cumulative cost of installing n handlers
 // on one event (quadratic, since each install regenerates the plan).
 func InstallOverhead(n int) (first, total vtime.Duration, err error) {
-	d, clock := newMeteredDispatcher(codegen.Options{})
+	d, clock := newMeteredDispatcher()
 	ev, err := d.DefineEvent("Bench.Install", sigN(0))
 	if err != nil {
 		return 0, 0, err
@@ -228,19 +224,15 @@ type echoRig struct {
 // newEchoRig builds the two-machine echo setup with extraGuards inactive
 // endpoints per machine ("the experiment has one active endpoint and many
 // inactive ones, yet all guards are evaluated for each packet"). optimized
-// selects inline predicate port guards and the general executor
-// dispatching through the guard index (EnableDecisionTree) — the
-// configuration the paper's future-work paragraph predicts "would be
-// effective for the port comparison required by this example".
+// selects inline predicate port guards, whose run of equalities dispatches
+// through the guard index — the configuration the paper's future-work
+// paragraph predicts "would be effective for the port comparison required
+// by this example".
 func newEchoRig(extraGuards int, optimized bool) (*echoRig, error) {
-	var cg codegen.Options
-	if optimized {
-		cg.EnableDecisionTree = true
-	}
 	rig, err := scenario.Wire(
-		scenario.Host{Kernel: kernel.Config{Name: "a", Metered: true, Codegen: cg},
+		scenario.Host{Kernel: kernel.Config{Name: "a", Metered: true},
 			Net: netstack.Config{IP: "10.0.0.1", InlinePortGuards: optimized}, MAC: "mac-a"},
-		scenario.Host{Kernel: kernel.Config{Name: "b", Codegen: cg},
+		scenario.Host{Kernel: kernel.Config{Name: "b"},
 			Net: netstack.Config{IP: "10.0.0.2", Prefix: "B:", InlinePortGuards: optimized}, MAC: "mac-b"},
 	)
 	if err != nil {
@@ -384,7 +376,7 @@ func Micro() (*MicroResult, error) {
 	// dispatch with Table 3's population (3 handlers, 2 guards; one
 	// guard admits the caller).
 	{
-		d, clock := newMeteredDispatcher(codegen.Options{})
+		d, clock := newMeteredDispatcher()
 		cpu := d.CPU()
 		sig := sigN(2)
 		ev, err := d.DefineEvent("Bench.Syscall", sig)
@@ -434,7 +426,7 @@ func Micro() (*MicroResult, error) {
 	}
 	// Context switch, evented: Strand.Run with 4 handlers, 3 guards.
 	{
-		d, clock := newMeteredDispatcher(codegen.Options{})
+		d, clock := newMeteredDispatcher()
 		cpu := d.CPU()
 		sig := sigN(2)
 		ev, err := d.DefineEvent("Bench.Run", sig, dispatch.WithIntrinsic(dispatch.Handler{

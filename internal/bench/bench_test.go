@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"spin/internal/codegen"
 	"spin/internal/vtime"
 )
 
@@ -181,7 +180,7 @@ func TestAblationBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := dispatchLatencyOpts(0, 1, false, codegen.Options{DisableBypass: true})
+	without, err := dispatchLatency(0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

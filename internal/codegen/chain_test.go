@@ -77,7 +77,8 @@ func TestChainSharesStorage(t *testing.T) {
 	if &p4.runs[0].slots[0] == &p5.runs[0].slots[0] {
 		t.Error("an extended run shares the table a published plan reads")
 	}
-	traced := Compile(p5, inf, list[:5], nil, nil, Options{Trace: trace.New(trace.Config{Capacity: 8})})
+	tracedOpts := Options{Trace: trace.New(trace.Config{Capacity: 8})}
+	traced := Compile(p5, inf, list[:5], nil, nil, tracedOpts)
 	if !sharesSteps(p5, traced) || &p5.runs[0].slots[0] != &traced.runs[0].slots[0] {
 		t.Error("a trace toggle did not share the steps and the index")
 	}
@@ -93,12 +94,13 @@ func TestChainSharesStorage(t *testing.T) {
 		label string
 		p     *Plan
 		list  []*Binding
+		opts  Options
 	}{
-		{"p4", p4, list[:4]}, {"p5", p5, list[:5]}, {"traced", traced, list[:5]},
-		{"p4again", p4again, list[:4]}, {"other", other, append(list[:4:4], list[5])},
+		{"p4", p4, list[:4], Options{}}, {"p5", p5, list[:5], Options{}}, {"traced", traced, list[:5], tracedOpts},
+		{"p4again", p4again, list[:4], Options{}}, {"other", other, append(list[:4:4], list[5]), Options{}},
 	} {
 		checkFires(t, c.label, c.p, c.list)
-		if want := Compile(nil, inf, c.list, nil, nil, c.p.opts).Disassemble(); c.p.Disassemble() != want {
+		if want := Compile(nil, inf, c.list, nil, nil, c.opts).Disassemble(); c.p.Disassemble() != want {
 			t.Errorf("%s disassembles\n%s\nfrom scratch\n%s", c.label, c.p.Disassemble(), want)
 		}
 	}

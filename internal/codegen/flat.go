@@ -25,11 +25,11 @@ import (
 // without one pays no per-step test for it. Metered and sampled raises, and
 // every raise of a plan with an async or ephemeral step, run the observed
 // one (Plan.observe): it charges the vtime costs the §3 tables are
-// calibrated on — once per guard, not per leaf — records spans, and runs
-// those step kinds. Options.Protect selects the barrier instantiations: the
-// same walk under one recover barrier per frame (exec_protect.go). The
-// fuzzers hold every shape against a naive reference model;
-// testdata/observed.golden pins the observed walk.
+// calibrated on — once per guard, not per leaf, and once per lookup of an
+// indexed run — records spans, and runs those step kinds. Options.Protect
+// selects the barrier instantiations: the same walk under one recover
+// barrier per frame (exec_protect.go). The fuzzers hold every shape against
+// a naive reference model; testdata/observed.golden pins the observed walk.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -78,19 +78,14 @@ type flatStep struct {
 // caller's one add to Env.FiredTotal.
 type frameFn func(p *Plan, args []any, ws *walkState) (Outcome, int64)
 
-// flattenPred lowers a guard predicate into conjunction leaves. Top-level
-// And-trees split into their leaves; True leaves are elided (guards are
-// FUNCTIONAL, so elision is unobservable); any other composite (Or, Not)
-// stays a single Eval-fallback leaf. A constant-false leaf under
-// DisablePeephole still lowers — the step simply never fires.
+// flattenPred lowers a simplified guard predicate into conjunction leaves.
+// Top-level And-trees split into their leaves, which the peephole has
+// already cleared of True and False; any other composite (Or, Not) stays a
+// single Eval-fallback leaf.
 func flattenPred(p *Pred, out []flatPred) []flatPred {
 	switch p.Op {
 	case PredAnd:
 		return flattenPred(p.R, flattenPred(p.L, out))
-	case PredTrue:
-		return out
-	case PredFalse:
-		return append(out, flatPred{op: PredFalse})
 	case PredGlobalEq, PredGlobalNe:
 		if p.Cell == nil {
 			// Pred.Eval treats a nil cell as false; preserve that.
@@ -187,12 +182,11 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // one is entered with a ws holding the raise's Env and recorder
 // (Plan.observe); it charges and records as it walks, evaluates each step's
 // guards whole (evalGuards), runs filter, async and ephemeral steps as
-// steps, and consults the guard index only under
-// Options.EnableDecisionTree. A barrier instantiation (exec_protect.go)
-// re-enters itself through walkBehindBarrier until the walk is done,
-// keeping its state in locals and writing ws where a capture would need it:
-// the segment at each segment, the step and phase around each call, the
-// outcome after each firing.
+// steps, and charges each lookup in the guard index as one inline guard. A
+// barrier instantiation (exec_protect.go) re-enters itself through
+// walkBehindBarrier until the walk is done, keeping its state in locals and
+// writing ws where a capture would need it: the segment at each segment,
+// the step and phase around each call, the outcome after each firing.
 //
 // The stencil counts firings only in what it returns: the Outcome, and the
 // frame's firings, filters included, which the caller adds to
@@ -210,9 +204,8 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) (Outcom
 	var filtered int64 // filter firings, which the Outcome does not count
 	var cpu *vtime.CPU
 	var rec *recorder
-	indexed := true // whether the walk consults the guard index
 	if obs {
-		cpu, rec, indexed = ws.env.CPU, ws.recorder(), p.opts.EnableDecisionTree
+		cpu, rec = ws.env.CPU, ws.recorder()
 	}
 	metered := obs && barrier && cpu != nil // sync handler costs go to FaultHook.SyncCost
 	// The plan runs as a sequence of segments: outside the guard index, the
@@ -225,7 +218,7 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) (Outcom
 	ri, fi := 0, 0 // the next run of p.runs, the next filter of p.filters
 	inRun := false // walking the hits of run ri-1
 	n := len(p.steps)
-	i, stop := 0, p.stretchEnd(indexed, !obs, 0, 0)
+	i, stop := 0, p.stretchEnd(!obs, 0, 0)
 	if barrier {
 		if ws == nil || ws.phase == walkEntry {
 			var frame walkState
@@ -392,7 +385,7 @@ segments:
 			// up the argument as the filter left it.
 			f := stop
 			fi++
-			i, stop = f+1, p.stretchEnd(indexed, true, ri, fi)
+			i, stop = f+1, p.stretchEnd(true, ri, fi)
 			if barrier {
 				ws.fi, ws.stop = fi, stop
 			}
@@ -403,7 +396,7 @@ segments:
 				}
 			}
 			continue
-		case indexed && ri < len(p.runs):
+		case ri < len(p.runs):
 			// The head of the next run: look the argument up — one inline
 			// guard, recorded as step -1, passing when any step matched.
 			if obs {
@@ -424,7 +417,7 @@ segments:
 		default:
 			break segments
 		}
-		stop = p.stretchEnd(indexed, !obs, ri, fi)
+		stop = p.stretchEnd(!obs, ri, fi)
 	}
 	if st := p.def; out.Fired == 0 && st != nil {
 		if obs {
@@ -451,11 +444,11 @@ segments:
 }
 
 // stretchEnd is where the linear stretch ahead of a walk ends: at run ri's
-// head when the walk is indexed, at filter fi when it runs filters at
-// segment boundaries (the plain walk), or at the plan's end.
-func (p *Plan) stretchEnd(indexed, filters bool, ri, fi int) int {
+// head, at filter fi when it runs filters at segment boundaries (the plain
+// walk), or at the plan's end.
+func (p *Plan) stretchEnd(filters bool, ri, fi int) int {
 	n := len(p.steps)
-	if indexed && ri < len(p.runs) {
+	if ri < len(p.runs) {
 		n = p.runs[ri].start
 	}
 	if filters && fi < len(p.filters) && p.filters[fi] < n {

@@ -88,15 +88,10 @@ func TestSpecializeEligibility(t *testing.T) {
 		{shape: "fault policy on, metered", arity: 1, bindings: guardedN(2, nil),
 			opts: Options{Protect: &recHook{}}, metered: true, want: "stencil[void,observed,barrier]"},
 		{shape: "indexed run", arity: 1, bindings: tree, want: "stencil[void,guarded]", runs: 1},
-		{shape: "indexed run, EnableDecisionTree", arity: 1, bindings: tree,
-			opts: Options{EnableDecisionTree: true}, want: "stencil[void,guarded]", runs: 1},
 		{shape: "indexed run, metered", arity: 1, bindings: tree, metered: true,
-			want: "stencil[void,observed]", runs: 1}, // the plain stencil's index; a metered raise scans
+			want: "stencil[void,observed]", runs: 1},
 		{shape: "indexed run, fault policy on", arity: 1, bindings: tree,
 			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]", runs: 1},
-		{shape: "indexed run, fault policy on, EnableDecisionTree", arity: 1, bindings: tree,
-			opts: Options{Protect: &recHook{}, EnableDecisionTree: true},
-			want: "stencil[void,guarded,barrier]", runs: 1},
 		{shape: "metered, fold", arity: 1, hasResult: true, bindings: guardedN(2, nil), resultFn: fold,
 			metered: true, want: "stencil[fold,observed]"},
 	} {

@@ -290,8 +290,6 @@ func FuzzPredCompile(f *testing.F) {
 		}
 		for _, opts := range []fuzzConfig{
 			{},
-			{Options: Options{DisableBypass: true}},
-			{Options: Options{DisablePeephole: true}},
 			{Metered: true},
 		} {
 			plan := Compile(nil, EventInfo{Name: "Fuzz.Pred", Arity: arity},
@@ -529,13 +527,9 @@ func FuzzTreeDispatch(f *testing.F) {
 		tracer := trace.New(trace.Config{Capacity: 64})
 		info := EventInfo{Name: "Fuzz.Tree", Arity: arity, HasResult: hasResult}
 		configs := []fuzzConfig{
-			{}, // the stencil, through the guard index
-			{Options: Options{EnableDecisionTree: true}},
-			{Options: Options{DisableBypass: true, DisablePeephole: true}},
-			{Options: Options{EnableDecisionTree: true, Trace: tracer}}, // every raise sampled: recorder on
-			{Metered: true}, // the observed walk, linear
-			{Options: Options{EnableDecisionTree: true}, Metered: true}, // the observed walk through the index
-			{Options: Options{Trace: tracer}},                           // sampling entry over stencil plans
+			{},                                // the stencil, through the guard index
+			{Options: Options{Trace: tracer}}, // every raise sampled: the recorder on the observed walk
+			{Metered: true},                   // the observed walk through the index, charged
 		}
 		for _, opts := range configs {
 			scratch := Compile(nil, info, bindings, resultFn, defaultB, opts.Options)
@@ -851,12 +845,8 @@ func FuzzBatchDispatch(f *testing.F) {
 		tracer := trace.New(trace.Config{Capacity: 64})
 		for _, opts = range []fuzzConfig{
 			{}, // the stencil, through the guard index
-			{Options: Options{EnableDecisionTree: true}},
-			{Options: Options{DisableBypass: true, DisablePeephole: true}},
-			{Options: Options{EnableDecisionTree: true, Trace: tracer}},
-			{Metered: true},
-			{Options: Options{EnableDecisionTree: true}, Metered: true},
 			{Options: Options{Trace: tracer}},
+			{Metered: true},
 		} {
 			// Reference: a loop of single raises, each loading the published
 			// plan afresh, folded the way the batch tier folds.

@@ -159,14 +159,23 @@ var observedCases = []struct {
 			r.raise(p, a[0], a[1])
 		}
 	}},
-	{name: "constant-true guard under DisablePeephole", run: func(r *obsRig) {
-		p := r.compile(info(1, false), []*Binding{r.bind("T", nil, nil, Guard{Pred: True()})},
-			nil, nil, Options{DisablePeephole: true})
-		r.raise(p, uint64(1))
-	}},
-	{name: "indexed run, linear", run: func(r *obsRig) { indexedRunCase(r, Options{}) }},
-	{name: "indexed run, EnableDecisionTree", run: func(r *obsRig) {
-		indexedRunCase(r, Options{EnableDecisionTree: true})
+	// A five-step run of first-leaf equalities (steps 0 and 2 chain on 1,
+	// steps 1 and 4 on 2; step 1's equality is the left leaf of a
+	// conjunction, step 2 carries a call guard behind its): a hit, a chained
+	// hit, a chained hit whose call guard fails, a miss and a non-word.
+	{name: "indexed run", run: func(r *obsRig) {
+		p := r.compile(info(2, false), []*Binding{
+			r.bind("P1a", nil, nil, Guard{Pred: ArgEq(0, 1)}),
+			r.bind("P2a", nil, nil, Guard{Pred: And(ArgEq(0, 2), ArgNe(1, 9))}),
+			r.bind("P1b", nil, nil, Guard{Pred: ArgEq(0, 1)}, callGuard(5)),
+			r.bind("P3", nil, nil, Guard{Pred: ArgEq(0, 3)}),
+			r.bind("P2b", nil, nil, Guard{Pred: ArgEq(0, 2)}),
+		}, nil, nil, Options{})
+		r.raise(p, uint64(2), uint64(0))
+		r.raise(p, uint64(1), uint64(0))
+		r.raise(p, uint64(1), uint64(7))
+		r.raise(p, uint64(9), uint64(0))
+		r.raise(p, "not-a-word", uint64(0))
 	}},
 	{name: "fold", run: func(r *obsRig) {
 		var cell atomic.Uint64
@@ -270,25 +279,6 @@ var observedCases = []struct {
 		}, nil, nil, Options{})
 		r.batch(p, []any{uint64(1)}, []any{uint64(0)}, []any{uint64(5)})
 	}},
-}
-
-// indexedRunCase raises a five-step run of first-leaf equalities (steps 0
-// and 2 chain on 1, steps 1 and 4 on 2; step 1's equality is the left leaf
-// of a conjunction, step 2 carries a call guard behind its): a hit, a
-// chained hit, a chained hit whose call guard fails, a miss and a non-word.
-func indexedRunCase(r *obsRig, opts Options) {
-	p := r.compile(info(2, false), []*Binding{
-		r.bind("P1a", nil, nil, Guard{Pred: ArgEq(0, 1)}),
-		r.bind("P2a", nil, nil, Guard{Pred: And(ArgEq(0, 2), ArgNe(1, 9))}),
-		r.bind("P1b", nil, nil, Guard{Pred: ArgEq(0, 1)}, callGuard(5)),
-		r.bind("P3", nil, nil, Guard{Pred: ArgEq(0, 3)}),
-		r.bind("P2b", nil, nil, Guard{Pred: ArgEq(0, 2)}),
-	}, nil, nil, opts)
-	r.raise(p, uint64(2), uint64(0))
-	r.raise(p, uint64(1), uint64(0))
-	r.raise(p, uint64(1), uint64(7))
-	r.raise(p, uint64(9), uint64(0))
-	r.raise(p, "not-a-word", uint64(0))
 }
 
 // runObserved runs every observed case, traced or not, and returns the

@@ -90,17 +90,15 @@ type Binding struct {
 	memo atomic.Pointer[lowered]
 }
 
-// lowered is a binding's compiled form under DisablePeephole, the one
-// option that shapes it: the step Compile copies into a plan and its
-// flattened twin with the guard leaves behind the embedded first. The
-// binding memoises it, so a plan lowers only the bindings behind the prefix
-// it keeps of its predecessor, and those from the memo.
+// lowered is a binding's compiled form: the step Compile copies into a
+// plan and its flattened twin with the guard leaves behind the embedded
+// first. The binding memoises it, so a plan lowers only the bindings behind
+// the prefix it keeps of its predecessor, and those from the memo.
 type lowered struct {
-	noPeephole bool
-	live       bool // false: peephole proved the binding can never fire
-	st         step
-	flat       flatStep   // p0/p1 are set per plan
-	rest       []flatPred // the leaves after flat.g0
+	live bool // false: peephole proved the binding can never fire
+	st   step
+	flat flatStep   // p0/p1 are set per plan
+	rest []flatPred // the leaves after flat.g0
 }
 
 // EventInfo carries the event attributes the generator specializes on.
@@ -110,22 +108,12 @@ type EventInfo struct {
 	HasResult bool
 }
 
-// Options disable individual generator optimizations, for the ablation
-// benchmarks. The zero value enables everything SPIN's generator did,
-// and nothing it did not.
+// Options are the dispatcher state compiled into a plan: tracing, fault
+// capture and admission. They select no optimization: the generator
+// chooses its paths from the bindings — the bypass for one unguarded
+// synchronous binding, the peephole always, the guard index wherever a
+// run of equality guards is long enough (tree.go).
 type Options struct {
-	// DisableBypass keeps the dispatch routine in place even for a
-	// single unguarded synchronous binding.
-	DisableBypass bool
-	// DisablePeephole skips plan simplification.
-	DisablePeephole bool
-	// EnableDecisionTree lets the observed walk (metered and sampled raises)
-	// consult the guard index (tree.go), the paper's future work (§3.2): a
-	// run of bindings whose first guard leaf is an ArgEq on one argument
-	// dispatches through one hash of the word, charged as one inline guard.
-	// Off by default, so the calibrated model scans linearly as the measured
-	// system did. The plain stencil uses the index regardless.
-	EnableDecisionTree bool
 	// Trace, when non-nil, compiles trace recording steps into the plan:
 	// the generated routine registers its step layout with the tracer and
 	// sampled raises run the observed walk with a span recorder. A nil
@@ -169,12 +157,9 @@ type step struct {
 // using a single memory access".
 type Plan struct {
 	info  EventInfo
-	opts  Options
 	steps []step
 	// runs is the guard index (tree.go): the runs of equality-guarded steps
-	// the plain stencil jumps through, and the observed walk too under
-	// Options.EnableDecisionTree. Built only for plans where one of the two
-	// reads it.
+	// both walks jump through.
 	runs      []guardRun
 	direct    *step // non-nil: single-binding bypass, dispatcher skipped
 	resultFn  ResultFn
@@ -263,15 +248,12 @@ type Outcome struct {
 // appended behind the residents lowers one binding, not n. The returned
 // plan is immutable; the dispatcher swaps it in atomically.
 func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
-	p := &Plan{info: info, opts: opts, resultFn: resultFn,
+	p := &Plan{info: info, resultFn: resultFn,
 		protect: opts.Protect, admitQ: opts.Admit}
 	if defaultB != nil {
 		// The default handler runs as a step outside the step list; -1 is
 		// the step index its trace span carries.
 		p.def = &step{b: defaultB, idx: -1, inline: defaultB.Inline != nil}
-	}
-	if prev != nil && prev.opts.DisablePeephole != opts.DisablePeephole {
-		prev = nil // its steps were lowered differently
 	}
 	// The kept prefix: prev's first k steps, while they run the bindings
 	// listed (a dead binding has no step to compare).
@@ -280,7 +262,7 @@ func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn,
 		for ; len(rest) > 0 && k < len(prev.steps); rest = rest[1:] {
 			if rest[0] == prev.steps[k].b {
 				k++
-			} else if rest[0].lower(opts).live {
+			} else if rest[0].lower().live {
 				break
 			}
 		}
@@ -288,7 +270,7 @@ func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn,
 	var buf [4]*lowered // the usual recompile appends one binding or none
 	suffix := buf[:0]
 	for _, b := range rest {
-		if lo := b.lower(opts); lo.live {
+		if lo := b.lower(); lo.live {
 			suffix = append(suffix, lo)
 		}
 	}
@@ -297,21 +279,18 @@ func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn,
 	// Single-binding bypass: one live synchronous unguarded non-filter
 	// binding dispatches as a direct procedure call (Figure 1's "an event
 	// with only an intrinsic handler is identical to a procedure call").
-	if !opts.DisableBypass && len(p.steps) == 1 && defaultB == nil && resultFn == nil {
+	if len(p.steps) == 1 && defaultB == nil && resultFn == nil {
 		st := &p.steps[0]
 		if len(st.guards) == 0 && !st.b.Async && !st.b.Ephemeral && !st.b.Filter {
 			p.direct = st
 		}
 	}
 	p.selectStencil()
-	if p.indexed() {
-		var runs []guardRun
-		kept := 0
-		if prev != nil && prev.indexed() {
-			runs, kept = prev.runs, k
-		}
-		p.runs = buildGuardIndex(p.steps, runs, kept)
+	var runs []guardRun
+	if prev != nil {
+		runs = prev.runs
 	}
+	p.runs = buildGuardIndex(p.steps, runs, k)
 	if opts.Trace != nil {
 		// Register the plan's step layout with the tracer: spans carry only
 		// (program, step) indices, resolved to names at export time — also
@@ -354,16 +333,9 @@ func (p *Plan) Protected() bool { return p.protect != nil }
 // the same atomic swap installs use.
 func (p *Plan) AdmitQueue() *admit.Queue { return p.admitQ }
 
-// indexed reports whether the plan carries a guard index: the plain
-// stencil always reads one, the observed walk only under
-// Options.EnableDecisionTree.
-func (p *Plan) indexed() bool { return p.frame != nil || p.opts.EnableDecisionTree }
-
 // IndexedRuns reports the number of runs in the plan's guard index and the
-// total steps they cover (for tests and disassembly). The plain stencil
-// always dispatches through the index, the observed walk only under
-// Options.EnableDecisionTree; a plan with no plain stencil carries one only
-// then.
+// total steps they cover (for tests and disassembly). Both walks dispatch
+// through the index.
 func (p *Plan) IndexedRuns() (runs, covered int) {
 	for i := range p.runs {
 		covered += p.runs[i].end - p.runs[i].start
@@ -371,21 +343,20 @@ func (p *Plan) IndexedRuns() (runs, covered int) {
 	return len(p.runs), covered
 }
 
-// lower returns the binding's lowering under opts, memoised: the guard list
+// lower returns the binding's lowering, memoised: the guard list
 // simplified and reordered, and the flattened twin.
-func (b *Binding) lower(opts Options) *lowered {
-	lo := b.memo.Load()
-	if lo != nil && lo.noPeephole == opts.DisablePeephole {
+func (b *Binding) lower() *lowered {
+	if lo := b.memo.Load(); lo != nil {
 		return lo
 	}
-	lo = &lowered{noPeephole: opts.DisablePeephole, st: step{b: b, mode: bindingMode(b)}}
+	lo := &lowered{st: step{b: b, mode: bindingMode(b)}}
 	defer b.memo.Store(lo)
 	st := &lo.st
 	// Fully inline: the generator can execute the binding without any
 	// indirect call.
 	st.inline = b.Inline != nil && !b.Async && !b.Ephemeral
 	for _, g := range b.Guards {
-		if g.Pred != nil && !opts.DisablePeephole {
+		if g.Pred != nil {
 			s := g.Pred.simplify()
 			switch s.Op {
 			case PredTrue:
@@ -398,9 +369,7 @@ func (b *Binding) lower(opts Options) *lowered {
 		st.inline = st.inline && g.Pred != nil
 		st.guards = append(st.guards, g)
 	}
-	if !opts.DisablePeephole {
-		st.guards = reorderGuards(st.guards)
-	}
+	st.guards = reorderGuards(st.guards)
 	lo.live = true
 	lo.flatten()
 	return lo

@@ -40,18 +40,6 @@ func TestSingleBindingBypass(t *testing.T) {
 	}
 }
 
-func TestBypassDisabledByOptions(t *testing.T) {
-	n := 0
-	b := &Binding{Fn: countingHandler(&n, nil)}
-	p := Compile(nil, info(0, false), []*Binding{b}, nil, nil, Options{DisableBypass: true})
-	if p.Direct() != nil {
-		t.Fatal("bypass must honour DisableBypass")
-	}
-	if out := exec(p); out.Fired != 1 || n != 1 {
-		t.Fatal("routine dispatch broken without bypass")
-	}
-}
-
 func TestNoBypassWithGuardsOrProperties(t *testing.T) {
 	n := 0
 	mk := func(mut func(*Binding)) *Plan {
@@ -145,21 +133,9 @@ func TestPeepholeRemovesDeadBindings(t *testing.T) {
 	}
 }
 
-func TestPeepholeDisabled(t *testing.T) {
-	n := 0
-	b := &Binding{Guards: []Guard{{Pred: True()}}, Fn: countingHandler(&n, nil)}
-	p := Compile(nil, info(0, false), []*Binding{b}, nil, nil, Options{DisablePeephole: true})
-	if p.Direct() != nil {
-		t.Fatal("guard kept under DisablePeephole must block bypass")
-	}
-	if out := exec(p); out.Fired != 1 {
-		t.Fatal("true guard must still pass")
-	}
-}
-
 func TestResultSingleHandlerMimicsProcedureCall(t *testing.T) {
 	b := &Binding{Fn: func(any, []any) any { return 42 }}
-	p := Compile(nil, info(0, true), []*Binding{b}, nil, nil, Options{DisableBypass: true})
+	p := Compile(nil, info(0, true), []*Binding{b}, nil, nil, Options{})
 	out := exec(p)
 	if out.Result != 42 || out.Ambiguous || out.Fired != 1 {
 		t.Fatalf("out = %+v", out)
@@ -322,14 +298,14 @@ func TestFireCountsReportBindings(t *testing.T) {
 		{name: "filter", filter: true},
 	} {
 		var counts [3]int64
+		var never atomic.Uint64
 		count := func(i int) HandlerFn { return func(any, []any) any { counts[i]++; return nil } }
 		bs := []*Binding{
 			{Fn: count(0), Filter: tc.filter},
-			{Guards: []Guard{{Pred: False()}}, Fn: count(1)},
+			{Guards: []Guard{{Pred: GlobalEq(&never, 1)}}, Fn: count(1)},
 			{Fn: count(2)},
 		}
-		p := Compile(nil, info(0, false), bs, nil, nil, Options{DisablePeephole: true, DisableBypass: true,
-			Trace: tc.opts.Trace})
+		p := Compile(nil, info(0, false), bs, nil, nil, tc.opts)
 		var total stripe.Counter
 		env := &Env{FiredTotal: &total}
 		if tc.metered {
@@ -371,7 +347,7 @@ func TestInlinePlanDetection(t *testing.T) {
 		t.Fatal("plan with only inlinable bindings must be fully inline")
 	}
 	opaque := &Binding{Fn: func(any, []any) any { return nil }}
-	p2 := Compile(nil, info(0, false), []*Binding{inline, opaque}, nil, nil, Options{DisableBypass: true})
+	p2 := Compile(nil, info(0, false), []*Binding{inline, opaque}, nil, nil, Options{})
 	if p2.allInline {
 		t.Fatal("opaque handler must break full inlining")
 	}
@@ -384,7 +360,7 @@ func TestInlineBodiesExecuteInline(t *testing.T) {
 		return nil
 	}}
 	b2 := &Binding{Inline: AddWord(&counter, 10), Fn: nil}
-	p := Compile(nil, info(0, false), []*Binding{b, b2}, nil, nil, Options{DisableBypass: true})
+	p := Compile(nil, info(0, false), []*Binding{b, b2}, nil, nil, Options{})
 	p.Execute(&Env{}, nil, 0)
 	if counter.Load() != 11 {
 		t.Fatalf("counter = %d", counter.Load())
@@ -428,7 +404,7 @@ func TestCostNoInlineMatchesTable1(t *testing.T) {
 		for i := range bs {
 			bs[i] = &Binding{Guards: []Guard{mkGuard()}, Fn: func(any, []any) any { return nil }}
 		}
-		p := Compile(nil, info(tc.args, false), bs, nil, nil, Options{DisableBypass: true})
+		p := Compile(nil, info(tc.args, false), bs, nil, nil, Options{})
 		args := make([]any, tc.args)
 		for i := range args {
 			args[i] = uint64(i)
@@ -462,7 +438,7 @@ func TestCostInlineMatchesTable1(t *testing.T) {
 				Inline: Nop(),
 			}
 		}
-		p := Compile(nil, info(tc.args, false), bs, nil, nil, Options{DisableBypass: true})
+		p := Compile(nil, info(tc.args, false), bs, nil, nil, Options{})
 		if !p.allInline {
 			t.Fatal("expected fully inline plan")
 		}

@@ -51,7 +51,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 	inline := Compile(nil, info, []*Binding{
 		{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Inline: Nop()},
 		{Guards: []Guard{{Pred: ArgEq(0, 2)}}, Inline: Nop()},
-	}, nil, nil, Options{DisableBypass: true})
+	}, nil, nil, Options{})
 	if n := testing.AllocsPerRun(1000, func() { inline.Execute(env, args, 0) }); n != 0 {
 		t.Errorf("inline plan Execute allocates %v/op, want 0", n)
 	}
@@ -59,7 +59,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 	outline := Compile(nil, info, []*Binding{
 		{Fn: func(any, []any) any { return nil }},
 		{Fn: func(any, []any) any { return nil }},
-	}, nil, nil, Options{DisableBypass: true})
+	}, nil, nil, Options{})
 	if n := testing.AllocsPerRun(1000, func() { outline.Execute(env, args, 0) }); n != 0 {
 		t.Errorf("out-of-line plan Execute allocates %v/op, want 0", n)
 	}

@@ -33,9 +33,10 @@ package codegen
 // table must grow (amortised: the table doubles) or when the new plan cuts
 // into it. Every run behind it is built from scratch.
 //
-// The plain stencil (flat.go) always uses the index. The observed walk —
-// metered raises, so the calibrated model — scans linearly, as the measured
-// system did, unless Options.EnableDecisionTree, the ablation switch.
+// Every plan carries the index, and both walks (flat.go) use it. The
+// observed walk charges a lookup as one inline guard; the calibrated model
+// does not move, because no paper table installs a run this long of inline
+// equality guards (DESIGN.md decision 15).
 
 // treeThreshold is the minimum run length worth an index; below it the
 // linear scan is cheaper than the lookup.

@@ -1,10 +1,12 @@
 package codegen
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"spin/internal/admit"
 	"spin/internal/vtime"
 )
 
@@ -25,17 +27,12 @@ func portBindings(n int, fired *[]uint64) []*Binding {
 	return bs
 }
 
-// indexConfigs are the two ways a plan dispatches through the guard index:
-// the plain stencil (always), and the observed walk of a metered raise
-// under the model's switch.
-var indexConfigs = []indexConfig{
-	{"stencil", Options{}, false},
-	{"observed", Options{EnableDecisionTree: true}, true},
-}
+// indexConfigs are the two walks that dispatch through the guard index: the
+// plain stencil, and the observed walk of a metered raise.
+var indexConfigs = []indexConfig{{"stencil", false}, {"observed", true}}
 
 type indexConfig struct {
 	name    string
-	opts    Options
 	metered bool
 }
 
@@ -45,52 +42,47 @@ func (c indexConfig) exec(p *Plan, args ...any) Outcome {
 }
 
 func TestTreeBuiltAboveThreshold(t *testing.T) {
-	for _, cfg := range indexConfigs {
-		var fired []uint64
-		p := Compile(nil, info(1, false), portBindings(10, &fired), nil, nil, cfg.opts)
-		runs, covered := p.IndexedRuns()
-		if runs != 1 || covered != 10 {
-			t.Fatalf("%s: runs=%d covered=%d", cfg.name, runs, covered)
-		}
+	var fired []uint64
+	p := Compile(nil, info(1, false), portBindings(10, &fired), nil, nil, Options{})
+	if runs, covered := p.IndexedRuns(); runs != 1 || covered != 10 {
+		t.Fatalf("runs=%d covered=%d", runs, covered)
 	}
 }
 
 func TestTreeNotBuiltBelowThreshold(t *testing.T) {
-	for _, cfg := range indexConfigs {
-		var fired []uint64
-		p := Compile(nil, info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, cfg.opts)
-		if runs, _ := p.IndexedRuns(); runs != 0 {
-			t.Fatalf("%s: index built for %d bindings (threshold %d)",
-				cfg.name, treeThreshold-1, treeThreshold)
-		}
+	var fired []uint64
+	p := Compile(nil, info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, Options{})
+	if runs, _ := p.IndexedRuns(); runs != 0 {
+		t.Fatalf("index built for %d bindings (threshold %d)", treeThreshold-1, treeThreshold)
 	}
 }
 
-// TestTreeDisabledByDefault: the observed walk scans linearly unless the
-// model's switch is on — a plan with no plain stencil (here, an async step
-// ahead of the run) carries no index, and a metered raise of a stencil
-// plan charges every guard of the run although the plan has an index for
-// the stencil.
-func TestTreeDisabledByDefault(t *testing.T) {
+// TestTreeIndexesObservedOnlyPlan: a plan with no plain stencil (here, an
+// async step ahead of the run) carries the index too, and its metered raise
+// charges the run as one inline-guard lookup, not a guard per step.
+func TestTreeIndexesObservedOnlyPlan(t *testing.T) {
 	var fired []uint64
 	async := &Binding{Async: true, Fn: func(any, []any) any { return nil }}
 	p := Compile(nil, info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{})
-	if runs, _ := p.IndexedRuns(); runs != 0 {
-		t.Fatal("observed-only plan indexed without EnableDecisionTree")
+	if runs, covered := p.IndexedRuns(); runs != 1 || covered != 10 {
+		t.Fatalf("runs=%d covered=%d, want the 10-port run indexed", runs, covered)
 	}
+	var clock vtime.Clock
+	env := &Env{CPU: vtime.NewCPU(&clock, vtime.AlphaModel()),
+		Async: func(_ *admit.Queue, _ any, _ int, invoke func(context.Context) any) { invoke(context.Background()) }}
+	p.Execute(env, []any{uint64(1009)}, 0)
 	m := vtime.AlphaModel()
-	want := m.Cost(vtime.DispatchEntry) + m.Cost(vtime.DispatchEntryArg) + 10*m.Cost(vtime.GuardInline) +
-		m.Cost(vtime.HandlerIndirect) + m.Cost(vtime.BindingIndirectArg)
-	got := meteredExec(Compile(nil, info(1, false), portBindings(10, &fired), nil, nil, Options{}), []any{uint64(1009)})
-	if got != want {
-		t.Fatalf("metered raise of an indexed stencil plan charged %v, a linear scan %v", got, want)
+	handler := m.Cost(vtime.HandlerIndirect) + m.Cost(vtime.BindingIndirectArg)
+	want := m.Cost(vtime.DispatchEntry) + m.Cost(vtime.DispatchEntryArg) + m.Cost(vtime.GuardInline) + 2*handler
+	if got := vtime.Duration(clock.Now()); got != want || len(fired) != 1 || fired[0] != 1009 {
+		t.Fatalf("metered raise charged %v and fired %v, want one lookup (%v) and port 1009", got, fired, want)
 	}
 }
 
 func TestTreeDispatchSelectsCorrectBinding(t *testing.T) {
 	for _, cfg := range indexConfigs {
 		var fired []uint64
-		p := Compile(nil, info(1, false), portBindings(20, &fired), nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), portBindings(20, &fired), nil, nil, Options{})
 		out := cfg.exec(p, uint64(1007))
 		if out.Fired != 1 || len(fired) != 1 || fired[0] != 1007 {
 			t.Fatalf("%s: fired=%v out=%+v", cfg.name, fired, out)
@@ -120,7 +112,7 @@ func TestTreeDuplicateConstantsPreserveOrder(t *testing.T) {
 		extra2 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
 			Fn: func(any, []any) any { fired = append(fired, 222); return nil }}
 		bs = append(bs, extra1, extra2)
-		p := Compile(nil, info(1, false), bs, nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), bs, nil, nil, Options{})
 		cfg.exec(p, uint64(1002))
 		if len(fired) != 3 || fired[0] != 1002 || fired[1] != 111 || fired[2] != 222 {
 			t.Fatalf("%s: fired = %v", cfg.name, fired)
@@ -135,7 +127,7 @@ func TestTreeBreaksOnIneligibleStep(t *testing.T) {
 		// An unguarded binding in the middle splits the runs.
 		mid := &Binding{Fn: func(any, []any) any { fired = append(fired, 7); return nil }}
 		bs = append(bs[:2], append([]*Binding{mid}, portBindings(4, &fired)...)...)
-		p := Compile(nil, info(1, false), bs, nil, nil, cfg.opts)
+		p := Compile(nil, info(1, false), bs, nil, nil, Options{})
 		runs, covered := p.IndexedRuns()
 		// Runs of 2 and 4: only the 4-run is indexed.
 		if runs != 1 || covered != 4 {
@@ -159,7 +151,7 @@ func TestTreeExcludesFilters(t *testing.T) {
 	// and the run behind it extracts the word afresh.
 	bs[4].Filter = true
 	bs[4].Fn = func(_ any, args []any) any { args[0] = uint64(1007); return nil }
-	p := Compile(nil, info(1, false), bs, nil, nil, Options{EnableDecisionTree: true})
+	p := Compile(nil, info(1, false), bs, nil, nil, Options{})
 	if runs, covered := p.IndexedRuns(); runs != 2 || covered != 8 {
 		t.Fatalf("runs=%d covered=%d: filter binding joined an indexed run", runs, covered)
 	}
@@ -201,9 +193,7 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 		}
 		for _, cfg := range indexConfigs {
 			treeLog = nil
-			opts := cfg.opts
-			opts.DisableBypass = true
-			cfg.exec(Compile(nil, info(1, false), bs, nil, nil, opts), arg)
+			cfg.exec(Compile(nil, info(1, false), bs, nil, nil, Options{}), arg)
 			if len(linLog) != len(treeLog) {
 				t.Fatalf("trial %d arg %d: model fires %v, %s fired %v",
 					trial, arg, linLog, cfg.name, treeLog)
@@ -220,12 +210,22 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 
 // TestTreeFlattensGuardCost pins the performance claim: with the tree, the
 // virtual cost of a raise is independent of the number of guarded
-// endpoints; without it, cost grows linearly.
+// endpoints; with the same ports as out-of-line call guards, which no run
+// indexes (the tree table's linear column), cost grows linearly.
 func TestTreeFlattensGuardCost(t *testing.T) {
 	measure := func(n int, tree bool) float64 {
 		var fired []uint64
-		p := Compile(nil, info(1, false), portBindings(n, &fired), nil, nil,
-			Options{EnableDecisionTree: tree, DisableBypass: true})
+		bs := portBindings(n, &fired)
+		if !tree {
+			for _, b := range bs {
+				port := b.Guards[0].Pred.K
+				b.Guards = []Guard{{Fn: func(_ any, args []any) bool {
+					w, ok := argWord(args, 0)
+					return ok && w == port
+				}}}
+			}
+		}
+		p := Compile(nil, info(1, false), bs, nil, nil, Options{})
 		var clock vtime.Clock
 		cpu := vtime.NewCPU(&clock, vtime.AlphaModel())
 		p.Execute(&Env{CPU: cpu}, []any{uint64(1000)}, 0)
@@ -245,14 +245,12 @@ func TestTreeFlattensGuardCost(t *testing.T) {
 }
 
 func TestTreeDisassembly(t *testing.T) {
-	for _, cfg := range indexConfigs {
-		var fired []uint64
-		bs := append([]*Binding{{Fn: func(any, []any) any { return nil }}},
-			portBindings(257, &fired)...)
-		d := Compile(nil, info(1, false), bs, nil, nil, cfg.opts).Disassemble()
-		if !strings.Contains(d, "index arg0: steps 1..257, 257 keys, 512 slots\n") {
-			t.Fatalf("%s: disassembly missing the indexed run:\n%.400s", cfg.name, d)
-		}
+	var fired []uint64
+	bs := append([]*Binding{{Fn: func(any, []any) any { return nil }}},
+		portBindings(257, &fired)...)
+	d := Compile(nil, info(1, false), bs, nil, nil, Options{}).Disassemble()
+	if !strings.Contains(d, "index arg0: steps 1..257, 257 keys, 512 slots\n") {
+		t.Fatalf("disassembly missing the indexed run:\n%.400s", d)
 	}
 }
 
@@ -284,7 +282,7 @@ func TestGuardIndexLeafEvaluationsConstant(t *testing.T) {
 						Fn:     func(any, []any) any { return nil },
 					}
 				}
-				p := Compile(nil, info(1, false), bs, nil, nil, cfg.opts)
+				p := Compile(nil, info(1, false), bs, nil, nil, Options{})
 				if runs, covered := p.IndexedRuns(); runs != 1 || covered != len(bs) {
 					t.Fatalf("%s n=%d: runs=%d covered=%d", cfg.name, n, runs, covered)
 				}

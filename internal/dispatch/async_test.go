@@ -282,3 +282,53 @@ func TestDispatcherAccessors(t *testing.T) {
 		t.Fatal("accessors broken")
 	}
 }
+
+// TestAsyncRaiseLeavesCallerArgs: a raise whose handlers run after it
+// returns — an async binding's, any handler of an event defined
+// asynchronous, any handler under RaiseAsync — reads its own copy of the
+// arguments, so a raiser that reuses its buffer at once does not change
+// what the handler sees.
+func TestAsyncRaiseLeavesCallerArgs(t *testing.T) {
+	for _, asyncEvent := range []bool{false, true} {
+		var pending []func()
+		d := New(WithSpawner(func(fn func()) { pending = append(pending, fn) }))
+		var evOpts []EventOption
+		var instOpts []InstallOption
+		if asyncEvent {
+			evOpts = append(evOpts, AsAsync())
+		} else {
+			instOpts = append(instOpts, Async())
+		}
+		e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word), evOpts...)
+		var seen []any
+		if _, err := e.Install(handler(voidProc("H", rtti.Word), func(_ any, args []any) any {
+			seen = append(seen, args[0])
+			return nil
+		}), instOpts...); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			name  string
+			raise func(args []any) error
+		}{
+			{"Raise", func(args []any) error { _, err := e.Raise(args...); return err }},
+			{"RaiseAsync", func(args []any) error { return e.RaiseAsync(args...) }},
+			{"RaiseReport", func(args []any) error { _, err := e.RaiseReport(args...); return err }},
+		} {
+			buf := []any{uint64(1)}
+			if err := r.raise(buf); err != nil {
+				t.Fatalf("async event=%v %s: %v", asyncEvent, r.name, err)
+			}
+			buf[0] = uint64(2) // the raiser reuses its buffer
+			seen = nil
+			for len(pending) > 0 {
+				fn := pending[0]
+				pending = pending[1:]
+				fn()
+			}
+			if len(seen) != 1 || seen[0] != uint64(1) {
+				t.Errorf("async event=%v %s: handler saw %v, want the raised value 1", asyncEvent, r.name, seen)
+			}
+		}
+	}
+}

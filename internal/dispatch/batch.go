@@ -161,7 +161,7 @@ func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	if e.async {
 		own := append([]any(nil), flat[:n*width]...)
 		for i := 0; i < n; i++ {
-			switch err := e.RaiseAsync(own[i*width : (i+1)*width : (i+1)*width]...); {
+			switch err := e.raiseAsync(own[i*width : (i+1)*width : (i+1)*width]); {
 			case err == nil:
 				out.Raised++
 			case errors.Is(err, admit.ErrOverload):

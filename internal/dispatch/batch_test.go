@@ -24,25 +24,64 @@ import (
 // spans, same fault and admission ledgers — including plan churn in the
 // middle of a batch.
 
-// batchConfigs sweeps the code generator's optimization space: every
-// configuration selects a different executor tier (the plain stencil's fast
-// loop, decision tree, no bypass or peephole around the population's
-// out-of-line handlers, and "interp": a metered dispatcher, whose batches
-// are loops of single raises on the observed walk, which evaluates each
-// step's guard list instead of its flattened leaves). opts returns a fresh
-// option list per dispatcher.
-var batchConfigs = []struct {
-	name string
-	opts func() []Option
-}{
-	{"default", func() []Option { return nil }},
-	{"tree", func() []Option {
-		return []Option{WithCodegenOptions(codegen.Options{EnableDecisionTree: true})}
-	}},
-	{"outofline", func() []Option {
-		return []Option{WithCodegenOptions(codegen.Options{DisableBypass: true, DisablePeephole: true})}
-	}},
-	{"interp", func() []Option { return []Option{WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))} }},
+// batchConfigs sweeps the executor tiers and guard shapes a batch can
+// take: the plain stencil's fast loop over inline and call guards
+// ("default"), the same with a run of equality guards the guard index
+// serves ("tree"), with every guard an out-of-line call ("outofline"), and
+// "interp": a metered dispatcher, whose batches are loops of single raises
+// on the observed walk, which evaluates each step's guard list instead of
+// its flattened leaves.
+var batchConfigs = []batchConfig{
+	{name: "default"},
+	{name: "tree", run: true},
+	{name: "outofline", callGuards: true},
+	{name: "interp", metered: true},
+}
+
+type batchConfig struct {
+	name       string
+	run        bool // the population ends in an indexed run of equality guards
+	callGuards bool // equality guards are out-of-line calls, not inline predicates
+	metered    bool
+}
+
+// opts returns a fresh option list per dispatcher.
+func (c batchConfig) opts() []Option {
+	if c.metered {
+		return []Option{WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))}
+	}
+	return nil
+}
+
+// eq is the configuration's guard passing when argument 0 is k.
+func (c batchConfig) eq(k uint64) InstallOption {
+	if !c.callGuards {
+		return WithGuard(Guard{Pred: codegen.ArgEq(0, k)})
+	}
+	return WithGuard(Guard{
+		Proc: guardProc(fmt.Sprintf("G.Eq%d", k), rtti.Word),
+		Fn:   func(clo any, args []any) bool { return args[0].(uint64) == k },
+	})
+}
+
+// installRun installs a run of four handlers (ids from id) guarded on
+// argument 0 equalling 0..3 when the configuration asks for one: long
+// enough for the guard index.
+func (c batchConfig) installRun(t *testing.T, e *Event, id int, log *[]int) {
+	t.Helper()
+	if !c.run {
+		return
+	}
+	for k := uint64(0); k < 4; k++ {
+		id := id + int(k)
+		if _, err := e.Install(handler(voidProc(fmt.Sprintf("R%d", id), rtti.Word),
+			func(any, []any) any { *log = append(*log, id); return nil }), c.eq(k)); err != nil {
+			t.Fatalf("install run %d: %v", id, err)
+		}
+	}
+	if runs, covered := e.Plan().IndexedRuns(); runs != 1 || covered != 4 {
+		t.Fatalf("runs=%d covered=%d, want the four equality guards indexed", runs, covered)
+	}
 }
 
 // batchSizes are the batch lengths the differential tests sweep; 1 and 2
@@ -51,11 +90,10 @@ var batchConfigs = []struct {
 var batchSizes = []int{1, 2, 8, 64, 1000}
 
 // installBatchPopulation installs a deterministic mixed handler
-// population: unguarded handlers, an inline ArgEq predicate guard, an
-// out-of-line functional guard, and a second predicate guard (so the
-// decision-tree config has a hashable run). Each firing appends the
-// handler's id to *log.
-func installBatchPopulation(t *testing.T, e *Event, log *[]int) {
+// population: unguarded handlers, an equality guard, an out-of-line
+// functional guard, a second equality guard and the configuration's run.
+// Each firing appends the handler's id to *log.
+func installBatchPopulation(t *testing.T, cfg batchConfig, e *Event, log *[]int) {
 	t.Helper()
 	add := func(id int, opts ...InstallOption) {
 		_, err := e.Install(handler(voidProc(fmt.Sprintf("H%d", id), rtti.Word),
@@ -68,13 +106,14 @@ func installBatchPopulation(t *testing.T, e *Event, log *[]int) {
 		}
 	}
 	add(0)
-	add(1, WithGuard(Guard{Pred: codegen.ArgEq(0, 1)}))
+	add(1, cfg.eq(1))
 	add(2, WithGuard(Guard{
 		Proc: guardProc("G.Lt3", rtti.Word),
 		Fn:   func(clo any, args []any) bool { return args[0].(uint64) < 3 },
 	}))
-	add(3, WithGuard(Guard{Pred: codegen.ArgEq(0, 2)}))
+	add(3, cfg.eq(2))
 	add(4)
+	cfg.installRun(t, e, 5, log)
 }
 
 // batchTestFlat builds n one-word frames in RaiseBatch1's flat layout,
@@ -125,8 +164,8 @@ func TestRaiseBatchMatchesLoop(t *testing.T) {
 					eb := mustDefine(t, db, "Batch.E", rtti.Sig(nil, rtti.Word))
 					el := mustDefine(t, dl, "Batch.E", rtti.Sig(nil, rtti.Word))
 					var logB, logL []int
-					installBatchPopulation(t, eb, &logB)
-					installBatchPopulation(t, el, &logL)
+					installBatchPopulation(t, cfg, eb, &logB)
+					installBatchPopulation(t, cfg, el, &logL)
 					var trB, trL *trace.Tracer
 					if traced {
 						// 1 in 3: a batch draws per frame, as the loop does.
@@ -458,7 +497,7 @@ func TestRaiseBatchMidBatchUninstall(t *testing.T) {
 							victim = nil
 						}
 						return nil
-					}), WithGuard(Guard{Pred: codegen.ArgEq(0, 7)}))
+					}), cfg.eq(7))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -471,6 +510,7 @@ func TestRaiseBatchMidBatchUninstall(t *testing.T) {
 					func(any, []any) any { log = append(log, 300); return nil })); err != nil {
 					t.Fatal(err)
 				}
+				cfg.installRun(t, e, 400, &log) // the uninstall moves it
 				flat := make([]any, 64)
 				for i := range flat {
 					w := uint64(i % 3)

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spin/internal/codegen"
 	"spin/internal/fault"
 	"spin/internal/journal"
 	"spin/internal/trace"
@@ -74,7 +73,6 @@ type Dispatcher struct {
 
 	cpu     *vtime.CPU
 	sim     *vtime.Simulator
-	cgOpts  codegen.Options
 	purity  bool
 	spawner func(fn func())
 	quota   quotas
@@ -118,12 +116,6 @@ func WithCPU(cpu *vtime.CPU) Option {
 // simulator instead of real goroutines, keeping metered runs deterministic.
 func WithSimulator(sim *vtime.Simulator) Option {
 	return func(d *Dispatcher) { d.sim = sim }
-}
-
-// WithCodegenOptions overrides the code generator's optimization switches,
-// used by the ablation benchmarks.
-func WithCodegenOptions(opts codegen.Options) Option {
-	return func(d *Dispatcher) { d.cgOpts = opts }
 }
 
 // WithPurityChecking makes the dispatcher verify, on every evaluation, that

@@ -332,9 +332,7 @@ func (e *Event) recompile(charge bool) {
 		def = e.defaultB.compile(e.d)
 	}
 	info := codegen.EventInfo{Name: e.name, Arity: e.sig.Arity(), HasResult: e.sig.HasResult()}
-	opts := e.d.cgOpts
-	opts.Trace = e.tracer
-	opts.Admit = e.admitQ
+	opts := codegen.Options{Trace: e.tracer, Admit: e.admitQ}
 	if e.d.faults.enforce {
 		opts.Protect = e.d.faults
 	}
@@ -379,6 +377,11 @@ func (e *Event) Raise(args ...any) (any, error) {
 // simulator admission is inactive: a single-threaded simulation cannot
 // overload itself.
 func (e *Event) RaiseAsync(args ...any) error {
+	return e.raiseAsync(slices.Clone(args)) // the raiser keeps args; the raise runs after this returns
+}
+
+// raiseAsync is RaiseAsync of a frame the raise owns.
+func (e *Event) raiseAsync(args []any) error {
 	if err := e.checkArgs(args); err != nil {
 		return err
 	}
@@ -448,10 +451,11 @@ func (e *Event) newEnv() *codegen.Env {
 }
 
 // raiseSync raises args, which the raiser keeps: a plan with a filter,
-// which rewrites its frame in place, runs on a pooled private copy instead.
+// which rewrites its frame in place, or with a step that may read it after
+// the raise returns (RetainsArgs), runs on a copy instead (raisePooled).
 func (e *Event) raiseSync(args []any) (any, error) {
 	plan := e.plan.Load()
-	if len(args) > 0 && plan.HasFilter() {
+	if len(args) > 0 && (plan.HasFilter() || plan.RetainsArgs()) {
 		bp := argPool.Get().(*[]any)
 		*bp = append((*bp)[:0], args...)
 		return e.raisePooled(plan, bp)
@@ -576,7 +580,7 @@ func (e *Event) raisePooled(plan *codegen.Plan, bp *[]any) (any, error) {
 // identical to Raise().
 func (e *Event) Raise0() (any, error) {
 	if e.async {
-		return nil, e.RaiseAsync()
+		return nil, e.raiseAsync(nil)
 	}
 	return e.raiseSync(nil)
 }
@@ -586,7 +590,7 @@ func (e *Event) Raise0() (any, error) {
 // identical to Raise(a1).
 func (e *Event) Raise1(a1 any) (any, error) {
 	if e.async {
-		return nil, e.RaiseAsync(a1)
+		return nil, e.raiseAsync([]any{a1})
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1)
@@ -597,7 +601,7 @@ func (e *Event) Raise1(a1 any) (any, error) {
 // frame. Semantics are identical to Raise(a1, a2).
 func (e *Event) Raise2(a1, a2 any) (any, error) {
 	if e.async {
-		return nil, e.RaiseAsync(a1, a2)
+		return nil, e.raiseAsync([]any{a1, a2})
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2)
@@ -608,7 +612,7 @@ func (e *Event) Raise2(a1, a2 any) (any, error) {
 // frame. Semantics are identical to Raise(a1, a2, a3).
 func (e *Event) Raise3(a1, a2, a3 any) (any, error) {
 	if e.async {
-		return nil, e.RaiseAsync(a1, a2, a3)
+		return nil, e.raiseAsync([]any{a1, a2, a3})
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3)
@@ -619,7 +623,7 @@ func (e *Event) Raise3(a1, a2, a3 any) (any, error) {
 // frame. Semantics are identical to Raise(a1, a2, a3, a4).
 func (e *Event) Raise4(a1, a2, a3, a4 any) (any, error) {
 	if e.async {
-		return nil, e.RaiseAsync(a1, a2, a3, a4)
+		return nil, e.raiseAsync([]any{a1, a2, a3, a4})
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3, a4)
@@ -631,7 +635,7 @@ func (e *Event) Raise4(a1, a2, a3, a4 any) (any, error) {
 // Raise(a1, a2, a3, a4, a5).
 func (e *Event) Raise5(a1, a2, a3, a4, a5 any) (any, error) {
 	if e.async {
-		return nil, e.RaiseAsync(a1, a2, a3, a4, a5)
+		return nil, e.raiseAsync([]any{a1, a2, a3, a4, a5})
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3, a4, a5)

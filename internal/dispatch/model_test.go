@@ -51,9 +51,7 @@ func (m *refModel) remove(id int) {
 func TestDispatcherAgreesWithReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 30; trial++ {
-		d := New(WithCodegenOptions(codegen.Options{
-			EnableDecisionTree: true,
-		}))
+		d := New()
 		e := mustDefine(t, d, "Model.E", rtti.Sig(nil, rtti.Word))
 		ref := &refModel{}
 
@@ -162,7 +160,6 @@ func TestDispatcherAgreesWithReferenceModelMixedModes(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		d := New(
-			WithCodegenOptions(codegen.Options{EnableDecisionTree: true}),
 			WithSpawner(func(fn func()) { fn() }), // async handlers run inline, in order
 		)
 		e := mustDefine(t, d, "Model.M", rtti.Sig(nil, rtti.Word))

@@ -84,7 +84,7 @@ func TestRaiseBypassZeroAllocs(t *testing.T) {
 // plan (the Table 1 inline configuration) raises with zero heap
 // allocations.
 func TestRaiseInlinePlanZeroAllocs(t *testing.T) {
-	d := New(WithCodegenOptions(codegen.Options{DisableBypass: true}))
+	d := New()
 	ev, err := d.DefineEvent("Fast.Inline", fastSig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRaiseInlinePlanZeroAllocs(t *testing.T) {
 // unrolled loop also raises without allocation: synchronous handlers are
 // called directly, not through a per-step closure.
 func TestRaiseOutOfLinePlanZeroAllocs(t *testing.T) {
-	d := New(WithCodegenOptions(codegen.Options{DisableBypass: true}))
+	d := New()
 	ev, err := d.DefineEvent("Fast.OutOfLine", fastSig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestRaiseOutOfLinePlanZeroAllocs(t *testing.T) {
 // handlers, a default-handler firing, and the arity-any executor beyond
 // the shape-specialized range.
 func TestSpecializedExecutorZeroAllocs(t *testing.T) {
-	d := New(WithCodegenOptions(codegen.Options{DisableBypass: true}))
+	d := New()
 
 	// Guarded bypass: one guarded inline handler.
 	gb, err := d.DefineEvent("Fast.GuardedBypass", fastSig(1))

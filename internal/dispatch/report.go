@@ -41,8 +41,10 @@ func (e *Event) RaiseReport(args ...any) (RaiseReport, error) {
 		return RaiseReport{Async: true}, err
 	}
 	plan := e.plan.Load()
-	if plan.HasFilter() {
-		args = slices.Clone(args) // the raiser keeps args; a filter rewrites its frame
+	if plan.HasFilter() || plan.RetainsArgs() {
+		// The raiser keeps args: a filter rewrites its frame, and an async or
+		// ephemeral step may read it after the raise returns.
+		args = slices.Clone(args)
 	}
 	out, err := e.raiseOut(plan, args)
 	if err != nil {

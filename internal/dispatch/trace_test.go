@@ -55,7 +55,7 @@ func TestTracingOffZeroAlloc(t *testing.T) {
 		cycle(t, ev, func() { _, _ = ev.Raise2(uint64(1), uint64(2)) })
 	})
 	t.Run("inline-plan", func(t *testing.T) {
-		d := New(WithCodegenOptions(codegen.Options{DisableBypass: true}))
+		d := New()
 		ev, err := d.DefineEvent("TraceOff.Inline", fastSig(2))
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestTracingOffZeroAlloc(t *testing.T) {
 		cycle(t, ev, func() { _, _ = ev.Raise2(uint64(1), uint64(2)) })
 	})
 	t.Run("sync-step", func(t *testing.T) {
-		d := New(WithCodegenOptions(codegen.Options{DisableBypass: true}))
+		d := New()
 		ev, err := d.DefineEvent("TraceOff.Steps", fastSig(1))
 		if err != nil {
 			t.Fatal(err)

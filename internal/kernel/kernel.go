@@ -11,7 +11,6 @@
 package kernel
 
 import (
-	"spin/internal/codegen"
 	"spin/internal/dispatch"
 	"spin/internal/fault"
 	"spin/internal/journal"
@@ -36,9 +35,6 @@ type Config struct {
 	// and a discrete-event simulator. Unmetered machines run in real
 	// time with goroutine-backed asynchrony.
 	Metered bool
-	// Codegen overrides the dispatch code generator's optimization
-	// switches, for ablations.
-	Codegen codegen.Options
 	// Trace, when non-nil, enables dispatch tracing machine-wide: every
 	// event defined on the machine's dispatcher records sampled raises
 	// into the tracer's span ring (see internal/trace).
@@ -117,7 +113,6 @@ func Boot(cfg Config) (*Machine, error) {
 		}
 		dopts = append(dopts, dispatch.WithCPU(m.CPU), dispatch.WithSimulator(m.Sim))
 	}
-	dopts = append(dopts, dispatch.WithCodegenOptions(cfg.Codegen))
 	if cfg.Trace != nil {
 		dopts = append(dopts, dispatch.WithTracer(cfg.Trace))
 	}

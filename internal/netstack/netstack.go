@@ -168,7 +168,7 @@ type Config struct {
 	// them is dispatched through the code generator's guard index (§3.2
 	// future work; codegen/tree.go): natively one hash of the port
 	// whatever the number of bound sockets, and in the calibrated model
-	// one inline-guard charge under codegen.Options.EnableDecisionTree.
+	// one inline-guard charge per lookup.
 	InlinePortGuards bool
 	// DynamicARP loads the ARP resolver module: link addresses are
 	// learned from request/reply traffic over the broadcast segment, and

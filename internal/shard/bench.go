@@ -20,33 +20,15 @@ import (
 
 var benchModule = rtti.NewModule("ShardBench")
 
-// ScalingConfig shapes the install/raise churn workload.
-type ScalingConfig struct {
-	// Events is the number of events defined across the plane.
-	Events int
-	// Rounds is the number of install-then-raise rounds per event; each
-	// round adds one binding, so installs see the paper's §3.1 quadratic
-	// recompile growth.
-	Rounds int
-	// RaisesPerInstall is the number of synchronous raises after each
-	// install.
-	RaisesPerInstall int
-	// Replicas overrides the ring's virtual-node count (0 = default).
-	Replicas int
-}
-
-func (c ScalingConfig) withDefaults() ScalingConfig {
-	if c.Events == 0 {
-		c.Events = 256
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 8
-	}
-	if c.RaisesPerInstall == 0 {
-		c.RaisesPerInstall = 32
-	}
-	return c
-}
+// The install/raise churn workload: churnEvents events defined across the
+// plane, churnRounds install-then-raise rounds per event — each round adds
+// one binding, so installs see the paper's §3.1 quadratic recompile
+// growth — and churnRaises synchronous raises after each install.
+const (
+	churnEvents = 256
+	churnRounds = 8
+	churnRaises = 32
+)
 
 // ScalingPoint is one row of the shard scaling table.
 type ScalingPoint struct {
@@ -64,22 +46,19 @@ type ScalingPoint struct {
 	// makespan; installs ride inside the same window, which is the point:
 	// raise throughput under install churn).
 	Throughput float64
-	// Speedup is this point's throughput over the 1-shard baseline's;
-	// filled by MeasureScalingSweep, 0 from MeasureScaling alone.
+	// Speedup is this point's throughput over the 1-shard baseline's.
 	Speedup float64
 	// Balance is the min/max ratio of per-shard event populations (1.0 =
 	// perfectly uniform).
 	Balance float64
 }
 
-// MeasureScaling runs the churn workload against an n-shard plane and
-// reports the aggregate point. Deterministic: same inputs, same row.
-func MeasureScaling(n int, cfg ScalingConfig) (ScalingPoint, error) {
-	cfg = cfg.withDefaults()
+// measureScaling runs the churn workload against an n-shard plane and
+// reports the aggregate point. Deterministic: same n, same row.
+func measureScaling(n int) (ScalingPoint, error) {
 	clocks := make([]*vtime.Clock, n)
 	r, err := NewRouter(Config{
-		Shards:   n,
-		Replicas: cfg.Replicas,
+		Shards: n,
 		NewShard: func(id int) *dispatch.Dispatcher {
 			clock := &vtime.Clock{}
 			clocks[id] = clock
@@ -91,7 +70,7 @@ func MeasureScaling(n int, cfg ScalingConfig) (ScalingPoint, error) {
 	}
 
 	sig := rtti.Sig(nil, rtti.Word)
-	events := make([]*Event, cfg.Events)
+	events := make([]*Event, churnEvents)
 	perShard := make([]int, n)
 	for i := range events {
 		name := fmt.Sprintf("Shard.Churn.%03d", i)
@@ -107,14 +86,14 @@ func MeasureScaling(n int, cfg ScalingConfig) (ScalingPoint, error) {
 		Proc: &rtti.Proc{Name: "ShardBench.H", Module: benchModule, Sig: sig},
 		Fn:   func(any, []any) any { return nil },
 	}
-	pt := ScalingPoint{Shards: n, Events: cfg.Events}
-	for round := 0; round < cfg.Rounds; round++ {
+	pt := ScalingPoint{Shards: n, Events: churnEvents}
+	for round := 0; round < churnRounds; round++ {
 		for _, e := range events {
 			if _, err := e.Install(h); err != nil {
 				return ScalingPoint{}, err
 			}
 			pt.Installs++
-			for k := 0; k < cfg.RaisesPerInstall; k++ {
+			for k := 0; k < churnRaises; k++ {
 				if _, err := e.Raise1(uintptr(k)); err != nil {
 					return ScalingPoint{}, err
 				}
@@ -148,10 +127,10 @@ func MeasureScaling(n int, cfg ScalingConfig) (ScalingPoint, error) {
 
 // MeasureScalingSweep measures each shard count and fills Speedup relative
 // to the first point (conventionally 1 shard).
-func MeasureScalingSweep(counts []int, cfg ScalingConfig) ([]ScalingPoint, error) {
+func MeasureScalingSweep(counts []int) ([]ScalingPoint, error) {
 	pts := make([]ScalingPoint, 0, len(counts))
 	for _, n := range counts {
-		pt, err := MeasureScaling(n, cfg)
+		pt, err := measureScaling(n)
 		if err != nil {
 			return nil, err
 		}

@@ -14,12 +14,12 @@ package shard
 
 import "sort"
 
-// DefaultReplicas is the virtual-node count per shard. 256 points per
+// ringReplicas is the virtual-node count per shard. 256 points per
 // shard keeps the per-shard population near uniform at the shard counts
 // the scaling table sweeps (1..8) — measured min/max event balance 0.81
 // for 256 events on 4 shards — while the ring stays small enough to build
 // at every boot.
-const DefaultReplicas = 256
+const ringReplicas = 256
 
 // point is one virtual node: a hash position owned by a shard.
 type point struct {
@@ -30,9 +30,8 @@ type point struct {
 // ring is an immutable consistent-hash ring over shards 0..shards-1, so
 // lookups need no locking.
 type ring struct {
-	points   []point
-	shards   int
-	replicas int
+	points []point
+	shards int
 }
 
 // fnv64 is FNV-1a over the event name — stable, dependency-free, and fast
@@ -66,13 +65,10 @@ func pointFor(shard, replica int) uint64 {
 }
 
 // buildRing constructs the ring for a shard count.
-func buildRing(shards, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	pts := make([]point, 0, shards*replicas)
+func buildRing(shards int) *ring {
+	pts := make([]point, 0, shards*ringReplicas)
 	for s := 0; s < shards; s++ {
-		for r := 0; r < replicas; r++ {
+		for r := 0; r < ringReplicas; r++ {
 			pts = append(pts, point{hash: pointFor(s, r), shard: int32(s)})
 		}
 	}
@@ -84,7 +80,7 @@ func buildRing(shards, replicas int) *ring {
 		// ownership stays deterministic across rebuilds.
 		return pts[i].shard < pts[j].shard
 	})
-	return &ring{points: pts, shards: shards, replicas: replicas}
+	return &ring{points: pts, shards: shards}
 }
 
 // owner returns the shard owning a key: the first virtual node at or after

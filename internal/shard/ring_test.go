@@ -17,8 +17,8 @@ func keyNames(n int) []string {
 // shard count, replicas) — two independently built rings agree on every
 // key, which is what makes routing reproducible across boots.
 func TestRingDeterministicOwnership(t *testing.T) {
-	a := buildRing(4, 0)
-	b := buildRing(4, 0)
+	a := buildRing(4)
+	b := buildRing(4)
 	for _, name := range keyNames(512) {
 		if a.owner(name) != b.owner(name) {
 			t.Fatalf("rings disagree on %s: %d vs %d", name, a.owner(name), b.owner(name))
@@ -33,7 +33,7 @@ func TestRingDeterministicOwnership(t *testing.T) {
 func TestRingConsistencyOnGrowth(t *testing.T) {
 	names := keyNames(2048)
 	for n := 1; n < 8; n++ {
-		small, big := buildRing(n, 0), buildRing(n+1, 0)
+		small, big := buildRing(n), buildRing(n+1)
 		moved := 0
 		for _, name := range names {
 			was, is := small.owner(name), big.owner(name)
@@ -54,10 +54,10 @@ func TestRingConsistencyOnGrowth(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with DefaultReplicas virtual nodes the per-shard key
+// TestRingBalance: with ringReplicas virtual nodes the per-shard key
 // population stays within the band the scaling table's speedup depends on.
 func TestRingBalance(t *testing.T) {
-	r := buildRing(4, 0)
+	r := buildRing(4)
 	counts := make([]int, 4)
 	for _, name := range keyNames(256) {
 		counts[r.owner(name)]++

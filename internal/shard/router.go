@@ -13,9 +13,6 @@ import (
 type Config struct {
 	// Shards is the shard count (minimum 1).
 	Shards int
-	// Replicas is the virtual-node count per shard on the hash ring; 0
-	// selects DefaultReplicas.
-	Replicas int
 	// NewShard constructs the dispatcher for shard id. Each call must
 	// return a distinct dispatcher — the shard's own admission pool, fault
 	// ledger, quota accounting, and (if configured) journal stream are
@@ -69,7 +66,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		mk = func(int) *dispatch.Dispatcher { return dispatch.New() }
 	}
 	r := &Router{
-		ring:   buildRing(cfg.Shards, cfg.Replicas),
+		ring:   buildRing(cfg.Shards),
 		events: make(map[string]*Event),
 	}
 	for i := 0; i < cfg.Shards; i++ {

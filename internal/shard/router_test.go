@@ -208,7 +208,7 @@ func TestShardRoutedBypassRaiseZeroAlloc(t *testing.T) {
 // sustain at least 3x the 1-shard aggregate raise throughput under the
 // install/raise churn workload, measured in deterministic virtual time.
 func TestShardScalingGate(t *testing.T) {
-	pts, err := MeasureScalingSweep([]int{1, 4}, ScalingConfig{})
+	pts, err := MeasureScalingSweep([]int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
