@@ -18,7 +18,6 @@ import (
 	"spin/internal/kernel"
 	"spin/internal/rtti"
 	"spin/internal/scenario"
-	"spin/internal/shard"
 )
 
 const (
@@ -34,10 +33,6 @@ const (
 	// raise on a machine with the remote subsystem resident must cost at
 	// most this multiple of the same raise on a machine without it.
 	remoteCeiling = 1.25
-	// shardCeiling is a ceiling with tolerance baked in: a bypass raise
-	// through a 4-shard router's pinned route must cost at most this
-	// multiple of the same raise on a bare dispatcher event.
-	shardCeiling = 1.15
 	// filterCeiling is a ceiling with tolerance baked in: a filter ahead of
 	// two handlers, raised through Raise1, must cost at most this multiple
 	// of the same plan with the filter installed as a plain handler
@@ -204,34 +199,6 @@ func TestBenchSmokeRemote(t *testing.T) {
 	if ratio := bestRatio(t, "plain", raise1(baseEv.Raise1), "remote-resident", raise1(subjEv.Raise1)); ratio > remoteCeiling {
 		t.Errorf("remote-resident/plain local raise ratio %.2fx exceeds committed %.2fx ceiling: remote subsystem taxes the local path",
 			ratio, remoteCeiling)
-	}
-}
-
-// TestBenchSmokeShard is the routing-plane tax gate: a synchronous bypass
-// raise through a routed handle — 4 shards resident, route pinned at
-// definition time — must cost at most shardCeiling times the same raise on
-// a bare dispatcher event. The routed handle embeds its dispatcher event,
-// so the routed raise is the dispatcher's raise; the gate keeps it that
-// way.
-func TestBenchSmokeShard(t *testing.T) {
-	requireSmoke(t)
-	sig := rtti.Sig(nil, rtti.Word)
-	r, err := shard.NewRouter(shard.Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routedEv, err := r.DefineEvent("Smoke.Routed", sig, dispatch.WithIntrinsic(dispatch.Handler{
-		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
-		Fn:   func(any, []any) any { return nil },
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainEv := bypassEvent(t, dispatch.New(), "Smoke.Unrouted")
-
-	if ratio := bestRatio(t, "unrouted", raise1(plainEv.Raise1), "routed", raise1(routedEv.Raise1)); ratio > shardCeiling {
-		t.Errorf("routed/unrouted bypass raise ratio %.2fx exceeds committed %.2fx ceiling: the routing plane taxes the raise path",
-			ratio, shardCeiling)
 	}
 }
 

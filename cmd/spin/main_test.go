@@ -16,8 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // replaced (spinfault, spinremote, spintrace, spindoc, spinjournal,
 // spinbench), so a drift here is a drift in a virtual-time drill, a model
 // table or a printed format (remote_seed7 came later, with the fix to the
-// drill's exactly-once line). tables_all is spinbench's -table all plus the
-// virtual-time rows of its -table shard.
+// drill's exactly-once line). tables_all is spinbench's -table all.
 // testdata/small.sj is a ten-record, three-batch journal written by the
 // parent commit's encoder.
 func TestSubcommandGolden(t *testing.T) {
@@ -90,7 +89,7 @@ func TestUsageErrors(t *testing.T) {
 		{"journal frob x", ""},
 		{"doc -schema x", ""},
 		{"fault -nosuchflag", ""},
-		{"tables -table bogus", "have: 1, 2, tree, install, async, micro, shard, all"},
+		{"tables -table bogus", "have: 1, 2, tree, install, async, micro, all"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 2 {

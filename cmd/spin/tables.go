@@ -9,7 +9,6 @@ import (
 
 	"spin/internal/bench"
 	"spin/internal/codegen"
-	"spin/internal/shard"
 	"spin/internal/vtime"
 )
 
@@ -28,7 +27,6 @@ var paperTables = []struct {
 	{"install", installOverhead},
 	{"async", asyncOverhead},
 	{"micro", micro},
-	{"shard", shardScaling},
 }
 
 // tablesCmd regenerates the paper's microbenchmark tables from the
@@ -41,11 +39,15 @@ var paperTables = []struct {
 //	spin tables -table install  §3.1 installation overhead
 //	spin tables -table async    §3.1 asynchronous event overhead
 //	spin tables -table micro    §3.1 syscall/thread event overhead
-//	spin tables -table shard    sharded-plane scaling (1..8 shards)
 //	spin tables -disasm         dispatch plan disassembly tour
 func tablesCmd(args []string, stdout, stderr io.Writer) error {
+	names := make([]string, 0, len(paperTables)+1)
+	for _, t := range paperTables {
+		names = append(names, t.name)
+	}
+	names = append(names, "all")
 	fs := newFlags("tables", stderr)
-	table := fs.String("table", "all", "which table to regenerate: 1, 2, tree, install, async, micro, shard, all")
+	table := fs.String("table", "all", "which table to regenerate: "+strings.Join(names, ", "))
 	disasm := fs.Bool("disasm", false, "show dispatch plan disassembly for representative events")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -54,11 +56,6 @@ func tablesCmd(args []string, stdout, stderr io.Writer) error {
 		showDisasm(stdout)
 		return nil
 	}
-	names := make([]string, 0, len(paperTables)+1)
-	for _, t := range paperTables {
-		names = append(names, t.name)
-	}
-	names = append(names, "all")
 	if !slices.Contains(names, *table) {
 		fmt.Fprintf(stderr, "spin tables: unknown table %q (have: %s)\n", *table, strings.Join(names, ", "))
 		return errUsage
@@ -179,29 +176,6 @@ func micro(w io.Writer) error {
 		vtime.InMicros(m.SyscallDirect), vtime.InMicros(m.SyscallEvented), m.SyscallOverheadPct())
 	fmt.Fprintf(w, "  thread switch:  direct %6.2f us, evented %6.2f us -> %4.1f%%\n",
 		vtime.InMicros(m.ThreadDirect), vtime.InMicros(m.ThreadEvented), m.ThreadOverheadPct())
-	fmt.Fprintln(w)
-	return nil
-}
-
-// shardScaling prints aggregate raise throughput under install/raise churn
-// at 1, 2, 4, and 8 shards. Each shard meters its own Alpha-model clock and
-// the plane's makespan is the slowest shard, so the speedups are model
-// outputs, not host parallelism; TestBenchSmokeShard gates the native
-// routed-raise tax.
-func shardScaling(w io.Writer) error {
-	fmt.Fprintln(w, "Sharded dispatch plane: raise throughput under install/raise churn")
-	fmt.Fprintln(w, "  (virtual time, 256 events, 8 install rounds x 32 raises, per-shard Alpha clocks)")
-	pts, err := shard.MeasureScalingSweep([]int{1, 2, 4, 8})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  %-7s %9s %9s %12s %14s %9s %9s\n",
-		"shards", "installs", "raises", "makespan ms", "raises/sec", "speedup", "balance")
-	for _, p := range pts {
-		fmt.Fprintf(w, "  %-7d %9d %9d %12.2f %14.0f %8.2fx %9.2f\n",
-			p.Shards, p.Installs, p.Raises, float64(p.Makespan)/1e6,
-			p.Throughput, p.Speedup, p.Balance)
-	}
 	fmt.Fprintln(w)
 	return nil
 }

@@ -181,31 +181,11 @@ func (s QueueStats) Drained() bool {
 	return s.Depth == 0 && s.InFlight == 0 && s.Retrying == 0
 }
 
-// Add returns the element-wise sum of two snapshots. The shard router uses
-// it to aggregate per-shard admission ledgers into one plane-wide view;
-// MaxDepth takes the larger watermark since depths on different queues
-// never stack.
-func (s QueueStats) Add(o QueueStats) QueueStats {
-	s.Submitted += o.Submitted
-	s.Completed += o.Completed
-	s.Shed += o.Shed
-	s.Coalesced += o.Coalesced
-	s.Retried += o.Retried
-	s.Retrying += o.Retrying
-	s.Depth += o.Depth
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-	s.InFlight += o.InFlight
-	return s
-}
-
 // Identity reports the ledger conservation law: every submission is
 // completed, shed, coalesced, or still in the machine (queued, in flight,
 // or waiting out a retry backoff). On a drained queue it reduces to
-// Submitted == Completed + Shed + Coalesced. It holds per queue and, since
-// Add is a sum of disjoint ledgers, across any aggregation of them — the
-// per-shard invariant the shard suite enforces.
+// Submitted == Completed + Shed + Coalesced; TestQueueAccountingIdentity
+// checks it on drained Shed, ShedOldest and Coalesce queues.
 func (s QueueStats) Identity() bool {
 	return s.Submitted == s.Completed+s.Shed+s.Coalesced+
 		int64(s.Depth)+int64(s.InFlight)+int64(s.Retrying)

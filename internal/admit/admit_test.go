@@ -365,5 +365,8 @@ func TestQueueAccountingIdentity(t *testing.T) {
 			t.Fatalf("%v: %d completed + %d shed + %d coalesced = %d, want %d submitted",
 				mode, s.Completed, s.Shed, s.Coalesced, got, s.Submitted)
 		}
+		if !s.Identity() {
+			t.Fatalf("%v: drained ledger %+v breaks Identity", mode, s)
+		}
 	}
 }

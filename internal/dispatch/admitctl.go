@@ -274,14 +274,6 @@ func (d *Dispatcher) submitRaise(q *admit.Queue, e *Event, args []any) error {
 // admission queues and the default spawner.
 func (d *Dispatcher) AdmissionPool() admit.PoolStats { return d.admit.pool.Stats() }
 
-// AdmissionQueues returns a snapshot of every admission queue created on
-// the dispatcher, in creation order.
-func (d *Dispatcher) AdmissionQueues() []*admit.Queue {
-	d.admit.mu.Lock()
-	defer d.admit.mu.Unlock()
-	return append([]*admit.Queue(nil), d.admit.queues...)
-}
-
 // AdmissionLevel returns the overload controller's applied degradation
 // level (0 = normal) and its name.
 func (d *Dispatcher) AdmissionLevel() (int, string) {

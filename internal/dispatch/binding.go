@@ -159,8 +159,7 @@ type Binding struct {
 func (b *Binding) Event() *Event { return b.event }
 
 // Handler returns the binding's handler: descriptor, implementation, and
-// inline body. Immutable after installation; the shard router's move
-// protocol uses it to reinstall the binding on another dispatcher.
+// inline body. Immutable after installation.
 func (b *Binding) Handler() Handler { return b.handler }
 
 // Closure returns the installation closure (nil when none was attached).

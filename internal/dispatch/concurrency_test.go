@@ -1,6 +1,8 @@
 package dispatch
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,5 +206,120 @@ func TestStatsUnderConcurrency(t *testing.T) {
 	s := e.Stats()
 	if s.Raised != goroutines*per || s.Fired != goroutines*per {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestShardConcurrentInstallRaiseReshard is the -race soak of install
+// churn across many events of one dispatcher (the name is historical: it
+// once soaked a sharded plane): raisers hammer 24 events while an
+// installer churns bindings under them. Raises must never fail, and
+// afterwards the counters are conserved — every raise fired its event's
+// stable handler once.
+func TestShardConcurrentInstallRaiseReshard(t *testing.T) {
+	const (
+		nEvents  = 24
+		raisers  = 4
+		perRaise = 400
+	)
+	d := New()
+	sig := rtti.Sig(nil, rtti.Word)
+	events := make([]*Event, nEvents)
+	var stable [nEvents]atomic.Int64
+	for i := range events {
+		e := mustDefine(t, d, fmt.Sprintf("Soak.%02d", i), sig)
+		i := i
+		if _, err := e.Install(handler(voidProc("stable", rtti.Word), func(any, []any) any {
+			stable[i].Add(1)
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		events[i] = e
+	}
+
+	var wg sync.WaitGroup
+	var raised atomic.Int64
+	for g := 0; g < raisers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perRaise; k++ {
+				e := events[(g+k)%nEvents]
+				if _, err := e.Raise1(uintptr(k)); err != nil {
+					t.Errorf("raise %s: %v", e.Name(), err)
+					return
+				}
+				raised.Add(1)
+			}
+		}(g)
+	}
+	// Churn installs/uninstalls concurrently with the raises above.
+	stop := make(chan struct{})
+	churnDone := make(chan struct{})
+	go func() {
+		defer close(churnDone)
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := events[k%nEvents]
+			b, err := e.Install(handler(voidProc("churn", rtti.Word), func(any, []any) any { return nil }))
+			if err != nil {
+				t.Errorf("churn install: %v", err)
+				return
+			}
+			if err := e.Uninstall(b); err != nil && !errors.Is(err, ErrNotInstalled) {
+				t.Errorf("churn uninstall: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-churnDone
+
+	var fired, statRaised int64
+	for i, e := range events {
+		fired += stable[i].Load()
+		statRaised += e.Stats().Raised
+	}
+	if fired != raised.Load() || statRaised != raised.Load() {
+		t.Fatalf("stable handlers fired %d, stats count %d raises, want %d", fired, statRaised, raised.Load())
+	}
+}
+
+// TestConcurrentDefineAndRaise: definitions on fresh names proceed while
+// another event of the same dispatcher is being raised, and every raise
+// is counted.
+func TestConcurrentDefineAndRaise(t *testing.T) {
+	d := New()
+	sig := rtti.Sig(nil, rtti.Word)
+	base := mustDefine(t, d, "Stable.Base", sig,
+		WithIntrinsic(handler(voidProc("i", rtti.Word), func(any, []any) any { return nil })))
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 2000; k++ {
+			if _, err := base.Raise1(uintptr(k)); err != nil {
+				t.Errorf("raise: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 200; k++ {
+			if _, err := d.DefineEvent(fmt.Sprintf("Stable.New.%03d", k), sig); err != nil {
+				t.Errorf("define: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if got := base.Stats().Raised; got != 2000 {
+		t.Fatalf("raised %d, want 2000", got)
 	}
 }

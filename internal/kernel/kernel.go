@@ -17,7 +17,6 @@ import (
 	"spin/internal/linker"
 	"spin/internal/rtti"
 	"spin/internal/sched"
-	"spin/internal/shard"
 	"spin/internal/trace"
 	"spin/internal/trap"
 	"spin/internal/vm"
@@ -59,14 +58,6 @@ type Config struct {
 	// raises (see internal/journal). ReplayJournal reconstructs the
 	// dispatcher state from a previous boot's journal.
 	Journal *journal.Journal
-	// Shards, when greater than 1, attaches a routing plane of that many
-	// shards (internal/shard), fixed for the machine's life: shard 0 is
-	// the machine's own dispatcher and shards 1..N-1 are dispatchers
-	// built with the same metering, codegen, fault, and admission
-	// configuration, each its own serialization and fault domain. The
-	// journal, when configured, stays on shard 0 only. An event defined
-	// through Machine.Router lives on the shard its name hashes to.
-	Shards int
 	// ShareWith, when non-nil, makes this machine share the given
 	// machine's virtual clock and simulator — required for multi-machine
 	// experiments (the Table 2 UDP roundtrip runs two machines on one
@@ -83,13 +74,10 @@ type Machine struct {
 	CPU        *vtime.CPU
 	Sim        *vtime.Simulator
 	Dispatcher *dispatch.Dispatcher
-	// Router is the sharded routing plane, non-nil when Config.Shards > 1;
-	// its shard 0 is Dispatcher.
-	Router *shard.Router
-	Nexus  *linker.Nexus
-	Sched  *sched.Scheduler
-	Trap   *trap.Trap
-	VM     *vm.VM
+	Nexus      *linker.Nexus
+	Sched      *sched.Scheduler
+	Trap       *trap.Trap
+	VM         *vm.VM
 }
 
 // Boot creates a machine: substrates are constructed bottom-up and the
@@ -122,30 +110,10 @@ func Boot(cfg Config) (*Machine, error) {
 	if cfg.Admission != nil {
 		dopts = append(dopts, dispatch.WithAdmission(*cfg.Admission))
 	}
-	// Extra shards replicate every dispatcher option except the journal:
-	// one journal stream cannot serve two dispatchers (each seals its own
-	// record sequence), so only shard 0 journals unless the caller builds
-	// the plane through shard.Config with per-shard streams.
-	shardOpts := append([]dispatch.Option(nil), dopts...)
 	if cfg.Journal != nil {
 		dopts = append(dopts, dispatch.WithJournal(cfg.Journal))
 	}
 	m.Dispatcher = dispatch.New(dopts...)
-	if cfg.Shards > 1 {
-		var err error
-		m.Router, err = shard.NewRouter(shard.Config{
-			Shards: cfg.Shards,
-			NewShard: func(id int) *dispatch.Dispatcher {
-				if id == 0 {
-					return m.Dispatcher
-				}
-				return dispatch.New(shardOpts...)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	m.Nexus = linker.NewNexus()
 
 	var err error
@@ -165,9 +133,6 @@ func Boot(cfg Config) (*Machine, error) {
 		Define("Dispatcher", m.Dispatcher).
 		Define("CPU", m.CPU).
 		Define("Machine", m)
-	if m.Router != nil {
-		core = core.Define("Router", m.Router)
-	}
 	trapIface := linker.NewInterface("MachineTrap", trap.Module).
 		Define("Syscall", m.Trap.Syscall).
 		Define("Trap", m.Trap)

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"spin/internal/dispatch"
@@ -197,57 +196,5 @@ func TestShareWithInheritsClockAndSim(t *testing.T) {
 	}
 	if a.CPU.Total(vtime.AccountKernel) != 0 {
 		t.Fatal("charge leaked into the other machine's meter")
-	}
-}
-
-// TestBootWithShards: Config.Shards attaches the routing plane with the
-// machine's own dispatcher as shard 0; events defined through the router
-// land on their ring owners and dispatch normally, and the plane is
-// exported through the Core interface.
-func TestBootWithShards(t *testing.T) {
-	m, err := Boot(Config{Name: "sharded", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Router == nil {
-		t.Fatal("Shards: 4 did not attach a router")
-	}
-	if m.Router.Shards() != 4 {
-		t.Fatalf("router has %d shards, want 4", m.Router.Shards())
-	}
-	if m.Router.Shard(0).Dispatcher() != m.Dispatcher {
-		t.Fatal("shard 0 is not the machine's dispatcher")
-	}
-	mod := rtti.NewModule("ShardExt")
-	fired := 0
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("ShardExt.Evt.%d", i)
-		e, err := m.Router.DefineEvent(name, rtti.Sig(nil, rtti.Word))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Shard().ID() != m.Router.Owner(name) {
-			t.Fatalf("%s pinned off-ring", name)
-		}
-		if _, err := e.Install(dispatch.Handler{
-			Proc: &rtti.Proc{Name: "ShardExt.H", Module: mod, Sig: rtti.Sig(nil, rtti.Word)},
-			Fn:   func(any, []any) any { fired++; return nil },
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Raise1(uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fired != 8 {
-		t.Fatalf("fired %d, want 8", fired)
-	}
-	// Unsharded boots stay router-free.
-	plain, err := Boot(Config{Name: "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Router != nil {
-		t.Fatal("Shards: 0 attached a router")
 	}
 }

@@ -113,8 +113,7 @@ func (r *RemoteRig) peerConfig(self string) remote.PeerConfig {
 
 // WarmPeer raises a few events across the wire from A and returns the
 // peer with everything still resident — the state the benchsmoke gate
-// measures a purely local event beside, and the route a shard placed
-// behind the wire raises through.
+// measures a purely local event beside.
 func (r *RemoteRig) WarmPeer() (*remote.Peer, error) {
 	p := remote.NewPeer(r.peerConfig("bench-a"))
 	for i := 0; i < 8; i++ {
