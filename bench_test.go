@@ -131,13 +131,15 @@ func BenchmarkTable1Dispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkInstall is §3.1 "Installation overhead": one install onto an
-// event with present handlers, uninstalled again untimed. The plan is
-// compiled from the published one, but behind an uninstall the space past
+// BenchmarkInstall is §3.1 "Installation overhead", natively, in two
+// shapes. The present=N subtests time one install onto an event with N
+// handlers, uninstalled again untimed: behind an uninstall the space past
 // the residents is already claimed, so each install copies the residents'
-// steps into a new chain: cost still grows with the handlers present, by a
-// copy per step. An append behind a line of appends writes in place
-// instead (TestBenchSmokeInstallScaling).
+// steps into a new chain and its cost grows with N. The append subtests
+// time the install the paper's workloads make — an append behind a line of
+// appends, which writes the step and its guard-index entry in place — for
+// each guard population of installKinds: its ns/op and B/op stay flat from
+// present=256 to present=4096.
 func BenchmarkInstall(b *testing.B) {
 	for _, present := range []int{0, 10, 100} {
 		b.Run(fmt.Sprintf("present=%d", present), func(b *testing.B) {
@@ -166,6 +168,83 @@ func BenchmarkInstall(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+	for _, kind := range installKinds {
+		for _, present := range []int{0, 256, 4096} {
+			b.Run(fmt.Sprintf("append/%s/present=%d", kind.name, present), func(b *testing.B) {
+				b.ReportAllocs()
+				benchAppends(b, kind.guard, present)
+			})
+		}
+	}
+}
+
+// installKinds are the guard populations the append benchmarks install,
+// one guard per binding on argument 0: an inline ArgEq on a distinct
+// constant, which the guard index covers (udp_fanin's port guards), and an
+// out-of-line call guard, which it does not.
+var installKinds = []struct {
+	name  string
+	guard func(k int) dispatch.Guard
+}{
+	{"argeq", func(k int) dispatch.Guard { return dispatch.Guard{Pred: codegen.ArgEq(0, uint64(k))} }},
+	{"call", func(int) dispatch.Guard {
+		return dispatch.Guard{
+			Proc: &rtti.Proc{Name: "G", Module: benchMod, Functional: true, Sig: rtti.Sig(rtti.Bool, rtti.Word)},
+			Fn:   func(any, []any) bool { return false },
+		}
+	}},
+}
+
+// appendHandler is the handler installKinds' bindings run.
+var appendHandler = dispatch.Handler{
+	Proc: &rtti.Proc{Name: "H", Module: benchMod, Sig: benchSig(1)},
+	Fn:   func(any, []any) any { return nil },
+}
+
+// installChunk is how many timed appends land on an event before it is
+// set back to its residents.
+const installChunk = 64
+
+// benchAppends times b.N appends onto an event holding present bindings,
+// each append landing on present to present+installChunk-1 residents.
+// Between chunks the event is set back, untimed, to a state a line of
+// appends reaches: the chunk's bindings and the last resident are
+// uninstalled and that resident installed again, which copies the plan
+// into fresh storage with room to grow (rebuilding all present bindings
+// instead would run 64 untimed installs per timed one at present=4096).
+func benchAppends(b *testing.B, guard func(int) dispatch.Guard, present int) {
+	ev, err := dispatch.New().DefineEvent("Bench.Append", benchSig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	install := func(k int) *dispatch.Binding {
+		bd, err := ev.Install(appendHandler, dispatch.WithGuard(guard(k)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return bd
+	}
+	var last *dispatch.Binding // the last resident
+	for k := 0; k < present; k++ {
+		last = install(k)
+	}
+	chunk := make([]*dispatch.Binding, 0, installChunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(chunk) == installChunk {
+			b.StopTimer()
+			for j := len(chunk) - 1; j >= 0; j-- {
+				_ = ev.Uninstall(chunk[j])
+			}
+			chunk = chunk[:0]
+			if last != nil {
+				_ = ev.Uninstall(last)
+				last = install(present - 1)
+			}
+			b.StartTimer()
+		}
+		chunk = append(chunk, install(present+len(chunk)))
 	}
 }
 

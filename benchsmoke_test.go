@@ -40,12 +40,14 @@ const (
 	// observed walk; 2-vCPU Xeon).
 	filterCeiling = 1.30
 	// installScalingCeiling is a ceiling with tolerance baked in: 256
-	// appends onto a fresh event, each binding guarded by an ArgEq, must
-	// take at most this multiple of 8 times 32 such appends. A cost linear
-	// in the residents per install reads 8; incremental installation keeps
-	// it nearly flat (best of three 2.12-2.51x when committed, 4.46-4.62x
-	// with every install regenerating the plan; 2-vCPU Xeon).
-	installScalingCeiling = 3.5
+	// appends onto a fresh event must take at most this multiple of 8
+	// times 32 such appends, for each guard population of installKinds. A
+	// cost linear in the residents per install reads 8; appends that are
+	// O(1) in the residents read below 1, the event's own set-up spread
+	// over more appends (best of three 0.89x ArgEq and 0.84x call guards
+	// when committed; 2.34x and 1.43x with the guard index copied and the
+	// binding list rebuilt per append; 2-vCPU Xeon).
+	installScalingCeiling = 1.2
 )
 
 func requireSmoke(t *testing.T) {
@@ -247,47 +249,47 @@ func TestBenchSmokeFilter(t *testing.T) {
 	}
 }
 
-// TestBenchSmokeInstallScaling is the incremental-installation gate: the
-// time of 256 appends onto a fresh event, over 8 times that of 32, stays
-// under installScalingCeiling. Each append compiles its plan from the
-// published one, extending its steps and guard index in place; a change
-// that sends installs back to full regeneration fails it.
+// TestBenchSmokeInstallScaling is the incremental-installation gate: for
+// each guard population of installKinds, the time of 256 appends onto a
+// fresh event, over 8 times that of 32, stays under installScalingCeiling.
+// Each append compiles its plan from the published one, lowering only the
+// new binding and appending its step — and, for the indexed population,
+// its guard-index entry — in place; a change that brings back a pass over
+// the residents per install (a full regeneration, a copy of the index, a
+// rebuild of the binding list) fails it.
 func TestBenchSmokeInstallScaling(t *testing.T) {
 	requireSmoke(t)
-	sig := rtti.Sig(nil, rtti.Word)
-	h := dispatch.Handler{
-		Proc: &rtti.Proc{Name: "Smoke.H", Module: benchMod, Sig: sig},
-		Fn:   func(any, []any) any { return nil },
-	}
-	appends := func(b *testing.B, n int) {
-		for i := 0; i < b.N; i++ {
-			ev, err := dispatch.New().DefineEvent("Smoke.Install", sig)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := 0; k < n; k++ {
-				if _, err := ev.Install(h, dispatch.WithGuard(dispatch.Guard{Pred: codegen.ArgEq(0, uint64(k))})); err != nil {
+	for _, kind := range installKinds {
+		appends := func(b *testing.B, n int) {
+			for i := 0; i < b.N; i++ {
+				ev, err := dispatch.New().DefineEvent("Smoke.Install", benchSig(1))
+				if err != nil {
 					b.Fatal(err)
+				}
+				for k := 0; k < n; k++ {
+					if _, err := ev.Install(appendHandler, dispatch.WithGuard(kind.guard(k))); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}
-	}
-	measure := func(n int) float64 {
-		res := testing.Benchmark(func(b *testing.B) { appends(b, n) })
-		return float64(res.T.Nanoseconds()) / float64(res.N)
-	}
-	measure(32) // warm up
-	best := 0.0
-	for trial := 0; trial < 3; trial++ {
-		small, large := measure(32), measure(256)
-		ratio := large / (8 * small)
-		t.Logf("trial %d: 32 appends %.1f us, 256 appends %.1f us, ratio %.2fx", trial, small/1e3, large/1e3, ratio)
-		if best == 0 || ratio < best {
-			best = ratio
+		measure := func(n int) float64 {
+			res := testing.Benchmark(func(b *testing.B) { appends(b, n) })
+			return float64(res.T.Nanoseconds()) / float64(res.N)
 		}
-	}
-	if best > installScalingCeiling {
-		t.Errorf("256/(8x32) append ratio %.2fx exceeds committed %.2fx ceiling: installs regenerate the plan again",
-			best, installScalingCeiling)
+		measure(32) // warm up
+		best := 0.0
+		for trial := 0; trial < 3; trial++ {
+			small, large := measure(32), measure(256)
+			ratio := large / (8 * small)
+			t.Logf("%s trial %d: 32 appends %.1f us, 256 appends %.1f us, ratio %.2fx", kind.name, trial, small/1e3, large/1e3, ratio)
+			if best == 0 || ratio < best {
+				best = ratio
+			}
+		}
+		if best > installScalingCeiling {
+			t.Errorf("%s: 256/(8x32) append ratio %.2fx exceeds committed %.2fx ceiling: installs pay for the residents again",
+				kind.name, best, installScalingCeiling)
+		}
 	}
 }

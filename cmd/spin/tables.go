@@ -185,7 +185,7 @@ func micro(w io.Writer) error {
 func showDisasm(w io.Writer) {
 	var cell atomic.Uint64
 	mk := func(bindings []*codegen.Binding, opts codegen.Options) {
-		p := codegen.Compile(nil, codegen.EventInfo{Name: "Demo.Event", Arity: 1},
+		p := codegen.Compile(nil, 0, codegen.EventInfo{Name: "Demo.Event", Arity: 1},
 			bindings, nil, nil, opts)
 		fmt.Fprintln(w, p.Disassemble())
 	}

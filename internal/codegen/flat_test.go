@@ -95,7 +95,7 @@ func TestSpecializeEligibility(t *testing.T) {
 		{shape: "metered, fold", arity: 1, hasResult: true, bindings: guardedN(2, nil), resultFn: fold,
 			metered: true, want: "stencil[fold,observed]"},
 	} {
-		p := Compile(nil, info(tc.arity, tc.hasResult), tc.bindings, tc.resultFn, nil, tc.opts)
+		p := Compile(nil, 0, info(tc.arity, tc.hasResult), tc.bindings, tc.resultFn, nil, tc.opts)
 		if got := p.Executor(tc.metered); got != tc.want {
 			t.Errorf("%s: executor %s, want %s", tc.shape, got, tc.want)
 		}
@@ -109,7 +109,7 @@ func TestSpecializeEligibility(t *testing.T) {
 			t.Errorf("%s: Direct()=%v with executor %s", tc.shape, p.Direct() != nil, tc.want)
 		}
 	}
-	if gb := Compile(nil, info(1, false), guardedN(1, nil), nil, nil, Options{}); !gb.GuardedBypass() {
+	if gb := Compile(nil, 0, info(1, false), guardedN(1, nil), nil, nil, Options{}); !gb.GuardedBypass() {
 		t.Error("guarded single binding must use the guarded bypass")
 	}
 }
@@ -128,7 +128,7 @@ func TestSpecializedExecutesIdentically(t *testing.T) {
 	// The plain stencil (unmetered) and the observed walk (metered) fire
 	// what the reference model fires, in order, with the same outcome.
 	run := func(metered bool, args ...any) ([]string, Outcome) {
-		p := Compile(nil, info(1, true), bs, nil, nil, Options{})
+		p := Compile(nil, 0, info(1, true), bs, nil, nil, Options{})
 		fired = nil
 		out := p.Execute(&Env{CPU: meteredCPU(metered)}, args, 0)
 		return fired, out
@@ -154,7 +154,7 @@ func TestSpecializedExecutesIdentically(t *testing.T) {
 func TestSpecializedDefaultHandler(t *testing.T) {
 	n := 0
 	d := &Binding{Fn: func(any, []any) any { return "default" }}
-	p := Compile(nil, info(1, true), guardedBindings(1, &n), nil, d, Options{})
+	p := Compile(nil, 0, info(1, true), guardedBindings(1, &n), nil, d, Options{})
 	if got := p.Executor(false); got != "stencil[fold,guarded]" {
 		t.Fatalf("plan with default handler runs %s, want the plain stencil", got)
 	}
@@ -170,7 +170,7 @@ func TestSpecializedDefaultHandler(t *testing.T) {
 		Guards: []Guard{{Pred: GlobalEq(cell2, 0)}},
 		Fn:     countingHandler(&n, nil),
 	}}
-	p2 := Compile(nil, info(1, true), bs, nil, d, Options{})
+	p2 := Compile(nil, 0, info(1, true), bs, nil, d, Options{})
 	var total stripe.Counter
 	out = p2.Execute(&Env{FiredTotal: &total}, []any{uint64(1)}, 0)
 	if out.Fired != 0 || !out.UsedDefault || out.Result != "default" {
@@ -281,7 +281,7 @@ func TestBarrierEdges(t *testing.T) {
 				return sum + res.(uint64)
 			}
 		}
-		p := Compile(nil, info(1, true), bs, resultFn, def, opts)
+		p := Compile(nil, 0, info(1, true), bs, resultFn, def, opts)
 		want := "stencil[fold,guarded,barrier]"
 		if metered {
 			want = "stencil[fold,observed,barrier]"
@@ -366,7 +366,7 @@ func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
 			{Tag: 0, Guards: []Guard{{Fn: func(any, []any) bool { panic("monitor") }}}, Fn: func(any, []any) any { return nil }},
 			{Tag: 1, Fn: func(any, []any) any { return nil }},
 		}
-		p := Compile(nil, info(1, false), bs, nil, nil, Options{Protect: hook})
+		p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{Protect: hook})
 		if got := raise(p); got != verdict {
 			t.Errorf("metered=%v: raise panicked with %v, want the hook's re-panic", metered, got)
 		}
@@ -377,7 +377,7 @@ func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
 		hook = &recHook{}
 		n := 0
 		bs = []*Binding{{Tag: 0, Fn: countingHandler(&n, uint64(1))}, {Tag: 1, Fn: countingHandler(&n, uint64(2))}}
-		p = Compile(nil, info(1, true), bs, func(any, any, int) any { panic("fold") }, nil, Options{Protect: hook})
+		p = Compile(nil, 0, info(1, true), bs, func(any, any, int) any { panic("fold") }, nil, Options{Protect: hook})
 		if got := raise(p); got != "fold" || len(hook.calls) != 0 || n != 1 {
 			t.Errorf("metered=%v: result-handler panic: raise panicked with %v, %d hook calls, %d handlers ran",
 				metered, got, len(hook.calls), n)
@@ -408,7 +408,7 @@ func TestBarrierNestedAndSupersededFrames(t *testing.T) {
 			{Tag: 1, Guards: []Guard{g}, Fn: func(_ any, args []any) any { panic(args[0]) }},
 			{Tag: 2, Guards: []Guard{g}, Fn: func(any, []any) any { return nil }},
 		}
-		p = Compile(nil, info(1, false), bs, nil, nil, opts)
+		p = Compile(nil, 0, info(1, false), bs, nil, nil, opts)
 		outer := p.Execute(env, []any{uint64(0)}, 0)
 		if inner.Fired != 3 || outer.Fired != 3 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 1}, {tag: 1}}) {
 			t.Errorf("metered=%v: nested raise: inner %+v outer %+v hook %+v", metered, inner, outer, hook.calls)
@@ -419,10 +419,10 @@ func TestBarrierNestedAndSupersededFrames(t *testing.T) {
 		ran := 0
 		survivor := &Binding{Tag: 1, Guards: []Guard{g}, Fn: countingHandler(&ran, nil)}
 		quitter := &Binding{Tag: 0, Guards: []Guard{g}, Fn: func(any, []any) any {
-			live.Store(Compile(nil, info(1, false), []*Binding{survivor}, nil, nil, opts))
+			live.Store(Compile(nil, 0, info(1, false), []*Binding{survivor}, nil, nil, opts))
 			panic("after uninstall")
 		}}
-		first := Compile(nil, info(1, false), []*Binding{quitter, survivor}, nil, nil, opts)
+		first := Compile(nil, 0, info(1, false), []*Binding{quitter, survivor}, nil, nil, opts)
 		live.Store(first)
 		out, done := first.ExecuteBatch(env, []any{uint64(1), uint64(1)}, 1, 2, 0, &live)
 		if done != 1 || out.Fired != 2 || ran != 1 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 0}}) {

@@ -84,7 +84,7 @@ func (r *obsRig) compile(info EventInfo, bs []*Binding, fold ResultFn, def *Bind
 	if def != nil {
 		r.bs = append(r.bs, def)
 	}
-	return Compile(nil, info, bs, fold, def, opts)
+	return Compile(nil, 0, info, bs, fold, def, opts)
 }
 
 func (r *obsRig) raise(p *Plan, args ...any) {

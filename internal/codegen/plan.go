@@ -240,14 +240,15 @@ type Outcome struct {
 	UsedDefault bool
 }
 
-// Compile generates the dispatch routine for the given binding list. prev
-// is the event's current plan, or nil to compile from scratch. The new plan
-// keeps the longest prefix of prev's steps that run the same bindings,
-// sharing their storage and the guard index over them (chain.go), and
-// lowers only the bindings behind it, from their memos: an install
-// appended behind the residents lowers one binding, not n. The returned
+// Compile generates the dispatch routine for an event. prev is the event's
+// current plan, or nil to compile from scratch. The new plan keeps prev's
+// first keep steps (0 when prev is nil), sharing their storage and the
+// guard index over them (chain.go), and lowers bindings — the handler list
+// behind those steps — from their memos: an install appended behind the
+// residents keeps every step and lowers one binding, not n. The caller
+// knows which steps its change left alone (Event.recompile). The returned
 // plan is immutable; the dispatcher swaps it in atomically.
-func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
+func Compile(prev *Plan, keep int, info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
 	p := &Plan{info: info, resultFn: resultFn,
 		protect: opts.Protect, admitQ: opts.Admit}
 	if defaultB != nil {
@@ -255,26 +256,17 @@ func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn,
 		// the step index its trace span carries.
 		p.def = &step{b: defaultB, idx: -1, inline: defaultB.Inline != nil}
 	}
-	// The kept prefix: prev's first k steps, while they run the bindings
-	// listed (a dead binding has no step to compare).
-	k, rest := 0, bindings
-	if prev != nil {
-		for ; len(rest) > 0 && k < len(prev.steps); rest = rest[1:] {
-			if rest[0] == prev.steps[k].b {
-				k++
-			} else if rest[0].lower().live {
-				break
-			}
-		}
+	if prev == nil {
+		keep = 0
 	}
 	var buf [4]*lowered // the usual recompile appends one binding or none
 	suffix := buf[:0]
-	for _, b := range rest {
-		if lo := b.lower(); lo.live {
+	for _, b := range bindings {
+		if lo := b.lower(); lo.live { // a dead binding gets no step
 			suffix = append(suffix, lo)
 		}
 	}
-	p.extend(prev, k, suffix)
+	inPlace := p.extend(prev, keep, suffix)
 	p.allInline = p.outOfLine == 0 && len(p.steps) > 0
 	// Single-binding bypass: one live synchronous unguarded non-filter
 	// binding dispatches as a direct procedure call (Figure 1's "an event
@@ -286,11 +278,7 @@ func Compile(prev *Plan, info EventInfo, bindings []*Binding, resultFn ResultFn,
 		}
 	}
 	p.selectStencil()
-	var runs []guardRun
-	if prev != nil {
-		runs = prev.runs
-	}
-	p.runs = buildGuardIndex(p.steps, runs, k)
+	p.runs = buildGuardIndex(p.steps, prev, keep, inPlace)
 	if opts.Trace != nil {
 		// Register the plan's step layout with the tracer: spans carry only
 		// (program, step) indices, resolved to names at export time — also
@@ -427,6 +415,10 @@ func (p *Plan) RetainsArgs() bool { return p.retaining > 0 }
 // Steps reports the number of live dispatch steps (for tests and
 // disassembly).
 func (p *Plan) Steps() int { return len(p.steps) }
+
+// StepBinding returns the binding step i runs: a recompile walks back from
+// the end with it to find the steps its change left alone.
+func (p *Plan) StepBinding(i int) *Binding { return p.steps[i].b }
 
 // Execute runs the generated dispatch routine. args is the dispatcher's
 // private per-raise argument vector: filters mutate it in place, which is

@@ -30,7 +30,7 @@ func exec(p *Plan, args ...any) Outcome {
 func TestSingleBindingBypass(t *testing.T) {
 	n := 0
 	b := &Binding{Fn: countingHandler(&n, nil)}
-	p := Compile(nil, info(0, false), []*Binding{b}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), []*Binding{b}, nil, nil, Options{})
 	if p.Direct() == nil {
 		t.Fatal("single unguarded binding must compile to a direct call")
 	}
@@ -45,7 +45,7 @@ func TestNoBypassWithGuardsOrProperties(t *testing.T) {
 	mk := func(mut func(*Binding)) *Plan {
 		b := &Binding{Fn: countingHandler(&n, nil)}
 		mut(b)
-		return Compile(nil, info(0, false), []*Binding{b}, nil, nil, Options{})
+		return Compile(nil, 0, info(0, false), []*Binding{b}, nil, nil, Options{})
 	}
 	if mk(func(b *Binding) { b.Guards = []Guard{{Pred: ArgEq(0, 1)}} }).Direct() != nil {
 		t.Error("guarded binding bypassed")
@@ -62,7 +62,7 @@ func TestNoBypassWithGuardsOrProperties(t *testing.T) {
 	// Default or result handler present: the routine must stay.
 	b := &Binding{Fn: countingHandler(&n, nil)}
 	d := &Binding{Fn: countingHandler(&n, nil)}
-	if Compile(nil, info(0, false), []*Binding{b}, nil, d, Options{}).Direct() != nil {
+	if Compile(nil, 0, info(0, false), []*Binding{b}, nil, d, Options{}).Direct() != nil {
 		t.Error("bypassed despite default handler")
 	}
 }
@@ -77,7 +77,7 @@ func TestGuardsFilterHandlers(t *testing.T) {
 		{Guards: []Guard{{Pred: ArgEq(0, 443)}}, Fn: mark("https")},
 		{Fn: mark("all")},
 	}
-	p := Compile(nil, info(1, false), bs, nil, nil, Options{})
+	p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{})
 	out := p.Execute(&Env{}, []any{uint64(443)}, 0)
 	if out.Fired != 2 {
 		t.Fatalf("fired = %d, want 2", out.Fired)
@@ -98,7 +98,7 @@ func TestIndirectGuardCalled(t *testing.T) {
 	}, Closure: "clo"}
 	n := 0
 	bs := []*Binding{{Guards: []Guard{g}, Fn: countingHandler(&n, nil)}, {Fn: countingHandler(&n, nil)}}
-	p := Compile(nil, info(0, false), bs, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), bs, nil, nil, Options{})
 	out := exec(p)
 	if calls != 1 || n != 1 || out.Fired != 1 {
 		t.Fatalf("calls=%d n=%d fired=%d", calls, n, out.Fired)
@@ -111,7 +111,7 @@ func TestPeepholeElidesTrueGuards(t *testing.T) {
 		Guards: []Guard{{Pred: And(True(), True())}},
 		Fn:     countingHandler(&n, nil),
 	}
-	p := Compile(nil, info(0, false), []*Binding{b}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), []*Binding{b}, nil, nil, Options{})
 	// After peephole the binding has no guards and becomes the bypass.
 	if p.Direct() == nil {
 		t.Fatal("constant-true guard not elided")
@@ -124,7 +124,7 @@ func TestPeepholeRemovesDeadBindings(t *testing.T) {
 		{Guards: []Guard{{Pred: And(False(), ArgEq(0, 1))}}, Fn: countingHandler(&n, nil)},
 		{Fn: countingHandler(&n, nil)},
 	}
-	p := Compile(nil, info(0, false), bs, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), bs, nil, nil, Options{})
 	if p.Steps() != 1 {
 		t.Fatalf("dead binding survived: %d live", p.Steps())
 	}
@@ -135,7 +135,7 @@ func TestPeepholeRemovesDeadBindings(t *testing.T) {
 
 func TestResultSingleHandlerMimicsProcedureCall(t *testing.T) {
 	b := &Binding{Fn: func(any, []any) any { return 42 }}
-	p := Compile(nil, info(0, true), []*Binding{b}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, true), []*Binding{b}, nil, nil, Options{})
 	out := exec(p)
 	if out.Result != 42 || out.Ambiguous || out.Fired != 1 {
 		t.Fatalf("out = %+v", out)
@@ -155,7 +155,7 @@ func TestResultHandlerFoldsAll(t *testing.T) {
 		{Fn: func(any, []any) any { return true }},
 		{Fn: func(any, []any) any { return false }},
 	}
-	p := Compile(nil, info(0, true), bs, or, nil, Options{})
+	p := Compile(nil, 0, info(0, true), bs, or, nil, Options{})
 	out := exec(p)
 	if out.Result != true || out.Ambiguous {
 		t.Fatalf("out = %+v", out)
@@ -170,7 +170,7 @@ func TestAmbiguousResultFlagged(t *testing.T) {
 		{Fn: func(any, []any) any { return 1 }},
 		{Fn: func(any, []any) any { return 2 }},
 	}
-	p := Compile(nil, info(0, true), bs, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, true), bs, nil, nil, Options{})
 	out := exec(p)
 	if !out.Ambiguous {
 		t.Fatal("two results without a result handler must be ambiguous")
@@ -188,7 +188,7 @@ func TestDefaultHandlerRunsOnlyWhenNothingFires(t *testing.T) {
 		Guards: []Guard{{Pred: ArgEq(0, 1)}},
 		Fn:     countingHandler(&n, "real"),
 	}
-	p := Compile(nil, info(1, true), []*Binding{guarded}, nil, def, Options{})
+	p := Compile(nil, 0, info(1, true), []*Binding{guarded}, nil, def, Options{})
 
 	out := p.Execute(&Env{}, []any{uint64(9)}, 0)
 	if !out.UsedDefault || out.Result != "default" || defCalls != 1 {
@@ -201,7 +201,7 @@ func TestDefaultHandlerRunsOnlyWhenNothingFires(t *testing.T) {
 }
 
 func TestNoHandlerNoDefault(t *testing.T) {
-	p := Compile(nil, info(0, true), nil, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, true), nil, nil, nil, Options{})
 	out := exec(p)
 	if out.Fired != 0 || out.UsedDefault {
 		t.Fatalf("out = %+v", out)
@@ -223,7 +223,7 @@ func TestFiltersMutateDownstreamArgs(t *testing.T) {
 		seen = args[0].(string)
 		return nil
 	}}
-	p := Compile(nil, info(1, false), []*Binding{filter, reader}, nil, nil, Options{})
+	p := Compile(nil, 0, info(1, false), []*Binding{filter, reader}, nil, nil, Options{})
 	args := []any{"README.TXT"}
 	p.Execute(&Env{}, args, 0)
 	if seen != "readme.txt" {
@@ -245,7 +245,7 @@ func TestAsyncHandlerSpawns(t *testing.T) {
 		{Async: true, Fn: func(any, []any) any { ran++; return "dropped" }},
 		{Fn: func(any, []any) any { return "sync" }},
 	}
-	p := Compile(nil, info(0, true), bs, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, true), bs, nil, nil, Options{})
 	out := p.Execute(env, nil, 0)
 	if spawned != 1 || ran != 1 {
 		t.Fatalf("spawned=%d ran=%d", spawned, ran)
@@ -269,7 +269,7 @@ func TestEphemeralHandlerSupervised(t *testing.T) {
 	}}
 	live := &Binding{Fn: func(any, []any) any { return true }}
 	eph := &Binding{Ephemeral: true, Tag: "tag", Fn: func(any, []any) any { return false }}
-	p := Compile(nil, info(0, true), []*Binding{eph, live}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, true), []*Binding{eph, live}, nil, nil, Options{})
 	out := p.Execute(env, nil, 0)
 	if term != 1 {
 		t.Fatalf("supervisor calls = %d", term)
@@ -305,7 +305,7 @@ func TestFireCountsReportBindings(t *testing.T) {
 			{Guards: []Guard{{Pred: GlobalEq(&never, 1)}}, Fn: count(1)},
 			{Fn: count(2)},
 		}
-		p := Compile(nil, info(0, false), bs, nil, nil, tc.opts)
+		p := Compile(nil, 0, info(0, false), bs, nil, nil, tc.opts)
 		var total stripe.Counter
 		env := &Env{FiredTotal: &total}
 		if tc.metered {
@@ -326,7 +326,7 @@ func TestFireCountsReportBindings(t *testing.T) {
 	def := &Binding{Fn: func(any, []any) any { defCount++; return nil }}
 	guarded := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Fn: func(any, []any) any { return nil }}
 	for _, cpu := range []*vtime.CPU{nil, vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())} {
-		p := Compile(nil, info(1, false), []*Binding{guarded}, nil, def, Options{})
+		p := Compile(nil, 0, info(1, false), []*Binding{guarded}, nil, def, Options{})
 		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(2)}, 0)
 		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(1)}, 0)
 	}
@@ -342,12 +342,12 @@ func TestInlinePlanDetection(t *testing.T) {
 		Inline: Nop(),
 		Fn:     func(any, []any) any { return nil },
 	}
-	p := Compile(nil, info(0, false), []*Binding{inline, inline}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), []*Binding{inline, inline}, nil, nil, Options{})
 	if !p.allInline {
 		t.Fatal("plan with only inlinable bindings must be fully inline")
 	}
 	opaque := &Binding{Fn: func(any, []any) any { return nil }}
-	p2 := Compile(nil, info(0, false), []*Binding{inline, opaque}, nil, nil, Options{})
+	p2 := Compile(nil, 0, info(0, false), []*Binding{inline, opaque}, nil, nil, Options{})
 	if p2.allInline {
 		t.Fatal("opaque handler must break full inlining")
 	}
@@ -360,7 +360,7 @@ func TestInlineBodiesExecuteInline(t *testing.T) {
 		return nil
 	}}
 	b2 := &Binding{Inline: AddWord(&counter, 10), Fn: nil}
-	p := Compile(nil, info(0, false), []*Binding{b, b2}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), []*Binding{b, b2}, nil, nil, Options{})
 	p.Execute(&Env{}, nil, 0)
 	if counter.Load() != 11 {
 		t.Fatalf("counter = %d", counter.Load())
@@ -379,7 +379,7 @@ func meteredExec(p *Plan, args []any) vtime.Duration {
 
 func TestCostBypassIsDirectCall(t *testing.T) {
 	b := &Binding{Fn: func(any, []any) any { return nil }}
-	p := Compile(nil, info(0, false), []*Binding{b}, nil, nil, Options{})
+	p := Compile(nil, 0, info(0, false), []*Binding{b}, nil, nil, Options{})
 	got := meteredExec(p, nil)
 	if got != vtime.Micros(0.10) {
 		t.Fatalf("bypass cost = %v, want 0.10us", got)
@@ -404,7 +404,7 @@ func TestCostNoInlineMatchesTable1(t *testing.T) {
 		for i := range bs {
 			bs[i] = &Binding{Guards: []Guard{mkGuard()}, Fn: func(any, []any) any { return nil }}
 		}
-		p := Compile(nil, info(tc.args, false), bs, nil, nil, Options{})
+		p := Compile(nil, 0, info(tc.args, false), bs, nil, nil, Options{})
 		args := make([]any, tc.args)
 		for i := range args {
 			args[i] = uint64(i)
@@ -438,7 +438,7 @@ func TestCostInlineMatchesTable1(t *testing.T) {
 				Inline: Nop(),
 			}
 		}
-		p := Compile(nil, info(tc.args, false), bs, nil, nil, Options{})
+		p := Compile(nil, 0, info(tc.args, false), bs, nil, nil, Options{})
 		if !p.allInline {
 			t.Fatal("expected fully inline plan")
 		}
@@ -462,14 +462,14 @@ func TestDisassemble(t *testing.T) {
 		{Fn: func(any, []any) any { return nil }, Ephemeral: true, Filter: true},
 	}
 	def := &Binding{Fn: func(any, []any) any { return nil }}
-	p := Compile(nil, info(2, true), bs, func(a, r any, i int) any { return r }, def, Options{})
+	p := Compile(nil, 0, info(2, true), bs, func(a, r any, i int) any { return r }, def, Options{})
 	d := p.Disassemble()
 	for _, want := range []string{"step 0", "[inline]", "async", "ephemeral", "filter", "default handler", "result handler"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, d)
 		}
 	}
-	direct := Compile(nil, info(0, false), []*Binding{{Fn: func(any, []any) any { return nil }}}, nil, nil, Options{})
+	direct := Compile(nil, 0, info(0, false), []*Binding{{Fn: func(any, []any) any { return nil }}}, nil, nil, Options{})
 	if !strings.Contains(direct.Disassemble(), "direct call") {
 		t.Error("bypass plan disassembly missing direct call marker")
 	}

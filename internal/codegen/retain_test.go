@@ -32,7 +32,7 @@ func TestRetainsArgs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := Compile(nil, info, tc.bindings, nil, nil, Options{})
+			p := Compile(nil, 0, info, tc.bindings, nil, nil, Options{})
 			if got := p.RetainsArgs(); got != tc.want {
 				t.Fatalf("RetainsArgs() = %v, want %v", got, tc.want)
 			}
@@ -48,7 +48,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 	env := &Env{}
 	args := []any{uint64(1)}
 
-	inline := Compile(nil, info, []*Binding{
+	inline := Compile(nil, 0, info, []*Binding{
 		{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Inline: Nop()},
 		{Guards: []Guard{{Pred: ArgEq(0, 2)}}, Inline: Nop()},
 	}, nil, nil, Options{})
@@ -56,7 +56,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		t.Errorf("inline plan Execute allocates %v/op, want 0", n)
 	}
 
-	outline := Compile(nil, info, []*Binding{
+	outline := Compile(nil, 0, info, []*Binding{
 		{Fn: func(any, []any) any { return nil }},
 		{Fn: func(any, []any) any { return nil }},
 	}, nil, nil, Options{})
@@ -64,7 +64,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		t.Errorf("out-of-line plan Execute allocates %v/op, want 0", n)
 	}
 
-	direct := Compile(nil, info, []*Binding{
+	direct := Compile(nil, 0, info, []*Binding{
 		{Fn: func(any, []any) any { return nil }},
 	}, nil, nil, Options{})
 	if direct.Direct() == nil {
@@ -93,10 +93,10 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 		env  *Env
 		p    *Plan
 	}{
-		{"filter", env, Compile(nil, info, filtered, nil, nil, Options{})},
-		{"protected filter", env, Compile(nil, info, filtered, nil, nil, Options{Protect: &recHook{}})},
-		{"metered guarded", metered, Compile(nil, info, guarded, nil, nil, Options{})},
-		{"metered protected", metered, Compile(nil, info, guarded, nil, nil, Options{Protect: &recHook{}})},
+		{"filter", env, Compile(nil, 0, info, filtered, nil, nil, Options{})},
+		{"protected filter", env, Compile(nil, 0, info, filtered, nil, nil, Options{Protect: &recHook{}})},
+		{"metered guarded", metered, Compile(nil, 0, info, guarded, nil, nil, Options{})},
+		{"metered protected", metered, Compile(nil, 0, info, guarded, nil, nil, Options{Protect: &recHook{}})},
 	} {
 		if n := testing.AllocsPerRun(1000, func() { tc.p.Execute(tc.env, args, 0) }); n != 0 {
 			t.Errorf("%s plan (%s) Execute allocates %v/op, want 0", tc.name, tc.p.Executor(tc.env.CPU != nil), n)

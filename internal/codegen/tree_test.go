@@ -43,7 +43,7 @@ func (c indexConfig) exec(p *Plan, args ...any) Outcome {
 
 func TestTreeBuiltAboveThreshold(t *testing.T) {
 	var fired []uint64
-	p := Compile(nil, info(1, false), portBindings(10, &fired), nil, nil, Options{})
+	p := Compile(nil, 0, info(1, false), portBindings(10, &fired), nil, nil, Options{})
 	if runs, covered := p.IndexedRuns(); runs != 1 || covered != 10 {
 		t.Fatalf("runs=%d covered=%d", runs, covered)
 	}
@@ -51,7 +51,7 @@ func TestTreeBuiltAboveThreshold(t *testing.T) {
 
 func TestTreeNotBuiltBelowThreshold(t *testing.T) {
 	var fired []uint64
-	p := Compile(nil, info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, Options{})
+	p := Compile(nil, 0, info(1, false), portBindings(treeThreshold-1, &fired), nil, nil, Options{})
 	if runs, _ := p.IndexedRuns(); runs != 0 {
 		t.Fatalf("index built for %d bindings (threshold %d)", treeThreshold-1, treeThreshold)
 	}
@@ -63,7 +63,7 @@ func TestTreeNotBuiltBelowThreshold(t *testing.T) {
 func TestTreeIndexesObservedOnlyPlan(t *testing.T) {
 	var fired []uint64
 	async := &Binding{Async: true, Fn: func(any, []any) any { return nil }}
-	p := Compile(nil, info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{})
+	p := Compile(nil, 0, info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{})
 	if runs, covered := p.IndexedRuns(); runs != 1 || covered != 10 {
 		t.Fatalf("runs=%d covered=%d, want the 10-port run indexed", runs, covered)
 	}
@@ -82,7 +82,7 @@ func TestTreeIndexesObservedOnlyPlan(t *testing.T) {
 func TestTreeDispatchSelectsCorrectBinding(t *testing.T) {
 	for _, cfg := range indexConfigs {
 		var fired []uint64
-		p := Compile(nil, info(1, false), portBindings(20, &fired), nil, nil, Options{})
+		p := Compile(nil, 0, info(1, false), portBindings(20, &fired), nil, nil, Options{})
 		out := cfg.exec(p, uint64(1007))
 		if out.Fired != 1 || len(fired) != 1 || fired[0] != 1007 {
 			t.Fatalf("%s: fired=%v out=%+v", cfg.name, fired, out)
@@ -112,7 +112,7 @@ func TestTreeDuplicateConstantsPreserveOrder(t *testing.T) {
 		extra2 := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1002)}},
 			Fn: func(any, []any) any { fired = append(fired, 222); return nil }}
 		bs = append(bs, extra1, extra2)
-		p := Compile(nil, info(1, false), bs, nil, nil, Options{})
+		p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{})
 		cfg.exec(p, uint64(1002))
 		if len(fired) != 3 || fired[0] != 1002 || fired[1] != 111 || fired[2] != 222 {
 			t.Fatalf("%s: fired = %v", cfg.name, fired)
@@ -127,7 +127,7 @@ func TestTreeBreaksOnIneligibleStep(t *testing.T) {
 		// An unguarded binding in the middle splits the runs.
 		mid := &Binding{Fn: func(any, []any) any { fired = append(fired, 7); return nil }}
 		bs = append(bs[:2], append([]*Binding{mid}, portBindings(4, &fired)...)...)
-		p := Compile(nil, info(1, false), bs, nil, nil, Options{})
+		p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{})
 		runs, covered := p.IndexedRuns()
 		// Runs of 2 and 4: only the 4-run is indexed.
 		if runs != 1 || covered != 4 {
@@ -151,7 +151,7 @@ func TestTreeExcludesFilters(t *testing.T) {
 	// and the run behind it extracts the word afresh.
 	bs[4].Filter = true
 	bs[4].Fn = func(_ any, args []any) any { args[0] = uint64(1007); return nil }
-	p := Compile(nil, info(1, false), bs, nil, nil, Options{})
+	p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{})
 	if runs, covered := p.IndexedRuns(); runs != 2 || covered != 8 {
 		t.Fatalf("runs=%d covered=%d: filter binding joined an indexed run", runs, covered)
 	}
@@ -193,7 +193,7 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 		}
 		for _, cfg := range indexConfigs {
 			treeLog = nil
-			cfg.exec(Compile(nil, info(1, false), bs, nil, nil, Options{}), arg)
+			cfg.exec(Compile(nil, 0, info(1, false), bs, nil, nil, Options{}), arg)
 			if len(linLog) != len(treeLog) {
 				t.Fatalf("trial %d arg %d: model fires %v, %s fired %v",
 					trial, arg, linLog, cfg.name, treeLog)
@@ -225,7 +225,7 @@ func TestTreeFlattensGuardCost(t *testing.T) {
 				}}}
 			}
 		}
-		p := Compile(nil, info(1, false), bs, nil, nil, Options{})
+		p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{})
 		var clock vtime.Clock
 		cpu := vtime.NewCPU(&clock, vtime.AlphaModel())
 		p.Execute(&Env{CPU: cpu}, []any{uint64(1000)}, 0)
@@ -248,7 +248,7 @@ func TestTreeDisassembly(t *testing.T) {
 	var fired []uint64
 	bs := append([]*Binding{{Fn: func(any, []any) any { return nil }}},
 		portBindings(257, &fired)...)
-	d := Compile(nil, info(1, false), bs, nil, nil, Options{}).Disassemble()
+	d := Compile(nil, 0, info(1, false), bs, nil, nil, Options{}).Disassemble()
 	if !strings.Contains(d, "index arg0: steps 1..257, 257 keys, 512 slots\n") {
 		t.Fatalf("disassembly missing the indexed run:\n%.400s", d)
 	}
@@ -282,7 +282,7 @@ func TestGuardIndexLeafEvaluationsConstant(t *testing.T) {
 						Fn:     func(any, []any) any { return nil },
 					}
 				}
-				p := Compile(nil, info(1, false), bs, nil, nil, Options{})
+				p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{})
 				if runs, covered := p.IndexedRuns(); runs != 1 || covered != len(bs) {
 					t.Fatalf("%s n=%d: runs=%d covered=%d", cfg.name, n, runs, covered)
 				}

@@ -192,6 +192,7 @@ func (a *admitCtl) applyLevel(from, to int) {
 	a.d.sweep(func(t *txn, b *Binding) {
 		if want := minPri > 0 && b.priority >= minPri; b.degraded.Load() != want {
 			b.degraded.Store(want)
+			t.changed(b)
 			t.stale = true
 		}
 	})

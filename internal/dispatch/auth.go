@@ -121,6 +121,7 @@ func (e *Event) ImposeGuard(b *Binding, g Guard, proof *rtti.Module) error {
 			return err
 		}
 		b.setImposed(append(b.imposed, g))
+		t.changed(b)
 		t.stale = true
 		return nil
 	})
@@ -133,6 +134,7 @@ func (e *Event) RemoveImposedGuards(b *Binding, proof *rtti.Module) error {
 	}
 	return e.commitOn(b, true, func(t *txn) error {
 		b.setImposed(nil)
+		t.changed(b)
 		t.stale = true
 		return nil
 	})

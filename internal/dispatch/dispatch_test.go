@@ -485,7 +485,8 @@ func TestStats(t *testing.T) {
 // the handlers count themselves, after a direct (bare and protected, whose
 // handler panics; single raises and batch), stencil, barrier, filter,
 // ephemeral (completed and abandoned), async (observed stencil), metered
-// and batch raise.
+// and batch raise; and a bare handler that panics out to the raiser counts
+// the raise but none of its firings.
 func TestStatsCountEveryExecutor(t *testing.T) {
 	filterProc := &rtti.Proc{Name: "F", Module: testModule,
 		Sig: rtti.Signature{Args: []rtti.Type{rtti.Word}, ByRef: []bool{true}}}
@@ -606,6 +607,38 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 			raise(e, batch, uint64(1), uint64(2), uint64(1))
 			check(fmt.Sprintf("direct, protected %v, batch %v", protected, batch), e,
 				map[string]*atomic.Int64{"D": &n}, map[string]int64{"D": 3})
+		}
+	}
+	// A bare handler (no fault policy) that panics out to the raiser, on the
+	// direct bypass and behind a guarded step on the stencil: the raise
+	// counts, its firings do not — the executor's one fired add never runs.
+	// Pinned as it stands (Raised +1, Fired +0), ahead of any change to how
+	// a raise writes its counters.
+	for _, stencil := range []bool{false, true} {
+		var n atomic.Int64
+		e := mustDefine(t, New(), "M.B", rtti.Sig(nil, rtti.Word),
+			WithIntrinsic(handler(voidProc("B", rtti.Word), counted(&n, func() { panic("bare") }))))
+		want := "direct"
+		if stencil {
+			if _, err := e.Install(handler(voidProc("G", rtti.Word), counted(&n, nil)), WithGuard(Guard{Pred: codegen.ArgEq(0, 1)}), First()); err != nil {
+				t.Fatal(err)
+			}
+			want = "stencil[void,guarded]"
+		}
+		if got := e.Plan().Executor(false); got != want {
+			t.Fatalf("bare panic: executor %s, want %s", got, want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bare panic on %s: the raise returned", want)
+				}
+			}()
+			_, _ = e.Raise1(uint64(1))
+		}()
+		if s := e.Stats(); n.Load() == 0 || s.Raised != 1 || s.Fired != 0 {
+			t.Errorf("bare panic on %s: %d invocations, Stats raised %d fired %d, want raised 1 fired 0",
+				want, n.Load(), s.Raised, s.Fired)
 		}
 	}
 }

@@ -196,6 +196,7 @@ func (t *txn) quarantine(b *Binding, level int) bool {
 	if b.quarantined.Swap(true) {
 		return false
 	}
+	t.changed(b)
 	t.stale = true
 	t.record(journal.KindQuarantine, b, int64(level))
 	return true
@@ -205,6 +206,7 @@ func (t *txn) quarantine(b *Binding, level int) bool {
 // a restore, or the fault controller's probation.
 func (t *txn) readmit(b *Binding, kind journal.Kind) {
 	if b.quarantined.Swap(false) {
+		t.changed(b)
 		t.stale = true
 	}
 	t.record(kind, b, 0)
