@@ -4,8 +4,11 @@ GO ?= go
 
 check: vet lint build test alloccheck race
 
+# The benchmark under benchmark/ is a module of its own, which `go vet ./...`
+# at the root never reaches: it is vetted from its own directory.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Static verification of the SPIN safety attributes (paper §2.4): guard
 # purity (FUNCTIONAL), handler terminability (EPHEMERAL), and descriptor
@@ -24,7 +27,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:57160 EXPERIMENTS.md:49126 README.md:23119
+DOC_CEILINGS = DESIGN.md:57153 EXPERIMENTS.md:49119 README.md:23119
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc

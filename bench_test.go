@@ -20,6 +20,7 @@ import (
 	"spin/internal/codegen"
 	"spin/internal/dispatch"
 	"spin/internal/rtti"
+	"spin/internal/trace"
 	"spin/internal/vtime"
 	"spin/internal/x11"
 )
@@ -173,9 +174,18 @@ func BenchmarkInstall(b *testing.B) {
 		for _, present := range []int{0, 256, 4096} {
 			b.Run(fmt.Sprintf("append/%s/present=%d", kind.name, present), func(b *testing.B) {
 				b.ReportAllocs()
-				benchAppends(b, kind.guard, present)
+				benchAppends(b, kind.guard, present, nil)
 			})
 		}
+	}
+	// The indexed population on a traced event: each recompile registers
+	// the plan's step layout with the tracer, shared along the line of
+	// plans as the steps are.
+	for _, present := range []int{0, 256, 4096} {
+		b.Run(fmt.Sprintf("append/argeq-traced/present=%d", present), func(b *testing.B) {
+			b.ReportAllocs()
+			benchAppends(b, installKinds[0].guard, present, trace.New(trace.Config{Capacity: 64}))
+		})
 	}
 }
 
@@ -213,10 +223,14 @@ const installChunk = 64
 // uninstalled and that resident installed again, which copies the plan
 // into fresh storage with room to grow (rebuilding all present bindings
 // instead would run 64 untimed installs per timed one at present=4096).
-func benchAppends(b *testing.B, guard func(int) dispatch.Guard, present int) {
+// A non-nil tracer traces the event from the start.
+func benchAppends(b *testing.B, guard func(int) dispatch.Guard, present int, tracer *trace.Tracer) {
 	ev, err := dispatch.New().DefineEvent("Bench.Append", benchSig(1))
 	if err != nil {
 		b.Fatal(err)
+	}
+	if tracer != nil {
+		ev.Trace(tracer)
 	}
 	install := func(k int) *dispatch.Binding {
 		bd, err := ev.Install(appendHandler, dispatch.WithGuard(guard(k)))

@@ -249,3 +249,61 @@ func TestChainOlderPlanMissesLaterKeys(t *testing.T) {
 		checkFires(t, "newest plan", p, list)
 	}
 }
+
+// TestChainTracedSpansResolve: traced plans share their step layout along a
+// line of plans as they share the steps — an append in place extends it, a
+// truncation shares it, an append behind a truncation copies it — and the
+// spans recorded against every plan of the line, superseded ones included,
+// resolve to that plan's handler names.
+func TestChainTracedSpansResolve(t *testing.T) {
+	tracer := trace.New(trace.Config{Capacity: 256})
+	opts := Options{Trace: tracer}
+	list := make([]*Binding, 7)
+	for i := range list {
+		list[i] = &Binding{Name: fmt.Sprintf("h%d", i), Fn: func(any, []any) any { return nil }}
+	}
+	inf := info(0, false)
+	plans := []struct {
+		label string
+		list  []*Binding
+		p     *Plan
+	}{{label: "p4", list: list[:4]}, {label: "p5", list: list[:5]}, {label: "p6", list: list[:6]},
+		{label: "p4again", list: list[:4]}, {label: "other", list: append(list[:4:4], list[6])}}
+	var prev *Plan
+	for i, from := range []int{0, 4, 5, 4, 4} {
+		plans[i].p = recompile(prev, from, inf, plans[i].list, nil, nil, nil, opts)
+		prev = plans[i].p
+	}
+	shares := func(a, b *Plan) bool { return &a.meta[0] == &b.meta[0] }
+	if p4, p6, other := plans[0].p, plans[2].p, plans[4].p; !shares(p4, p6) || shares(p4, other) {
+		t.Fatalf("step layouts: appends in place share %v (want true), an append behind a truncation shares %v (want false)",
+			shares(p4, p6), shares(p4, other))
+	}
+	// One raise of each plan, oldest first, exported after the last.
+	for _, c := range plans {
+		c.p.Execute(&Env{}, nil, 0)
+	}
+	names := map[uint64][]string{}
+	var raises []uint64
+	for _, sp := range tracer.Snapshot() {
+		if sp.Kind != trace.KindHandler {
+			continue
+		}
+		if names[sp.Raise] == nil {
+			raises = append(raises, sp.Raise)
+		}
+		names[sp.Raise] = append(names[sp.Raise], sp.Name)
+	}
+	if len(raises) != len(plans) {
+		t.Fatalf("%d raises recorded handler spans, want %d", len(raises), len(plans))
+	}
+	for i, c := range plans {
+		var want []string
+		for _, b := range c.list {
+			want = append(want, b.Name)
+		}
+		if got := names[raises[i]]; !slices.Equal(got, want) {
+			t.Errorf("%s: spans resolve to %v, want %v", c.label, got, want)
+		}
+	}
+}

@@ -18,7 +18,9 @@ import (
 // observed bodies ignoring the guard axis: 12 bodies, chosen per plan and
 // per raise, none switching on shape per step.
 //
-// Every plan but the direct bypass (executeDirect) runs the stencil. An
+// Every plan but the direct bypass runs the stencil. The bypass has the
+// same plain/observed split: an unmetered, unsampled, unprotected raise runs
+// its body inline in Plan.Execute, every other one executeDirect. An
 // unmetered, unsampled raise of a plan with only synchronous steps runs its
 // plain instantiation (Plan.frame), filters included: a filter step is a
 // segment boundary, run between the stretches of the step loop, so a plan
@@ -30,6 +32,11 @@ import (
 // selects the barrier instantiations: the same walk under one recover
 // barrier per frame (exec_protect.go). The fuzzers hold every shape against
 // a naive reference model; testdata/observed.golden pins the observed walk.
+//
+// Statistics: the caller counts each frame once in its raised total before
+// the plan runs it, so an executor writes only a frame's firings beyond one
+// (Env.FiredExcess) — one add per raise or batch when there are any, none
+// for the bypass and every raise that fires exactly one handler.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -74,8 +81,8 @@ type flatStep struct {
 // frameFn is a plain stencil instantiation: selected once per plan, called
 // once per frame with a nil ws (see flatFrame). It needs nothing from the
 // Env and touches no counter: besides the outcome it returns the frame's
-// firings — handlers, filters and a default-handler firing — for the
-// caller's one add to Env.FiredTotal.
+// firings — handlers, filters and a default-handler firing — of which the
+// caller adds those beyond one per frame to Env.FiredExcess.
 type frameFn func(p *Plan, args []any, ws *walkState) (Outcome, int64)
 
 // flattenPred lowers a simplified guard predicate into conjunction leaves.
@@ -189,8 +196,8 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // the step and phase around each call, the outcome after each firing.
 //
 // The stencil counts firings only in what it returns: the Outcome, and the
-// frame's firings, filters included, which the caller adds to
-// Env.FiredTotal once.
+// frame's firings, filters included, of which the caller adds those beyond
+// one to Env.FiredExcess, if any.
 func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) (Outcome, int64) {
 	var r R
 	var g G
@@ -494,16 +501,18 @@ func (p *Plan) runFilter(f int, args []any, ws *walkState) bool {
 	return true
 }
 
-// addFired adds n firings to the event's fired total, if the caller keeps
-// one: the one add per raise (or batch) of the statistics protocol.
-func (env *Env) addFired(idx int, n int64) {
-	if n > 0 && env.FiredTotal != nil {
-		env.FiredTotal.AddAt(idx, n)
+// addExcess adds the firings of frames beyond one each to the event's fired
+// excess, if the caller keeps one and there are any (Env.FiredExcess): at
+// most one add per raise (or batch), and none for a raise that fires
+// exactly one handler.
+func (env *Env) addExcess(idx int, fired, frames int64) {
+	if fired != frames && env.FiredExcess != nil {
+		env.FiredExcess.AddAt(idx, fired-frames)
 	}
 }
 
-// fires is the number of handler firings the outcome adds to the event's
-// fired total: the handlers that ran plus a default-handler firing.
+// fires is the number of handler firings the outcome counts: the handlers
+// that ran plus a default-handler firing.
 func (o Outcome) fires() int64 {
 	if o.UsedDefault {
 		return int64(o.Fired) + 1

@@ -171,13 +171,13 @@ func TestSpecializedDefaultHandler(t *testing.T) {
 		Fn:     countingHandler(&n, nil),
 	}}
 	p2 := Compile(nil, 0, info(1, true), bs, nil, d, Options{})
-	var total stripe.Counter
-	out = p2.Execute(&Env{FiredTotal: &total}, []any{uint64(1)}, 0)
+	var excess stripe.Counter
+	out = p2.Execute(&Env{FiredExcess: &excess}, []any{uint64(1)}, 0)
 	if out.Fired != 0 || !out.UsedDefault || out.Result != "default" {
 		t.Fatalf("default not applied: %+v", out)
 	}
-	if total.Load() != 1 {
-		t.Fatalf("batched total %d after default firing, want 1", total.Load())
+	if got := 1 + excess.Load(); got != 1 {
+		t.Fatalf("1 frame + excess = %d after default firing, want 1", got)
 	}
 }
 
@@ -213,7 +213,7 @@ func (*recHook) SyncCost(any, vtime.Duration) {}
 type barrierRun struct {
 	out    Outcome
 	fired  []int64 // each binding's invocations, the default handler's last
-	total  int64   // FiredTotal
+	total  int64   // the raise's one frame plus its FiredExcess
 	folds  []int   // the index each result-handler call carried
 	faults []faultCall
 }
@@ -289,9 +289,9 @@ func TestBarrierEdges(t *testing.T) {
 		if got := p.Executor(metered); got != want {
 			t.Fatalf("executor %s, want %s", got, want)
 		}
-		var total stripe.Counter
-		r.out = p.Execute(&Env{CPU: meteredCPU(metered), FiredTotal: &total}, []any{uint64(1)}, 0)
-		r.total = total.Load()
+		var excess stripe.Counter
+		r.out = p.Execute(&Env{CPU: meteredCPU(metered), FiredExcess: &excess}, []any{uint64(1)}, 0)
+		r.total = 1 + excess.Load()
 		r.faults = hook.calls
 		return r
 	}

@@ -9,7 +9,7 @@ import (
 
 // Batched executor entry point — the vectorized ingress tier. A loop of N
 // single raises pays the per-raise fixed costs N times: the plan load, the
-// stripe shard hash, the executor selection, the fired-total flush.
+// stripe shard hash, the executor selection, the statistics adds.
 // ExecuteBatch's two fast loops pay them once per batch and run each frame
 // through the same body a single raise runs. The frames arrive flat,
 // row-major in one slice, so a batch needs no per-frame header. Only callers
@@ -59,9 +59,11 @@ func (b *BatchOutcome) Add(o Outcome) {
 // stops before the first frame that would run on a stale plan. Returns the
 // folded outcome and the number of frames processed — fewer than n only
 // when the plan was superseded mid-batch, and at least one of a non-empty
-// batch. stripeIdx is the caller's hoisted stripe shard index. A filter
-// rewrites its frame in flat in place, as Execute's args: a caller whose
-// raiser keeps flat passes a copy when HasFilter reports true.
+// batch. stripeIdx is the caller's hoisted stripe shard index for the
+// batch's excess add (Env.FiredExcess): the caller counts the n frames, and
+// takes back those past the m processed. A filter rewrites its frame in
+// flat in place, as Execute's args: a caller whose raiser keeps flat passes
+// a copy when HasFilter reports true.
 //
 // An unmetered batch of an untraced plan runs one of the two fast loops:
 // the direct bypass's (executeDirectBatch) or the plain stencil's. Every
@@ -71,7 +73,7 @@ func (p *Plan) ExecuteBatch(env *Env, flat []any, width, n, stripeIdx int, live 
 	if env.CPU == nil && p.prog == nil {
 		switch {
 		case p.direct != nil && p.protect == nil:
-			return p.executeDirectBatch(env, flat, width, n, stripeIdx, live)
+			return p.executeDirectBatch(flat, width, n, live)
 		case p.frame != nil:
 			return p.executeFrameBatch(env, flat, width, n, stripeIdx, live)
 		}
@@ -94,7 +96,7 @@ func frameAt(flat []any, width, i int) []any {
 }
 
 // executeFrameBatch is the plain stencil's fast loop: the frame loop around
-// Plan.frame, with one event-total flush at the end.
+// Plan.frame, with one excess add at the end, of total − m for m frames.
 func (p *Plan) executeFrameBatch(env *Env, flat []any, width, n, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	var out BatchOutcome
 	var total int64
@@ -108,14 +110,16 @@ func (p *Plan) executeFrameBatch(env *Env, flat []any, width, n, idx int, live *
 		total += fired
 		out.Add(o)
 	}
-	env.addFired(idx, total)
+	env.addExcess(idx, total, int64(done))
 	return out, done
 }
 
-// executeDirect is the single-binding bypass's entry: one handler call,
-// charged as the direct procedure call it replaces, behind the one per-call
-// barrier when the plan is protected, with its span when rec samples it.
-func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outcome {
+// executeDirect is the single-binding bypass's observed and protected entry:
+// one handler call, charged as the direct procedure call it replaces, behind
+// the one per-call barrier when the plan is protected, with its span when
+// rec samples it. A panicking protected handler counts as fired, so the
+// bypass always fires exactly one handler and adds no excess.
+func (p *Plan) executeDirect(env *Env, args []any, rec *recorder) Outcome {
 	st, cpu := p.direct, env.CPU
 	rec.open()
 	cpu.Charge(vtime.CallDirect)
@@ -126,7 +130,6 @@ func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outco
 	} else {
 		out.Result = runBody(st.b, st.inline, args)
 	}
-	env.addFired(idx, 1)
 	if rec != nil {
 		rec.handler(0, trace.ModeDirect, completed)
 		rec.end(out)
@@ -135,9 +138,9 @@ func (p *Plan) executeDirect(env *Env, args []any, idx int, rec *recorder) Outco
 }
 
 // executeDirectBatch is the batch tier of the single-binding bypass: the
-// frame loop wrapped directly around the handler call, with one event-total
-// flush at the end.
-func (p *Plan) executeDirectBatch(env *Env, flat []any, width, n, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
+// frame loop wrapped directly around the handler call. Each frame fires one
+// handler, so it adds no excess.
+func (p *Plan) executeDirectBatch(flat []any, width, n int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	b, inline := p.direct.b, p.direct.inline
 	var out BatchOutcome
 	done := n
@@ -149,6 +152,5 @@ func (p *Plan) executeDirectBatch(env *Env, flat []any, width, n, idx int, live 
 		out.Result = runBody(b, inline, frameAt(flat, width, i))
 	}
 	out.Fired = int64(done)
-	env.addFired(idx, out.Fired)
 	return out, done
 }

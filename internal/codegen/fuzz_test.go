@@ -603,10 +603,10 @@ func FuzzTreeDispatch(f *testing.F) {
 					if wantDefault {
 						wantDefaultFired = 1
 					}
-					var total stripe.Counter
+					var excess stripe.Counter
 					fired, defaultFired = nil, 0
 					frame := append([]any(nil), args...) // the filters rewrite it
-					out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total}, frame, 0)
+					out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredExcess: &excess}, frame, 0)
 					if len(fired) != len(want) {
 						t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
 					}
@@ -646,17 +646,17 @@ func FuzzTreeDispatch(f *testing.F) {
 					}
 
 					// Statistics: whichever executor the configuration reached
-					// (bypass, stencil, general, sampled), the fired-total flush
-					// must count what the model fired, filters and the default
-					// handler's firing included; the fire log above holds the
-					// bindings'.
+					// (bypass, stencil, general, sampled), the raise's one frame
+					// plus its excess must count what the model fired, filters
+					// and the default handler's firing included; the fire log
+					// above holds the bindings'.
 					if defaultFired != wantDefaultFired {
 						t.Fatalf("opts %+v args %v: default fired %d, model %d",
 							opts, args, defaultFired, wantDefaultFired)
 					}
-					if wantTotal := int64(len(want)) + wantDefaultFired; total.Load() != wantTotal {
-						t.Fatalf("opts %+v args %v: FiredTotal %d, model %d",
-							opts, args, total.Load(), wantTotal)
+					if wantTotal := int64(len(want)) + wantDefaultFired; 1+excess.Load() != wantTotal {
+						t.Fatalf("opts %+v args %v: 1 frame + FiredExcess %d, model %d",
+							opts, args, excess.Load(), wantTotal)
 					}
 				}
 			}
@@ -877,9 +877,11 @@ func FuzzBatchDispatch(f *testing.F) {
 			if hook != nil {
 				hook.calls = nil
 			}
-			var total stripe.Counter
-			out := dispatch(&Env{CPU: meteredCPU(opts.Metered), FiredTotal: &total})
-			return out, fired, total.Load()
+			// The fired total: every frame once, as the dispatcher's raised
+			// total counts it, plus the executors' excess.
+			var excess stripe.Counter
+			out := dispatch(&Env{CPU: meteredCPU(opts.Metered), FiredExcess: &excess})
+			return out, fired, int64(nFrames) + excess.Load()
 		}
 
 		// checkFaults compares what the hook and the result handler saw with
@@ -928,7 +930,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 			checkFaults("loop", loopOut)
 			if loopTotal != int64(len(wantFired)) {
-				t.Fatalf("opts %+v loop: FiredTotal %d, model %d", opts, loopTotal, len(wantFired))
+				t.Fatalf("opts %+v loop: frames + FiredExcess %d, model %d", opts, loopTotal, len(wantFired))
 			}
 
 			check := func(label string, out BatchOutcome, gotFired []int, total int64) {
@@ -942,7 +944,7 @@ func FuzzBatchDispatch(f *testing.F) {
 				}
 				checkFaults(label, out)
 				if total != loopTotal {
-					t.Fatalf("opts %+v %s: FiredTotal %d, loop %d", opts, label, total, loopTotal)
+					t.Fatalf("opts %+v %s: frames + FiredExcess %d, loop %d", opts, label, total, loopTotal)
 				}
 			}
 

@@ -36,7 +36,8 @@ type obsRig struct {
 	clock   vtime.Clock
 	cpu     *vtime.CPU
 	env     Env
-	total   stripe.Counter
+	excess  stripe.Counter // Env.FiredExcess
+	frames  int64          // frames run, as the dispatcher's raised total counts them
 	fires   map[string]int64
 	calls   []string
 	bs      []*Binding      // every binding compiled, in report order
@@ -90,6 +91,7 @@ func (r *obsRig) compile(info EventInfo, bs []*Binding, fold ResultFn, def *Bind
 func (r *obsRig) raise(p *Plan, args ...any) {
 	before := r.clock.Now()
 	out := p.Execute(&r.env, args, 0)
+	r.frames++
 	fmt.Fprintf(r.out, "raise %v: %+v cost=%v\n", args, out, r.clock.Now().Sub(before))
 }
 
@@ -101,6 +103,7 @@ func (r *obsRig) batch(p *Plan, frames ...[]any) {
 	}
 	before := r.clock.Now()
 	out, done := p.ExecuteBatch(&r.env, flat, 1, len(frames), 0, nil)
+	r.frames += int64(done)
 	fmt.Fprintf(r.out, "batch %v: %+v done=%d cost=%v\n", frames, out, done, r.clock.Now().Sub(before))
 }
 
@@ -111,7 +114,7 @@ func (r *obsRig) report() {
 	for _, b := range r.bs {
 		fmt.Fprintf(r.out, " %s=%d", b.Name, r.fires[b.Name])
 	}
-	fmt.Fprintf(r.out, " total=%d\n", r.total.Load())
+	fmt.Fprintf(r.out, " total=%d\n", r.frames+r.excess.Load())
 	for _, c := range r.calls {
 		fmt.Fprintf(r.out, "call %s\n", c)
 	}
@@ -291,7 +294,7 @@ func runObserved(traced bool) string {
 		if !c.unmetered {
 			r.cpu = vtime.NewCPU(&r.clock, vtime.AlphaModel())
 		}
-		r.env = Env{CPU: r.cpu, FiredTotal: &r.total,
+		r.env = Env{CPU: r.cpu, FiredExcess: &r.excess,
 			Async: func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
 				r.log("Async %v arity=%d queued=%v", tag, arity, q != nil)
 				invoke(context.Background())

@@ -177,8 +177,10 @@ type Plan struct {
 	outOfLine int
 	// prog is the plan's trace recording handle, non-nil only when the
 	// plan was compiled with Options.Trace. Untraced plans pay a single
-	// nil check per raise and nothing else.
+	// nil check per raise and nothing else. meta is the step layout prog
+	// registered (stepMeta).
 	prog *trace.Program
+	meta []trace.StepMeta
 	// protect is the fault hook compiled into the plan (Options.Protect);
 	// nil plans execute with no recovery barriers at all.
 	protect FaultHook
@@ -202,7 +204,7 @@ type Plan struct {
 // Env supplies the execution hooks the generated routine needs from the
 // dispatcher: a CPU meter (nil when unmetered; a metered raise runs the
 // observed walk), the asynchronous and ephemeral supervisors, and the
-// event's fired total.
+// event's fired excess.
 type Env struct {
 	CPU *vtime.CPU
 	// Async runs one asynchronous handler invocation on a separate thread
@@ -217,11 +219,17 @@ type Env struct {
 	// cancelled if the watchdog abandons the invocation. Required if any
 	// binding is Ephemeral.
 	RunEphemeral func(tag any, invoke func(context.Context) any) (any, bool)
-	// FiredTotal, if non-nil, receives the number of handlers that fired
-	// (filters and a default-handler firing included) with one striped add
-	// per raise — once per batch on the plain stencil and direct batch tiers
-	// — through the caller's hoisted stripe shard index.
-	FiredTotal *stripe.Counter
+	// FiredExcess, if non-nil, receives the firings beyond one per frame:
+	// fires − 1 for a raise (filters and a default-handler firing
+	// included), total − m for a batch of m frames, and nothing when that
+	// is zero, through the caller's hoisted stripe shard index. Every plan
+	// execution is preceded by exactly one add per frame to the caller's
+	// raised total (Event.raiseOut and Event.executeBatch are the only
+	// callers), so raised + excess is the fired total, and a raise that
+	// fires exactly one handler — the direct bypass always — writes nothing
+	// here. A reader that sums the two while raises run may briefly count
+	// one firing high per raise in flight that fires nothing.
+	FiredExcess *stripe.Counter
 }
 
 // Outcome reports what a raise did.
@@ -283,17 +291,38 @@ func Compile(prev *Plan, keep int, info EventInfo, bindings []*Binding, resultFn
 		// Register the plan's step layout with the tracer: spans carry only
 		// (program, step) indices, resolved to names at export time — also
 		// for superseded plans — so recording never allocates.
-		meta := trace.EventMeta{Event: info.Name,
-			Steps: make([]trace.StepMeta, len(p.steps))}
-		for i := range p.steps {
-			meta.Steps[i] = trace.StepMeta{Name: p.steps[i].b.Name, Mode: p.steps[i].mode}
-		}
+		p.meta = p.stepMeta(prev, keep, inPlace)
+		meta := trace.EventMeta{Event: info.Name, Steps: p.meta}
 		if defaultB != nil {
 			meta.Default = defaultB.Name
 		}
 		p.prog = opts.Trace.Program(meta)
 	}
 	return p
+}
+
+// stepMeta is a traced plan's step layout as its trace program registers
+// it, shared along a line of plans the way the steps are (chain.go): prev's
+// first keep entries, with this plan's appended in place when its chain CAS
+// claimed their steps (inPlace) and behind a copy otherwise. So an append
+// behind n residents costs O(1) traced too, and the programs of earlier
+// plans keep their shorter slice headers over entries never written again.
+// A prev compiled untraced has no layout to share: it is built whole.
+func (p *Plan) stepMeta(prev *Plan, keep int, inPlace bool) []trace.StepMeta {
+	var meta []trace.StepMeta
+	switch n := len(p.steps); {
+	case prev == nil || len(prev.meta) < keep:
+		keep = 0
+		meta = make([]trace.StepMeta, 0, chainRoom(n))
+	case inPlace || keep == n:
+		meta = prev.meta[:keep]
+	default:
+		meta = append(make([]trace.StepMeta, 0, chainRoom(n)), prev.meta[:keep]...)
+	}
+	for i := keep; i < len(p.steps); i++ {
+		meta = append(meta, trace.StepMeta{Name: p.steps[i].b.Name, Mode: p.steps[i].mode})
+	}
+	return meta
 }
 
 // bindingMode maps a binding's execution properties to its trace mode.
@@ -425,7 +454,8 @@ func (p *Plan) StepBinding(i int) *Binding { return p.steps[i].b }
 // visible to subsequent steps, so a caller whose raiser keeps the slice
 // passes a copy when HasFilter reports true. stripeIdx is the caller's
 // hoisted stripe shard index (stripe.Index()) for the raise's one
-// statistics add, of its firings, filters included, to Env.FiredTotal.
+// statistics add, of its firings beyond one, filters included, to
+// Env.FiredExcess.
 func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 	var r *recorder
 	if p.prog != nil {
@@ -434,13 +464,17 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 		var rec recorder
 		r = p.sample(env.CPU, args, &rec)
 	}
+	plain := r == nil && env.CPU == nil // unmetered and unsampled
 	switch {
+	case p.direct != nil && plain && p.protect == nil:
+		// The procedure call itself: one handler, one firing, no excess.
+		return Outcome{Result: runBody(p.direct.b, p.direct.inline, args), Fired: 1}
 	case p.direct != nil:
-		return p.executeDirect(env, args, stripeIdx, r)
-	case p.frame != nil && r == nil && env.CPU == nil:
-		// Unmetered, unsampled raise of a synchronous plan: the plain stencil.
+		return p.executeDirect(env, args, r)
+	case p.frame != nil && plain:
+		// A synchronous plan: the plain stencil.
 		out, fired := p.frame(p, args, nil)
-		env.addFired(stripeIdx, fired)
+		env.addExcess(stripeIdx, fired, 1)
 		return out
 	}
 	return p.observe(env, args, stripeIdx, r)
@@ -449,7 +483,7 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 // observe runs one frame through the plan's observed instantiation, which
 // charges env.CPU and records through rec (either may be nil). It calls the
 // instantiations statically, so ws stays on the stack, and adds the frame's
-// firings to the total.
+// firings beyond one to the excess.
 func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 	cpu := env.CPU
 	if p.allInline {
@@ -480,7 +514,7 @@ func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 	default:
 		out, fired = flatFrame[off, off, off, on](p, args, &ws)
 	}
-	env.addFired(idx, fired)
+	env.addExcess(idx, fired, 1)
 	if rec := ws.recorder(); rec != nil {
 		rec.end(out)
 	}

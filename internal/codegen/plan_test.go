@@ -281,10 +281,10 @@ func TestEphemeralHandlerSupervised(t *testing.T) {
 }
 
 // TestFireCountsReportBindings pins the one statistics protocol on every
-// executor: the raise adds its firings, filters and the default handler
-// included, to FiredTotal once, and they are exactly the handlers that ran
-// (each counts its own invocations); a caller without a FiredTotal runs the
-// same handlers.
+// executor: the raise adds its firings beyond one, filters and the default
+// handler included, to FiredExcess at most once, so its frame plus the
+// excess are exactly the handlers that ran (each counts its own
+// invocations); a caller without a FiredExcess runs the same handlers.
 func TestFireCountsReportBindings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -306,8 +306,8 @@ func TestFireCountsReportBindings(t *testing.T) {
 			{Fn: count(2)},
 		}
 		p := Compile(nil, 0, info(0, false), bs, nil, nil, tc.opts)
-		var total stripe.Counter
-		env := &Env{FiredTotal: &total}
+		var excess stripe.Counter
+		env := &Env{FiredExcess: &excess}
 		if tc.metered {
 			env.CPU = vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())
 		}
@@ -316,22 +316,22 @@ func TestFireCountsReportBindings(t *testing.T) {
 		if counts != [3]int64{2, 0, 2} {
 			t.Errorf("%s (%s): invocations %v, want [2 0 2]", tc.name, p.Executor(tc.metered), counts)
 		}
-		if total.Load() != 2 {
-			t.Errorf("%s (%s): FiredTotal %d, want 2", tc.name, p.Executor(tc.metered), total.Load())
+		if got := 1 + excess.Load(); got != 2 {
+			t.Errorf("%s (%s): 1 frame + FiredExcess = %d, want 2", tc.name, p.Executor(tc.metered), got)
 		}
 	}
 	// The default handler fires, and counts, only when nothing else does.
 	var defCount int64
-	var total stripe.Counter
+	var excess stripe.Counter
 	def := &Binding{Fn: func(any, []any) any { defCount++; return nil }}
 	guarded := &Binding{Guards: []Guard{{Pred: ArgEq(0, 1)}}, Fn: func(any, []any) any { return nil }}
 	for _, cpu := range []*vtime.CPU{nil, vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())} {
 		p := Compile(nil, 0, info(1, false), []*Binding{guarded}, nil, def, Options{})
-		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(2)}, 0)
-		p.Execute(&Env{CPU: cpu, FiredTotal: &total}, []any{uint64(1)}, 0)
+		p.Execute(&Env{CPU: cpu, FiredExcess: &excess}, []any{uint64(2)}, 0)
+		p.Execute(&Env{CPU: cpu, FiredExcess: &excess}, []any{uint64(1)}, 0)
 	}
-	if defCount != 2 || total.Load() != 4 {
-		t.Errorf("default handler: invocations %d, FiredTotal %d, want 2 and 4", defCount, total.Load())
+	if got := 4 + excess.Load(); defCount != 2 || got != 4 {
+		t.Errorf("default handler: invocations %d, 4 frames + FiredExcess = %d, want 2 and 4", defCount, got)
 	}
 }
 

@@ -100,16 +100,21 @@ func (e *Event) raiseOne(out *BatchOutcome, plan *codegen.Plan, args []any) {
 }
 
 // executeBatch makes one batch-executor call and accounts the m frames it
-// processed, returning m. The raised total is counted after the fact:
-// frames beyond m re-dispatch on the reloaded plan in the caller's next
-// iteration, so counting m (not n) keeps the total exact. The
-// same add is the journal's raise-sampling draw, as in raiseOut: moving the
-// shard value from v to v+m wins one sample per multiple of the sampling
-// interval in (v, v+m] — what a loop of m raises would have won — each
-// recorded with this call's mean fired count.
+// processed, returning m. The raised total counts all n frames before the
+// call, as raiseOut counts its raise, so the executor's excess add lands
+// behind it; when the plan was superseded mid-batch it takes back the n − m
+// frames the caller's next iteration re-dispatches, and counts again, on
+// the reloaded plan. The same add is the journal's raise-sampling draw, as
+// in raiseOut: moving the shard value from v to v+m wins one sample per
+// multiple of the sampling interval in (v, v+m] — what a loop of m raises
+// would have won — each recorded with this call's mean fired count.
 func (e *Event) executeBatch(out *BatchOutcome, plan *codegen.Plan, flat []any, width, n, idx int) int {
+	raised := e.raised.AddAtN(idx, int64(n))
 	b, m := plan.ExecuteBatch(e.env, flat, width, n, idx, &e.plan)
-	raised := e.raised.AddAtN(idx, int64(m))
+	if m < n {
+		e.raised.AddAt(idx, int64(m-n))
+		raised -= int64(n - m)
+	}
 	out.foldBatch(b, m)
 	if jr := e.d.jrnl; jr != nil {
 		for hits := jr.SampleCountN(uint64(raised), uint64(m)); hits > 0; hits-- {

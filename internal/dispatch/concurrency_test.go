@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"spin/internal/codegen"
 	"spin/internal/rtti"
 )
 
@@ -206,6 +207,60 @@ func TestStatsUnderConcurrency(t *testing.T) {
 	s := e.Stats()
 	if s.Raised != goroutines*per || s.Fired != goroutines*per {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestStatsExcessUnderConcurrency races Stats() readers against raisers
+// whose raises fire 0 and 2 handlers, single and batched, so every raise
+// writes the fired excess (-1 or +1) behind its raised add. A read may
+// count a raise in flight as one firing, never a negative excess without
+// its raise: it stays within [0, 2*Raised]. After quiescence both totals
+// are exact.
+func TestStatsExcessUnderConcurrency(t *testing.T) {
+	e := mustDefine(t, New(), "M.P", rtti.Sig(nil, rtti.Word))
+	for _, name := range []string{"A", "B"} {
+		if _, err := e.Install(handler(voidProc(name, rtti.Word), func(any, []any) any { return nil }),
+			WithGuard(Guard{Pred: codegen.ArgEq(0, 1)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const raisers, per = 4, 400
+	var stop atomic.Bool
+	var raising, reading sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for !stop.Load() {
+				if s := e.Stats(); s.Fired < 0 || s.Fired > 2*s.Raised {
+					t.Errorf("transient Stats %+v outside [0, 2*Raised]", s)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < raisers; i++ {
+		raising.Add(1)
+		go func(word uint64) {
+			defer raising.Done()
+			frames := []any{word, word, word, word}
+			for j := 0; j < per; j++ {
+				if j%2 == 0 {
+					_, _ = e.Raise1(word)
+				} else {
+					e.RaiseBatch1(frames)
+				}
+			}
+		}(uint64(i % 2))
+	}
+	raising.Wait()
+	stop.Store(true)
+	reading.Wait()
+	// Each raiser makes per/2 single raises and per/2 batches of 4; the
+	// raisers of word 1 fire 2 handlers per frame, those of word 0 none.
+	frames := int64(raisers * (per/2 + per/2*4))
+	if s := e.Stats(); s.Raised != frames || s.Fired != frames {
+		t.Fatalf("after quiescence: Stats %+v, want raised %d fired %d", s, frames, frames)
 	}
 }
 

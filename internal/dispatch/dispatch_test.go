@@ -485,8 +485,9 @@ func TestStats(t *testing.T) {
 // the handlers count themselves, after a direct (bare and protected, whose
 // handler panics; single raises and batch), stencil, barrier, filter,
 // ephemeral (completed and abandoned), async (observed stencil), metered
-// and batch raise; and a bare handler that panics out to the raiser counts
-// the raise but none of its firings.
+// and batch raise, a raise that fires nothing and one that fires three,
+// and a batch mixing them; and a bare handler that panics out to the
+// raiser counts the raise as one firing.
 func TestStatsCountEveryExecutor(t *testing.T) {
 	filterProc := &rtti.Proc{Name: "F", Module: testModule,
 		Sig: rtti.Signature{Args: []rtti.Type{rtti.Word}, ByRef: []bool{true}}}
@@ -609,11 +610,57 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 				map[string]*atomic.Int64{"D": &n}, map[string]int64{"D": 3})
 		}
 	}
+	// Raises that fire other than one handler: the excess protocol's
+	// negative and positive adds, single and batched. A fires on any
+	// nonzero word and B and C on 3, so a raise of 0 fires none
+	// (ErrNoHandler), of 1 one, of 3 three.
+	for _, tc := range []struct {
+		name  string
+		words []any
+		batch bool
+		want  map[string]int64
+	}{
+		{name: "fires 0", words: []any{uint64(0), uint64(0), uint64(0)},
+			want: map[string]int64{"A": 0, "B": 0, "C": 0}},
+		{name: "fires 3", words: []any{uint64(3), uint64(3), uint64(3)},
+			want: map[string]int64{"A": 3, "B": 3, "C": 3}},
+		{name: "batch fires 0, 1, 3", words: []any{uint64(0), uint64(1), uint64(3)}, batch: true,
+			want: map[string]int64{"A": 2, "B": 1, "C": 1}},
+	} {
+		e := mustDefine(t, New(), "M.X", rtti.Sig(nil, rtti.Word))
+		got := map[string]*atomic.Int64{}
+		for _, h := range []struct {
+			name  string
+			guard *codegen.Pred
+		}{{"A", codegen.ArgNe(0, 0)}, {"B", codegen.ArgEq(0, 3)}, {"C", codegen.ArgEq(0, 3)}} {
+			got[h.name] = new(atomic.Int64)
+			if _, err := e.Install(handler(voidProc(h.name, rtti.Word), counted(got[h.name], nil)),
+				WithGuard(Guard{Pred: h.guard})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.Plan().Executor(false); got != "stencil[void,guarded]" {
+			t.Fatalf("%s: executor %s, want stencil[void,guarded]", tc.name, got)
+		}
+		if tc.batch {
+			if out := e.RaiseBatch1(tc.words); out.Raised != 3 || out.NoHandler != 1 {
+				t.Errorf("%s: %+v, want 3 raised, 1 unhandled", tc.name, out)
+			}
+		} else {
+			for _, w := range tc.words {
+				if _, err := e.Raise1(w); (w == uint64(0)) != errors.Is(err, ErrNoHandler) {
+					t.Errorf("%s: raise of %v: %v", tc.name, w, err)
+				}
+			}
+		}
+		check(tc.name, e, got, tc.want)
+	}
 	// A bare handler (no fault policy) that panics out to the raiser, on the
 	// direct bypass and behind a guarded step on the stencil: the raise
-	// counts, its firings do not — the executor's one fired add never runs.
-	// Pinned as it stands (Raised +1, Fired +0), ahead of any change to how
-	// a raise writes its counters.
+	// counts as one firing — its raised add stands for one, and the
+	// executor's excess add never runs (Raised +1, Fired +1). So a
+	// panicking handler counts as fired, as it does behind the barrier; the
+	// stencil's firing ahead of it is the excess that never landed.
 	for _, stencil := range []bool{false, true} {
 		var n atomic.Int64
 		e := mustDefine(t, New(), "M.B", rtti.Sig(nil, rtti.Word),
@@ -636,8 +683,8 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 			}()
 			_, _ = e.Raise1(uint64(1))
 		}()
-		if s := e.Stats(); n.Load() == 0 || s.Raised != 1 || s.Fired != 0 {
-			t.Errorf("bare panic on %s: %d invocations, Stats raised %d fired %d, want raised 1 fired 0",
+		if s := e.Stats(); n.Load() == 0 || s.Raised != 1 || s.Fired != 1 {
+			t.Errorf("bare panic on %s: %d invocations, Stats raised %d fired %d, want raised 1 fired 1",
 				want, n.Load(), s.Raised, s.Fired)
 		}
 	}

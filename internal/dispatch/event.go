@@ -76,10 +76,13 @@ type Event struct {
 
 	// Dispatch statistics are sharded across cache-line-padded stripes so
 	// parallel raises of one hot event do not serialize on a shared line;
-	// Stats aggregates them lazily.
-	raised     stripedCounter
-	firedTotal stripedCounter
-	timeNanos  stripedCounter
+	// Stats aggregates them lazily. The fired total is raised + firedExcess:
+	// each raise counts itself in raised, and the executor adds to
+	// firedExcess only the firings beyond one (codegen.Env.FiredExcess), so
+	// a raise that fires exactly one handler makes one shared write.
+	raised      stripedCounter
+	firedExcess stripedCounter
+	timeNanos   stripedCounter
 }
 
 // EventOption configures an event at definition time.
@@ -472,10 +475,10 @@ func (e *Event) newEnv() *codegen.Env {
 			}
 			return e.d.runEphemeral(tag, deadline, invoke)
 		},
-		// Every executor adds the raise's firings here once, on the
-		// raise's hoisted stripe index: the one statistics add per raise.
-		// No per-binding count is kept on the raise path.
-		FiredTotal: &e.firedTotal,
+		// Every executor adds the raise's firings beyond one here, once, on
+		// the raise's hoisted stripe index. No per-binding count is kept on
+		// the raise path.
+		FiredExcess: &e.firedExcess,
 	}
 }
 
@@ -498,10 +501,10 @@ func (e *Event) raiseSync(args []any) (any, error) {
 // recycle the argument buffer.
 func (e *Event) raiseWith(plan *codegen.Plan, args []any) (any, error) {
 	out, err := e.raiseOut(plan, args)
-	if err != nil {
-		return nil, err
+	if err == nil && (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
+		return out.Result, nil
 	}
-	return e.finishRaise(out)
+	return e.finishRaise(out, err)
 }
 
 // raiseOut is raiseWith before the outcome mapping: it validates, counts,
@@ -515,19 +518,25 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 		return codegen.Outcome{}, err
 	}
 	// One stripe shard hash serves every striped counter this raise
-	// touches: the raised total here and the executor's one add to the
-	// fired total. The increment's shard value doubles as the journal's
-	// raise-sampling draw below.
+	// touches: the raised total here, which counts the raise before the
+	// plan runs, and the executor's add to the fired excess, if it fires
+	// other than one handler. The increment's shard value doubles as the
+	// journal's raise-sampling draw below.
 	idx := stripe.Index()
 	raised := e.raised.AddAtN(idx, 1)
-	if e.d.purity {
+	var out codegen.Outcome
+	switch {
+	case e.d.purity:
 		// Purity checking installs guard monitors that report a mutating
 		// FUNCTIONAL guard by panicking inside plan execution; only then
 		// does the raise need a recover barrier. The production path below
 		// carries none.
 		return e.raiseOutMonitored(plan, args, idx)
+	case e.d.cpu != nil:
+		out = e.executeMetered(plan, args, idx)
+	default:
+		out = plan.Execute(e.env, args, idx)
 	}
-	out := e.execute(plan, args, idx)
 	// Sampled raise journaling: a journal-off dispatcher pays one nil
 	// check; an off-sample draw is one mask test on the striped raise total
 	// already advanced above.
@@ -539,30 +548,31 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 
 // raiseOutMonitored is raiseOut's purity-checking tail: identical execution
 // behind a recover barrier that surfaces the monitor's ErrGuardMutatedArgs
-// panic as an error at the raise point.
+// panic as an error at the raise point. A rejected raise counts no firing:
+// the walk stopped before its excess add, and the rejection takes back the
+// one firing its raised add stands for.
 func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int) (out codegen.Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == ErrGuardMutatedArgs {
+				e.firedExcess.AddAt(idx, -1)
 				out, err = codegen.Outcome{}, fmt.Errorf("%w: event %s", ErrGuardMutatedArgs, e.name)
 				return
 			}
 			panic(r)
 		}
 	}()
-	return e.execute(plan, args, idx), nil
+	if e.d.cpu != nil {
+		return e.executeMetered(plan, args, idx), nil
+	}
+	return plan.Execute(e.env, args, idx), nil
 }
 
-// execute runs one raise of plan, metering it when the dispatcher has a
-// CPU: the raise's virtual time is charged to the events account and added
-// to the event's time total.
-func (e *Event) execute(plan *codegen.Plan, args []any, idx int) codegen.Outcome {
+// executeMetered runs one raise of plan on a metered dispatcher: the
+// raise's virtual time is charged to the events account and added to the
+// event's time total. An unmetered raise calls plan.Execute directly.
+func (e *Event) executeMetered(plan *codegen.Plan, args []any, idx int) codegen.Outcome {
 	cpu := e.d.cpu
-	if cpu == nil {
-		// Unmetered: skip all virtual-time accounting up front instead of
-		// paying a nil check per meter call inside the plan.
-		return plan.Execute(e.env, args, idx)
-	}
 	cpu.Begin(vtime.AccountEvents)
 	start := cpu.Now()
 	out := plan.Execute(e.env, args, idx)
@@ -571,8 +581,12 @@ func (e *Event) execute(plan *codegen.Plan, args []any, idx int) codegen.Outcome
 	return out
 }
 
-// finishRaise maps a plan outcome to the raise result and error contract.
-func (e *Event) finishRaise(out codegen.Outcome) (any, error) {
+// finishRaise maps a plan outcome, or raiseOut's error, to the raise result
+// and error contract: raiseWith's error path.
+func (e *Event) finishRaise(out codegen.Outcome, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
 	if out.Fired == 0 && !out.UsedDefault {
 		return nil, fmt.Errorf("%w: %s", ErrNoHandler, e.name)
 	}
@@ -592,16 +606,24 @@ func (e *Event) raisePooled(plan *codegen.Plan, bp *[]any) (any, error) {
 		// give it a private copy and recycle the buffer immediately.
 		private := make([]any, len(args))
 		copy(private, args)
-		clear(args)
-		*bp = args[:0]
-		argPool.Put(bp)
+		putArgs(bp, args)
 		return e.raiseWith(plan, private)
 	}
 	res, err := e.raiseWith(plan, args)
-	clear(args) // drop references so the pool does not pin arguments
+	putArgs(bp, args)
+	return res, err
+}
+
+// putArgs returns a pooled argument frame, its arity words nilled first so
+// the pool does not pin arguments: a store per word, which at these widths
+// costs less than clear's bulk-barrier memclr (a forward range loop would
+// compile to that memclr).
+func putArgs(bp *[]any, args []any) {
+	for i := len(args) - 1; i >= 0; i-- {
+		args[i] = nil
+	}
 	*bp = args[:0]
 	argPool.Put(bp)
-	return res, err
 }
 
 // Raise0 raises a no-parameter event without allocating. It is the
@@ -695,7 +717,13 @@ func (e *Event) checkArgs(args []any) error {
 type Stats struct {
 	// Raised counts raises of the event.
 	Raised int64
-	// Fired counts handler invocations (across all handlers).
+	// Fired counts handler invocations (across all handlers, filters and
+	// the default handler included): Fired = Raised + excess, the raises'
+	// firings beyond one each. A handler that panics out to its raiser
+	// with no fault policy counts as fired, as it does behind the fault
+	// barrier. A Stats that races raises counts each raise in flight as
+	// one firing until its excess lands, so it may briefly read one firing
+	// high per raise that fires nothing.
 	Fired int64
 	// Time is the cumulative virtual time spent handling the event
 	// (dispatch plus handler bodies), in metered configurations.
@@ -715,9 +743,14 @@ func (e *Event) Stats() Stats {
 		guards += b.countGuards()
 	}
 	e.mu.Unlock()
+	// The excess first: a raise adds to it only after its raised add, so
+	// every excess this read sees has its raise counted in the read behind
+	// it, and the sum is never low by a raise's negative excess.
+	excess := e.firedExcess.Load()
+	raised := e.raised.Load()
 	return Stats{
-		Raised:   e.raised.Load(),
-		Fired:    e.firedTotal.Load(),
+		Raised:   raised,
+		Fired:    raised + excess,
 		Time:     vtime.Duration(e.timeNanos.Load()),
 		Handlers: handlers,
 		Guards:   guards,

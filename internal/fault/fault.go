@@ -255,7 +255,7 @@ type Ledger struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	ring    []Record // capacity policy.History, oldest overwritten
+	ring    []Record // grown by append up to policy.History, then oldest overwritten
 	next    int      // ring write cursor
 	total   int      // records ever captured
 	entries map[any]*entry
@@ -268,7 +268,6 @@ func NewLedger(policy Policy) *Ledger {
 	policy.normalize()
 	return &Ledger{
 		policy:  policy,
-		ring:    make([]Record, 0, policy.History),
 		entries: make(map[any]*entry),
 		modules: make(map[any]int),
 	}
@@ -278,17 +277,19 @@ func NewLedger(policy Policy) *Ledger {
 func (l *Ledger) Policy() Policy { return l.policy }
 
 // record appends r to the ring. Caller holds l.mu; returns the stamped
-// record for OnFault delivery outside the lock.
+// record for OnFault delivery outside the lock. The ring grows with the
+// faults, so a ledger that never sees one holds none: only once it holds
+// policy.History records does it wrap.
 func (l *Ledger) record(r Record) Record {
 	l.seq++
 	r.Seq = l.seq
 	l.total++
-	if len(l.ring) < cap(l.ring) {
+	if len(l.ring) < l.policy.History {
 		l.ring = append(l.ring, r)
 	} else {
 		l.ring[l.next] = r
 	}
-	l.next = (l.next + 1) % cap(l.ring)
+	l.next = (l.next + 1) % l.policy.History
 	return r
 }
 
@@ -449,7 +450,7 @@ func (l *Ledger) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Record, 0, len(l.ring))
-	if len(l.ring) < cap(l.ring) {
+	if len(l.ring) < l.policy.History {
 		return append(out, l.ring...)
 	}
 	out = append(out, l.ring[l.next:]...)

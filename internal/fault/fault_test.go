@@ -150,6 +150,32 @@ func TestLedgerRingRetention(t *testing.T) {
 	}
 }
 
+// TestLedgerRingGrowsWithFaults: a fresh ledger holds no ring, and one
+// with History 4 returns its records oldest-first after 0, 3 and 10 records,
+// growing to 4 and then wrapping.
+func TestLedgerRingGrowsWithFaults(t *testing.T) {
+	l := NewLedger(Policy{History: 4})
+	if l.ring != nil {
+		t.Fatalf("fresh ledger holds a ring of capacity %d", cap(l.ring))
+	}
+	noted := 0
+	for _, upto := range []int{0, 3, 10} {
+		for ; noted < upto; noted++ {
+			l.Note(Record{Kind: KindCompare, Handler: "H"})
+		}
+		recs := l.Records()
+		first := max(upto-4, 0) + 1 // the oldest retained seq
+		if len(recs) != upto-first+1 {
+			t.Fatalf("after %d records: retained %d, want %d", upto, len(recs), upto-first+1)
+		}
+		for i, r := range recs {
+			if want := uint64(first + i); r.Seq != want {
+				t.Fatalf("after %d records: record %d seq = %d, want %d (oldest-first)", upto, i, r.Seq, want)
+			}
+		}
+	}
+}
+
 func TestLedgerOnFault(t *testing.T) {
 	var mu sync.Mutex
 	var seen []Record

@@ -39,13 +39,19 @@ func (s *Stack) BindUDP(port uint16) (*UDPSocket, error) {
 	}
 	sock := &UDPSocket{stack: s, port: port}
 	sig := rtti.Sig(nil, rtti.Word, PacketType)
+	// Only the out-of-line guard is named: PortGuard drops the name under
+	// InlinePortGuards, so it is not formatted there.
+	guardName := ""
+	if !s.inlineGuards {
+		guardName = fmt.Sprintf("Udp.Port%dGuard", port)
+	}
 	b, err := s.UDPArrived.Install(dispatch.Handler{
 		Proc: &rtti.Proc{Name: fmt.Sprintf("Udp.Socket%d", port), Module: UDPModule, Sig: sig},
 		Fn: func(clo any, args []any) any {
 			sock.deliver(args[1].(*Packet))
 			return nil
 		},
-	}, dispatch.WithGuard(s.PortGuard(fmt.Sprintf("Udp.Port%dGuard", port), port)))
+	}, dispatch.WithGuard(s.PortGuard(guardName, port)))
 	if err != nil {
 		return nil, err
 	}

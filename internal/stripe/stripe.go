@@ -3,8 +3,9 @@
 // parallel writers on one hot event do not serialize on a shared line;
 // reads sum all shards. It lives in its own package so both the dispatcher
 // (per-event raised and time totals) and the code generator's executors
-// (the per-event fired total, one add per raise on a hoisted stripe index)
-// share one implementation.
+// (the per-event fired excess, the firings beyond one per raise, added on
+// the raise's hoisted stripe index only when not zero) share one
+// implementation.
 package stripe
 
 import (
@@ -42,8 +43,8 @@ func (c *Counter) Add(delta int64) {
 
 // AddAt increments the counter on shard idx, previously obtained from
 // Index. A raise hoists one Index call and reuses it for every counter it
-// touches (the raised and fired totals), instead of re-hashing per
-// increment.
+// touches (the raised total and the fired excess), instead of re-hashing
+// per increment.
 func (c *Counter) AddAt(idx int, delta int64) {
 	c.stripes[idx].n.Add(delta)
 }
