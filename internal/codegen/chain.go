@@ -51,7 +51,7 @@ func chainMarks(steps, preds int) uint64 { return uint64(steps)<<32 | uint64(pre
 func chainRoom(n int) int { return n + (n+1)/2 }
 
 // extend fills the plan's step arrays with prev's first k steps followed by
-// the suffix's lowerings, and its counts and filter positions with theirs.
+// the suffix's lowerings, and its counts and boundary positions with theirs.
 // With no suffix it shares prev's arrays outright; otherwise it appends in
 // place when it can claim the chain behind prev's prefix, and copies the
 // prefix into a new chain when it cannot. It reports whether it appended in
@@ -61,19 +61,19 @@ func (p *Plan) extend(prev *Plan, k int, suffix []*lowered) (inPlace bool) {
 	var c *chain
 	if prev != nil {
 		c = prev.chain
-		p.leaves, p.outOfLine, p.retaining = prev.leaves, prev.outOfLine, prev.retaining
+		p.leaves, p.outOfLine, p.retaining, p.filters = prev.leaves, prev.outOfLine, prev.retaining, prev.filters
 		for i := k; i < len(prev.steps); i++ {
 			p.tally(&prev.steps[i], &prev.flat[i], -1)
 		}
 		if k > 0 {
 			kp = int(prev.flat[k-1].p1)
 		}
-		m := len(prev.filters)
-		for m > 0 && prev.filters[m-1] >= k {
+		m := len(prev.bounds)
+		for m > 0 && prev.bounds[m-1] >= k {
 			m--
 		}
 		if m > 0 {
-			p.filters = prev.filters[:m:m] // an append copies
+			p.bounds = prev.bounds[:m:m] // an append copies
 		}
 	}
 	n, np := k+len(suffix), kp
@@ -108,8 +108,8 @@ func (p *Plan) extend(prev *Plan, k int, suffix []*lowered) (inPlace bool) {
 		fs.p0 = int32(kp)
 		kp += copy(p.flatPreds[kp:], lo.rest)
 		fs.p1 = int32(kp)
-		if st.b.Filter {
-			p.filters = append(p.filters, j)
+		if st.boundary() {
+			p.bounds = append(p.bounds, j)
 		}
 		p.tally(st, fs, 1)
 	}
@@ -130,5 +130,8 @@ func (p *Plan) tally(st *step, fs *flatStep, sign int) {
 	}
 	if st.b.Async || st.b.Ephemeral {
 		p.retaining += sign
+	}
+	if st.b.Filter {
+		p.filters += sign
 	}
 }

@@ -42,7 +42,7 @@ type walkState struct {
 	haveResult bool
 	phase      walkPhase
 	inRun      bool
-	ri, fi     int
+	ri, bi     int
 	stop       int
 	pos        int // the step in a call; after a capture, the step to resume at
 	guard      int
@@ -50,16 +50,25 @@ type walkState struct {
 
 // recorder returns the sampled raise's recorder, or nil.
 func (ws *walkState) recorder() *recorder {
-	if ws.rec.prog == nil {
+	if ws == nil || ws.rec.prog == nil {
 		return nil
 	}
 	return &ws.rec
 }
 
+// meter returns what runStep charges and records through: the raise's CPU
+// and recorder, both nil on a plain walk, whose ws (if any) has no Env.
+func (ws *walkState) meter() (*vtime.CPU, *recorder) {
+	if ws == nil || ws.env == nil {
+		return nil, nil
+	}
+	return ws.env.CPU, ws.recorder()
+}
+
 // walkBehindBarrier runs the frame's walk from ws on under the frame's one
 // recover barrier. It returns with the walk done or, after a captured
 // panic, set to resume behind the step that panicked, guard-index chain
-// and next filter (the segment in ws) included.
+// and next boundary step (the segment in ws) included.
 func walkBehindBarrier[R, G, O shapeAxis](p *Plan, args []any, ws *walkState) {
 	defer p.capture(ws)
 	flatFrame[R, G, on, O](p, args, ws)

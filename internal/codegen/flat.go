@@ -20,18 +20,19 @@ import (
 //
 // Every plan but the direct bypass runs the stencil. The bypass has the
 // same plain/observed split: an unmetered, unsampled, unprotected raise runs
-// its body inline in Plan.Execute, every other one executeDirect. An
-// unmetered, unsampled raise of a plan with only synchronous steps runs its
-// plain instantiation (Plan.frame), filters included: a filter step is a
-// segment boundary, run between the stretches of the step loop, so a plan
-// without one pays no per-step test for it. Metered and sampled raises, and
-// every raise of a plan with an async or ephemeral step, run the observed
-// one (Plan.observe): it charges the vtime costs the §3 tables are
-// calibrated on — once per guard, not per leaf, and once per lookup of an
-// indexed run — records spans, and runs those step kinds. Options.Protect
-// selects the barrier instantiations: the same walk under one recover
-// barrier per frame (exec_protect.go). The fuzzers hold every shape against
-// a naive reference model; testdata/observed.golden pins the observed walk.
+// its body inline in Plan.Execute, every other one executeDirect. Every
+// other unmetered, unsampled raise runs the plan's plain instantiation
+// (Plan.frame), whose step loop runs only synchronous steps: a filter,
+// async or ephemeral step is a segment boundary, run between stretches by
+// the one step helper (runStep), so a plan without one pays no per-step
+// test for it. The observed instantiation (Plan.observe) serves only the
+// model clock and sampled tracing: it runs every step through runStep,
+// which charges the vtime costs the §3 tables are calibrated on — once per
+// guard, not per leaf, and once per lookup of an indexed run — and records
+// spans. Options.Protect selects the barrier instantiations: the same walk
+// under one recover barrier per frame (exec_protect.go). The fuzzers hold
+// every shape against a naive reference model; testdata/observed.golden
+// pins the observed walk.
 //
 // Statistics: the caller counts each frame once in its raised total before
 // the plan runs it, so an executor writes only a frame's firings beyond one
@@ -80,9 +81,10 @@ type flatStep struct {
 
 // frameFn is a plain stencil instantiation: selected once per plan, called
 // once per frame with a nil ws (see flatFrame). It needs nothing from the
-// Env and touches no counter: besides the outcome it returns the frame's
-// firings — handlers, filters and a default-handler firing — of which the
-// caller adds those beyond one per frame to Env.FiredExcess.
+// Env — the step supervisors are the plan's — and touches no counter:
+// besides the outcome it returns the frame's firings — handlers, filters
+// and a default-handler firing — of which the caller adds those beyond one
+// per frame to Env.FiredExcess.
 type frameFn func(p *Plan, args []any, ws *walkState) (Outcome, int64)
 
 // flattenPred lowers a simplified guard predicate into conjunction leaves.
@@ -143,11 +145,10 @@ var stencils = [8]frameFn{
 	flatFrame[on, on, off, off], flatFrame[on, on, on, off],
 }
 
-// selectStencil selects the plan's plain stencil, which only the direct
-// bypass and a plan that may retain its arguments (an async or ephemeral
-// step) do not get: every raise of the latter runs the observed walk.
+// selectStencil selects the plan's plain stencil, which every plan but the
+// direct bypass gets.
 func (p *Plan) selectStencil() {
-	if p.direct != nil || p.retaining > 0 {
+	if p.direct != nil {
 		return
 	}
 	shape := 0
@@ -184,13 +185,13 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // flatFrame is the one stencil behind every shape: it runs one frame (one
 // raise's argument vector) through the flattened plan.
 //
-// A plain instantiation is entered with a nil ws. It walks the guard index
-// and runs each filter step at a segment boundary (runFilter). An observed
-// one is entered with a ws holding the raise's Env and recorder
-// (Plan.observe); it charges and records as it walks, evaluates each step's
-// guards whole (evalGuards), runs filter, async and ephemeral steps as
-// steps, and charges each lookup in the guard index as one inline guard. A
-// barrier instantiation (exec_protect.go) re-enters itself through
+// A plain instantiation is entered with a nil ws. Its step loop runs the
+// synchronous steps of each stretch, testing their lowered guard leaves,
+// and it runs each boundary step at a segment boundary (runStep). An
+// observed one is entered with a ws holding the raise's Env and recorder
+// (Plan.observe) and runs every step through runStep, which charges and
+// records it; it charges each lookup in the guard index as one inline
+// guard. A barrier instantiation (exec_protect.go) re-enters itself through
 // walkBehindBarrier until the walk is done, keeping its state in locals and
 // writing ws where a capture would need it: the segment at each segment,
 // the step and phase around each call, the outcome after each firing.
@@ -214,18 +215,17 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) (Outcom
 	if obs {
 		cpu, rec = ws.env.CPU, ws.recorder()
 	}
-	metered := obs && barrier && cpu != nil // sync handler costs go to FaultHook.SyncCost
 	// The plan runs as a sequence of segments: outside the guard index, the
-	// linear stretch up to the next run or filter (or the plan's end);
-	// inside a run, one step the lookup hit, along that step's chain. The
-	// walk advances between segments, never per step, so a plan with no
-	// indexed run or filter pays for them once per raise. A hit step runs
-	// whole: re-testing the equality the lookup decided is one compare on
-	// the few that match.
-	ri, fi := 0, 0 // the next run of p.runs, the next filter of p.filters
+	// linear stretch up to the next run or boundary step (or the plan's
+	// end); inside a run, one step the lookup hit, along that step's chain.
+	// The walk advances between segments, never per step, so a plan with no
+	// indexed run or boundary step pays for them once per raise. A hit step
+	// runs whole: re-testing the equality the lookup decided is one compare
+	// on the few that match.
+	ri, bi := 0, 0 // the next run of p.runs, the next boundary of p.bounds
 	inRun := false // walking the hits of run ri-1
 	n := len(p.steps)
-	i, stop := 0, p.stretchEnd(!obs, 0, 0)
+	i, stop := 0, p.stretchEnd(0, 0)
 	if barrier {
 		if ws == nil || ws.phase == walkEntry {
 			var frame walkState
@@ -239,23 +239,26 @@ func flatFrame[R, G, B, O shapeAxis](p *Plan, args []any, ws *walkState) (Outcom
 			return ws.out, ws.out.fires() + ws.filtered
 		}
 		out, haveResult, filtered = ws.out, ws.haveResult, ws.filtered
-		ri, fi, inRun, i, stop = ws.ri, ws.fi, ws.inRun, ws.pos, ws.stop
+		ri, bi, inRun, i, stop = ws.ri, ws.bi, ws.inRun, ws.pos, ws.stop
 	}
 segments:
 	for {
 		if barrier {
-			ws.ri, ws.fi, ws.inRun, ws.stop = ri, fi, inRun, stop
+			ws.ri, ws.bi, ws.inRun, ws.stop = ri, bi, inRun, stop
+		}
+		// The observed walk runs the segment one runStep at a time, which
+		// leaves the step loop below, the plain walk's, an empty stretch.
+		for ; obs && i < stop; i++ {
+			p.runStep(i, inRun, args, ws, &out, &haveResult)
+			if barrier {
+				ws.out, ws.haveResult = out, haveResult
+			}
 		}
 		seg := p.flat[i:stop]
 	steps:
 		for k := range seg {
 			s := &seg[k]
-			var st *step
-			if obs {
-				if st = &p.steps[i+k]; !p.evalGuards(st, inRun, args, ws) {
-					continue
-				}
-			} else if useGuards {
+			if useGuards {
 				// The embedded first leaf (g0), then the pooled ones (p0..p1),
 				// through one switch.
 				pr := &s.g0
@@ -307,61 +310,24 @@ segments:
 					j++
 				}
 			}
+			if barrier {
+				ws.pos, ws.phase = i+k, inHandler
+			}
 			var res any
-			completed := true
-			if obs {
-				rec.open()
-				p.chargeHandler(cpu, st)
+			if s.inline {
+				res = s.body.Run(args)
+			} else if s.ctxFn != nil {
+				res = s.ctxFn(context.Background(), s.clo, args)
+			} else {
+				res = s.fn(s.clo, args)
 			}
-			switch {
-			case obs && st.mode == trace.ModeAsync:
-				ws.env.Async(p.admitQ, s.tag, p.info.Arity, invoker(st.b, args))
-			case obs && st.mode == trace.ModeEphemeral:
-				res, completed = ws.env.RunEphemeral(s.tag, invoker(st.b, args))
-			default:
-				if barrier {
-					ws.pos, ws.phase = i+k, inHandler
-				}
-				start := cpu.Now()
-				if s.inline {
-					res = s.body.Run(args)
-				} else if s.ctxFn != nil {
-					res = s.ctxFn(context.Background(), s.clo, args)
-				} else {
-					res = s.fn(s.clo, args)
-				}
-				if metered {
-					p.protect.SyncCost(s.tag, cpu.Now().Sub(start))
-				}
-				if barrier {
-					ws.phase = inWalk
-				}
-			}
-			if obs {
-				if rec != nil {
-					rec.handler(st.idx, st.mode, completed)
-				}
-				if st.mode == trace.ModeFilter {
-					// A filter produces no result and does not count as the
-					// event having been handled (§2.3 "Passing arguments").
-					filtered++
-					if barrier {
-						ws.filtered = filtered
-					}
-					continue
-				}
+			if barrier {
+				ws.phase = inWalk
 			}
 			out.Fired++
-			if hasResult && completed && (!obs || st.mode != trace.ModeAsync) {
+			if hasResult {
 				if p.resultFn != nil {
-					if obs {
-						rec.open()
-						cpu.Charge(vtime.ResultMerge)
-					}
 					out.Result = p.resultFn(out.Result, res, out.Fired-1)
-					if obs && rec != nil {
-						rec.merge(out.Fired - 1)
-					}
 				} else {
 					if haveResult {
 						out.Ambiguous = true
@@ -374,8 +340,8 @@ segments:
 				ws.out, ws.haveResult = out, haveResult
 			}
 		}
-		// Segment boundary: the run and filter state is re-read from p.runs
-		// and p.filters here, so the step loop carries nothing for it.
+		// Segment boundary: the run and boundary state is re-read from p.runs
+		// and p.bounds here, so the step loop carries nothing for it.
 		switch {
 		case inRun:
 			// The segment was the hit step stop-1: follow its chain.
@@ -385,22 +351,22 @@ segments:
 			}
 			// The run is exhausted: resume the linear scan behind it.
 			inRun = false
-		case !obs && fi < len(p.filters) && p.filters[fi] == stop:
-			// A filter: run it between the stretches on either side, after
-			// setting up the next one, where a capture resumes. A filter
-			// never joins a run (indexKey), so a run head behind it looks
-			// up the argument as the filter left it.
-			f := stop
-			fi++
-			i, stop = f+1, p.stretchEnd(true, ri, fi)
+		case bi < len(p.bounds) && p.bounds[bi] == stop:
+			// A boundary step: run it between the stretches on either side,
+			// after setting up the next one, where a capture resumes. It
+			// never joins a run (indexKey), so a run head behind a filter
+			// looks up the argument as the filter left it.
+			at := stop
+			bi++
+			i, stop = at+1, p.stretchEnd(ri, bi)
 			if barrier {
-				ws.fi, ws.stop = fi, stop
+				ws.bi, ws.stop = bi, stop
 			}
-			if p.runFilter(f, args, ws) {
+			if p.runStep(at, false, args, ws, &out, &haveResult) {
 				filtered++
-				if barrier {
-					ws.filtered = filtered
-				}
+			}
+			if barrier {
+				ws.out, ws.haveResult, ws.filtered = out, haveResult, filtered
 			}
 			continue
 		case ri < len(p.runs):
@@ -424,7 +390,7 @@ segments:
 		default:
 			break segments
 		}
-		stop = p.stretchEnd(!obs, ri, fi)
+		stop = p.stretchEnd(ri, bi)
 	}
 	if st := p.def; out.Fired == 0 && st != nil {
 		if obs {
@@ -436,7 +402,7 @@ segments:
 		}
 		start := cpu.Now()
 		out.Result = runBody(st.b, st.inline, args)
-		if metered {
+		if obs && barrier && cpu != nil {
 			p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
 		}
 		out.UsedDefault = true
@@ -451,54 +417,77 @@ segments:
 }
 
 // stretchEnd is where the linear stretch ahead of a walk ends: at run ri's
-// head, at filter fi when it runs filters at segment boundaries (the plain
-// walk), or at the plan's end.
-func (p *Plan) stretchEnd(filters bool, ri, fi int) int {
+// head, at boundary step bi, or at the plan's end.
+func (p *Plan) stretchEnd(ri, bi int) int {
 	n := len(p.steps)
 	if ri < len(p.runs) {
 		n = p.runs[ri].start
 	}
-	if filters && fi < len(p.filters) && p.filters[fi] < n {
-		n = p.filters[fi]
+	if bi < len(p.bounds) && p.bounds[bi] < n {
+		n = p.bounds[bi]
 	}
 	return n
 }
 
-// runFilter runs filter step f where the plain walk meets it, at a segment
-// boundary, and reports whether it fired: its guards in their compiled
-// form (the leaves the step loop would test, evaluated whole), then its
-// body, whose result is dropped — a filter is not a handling (§2.3). Behind
-// a barrier ws says which call is in flight, as the step loop's stores do;
-// a bare walk passes nil.
-func (p *Plan) runFilter(f int, args []any, ws *walkState) bool {
-	st := &p.steps[f]
-	for gi := range st.guards {
-		g := &st.guards[gi]
-		if g.Pred != nil {
-			if !g.Pred.Eval(args) {
-				return false
-			}
-			continue
-		}
+// runStep runs step at (hit: by an index lookup) and folds it into the
+// frame's outcome: every step of the observed walk, and each boundary step
+// of the plain one. Through ws's Env, if any, it charges and records the
+// guards (evalGuards), the handler invocation and span, and the merge. A
+// filter is not a handling (§2.3): its result is dropped and it reports
+// filter instead. An async step goes to the plan's spawner and an
+// ephemeral one to its supervisor, whose result folds only if it
+// completed. Behind a barrier ws says which call is in flight: a panicking
+// guard or body is captured, a panicking supervisor is not (walkPhase).
+func (p *Plan) runStep(at int, hit bool, args []any, ws *walkState, out *Outcome, haveResult *bool) (filter bool) {
+	st := &p.steps[at]
+	if len(st.guards) > 0 && !p.evalGuards(st, hit, args, ws) {
+		return false
+	}
+	cpu, rec := ws.meter()
+	rec.open()
+	if cpu != nil {
+		p.chargeHandler(cpu, st)
+	}
+	var res any
+	completed := true
+	switch st.mode {
+	case trace.ModeAsync:
+		p.async(p.admitQ, st.b.Tag, p.info.Arity, invoker(st.b, args))
+	case trace.ModeEphemeral:
+		res, completed = p.ephemeral(st.b.Tag, invoker(st.b, args))
+	default:
 		if ws != nil {
-			ws.pos, ws.phase = f, inGuard
+			ws.pos, ws.phase = at, inHandler
 		}
-		pass := g.Fn(g.Closure, args)
+		start := cpu.Now()
+		res = runBody(st.b, st.inline, args)
+		if cpu != nil && p.protect != nil { // a metered barrier: overrun budgets
+			p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
+		}
 		if ws != nil {
 			ws.phase = inWalk
 		}
-		if !pass {
-			return false
+	}
+	if rec != nil {
+		rec.handler(st.idx, st.mode, completed)
+	}
+	if st.mode == trace.ModeFilter {
+		return true
+	}
+	out.Fired++
+	switch {
+	case !p.info.HasResult || !completed || st.mode == trace.ModeAsync:
+	case p.resultFn != nil:
+		rec.open()
+		cpu.Charge(vtime.ResultMerge)
+		if out.Result = p.resultFn(out.Result, res, out.Fired-1); rec != nil {
+			rec.merge(out.Fired - 1)
 		}
+	default:
+		out.Ambiguous = out.Ambiguous || *haveResult
+		out.Result, *haveResult = res, true
 	}
-	if ws != nil {
-		ws.pos, ws.phase = f, inHandler
-	}
-	runBody(st.b, st.inline, args)
-	if ws != nil {
-		ws.phase = inWalk
-	}
-	return true
+	return false
 }
 
 // addExcess adds the firings of frames beyond one each to the event's fired

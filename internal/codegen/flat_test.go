@@ -29,7 +29,10 @@ func guardedBindings(n int, count *int) []*Binding {
 // TestSpecializeEligibility is the executor inventory: which body — the
 // direct entry, a plain stencil instantiation or an observed one — each
 // plan shape runs, and whether the plan carries a guard index for it.
-// Plan.Disassemble prints the same name.
+// Plan.Disassemble prints the same name. Every plan but the direct one has
+// a plain stencil, async and ephemeral steps included; a batch row also
+// runs two frames through ExecuteBatch's fast loop, which must fire what
+// two single raises fire.
 func TestSpecializeEligibility(t *testing.T) {
 	n := 0
 	h := func() *Binding { return &Binding{Fn: countingHandler(&n, nil)} }
@@ -56,6 +59,7 @@ func TestSpecializeEligibility(t *testing.T) {
 		resultFn  ResultFn
 		opts      Options
 		metered   bool
+		batch     bool
 		want      string
 		runs      int // indexed runs the plan carries
 	}{
@@ -80,9 +84,15 @@ func TestSpecializeEligibility(t *testing.T) {
 		{shape: "filter, metered", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Filter = true }),
 			metered: true, want: "stencil[void,observed]"},
 		{shape: "async", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
-			want: "stencil[fold,observed]"},
+			want: "stencil[fold,guarded]"},
+		{shape: "async, batch", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
+			batch: true, want: "stencil[fold,guarded]"},
+		{shape: "async, metered", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
+			metered: true, want: "stencil[fold,observed]"},
 		{shape: "ephemeral, fault policy on", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),
-			opts: Options{Protect: &recHook{}}, want: "stencil[void,observed,barrier]"},
+			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]"},
+		{shape: "ephemeral, fault policy on, batch", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),
+			opts: Options{Protect: &recHook{}}, batch: true, want: "stencil[void,guarded,barrier]"},
 		{shape: "fault policy on", arity: 1, bindings: guardedN(2, nil),
 			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]"},
 		{shape: "fault policy on, metered", arity: 1, bindings: guardedN(2, nil),
@@ -95,7 +105,16 @@ func TestSpecializeEligibility(t *testing.T) {
 		{shape: "metered, fold", arity: 1, hasResult: true, bindings: guardedN(2, nil), resultFn: fold,
 			metered: true, want: "stencil[fold,observed]"},
 	} {
-		p := Compile(nil, 0, info(tc.arity, tc.hasResult), tc.bindings, tc.resultFn, nil, tc.opts)
+		p := Compile(nil, 0, info(tc.arity, tc.hasResult), tc.bindings, tc.resultFn, nil, fakeSupervisors(tc.opts, nil, new(int)))
+		if tc.batch {
+			frame := []any{uint64(1)}
+			single := p.Execute(&Env{}, frame, 0)
+			out, m := p.ExecuteBatch(&Env{}, append(frame, frame...), 1, 2, 0, nil)
+			if m != 2 || out.Fired != 2*int64(single.Fired) || single.Fired != len(tc.bindings) {
+				t.Errorf("%s: batch of 2 ran %d frames firing %d, single raise fired %d of %d",
+					tc.shape, m, out.Fired, single.Fired, len(tc.bindings))
+			}
+		}
 		if got := p.Executor(tc.metered); got != tc.want {
 			t.Errorf("%s: executor %s, want %s", tc.shape, got, tc.want)
 		}

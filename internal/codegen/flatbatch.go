@@ -62,8 +62,9 @@ func (b *BatchOutcome) Add(o Outcome) {
 // batch. stripeIdx is the caller's hoisted stripe shard index for the
 // batch's excess add (Env.FiredExcess): the caller counts the n frames, and
 // takes back those past the m processed. A filter rewrites its frame in
-// flat in place, as Execute's args: a caller whose raiser keeps flat passes
-// a copy when HasFilter reports true.
+// flat in place, and an async or ephemeral step may read it after the call
+// returns, as with Execute's args: a caller whose raiser keeps flat passes
+// a copy, never reused, when HasFilter or RetainsArgs reports true.
 //
 // An unmetered batch of an untraced plan runs one of the two fast loops:
 // the direct bypass's (executeDirectBatch) or the plain stencil's. Every
@@ -72,10 +73,10 @@ func (b *BatchOutcome) Add(o Outcome) {
 func (p *Plan) ExecuteBatch(env *Env, flat []any, width, n, stripeIdx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
 	if env.CPU == nil && p.prog == nil {
 		switch {
-		case p.direct != nil && p.protect == nil:
-			return p.executeDirectBatch(flat, width, n, live)
-		case p.frame != nil:
+		case p.direct == nil:
 			return p.executeFrameBatch(env, flat, width, n, stripeIdx, live)
+		case p.protect == nil:
+			return p.executeDirectBatch(flat, width, n, live)
 		}
 	}
 	var out BatchOutcome

@@ -1,11 +1,13 @@
 package codegen
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
 
+	"spin/internal/admit"
 	"spin/internal/stripe"
 	"spin/internal/trace"
 )
@@ -16,7 +18,8 @@ import (
 // sampled (span-recording) raises — must fire exactly the same handlers and
 // filters, in the same order, as a naive reference model that walks the
 // binding list evaluating every guard verbatim on the frame as the filters
-// ahead of it rewrote it.
+// ahead of it rewrote it. Async and ephemeral steps run under synchronous
+// fake supervisors (fakeSupervisors), so they fire in plan order too.
 
 // fuzzReader decodes a fuzz input byte stream; exhausted streams yield
 // zeros so every input is a complete (if boring) program.
@@ -88,11 +91,15 @@ func genArgs(r *fuzzReader, arity int) []any {
 }
 
 // Binding kinds of genBindings, and the tails of an equality-first binding.
+// A kind byte of 5 or more adds a mode to any kind but a filter: kind+5 is
+// async, kind+10 ephemeral (the byte, divided by 5, modulo 3).
 const (
 	kindUnguarded = 0
 	kindEq        = 1 // 2 decodes the same: two in five bindings start a run
 	kindTree      = 3
 	kindFilter    = 4 // a filter overwriting one argument word
+	modeAsync     = 5
+	modeEphemeral = 10
 
 	tailNone = 0 // the bare ArgEq
 	tailAnd  = 1 // And(ArgEq, leaf-or-shallow-tree): further leaves in one guard
@@ -117,14 +124,17 @@ func (w rewrite) apply(args []any) {
 // on an argument, so consecutive runs form and the guard index engages;
 // those carry a tail that may add leaves behind the equality. One in five
 // is a filter, maybe guarded, overwriting an argument word — ahead of a
-// run, the very word the run discriminates on. Every handler and filter
-// reports its index through fire and returns it as its result.
+// run, the very word the run discriminates on. Of the rest, a third are
+// async and a third ephemeral: boundary steps, which split a run their
+// equality would have joined. Every handler and filter reports its index
+// through fire and returns it as its result.
 func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, fire func(i int)) []*Binding {
 	bindings := make([]*Binding, n)
 	for i := range bindings {
 		var guards []Guard
 		var filter *rewrite
-		switch kind := r.byte() % 5; {
+		b := r.byte()
+		switch kind := b % 5; {
 		case kind == kindUnguarded:
 		case kind == kindTree:
 			guards = []Guard{{Pred: genPred(r, 2, arity, cell)}}
@@ -173,9 +183,35 @@ func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, 
 				c.(rewrite).apply(args)
 				return uint64(i)
 			}
+		} else {
+			bindings[i].Async, bindings[i].Ephemeral = b/5%3 == 1, b/5%3 == 2
 		}
 	}
 	return bindings
+}
+
+// fakeSupervisors are the step supervisors the fuzzers compile in: both
+// run the invocation at once, so async and ephemeral steps fire in plan
+// order and the ephemeral one always completes, and count it in calls, so
+// a step that bypassed its supervisor shows. A panicking invocation is
+// reported to hook, as the dispatcher's watchdog reports it to the fault
+// controller, and counts as fired: an ephemeral one with no result.
+func fakeSupervisors(o Options, hook *recHook, calls *int) Options {
+	run := func(tag any, invoke func(context.Context) any) (res any, ok bool) {
+		*calls++
+		defer func() {
+			if v := recover(); v != nil {
+				if hook == nil {
+					panic(v)
+				}
+				hook.HandlerPanic(tag, v, nil)
+			}
+		}()
+		return invoke(context.Background()), true
+	}
+	o.Async = func(_ *admit.Queue, tag any, _ int, invoke func(context.Context) any) { run(tag, invoke) }
+	o.RunEphemeral = run
+	return o
 }
 
 // fuzzConfig is one optimizer configuration of the dispatch fuzzers; a
@@ -209,6 +245,10 @@ func seedEqCall(arg, k, limit byte) []byte {
 func seedEqPred(arg, k, k2 byte) []byte { return []byte{kindEq, arg, k, tailPred, k2} }
 func seedLt(arg, k byte) []byte         { return []byte{kindTree, 4, arg, k} }
 func seedFilter(arg, k byte) []byte     { return []byte{kindFilter, 0, k, arg} } // unguarded: arg = k
+func seedAsyncEq(arg, k byte) []byte    { return []byte{kindEq + modeAsync, arg, k, tailNone} }
+func seedEphemeralEq(arg, k byte) []byte {
+	return []byte{kindEq + modeEphemeral, arg, k, tailNone}
+}
 
 var seedUnguarded = []byte{kindUnguarded}
 
@@ -250,6 +290,13 @@ var indexSeeds = []struct {
 	// A filter splitting a run in two, the second half looking up its 3.
 	{2, 6, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedEq(0, 3), seedFilter(0, 3),
 		seedEq(0, 3), seedEq(0, 1), seedEq(0, 3), seedEq(0, 2)}},
+	// An async step whose equality would join the run: it splits the
+	// stretch into 2 steps and an indexed 4.
+	{1, 4, [][]byte{seedEq(0, 1), seedEq(0, 2), seedAsyncEq(0, 1), seedEq(0, 3), seedEq(0, 1),
+		seedEq(0, 2), seedEq(0, 1)}},
+	// An ephemeral step on the same key splitting two indexed runs of 4.
+	{2, 3, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedEq(0, 3), seedEphemeralEq(0, 1),
+		seedEq(0, 1), seedEq(0, 2), seedEq(0, 3), seedEq(0, 1)}},
 }
 
 // indexSeedRaises: hits on each small constant, a total miss where 0 is no
@@ -439,9 +486,9 @@ func recompile(prev *Plan, from int, info EventInfo, list []*Binding, out map[*B
 
 // genDecoys builds the bindings chainPlan installs and uninstalls around
 // the list's: an equality on argument 0 (so it joins or splits a run), a
-// filter and an async binding (whose plans carry no plain stencil and, so,
-// no guard index). A plan that still holds one is never raised. Each call
-// builds new ones, so a list never holds one binding twice.
+// filter and an async binding (boundary steps, which split a run). A plan
+// that still holds one is never raised. Each call builds new ones, so a
+// list never holds one binding twice.
 func genDecoys(arity int, k uint64, cell *atomic.Uint64) []*Binding {
 	g := Guard{Pred: GlobalEq(cell, k)}
 	if arity > 0 {
@@ -542,32 +589,35 @@ func FuzzTreeDispatch(f *testing.F) {
 		}
 
 		// naive is the reference model: it returns the bindings that fire,
-		// filters included, in plan order, and the handlers among them. A
-		// passing filter rewrites the model's copy of the frame for every
-		// binding behind it.
-		naive := func(args []any) (fired, handled []int) {
+		// filters included, in plan order, the handlers among them, and the
+		// handlers among those whose result returns to the raiser (all but
+		// the async ones). A passing filter rewrites the model's copy of the
+		// frame for every binding behind it.
+		naive := func(args []any) (fired, handled, results []int) {
 			frame := append([]any(nil), args...)
 			for i, b := range bindings {
 				if !naivePasses(b, frame) {
 					continue
 				}
 				fired = append(fired, i)
-				if b.Filter {
+				switch {
+				case b.Filter:
 					b.Closure.(rewrite).apply(frame)
-				} else {
+				case b.Async:
 					handled = append(handled, i)
+				default:
+					handled = append(handled, i)
+					results = append(results, i)
 				}
 			}
-			return fired, handled
+			return fired, handled, results
 		}
 
 		var resultFn ResultFn
 		if foldResults {
 			resultFn = func(acc, res any, index int) any {
-				if index == 0 {
-					return res
-				}
-				return acc.(uint64) + res.(uint64)
+				sum, _ := acc.(uint64) // nil until the first result: index 0 may be an async firing
+				return sum + res.(uint64)
 			}
 		}
 
@@ -583,6 +633,7 @@ func FuzzTreeDispatch(f *testing.F) {
 		decoy := func(x int) *Binding { return genDecoys(arity, 1, &cell)[x%3] }
 
 		tracer := trace.New(trace.Config{Capacity: 64})
+		supervised := 0 // invocations through a fake supervisor
 		info := EventInfo{Name: "Fuzz.Tree", Arity: arity, HasResult: hasResult}
 		configs := []fuzzConfig{
 			{},                                // the stencil, through the guard index
@@ -590,6 +641,7 @@ func FuzzTreeDispatch(f *testing.F) {
 			{Metered: true},                   // the observed walk through the index, charged
 		}
 		for _, opts := range configs {
+			opts.Options = fakeSupervisors(opts.Options, nil, &supervised)
 			scratch := Compile(nil, 0, info, bindings, resultFn, defaultB, opts.Options)
 			chained := chainPlan(ops, info, bindings, decoy, resultFn, defaultB, opts.Options, tracer)
 			if got, want := chained.Disassemble(), scratch.Disassemble(); got != want {
@@ -597,18 +649,28 @@ func FuzzTreeDispatch(f *testing.F) {
 			}
 			for _, plan := range []*Plan{scratch, chained} {
 				for _, args := range raises {
-					want, handled := naive(args)
+					want, handled, results := naive(args)
 					wantDefault := hasDefault && len(handled) == 0
 					var wantDefaultFired int64
 					if wantDefault {
 						wantDefaultFired = 1
 					}
 					var excess stripe.Counter
-					fired, defaultFired = nil, 0
+					fired, defaultFired, supervised = nil, 0, 0
 					frame := append([]any(nil), args...) // the filters rewrite it
 					out := plan.Execute(&Env{CPU: meteredCPU(opts.Metered), FiredExcess: &excess}, frame, 0)
 					if len(fired) != len(want) {
 						t.Fatalf("opts %+v args %v: fired %v, model %v", opts, args, fired, want)
+					}
+					wantSupervised := 0
+					for _, i := range handled {
+						if bindings[i].Async || bindings[i].Ephemeral {
+							wantSupervised++
+						}
+					}
+					if supervised != wantSupervised {
+						t.Fatalf("opts %+v args %v: %d invocations through a supervisor, model %d",
+							opts, args, supervised, wantSupervised)
 					}
 					for i := range want {
 						if fired[i] != want[i] {
@@ -624,22 +686,25 @@ func FuzzTreeDispatch(f *testing.F) {
 							opts, args, out.UsedDefault, wantDefault)
 					}
 					if hasResult && (len(handled) > 0 || wantDefault) {
-						var wantRes uint64
+						var wantRes any // nil when only async handlers fired
 						switch {
 						case wantDefault:
 							wantRes = uint64(n)
+						case len(results) == 0:
 						case foldResults:
-							for _, i := range handled {
-								wantRes += uint64(i)
+							var sum uint64
+							for _, i := range results {
+								sum += uint64(i)
 							}
+							wantRes = sum
 						default:
-							wantRes = uint64(handled[len(handled)-1])
+							wantRes = uint64(results[len(results)-1])
 						}
-						if got, ok := out.Result.(uint64); !ok || got != wantRes {
-							t.Fatalf("opts %+v args %v: result %v, model %d",
+						if out.Result != wantRes {
+							t.Fatalf("opts %+v args %v: result %v, model %v",
 								opts, args, out.Result, wantRes)
 						}
-						if wantAmb := !foldResults && len(handled) > 1; out.Ambiguous != wantAmb {
+						if wantAmb := !foldResults && len(results) > 1; out.Ambiguous != wantAmb {
 							t.Fatalf("opts %+v args %v: ambiguous %v, model %v",
 								opts, args, out.Ambiguous, wantAmb)
 						}
@@ -702,13 +767,21 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 		}
 	}
-	// Faults on the filter ahead of a run (step 0): its handler panics after
-	// its rewrite, or a panicking guard skips it, and the walk resumes behind
-	// it at the run head.
-	ahead := indexSeeds[len(indexSeeds)-2]
-	for _, faults := range [][]byte{{1, 1, 0, 0, 0}, {1, 0, 0, 1, 0}} {
-		header := []byte{ahead.arity, byte(len(ahead.bindings) - 1), 1, 1, 1, ahead.churn + 1}
-		f.Add(seedJoin(header, faults, seedJoin(ahead.bindings...), frames))
+	// Faults on a boundary step: the filter ahead of a run (step 0), whose
+	// handler panics after its rewrite, or a panicking guard skips it, and
+	// the walk resumes behind it at the run head; the async step splitting a
+	// run (step 2) and the ephemeral one between two runs (step 4), whose
+	// handlers panic under the supervisor and whose guards panic behind the
+	// barrier.
+	for _, fs := range []struct {
+		seed int
+		step uint
+	}{{6, 0}, {8, 2}, {9, 4}} {
+		seed := indexSeeds[fs.seed]
+		for _, faults := range [][]byte{{1, 1 << fs.step, 0, 0, 0}, {1, 0, 0, 1 << fs.step, 0}} {
+			header := []byte{seed.arity, byte(len(seed.bindings) - 1), 1, 1, 1, seed.churn + 1}
+			f.Add(seedJoin(header, faults, seedJoin(seed.bindings...), frames))
+		}
 	}
 	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{3, 2, 1, 1, 3, 9, 1, 5, 0, 2, 0})
@@ -763,7 +836,7 @@ func FuzzBatchDispatch(f *testing.F) {
 			if uninstall >= 0 {
 				installed = append(append([]*Binding(nil), bindings[:uninstall]...), bindings[uninstall+1:]...)
 			}
-			o := opts.Options
+			o := fakeSupervisors(opts.Options, hook, new(int))
 			if hook != nil {
 				o.Protect = hook
 			}
@@ -833,7 +906,9 @@ func FuzzBatchDispatch(f *testing.F) {
 					if i == churn {
 						gone = i
 					}
-					if panicH&(1<<i) != 0 { // fired, with no result
+					// Fired, with no result: behind the barrier, or, async or
+					// ephemeral, reported by the fake supervisor.
+					if panicH&(1<<i) != 0 {
 						wantFaults = append(wantFaults, faultCall{tag: i})
 					}
 				}

@@ -46,6 +46,23 @@ type obsRig struct {
 
 func (r *obsRig) log(format string, a ...any) { r.calls = append(r.calls, fmt.Sprintf(format, a...)) }
 
+// async and runEphemeral are the rig's step supervisors: they log the
+// hand-off and run the invocation at once, but for the ephemeral tags in
+// abandon, which count as fired and never run.
+func (r *obsRig) async(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
+	r.log("Async %v arity=%d queued=%v", tag, arity, q != nil)
+	invoke(context.Background())
+}
+
+func (r *obsRig) runEphemeral(tag any, invoke func(context.Context) any) (any, bool) {
+	r.log("RunEphemeral %v", tag)
+	if r.abandon[tag.(string)] {
+		r.fires[tag.(string)]++
+		return nil, false
+	}
+	return invoke(context.Background()), true
+}
+
 func (r *obsRig) HandlerPanic(tag, val any, _ []byte) { r.log("HandlerPanic %v: %v", tag, val) }
 func (r *obsRig) GuardPanic(tag, val any, _ []byte)   { r.log("GuardPanic %v: %v", tag, val) }
 func (r *obsRig) SyncCost(tag any, cost vtime.Duration) {
@@ -81,6 +98,7 @@ func (r *obsRig) compile(info EventInfo, bs []*Binding, fold ResultFn, def *Bind
 	if r.protect {
 		opts.Protect = r
 	}
+	opts.Async, opts.RunEphemeral = r.async, r.runEphemeral
 	r.bs = append(r.bs, bs...)
 	if def != nil {
 		r.bs = append(r.bs, def)
@@ -294,19 +312,7 @@ func runObserved(traced bool) string {
 		if !c.unmetered {
 			r.cpu = vtime.NewCPU(&r.clock, vtime.AlphaModel())
 		}
-		r.env = Env{CPU: r.cpu, FiredExcess: &r.excess,
-			Async: func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
-				r.log("Async %v arity=%d queued=%v", tag, arity, q != nil)
-				invoke(context.Background())
-			},
-			RunEphemeral: func(tag any, invoke func(context.Context) any) (any, bool) {
-				r.log("RunEphemeral %v", tag)
-				if r.abandon[tag.(string)] {
-					r.fires[tag.(string)]++
-					return nil, false
-				}
-				return invoke(context.Background()), true
-			}}
+		r.env = Env{CPU: r.cpu, FiredExcess: &r.excess}
 		fmt.Fprintf(&out, "== %s ==\n", c.name)
 		c.run(r)
 		r.report()

@@ -72,10 +72,10 @@ type Binding struct {
 	// Inline, when non-nil, lets the generator inline the handler body.
 	Inline *Body
 	// Async handlers execute on a separate thread of control via
-	// Env.Async; their results are not returned to the raiser.
+	// Options.Async; their results are not returned to the raiser.
 	Async bool
-	// Ephemeral handlers run under Env.RunEphemeral, which may terminate
-	// them (paper §2.6 "Runaway handlers").
+	// Ephemeral handlers run under Options.RunEphemeral, which may
+	// terminate them (paper §2.6 "Runaway handlers").
 	Ephemeral bool
 	// Filter marks a handler that takes parameters by reference and may
 	// rewrite them for subsequent handlers and guards.
@@ -109,10 +109,11 @@ type EventInfo struct {
 }
 
 // Options are the dispatcher state compiled into a plan: tracing, fault
-// capture and admission. They select no optimization: the generator
-// chooses its paths from the bindings — the bypass for one unguarded
-// synchronous binding, the peephole always, the guard index wherever a
-// run of equality guards is long enough (tree.go).
+// capture, admission and the supervisors of async and ephemeral steps.
+// They select no optimization: the generator chooses its paths from the
+// bindings — the bypass for one unguarded synchronous binding, the
+// peephole always, the guard index wherever a run of equality guards is
+// long enough (tree.go).
 type Options struct {
 	// Trace, when non-nil, compiles trace recording steps into the plan:
 	// the generated routine registers its step layout with the tracer and
@@ -129,12 +130,24 @@ type Options struct {
 	// decision 12).
 	Protect FaultHook
 	// Admit, when non-nil, compiles the event's admission queue into the
-	// plan: every asynchronous handler invocation hands it to Env.Async,
-	// which submits the invocation to the bounded queue instead of spawning
-	// it, and asynchronous raises of the event pass through the same queue.
-	// A nil Admit hands Env.Async a nil queue: the unqueued spawn path
-	// (DESIGN.md decision 13).
+	// plan: every asynchronous handler invocation hands it to Async, which
+	// submits the invocation to the bounded queue instead of spawning it,
+	// and asynchronous raises of the event pass through the same queue. A
+	// nil Admit hands Async a nil queue: the unqueued spawn path (DESIGN.md
+	// decision 13).
 	Admit *admit.Queue
+	// Async runs one asynchronous handler invocation on a separate thread
+	// of control: submitted to q, the plan's Admit queue (and possibly
+	// shed), or spawned directly when q is nil. arity is the number of
+	// arguments copied to the new thread (it determines the spawn cost);
+	// invoke's context carries the supervisor's cancellation. Required if
+	// any binding is Async.
+	Async func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any)
+	// RunEphemeral runs invoke under termination supervision, returning
+	// its result and whether it ran to completion; the context is
+	// cancelled if the watchdog abandons the invocation. Required if any
+	// binding is Ephemeral.
+	RunEphemeral func(tag any, invoke func(context.Context) any) (any, bool)
 }
 
 // step is one unrolled dispatch step.
@@ -149,6 +162,10 @@ type step struct {
 	// (-1 for the default handler), for trace-span attribution.
 	idx int
 }
+
+// boundary reports whether the step is a filter, async or ephemeral one,
+// which both walks run between segments (flat.go).
+func (st *step) boundary() bool { return st.mode != trace.ModeSync }
 
 // Plan is an immutable compiled dispatch routine. The dispatcher publishes
 // a new plan with a single atomic pointer store on every installation or
@@ -165,9 +182,10 @@ type Plan struct {
 	resultFn  ResultFn
 	def       *step // default handler, nil when none installed
 	allInline bool
-	// filters are the positions of the filter steps, in plan order: the
-	// plain walk runs each at a segment boundary (flat.go).
-	filters []int
+	// bounds are the positions of the boundary steps — filter, async and
+	// ephemeral — in plan order: both walks run each between the stretches
+	// of their step loop (flat.go).
+	bounds []int
 	// retaining counts the live bindings (asynchronous or ephemeral) that
 	// may hold the raise argument slice past the raise, so callers must
 	// not recycle it. Dispatcher fast paths consult RetainsArgs before
@@ -190,8 +208,7 @@ type Plan struct {
 	// Ahead-of-time specialization (flat.go): the flattened step array, the
 	// pool of guard leaves behind each step's embedded first, the count of
 	// all leaves, and the plain stencil instantiation selected at compile
-	// time (nil on a direct plan, and when a step may retain the arguments,
-	// which only the observed walk runs).
+	// time (nil only on a direct plan).
 	flat      []flatStep
 	flatPreds []flatPred
 	leaves    int
@@ -199,26 +216,20 @@ type Plan struct {
 	// chain is the storage steps, flat and flatPreds share with the plans
 	// compiled before and after this one (nil while the plan is empty).
 	chain *chain
+	// Off the hot path: the count of filter steps (HasFilter), and the
+	// step supervisors (Options.Async, Options.RunEphemeral).
+	filters   int
+	async     func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any)
+	ephemeral func(tag any, invoke func(context.Context) any) (any, bool)
 }
 
-// Env supplies the execution hooks the generated routine needs from the
+// Env is what one raise brings to the generated routine from the
 // dispatcher: a CPU meter (nil when unmetered; a metered raise runs the
-// observed walk), the asynchronous and ephemeral supervisors, and the
-// event's fired excess.
+// observed walk) and the event's fired excess. Everything a step needs to
+// run — the async and ephemeral supervisors included — is compiled into
+// the plan (Options).
 type Env struct {
 	CPU *vtime.CPU
-	// Async runs one asynchronous handler invocation on a separate thread
-	// of control: submitted to q, the admission queue compiled into the
-	// plan (and possibly shed), or spawned directly when q is nil. arity is
-	// the number of arguments copied to the new thread (it determines the
-	// spawn cost); invoke's context carries the supervisor's cancellation.
-	// Required if any binding is Async.
-	Async func(q *admit.Queue, tag any, arity int, invoke func(context.Context) any)
-	// RunEphemeral runs invoke under termination supervision, returning
-	// its result and whether it ran to completion; the context is
-	// cancelled if the watchdog abandons the invocation. Required if any
-	// binding is Ephemeral.
-	RunEphemeral func(tag any, invoke func(context.Context) any) (any, bool)
 	// FiredExcess, if non-nil, receives the firings beyond one per frame:
 	// fires − 1 for a raise (filters and a default-handler firing
 	// included), total − m for a batch of m frames, and nothing when that
@@ -257,8 +268,8 @@ type Outcome struct {
 // knows which steps its change left alone (Event.recompile). The returned
 // plan is immutable; the dispatcher swaps it in atomically.
 func Compile(prev *Plan, keep int, info EventInfo, bindings []*Binding, resultFn ResultFn, defaultB *Binding, opts Options) *Plan {
-	p := &Plan{info: info, resultFn: resultFn,
-		protect: opts.Protect, admitQ: opts.Admit}
+	p := &Plan{info: info, resultFn: resultFn, protect: opts.Protect,
+		admitQ: opts.Admit, async: opts.Async, ephemeral: opts.RunEphemeral}
 	if defaultB != nil {
 		// The default handler runs as a step outside the step list; -1 is
 		// the step index its trace span carries.
@@ -276,12 +287,11 @@ func Compile(prev *Plan, keep int, info EventInfo, bindings []*Binding, resultFn
 	}
 	inPlace := p.extend(prev, keep, suffix)
 	p.allInline = p.outOfLine == 0 && len(p.steps) > 0
-	// Single-binding bypass: one live synchronous unguarded non-filter
-	// binding dispatches as a direct procedure call (Figure 1's "an event
-	// with only an intrinsic handler is identical to a procedure call").
+	// Single-binding bypass: one live synchronous unguarded binding
+	// dispatches as a direct procedure call (Figure 1's "an event with only
+	// an intrinsic handler is identical to a procedure call").
 	if len(p.steps) == 1 && defaultB == nil && resultFn == nil {
-		st := &p.steps[0]
-		if len(st.guards) == 0 && !st.b.Async && !st.b.Ephemeral && !st.b.Filter {
+		if st := &p.steps[0]; len(st.guards) == 0 && !st.boundary() {
 			p.direct = st
 		}
 	}
@@ -297,6 +307,11 @@ func Compile(prev *Plan, keep int, info EventInfo, bindings []*Binding, resultFn
 			meta.Default = defaultB.Name
 		}
 		p.prog = opts.Trace.Program(meta)
+	}
+	if prev != nil && prev.prog != nil {
+		// The plan supersedes prev: its program's names stay registered
+		// while the tracer's ring holds its spans.
+		prev.prog.Retire()
 	}
 	return p
 }
@@ -432,7 +447,7 @@ func (p *Plan) Direct() *Binding {
 // HasFilter reports whether the plan has a filter step, which rewrites the
 // argument vector in place: a caller whose raiser keeps the vector passes
 // Execute and ExecuteBatch a copy.
-func (p *Plan) HasFilter() bool { return p.filters != nil }
+func (p *Plan) HasFilter() bool { return p.filters > 0 }
 
 // RetainsArgs reports whether executing the plan may retain the raise
 // argument slice beyond the raise itself: an asynchronous handler runs on
@@ -452,7 +467,8 @@ func (p *Plan) StepBinding(i int) *Binding { return p.steps[i].b }
 // Execute runs the generated dispatch routine. args is the dispatcher's
 // private per-raise argument vector: filters mutate it in place, which is
 // visible to subsequent steps, so a caller whose raiser keeps the slice
-// passes a copy when HasFilter reports true. stripeIdx is the caller's
+// passes a copy when HasFilter reports true, and one it will not reuse
+// when RetainsArgs does. stripeIdx is the caller's
 // hoisted stripe shard index (stripe.Index()) for the raise's one
 // statistics add, of its firings beyond one, filters included, to
 // Env.FiredExcess.
@@ -471,8 +487,7 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 		return Outcome{Result: runBody(p.direct.b, p.direct.inline, args), Fired: 1}
 	case p.direct != nil:
 		return p.executeDirect(env, args, r)
-	case p.frame != nil && plain:
-		// A synchronous plan: the plain stencil.
+	case plain:
 		out, fired := p.frame(p, args, nil)
 		env.addExcess(stripeIdx, fired, 1)
 		return out
@@ -493,7 +508,7 @@ func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 		cpu.Charge(vtime.DispatchEntry)
 		cpu.ChargeN(vtime.DispatchEntryArg, p.info.Arity)
 	}
-	if p.filters != nil {
+	if p.filters > 0 {
 		// Snapshot cost for preserving the raiser's view of arguments
 		// ahead of the first filter (§2.4 Typechecking).
 		cpu.ChargeN(vtime.ArgCopy, p.info.Arity)
@@ -585,13 +600,14 @@ func (r *recorder) end(out Outcome) {
 	r.prog.RaiseEnd(r.raise, r.stamp(), r.cost(r.begin), out.Fired, out.Ambiguous, out.UsedDefault)
 }
 
-// evalGuards is the observed walk's guard evaluation: one step's guards,
-// each charged and recorded as one span, up to the first that fails. On an
-// index hit the lookup decided the first guard if it is the equality itself
-// (not a conjunction starting with it). A panicking out-of-line guard
-// reaches the frame's barrier (capture), which records its span.
+// evalGuards is runStep's guard evaluation: one step's guards, each charged
+// and recorded as one span when ws holds a raise's Env, up to the first
+// that fails. On an index hit the lookup decided the first guard if it is
+// the equality itself (not a conjunction starting with it). A panicking
+// out-of-line guard reaches the frame's barrier (capture), if any, which
+// records its span.
 func (p *Plan) evalGuards(st *step, hit bool, args []any, ws *walkState) bool {
-	rec := ws.recorder()
+	cpu, rec := ws.meter()
 	i := 0
 	if hit && st.guards[0].Pred.Op == PredArgEq {
 		i = 1
@@ -602,13 +618,17 @@ func (p *Plan) evalGuards(st *step, hit bool, args []any, ws *walkState) bool {
 		inline := g.Pred != nil
 		var pass bool
 		if inline {
-			ws.env.CPU.Charge(vtime.GuardInline)
+			cpu.Charge(vtime.GuardInline)
 			pass = g.Pred.Eval(args)
 		} else {
-			ws.env.CPU.Charge(vtime.GuardIndirect)
-			ws.pos, ws.guard, ws.phase = st.idx, i, inGuard
+			cpu.Charge(vtime.GuardIndirect)
+			if ws != nil {
+				ws.pos, ws.guard, ws.phase = st.idx, i, inGuard
+			}
 			pass = g.Fn(g.Closure, args)
-			ws.phase = inWalk
+			if ws != nil {
+				ws.phase = inWalk
+			}
 		}
 		if rec != nil {
 			rec.guard(st.idx, i, inline, pass)
@@ -656,11 +676,9 @@ func invoker(b *Binding, args []any) func(context.Context) any {
 
 // Executor names the body an unsampled raise of the plan runs: "direct"
 // (the single-binding bypass and its batch tier), the plain stencil
-// "stencil[R,G]" (unmetered raises of a plan whose steps are all
-// synchronous, filters included), or the observed one,
-// "stencil[R,observed]" (metered raises, every raise of a plan with an
-// async or ephemeral step, and sampled raises); ",barrier" is appended
-// behind the fault barrier.
+// "stencil[R,G]" (every unmetered raise of any other plan, boundary steps
+// included), or the observed one, "stencil[R,observed]" (metered raises,
+// and sampled ones); ",barrier" is appended behind the fault barrier.
 func (p *Plan) Executor(metered bool) string {
 	if p.direct != nil {
 		return "direct"
@@ -670,7 +688,7 @@ func (p *Plan) Executor(metered bool) string {
 		name = "stencil[fold"
 	}
 	switch {
-	case p.frame == nil || metered:
+	case metered:
 		name += ",observed"
 	case p.leaves > 0:
 		name += ",guarded"

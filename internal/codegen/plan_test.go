@@ -234,19 +234,19 @@ func TestFiltersMutateDownstreamArgs(t *testing.T) {
 func TestAsyncHandlerSpawns(t *testing.T) {
 	spawned := 0
 	ran := 0
-	env := &Env{Async: func(q *admit.Queue, _ any, _ int, invoke func(context.Context) any) {
+	spawn := func(q *admit.Queue, _ any, _ int, invoke func(context.Context) any) {
 		if q != nil {
 			t.Error("plan without an admission queue handed one to Async")
 		}
 		spawned++
 		invoke(context.Background())
-	}}
+	}
 	bs := []*Binding{
 		{Async: true, Fn: func(any, []any) any { ran++; return "dropped" }},
 		{Fn: func(any, []any) any { return "sync" }},
 	}
-	p := Compile(nil, 0, info(0, true), bs, nil, nil, Options{})
-	out := p.Execute(env, nil, 0)
+	p := Compile(nil, 0, info(0, true), bs, nil, nil, Options{Async: spawn})
+	out := p.Execute(&Env{}, nil, 0)
 	if spawned != 1 || ran != 1 {
 		t.Fatalf("spawned=%d ran=%d", spawned, ran)
 	}
@@ -260,17 +260,17 @@ func TestAsyncHandlerSpawns(t *testing.T) {
 
 func TestEphemeralHandlerSupervised(t *testing.T) {
 	term := 0
-	env := &Env{RunEphemeral: func(tag any, invoke func(context.Context) any) (any, bool) {
+	supervise := func(tag any, invoke func(context.Context) any) (any, bool) {
 		term++
 		if tag != "tag" {
 			t.Errorf("tag = %v", tag)
 		}
 		return nil, false // simulate termination
-	}}
+	}
 	live := &Binding{Fn: func(any, []any) any { return true }}
 	eph := &Binding{Ephemeral: true, Tag: "tag", Fn: func(any, []any) any { return false }}
-	p := Compile(nil, 0, info(0, true), []*Binding{eph, live}, nil, nil, Options{})
-	out := p.Execute(env, nil, 0)
+	p := Compile(nil, 0, info(0, true), []*Binding{eph, live}, nil, nil, Options{RunEphemeral: supervise})
+	out := p.Execute(&Env{}, nil, 0)
 	if term != 1 {
 		t.Fatalf("supervisor calls = %d", term)
 	}

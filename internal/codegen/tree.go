@@ -28,8 +28,10 @@ import (
 // Correctness: the index only skips steps whose first leaf is already known
 // false; steps sharing a constant chain in plan order; and only consecutive
 // runs index, so ordering against interleaved bindings is preserved. It
-// relies on guards being FUNCTIONAL (§2.3 "Evaluating guards"). A filter may
-// rewrite the discriminated argument, so it never joins a run.
+// relies on guards being FUNCTIONAL (§2.3 "Evaluating guards"). A boundary
+// step — filter, async or ephemeral — never joins a run: both walks run it
+// between segments (flat.go), and a filter may rewrite the discriminated
+// argument.
 //
 // Incremental installation (chain.go): a plan compiled from its
 // predecessor shares every run of the predecessor's index that ends before
@@ -86,10 +88,11 @@ type indexSlot struct {
 	tail int32        // the constant's last step, where an append links in
 }
 
-// indexKey reports whether a step can join a run, and on which (argument,
-// constant) its first guard leaf discriminates.
+// indexKey reports whether a step can join a run — a synchronous step
+// whose first guard leaf is an equality — and on which (argument,
+// constant) it discriminates.
 func indexKey(st *step) (arg int, k uint64, ok bool) {
-	if len(st.guards) == 0 || st.guards[0].Pred == nil || st.b.Filter {
+	if len(st.guards) == 0 || st.guards[0].Pred == nil || st.boundary() {
 		return 0, 0, false
 	}
 	p := st.guards[0].Pred

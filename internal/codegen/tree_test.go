@@ -57,19 +57,20 @@ func TestTreeNotBuiltBelowThreshold(t *testing.T) {
 	}
 }
 
-// TestTreeIndexesObservedOnlyPlan: a plan with no plain stencil (here, an
-// async step ahead of the run) carries the index too, and its metered raise
-// charges the run as one inline-guard lookup, not a guard per step.
+// TestTreeIndexesObservedOnlyPlan: a plan with an async step ahead of the
+// run — once a plan only the observed walk ran — carries the index behind
+// the boundary step, and its metered raise charges the run as one
+// inline-guard lookup, not a guard per step.
 func TestTreeIndexesObservedOnlyPlan(t *testing.T) {
 	var fired []uint64
 	async := &Binding{Async: true, Fn: func(any, []any) any { return nil }}
-	p := Compile(nil, 0, info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{})
+	spawn := func(_ *admit.Queue, _ any, _ int, invoke func(context.Context) any) { invoke(context.Background()) }
+	p := Compile(nil, 0, info(1, false), append([]*Binding{async}, portBindings(10, &fired)...), nil, nil, Options{Async: spawn})
 	if runs, covered := p.IndexedRuns(); runs != 1 || covered != 10 {
 		t.Fatalf("runs=%d covered=%d, want the 10-port run indexed", runs, covered)
 	}
 	var clock vtime.Clock
-	env := &Env{CPU: vtime.NewCPU(&clock, vtime.AlphaModel()),
-		Async: func(_ *admit.Queue, _ any, _ int, invoke func(context.Context) any) { invoke(context.Background()) }}
+	env := &Env{CPU: vtime.NewCPU(&clock, vtime.AlphaModel())}
 	p.Execute(env, []any{uint64(1009)}, 0)
 	m := vtime.AlphaModel()
 	handler := m.Cost(vtime.HandlerIndirect) + m.Cost(vtime.BindingIndirectArg)

@@ -235,13 +235,15 @@ func (a *admitCtl) supervised(q *admit.Queue, b *Binding, invoke func(context.Co
 	}
 }
 
-// asyncHandler is the Env.Async hook: one asynchronous handler invocation,
-// admitted through q, the event's compiled-in queue, or spawned under
-// supervision when the event has none. Under the simulator the queue is
-// inactive — a single-threaded simulation cannot overload itself, and
-// determinism matters more than backpressure there — so the invocation
-// takes the supervised spawn path too.
-func (d *Dispatcher) asyncHandler(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
+// runAsync is every plan's Async supervisor: one asynchronous handler
+// invocation of tag, the step's Binding, admitted through q, the event's
+// compiled-in queue, or spawned under supervision when the event has none.
+// Under the simulator the queue is inactive — a single-threaded simulation
+// cannot overload itself, and determinism matters more than backpressure
+// there — so the invocation takes the supervised spawn path too.
+func runAsync(q *admit.Queue, tag any, arity int, invoke func(context.Context) any) {
+	b := tag.(*Binding)
+	d := b.event.d
 	if q == nil || d.sim != nil {
 		d.spawnHandler(tag, arity, invoke)
 		return
@@ -249,7 +251,6 @@ func (d *Dispatcher) asyncHandler(q *admit.Queue, tag any, arity int, invoke fun
 	// The submission stands for the thread spawn the raiser pays for.
 	d.cpu.ChargeTo(vtime.AccountKernel, vtime.ThreadSpawnBase)
 	d.cpu.ChargeNTo(vtime.AccountKernel, vtime.ThreadSpawnArg, arity)
-	b, _ := tag.(*Binding)
 	d.admit.noteAdmission()
 	// The raiser has already proceeded (fire-and-forget): a shed here is
 	// accounted in the queue's stats and trace span, not returned.
@@ -266,7 +267,7 @@ func (d *Dispatcher) submitRaise(q *admit.Queue, e *Event, args []any) error {
 	d.cpu.ChargeNTo(vtime.AccountKernel, vtime.ThreadSpawnArg, len(args))
 	d.admit.noteAdmission()
 	return q.Submit(context.Background(), e, func() bool {
-		_, _ = e.raiseSync(args)
+		_, _ = e.raiseWith(e.plan.Load(), args) // the raise owns args
 		return true
 	})
 }

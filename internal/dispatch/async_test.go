@@ -285,9 +285,11 @@ func TestDispatcherAccessors(t *testing.T) {
 
 // TestAsyncRaiseLeavesCallerArgs: a raise whose handlers run after it
 // returns — an async binding's, any handler of an event defined
-// asynchronous, any handler under RaiseAsync — reads its own copy of the
-// arguments, so a raiser that reuses its buffer at once does not change
-// what the handler sees.
+// asynchronous, any handler under RaiseAsync, an ephemeral binding its
+// watchdog abandoned — reads its own copy of the arguments, so a raiser
+// that reuses its buffer at once does not change what the handler sees.
+// The rows cover every path that copies a frame: the variadic raises, the
+// pooled one and the batch.
 func TestAsyncRaiseLeavesCallerArgs(t *testing.T) {
 	for _, asyncEvent := range []bool{false, true} {
 		var pending []func()
@@ -314,6 +316,7 @@ func TestAsyncRaiseLeavesCallerArgs(t *testing.T) {
 			{"Raise", func(args []any) error { _, err := e.Raise(args...); return err }},
 			{"RaiseAsync", func(args []any) error { return e.RaiseAsync(args...) }},
 			{"RaiseReport", func(args []any) error { _, err := e.RaiseReport(args...); return err }},
+			{"RaiseBatch1", func(args []any) error { return e.RaiseBatch1(args).Err() }},
 		} {
 			buf := []any{uint64(1)}
 			if err := r.raise(buf); err != nil {
@@ -329,6 +332,38 @@ func TestAsyncRaiseLeavesCallerArgs(t *testing.T) {
 			if len(seen) != 1 || seen[0] != uint64(1) {
 				t.Errorf("async event=%v %s: handler saw %v, want the raised value 1", asyncEvent, r.name, seen)
 			}
+		}
+	}
+
+	// An abandoned ephemeral invocation reads its frame only after the
+	// raise returned and the raiser reused its buffer.
+	e := mustDefine(t, New(), "M.E", rtti.Sig(nil, rtti.Word))
+	release, seen := make(chan struct{}), make(chan any, 1)
+	proc := &rtti.Proc{Name: "E", Module: testModule, Sig: rtti.Sig(nil, rtti.Word), Ephemeral: true}
+	if _, err := e.Install(Handler{Proc: proc, Fn: func(_ any, args []any) any {
+		<-release
+		seen <- args[0]
+		return nil
+	}}, Ephemeral(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name  string
+		raise func(args []any) error
+	}{
+		{"Raise", func(args []any) error { _, err := e.Raise(args...); return err }},
+		{"Raise1", func(args []any) error { _, err := e.Raise1(args[0]); return err }},
+		{"RaiseReport", func(args []any) error { _, err := e.RaiseReport(args...); return err }},
+		{"RaiseBatch1", func(args []any) error { return e.RaiseBatch1(args).Err() }},
+	} {
+		buf := []any{uint64(1)}
+		if err := r.raise(buf); err != nil {
+			t.Fatalf("ephemeral %s: %v", r.name, err)
+		}
+		buf[0] = uint64(2) // the raiser reuses its buffer
+		release <- struct{}{}
+		if got := <-seen; got != uint64(1) {
+			t.Errorf("abandoned ephemeral %s: handler saw %v, want the raised value 1", r.name, got)
 		}
 	}
 }

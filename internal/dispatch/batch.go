@@ -144,17 +144,16 @@ func (e *Event) RaiseBatch3(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 // raiseBatchFlat is the one batch path: n width-sized frames, row-major in
 // flat. Runs of frames go to the plan's batch executor (executeBatch),
 // reloading and continuing on the new plan whenever it reports it was
-// superseded mid-batch. Every other frame is a single raise (raiseOne): on
-// a metered dispatcher (each raise metered and accounted on its own), under
-// purity checking (each raise behind its own monitor barrier), when width
-// is not the event's arity (each frame rejected), and on a plan that may
-// retain its frames. An asynchronous event's batch is a loop of RaiseAsync.
-// flat is borrowed: it is never retained past the call or written, so the
-// caller may reuse it at once — a retaining plan gets a private copy of
-// each frame, and an asynchronous event, whose raises all outlive the call,
-// and a plan with a filter, which rewrites its frames in place, one copy of
-// flat. A ragged tail (len(flat) not n*width) is rejected as one malformed
-// frame.
+// superseded mid-batch. Every frame is a single raise (raiseOne) on a
+// metered dispatcher (each raise metered and accounted on its own), under
+// purity checking (each raise behind its own monitor barrier), and when
+// width is not the event's arity (each frame rejected). An asynchronous
+// event's batch is a loop of RaiseAsync. flat is borrowed: it is never
+// retained past the call or written, so the caller may reuse it at once —
+// the batch copies flat once where a single raise would copy its frame
+// (copyFrame), and an asynchronous event's, whose raises all outlive the
+// call, always. A ragged tail (len(flat) not n*width) is rejected as one
+// malformed frame.
 func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	var out BatchOutcome
 	if len(flat) != n*width {
@@ -182,19 +181,14 @@ func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	owned := false
 	for done := 0; done < n; {
 		plan := e.plan.Load()
-		if plan.HasFilter() && !owned {
+		if !owned && copyFrame(plan, false) {
 			flat, owned = append([]any(nil), flat[:n*width]...), true
 		}
-		retains := plan.RetainsArgs()
-		if !single && !retains {
+		if !single {
 			done += e.executeBatch(&out, plan, flat[done*width:], width, n-done, idx)
 			continue
 		}
-		args := flat[done*width : (done+1)*width : (done+1)*width]
-		if retains {
-			args = append([]any(nil), args...) // the caller keeps flat
-		}
-		e.raiseOne(&out, plan, args)
+		e.raiseOne(&out, plan, flat[done*width:(done+1)*width:(done+1)*width])
 		done++
 	}
 	return out

@@ -258,9 +258,15 @@ func (d *Dispatcher) afterFunc(dur time.Duration, fn func()) {
 //
 // In simulator mode handler bodies execute instantly in wall-clock terms,
 // so the watchdog cannot fire; the supervisor still recovers panics.
-func (d *Dispatcher) runEphemeral(tag any, deadline time.Duration, invoke func(context.Context) any) (any, bool) {
-	b, _ := tag.(*Binding)
-	if d.sim != nil || deadline <= 0 {
+// It is every plan's RunEphemeral supervisor: tag is the step's Binding,
+// which names its dispatcher and deadline.
+func runEphemeral(tag any, invoke func(context.Context) any) (any, bool) {
+	b := tag.(*Binding)
+	d, deadline := b.event.d, b.deadline
+	if deadline <= 0 {
+		deadline = DefaultEphemeralDeadline
+	}
+	if d.sim != nil {
 		res, ok, _ := d.watchdog(b, 0, invoke, nil)
 		return res, ok
 	}

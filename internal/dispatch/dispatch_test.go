@@ -549,8 +549,11 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 		{name: "filter, barrier", executor: "stencil[void,guarded,barrier]", kind: "filter",
 			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}},
 		{name: "filter, batch", executor: "stencil[void,guarded]", kind: "filter", batch: true},
-		{name: "ephemeral, completed and abandoned", executor: "stencil[void,observed]", kind: "ephemeral"},
-		{name: "async", executor: "stencil[void,observed]", kind: "async"},
+		{name: "ephemeral, completed and abandoned", executor: "stencil[void,guarded]", kind: "ephemeral"},
+		{name: "ephemeral, fault policy on, batch", executor: "stencil[void,guarded,barrier]", kind: "ephemeral",
+			opts: []Option{WithFaultPolicy(fault.Policy{Budget: 100, Backoff: time.Hour})}, batch: true},
+		{name: "async", executor: "stencil[void,guarded]", kind: "async"},
+		{name: "async, batch", executor: "stencil[void,guarded]", kind: "async", batch: true},
 		{name: "metered", executor: "stencil[void,observed]",
 			opts: []Option{WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))}},
 		{name: "batch", executor: "stencil[void,guarded]", batch: true},

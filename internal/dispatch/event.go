@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -22,8 +21,8 @@ const maxPooledArity = 8
 
 // argPool recycles raise argument vectors for the arity-specialized
 // entry points (Raise0..Raise5), so a steady-state raise performs no heap
-// allocation. Buffers are returned only when the executed plan cannot
-// retain the argument slice past the raise (see Plan.RetainsArgs).
+// allocation. A plan that may retain its frame past the raise runs on a
+// private copy instead (copyFrame).
 var argPool = sync.Pool{
 	New: func() any {
 		b := make([]any, 0, maxPooledArity)
@@ -69,9 +68,10 @@ type Event struct {
 	plan atomic.Pointer[codegen.Plan]
 
 	// env is the event's execution environment, built once at definition
-	// time: its hooks capture only the event, so a single immutable value
-	// serves every raise (the per-raise construction it replaces was three
-	// heap allocations on the hot path).
+	// time: the meter and the fired excess, one immutable value serving
+	// every raise (the per-raise construction it replaces was three heap
+	// allocations on the hot path). The step supervisors are compiled into
+	// the plan (recompile).
 	env *codegen.Env
 
 	// Dispatch statistics are sharded across cache-line-padded stripes so
@@ -138,7 +138,10 @@ func (d *Dispatcher) DefineEvent(name string, sig rtti.Signature, opts ...EventO
 	if pol := d.admit.defaultPolicy(); pol != nil {
 		e.admitQ = d.admit.newQueue(name, *pol)
 	}
-	e.env = e.newEnv()
+	// Every executor adds the raise's firings beyond one to firedExcess,
+	// once, on the raise's hoisted stripe index. No per-binding count is
+	// kept on the raise path.
+	e.env = &codegen.Env{CPU: d.cpu, FiredExcess: &e.firedExcess}
 
 	if cfg.intrinsic != nil {
 		h := *cfg.intrinsic
@@ -363,7 +366,7 @@ func (e *Event) recompile(charge bool) {
 		def = e.defaultB.compile(e.d)
 	}
 	info := codegen.EventInfo{Name: e.name, Arity: e.sig.Arity(), HasResult: e.sig.HasResult()}
-	opts := codegen.Options{Trace: e.tracer, Admit: e.admitQ}
+	opts := codegen.Options{Trace: e.tracer, Admit: e.admitQ, Async: runAsync, RunEphemeral: runEphemeral}
 	if e.d.faults.enforce {
 		opts.Protect = e.d.faults
 	}
@@ -392,7 +395,7 @@ func (e *Event) Raise(args ...any) (any, error) {
 	if e.async {
 		return nil, e.RaiseAsync(args...)
 	}
-	return e.raiseSync(args)
+	return e.raiseWith(e.borrow(args))
 }
 
 // RaiseAsync raises the event asynchronously: handlers run on a separate
@@ -431,7 +434,7 @@ func (e *Event) raiseAsync(args []any) error {
 	}
 	e.d.cpu.Begin(vtime.AccountEvents)
 	e.d.spawn(e.sig.Arity(), func() {
-		_, _ = e.raiseSync(args)
+		_, _ = e.raiseWith(e.plan.Load(), args) // the raise owns args
 	})
 	e.d.cpu.End()
 	return nil
@@ -460,39 +463,24 @@ func (e *Event) SetAdmission(pol *admit.Policy) {
 // current plan, or nil when the event is unqueued.
 func (e *Event) AdmissionQueue() *admit.Queue { return e.plan.Load().AdmitQueue() }
 
-// newEnv builds the event's cached execution environment. Every hook
-// captures only the event, so the value is immutable across recompiles and
-// shared by all raises.
-func (e *Event) newEnv() *codegen.Env {
-	return &codegen.Env{
-		CPU:   e.d.cpu,
-		Async: e.d.asyncHandler,
-		RunEphemeral: func(tag any, invoke func(context.Context) any) (any, bool) {
-			b, _ := tag.(*Binding)
-			var deadline = DefaultEphemeralDeadline
-			if b != nil && b.deadline > 0 {
-				deadline = b.deadline
-			}
-			return e.d.runEphemeral(tag, deadline, invoke)
-		},
-		// Every executor adds the raise's firings beyond one here, once, on
-		// the raise's hoisted stripe index. No per-binding count is kept on
-		// the raise path.
-		FiredExcess: &e.firedExcess,
-	}
+// copyFrame is the dispatcher's one rule for when a raise copies the frame
+// it borrows — from the raiser, or, pooled, from argPool until the raise
+// returns — and it copies at most once. A filter rewrites its frame in
+// place, so a raiser's frame is copied; a pooled one is the raise's own. An
+// async or ephemeral step may read its frame after the raise returns
+// (RetainsArgs), so it gets a copy that is never handed back.
+func copyFrame(plan *codegen.Plan, pooled bool) bool {
+	return plan.RetainsArgs() || plan.HasFilter() && !pooled
 }
 
-// raiseSync raises args, which the raiser keeps: a plan with a filter,
-// which rewrites its frame in place, or with a step that may read it after
-// the raise returns (RetainsArgs), runs on a copy instead (raisePooled).
-func (e *Event) raiseSync(args []any) (any, error) {
+// borrow returns the published plan and the frame it raises args on,
+// which the raiser keeps: args itself, or a copy when copyFrame says so.
+func (e *Event) borrow(args []any) (*codegen.Plan, []any) {
 	plan := e.plan.Load()
-	if len(args) > 0 && (plan.HasFilter() || plan.RetainsArgs()) {
-		bp := argPool.Get().(*[]any)
-		*bp = append((*bp)[:0], args...)
-		return e.raisePooled(plan, bp)
+	if copyFrame(plan, false) {
+		args = slices.Clone(args)
 	}
-	return e.raiseWith(plan, args)
+	return plan, args
 }
 
 // raiseWith executes one synchronous raise against a specific plan. The
@@ -597,19 +585,13 @@ func (e *Event) finishRaise(out codegen.Outcome, err error) (any, error) {
 }
 
 // raisePooled runs a synchronous raise of plan over a pooled argument
-// buffer, falling back to a private copy when the plan may retain the slice
-// past the raise (asynchronous or ephemeral handlers).
+// buffer, or over a private copy of it when copyFrame says so.
 func (e *Event) raisePooled(plan *codegen.Plan, bp *[]any) (any, error) {
-	args := *bp
-	if plan.RetainsArgs() {
-		// A spawned handler may still read args after the raise returns;
-		// give it a private copy and recycle the buffer immediately.
-		private := make([]any, len(args))
-		copy(private, args)
-		putArgs(bp, args)
-		return e.raiseWith(plan, private)
+	args, frame := *bp, *bp
+	if copyFrame(plan, true) {
+		frame = slices.Clone(args)
 	}
-	res, err := e.raiseWith(plan, args)
+	res, err := e.raiseWith(plan, frame)
 	putArgs(bp, args)
 	return res, err
 }
@@ -633,7 +615,7 @@ func (e *Event) Raise0() (any, error) {
 	if e.async {
 		return nil, e.raiseAsync(nil)
 	}
-	return e.raiseSync(nil)
+	return e.raiseWith(e.plan.Load(), nil)
 }
 
 // Raise1 raises the event with one argument through a pooled argument

@@ -93,14 +93,17 @@ func TestRaiseBatchFilterLeavesCallerFrames(t *testing.T) {
 	}
 }
 
-// TestFilterPlainMatchesObserved is the filter differential: the same plan
-// raised unmetered (the plain stencil, which runs each filter at a segment
-// boundary) and metered (the observed walk, which runs it as a step), bare
-// and behind the fault barrier, must agree on what every step saw, in
-// order, on the fold, on ErrNoHandler when only filters fire, and on
-// Stats().Fired, which counts the filters. The plan puts a filter ahead of
-// an indexed run on the argument it rewrites, and a guarded filter between
-// the run and the handler whose guard reads its rewrite.
+// TestFilterPlainMatchesObserved is the boundary-step differential: the
+// same plan raised unmetered (the plain stencil) and metered (the observed
+// walk), bare and behind the fault barrier, must agree on what every step
+// saw, in order, on the fold, on ErrNoHandler when only filters fire, and
+// on Stats().Fired, which counts the filters. Both walks run filter, async
+// and ephemeral steps at segment boundaries. The plan puts a filter ahead
+// of an indexed run on the argument it rewrites, and behind the run an
+// async step whose equality guard would have joined it, a guarded filter,
+// an ephemeral step whose result folds, and the handler whose guard reads
+// the filter's rewrite. The async step runs inline (the spawner) and the
+// ephemeral one before its raise returns, so the log has one order.
 func TestFilterPlainMatchesObserved(t *testing.T) {
 	type run struct {
 		log     []string // each step's name and the arguments it saw
@@ -109,7 +112,7 @@ func TestFilterPlainMatchesObserved(t *testing.T) {
 	}
 	raises := [][2]uint64{{0, 0}, {2, 9}, {9, 1}, {2, 3}, {3, 3}}
 	do := func(metered, protect bool) run {
-		var opts []Option
+		opts := []Option{syncSpawner()}
 		if metered {
 			opts = append(opts, WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())))
 		}
@@ -126,12 +129,17 @@ func TestFilterPlainMatchesObserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		byRef := rtti.Signature{Args: []rtti.Type{rtti.Word, rtti.Word}, ByRef: []bool{true, true}, Result: rtti.Word}
-		install := func(name string, filter bool, res uint64, rewrite func([]any), guards ...Guard) {
+		install := func(name string, kind InstallOption, res uint64, rewrite func([]any), guards ...Guard) {
 			proc := resultProc(name, rtti.Word, rtti.Word, rtti.Word)
 			opts := []InstallOption{Last()}
-			if filter {
+			switch name[0] {
+			case 'F':
 				proc = &rtti.Proc{Name: name, Module: testModule, Sig: byRef}
-				opts = append(opts, AsFilter())
+			case 'E':
+				proc.Ephemeral = true
+			}
+			if kind != nil {
+				opts = append(opts, kind)
 			}
 			for _, g := range guards {
 				opts = append(opts, WithGuard(g))
@@ -146,16 +154,18 @@ func TestFilterPlainMatchesObserved(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		install("F1", true, 0, func(args []any) { args[0] = args[0].(uint64) + 1 })
+		install("F1", AsFilter(), 0, func(args []any) { args[0] = args[0].(uint64) + 1 })
 		for k := uint64(1); k <= 4; k++ {
-			install(fmt.Sprint("R", k), false, 10*k, nil, Guard{Pred: codegen.ArgEq(0, k)})
+			install(fmt.Sprint("R", k), nil, 10*k, nil, Guard{Pred: codegen.ArgEq(0, k)})
 		}
-		install("F2", true, 0, func(args []any) { args[1] = args[0] },
+		install("A", Async(), 1000, nil, Guard{Pred: codegen.ArgEq(0, 3)})
+		install("F2", AsFilter(), 0, func(args []any) { args[1] = args[0] },
 			Guard{Pred: codegen.ArgLt(1, 5)},
 			Guard{Proc: guardProc("Odd", rtti.Word, rtti.Word), Fn: func(_ any, args []any) bool {
 				return args[0].(uint64)%2 == 1
 			}})
-		install("H", false, 100, nil, Guard{Pred: codegen.ArgEq(1, 3)})
+		install("E", Ephemeral(time.Minute), 10000, nil, Guard{Pred: codegen.ArgLt(0, 4)})
+		install("H", nil, 100, nil, Guard{Pred: codegen.ArgEq(1, 3)})
 
 		want := "stencil[fold,guarded]"
 		if metered {
@@ -187,9 +197,10 @@ func TestFilterPlainMatchesObserved(t *testing.T) {
 		}
 		// F1 fires on every raise and F2 on the two whose rewritten argument
 		// 0 is odd with argument 1 below 5; a run step on all but the third
-		// raise, H on the last two.
-		if plain.fired != 5+2+4+2 {
-			t.Errorf("protect=%v: Stats().Fired %d, want 13\n%+v", protect, plain.fired, plain)
+		// raise, A on the two that argument 0 reads 3 on, E on the three it
+		// reads below 4, and H on the last two.
+		if plain.fired != 5+2+4+2+3+2 {
+			t.Errorf("protect=%v: Stats().Fired %d, want 18\n%+v", protect, plain.fired, plain)
 		}
 	}
 }

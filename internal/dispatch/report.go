@@ -1,10 +1,6 @@
 package dispatch
 
-import (
-	"slices"
-
-	"spin/internal/codegen"
-)
+import "spin/internal/codegen"
 
 // RaiseReport is the structured outcome of one raise, for callers that
 // need more than the (any, error) contract — the remote-raise receiver
@@ -40,13 +36,7 @@ func (e *Event) RaiseReport(args ...any) (RaiseReport, error) {
 		err := e.RaiseAsync(args...)
 		return RaiseReport{Async: true}, err
 	}
-	plan := e.plan.Load()
-	if plan.HasFilter() || plan.RetainsArgs() {
-		// The raiser keeps args: a filter rewrites its frame, and an async or
-		// ephemeral step may read it after the raise returns.
-		args = slices.Clone(args)
-	}
-	out, err := e.raiseOut(plan, args)
+	out, err := e.raiseOut(e.borrow(args))
 	if err != nil {
 		return RaiseReport{}, err
 	}

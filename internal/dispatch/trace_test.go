@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,4 +286,72 @@ func TestConcurrentTraceToggleHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestTracedInstallChurnHeapFlat churns 100k install/uninstall pairs on one
+// traced event, each pair's handler under a name of its own, and raises
+// every hundredth pair with its index as argument 0. The tracer's program
+// registry must not grow with the churn — live heap after runtime.GC at
+// the end stays within a bound of the heap after the first tenth — and
+// every handler span still in the ring must resolve to the name of the
+// handler installed when its raise ran, read back through the raise's
+// first argument word.
+func TestTracedInstallChurnHeapFlat(t *testing.T) {
+	const pairs, every = 100_000, 100
+	tracer := trace.New(trace.Config{Capacity: 256})
+	d := New(WithTracer(tracer))
+	e := mustDefine(t, d, "M.Churn", rtti.Sig(nil, rtti.Word))
+	nop := func(any, []any) any { return nil }
+	if _, err := e.Install(handler(voidProc("R", rtti.Word), nop)); err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return "H" + strconv.Itoa(i) }
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var warm uint64
+	for i := 0; i < pairs; i++ {
+		if i == pairs/10 {
+			warm = heap()
+		}
+		b, err := e.Install(handler(voidProc(name(i), rtti.Word), nop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%every == 0 {
+			if _, err := e.Raise1(uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Uninstall(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := int64(heap()) - int64(warm); grown > 1<<20 {
+		t.Errorf("live heap grew %d bytes over %d traced install/uninstall pairs, want under 1 MiB", grown, pairs*9/10)
+	}
+	spans := tracer.Snapshot()
+	arg0 := map[uint64]uint64{} // raise id -> argument 0
+	for _, sp := range spans {
+		if sp.Kind == trace.KindRaiseBegin {
+			arg0[sp.Raise] = sp.Detail
+		}
+	}
+	checked := 0
+	for _, sp := range spans {
+		i, ok := arg0[sp.Raise]
+		if sp.Kind != trace.KindHandler || sp.Step != 1 || !ok {
+			continue
+		}
+		if want := name(int(i)); sp.Name != want || sp.Event != "M.Churn" {
+			t.Errorf("raise of %d: handler span names %s.%q, want M.Churn.%q", i, sp.Event, sp.Name, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatalf("no handler span of a churned binding left in the ring of %d spans", len(spans))
+	}
 }

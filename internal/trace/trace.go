@@ -259,10 +259,10 @@ type StepMeta struct {
 	Mode Mode
 }
 
-// EventMeta is the immutable metadata registered for one traced plan: the
-// event name and the handler behind each step index. Registered metadata is
-// retained for the tracer's lifetime so spans recorded against a superseded
-// plan (swapped out by an install) still resolve.
+// EventMeta is the metadata registered for one traced plan: the event name
+// and the handler behind each step index. A program's metadata is kept
+// while a span in the ring may name it, so spans recorded against a
+// superseded plan (swapped out by an install) still resolve (Retire).
 type EventMeta struct {
 	Event string
 	Steps []StepMeta
@@ -291,9 +291,22 @@ type Tracer struct {
 	ticks  atomic.Int64  // synthetic time source for unmetered spans
 	sample uint64
 
-	mu    sync.Mutex
-	progs []EventMeta // index+1 == prog id; id 0 reserved for "unknown"
+	// The program registry: the layout of every program a span in the ring
+	// may name, by id (0 is reserved for "unknown"). retired lists the
+	// superseded programs, which sweep drops once no span in the ring
+	// names them; sweepAt is the retired count that triggers the next
+	// sweep. lastID is the id last issued: ids go round the 24 bits a
+	// packed span holds, skipping those still registered, so an id is
+	// issued again only after its program left the registry.
+	mu      sync.Mutex
+	progs   map[uint32]EventMeta
+	retired []uint32
+	sweepAt int
+	lastID  uint32
 }
+
+// maxProgID is the largest program id a packed span holds.
+const maxProgID = 1<<24 - 1
 
 // New creates a tracer. The span ring is fully allocated here; recording
 // never allocates.
@@ -310,7 +323,8 @@ func New(cfg Config) *Tracer {
 	if sample < 1 {
 		sample = 1
 	}
-	return &Tracer{mask: uint64(n - 1), slots: make([]slot, n), sample: sample}
+	return &Tracer{mask: uint64(n - 1), slots: make([]slot, n), sample: sample,
+		progs: map[uint32]EventMeta{}, sweepAt: n}
 }
 
 // Program registers the metadata for one compiled traced plan and returns
@@ -318,19 +332,75 @@ func New(cfg Config) *Tracer {
 func (t *Tracer) Program(meta EventMeta) *Program {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.progs = append(t.progs, meta)
-	return &Program{t: t, id: uint32(len(t.progs))}
+	return t.register(meta)
 }
 
-// lookup resolves a program id to its metadata. The zero id and ids beyond
-// the registry resolve to an empty meta.
+// register issues the next free id to meta. Caller holds t.mu.
+func (t *Tracer) register(meta EventMeta) *Program {
+	id := t.lastID
+	for {
+		if id = (id + 1) & maxProgID; id == 0 {
+			continue
+		}
+		if _, used := t.progs[id]; !used {
+			break
+		}
+	}
+	t.lastID, t.progs[id] = id, meta
+	return &Program{t: t, id: id}
+}
+
+// Retire marks the program superseded: no plan compiled from now on
+// records through it. The registry keeps its layout while a span in the
+// ring names it, so the spans it recorded resolve to the names they had,
+// and drops it after that. A raise still running on a superseded plan may
+// record a span after its program was dropped; that span resolves to no
+// names.
+func (p *Program) Retire() {
+	t := p.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p.retired {
+		return
+	}
+	p.retired = true
+	t.retired = append(t.retired, p.id)
+	if len(t.retired) >= t.sweepAt {
+		t.sweep()
+	}
+}
+
+// sweep drops the retired programs no span in the ring names, and puts the
+// next sweep as many retirements behind as the ring has slots, so sweeping
+// costs O(1) amortised per retirement and the registry holds at most the
+// live programs, the ones the ring names, and a ring's worth more. Caller
+// holds t.mu.
+func (t *Tracer) sweep() {
+	named := map[uint32]bool{}
+	for i := range t.slots {
+		if s := &t.slots[i]; s.seq.Load() != 0 {
+			prog, _, _, _, _, _ := unpack(s.packed.Load())
+			named[prog] = true
+		}
+	}
+	kept := t.retired[:0]
+	for _, id := range t.retired {
+		if named[id] {
+			kept = append(kept, id)
+		} else {
+			delete(t.progs, id)
+		}
+	}
+	t.retired = kept
+	t.sweepAt = len(kept) + len(t.slots)
+}
+
+// lookup resolves a program id to its metadata. The zero id and ids no
+// longer registered resolve to an empty meta.
 func (t *Tracer) lookup(id uint32) EventMeta {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id == 0 || int(id) > len(t.progs) {
-		return EventMeta{}
-	}
-	return t.progs[id-1]
+	return t.progs[id]
 }
 
 // Sample returns the configured 1-in-N sampling rate.
@@ -377,26 +447,32 @@ func (t *Tracer) Stamp(cpu *vtime.CPU) int64 {
 // synthetic stamp), so callers can record zero cost for synthetic spans.
 func (t *Tracer) Metered(cpu *vtime.CPU) bool { return cpu.Clock() != nil }
 
+// instant records a control-plane span that names one thing (a module, a
+// handler, a peer) through a program of its own, which it retires at once:
+// the registry keeps its name while the ring holds the span.
+func (t *Tracer) instant(event, name string, k Kind, flags, detail uint64) {
+	p := t.Program(EventMeta{Event: event, Steps: []StepMeta{{Name: name}}})
+	t.emit(0, pack(p.id, 0, 0, k, ModeSync, flags), t.now(), 0, detail)
+	p.Retire()
+}
+
 // Reject records a control-plane rejection span: a handler installation
 // denied by quota accounting or by the event's authorizer.
 func (t *Tracer) Reject(event string, reason RejectReason, module string) {
-	p := t.Program(EventMeta{Event: event, Steps: []StepMeta{{Name: module}}})
-	t.emit(0, pack(p.id, 0, 0, KindReject, ModeSync, 0), t.now(), 0, uint64(reason))
+	t.instant(event, module, KindReject, 0, uint64(reason))
 }
 
 // Fault records a control-plane fault span: a handler or guard misbehaved
 // (panicked, overran a deadline or a virtual-time budget). detail is the
 // fault subsystem's kind code, recorded opaquely.
 func (t *Tracer) Fault(event, handler string, detail uint64) {
-	p := t.Program(EventMeta{Event: event, Steps: []StepMeta{{Name: handler}}})
-	t.emit(0, pack(p.id, 0, 0, KindFault, ModeSync, 0), t.now(), 0, detail)
+	t.instant(event, handler, KindFault, 0, detail)
 }
 
 // Quarantine records a binding (or whole module) being compiled out of the
 // dispatch plan; level is the quarantine generation driving the backoff.
 func (t *Tracer) Quarantine(event, handler string, level int) {
-	p := t.Program(EventMeta{Event: event, Steps: []StepMeta{{Name: handler}}})
-	t.emit(0, pack(p.id, 0, 0, KindQuarantine, ModeSync, 0), t.now(), 0, uint64(level))
+	t.instant(event, handler, KindQuarantine, 0, uint64(level))
 }
 
 // Degrade records a degradation-level transition: the overload controller
@@ -404,13 +480,11 @@ func (t *Tracer) Quarantine(event, handler string, level int) {
 // rare, so the per-call metadata registration is acceptable here; per-shed
 // spans use the cached Program.Shed path instead.
 func (t *Tracer) Degrade(from, to int, name string) {
-	p := t.Program(EventMeta{Event: "*", Steps: []StepMeta{{Name: name}}})
 	var flags uint64
 	if to > from {
 		flags |= flagPass // escalation
 	}
-	t.emit(0, pack(p.id, 0, 0, KindDegrade, ModeSync, flags), t.now(), 0,
-		(uint64(from)&0xFF)<<8|uint64(to)&0xFF)
+	t.instant("*", name, KindDegrade, flags, (uint64(from)&0xFF)<<8|uint64(to)&0xFF)
 }
 
 // Breaker records a remote peer's circuit-breaker transition, the
@@ -419,24 +493,21 @@ func (t *Tracer) Degrade(from, to int, name string) {
 // to states, and a transition into the open state is flagged Pass (the
 // trip, the span operators alert on).
 func (t *Tracer) Breaker(peer string, from, to int) {
-	p := t.Program(EventMeta{Event: "*", Steps: []StepMeta{{Name: peer}}})
 	var flags uint64
 	if to == 1 { // remote.BreakerOpen
 		flags |= flagPass
 	}
-	t.emit(0, pack(p.id, 0, 0, KindBreaker, ModeSync, flags), t.now(), 0,
-		(uint64(from)&0xFF)<<8|uint64(to)&0xFF)
+	t.instant("*", peer, KindBreaker, flags, (uint64(from)&0xFF)<<8|uint64(to)&0xFF)
 }
 
 // Probation records a quarantined binding's re-admission under a tightened
 // budget; restored marks the later return to full health.
 func (t *Tracer) Probation(event, handler string, restored bool) {
-	p := t.Program(EventMeta{Event: event, Steps: []StepMeta{{Name: handler}}})
 	var flags uint64
 	if restored {
 		flags |= flagPass
 	}
-	t.emit(0, pack(p.id, 0, 0, KindProbation, ModeSync, flags), t.now(), 0, 0)
+	t.instant(event, handler, KindProbation, flags, 0)
 }
 
 // Snapshot decodes the ring's currently published spans in recording
@@ -514,8 +585,9 @@ func (t *Tracer) Reset() {
 // Program is the per-plan recording handle compiled into a traced dispatch
 // routine. All methods are safe for concurrent use and allocation-free.
 type Program struct {
-	t  *Tracer
-	id uint32
+	t       *Tracer
+	id      uint32
+	retired bool // guarded by t.mu
 }
 
 // Tracer returns the owning tracer.

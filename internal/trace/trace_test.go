@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -284,5 +285,49 @@ func TestDefaultHandlerNameResolution(t *testing.T) {
 	spans := tr.Snapshot()
 	if len(spans) != 1 || spans[0].Name != "mod.fallback" || spans[0].Step != -1 {
 		t.Fatalf("default handler span wrong: %+v", spans)
+	}
+}
+
+// TestProgramRegistryBounded: one-shot programs (every control-plane span
+// registers one) and superseded plan programs leave the registry once the
+// ring no longer names them, so it stays within the ring's size however
+// many are registered, and every span still in the ring resolves to the
+// name it was recorded with — also across the wrap of the 24-bit program
+// id, which then issues ids again only once their programs are gone.
+func TestProgramRegistryBounded(t *testing.T) {
+	const capacity = 64
+	tr := New(Config{Capacity: capacity})
+	live := tr.Program(EventMeta{Event: "E", Steps: []StepMeta{{Name: "live"}}})
+	tr.lastID = maxProgID - 100 // wrap within the loop below
+	for i := 0; i < 20*capacity; i++ {
+		name := fmt.Sprint("m", i)
+		if i%2 == 0 {
+			tr.Fault("E", name, uint64(i))
+			continue
+		}
+		// A plan program: recorded through (its span's cost carries i), then
+		// superseded.
+		p := tr.Program(EventMeta{Event: "E", Steps: []StepMeta{{Name: name}}})
+		p.Handler(0, 0, ModeSync, true, tr.now(), int64(i))
+		p.Retire()
+		if n := len(tr.progs); n > 3*capacity {
+			t.Fatalf("after %d programs the registry holds %d, want at most %d", i+1, n, 3*capacity)
+		}
+	}
+	live.Handler(0, 0, ModeSync, true, tr.now(), -1)
+	if tr.lastID >= maxProgID-100 {
+		t.Fatalf("program ids did not wrap: last issued %d", tr.lastID)
+	}
+	for _, sp := range tr.Snapshot() {
+		want := fmt.Sprint("m", int64(sp.Cost))
+		switch {
+		case sp.Kind == KindFault:
+			want = fmt.Sprint("m", sp.Detail)
+		case sp.Cost < 0:
+			want = "live"
+		}
+		if sp.Name != want {
+			t.Errorf("span %d (%v) names %q, want %q", sp.Seq, sp.Kind, sp.Name, want)
+		}
 	}
 }
