@@ -484,6 +484,39 @@ func BenchmarkTypedOverhead(b *testing.B) {
 	})
 }
 
+// BenchmarkRaiseNested3 measures the layered receive path's shape: Ether's
+// handler raises Ip, whose handler raises Udp, each with two arguments
+// through Raise2, as a frame climbs the netstack. Every raise but the
+// outermost runs inside another event's handler.
+func BenchmarkRaiseNested3(b *testing.B) {
+	d := dispatch.New()
+	layer := func(name string, next *dispatch.Event) *dispatch.Event {
+		fn := func(any, []any) any { return nil }
+		if next != nil {
+			fn = func(_ any, args []any) any {
+				_, _ = next.Raise2(args[0], args[1])
+				return nil
+			}
+		}
+		ev, err := d.DefineEvent(name, benchSig(2), dispatch.WithIntrinsic(dispatch.Handler{
+			Proc: &rtti.Proc{Name: name, Module: benchMod, Sig: benchSig(2)},
+			Fn:   fn,
+		}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ev
+	}
+	ether := layer("Bench.Ether", layer("Bench.Ip", layer("Bench.Udp", nil)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ether.Raise2(uint64(1), uint64(2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRaiseParallel measures multicore raise throughput on one hot
 // event — the fast-path target of the zero-allocation work: cached env,
 // striped statistics counters, and no per-raise heap traffic. Run with

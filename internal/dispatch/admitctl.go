@@ -62,14 +62,26 @@ type admitCtl struct {
 
 	admissions atomic.Uint64 // drives sampled load observation
 
-	mu      sync.Mutex
-	queues  []*admit.Queue
+	mu     sync.Mutex
+	queues []admitQueue
+	// baseSub and baseShd are the final submissions and sheds of the
+	// queues retired so far (tallyLocked).
+	baseSub int64
+	baseShd int64
 	lastSub int64 // shed-rate window: submissions at last observation
 	lastShd int64 // and sheds at last observation
 	rng     uint64
 
 	applyMu sync.Mutex
 	level   atomic.Int32 // applied degradation level, for accessors
+}
+
+// admitQueue is one queue the controller observes: an event's current
+// queue, or one SetAdmission replaced that has not drained yet.
+type admitQueue struct {
+	q        *admit.Queue
+	prog     *trace.Program // the shed spans' program; nil when untraced
+	replaced bool
 }
 
 func newAdmitCtl(d *Dispatcher, cfg AdmissionConfig) *admitCtl {
@@ -113,9 +125,60 @@ func (a *admitCtl) newQueue(name string, pol admit.Policy) *admit.Queue {
 		a.observe()
 	})
 	a.mu.Lock()
-	a.queues = append(a.queues, q)
+	a.queues = append(a.queues, admitQueue{q: q, prog: prog})
 	a.mu.Unlock()
 	return q
+}
+
+// replace marks q, the queue SetAdmission replaced, to be retired once it
+// drains: work admitted to it still drains through the pool, and a raise
+// that loaded the plan before the swap may still submit to it.
+func (a *admitCtl) replace(q *admit.Queue) {
+	a.mu.Lock()
+	for i := range a.queues {
+		if a.queues[i].q == q {
+			a.queues[i].replaced = true
+		}
+	}
+	_, _, _, retired := a.tallyLocked()
+	a.mu.Unlock()
+	retirePrograms(retired)
+}
+
+// tallyLocked sums the observed queues' depth, submissions and sheds, the
+// retired queues' included, and retires on the way the replaced queues
+// that have drained: their final counts fold into the base totals, so the
+// sums never fall, and they leave a.queues. A submission a retired queue
+// takes later still runs, unobserved. It returns the retired queues' shed
+// programs, for the caller to retire (retirePrograms) once it has released
+// a.mu.
+func (a *admitCtl) tallyLocked() (depth int, submitted, shed int64, retired []*trace.Program) {
+	kept := a.queues[:0]
+	for _, aq := range a.queues {
+		s := aq.q.Stats()
+		if aq.replaced && s.Drained() {
+			a.baseSub += s.Submitted
+			a.baseShd += s.Shed
+			if aq.prog != nil {
+				retired = append(retired, aq.prog)
+			}
+			continue
+		}
+		kept = append(kept, aq)
+		depth += s.Depth
+		submitted += s.Submitted
+		shed += s.Shed
+	}
+	clear(a.queues[len(kept):])
+	a.queues = kept
+	return depth, submitted + a.baseSub, shed + a.baseShd, retired
+}
+
+// retirePrograms retires the shed programs of retired queues.
+func retirePrograms(progs []*trace.Program) {
+	for _, p := range progs {
+		p.Retire()
+	}
 }
 
 // defaultPolicy returns the dispatcher-wide default admission policy, or
@@ -152,14 +215,7 @@ func (a *admitCtl) observe() {
 		return
 	}
 	a.mu.Lock()
-	var depth int
-	var submitted, shed int64
-	for _, q := range a.queues {
-		s := q.Stats()
-		depth += s.Depth
-		submitted += s.Submitted
-		shed += s.Shed
-	}
+	depth, submitted, shed, retired := a.tallyLocked()
 	dSub := submitted - a.lastSub
 	dShd := shed - a.lastShd
 	a.lastSub, a.lastShd = submitted, shed
@@ -169,6 +225,7 @@ func (a *admitCtl) observe() {
 	}
 	from, to, changed := a.degrader.Observe(depth, rate)
 	a.mu.Unlock()
+	retirePrograms(retired)
 	if changed {
 		a.applyLevel(from, to)
 	}

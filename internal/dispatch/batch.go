@@ -100,19 +100,21 @@ func (e *Event) raiseOne(out *BatchOutcome, plan *codegen.Plan, args []any) {
 }
 
 // executeBatch makes one batch-executor call and accounts the m frames it
-// processed, returning m. The raised total counts all n frames before the
+// processed, returning m. The stripe's cell counts all n frames before the
 // call, as raiseOut counts its raise, so the executor's excess add lands
 // behind it; when the plan was superseded mid-batch it takes back the n − m
 // frames the caller's next iteration re-dispatches, and counts again, on
-// the reloaded plan. The same add is the journal's raise-sampling draw, as
-// in raiseOut: moving the shard value from v to v+m wins one sample per
+// the reloaded plan. Both adds are even, so a raise that owns the cell's
+// frame keeps its busy bit. The count is the journal's raise-sampling draw,
+// as in raiseOut: moving the cell's count from v to v+m wins one sample per
 // multiple of the sampling interval in (v, v+m] — what a loop of m raises
 // would have won — each recorded with this call's mean fired count.
 func (e *Event) executeBatch(out *BatchOutcome, plan *codegen.Plan, flat []any, width, n, idx int) int {
-	raised := e.raised.AddAtN(idx, int64(n))
+	c := &e.cells[idx]
+	raised := c.count(int64(n))
 	b, m := plan.ExecuteBatch(e.env, flat, width, n, idx, &e.plan)
 	if m < n {
-		e.raised.AddAt(idx, int64(m-n))
+		c.count(int64(m - n))
 		raised -= int64(n - m)
 	}
 	out.foldBatch(b, m)

@@ -15,17 +15,16 @@ import (
 	"spin/internal/vtime"
 )
 
-// maxPooledArity bounds the arity the pooled raise buffers cover; wider
-// events fall back to the allocating variadic path.
-const maxPooledArity = 8
-
-// argPool recycles raise argument vectors for the arity-specialized
-// entry points (Raise0..Raise5), so a steady-state raise performs no heap
-// allocation. A plan that may retain its frame past the raise runs on a
+// argPool recycles the argument vectors of the arity-specialized raises
+// that cannot own their stripe's frame cell (frameCell): a raise from
+// inside a handler of the same event on the same stripe, another
+// goroutine's raise on a busy stripe, a wrong arity, and every raise under
+// purity checking. So a steady-state raise performs no heap allocation
+// either way. A plan that may retain its frame past the raise runs on a
 // private copy instead (copyFrame).
 var argPool = sync.Pool{
 	New: func() any {
-		b := make([]any, 0, maxPooledArity)
+		b := make([]any, 0, cellArity)
 		return &b
 	},
 }
@@ -35,11 +34,20 @@ var argPool = sync.Pool{
 // event with only its unguarded intrinsic handler dispatches as a direct
 // procedure call.
 type Event struct {
+	// cells are the event's raise count and its arity-specialized raises'
+	// argument frames, one per stripe (frameCell). First, so the cells of an
+	// Event allocated on a cache-line boundary sit on their own lines.
+	cells [stripe.Stripes]frameCell
+
 	d         *Dispatcher
 	name      string
 	sig       rtti.Signature
 	authority *rtti.Module
 	async     bool
+	// ownArity is the arity Raise1..Raise5 raise on a frame cell: the
+	// event's, when it is 1 to cellArity and purity checking is off (a
+	// purity-checked raise checks its argument types first), else 0.
+	ownArity int
 
 	mu         sync.Mutex
 	bindings   []*Binding
@@ -77,12 +85,13 @@ type Event struct {
 	// Dispatch statistics are sharded across cache-line-padded stripes so
 	// parallel raises of one hot event do not serialize on a shared line;
 	// Stats aggregates them lazily. The fired total is raised + firedExcess:
-	// each raise counts itself in raised, and the executor adds to
-	// firedExcess only the firings beyond one (codegen.Env.FiredExcess), so
-	// a raise that fires exactly one handler makes one shared write.
-	raised      stripedCounter
+	// each raise counts itself in its stripe's cell, and the executor adds
+	// to firedExcess only the firings beyond one (codegen.Env.FiredExcess),
+	// so a raise that fires exactly one handler makes one shared write.
 	firedExcess stripedCounter
-	timeNanos   stripedCounter
+	// timeNanos is the metered raises' virtual time. One word, not
+	// striped: a metered raise already serializes on the meter's mutex.
+	timeNanos atomic.Int64
 }
 
 // EventOption configures an event at definition time.
@@ -134,6 +143,9 @@ func (d *Dispatcher) DefineEvent(name string, sig rtti.Signature, opts ...EventO
 		return nil, fmt.Errorf("%w: event %s", ErrAsyncByRef, name)
 	}
 	e := &Event{d: d, name: name, sig: sig, async: cfg.async, authority: cfg.owner}
+	if n := sig.Arity(); n >= 1 && n <= cellArity && !d.purity {
+		e.ownArity = n
+	}
 	e.tracer = d.tracer
 	if pol := d.admit.defaultPolicy(); pol != nil {
 		e.admitQ = d.admit.newQueue(name, *pol)
@@ -449,14 +461,19 @@ func (e *Event) raiseAsync(args []any) error {
 func (e *Event) SetAdmission(pol *admit.Policy) {
 	// Uncharged, like Trace: toggling overload control is operator
 	// tooling, not the paper's installation workload.
+	var old *admit.Queue
 	_ = e.commit(false, func(t *txn) error {
-		t.stale = pol != nil || t.admitQ != nil
+		old = t.admitQ
+		t.stale = pol != nil || old != nil
 		t.admitQ = nil
 		if pol != nil {
 			t.admitQ = t.d.admit.newQueue(t.name, *pol)
 		}
 		return nil
 	})
+	if old != nil {
+		e.d.admit.replace(old) // the published plan no longer names it
+	}
 }
 
 // AdmissionQueue returns the admission queue compiled into the event's
@@ -464,11 +481,11 @@ func (e *Event) SetAdmission(pol *admit.Policy) {
 func (e *Event) AdmissionQueue() *admit.Queue { return e.plan.Load().AdmitQueue() }
 
 // copyFrame is the dispatcher's one rule for when a raise copies the frame
-// it borrows — from the raiser, or, pooled, from argPool until the raise
-// returns — and it copies at most once. A filter rewrites its frame in
-// place, so a raiser's frame is copied; a pooled one is the raise's own. An
-// async or ephemeral step may read its frame after the raise returns
-// (RetainsArgs), so it gets a copy that is never handed back.
+// it borrows — from the raiser, or, pooled, from its frame cell or argPool
+// until the raise returns — and it copies at most once. A filter rewrites
+// its frame in place, so a raiser's frame is copied; a pooled one is the
+// raise's own. An async or ephemeral step may read its frame after the
+// raise returns (RetainsArgs), so it gets a copy that is never handed back.
 func copyFrame(plan *codegen.Plan, pooled bool) bool {
 	return plan.RetainsArgs() || plan.HasFilter() && !pooled
 }
@@ -488,7 +505,11 @@ func (e *Event) borrow(args []any) (*codegen.Plan, []any) {
 // retention, so a concurrent plan swap cannot invalidate their decision to
 // recycle the argument buffer.
 func (e *Event) raiseWith(plan *codegen.Plan, args []any) (any, error) {
-	out, err := e.raiseOut(plan, args)
+	if err := e.checkArgs(args); err != nil {
+		return nil, err
+	}
+	idx := stripe.Index()
+	out, err := e.raiseCounted(plan, args, idx, e.cells[idx].count(1))
 	if err == nil && (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
 		return out.Result, nil
 	}
@@ -505,13 +526,16 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 	if err := e.checkArgs(args); err != nil {
 		return codegen.Outcome{}, err
 	}
-	// One stripe shard hash serves every striped counter this raise
-	// touches: the raised total here, which counts the raise before the
-	// plan runs, and the executor's add to the fired excess, if it fires
-	// other than one handler. The increment's shard value doubles as the
-	// journal's raise-sampling draw below.
 	idx := stripe.Index()
-	raised := e.raised.AddAtN(idx, 1)
+	return e.raiseCounted(plan, args, idx, e.cells[idx].count(1))
+}
+
+// raiseCounted executes one raise already validated and counted on stripe
+// idx, whose cell's count after it is raised: the journal's raise-sampling
+// draw. One stripe hash serves everything a raise touches on a stripe: its
+// cell's raise count, which counts the raise before the plan runs, and the
+// executor's add to the fired excess, if it fires other than one handler.
+func (e *Event) raiseCounted(plan *codegen.Plan, args []any, idx int, raised int64) (codegen.Outcome, error) {
 	var out codegen.Outcome
 	switch {
 	case e.d.purity:
@@ -526,8 +550,7 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 		out = plan.Execute(e.env, args, idx)
 	}
 	// Sampled raise journaling: a journal-off dispatcher pays one nil
-	// check; an off-sample draw is one mask test on the striped raise total
-	// already advanced above.
+	// check; an off-sample draw is one mask test on the raise's count.
 	if jr := e.d.jrnl; jr != nil && jr.SampleCount(uint64(raised)) {
 		jr.SampleHit(e.name, out.Fired)
 	}
@@ -584,6 +607,38 @@ func (e *Event) finishRaise(out codegen.Outcome, err error) (any, error) {
 	return out.Result, nil
 }
 
+// own claims the frame cell of the caller's stripe for a raise of n
+// arguments with one CAS of its idle word v to v+1 (frameCell), returning
+// the cell, the stripe and the raise's count, v/2+1; or nil when raises of
+// n arguments own no cell on this event or the cell is busy.
+func (e *Event) own(n int) (c *frameCell, idx int, raised int64) {
+	if e.ownArity == n {
+		idx = stripe.Index()
+		c = &e.cells[idx]
+		v := c.w.Load()
+		if v&1 == 0 && c.w.CompareAndSwap(v, v+1) {
+			return c, idx, v>>1 + 1
+		}
+	}
+	return nil, 0, 0
+}
+
+// raiseOwned runs a synchronous raise on frame, the arguments in the cell
+// of stripe idx, which the raise claimed with count raised (frameCell):
+// raiseWith without the argument check, the stripe hash and the count the
+// claim stands for. It raises on a private copy when copyFrame says so.
+func (e *Event) raiseOwned(frame []any, idx int, raised int64) (any, error) {
+	plan := e.plan.Load()
+	if copyFrame(plan, true) {
+		frame = slices.Clone(frame)
+	}
+	out, err := e.raiseCounted(plan, frame, idx, raised)
+	if err == nil && (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
+		return out.Result, nil
+	}
+	return e.finishRaise(out, err)
+}
+
 // raisePooled runs a synchronous raise of plan over a pooled argument
 // buffer, or over a private copy of it when copyFrame says so.
 func (e *Event) raisePooled(plan *codegen.Plan, bp *[]any) (any, error) {
@@ -597,9 +652,7 @@ func (e *Event) raisePooled(plan *codegen.Plan, bp *[]any) (any, error) {
 }
 
 // putArgs returns a pooled argument frame, its arity words nilled first so
-// the pool does not pin arguments: a store per word, which at these widths
-// costs less than clear's bulk-barrier memclr (a forward range loop would
-// compile to that memclr).
+// the pool does not pin arguments, one store each (frameCell.release).
 func putArgs(bp *[]any, args []any) {
 	for i := len(args) - 1; i >= 0; i-- {
 		args[i] = nil
@@ -618,57 +671,83 @@ func (e *Event) Raise0() (any, error) {
 	return e.raiseWith(e.plan.Load(), nil)
 }
 
-// Raise1 raises the event with one argument through a pooled argument
-// frame; a steady-state raise performs no heap allocation. Semantics are
+// Raise1 raises the event with one argument on its stripe's frame cell
+// (frameCell), or through a pooled argument frame when it cannot own the
+// cell; a steady-state raise performs no heap allocation. Semantics are
 // identical to Raise(a1).
 func (e *Event) Raise1(a1 any) (any, error) {
 	if e.async {
 		return nil, e.raiseAsync([]any{a1})
+	}
+	if c, idx, raised := e.own(1); c != nil {
+		defer c.release(1)
+		c.frame[0] = a1
+		return e.raiseOwned(c.frame[:1], idx, raised)
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1)
 	return e.raisePooled(e.plan.Load(), bp)
 }
 
-// Raise2 raises the event with two arguments through a pooled argument
-// frame. Semantics are identical to Raise(a1, a2).
+// Raise2 raises the event with two arguments, as Raise1 does. Semantics
+// are identical to Raise(a1, a2).
 func (e *Event) Raise2(a1, a2 any) (any, error) {
 	if e.async {
 		return nil, e.raiseAsync([]any{a1, a2})
+	}
+	if c, idx, raised := e.own(2); c != nil {
+		defer c.release(2)
+		c.frame[0], c.frame[1] = a1, a2
+		return e.raiseOwned(c.frame[:2], idx, raised)
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2)
 	return e.raisePooled(e.plan.Load(), bp)
 }
 
-// Raise3 raises the event with three arguments through a pooled argument
-// frame. Semantics are identical to Raise(a1, a2, a3).
+// Raise3 raises the event with three arguments, as Raise1 does. Semantics
+// are identical to Raise(a1, a2, a3).
 func (e *Event) Raise3(a1, a2, a3 any) (any, error) {
 	if e.async {
 		return nil, e.raiseAsync([]any{a1, a2, a3})
+	}
+	if c, idx, raised := e.own(3); c != nil {
+		defer c.release(3)
+		c.frame[0], c.frame[1], c.frame[2] = a1, a2, a3
+		return e.raiseOwned(c.frame[:3], idx, raised)
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3)
 	return e.raisePooled(e.plan.Load(), bp)
 }
 
-// Raise4 raises the event with four arguments through a pooled argument
-// frame. Semantics are identical to Raise(a1, a2, a3, a4).
+// Raise4 raises the event with four arguments, as Raise1 does. Semantics
+// are identical to Raise(a1, a2, a3, a4).
 func (e *Event) Raise4(a1, a2, a3, a4 any) (any, error) {
 	if e.async {
 		return nil, e.raiseAsync([]any{a1, a2, a3, a4})
+	}
+	if c, idx, raised := e.own(4); c != nil {
+		defer c.release(4)
+		c.frame[0], c.frame[1], c.frame[2], c.frame[3] = a1, a2, a3, a4
+		return e.raiseOwned(c.frame[:4], idx, raised)
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3, a4)
 	return e.raisePooled(e.plan.Load(), bp)
 }
 
-// Raise5 raises the event with five arguments through a pooled argument
-// frame — the widest shape Table 1 sweeps. Semantics are identical to
-// Raise(a1, a2, a3, a4, a5).
+// Raise5 raises the event with five arguments, as Raise1 does — the widest
+// shape Table 1 sweeps. Semantics are identical to Raise(a1, a2, a3, a4,
+// a5).
 func (e *Event) Raise5(a1, a2, a3, a4, a5 any) (any, error) {
 	if e.async {
 		return nil, e.raiseAsync([]any{a1, a2, a3, a4, a5})
+	}
+	if c, idx, raised := e.own(5); c != nil {
+		defer c.release(5)
+		c.frame[0], c.frame[1], c.frame[2], c.frame[3], c.frame[4] = a1, a2, a3, a4, a5
+		return e.raiseOwned(c.frame[:5], idx, raised)
 	}
 	bp := argPool.Get().(*[]any)
 	*bp = append((*bp)[:0], a1, a2, a3, a4, a5)
@@ -729,7 +808,10 @@ func (e *Event) Stats() Stats {
 	// every excess this read sees has its raise counted in the read behind
 	// it, and the sum is never low by a raise's negative excess.
 	excess := e.firedExcess.Load()
-	raised := e.raised.Load()
+	var raised int64
+	for i := range e.cells {
+		raised += (e.cells[i].w.Load() + 1) >> 1
+	}
 	return Stats{
 		Raised:   raised,
 		Fired:    raised + excess,

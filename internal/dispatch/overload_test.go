@@ -604,3 +604,79 @@ func TestAdmissionEnabledNoPolicyZeroAlloc(t *testing.T) {
 		t.Errorf("admission enabled, no policy: %v allocs/raise, want 0", n)
 	}
 }
+
+// TestSetAdmissionChurnRetiresQueues: SetAdmission retires the queue it
+// replaces once the queue drains, and the queue's shed program with it, so
+// toggling admission on a traced event leaves the controller's queue list
+// and the tracer's program registry bounded. A queue replaced with work in
+// flight stays observed until it drains; after it leaves, its submissions
+// and sheds stay in the load totals.
+func TestSetAdmissionChurnRetiresQueues(t *testing.T) {
+	const toggles = 10_000
+	tracer := trace.New(trace.Config{Capacity: 256})
+	d := New(WithTracer(tracer), WithAdmission(AdmissionConfig{
+		Workers: 1,
+		Levels:  []admit.Level{{Name: "never", QueueDepth: 1 << 30, MinPriority: 2}},
+	}))
+	e := mustDefine(t, d, "Load.Churn", rtti.Sig(nil, rtti.Word), AsAsync())
+	gate := make(chan struct{})
+	if _, err := e.Install(handler(voidProc("H", rtti.Word), func(any, []any) any {
+		<-gate
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	a := d.admit
+	queues := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.queues)
+	}
+	progs := tracer.Programs()
+	pol := admit.Policy{Mode: admit.Shed, Depth: 1}
+	for i := 0; i < toggles; i++ {
+		e.SetAdmission(&pol)
+		e.SetAdmission(nil)
+	}
+	if n := queues(); n != 0 {
+		t.Fatalf("%d toggles left %d queues observed, want 0", toggles, n)
+	}
+	if n := tracer.Programs(); n > progs+2*tracer.Capacity() {
+		t.Fatalf("%d toggles left %d trace programs registered, want at most %d",
+			toggles, n, progs+2*tracer.Capacity())
+	}
+
+	// One raise runs gated, one waits, the third is shed; the queue is
+	// replaced busy and stays observed until it drains.
+	e.SetAdmission(&pol)
+	q := e.AdmissionQueue()
+	for i := 0; i < 3; i++ {
+		_ = e.RaiseAsync(i)
+	}
+	for q.Stats().InFlight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	e.SetAdmission(nil)
+	if n := queues(); n != 1 {
+		t.Fatalf("busy replaced queue: %d queues observed, want 1", n)
+	}
+	d.ObserveAdmission()
+	a.mu.Lock()
+	sub, shed := a.lastSub, a.lastShd
+	a.mu.Unlock()
+	close(gate)
+	s := waitDrained(t, q, 5*time.Second)
+	if !s.Identity() || s.Shed == 0 {
+		t.Fatalf("replaced queue ledger %+v: identity broken or nothing shed", s)
+	}
+	d.ObserveAdmission()
+	if n := queues(); n != 0 {
+		t.Fatalf("drained replaced queue still observed: %d queues", n)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.lastSub != sub || a.lastShd != shed || a.baseSub != s.Submitted || a.baseShd != s.Shed {
+		t.Fatalf("totals after retirement: submitted %d→%d, shed %d→%d, base %d/%d, want them kept at the queue's %d/%d",
+			sub, a.lastSub, shed, a.lastShd, a.baseSub, a.baseShd, s.Submitted, s.Shed)
+	}
+}

@@ -179,9 +179,10 @@ func (j *Journal) Record(rec Record) {
 }
 
 // SampleCount is the dispatcher's zero-extra-cost sampling draw: n is a
-// counter value the caller already advances once per raise (the striped
-// raise total), so the draw reuses an atomic RMW that is paid regardless
-// of journaling and reduces to a single mask test here. n must be
+// count the caller already advances once per raise (the raise count of
+// the raise's frame cell, which the claim or add that counts the raise
+// returns), so the draw reuses an atomic RMW that is paid regardless of
+// journaling and reduces to a single mask test here. n must be
 // nonzero — which a post-increment value always is — because the
 // sampling-off encoding relies on it: an all-ones mask can only see
 // n&mask == 0 for n == 0. The ≤5% raise-overhead budget at 1/1024

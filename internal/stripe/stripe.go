@@ -1,11 +1,13 @@
-// Package stripe provides cache-line-padded striped counters for hot-path
-// statistics. A counter is sharded across independent cache lines so
-// parallel writers on one hot event do not serialize on a shared line;
-// reads sum all shards. It lives in its own package so both the dispatcher
-// (per-event raised and time totals) and the code generator's executors
-// (the per-event fired excess, the firings beyond one per raise, added on
-// the raise's hoisted stripe index only when not zero) share one
-// implementation.
+// Package stripe picks the stripe a goroutine's hot-path statistics shard
+// on (Index) and provides cache-line-padded striped counters. A counter
+// is sharded across independent cache lines so parallel writers on one
+// hot event do not serialize on a shared line; reads sum all shards. It
+// lives in its own package so both the dispatcher (per-event time totals)
+// and the code generator's executors (the per-event fired excess, the
+// firings beyond one per raise, added on the raise's hoisted stripe index
+// only when not zero) share one implementation. An event's raise total is
+// not a Counter: it lives in the dispatcher's per-stripe frame cells,
+// which fold a busy bit for the frame into the count.
 package stripe
 
 import (
@@ -13,11 +15,12 @@ import (
 	"unsafe"
 )
 
-// numStripes is the number of independent shards in a Counter. A power of
-// two so the index reduces with a mask. Eight shards cover the core counts
-// the parallel-raise benchmarks sweep; beyond that, collisions only degrade
-// toward single-atomic behaviour, never past it.
-const numStripes = 8
+// Stripes is the number of independent shards in a Counter, and of the
+// values Index returns. A power of two so the index reduces with a mask.
+// Eight shards cover the core counts the parallel-raise benchmarks sweep;
+// beyond that, collisions only degrade toward single-atomic behaviour,
+// never past it.
+const Stripes = 8
 
 // counterStripe is one shard, padded out to a 64-byte cache line so
 // adjacent shards never false-share (§3's "procedure call cost" target is
@@ -33,7 +36,7 @@ type counterStripe struct {
 // returns some valid intermediate total — exactly the guarantee a single
 // atomic would give.
 type Counter struct {
-	stripes [numStripes]counterStripe
+	stripes [Stripes]counterStripe
 }
 
 // Add increments the counter on the calling goroutine's shard.
@@ -42,19 +45,11 @@ func (c *Counter) Add(delta int64) {
 }
 
 // AddAt increments the counter on shard idx, previously obtained from
-// Index. A raise hoists one Index call and reuses it for every counter it
-// touches (the raised total and the fired excess), instead of re-hashing
-// per increment.
+// Index. A raise hoists one Index call and reuses it for everything it
+// touches on a stripe (its frame cell and the fired excess), instead of
+// re-hashing per increment.
 func (c *Counter) AddAt(idx int, delta int64) {
 	c.stripes[idx].n.Add(delta)
-}
-
-// AddAtN is AddAt returning the shard's new value. The dispatcher reuses
-// the raise-total increment it already pays as the journal's raise-
-// sampling draw (journal.SampleCount), so sampling adds no second atomic
-// RMW to the raise path.
-func (c *Counter) AddAtN(idx int, delta int64) int64 {
-	return c.stripes[idx].n.Add(delta)
 }
 
 // Load sums the shards.
@@ -75,5 +70,5 @@ func (c *Counter) Load() int64 {
 func Index() int {
 	var marker byte
 	p := uintptr(unsafe.Pointer(&marker))
-	return int((p >> 11) & (numStripes - 1))
+	return int((p >> 11) & (Stripes - 1))
 }

@@ -403,6 +403,15 @@ func (t *Tracer) lookup(id uint32) EventMeta {
 	return t.progs[id]
 }
 
+// Programs returns the number of programs registered: the live ones, and
+// the retired ones a span in the ring may still name or no sweep has
+// dropped yet.
+func (t *Tracer) Programs() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.progs)
+}
+
 // Sample returns the configured 1-in-N sampling rate.
 func (t *Tracer) Sample() int { return int(t.sample) }
 
