@@ -30,7 +30,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:57098 EXPERIMENTS.md:49078 README.md:23118
+DOC_CEILINGS = DESIGN.md:57078 EXPERIMENTS.md:49046 README.md:23118
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc
@@ -38,15 +38,16 @@ DOC_CEILINGS = DESIGN.md:57098 EXPERIMENTS.md:49078 README.md:23118
 # no policy, with the journal off or lifecycle-only, and with the remote
 # subsystem compiled in and serving — and trace recording itself never
 # allocates; plus the frame path's budgets (simulator, wire, scheduler,
-# UDP echo, TCP segment, keep-alive GET). AllocsPerRun is unreliable under
-# the race detector, so this runs without -race.
+# UDP echo, TCP segment, keep-alive GET, and the bytes of a 16 KiB GET).
+# AllocsPerRun is unreliable under the race detector, so this runs without
+# -race.
 #
 # The gates are selected by name, so the target first counts what the
 # pattern selects and fails below ALLOC_GATES: renaming a gate out of the
 # pattern then breaks CI instead of silently dropping the gate. Raise the
 # floor when adding a gate.
 ALLOC_PATTERN = ZeroAlloc|DoesNotAllocate|AllocBudget
-ALLOC_GATES = 25
+ALLOC_GATES = 26
 alloccheck:
 	@listing="$$($(GO) test -list '$(ALLOC_PATTERN)' ./...)" || { echo "$$listing"; exit 1; }; \
 	n="$$(echo "$$listing" | grep -c '^Test')"; \

@@ -543,26 +543,32 @@ func (e *Event) raiseCounted(plan *codegen.Plan, args []any, idx int, raised int
 		// FUNCTIONAL guard by panicking inside plan execution; only then
 		// does the raise need a recover barrier. The production path below
 		// carries none.
-		return e.raiseOutMonitored(plan, args, idx)
+		return e.raiseOutMonitored(plan, args, idx, raised)
 	case e.d.cpu != nil:
 		out = e.executeMetered(plan, args, idx)
 	default:
 		out = plan.Execute(e.env, args, idx)
 	}
-	// Sampled raise journaling: a journal-off dispatcher pays one nil
-	// check; an off-sample draw is one mask test on the raise's count.
-	if jr := e.d.jrnl; jr != nil && jr.SampleCount(uint64(raised)) {
-		jr.SampleHit(e.name, out.Fired)
-	}
+	e.sample(raised, out.Fired)
 	return out, nil
 }
 
+// sample is the sampled raise journaling of a raise counted raised on its
+// cell: a journal-off dispatcher pays one nil check; an off-sample draw is
+// one mask test on the raise's count.
+func (e *Event) sample(raised int64, fired int) {
+	if jr := e.d.jrnl; jr != nil && jr.SampleCount(uint64(raised)) {
+		jr.SampleHit(e.name, fired)
+	}
+}
+
 // raiseOutMonitored is raiseOut's purity-checking tail: identical execution
-// behind a recover barrier that surfaces the monitor's ErrGuardMutatedArgs
-// panic as an error at the raise point. A rejected raise counts no firing:
-// the walk stopped before its excess add, and the rejection takes back the
-// one firing its raised add stands for.
-func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int) (out codegen.Outcome, err error) {
+// and sampling behind a recover barrier that surfaces the monitor's
+// ErrGuardMutatedArgs panic as an error at the raise point. A rejected
+// raise counts no firing and draws no sample: the walk stopped before its
+// excess add, and the rejection takes back the one firing its raised add
+// stands for.
+func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int, raised int64) (out codegen.Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == ErrGuardMutatedArgs {
@@ -574,9 +580,12 @@ func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int) (out 
 		}
 	}()
 	if e.d.cpu != nil {
-		return e.executeMetered(plan, args, idx), nil
+		out = e.executeMetered(plan, args, idx)
+	} else {
+		out = plan.Execute(e.env, args, idx)
 	}
-	return plan.Execute(e.env, args, idx), nil
+	e.sample(raised, out.Fired)
+	return out, nil
 }
 
 // executeMetered runs one raise of plan on a metered dispatcher: the

@@ -160,6 +160,46 @@ func TestRaiseBatchDrawsJournalSample(t *testing.T) {
 	}
 }
 
+// TestPurityCheckedRaiseDrawsJournalSample: a raise behind the purity
+// monitor draws the journal's raise sample as an unmonitored one does,
+// and a raise the monitor rejects records nothing.
+func TestPurityCheckedRaiseDrawsJournalSample(t *testing.T) {
+	sink := journal.NewMemSink()
+	j := journal.New(journal.Config{Sink: sink, SampleRaises: 1, FlushInterval: -1})
+	d := New(WithPurityChecking(), WithJournal(j))
+	e := mustDefine(t, d, "J.Pure", rtti.Sig(nil, rtti.Word))
+	evil := Guard{Proc: guardProc("Evil", rtti.Word), Fn: func(clo any, args []any) bool {
+		if args[0] == uint64(0) {
+			args[0] = uint64(999) // FUNCTIONAL violation
+		}
+		return true
+	}}
+	if _, err := e.Install(handler(voidProc("H", rtti.Word), func(any, []any) any { return nil }), WithGuard(evil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Raise1(uint64(0)); !errors.Is(err, ErrGuardMutatedArgs) {
+		t.Fatalf("err = %v, want ErrGuardMutatedArgs", err)
+	}
+	for i := 1; i <= 8; i++ {
+		if _, err := e.Raise1(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res := journal.Scan(sink.Bytes())
+	sampled := 0
+	for _, r := range append(res.SealedRecords(), res.Tail...) {
+		if r.Kind == journal.KindRaise {
+			sampled++
+		}
+	}
+	if sampled != 8 {
+		t.Fatalf("8 raises and 1 rejected at 1-in-1 left %d KindRaise records, want 8", sampled)
+	}
+}
+
 // liveOrder returns an event's installed bindings' journal IDs in
 // dispatch order, the sequence the State oracle's Bindings must match.
 func liveOrder(e *Event) []uint64 {

@@ -40,6 +40,10 @@ type Data struct{ Bytes []byte }
 // RTTIType implements rtti.Described.
 func (d *Data) RTTIType() rtti.Type { return FileDataType }
 
+// A file's written bytes are never rewritten in place: Write only appends
+// and Put installs a fresh copy. Get and Read therefore hand out views of
+// data, clipped to their length so a caller's append cannot reach the
+// bytes after them.
 type file struct {
 	data []byte
 	open int
@@ -190,7 +194,7 @@ func (s *FS) intrinsicRead(clo any, args []any) any {
 	if rem := len(of.f.data) - of.pos; n > rem {
 		n = rem
 	}
-	d := &Data{Bytes: of.f.data[of.pos : of.pos+n]}
+	d := &Data{Bytes: of.f.data[of.pos : of.pos+n : of.pos+n]}
 	of.pos += n
 	return d
 }
@@ -280,13 +284,15 @@ func (s *FS) Put(path string, content []byte) {
 	s.files[path] = &file{data: append([]byte(nil), content...)}
 }
 
-// Get returns a copy of the file's content.
+// Get returns the file's content as a read-only view, not a copy: a
+// later Write or Put leaves it unchanged, and appending to it copies.
 func (s *FS) Get(path string) ([]byte, bool) {
 	f, ok := s.files[normalize(path)]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), f.data...), true
+	n := len(f.data)
+	return f.data[:n:n], true
 }
 
 // Exists reports whether path exists.

@@ -60,6 +60,28 @@ func TestOpenWriteReadClose(t *testing.T) {
 	}
 }
 
+// A Read result is a view of the file clipped to its length: appending to
+// it copies instead of overwriting the bytes after it.
+func TestReadResultAppendLeavesFile(t *testing.T) {
+	_, s, _ := newFS(t)
+	s.Put("/a", []byte("0123456789"))
+	fd, err := s.Open("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Read(fd, 3)
+	if err != nil || string(b) != "012" {
+		t.Fatalf("read = %q err=%v", b, err)
+	}
+	_ = append(b, 'X', 'Y')
+	if got, _ := s.Get("/a"); string(got) != "0123456789" {
+		t.Fatalf("content after appending to a read = %q", got)
+	}
+	if rest, _ := s.Read(fd, 100); string(rest) != "3456789" {
+		t.Fatalf("next read = %q", rest)
+	}
+}
+
 func TestBadFD(t *testing.T) {
 	_, s, _ := newFS(t)
 	if err := s.Write(999, []byte("x")); !errors.Is(err, ErrBadFD) {

@@ -40,7 +40,8 @@ var Module = rtti.NewModule("Httpd", "Httpd")
 // ResponseType is the rtti type of HTTP responses.
 var ResponseType = rtti.NewRef("Httpd.Response", nil)
 
-// Response is what request handlers produce.
+// Response is what request handlers produce. The server sends Body by
+// reference, so a handler must not modify it after returning it.
 type Response struct {
 	Status int
 	Body   []byte
@@ -404,9 +405,11 @@ func nextField(b []byte) (field, rest []byte) {
 	return b, nil
 }
 
-// respond counts and writes one response. Header and body go into one
-// buffer of exactly their size; it is fresh per response because the
-// segments the client receives alias it.
+// respond counts and writes one response. Only the first segment is
+// built, header and head of the body in one buffer of exactly their size;
+// the rest of the body goes out by reference, so the client's segments
+// alias it (see Response). The first send is a whole MSS whenever a
+// second follows, so the two cut the segments one send of both would.
 func (s *Server) respond(conn *netstack.TCPConn, resp *Response) {
 	if resp.Status == 404 {
 		s.NotFound++
@@ -420,9 +423,12 @@ func (s *Server) respond(conn *netstack.TCPConn, resp *Response) {
 	head = append(head, "\r\nContent-Length: "...)
 	head = strconv.AppendInt(head, int64(len(resp.Body)), 10)
 	head = append(head, "\r\n\r\n"...)
-	out := make([]byte, len(head)+len(resp.Body))
-	copy(out[copy(out, head):], resp.Body)
-	_ = conn.Send(out)
+	first := min(len(resp.Body), netstack.MSS-len(head))
+	out := make([]byte, len(head)+first)
+	copy(out[copy(out, head):], resp.Body[:first])
+	if conn.Send(out) == nil && first < len(resp.Body) {
+		_ = conn.Send(resp.Body[first:])
+	}
 }
 
 // RouteGuard builds a FUNCTIONAL guard matching requests whose path has

@@ -2,7 +2,10 @@ package httpd
 
 import (
 	"bytes"
+	"runtime"
 	"runtime/debug"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -531,12 +534,19 @@ func TestRequestSplitAcrossSegments(t *testing.T) {
 	}
 }
 
-// One GET of a 1 KiB document on a keep-alive connection between two
-// unmetered hosts (the benchmark's rig): four segments, five strand
-// dispatches, one Httpd.Request raise. The packets, the path string, the
-// document copy and the response are what is left; the same request was
-// about 90 allocations when every frame cost fourteen.
-func TestGetAllocBudget(t *testing.T) {
+// keepAlive is the benchmark's rig: a server and a client host on one
+// wire, both unmetered, with one keep-alive connection dialed and
+// established.
+type keepAlive struct {
+	sim            *vtime.Simulator
+	files          *fs.FS
+	srv            *Server
+	server, client *netstack.Stack
+	conn           *netstack.TCPConn
+}
+
+func newKeepAlive(t *testing.T) *keepAlive {
+	t.Helper()
 	sim := vtime.NewSimulator(&vtime.Clock{})
 	link := netwire.NewLink(sim, 0, 0)
 	arp := map[string]string{"10.0.0.1": "mac-a", "10.0.0.2": "mac-b"}
@@ -562,8 +572,6 @@ func TestGetAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := bytes.Repeat([]byte("spin"), 256)
-	files.Put("/www/doc.html", doc)
 	srv, err := New(d, Config{Stack: server, FS: files, Sched: sc})
 	if err != nil {
 		t.Fatal(err)
@@ -572,39 +580,225 @@ func TestGetAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.Run(0) // the handshake, and its timers
+	return &keepAlive{sim: sim, files: files, srv: srv, server: server, client: client, conn: conn}
+}
+
+// drain pops every segment conn has received, returning their lengths and
+// a copy of their bytes.
+func drain(conn *netstack.TCPConn) (lens []int, data []byte) {
+	for {
+		seg, ok := conn.Recv()
+		if !ok {
+			return lens, data
+		}
+		lens = append(lens, len(seg))
+		data = append(data, seg...)
+	}
+}
+
+// discard pops every segment conn has received, returning their byte
+// count; unlike drain it allocates nothing.
+func discard(conn *netstack.TCPConn) (n int) {
+	for {
+		seg, ok := conn.Recv()
+		if !ok {
+			return n
+		}
+		n += len(seg)
+	}
+}
+
+// skipUnderRace skips an allocation budget under the race detector, where
+// sync.Pool drops a quarter of what it is given, so Raise2's pooled
+// argument frames allocate at random.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation budgets do not hold under the race detector")
+			}
+		}
+	}
+}
+
+// responseHead is the header respond writes for a 200 of n body bytes.
+func responseHead(n int) string {
+	return "HTTP/1.0 200 OK\r\nContent-Length: " + strconv.Itoa(n) + "\r\n\r\n"
+}
+
+// One GET of a 1 KiB document on a keep-alive connection: four segments,
+// five strand dispatches, one Httpd.Request raise. The packets, the path
+// string and the response are what is left; the same request was about 90
+// allocations when every frame cost fourteen.
+func TestGetAllocBudget(t *testing.T) {
+	k := newKeepAlive(t)
+	doc := bytes.Repeat([]byte("spin"), 256)
+	k.files.Put("/www/doc.html", doc)
 	req := []byte("GET /doc.html HTTP/1.0\r\n\r\n")
 	received := 0
 	get := func() {
-		_ = conn.Send(req)
-		sim.Run(0)
-		for {
-			seg, ok := conn.Recv()
-			if !ok {
-				break
-			}
-			received += len(seg)
-		}
+		_ = k.conn.Send(req)
+		k.sim.Run(0)
+		received += discard(k.conn)
 	}
-	sim.Run(0) // the handshake, and its timers
 	get()
 	perResponse := received
 	if perResponse <= len(doc) {
 		t.Fatalf("first response is %d bytes, the document alone %d", perResponse, len(doc))
 	}
 	allocs := testing.AllocsPerRun(100, get)
-	if srv.Served != 102 || srv.NotFound != 0 || received != 102*perResponse {
-		t.Fatalf("served %d (%d not found), %d bytes received, want 102 responses of %d", srv.Served, srv.NotFound, received, perResponse)
+	if k.srv.Served != 102 || k.srv.NotFound != 0 || received != 102*perResponse {
+		t.Fatalf("served %d (%d not found), %d bytes received, want 102 responses of %d", k.srv.Served, k.srv.NotFound, received, perResponse)
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				// sync.Pool drops a quarter of what it is given there, so
-				// Raise2's pooled argument frames allocate at random.
-				t.Skip("allocation budgets do not hold under the race detector")
-			}
-		}
-	}
+	skipUnderRace(t)
 	if allocs > 30 {
 		t.Fatalf("keep-alive GET allocates %.1f times, budget 30", allocs)
+	}
+}
+
+// A keep-alive GET of a 16 KiB document (the http_large workload) moves
+// the document by reference: neither fs.Get nor respond copies it, so the
+// bytes allocated per GET stay under half the document. Copying it even
+// once would cost the whole document.
+func TestLargeGetAllocBudget(t *testing.T) {
+	k := newKeepAlive(t)
+	doc := bytes.Repeat([]byte("0123456789abcdef"), 1024)
+	k.files.Put("/www/large.bin", doc)
+	req := []byte("GET /large.bin HTTP/1.0\r\n\r\n")
+	received := 0
+	get := func() {
+		_ = k.conn.Send(req)
+		k.sim.Run(0)
+		received += discard(k.conn)
+	}
+	get() // warm: the first GET grows the queues and buffers it reuses
+	const gets = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	want := (gets + 1) * (len(responseHead(len(doc))) + len(doc))
+	if k.srv.Served != gets+1 || received != want {
+		t.Fatalf("served %d, %d bytes received, want %d responses and %d bytes", k.srv.Served, received, gets+1, want)
+	}
+	skipUnderRace(t)
+	if perGet := (after.TotalAlloc - before.TotalAlloc) / gets; perGet >= uint64(len(doc)/2) {
+		t.Fatalf("keep-alive GET of %d bytes allocates %d bytes, budget %d", len(doc), perGet, len(doc)/2)
+	}
+}
+
+// Segments of a response in flight alias the file's bytes; neither an
+// append to the file nor a Put replacing it changes what the client
+// receives.
+func TestInFlightResponseSurvivesFileChange(t *testing.T) {
+	doc := bytes.Repeat([]byte("0123456789abcdef"), 1024)
+	for _, tc := range []struct {
+		name   string
+		change func(t *testing.T, files *fs.FS, fd uint64)
+	}{
+		{"write", func(t *testing.T, files *fs.FS, fd uint64) {
+			if err := files.Write(fd, bytes.Repeat([]byte("W"), 1024)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"put", func(t *testing.T, files *fs.FS, fd uint64) {
+			files.Put("/www/large.bin", bytes.Repeat([]byte("P"), len(doc)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKeepAlive(t)
+			// Written in pieces, so append's amortized growth leaves the
+			// file's buffer room to take the "write" case's append in place.
+			k.files.Put("/www/large.bin", doc[:1])
+			fd, err := k.files.Open("/www/large.bin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, piece := range [][]byte{doc[1 : len(doc)/2], doc[len(doc)/2:]} {
+				if err := k.files.Write(fd, piece); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = k.conn.Send([]byte("GET /large.bin HTTP/1.0\r\n\r\n"))
+			for k.srv.Served == 0 && k.sim.Step() {
+			}
+			want := responseHead(len(doc)) + string(doc)
+			_, got := drain(k.conn)
+			if k.srv.Served != 1 || len(got) >= len(want) {
+				t.Fatalf("served %d with %d bytes already delivered, want the response in flight", k.srv.Served, len(got))
+			}
+			tc.change(t, k.files, fd)
+			k.sim.Run(0)
+			_, more := drain(k.conn)
+			if string(append(got, more...)) != want {
+				t.Fatal("response changed by a file change made while it was in flight")
+			}
+		})
+	}
+}
+
+// A Get result is clipped to the file's length: appending to it copies,
+// so neither the caller's append nor a later Write disturbs the other.
+func TestGetResultAppendLeavesFile(t *testing.T) {
+	files, err := fs.New(dispatch.New(), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files.Put("/www/doc.html", []byte("a"))
+	fd, err := files.Open("/www/doc.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := files.Write(fd, []byte("bcdef")); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := files.Get("/www/doc.html")
+	mine := append(b, 'X')
+	if got, _ := files.Get("/www/doc.html"); string(got) != "abcdef" {
+		t.Fatalf("file after appending to a Get result = %q", got)
+	}
+	if err := files.Write(fd, []byte("g")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := files.Get("/www/doc.html"); string(got) != "abcdefg" || string(mine) != "abcdefX" {
+		t.Fatalf("file %q, appended Get result %q; want \"abcdefg\", \"abcdefX\"", got, mine)
+	}
+}
+
+// respond sends the header with the head of the body, then the rest by
+// reference; around the first segment's boundary and for a 16 KiB body,
+// the client receives the segments one send of header and body cuts.
+func TestRespondSegmentsMatchOneSend(t *testing.T) {
+	k := newKeepAlive(t)
+	raw, err := k.server.ListenTCP(81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := k.client.DialTCP("10.0.0.1", 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.sim.Run(0)
+	peer, ok := raw.Accept()
+	if !ok {
+		t.Fatal("no connection accepted on port 81")
+	}
+	fit := netstack.MSS - len(responseHead(1000)) // four-digit lengths
+	for _, n := range []int{fit - 1, fit, fit + 1, 16 << 10} {
+		body := bytes.Repeat([]byte("spin"), n/4+1)[:n]
+		k.srv.respond(peer, &Response{Status: 200, Body: body})
+		k.sim.Run(0)
+		lens, got := drain(conn)
+		if err := peer.Send([]byte(responseHead(n) + string(body))); err != nil {
+			t.Fatal(err)
+		}
+		k.sim.Run(0)
+		wantLens, want := drain(conn)
+		if !bytes.Equal(got, want) || !slices.Equal(lens, wantLens) {
+			t.Fatalf("body of %d: segments %v (%d bytes), one send cuts %v (%d bytes)", n, lens, len(got), wantLens, len(want))
+		}
 	}
 }
