@@ -95,12 +95,17 @@ func (r *arpResolver) resolveAndQueue(pkt *Packet) error {
 		return nil // request already outstanding
 	}
 	r.s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	return r.s.sendFrame(&Packet{
-		EtherType: netwire.TypeARP,
-		Seq:       arpRequest,
-		SrcIP:     r.s.ip, SrcMAC: r.s.nic.Addr(),
-		DstIP: ip,
-	}, netwire.Broadcast, arpWireSize)
+	return r.s.sendFrame(r.packet(arpRequest, ip, ""), netwire.Broadcast, arpWireSize)
+}
+
+// packet builds an ARP packet from this host to (dstIP, dstMAC); dstMAC is
+// empty in a request.
+func (r *arpResolver) packet(op uint32, dstIP, dstMAC string) *Packet {
+	pkt := r.s.newPacket()
+	pkt.EtherType, pkt.Seq = netwire.TypeARP, op
+	pkt.SrcIP, pkt.SrcMAC = r.s.ip, r.s.nic.Addr()
+	pkt.DstIP, pkt.DstMAC = dstIP, dstMAC
+	return pkt
 }
 
 // input processes one ARP packet at the resolver.
@@ -115,12 +120,7 @@ func (r *arpResolver) input(pkt *Packet) {
 		}
 		r.Requests++
 		r.s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-		_ = r.s.sendFrame(&Packet{
-			EtherType: netwire.TypeARP,
-			Seq:       arpReply,
-			SrcIP:     r.s.ip, SrcMAC: r.s.nic.Addr(),
-			DstIP: pkt.SrcIP, DstMAC: pkt.SrcMAC,
-		}, pkt.SrcMAC, arpWireSize)
+		_ = r.s.sendFrame(r.packet(arpReply, pkt.SrcIP, pkt.SrcMAC), pkt.SrcMAC, arpWireSize)
 	case arpReply:
 		r.Replies++
 		r.learn(pkt.SrcIP, pkt.SrcMAC)

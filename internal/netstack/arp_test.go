@@ -7,6 +7,7 @@ import (
 	"spin/internal/dispatch"
 	"spin/internal/kernel"
 	"spin/internal/netwire"
+	"spin/internal/vtime"
 )
 
 // arpRig builds machines with EMPTY static ARP tables and the dynamic
@@ -134,6 +135,32 @@ func TestDynamicARPThirdPartyIgnoresForeignRequests(t *testing.T) {
 	m.Sim.Run(0)
 	if _, ok := dst0.Recv(); !ok {
 		t.Fatal("opportunistically learned entry unusable")
+	}
+}
+
+// A broadcast reaches its peers in attach order. It used to range over the
+// link's NIC map, so the three bystanders took the ARP request in a random
+// order and the same run ended at one of several instants (5.206682,
+// 5.214014 or 5.278882 ms over 40 runs).
+func TestBroadcastDeliveryDeterministic(t *testing.T) {
+	var first vtime.Time
+	for i := 0; i < 40; i++ {
+		m, stacks, _ := arpRig(t, 4)
+		src, _ := stacks[0].BindUDP(5000)
+		dst, _ := stacks[1].BindUDP(7)
+		if err := src.Send(ipOf(1), 7, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		m.Sim.Run(0)
+		if dst.Pending() != 1 {
+			t.Fatalf("run %d: datagram lost", i)
+		}
+		end := m.Sim.Clock().Now()
+		if i == 0 {
+			first = end
+		} else if end != first {
+			t.Fatalf("run %d ended at %v, run 0 at %v", i, end, first)
+		}
 	}
 }
 

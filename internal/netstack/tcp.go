@@ -307,13 +307,13 @@ func (c *TCPConn) reap() {
 func (c *TCPConn) sendSeg(flags uint8, payload []byte) error {
 	c.stack.cpu.Charge(vtime.ProtoLayer) // TCP header build
 	c.SegsOut++
-	return c.stack.sendIP(&Packet{
-		DstIP: c.remoteIP, Proto: ProtoTCP,
-		SrcPort: c.localPort, DstPort: c.remotePort,
-		Seq: c.seq, Ack: c.ack, Flags: flags,
-		Payload:     payload,
-		dstPortWord: c.remoteWord,
-	})
+	pkt := c.stack.newPacket()
+	pkt.DstIP, pkt.Proto = c.remoteIP, ProtoTCP
+	pkt.SrcPort, pkt.DstPort = c.localPort, c.remotePort
+	pkt.Seq, pkt.Ack, pkt.Flags = c.seq, c.ack, flags
+	pkt.Payload = payload
+	pkt.dstPortWord = c.remoteWord
+	return c.stack.sendIP(pkt)
 }
 
 // wake rouses a parked strand pointer, clearing it.
@@ -430,11 +430,11 @@ func (s *Stack) tcpInput(pkt *Packet) {
 // identifiers back so the sender can match the reset to its connection.
 func (s *Stack) sendRST(pkt *Packet) error {
 	s.cpu.ChargeTo(vtime.AccountKernel, vtime.ProtoLayer)
-	return s.sendIP(&Packet{
-		DstIP: pkt.SrcIP, Proto: ProtoTCP,
-		SrcPort: pkt.DstPort, DstPort: pkt.SrcPort,
-		Seq: pkt.Ack, Ack: pkt.Seq, Flags: FlagRST,
-	})
+	rst := s.newPacket()
+	rst.DstIP, rst.Proto = pkt.SrcIP, ProtoTCP
+	rst.SrcPort, rst.DstPort = pkt.DstPort, pkt.SrcPort
+	rst.Seq, rst.Ack, rst.Flags = pkt.Ack, pkt.Seq, FlagRST
+	return s.sendIP(rst)
 }
 
 // deliverData queues an in-order data segment; a segment whose sequence

@@ -82,12 +82,12 @@ func (u *UDPSocket) Send(dstIP string, dstPort uint16, payload []byte) error {
 	if u.dstWord == nil || u.dstPort != dstPort {
 		u.dstPort, u.dstWord = dstPort, uint64(dstPort)
 	}
-	return u.stack.sendIP(&Packet{
-		DstIP: dstIP, Proto: ProtoUDP,
-		SrcPort: u.port, DstPort: dstPort,
-		Payload:     payload,
-		dstPortWord: u.dstWord,
-	})
+	pkt := u.stack.newPacket()
+	pkt.DstIP, pkt.Proto = dstIP, ProtoUDP
+	pkt.SrcPort, pkt.DstPort = u.port, dstPort
+	pkt.Payload = payload
+	pkt.dstPortWord = u.dstWord
+	return u.stack.sendIP(pkt)
 }
 
 // Recv pops the next datagram, reporting false when the queue is empty.

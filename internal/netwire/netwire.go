@@ -37,7 +37,7 @@ const (
 )
 
 // Broadcast is the link-layer broadcast address: a frame sent to it is
-// delivered to every attached NIC except the sender.
+// delivered to every attached NIC except the sender, in attach order.
 const Broadcast = "ff:ff:ff:ff:ff:ff"
 
 // Frame is one Ethernet frame. Payload is an opaque reference: the sending
@@ -77,6 +77,9 @@ type Link struct {
 	bandwidth int64 // bits per second
 	latency   vtime.Duration
 	nics      map[string]*NIC
+	// attached holds the NICs in attach order: a broadcast reaches its
+	// peers in this order, so the schedule does not depend on map order.
+	attached []*NIC
 	// faults, when non-nil, is the deterministic fault injector (see
 	// faults.go). The lossless default never allocates it.
 	faults *faultState
@@ -116,6 +119,7 @@ func (l *Link) Attach(addr string) (*NIC, error) {
 	n := &NIC{link: l, addr: addr}
 	n.flush = n.flushTrain
 	l.nics[addr] = n
+	l.attached = append(l.attached, n)
 	return n, nil
 }
 
@@ -226,12 +230,12 @@ func (n *NIC) Send(f *Frame) error {
 					return nil
 				}
 			} else {
-				for addr := range n.link.nics {
-					if fs.parts[pairKey(n.addr, addr)] {
+				for _, peer := range n.link.attached {
+					if fs.parts[pairKey(n.addr, peer.addr)] {
 						if f.blocked == nil {
 							f.blocked = make(map[string]bool)
 						}
-						f.blocked[addr] = true
+						f.blocked[peer.addr] = true
 					}
 				}
 			}
@@ -273,7 +277,7 @@ func (n *NIC) dispatchFrame(f *Frame) {
 	l := n.link
 	if f.Dst == Broadcast {
 		delivered := false
-		for _, peer := range l.nics {
+		for _, peer := range l.attached {
 			if peer == n || !peer.hasReceiver() {
 				continue
 			}

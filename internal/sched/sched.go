@@ -135,10 +135,12 @@ type Scheduler struct {
 	// dispatch of a strand.
 	RunEvent *dispatch.Event
 
-	// mu guards the run queue and the pump flag. It is never held across
-	// a Strand.Run raise or a strand step, so strand bodies and handlers
-	// may reenter Spawn/Wakeup/Kill freely; strand state itself is atomic
-	// (see Strand.state).
+	// mu guards the run queue and the pump flag. A tick takes it twice:
+	// to pop, and after the step to requeue, check for more work and arm
+	// the next pump (see tick). It is never held across a Strand.Run raise
+	// or a strand step, so strand bodies and handlers may reenter
+	// Spawn/Wakeup/Kill freely; strand state itself is atomic (see
+	// Strand.state), because Kill may run on another goroutine.
 	mu       sync.Mutex
 	runq     fifo.Queue[*Strand]
 	pumping  bool
@@ -276,15 +278,68 @@ func (s *Scheduler) enqueue(st *Strand, prompt bool) {
 	}
 }
 
-func (s *Scheduler) tickFromSim() {
+func (s *Scheduler) tickFromSim() { s.tick(true) }
+
+// tick performs one scheduling operation: pop the strand at the head of the
+// queue, raise Strand.Run, dispatch the strand, and reinsert or retire it.
+// It reports whether more runnable work remains.
+//
+// mu is taken twice. The first round pops the strand and, for a simulator
+// tick (fromSim), clears the pump flag, so an enqueue during the step arms
+// its own pump, WakeLatency included. The second round, after the step,
+// makes the strand's state transition, requeues a yielded strand, reads
+// whether the queue is non-empty and, for a simulator tick, arms a prompt
+// pump if none is armed.
+func (s *Scheduler) tick(fromSim bool) bool {
 	s.mu.Lock()
-	s.pumping = false
-	s.mu.Unlock()
-	if !s.tick() {
-		return
+	if fromSim {
+		s.pumping = false
 	}
+	st, ok := s.runq.Pop()
+	s.mu.Unlock()
+	if !ok {
+		return false
+	}
+	var status Status
+	stepped := false
+	if st.State() != Dead { // not killed while queued
+		s.switches.Add(1)
+		s.cpu.Charge(vtime.ContextSwitch)
+		// Announce the scheduling operation. The raise cannot fail for
+		// arity reasons; a handler-installed guard rejecting everything
+		// would surface ErrNoHandler, which we tolerate: the intrinsic
+		// may have been deregistered by an experiment.
+		_, _ = s.RunEvent.Raise2(st.idWord, st)
+		// The transition fails if a context-switch handler (e.g. a
+		// terminated EPHEMERAL restore handler) killed the strand during
+		// the raise, or a supervisory goroutine killed it between dequeue
+		// and dispatch.
+		if st.casState(Ready, Running) {
+			status, stepped = st.step(st), true
+		}
+	}
+
 	s.mu.Lock()
-	pump := !s.pumping
+	if stepped {
+		switch status {
+		case Yield:
+			// The transition fails only if the strand was killed
+			// mid-step; a dead strand must not reenter the queue. Kill
+			// removes a queued strand under mu, so it cannot miss one
+			// pushed here.
+			if st.casState(Running, Ready) {
+				s.runq.Push(st)
+			}
+		case Block:
+			st.casState(Running, Blocked)
+		case Done:
+			if State(st.state.Swap(int32(Dead))) != Dead {
+				s.live.Add(-1)
+			}
+		}
+	}
+	more := s.runq.Len() > 0
+	pump := fromSim && more && !s.pumping
 	if pump {
 		s.pumping = true
 	}
@@ -292,52 +347,7 @@ func (s *Scheduler) tickFromSim() {
 	if pump {
 		s.sim.After(0, s.pump)
 	}
-}
-
-// tick performs one scheduling operation: raise Strand.Run, dispatch the
-// strand at the head of the queue, and reinsert or retire it. It reports
-// whether more runnable work remains.
-func (s *Scheduler) tick() bool {
-	s.mu.Lock()
-	st, ok := s.runq.Pop()
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if st.State() == Dead { // killed while queued
-		return s.moreRunnable()
-	}
-	s.switches.Add(1)
-	s.cpu.Charge(vtime.ContextSwitch)
-	// Announce the scheduling operation. The raise cannot fail for
-	// arity reasons; a handler-installed guard rejecting everything
-	// would surface ErrNoHandler, which we tolerate: the intrinsic may
-	// have been deregistered by an experiment.
-	_, _ = s.RunEvent.Raise2(st.idWord, st)
-	if !st.casState(Ready, Running) {
-		// A context-switch handler (e.g. a terminated EPHEMERAL
-		// restore handler) killed the strand during the raise, or a
-		// supervisory goroutine killed it between dequeue and dispatch.
-		return s.moreRunnable()
-	}
-	status := st.step(st)
-	switch status {
-	case Yield:
-		// The transition fails only if the strand was killed mid-step;
-		// a dead strand must not reenter the queue.
-		if st.casState(Running, Ready) {
-			s.mu.Lock()
-			s.runq.Push(st)
-			s.mu.Unlock()
-		}
-	case Block:
-		st.casState(Running, Blocked)
-	case Done:
-		if State(st.state.Swap(int32(Dead))) != Dead {
-			s.live.Add(-1)
-		}
-	}
-	return s.moreRunnable()
+	return more
 }
 
 // moreRunnable reports whether the run queue is non-empty.
@@ -352,7 +362,7 @@ func (s *Scheduler) moreRunnable() bool {
 // limit > 0.
 func (s *Scheduler) RunToCompletion(limit int) int {
 	ticks := 0
-	for s.tick() || s.moreRunnable() {
+	for s.tick(false) || s.moreRunnable() {
 		ticks++
 		if limit > 0 && ticks >= limit {
 			break

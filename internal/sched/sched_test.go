@@ -275,7 +275,7 @@ func TestRunQueueReleasesPoppedStrand(t *testing.T) {
 	}()
 	s.Spawn("parked", 0, func(*Strand) Status { return Block })
 	s.Spawn("queued", 0, func(*Strand) Status { return Block })
-	s.tick() // retires the first strand; two stay queued
+	s.tick(false) // retires the first strand; two stay queued
 	if s.QueueLen() != 2 || s.Live() != 2 {
 		t.Fatalf("queue %d, live %d after one tick", s.QueueLen(), s.Live())
 	}
@@ -312,6 +312,115 @@ func TestWakeupDispatchZeroAlloc(t *testing.T) {
 	}
 	if steps != 1+10001 || s.Switches() != int64(steps) {
 		t.Fatalf("%d steps, %d switches", steps, s.Switches())
+	}
+}
+
+// One simulator tick of a lone strand, for each status its step can report
+// and each point at which it can be killed: the strand ends in the right
+// state, counted live or not, queued only when it yielded alive, and the
+// tick leaves exactly one pump pending exactly when it is runnable.
+func TestTickTransitions(t *testing.T) {
+	type kill string
+	const (
+		notKilled    kill = "alive"
+		killedInRun  kill = "killed in Strand.Run"
+		killedInStep kill = "killed in step"
+	)
+	type outcome struct {
+		state  State
+		live   int
+		queued bool
+	}
+	killedOutcome := outcome{Dead, 0, false}
+	for _, tc := range []struct {
+		status Status
+		kill   kill
+		want   outcome
+	}{
+		{Yield, notKilled, outcome{Ready, 1, true}},
+		{Block, notKilled, outcome{Blocked, 1, false}},
+		{Done, notKilled, outcome{Dead, 0, false}},
+		{Yield, killedInRun, killedOutcome},
+		{Block, killedInRun, killedOutcome},
+		{Done, killedInRun, killedOutcome},
+		{Yield, killedInStep, killedOutcome},
+		{Block, killedInStep, killedOutcome},
+		{Done, killedInStep, killedOutcome},
+	} {
+		name := []string{Yield: "yield", Block: "block", Done: "done"}[tc.status]
+		t.Run(name+", "+string(tc.kill), func(t *testing.T) {
+			_, s, sim, _ := newRig(t, true)
+			if tc.kill == killedInRun {
+				proc := &rtti.Proc{Name: "Threads.Kill", Module: rtti.NewModule("Threads"),
+					Sig: rtti.Sig(nil, rtti.Word, rtti.RefAny)}
+				_, err := s.RunEvent.Install(dispatch.Handler{Proc: proc, Fn: func(clo any, args []any) any {
+					s.Kill(args[1].(*Strand))
+					return nil
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			steps := 0
+			st := s.Spawn("w", 0, func(st *Strand) Status {
+				steps++
+				if tc.kill == killedInStep {
+					s.Kill(st)
+				}
+				return tc.status
+			})
+			if sim.Pending() != 1 {
+				t.Fatalf("%d events pending after Spawn, want the one pump", sim.Pending())
+			}
+			if !sim.Step() {
+				t.Fatal("no tick ran")
+			}
+			wantSteps := 1
+			if tc.kill == killedInRun {
+				wantSteps = 0
+			}
+			if steps != wantSteps {
+				t.Fatalf("%d steps, want %d", steps, wantSteps)
+			}
+			got := outcome{st.State(), s.Live(), s.QueueLen() == 1}
+			if got != tc.want {
+				t.Fatalf("after the tick: %+v, want %+v", got, tc.want)
+			}
+			wantPending := 0
+			if got.queued {
+				wantPending = 1
+			}
+			if sim.Pending() != wantPending {
+				t.Fatalf("%d events pending after the tick, want %d", sim.Pending(), wantPending)
+			}
+		})
+	}
+}
+
+// A wakeup from inside a strand step arms its own pump and pays
+// WakeLatency, as one from outside does: the tick clears the pump flag
+// before the step and, finding a pump armed after it, arms no prompt one.
+func TestWakeupDuringStepPaysWakeLatency(t *testing.T) {
+	_, s, sim, _ := newRig(t, true)
+	s.WakeLatency = vtime.Micros(50)
+	sleeps := 0
+	sleeper := s.Spawn("sleeper", 0, func(*Strand) Status { sleeps++; return Block })
+	sim.Run(0)
+	var wokeAt vtime.Time
+	s.Spawn("waker", 0, func(*Strand) Status {
+		wokeAt = sim.Clock().Now()
+		s.Wakeup(sleeper)
+		return Done
+	})
+	if !sim.Step() || sleeper.State() != Ready || sim.Pending() != 1 {
+		t.Fatalf("after the waker's tick: sleeper %v, %d events pending", sleeper.State(), sim.Pending())
+	}
+	if n := sim.RunUntil(wokeAt.Add(s.WakeLatency - 1)); n != 0 || sleeps != 1 {
+		t.Fatalf("the woken strand was dispatched before its WakeLatency (%d events, %d steps)", n, sleeps)
+	}
+	sim.Run(0)
+	if sleeps != 2 || sleeper.State() != Blocked {
+		t.Fatalf("%d steps, state %v", sleeps, sleeper.State())
 	}
 }
 
