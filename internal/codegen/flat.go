@@ -36,8 +36,8 @@ import (
 //
 // Statistics: the caller counts each frame once in its raised total before
 // the plan runs it, so an executor writes only a frame's firings beyond one
-// (Env.FiredExcess) — one add per raise or batch when there are any, none
-// for the bypass and every raise that fires exactly one handler.
+// (Env.FiredExcess) — one add per raise when there are any, none for the
+// bypass and every raise that fires exactly one handler.
 
 // flatPred ops beyond the inlinable PredOp leaves: an arbitrary predicate
 // subtree evaluated through Pred.Eval, and an out-of-line guard function.
@@ -490,13 +490,12 @@ func (p *Plan) runStep(at int, hit bool, args []any, ws *walkState, out *Outcome
 	return false
 }
 
-// addExcess adds the firings of frames beyond one each to the event's fired
-// excess, if the caller keeps one and there are any (Env.FiredExcess): at
-// most one add per raise (or batch), and none for a raise that fires
-// exactly one handler.
-func (env *Env) addExcess(idx int, fired, frames int64) {
-	if fired != frames && env.FiredExcess != nil {
-		env.FiredExcess.AddAt(idx, fired-frames)
+// addExcess adds a raise's firings beyond one to the event's fired excess,
+// if the caller keeps one and there are any (Env.FiredExcess): at most one
+// add per raise, and none for a raise that fires exactly one handler.
+func (env *Env) addExcess(idx int, fired int64) {
+	if fired != 1 && env.FiredExcess != nil {
+		env.FiredExcess.AddAt(idx, fired-1)
 	}
 }
 

@@ -30,9 +30,8 @@ func guardedBindings(n int, count *int) []*Binding {
 // direct entry, a plain stencil instantiation or an observed one — each
 // plan shape runs, and whether the plan carries a guard index for it.
 // Plan.Disassemble prints the same name. Every plan but the direct one has
-// a plain stencil, async and ephemeral steps included; a batch row also
-// runs two frames through ExecuteBatch's fast loop, which must fire what
-// two single raises fire.
+// a plain stencil, async and ephemeral steps included; only the
+// unprotected direct one is Batchable.
 func TestSpecializeEligibility(t *testing.T) {
 	n := 0
 	h := func() *Binding { return &Binding{Fn: countingHandler(&n, nil)} }
@@ -59,7 +58,6 @@ func TestSpecializeEligibility(t *testing.T) {
 		resultFn  ResultFn
 		opts      Options
 		metered   bool
-		batch     bool
 		want      string
 		runs      int // indexed runs the plan carries
 	}{
@@ -85,14 +83,10 @@ func TestSpecializeEligibility(t *testing.T) {
 			metered: true, want: "stencil[void,observed]"},
 		{shape: "async", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
 			want: "stencil[fold,guarded]"},
-		{shape: "async, batch", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
-			batch: true, want: "stencil[fold,guarded]"},
 		{shape: "async, metered", arity: 1, hasResult: true, bindings: guardedN(2, func(b *Binding) { b.Async = true }),
 			metered: true, want: "stencil[fold,observed]"},
 		{shape: "ephemeral, fault policy on", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),
 			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]"},
-		{shape: "ephemeral, fault policy on, batch", arity: 1, bindings: guardedN(2, func(b *Binding) { b.Ephemeral = true }),
-			opts: Options{Protect: &recHook{}}, batch: true, want: "stencil[void,guarded,barrier]"},
 		{shape: "fault policy on", arity: 1, bindings: guardedN(2, nil),
 			opts: Options{Protect: &recHook{}}, want: "stencil[void,guarded,barrier]"},
 		{shape: "fault policy on, metered", arity: 1, bindings: guardedN(2, nil),
@@ -106,15 +100,6 @@ func TestSpecializeEligibility(t *testing.T) {
 			metered: true, want: "stencil[fold,observed]"},
 	} {
 		p := Compile(nil, 0, info(tc.arity, tc.hasResult), tc.bindings, tc.resultFn, nil, fakeSupervisors(tc.opts, nil, new(int)))
-		if tc.batch {
-			frame := []any{uint64(1)}
-			single := p.Execute(&Env{}, frame, 0)
-			out, m := p.ExecuteBatch(&Env{}, append(frame, frame...), 1, 2, 0, nil)
-			if m != 2 || out.Fired != 2*int64(single.Fired) || single.Fired != len(tc.bindings) {
-				t.Errorf("%s: batch of 2 ran %d frames firing %d, single raise fired %d of %d",
-					tc.shape, m, out.Fired, single.Fired, len(tc.bindings))
-			}
-		}
 		if got := p.Executor(tc.metered); got != tc.want {
 			t.Errorf("%s: executor %s, want %s", tc.shape, got, tc.want)
 		}
@@ -126,6 +111,9 @@ func TestSpecializeEligibility(t *testing.T) {
 		}
 		if (p.Direct() != nil) != (tc.want == "direct") {
 			t.Errorf("%s: Direct()=%v with executor %s", tc.shape, p.Direct() != nil, tc.want)
+		}
+		if want := tc.want == "direct" && tc.opts.Protect == nil; p.Batchable() != want {
+			t.Errorf("%s: Batchable()=%v, want %v", tc.shape, p.Batchable(), want)
 		}
 	}
 	if gb := Compile(nil, 0, info(1, false), guardedN(1, nil), nil, nil, Options{}); !gb.GuardedBypass() {
@@ -407,8 +395,8 @@ func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
 // TestBarrierNestedAndSupersededFrames: a handler that raises the same
 // event again runs the inner frame behind its own barrier, and a handler
 // that supersedes the running plan (it uninstalled itself) and then panics
-// is still captured against the plan the frame loaded; a batch notices the
-// new plan before the next frame.
+// is still captured against the plan the frame loaded, and the frame runs
+// to its end on that plan.
 func TestBarrierNestedAndSupersededFrames(t *testing.T) {
 	for _, metered := range []bool{false, true} {
 		hook := &recHook{}
@@ -443,10 +431,39 @@ func TestBarrierNestedAndSupersededFrames(t *testing.T) {
 		}}
 		first := Compile(nil, 0, info(1, false), []*Binding{quitter, survivor}, nil, nil, opts)
 		live.Store(first)
-		out, done := first.ExecuteBatch(env, []any{uint64(1), uint64(1)}, 1, 2, 0, &live)
-		if done != 1 || out.Fired != 2 || ran != 1 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 0}}) {
-			t.Errorf("metered=%v: superseded frame: done %d, %+v, survivor ran %d, hook %+v",
-				metered, done, out, ran, hook.calls)
+		out := first.Execute(env, []any{uint64(1)}, 0)
+		if live.Load() == first || out.Fired != 2 || ran != 1 || !reflect.DeepEqual(hook.calls, []faultCall{{tag: 0}}) {
+			t.Errorf("metered=%v: superseded frame: %+v, survivor ran %d, hook %+v",
+				metered, out, ran, hook.calls)
 		}
+	}
+}
+
+// TestExecuteBatchStopsAtSupersededPlan: the bypass frame loop stops before
+// the first frame that would run on a stale plan; the frame that superseded
+// the plan runs to its end, and its result is the batch's.
+func TestExecuteBatchStopsAtSupersededPlan(t *testing.T) {
+	var live atomic.Pointer[Plan]
+	var seen []any
+	next := Compile(nil, 0, info(2, true), []*Binding{{Fn: countingHandler(new(int), nil)}}, nil, nil, Options{})
+	p := Compile(nil, 0, info(2, true), []*Binding{{Fn: func(_ any, args []any) any {
+		seen = append(seen, args[0])
+		if args[0] == uint64(2) {
+			live.Store(next)
+		}
+		return args[1]
+	}}}, nil, nil, Options{})
+	if !p.Batchable() {
+		t.Fatalf("a lone unguarded binding is not Batchable: executor %s", p.Executor(false))
+	}
+	flat := []any{uint64(0), "a", uint64(1), "b", uint64(2), "c", uint64(3), "d"}
+	live.Store(p)
+	res, done := p.ExecuteBatch(flat, 2, 4, &live)
+	if done != 3 || res != "c" || !reflect.DeepEqual(seen, []any{uint64(0), uint64(1), uint64(2)}) {
+		t.Errorf("superseded at frame 2: done %d, result %v, frames run %v", done, res, seen)
+	}
+	seen = nil
+	if res, done = p.ExecuteBatch(flat, 2, 4, nil); done != 4 || res != "d" || len(seen) != 4 {
+		t.Errorf("no live cell: done %d, result %v, frames run %v", done, res, seen)
 	}
 }

@@ -7,112 +7,40 @@ import (
 	"spin/internal/vtime"
 )
 
-// Batched executor entry point — the vectorized ingress tier. A loop of N
-// single raises pays the per-raise fixed costs N times: the plan load, the
-// stripe shard hash, the executor selection, the statistics adds.
-// ExecuteBatch's two fast loops pay them once per batch and run each frame
-// through the same body a single raise runs. The frames arrive flat,
-// row-major in one slice, so a batch needs no per-frame header. Only callers
-// that measure a gain use it (benchmark/raise.go's batch64,
-// TestBenchSmokeBatch): the netstack and httpd raise per frame.
-//
-// Loop equivalence under churn: a loop of single raises loads the plan per
-// raise, so an uninstall (or quarantine, or trace toggle) between frames is
-// visible to the next frame. Every frame loop below compares the live plan
-// pointer against its own before each frame but the first and returns
-// early when it moved; the dispatcher continues the rest on the new plan.
+// The one batch loop: a train of frames through the single-binding bypass,
+// the frame loop wrapped directly around the handler call. A loop of N
+// single raises pays the plan load, the stripe hash and the statistics add
+// N times; this loop pays them once per train. It is the only batch path
+// with traffic (benchmark/raise.go's batch64, TestBenchSmokeBatch); every
+// other batch is the dispatcher's loop of single raises.
 
-// BatchOutcome folds per-frame Outcomes over one executor call.
-type BatchOutcome struct {
-	// Fired counts handler invocations across all frames, excluding
-	// default-handler firings.
-	Fired int64
-	// Defaulted counts frames handled by the default handler.
-	Defaulted int
-	// NoHandler counts frames on which no handler fired and no default was
-	// installed (the frames a loop of raises would report ErrNoHandler).
-	NoHandler int
-	// Ambiguous counts frames that produced multiple unmerged results.
-	Ambiguous int
-	// Result is the last dispatched frame's merged result.
-	Result any
+// Batchable reports whether ExecuteBatch runs the plan: an unprotected,
+// untraced direct bypass.
+func (p *Plan) Batchable() bool {
+	return p.direct != nil && p.protect == nil && p.prog == nil
 }
 
-// Add folds one frame's outcome into the batch outcome.
-func (b *BatchOutcome) Add(o Outcome) {
-	b.Fired += int64(o.Fired)
-	switch {
-	case o.UsedDefault:
-		b.Defaulted++
-	case o.Fired == 0:
-		b.NoHandler++
-	}
-	if o.Ambiguous {
-		b.Ambiguous++
-	}
-	b.Result = o.Result
-}
-
-// ExecuteBatch dispatches n frames against this plan, laid out row-major in
+// ExecuteBatch runs n frames of a Batchable plan, laid out row-major in
 // flat: frame i is flat[i*width : (i+1)*width], width being the event's
-// arity. live, when non-nil, is the event's published-plan cell: the batch
-// stops before the first frame that would run on a stale plan. Returns the
-// folded outcome and the number of frames processed — fewer than n only
-// when the plan was superseded mid-batch, and at least one of a non-empty
-// batch. stripeIdx is the caller's hoisted stripe shard index for the
-// batch's excess add (Env.FiredExcess): the caller counts the n frames, and
-// takes back those past the m processed. A filter rewrites its frame in
-// flat in place, and an async or ephemeral step may read it after the call
-// returns, as with Execute's args: a caller whose raiser keeps flat passes
-// a copy, never reused, when HasFilter or RetainsArgs reports true.
-//
-// An unmetered batch of an untraced plan runs one of the two fast loops:
-// the direct bypass's (executeDirectBatch) or the plain stencil's. Every
-// other batch is a loop of single raises (Execute), so its charges,
-// sampling draws and spans are a loop's by construction.
-func (p *Plan) ExecuteBatch(env *Env, flat []any, width, n, stripeIdx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
-	if env.CPU == nil && p.prog == nil {
-		switch {
-		case p.direct == nil:
-			return p.executeFrameBatch(env, flat, width, n, stripeIdx, live)
-		case p.protect == nil:
-			return p.executeDirectBatch(flat, width, n, live)
-		}
-	}
-	var out BatchOutcome
-	for i := 0; i < n; i++ {
-		if i > 0 && live != nil && live.Load() != p {
-			return out, i
-		}
-		out.Add(p.Execute(env, frameAt(flat, width, i), stripeIdx))
-	}
-	return out, n
-}
-
-// frameAt is frame i of a row-major batch, capped so that a handler
-// appending to its arguments cannot reach frame i+1.
-func frameAt(flat []any, width, i int) []any {
-	at := i * width
-	return flat[at : at+width : at+width]
-}
-
-// executeFrameBatch is the plain stencil's fast loop: the frame loop around
-// Plan.frame, with one excess add at the end, of total − m for m frames.
-func (p *Plan) executeFrameBatch(env *Env, flat []any, width, n, idx int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
-	var out BatchOutcome
-	var total int64
-	done := n
-	for i := 0; i < n; i++ {
-		if i > 0 && live != nil && live.Load() != p {
-			done = i
+// arity. live, when non-nil, is the event's published-plan cell: the loop
+// stops before the first frame that would run on a stale plan, so an
+// uninstall between frames is visible to the next frame as it is to the
+// next raise of a loop. Returns the last frame's result and the number of
+// frames run — fewer than n only when the plan was superseded mid-batch,
+// and at least one of a non-empty batch. Each frame fires exactly one
+// handler, so the loop adds no fired excess.
+func (p *Plan) ExecuteBatch(flat []any, width, n int, live *atomic.Pointer[Plan]) (result any, done int) {
+	b, inline := p.direct.b, p.direct.inline
+	for ; done < n; done++ {
+		if done > 0 && live != nil && live.Load() != p {
 			break
 		}
-		o, fired := p.frame(p, frameAt(flat, width, i), nil)
-		total += fired
-		out.Add(o)
+		// Capped, so a handler appending to its arguments cannot reach the
+		// next frame.
+		at := done * width
+		result = runBody(b, inline, flat[at:at+width:at+width])
 	}
-	env.addExcess(idx, total, int64(done))
-	return out, done
+	return result, done
 }
 
 // executeDirect is the single-binding bypass's observed and protected entry:
@@ -136,22 +64,4 @@ func (p *Plan) executeDirect(env *Env, args []any, rec *recorder) Outcome {
 		rec.end(out)
 	}
 	return out
-}
-
-// executeDirectBatch is the batch tier of the single-binding bypass: the
-// frame loop wrapped directly around the handler call. Each frame fires one
-// handler, so it adds no excess.
-func (p *Plan) executeDirectBatch(flat []any, width, n int, live *atomic.Pointer[Plan]) (BatchOutcome, int) {
-	b, inline := p.direct.b, p.direct.inline
-	var out BatchOutcome
-	done := n
-	for i := 0; i < n; i++ {
-		if i > 0 && live != nil && live.Load() != p {
-			done = i
-			break
-		}
-		out.Result = runBody(b, inline, frameAt(flat, width, i))
-	}
-	out.Fired = int64(done)
-	return out, done
 }

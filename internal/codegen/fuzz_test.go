@@ -729,8 +729,33 @@ func FuzzTreeDispatch(f *testing.F) {
 	})
 }
 
-// FuzzBatchDispatch checks the batched executor tier against the same
-// reference the single-raise fuzzers use: for a random binding list and a
+// frameTotals folds per-frame Outcomes the way the dispatcher's batch
+// outcome does.
+type frameTotals struct {
+	Fired     int64
+	Defaulted int
+	NoHandler int
+	Ambiguous int
+	Result    any // the last frame's
+}
+
+func (b *frameTotals) add(o Outcome) {
+	b.Fired += int64(o.Fired)
+	switch {
+	case o.UsedDefault:
+		b.Defaulted++
+	case o.Fired == 0:
+		b.NoHandler++
+	}
+	if o.Ambiguous {
+		b.Ambiguous++
+	}
+	b.Result = o.Result
+}
+
+// FuzzBatchDispatch checks a batch, run as the dispatcher runs it (the
+// bypass frame loop, else a loop of Execute), against the same reference
+// the single-raise fuzzers use: for a random binding list and a
 // random frame stream, dispatching the stream as one unsplit batch, as a
 // sequence of randomly split sub-batches, and as a loop of single Execute
 // calls must fire the handler sequence the naive model fires, fold the same
@@ -785,6 +810,13 @@ func FuzzBatchDispatch(f *testing.F) {
 	}
 	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{3, 2, 1, 1, 3, 9, 1, 5, 0, 2, 0})
+	// Bypass plans, which a batch runs through ExecuteBatch: a lone
+	// unguarded binding; one that uninstalls itself at its first firing,
+	// which stops the frame loop; and two whose first uninstalls itself,
+	// which leaves a bypass the rest of the stream batches on.
+	for _, header := range [][]byte{{2, 0, 0, 0, 1, 0}, {1, 0, 1, 0, 1, 1}, {1, 1, 1, 0, 1, 1}} {
+		f.Add(seedJoin(header, []byte{0}, []byte{kindUnguarded, kindUnguarded}[:header[1]+1], frames))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		arity := int(r.byte() % 9) // 0..8: the pooled widths 0..5 and wider frames
@@ -915,21 +947,26 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 		}
 
-		// runBatch dispatches frames [lo, hi) through ExecuteBatch, following
-		// the continuation contract: a call that stops early because the
-		// plan was superseded is resumed on the plan now published.
-		runBatch := func(env *Env, lo, hi int) BatchOutcome {
-			var out BatchOutcome
+		// runBatch dispatches frames [lo, hi) as the dispatcher's batch
+		// does: a Batchable plan, unmetered, through ExecuteBatch, resumed on
+		// the plan now published when a call stops early because its plan
+		// was superseded; any other plan one frame at a time through
+		// Execute.
+		runBatch := func(env *Env, lo, hi int) frameTotals {
+			var out frameTotals
 			for lo < hi {
-				o, m := live.Load().ExecuteBatch(env, flat[lo*arity:hi*arity], arity, hi-lo, 0, &live)
+				p := live.Load()
+				if env.CPU != nil || !p.Batchable() {
+					out.add(p.Execute(env, flat[lo*arity:(lo+1)*arity:(lo+1)*arity], 0))
+					lo++
+					continue
+				}
+				res, m := p.ExecuteBatch(flat[lo*arity:hi*arity], arity, hi-lo, &live)
 				if m <= 0 {
 					t.Fatalf("ExecuteBatch made no progress on %d frames", hi-lo)
 				}
-				out.Fired += o.Fired
-				out.Defaulted += o.Defaulted
-				out.NoHandler += o.NoHandler
-				out.Ambiguous += o.Ambiguous
-				out.Result = o.Result
+				out.Fired += int64(m)
+				out.Result = res
 				lo += m
 			}
 			return out
@@ -937,7 +974,7 @@ func FuzzBatchDispatch(f *testing.F) {
 
 		// run resets the population to fully installed and the frames to
 		// fresh copies, and measures one way of dispatching the stream.
-		run := func(dispatch func(env *Env) BatchOutcome) (BatchOutcome, []int, int64) {
+		run := func(dispatch func(env *Env) frameTotals) (frameTotals, []int, int64) {
 			from := len(bindings)
 			if uninstall >= 0 {
 				from, uninstall = uninstall, -1
@@ -962,9 +999,9 @@ func FuzzBatchDispatch(f *testing.F) {
 		// checkFaults compares what the hook and the result handler saw with
 		// the model and with the first configuration's loop of raises — the
 		// stencil, which every later executor must match.
-		var refOut *BatchOutcome
+		var refOut *frameTotals
 		var refFolds []int
-		checkFaults := func(label string, out BatchOutcome) {
+		checkFaults := func(label string, out frameTotals) {
 			if hook != nil && !reflect.DeepEqual(hook.calls, wantFaults) {
 				t.Fatalf("opts %+v %s: hook calls %+v, model %+v", opts, label, hook.calls, wantFaults)
 			}
@@ -987,11 +1024,11 @@ func FuzzBatchDispatch(f *testing.F) {
 			{Metered: true},
 		} {
 			// Reference: a loop of single raises, each loading the published
-			// plan afresh, folded the way the batch tier folds.
-			loopOut, loopFired, loopTotal := run(func(env *Env) BatchOutcome {
-				var out BatchOutcome
+			// plan afresh, folded the way the dispatcher's batch folds.
+			loopOut, loopFired, loopTotal := run(func(env *Env) frameTotals {
+				var out frameTotals
 				for _, fr := range frames {
-					out.Add(live.Load().Execute(env, fr, 0))
+					out.add(live.Load().Execute(env, fr, 0))
 				}
 				return out
 			})
@@ -1008,7 +1045,7 @@ func FuzzBatchDispatch(f *testing.F) {
 				t.Fatalf("opts %+v loop: frames + FiredExcess %d, model %d", opts, loopTotal, len(wantFired))
 			}
 
-			check := func(label string, out BatchOutcome, gotFired []int, total int64) {
+			check := func(label string, out frameTotals, gotFired []int, total int64) {
 				if len(gotFired) != len(loopFired) {
 					t.Fatalf("opts %+v %s: fired %v, loop %v", opts, label, gotFired, loopFired)
 				}
@@ -1024,14 +1061,14 @@ func FuzzBatchDispatch(f *testing.F) {
 			}
 
 			// One unsplit batch.
-			out, gotFired, total := run(func(env *Env) BatchOutcome {
+			out, gotFired, total := run(func(env *Env) frameTotals {
 				return runBatch(env, 0, nFrames)
 			})
 			check("unsplit", out, gotFired, total)
 
 			// The same stream as randomly split sub-batches.
-			out, gotFired, total = run(func(env *Env) BatchOutcome {
-				var out BatchOutcome
+			out, gotFired, total = run(func(env *Env) frameTotals {
+				var out frameTotals
 				for s := 0; s+1 < len(splits); s++ {
 					o := runBatch(env, splits[s], splits[s+1])
 					out.Fired += o.Fired

@@ -113,16 +113,15 @@ func (r *obsRig) raise(p *Plan, args ...any) {
 	fmt.Fprintf(r.out, "raise %v: %+v cost=%v\n", args, out, r.clock.Now().Sub(before))
 }
 
-// batch runs one-argument frames as one flat batch.
+// batch runs frames as a metered batch does: a loop of single raises.
 func (r *obsRig) batch(p *Plan, frames ...[]any) {
-	var flat []any
-	for _, f := range frames {
-		flat = append(flat, f...)
-	}
 	before := r.clock.Now()
-	out, done := p.ExecuteBatch(&r.env, flat, 1, len(frames), 0, nil)
-	r.frames += int64(done)
-	fmt.Fprintf(r.out, "batch %v: %+v done=%d cost=%v\n", frames, out, done, r.clock.Now().Sub(before))
+	var out frameTotals
+	for _, f := range frames {
+		out.add(p.Execute(&r.env, f, 0))
+	}
+	r.frames += int64(len(frames))
+	fmt.Fprintf(r.out, "batch %v: %+v done=%d cost=%v\n", frames, out, len(frames), r.clock.Now().Sub(before))
 }
 
 // report writes what the case left behind: the statistics, the call log

@@ -230,16 +230,16 @@ type Plan struct {
 // the plan (Options).
 type Env struct {
 	CPU *vtime.CPU
-	// FiredExcess, if non-nil, receives the firings beyond one per frame:
-	// fires − 1 for a raise (filters and a default-handler firing
-	// included), total − m for a batch of m frames, and nothing when that
-	// is zero, through the caller's hoisted stripe shard index. Every plan
-	// execution is preceded by exactly one add per frame to the caller's
-	// raised total (Event.raiseOut and Event.executeBatch are the only
-	// callers), so raised + excess is the fired total, and a raise that
-	// fires exactly one handler — the direct bypass always — writes nothing
-	// here. A reader that sums the two while raises run may briefly count
-	// one firing high per raise in flight that fires nothing.
+	// FiredExcess, if non-nil, receives a raise's firings beyond one —
+	// fires − 1, filters and a default-handler firing included — and
+	// nothing when that is zero, through the caller's hoisted stripe shard
+	// index. Every plan execution is preceded by exactly one add per frame
+	// to the caller's raised total (Event.raiseOut counts a raise,
+	// Event.executeBatch a bypass batch's frames), so raised + excess is
+	// the fired total, and a raise that fires exactly one handler — the
+	// direct bypass always, and so every frame of Plan.ExecuteBatch —
+	// writes nothing here. A reader that sums the two while raises run may
+	// briefly count one firing high per raise in flight that fires nothing.
 	FiredExcess *stripe.Counter
 }
 
@@ -446,7 +446,7 @@ func (p *Plan) Direct() *Binding {
 
 // HasFilter reports whether the plan has a filter step, which rewrites the
 // argument vector in place: a caller whose raiser keeps the vector passes
-// Execute and ExecuteBatch a copy.
+// Execute a copy.
 func (p *Plan) HasFilter() bool { return p.filters > 0 }
 
 // RetainsArgs reports whether executing the plan may retain the raise
@@ -489,7 +489,7 @@ func (p *Plan) Execute(env *Env, args []any, stripeIdx int) Outcome {
 		return p.executeDirect(env, args, r)
 	case plain:
 		out, fired := p.frame(p, args, nil)
-		env.addExcess(stripeIdx, fired, 1)
+		env.addExcess(stripeIdx, fired)
 		return out
 	}
 	return p.observe(env, args, stripeIdx, r)
@@ -529,7 +529,7 @@ func (p *Plan) observe(env *Env, args []any, idx int, rec *recorder) Outcome {
 	default:
 		out, fired = flatFrame[off, off, off, on](p, args, &ws)
 	}
-	env.addExcess(idx, fired, 1)
+	env.addExcess(idx, fired)
 	if rec := ws.recorder(); rec != nil {
 		rec.end(out)
 	}
@@ -675,10 +675,11 @@ func invoker(b *Binding, args []any) func(context.Context) any {
 }
 
 // Executor names the body an unsampled raise of the plan runs: "direct"
-// (the single-binding bypass and its batch tier), the plain stencil
-// "stencil[R,G]" (every unmetered raise of any other plan, boundary steps
-// included), or the observed one, "stencil[R,observed]" (metered raises,
-// and sampled ones); ",barrier" is appended behind the fault barrier.
+// (the single-binding bypass, also ExecuteBatch's frame loop), the plain
+// stencil "stencil[R,G]" (every unmetered raise of any other plan, boundary
+// steps included), or the observed one, "stencil[R,observed]" (metered
+// raises, and sampled ones); ",barrier" is appended behind the fault
+// barrier.
 func (p *Plan) Executor(metered bool) string {
 	if p.direct != nil {
 		return "direct"

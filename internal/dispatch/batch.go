@@ -9,19 +9,17 @@ import (
 	"spin/internal/stripe"
 )
 
-// Batched raise ingress: the vectorized entry points that pay the
-// per-raise fixed costs once per batch instead of once per frame. There is
-// one batch path: the frames arrive flat, row-major in one slice
-// (RaiseBatch0..RaiseBatch3), the plan's two fast loops run them
-// (codegen.Plan.ExecuteBatch), and every other batch is a loop of single
-// raises (an asynchronous event's, of RaiseAsync). No producer in the tree
-// batches: RX trains and accept backlogs hold one frame in the measured
-// workloads, so the netstack and httpd raise per frame. A batch is
-// observably identical to a loop of single raises — same fire counts and
-// order, same results fold, same counter totals, same admission ledger —
-// including under mid-batch plan churn: the batch executors stop at a plan
-// swap and the loop here reloads and continues, so an uninstall between
-// frames is visible to the next frame exactly as it is to the next
+// Batched raise ingress. The frames arrive flat, row-major in one slice
+// (RaiseBatch1, RaiseBatch2). A batch of an unprotected, untraced bypass
+// plan runs the plan's one frame loop (codegen.Plan.ExecuteBatch), which
+// pays the per-raise fixed costs once per train; every other batch is a
+// loop of single raises (an asynchronous event's, of RaiseAsync). No
+// producer in the tree batches: the netstack and httpd raise per frame. A
+// batch is observably identical to a loop of single raises — same fire
+// counts and order, same results fold, same counter totals, same admission
+// ledger — including under mid-batch plan churn: the frame loop stops at a
+// plan swap and the loop here reloads and continues, so an uninstall
+// between frames is visible to the next frame exactly as it is to the next
 // iteration of a raise loop. See DESIGN.md decision 16.
 
 // BatchOutcome reports how one batch's frames were disposed. Every frame
@@ -52,21 +50,20 @@ type BatchOutcome struct {
 	Result any
 }
 
-// fold accumulates one single-raise outcome (the loop-of-raises path).
+// fold accumulates one single raise's outcome.
 func (o *BatchOutcome) fold(u codegen.Outcome) {
-	var b codegen.BatchOutcome
-	b.Add(u)
-	o.foldBatch(b, 1)
-}
-
-// foldBatch accumulates one executor call's outcome covering n frames.
-func (o *BatchOutcome) foldBatch(b codegen.BatchOutcome, n int) {
-	o.Raised += n
-	o.Fired += b.Fired
-	o.Defaulted += b.Defaulted
-	o.NoHandler += b.NoHandler
-	o.Ambiguous += b.Ambiguous
-	o.Result = b.Result
+	o.Raised++
+	o.Fired += int64(u.Fired)
+	switch {
+	case u.UsedDefault:
+		o.Defaulted++
+	case u.Fired == 0:
+		o.NoHandler++
+	}
+	if u.Ambiguous {
+		o.Ambiguous++
+	}
+	o.Result = u.Result
 }
 
 // Err summarizes the batch under the single-raise error contract, built
@@ -99,36 +96,34 @@ func (e *Event) raiseOne(out *BatchOutcome, plan *codegen.Plan, args []any) {
 	out.fold(u)
 }
 
-// executeBatch makes one batch-executor call and accounts the m frames it
-// processed, returning m. The stripe's cell counts all n frames before the
-// call, as raiseOut counts its raise, so the executor's excess add lands
-// behind it; when the plan was superseded mid-batch it takes back the n − m
-// frames the caller's next iteration re-dispatches, and counts again, on
-// the reloaded plan. Both adds are even, so a raise that owns the cell's
-// frame keeps its busy bit. The count is the journal's raise-sampling draw,
-// as in raiseOut: moving the cell's count from v to v+m wins one sample per
-// multiple of the sampling interval in (v, v+m] — what a loop of m raises
-// would have won — each recorded with this call's mean fired count.
+// executeBatch runs a bypass plan's frame loop over up to n frames and
+// accounts the m it ran, returning m. The stripe's cell counts all n frames
+// before the call, as raiseOut counts its raise; when the plan was
+// superseded mid-batch it takes back the n − m frames the caller's next
+// iteration re-dispatches, and counts again, on the reloaded plan. Both
+// adds are even, so a raise that owns the cell's frame keeps its busy bit.
+// The count is the journal's raise-sampling draw, as in raiseOut: moving
+// the cell's count from v to v+m wins one sample per multiple of the
+// sampling interval in (v, v+m] — what a loop of m raises would have won —
+// each recording the one handler a bypass frame fires.
 func (e *Event) executeBatch(out *BatchOutcome, plan *codegen.Plan, flat []any, width, n, idx int) int {
 	c := &e.cells[idx]
 	raised := c.count(int64(n))
-	b, m := plan.ExecuteBatch(e.env, flat, width, n, idx, &e.plan)
+	result, m := plan.ExecuteBatch(flat, width, n, &e.plan)
 	if m < n {
 		c.count(int64(m - n))
 		raised -= int64(n - m)
 	}
-	out.foldBatch(b, m)
+	out.Raised += m
+	out.Fired += int64(m)
+	out.Result = result
 	if jr := e.d.jrnl; jr != nil {
 		for hits := jr.SampleCountN(uint64(raised), uint64(m)); hits > 0; hits-- {
-			jr.SampleHit(e.name, int(b.Fired/int64(m)))
+			jr.SampleHit(e.name, 1)
 		}
 	}
 	return m
 }
-
-// RaiseBatch0 raises a no-parameter event n times through the batched
-// ingress tier without allocating.
-func (e *Event) RaiseBatch0(n int) BatchOutcome { return e.raiseBatchFlat(nil, 0, n) }
 
 // RaiseBatch1 raises the event once per element of flat (one argument per
 // frame); a steady-state batch performs no heap allocation. Semantics are
@@ -139,23 +134,18 @@ func (e *Event) RaiseBatch1(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 // row-major in flat: frame i is flat[2i], flat[2i+1].
 func (e *Event) RaiseBatch2(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 2, len(flat)/2) }
 
-// RaiseBatch3 raises the event with three arguments per frame, row-major —
-// the widest flat entry point; a wider event's batch is a loop of raises.
-func (e *Event) RaiseBatch3(flat []any) BatchOutcome { return e.raiseBatchFlat(flat, 3, len(flat)/3) }
-
 // raiseBatchFlat is the one batch path: n width-sized frames, row-major in
-// flat. Runs of frames go to the plan's batch executor (executeBatch),
-// reloading and continuing on the new plan whenever it reports it was
-// superseded mid-batch. Every frame is a single raise (raiseOne) on a
-// metered dispatcher (each raise metered and accounted on its own), under
-// purity checking (each raise behind its own monitor barrier), and when
-// width is not the event's arity (each frame rejected). An asynchronous
-// event's batch is a loop of RaiseAsync. flat is borrowed: it is never
-// retained past the call or written, so the caller may reuse it at once —
-// the batch copies flat once where a single raise would copy its frame
-// (copyFrame), and an asynchronous event's, whose raises all outlive the
-// call, always. A ragged tail (len(flat) not n*width) is rejected as one
-// malformed frame.
+// flat. A run of frames on a Batchable plan goes to its frame loop
+// (executeBatch), reloading and continuing on the new plan whenever the
+// loop reports it was superseded mid-batch. Every other frame is a single
+// raise (raiseOne): on any other plan, on a metered dispatcher, under
+// purity checking, and when width is not the event's arity (each frame
+// rejected). An asynchronous event's batch is a loop of RaiseAsync. flat
+// is borrowed: it is never retained past the call or written, so the
+// caller may reuse it at once — the batch copies flat once where a single
+// raise would copy its frame (copyFrame), and an asynchronous event's,
+// whose raises all outlive the call, always. A ragged tail (len(flat) not
+// n*width) is rejected as one malformed frame.
 func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 	var out BatchOutcome
 	if len(flat) != n*width {
@@ -186,7 +176,7 @@ func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 		if !owned && copyFrame(plan, false) {
 			flat, owned = append([]any(nil), flat[:n*width]...), true
 		}
-		if !single {
+		if !single && plan.Batchable() {
 			done += e.executeBatch(&out, plan, flat[done*width:], width, n-done, idx)
 			continue
 		}

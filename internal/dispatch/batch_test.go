@@ -24,8 +24,8 @@ import (
 // spans, same fault and admission ledgers — including plan churn in the
 // middle of a batch.
 
-// batchConfigs sweeps the executor tiers and guard shapes a batch can
-// take: the plain stencil's fast loop over inline and call guards
+// batchConfigs sweeps the executors and guard shapes a batch's loop of
+// raises can take: the plain stencil over inline and call guards
 // ("default"), the same with a run of equality guards the guard index
 // serves ("tree"), with every guard an out-of-line call ("outofline"), and
 // "interp": a metered dispatcher, whose batches are loops of single raises
@@ -85,8 +85,7 @@ func (c batchConfig) installRun(t *testing.T, e *Event, id int, log *[]int) {
 }
 
 // batchSizes are the batch lengths the differential tests sweep; 1 and 2
-// cover the degenerate ends, 8, 64 and 1000 the fast loops at train
-// lengths.
+// cover the degenerate ends, 8, 64 and 1000 train lengths.
 var batchSizes = []int{1, 2, 8, 64, 1000}
 
 // installBatchPopulation installs a deterministic mixed handler
@@ -402,75 +401,100 @@ func TestRaiseBatchResultFoldDefaultAndErrors(t *testing.T) {
 	}
 }
 
-// TestRaiseBatchAritySpecialized checks the remaining specialized entry
-// points (RaiseBatch0 and the multi-word flat layouts) against their loop
-// twins.
+// TestRaiseBatchAritySpecialized checks the flat entry points, RaiseBatch1
+// and RaiseBatch2's row-major layout, against their loop twins, on a bypass
+// plan (the frame loop) and a guarded one (a loop of raises).
 func TestRaiseBatchAritySpecialized(t *testing.T) {
-	// Arity 0 through RaiseBatch0 (no frames materialize at all).
-	db, dl := New(), New()
-	eb := mustDefine(t, db, "Batch.Z", rtti.Sig(nil))
-	el := mustDefine(t, dl, "Batch.Z", rtti.Sig(nil))
-	cb, cl := 0, 0
-	if _, err := eb.Install(handler(voidProc("H"), func(any, []any) any { cb++; return nil })); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := el.Install(handler(voidProc("H"), func(any, []any) any { cl++; return nil })); err != nil {
-		t.Fatal(err)
-	}
-	const n = 100
-	out := eb.RaiseBatch0(n)
-	for i := 0; i < n; i++ {
-		if _, err := el.Raise0(); err != nil {
-			t.Fatal(err)
+	for _, guarded := range []bool{false, true} {
+		var opts []InstallOption
+		if guarded {
+			opts = append(opts, WithGuard(Guard{Pred: codegen.ArgEq(0, 1)}))
 		}
-	}
-	if cb != cl || out.Raised != n || out.Fired != int64(cl) {
-		t.Fatalf("RaiseBatch0: batch fired %d (outcome %+v), loop fired %d", cb, out, cl)
-	}
 
-	// Arity 3 through the row-major flat layout.
-	db3, dl3 := New(), New()
-	sig := rtti.Sig(nil, rtti.Word, rtti.Word, rtti.Word)
-	eb3 := mustDefine(t, db3, "Batch.W3", sig)
-	el3 := mustDefine(t, dl3, "Batch.W3", sig)
-	var sumB, sumL uint64
-	mk := func(sum *uint64) Handler {
-		return handler(voidProc("H", rtti.Word, rtti.Word, rtti.Word),
-			func(clo any, args []any) any {
-				*sum += args[0].(uint64) + 2*args[1].(uint64) + 3*args[2].(uint64)
+		// Arity 1 through RaiseBatch1.
+		db, dl := New(), New()
+		eb := mustDefine(t, db, "Batch.W1", rtti.Sig(nil, rtti.Word))
+		el := mustDefine(t, dl, "Batch.W1", rtti.Sig(nil, rtti.Word))
+		var sum1B, sum1L uint64
+		mk1 := func(sum *uint64) Handler {
+			return handler(voidProc("H", rtti.Word), func(clo any, args []any) any {
+				*sum += args[0].(uint64)
 				return nil
 			})
-	}
-	if _, err := eb3.Install(mk(&sumB), WithGuard(Guard{Pred: codegen.ArgEq(2, 1)})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := el3.Install(mk(&sumL), WithGuard(Guard{Pred: codegen.ArgEq(2, 1)})); err != nil {
-		t.Fatal(err)
-	}
-	flat := make([]any, 0, 3*64)
-	for i := 0; i < 64; i++ {
-		flat = append(flat, uint64(i), uint64(i+1), uint64(i%2))
-	}
-	out = eb3.RaiseBatch3(flat)
-	misses := 0
-	for i := 0; i < 64; i++ {
-		if _, err := el3.Raise3(flat[3*i], flat[3*i+1], flat[3*i+2]); err != nil {
-			if !errors.Is(err, ErrNoHandler) {
-				t.Fatal(err)
-			}
-			misses++ // guard fails on every other row; no default installed
 		}
-	}
-	if sumB != sumL || out.Raised != 64 || out.NoHandler != misses {
-		t.Fatalf("RaiseBatch3: batch sum %d, loop sum %d (misses %d), outcome %+v",
-			sumB, sumL, misses, out)
-	}
+		if _, err := eb.Install(mk1(&sum1B), opts...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := el.Install(mk1(&sum1L), opts...); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Plan().Batchable() == guarded {
+			t.Fatalf("guarded=%v: Batchable()=%v", guarded, eb.Plan().Batchable())
+		}
+		flat1 := make([]any, 100)
+		for i := range flat1 {
+			flat1[i] = uint64(i % 2)
+		}
+		out := eb.RaiseBatch1(flat1)
+		misses := 0
+		for _, a := range flat1 {
+			if _, err := el.Raise1(a); err != nil {
+				if !errors.Is(err, ErrNoHandler) {
+					t.Fatal(err)
+				}
+				misses++
+			}
+		}
+		if sum1B != sum1L || out.Raised != len(flat1) || out.NoHandler != misses ||
+			out.Fired != el.Stats().Fired || eb.Stats() != el.Stats() {
+			t.Fatalf("guarded=%v RaiseBatch1: batch sum %d, loop sum %d (misses %d), outcome %+v, stats %+v and %+v",
+				guarded, sum1B, sum1L, misses, out, eb.Stats(), el.Stats())
+		}
 
-	// A ragged tail is rejected as one malformed frame; the full rows
-	// still dispatch.
-	out = eb3.RaiseBatch3(flat[:3*4+1])
-	if out.Raised != 4 || out.Rejected != 1 {
-		t.Fatalf("ragged tail: %+v, want Raised=4 Rejected=1", out)
+		// Arity 2 through the row-major flat layout.
+		db2, dl2 := New(), New()
+		sig := rtti.Sig(nil, rtti.Word, rtti.Word)
+		eb2 := mustDefine(t, db2, "Batch.W2", sig)
+		el2 := mustDefine(t, dl2, "Batch.W2", sig)
+		var sumB, sumL uint64
+		mk := func(sum *uint64) Handler {
+			return handler(voidProc("H", rtti.Word, rtti.Word),
+				func(clo any, args []any) any {
+					*sum += args[0].(uint64) + 2*args[1].(uint64)
+					return nil
+				})
+		}
+		if _, err := eb2.Install(mk(&sumB), opts...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := el2.Install(mk(&sumL), opts...); err != nil {
+			t.Fatal(err)
+		}
+		flat := make([]any, 0, 2*64)
+		for i := 0; i < 64; i++ {
+			flat = append(flat, uint64(i%2), uint64(i))
+		}
+		out = eb2.RaiseBatch2(flat)
+		misses = 0
+		for i := 0; i < 64; i++ {
+			if _, err := el2.Raise2(flat[2*i], flat[2*i+1]); err != nil {
+				if !errors.Is(err, ErrNoHandler) {
+					t.Fatal(err)
+				}
+				misses++ // guard fails on every other row; no default installed
+			}
+		}
+		if sumB != sumL || out.Raised != 64 || out.NoHandler != misses || eb2.Stats() != el2.Stats() {
+			t.Fatalf("guarded=%v RaiseBatch2: batch sum %d, loop sum %d (misses %d), outcome %+v",
+				guarded, sumB, sumL, misses, out)
+		}
+
+		// A ragged tail is rejected as one malformed frame; the full rows
+		// still dispatch.
+		out = eb2.RaiseBatch2(flat[:2*4+1])
+		if out.Raised != 4 || out.Rejected != 1 {
+			t.Fatalf("guarded=%v ragged tail: %+v, want Raised=4 Rejected=1", guarded, out)
+		}
 	}
 }
 
@@ -548,7 +572,7 @@ func TestRaiseBatchMidBatchUninstall(t *testing.T) {
 // TestRaiseBatchFaultLedgerParity runs a batch over a dispatcher with an
 // enforcing fault policy: a handler that panics on one argument value
 // marches through its fault budget and is quarantined in the middle of
-// the batch (a plan swap the batch executors must observe). The fired
+// the batch (a plan swap the next frame must observe). The fired
 // sequence, ledger record counts, and terminal quarantine state must
 // match the loop form exactly.
 func TestRaiseBatchFaultLedgerParity(t *testing.T) {
@@ -759,8 +783,9 @@ func TestAsyncRaiseBatchIsRaiseAsyncLoop(t *testing.T) {
 // TestRaiseBatchZeroAlloc asserts the one batch path performs zero heap
 // allocations per frame at batch >= 8 under the three standing CI
 // invariants — tracing off, fault policy on, and admission enabled with no
-// policy on the event — and on its loops of single raises: a metered
-// dispatcher and a traced plan whose draws miss. The flat argument vector
+// policy on the event — on a metered dispatcher and a traced plan whose
+// draws miss, all loops of single raises, and on the bypass frame loop.
+// The flat argument vector
 // is built once outside the measured region, as a steady-state producer
 // would hold it.
 func TestRaiseBatchZeroAlloc(t *testing.T) {
@@ -783,6 +808,16 @@ func TestRaiseBatchZeroAlloc(t *testing.T) {
 			return New(WithTracer(trace.New(trace.Config{Capacity: 64, Sample: 1 << 30})))
 		}},
 	}
+	measure := func(t *testing.T, e *Event) {
+		if allocs := testing.AllocsPerRun(200, func() {
+			out := e.RaiseBatch1(flat)
+			if out.Raised != n {
+				t.Fatalf("outcome %+v", out)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %v allocs per %d-frame batch, want 0", t.Name(), allocs, n)
+		}
+	}
 	var cell atomic.Uint64
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -794,14 +829,19 @@ func TestRaiseBatchZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if allocs := testing.AllocsPerRun(200, func() {
-				out := e.RaiseBatch1(flat)
-				if out.Raised != n {
-					t.Fatalf("outcome %+v", out)
-				}
-			}); allocs != 0 {
-				t.Errorf("%s: %v allocs per %d-frame batch, want 0", tc.name, allocs, n)
-			}
+			measure(t, e)
 		})
 	}
+	// The bypass frame loop (Plan.ExecuteBatch), the one batch path of its
+	// own.
+	t.Run("bypass", func(t *testing.T) {
+		e := mustDefine(t, New(), "Batch.ZA", fastSig(1))
+		if _, err := e.Install(fastHandler(1)); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Plan().Batchable() {
+			t.Fatalf("executor %s is not the bypass frame loop", e.Plan().Executor(false))
+		}
+		measure(t, e)
+	})
 }

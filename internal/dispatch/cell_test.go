@@ -178,31 +178,30 @@ func TestReentrantRaiseTakesFallback(t *testing.T) {
 	}
 }
 
-// TestBatchTakeBackKeepsBusyBit: a batch counts its frames on a cell whose
-// frame another raise owns, and a plan swap mid-batch makes it take back
-// the frames it did not run. Neither add may touch the owner's busy bit,
-// and the count comes out exact.
+// TestBatchTakeBackKeepsBusyBit: a bypass batch counts its frames on a
+// cell whose frame another raise owns, and its handler uninstalling itself
+// at frame 40 makes the frame loop stop and the batch take back the frames
+// it did not run. Neither add may touch the owner's busy bit, and the
+// count comes out exact: the frames past 40 raise on the empty plan.
 func TestBatchTakeBackKeepsBusyBit(t *testing.T) {
 	d := New()
 	e := mustDefine(t, d, "Cell.Batch", rtti.Sig(nil, rtti.Word))
 	var fired int64
-	var victim *Binding
-	if _, err := e.Install(handler(voidProc("Saboteur", rtti.Word), func(_ any, args []any) any {
+	var self *Binding
+	self, err := e.Install(handler(voidProc("Quitter", rtti.Word), func(_ any, args []any) any {
 		fired++
-		if args[0] == uint64(7) && victim != nil {
-			if err := e.Uninstall(victim); err != nil {
+		if args[0] == uint64(7) {
+			if err := e.Uninstall(self); err != nil {
 				t.Error(err)
 			}
-			victim = nil
 		}
 		return nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	victim, err = e.Install(handler(voidProc("Victim", rtti.Word), func(any, []any) any { fired++; return nil }))
+	}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !e.Plan().Batchable() {
+		t.Fatalf("executor %s: the one-handler event is not a bypass", e.Plan().Executor(false))
 	}
 	flat := make([]any, 64)
 	for i := range flat {
@@ -218,8 +217,8 @@ func TestBatchTakeBackKeepsBusyBit(t *testing.T) {
 		t.Fatalf("%d of %d held cells still busy after the batch", n, len(e.cells))
 	}
 	unhold(held)
-	if out.Raised != len(flat) || out.Fired != fired {
-		t.Fatalf("outcome %+v, want Raised=%d Fired=%d", out, len(flat), fired)
+	if fired != 41 || out.Raised != len(flat) || out.Fired != fired || out.NoHandler != len(flat)-41 {
+		t.Fatalf("outcome %+v with %d firings, want Raised=%d Fired=41 NoHandler=%d", out, fired, len(flat), len(flat)-41)
 	}
 	if st := e.Stats(); st.Raised != int64(len(flat)) || st.Fired != fired {
 		t.Fatalf("stats = %+v, want Raised=%d Fired=%d", st, len(flat), fired)
@@ -346,5 +345,46 @@ func TestNestedRaiseZeroAlloc(t *testing.T) {
 	}
 	if udp.Load() == 0 {
 		t.Fatal("the innermost handler never ran")
+	}
+}
+
+// TestBusyCellRaiseZeroAlloc: a Raise2 that cannot own a frame cell — every
+// cell held, as raises in flight on every stripe would hold them, or under
+// purity checking, or both — raises on a pooled frame (argPool) and
+// allocates nothing.
+func TestBusyCellRaiseZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		hold, purity bool
+	}{
+		{"cellsHeld", true, false},
+		{"purityChecking", false, true},
+		{"cellsHeldPurityChecking", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts []Option
+			if tc.purity {
+				opts = append(opts, WithPurityChecking())
+			}
+			d := New(opts...)
+			var e *Event
+			owned := false
+			h := fastHandler(2)
+			h.Fn = func(_ any, args []any) any { owned = owned || ownsCell(e, args); return nil }
+			e = mustDefine(t, d, "Cell.Busy", fastSig(2), WithIntrinsic(h))
+			if tc.hold {
+				defer unhold(holdIdle(e))
+			}
+			if n := testing.AllocsPerRun(1000, func() {
+				if _, err := e.Raise2(uint64(1), uint64(2)); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("Raise2 on a pooled frame allocates %v/op, want 0", n)
+			}
+			if owned {
+				t.Fatal("a raise owned a cell; the pooled frame went untested")
+			}
+		})
 	}
 }

@@ -592,7 +592,7 @@ func TestStatsCountEveryExecutor(t *testing.T) {
 		raise(e, tc.batch, uint64(1), uint64(2), uint64(1))
 		check(tc.name, e, got, want)
 	}
-	// The direct bypass, single raises and its batch tier, bare and behind
+	// The direct bypass, single raises and batches, bare and behind
 	// its per-call barrier with a handler that panics on every call.
 	for _, protected := range []bool{false, true} {
 		for _, batch := range []bool{false, true} {

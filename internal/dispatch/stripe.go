@@ -31,8 +31,10 @@ const cellArity = 5
 //     release with one Add(1).
 //   - Every other raise on the stripe adds 2 — a busy cell's (re-entrant,
 //     or another goroutine's on the same stripe), Raise, Raise0,
-//     RaiseReport and a batch's frames — which counts it and leaves the
-//     busy bit as it was.
+//     RaiseReport and each frame of a batch's loop of raises — which counts
+//     it and leaves the busy bit as it was. A bypass batch's frame loop
+//     adds 2 per frame in one add, and takes back the frames it did not
+//     run (Event.executeBatch).
 //
 // An unnested raise so pays two locked ops for its frame and its count, and
 // nested raises of different events each own their own event's cell.

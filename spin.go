@@ -69,8 +69,6 @@ type (
 	ResultFn = dispatch.ResultFn
 	// Stats is an event's dispatch statistics snapshot.
 	Stats = dispatch.Stats
-	// BatchOutcome reports how one batch's frames were disposed.
-	BatchOutcome = dispatch.BatchOutcome
 )
 
 // Fault isolation (see internal/fault and DESIGN.md decision 12): handler

@@ -79,11 +79,6 @@ func (e *Event0) Raise() error {
 	return err
 }
 
-// RaiseBatch announces the event n times through the batched ingress
-// tier (see Event.RaiseBatch0): the dispatch plan and per-raise fixed
-// costs are paid once per batch.
-func (e *Event0) RaiseBatch(n int) BatchOutcome { return e.ev.RaiseBatch0(n) }
-
 // Install registers a typed handler.
 func (e *Event0) Install(name string, m *Module, fn func(), opts ...dispatch.InstallOption) (*Binding, error) {
 	h := Handler{Proc: handlerProc(name, m, e.ev.Signature()),
@@ -124,17 +119,6 @@ func (e *Event1[A1]) Raise(a1 A1) error {
 // RaiseAsync announces the event asynchronously.
 func (e *Event1[A1]) RaiseAsync(a1 A1) error {
 	return e.ev.RaiseAsync(a1)
-}
-
-// RaiseBatch announces the event once per element of vals through the
-// batched ingress tier (see Event.RaiseBatch1). The typed arguments are
-// boxed into one flat row-major slice — the only per-batch allocation.
-func (e *Event1[A1]) RaiseBatch(vals []A1) BatchOutcome {
-	flat := make([]any, len(vals))
-	for i := range vals {
-		flat[i] = vals[i]
-	}
-	return e.ev.RaiseBatch1(flat)
 }
 
 // Install registers a typed handler.
@@ -188,22 +172,6 @@ func (e *Event2[A1, A2]) RaiseAsync(a1 A1, a2 A2) error {
 	return e.ev.RaiseAsync(a1, a2)
 }
 
-// RaiseBatch announces the event once per index of the parallel slices
-// (frame i is a1s[i], a2s[i]; the shorter slice bounds the batch) through
-// the batched ingress tier (see Event.RaiseBatch2).
-func (e *Event2[A1, A2]) RaiseBatch(a1s []A1, a2s []A2) BatchOutcome {
-	n := len(a1s)
-	if len(a2s) < n {
-		n = len(a2s)
-	}
-	flat := make([]any, 2*n)
-	for i := 0; i < n; i++ {
-		flat[2*i] = a1s[i]
-		flat[2*i+1] = a2s[i]
-	}
-	return e.ev.RaiseBatch2(flat)
-}
-
 // Install registers a typed handler.
 func (e *Event2[A1, A2]) Install(name string, m *Module, fn func(A1, A2), opts ...dispatch.InstallOption) (*Binding, error) {
 	h := Handler{Proc: handlerProc(name, m, e.ev.Signature()),
@@ -253,26 +221,6 @@ func NewEvent3[A1, A2, A3 any](d *Dispatcher, name string, opts ...dispatch.Even
 func (e *Event3[A1, A2, A3]) Raise(a1 A1, a2 A2, a3 A3) error {
 	_, err := e.ev.Raise3(a1, a2, a3)
 	return err
-}
-
-// RaiseBatch announces the event once per index of the parallel slices
-// (frame i is a1s[i], a2s[i], a3s[i]; the shortest slice bounds the
-// batch) through the batched ingress tier (see Event.RaiseBatch3).
-func (e *Event3[A1, A2, A3]) RaiseBatch(a1s []A1, a2s []A2, a3s []A3) BatchOutcome {
-	n := len(a1s)
-	if len(a2s) < n {
-		n = len(a2s)
-	}
-	if len(a3s) < n {
-		n = len(a3s)
-	}
-	flat := make([]any, 3*n)
-	for i := 0; i < n; i++ {
-		flat[3*i] = a1s[i]
-		flat[3*i+1] = a2s[i]
-		flat[3*i+2] = a3s[i]
-	}
-	return e.ev.RaiseBatch3(flat)
 }
 
 // Install registers a typed handler.
