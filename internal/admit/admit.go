@@ -73,16 +73,6 @@ type Policy struct {
 	// BlockTimeout bounds how long a Block-mode producer waits for space;
 	// zero waits until space frees (or the submission context ends).
 	BlockTimeout time.Duration
-	// Retry is the maximum number of times a transiently failing run is
-	// requeued (with jittered exponential backoff) before giving up; zero
-	// disables retry.
-	Retry int
-	// RetryBackoff is the first retry delay; zero selects 5ms.
-	RetryBackoff time.Duration
-	// RetryFactor multiplies the delay per attempt; values below 2 select 2.
-	RetryFactor int
-	// MaxRetryBackoff caps the delay; zero selects 1s.
-	MaxRetryBackoff time.Duration
 }
 
 // depth returns the effective queue capacity.
@@ -91,41 +81,6 @@ func (p Policy) depth() int {
 		return p.Depth
 	}
 	return DefaultDepth
-}
-
-// Backoff returns the jittered exponential retry delay for the given
-// attempt (1-based). rand supplies the jitter source (a word of entropy);
-// the delay lands in [d/2, d] so retries from a burst of failures spread
-// out instead of stampeding back in lockstep.
-func (p Policy) Backoff(attempt int, rand uint64) time.Duration {
-	base := p.RetryBackoff
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	factor := p.RetryFactor
-	if factor < 2 {
-		factor = 2
-	}
-	maxd := p.MaxRetryBackoff
-	if maxd <= 0 {
-		maxd = time.Second
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
-		d *= time.Duration(factor)
-		if d >= maxd {
-			d = maxd
-			break
-		}
-	}
-	if d > maxd {
-		d = maxd
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rand%uint64(half+1))
 }
 
 // ErrOverload is the sentinel every shed submission wraps; raisers test for
@@ -155,19 +110,17 @@ type QueueStats struct {
 	// Submitted counts external submissions, including ones that were
 	// shed or coalesced.
 	Submitted int64
-	// Completed counts admitted items whose run reached a final outcome
-	// (including runs that failed after exhausting retries).
+	// Completed counts admitted items whose run has returned (or been
+	// abandoned to its watchdog).
 	Completed int64
 	// Shed counts submissions rejected or dropped: Shed-mode rejections,
 	// ShedOldest drops, and Block-mode timeouts.
 	Shed int64
 	// Coalesced counts submissions merged into a pending duplicate.
 	Coalesced int64
-	// Retried counts requeues of transiently failed runs (not new
-	// submissions); Retrying is the number currently waiting out a retry
-	// backoff (still charged to the queue).
-	Retried  int64
-	Retrying int
+	// Retried counts retransmissions; a remote peer's ledger keeps it
+	// (remote.Peer.Ledger), and a Queue never retries.
+	Retried int64
 	// Depth is the current number of pending items; MaxDepth the high
 	// watermark.
 	Depth    int
@@ -178,17 +131,17 @@ type QueueStats struct {
 
 // Drained reports whether every submission has reached a final outcome.
 func (s QueueStats) Drained() bool {
-	return s.Depth == 0 && s.InFlight == 0 && s.Retrying == 0
+	return s.Depth == 0 && s.InFlight == 0
 }
 
 // Identity reports the ledger conservation law: every submission is
-// completed, shed, coalesced, or still in the machine (queued, in flight,
-// or waiting out a retry backoff). On a drained queue it reduces to
+// completed, shed, coalesced, or still in the machine (queued or in
+// flight). On a drained queue it reduces to
 // Submitted == Completed + Shed + Coalesced; TestQueueAccountingIdentity
 // checks it on drained Shed, ShedOldest and Coalesce queues.
 func (s QueueStats) Identity() bool {
 	return s.Submitted == s.Completed+s.Shed+s.Coalesced+
-		int64(s.Depth)+int64(s.InFlight)+int64(s.Retrying)
+		int64(s.Depth)+int64(s.InFlight)
 }
 
 // PoolStats is a snapshot of the worker pool.

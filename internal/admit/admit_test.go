@@ -44,7 +44,7 @@ func TestShedPolicyRejectsNewest(t *testing.T) {
 	defer close(release)
 	q := NewQueue("E", Policy{Mode: Shed, Depth: 2}, pool)
 	var ran atomic.Int64
-	work := func() bool { ran.Add(1); return true }
+	work := func() { ran.Add(1) }
 	if err := q.Submit(context.Background(), nil, work); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestShedOldestDropsHead(t *testing.T) {
 	var got []int
 	var mu sync.Mutex
 	mk := func(i int) Work {
-		return func() bool { mu.Lock(); got = append(got, i); mu.Unlock(); return true }
+		return func() { mu.Lock(); got = append(got, i); mu.Unlock() }
 	}
 	for i := 1; i <= 4; i++ {
 		if err := q.Submit(context.Background(), nil, mk(i)); err != nil {
@@ -94,7 +94,7 @@ func TestCoalesceMergesByKey(t *testing.T) {
 	pool, release := gatedPool(t)
 	q := NewQueue("E", Policy{Mode: Coalesce, Depth: 8}, pool)
 	var ran atomic.Int64
-	work := func() bool { ran.Add(1); return true }
+	work := func() { ran.Add(1) }
 	type key struct{ n int }
 	k := &key{1}
 	for i := 0; i < 5; i++ {
@@ -119,7 +119,7 @@ func TestBlockTimesOutAsShed(t *testing.T) {
 	pool, release := gatedPool(t)
 	defer close(release)
 	q := NewQueue("E", Policy{Mode: Block, Depth: 1, BlockTimeout: 10 * time.Millisecond}, pool)
-	work := func() bool { return true }
+	work := func() {}
 	if err := q.Submit(context.Background(), nil, work); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestBlockAdmitsWhenSpaceFrees(t *testing.T) {
 	pool := NewPool(1)
 	q := NewQueue("E", Policy{Mode: Block, Depth: 1}, pool)
 	gate := make(chan struct{})
-	slow := func() bool { <-gate; return true }
+	slow := func() { <-gate }
 	if err := q.Submit(context.Background(), nil, slow); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBlockAdmitsWhenSpaceFrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- q.Submit(context.Background(), nil, func() bool { return true }) }()
+	go func() { done <- q.Submit(context.Background(), nil, func() {}) }()
 	select {
 	case err := <-done:
 		t.Fatalf("blocked submit returned early: %v", err)
@@ -173,34 +173,13 @@ func TestBlockHonorsContext(t *testing.T) {
 	pool, release := gatedPool(t)
 	defer close(release)
 	q := NewQueue("E", Policy{Mode: Block, Depth: 1}, pool)
-	if err := q.Submit(context.Background(), nil, func() bool { return true }); err != nil {
+	if err := q.Submit(context.Background(), nil, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := q.Submit(ctx, nil, func() bool { return true }); !errors.Is(err, ErrOverload) {
+	if err := q.Submit(ctx, nil, func() {}); !errors.Is(err, ErrOverload) {
 		t.Fatalf("err = %v, want ErrOverload on context end", err)
-	}
-}
-
-func TestRequeueBypassesCapacityAndCounts(t *testing.T) {
-	pool := NewPool(2)
-	q := NewQueue("E", Policy{Mode: Shed, Depth: 1, Retry: 3}, pool)
-	var attempts atomic.Int64
-	var run Work
-	run = func() bool {
-		if attempts.Add(1) < 3 {
-			q.Requeue(run)
-			return false
-		}
-		return true
-	}
-	if err := q.Submit(context.Background(), nil, run); err != nil {
-		t.Fatal(err)
-	}
-	s := waitStats(t, q, func(s QueueStats) bool { return s.Completed == 1 })
-	if s.Retried != 2 || s.Submitted != 1 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -327,22 +306,6 @@ func TestDegraderTransitions(t *testing.T) {
 	}
 }
 
-func TestBackoffIsExponentialBoundedAndJittered(t *testing.T) {
-	p := Policy{RetryBackoff: 10 * time.Millisecond, RetryFactor: 2, MaxRetryBackoff: 80 * time.Millisecond}
-	for attempt, want := range map[int]time.Duration{1: 10 * time.Millisecond, 2: 20 * time.Millisecond, 3: 40 * time.Millisecond, 4: 80 * time.Millisecond, 10: 80 * time.Millisecond} {
-		for r := uint64(0); r < 100; r += 7 {
-			d := p.Backoff(attempt, r)
-			if d < want/2 || d > want {
-				t.Fatalf("attempt %d rand %d: backoff %v outside [%v, %v]", attempt, r, d, want/2, want)
-			}
-		}
-	}
-	// Jitter actually varies with the entropy word.
-	if p.Backoff(3, 1) == p.Backoff(3, 1e9) {
-		t.Fatal("backoff ignored its jitter source")
-	}
-}
-
 func TestQueueAccountingIdentity(t *testing.T) {
 	for _, mode := range []Mode{Shed, ShedOldest, Coalesce} {
 		pool := NewPool(4)
@@ -353,9 +316,8 @@ func TestQueueAccountingIdentity(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_ = q.Submit(context.Background(), key, func() bool {
+				_ = q.Submit(context.Background(), key, func() {
 					time.Sleep(100 * time.Microsecond)
-					return true
 				})
 			}()
 		}

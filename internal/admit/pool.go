@@ -21,10 +21,8 @@ func defaultWorkers() int {
 	return n
 }
 
-// Work is one admitted queue item: it reports whether the item reached a
-// final outcome. Returning false means the item will be requeued (retry)
-// and must not be counted completed yet.
-type Work func() (done bool)
+// Work is one admitted queue item; its return is the item's final outcome.
+type Work func()
 
 // Pool is a shared, size-capped worker pool. Workers are started lazily as
 // work arrives, park when idle, and exit after an idle timeout, so an idle
@@ -212,7 +210,8 @@ func (p *Pool) worker() {
 				p.enqueue(q)
 			}
 			if run != nil {
-				q.settle(run())
+				run()
+				q.settle()
 			}
 			continue
 		}

@@ -33,9 +33,7 @@ type Queue struct {
 	completed int64
 	shed      int64
 	coalesced int64
-	retried   int64
 	inflight  int
-	retrying  int
 	maxDepth  int
 
 	// onShed, when set, observes every shed decision (for trace spans and
@@ -52,9 +50,6 @@ func NewQueue(name string, pol Policy, pool *Pool) *Queue {
 // Name returns the queue's diagnostic name.
 func (q *Queue) Name() string { return q.name }
 
-// Policy returns the queue's admission policy.
-func (q *Queue) Policy() Policy { return q.pol }
-
 // OnShed registers a hook observing every shed decision. Call before use.
 func (q *Queue) OnShed(fn func()) { q.onShed = fn }
 
@@ -67,8 +62,6 @@ func (q *Queue) Stats() QueueStats {
 		Completed: q.completed,
 		Shed:      q.shed,
 		Coalesced: q.coalesced,
-		Retried:   q.retried,
-		Retrying:  q.retrying,
 		Depth:     len(q.items) - q.head,
 		MaxDepth:  q.maxDepth,
 		InFlight:  q.inflight,
@@ -129,26 +122,6 @@ func (q *Queue) Submit(ctx context.Context, key any, run Work) error {
 		q.pool.enqueue(q)
 	}
 	return nil
-}
-
-// Requeue re-admits a transiently failed run (retry). It bypasses the
-// capacity bound — the item was already admitted once and stays charged to
-// the queue until it reaches a final outcome — so retry depth is bounded by
-// the policy's Retry count, not re-subjected to shedding.
-func (q *Queue) Requeue(run Work) {
-	q.mu.Lock()
-	q.retried++
-	q.retrying--
-	q.items = append(q.items, qitem{run: run})
-	if d := len(q.items) - q.head; d > q.maxDepth {
-		q.maxDepth = d
-	}
-	listed := q.listed
-	q.listed = true
-	q.mu.Unlock()
-	if !listed {
-		q.pool.enqueue(q)
-	}
 }
 
 // shedLocked records one shed and returns the typed overload error. The
@@ -245,17 +218,10 @@ func (q *Queue) pop() (run Work, more bool) {
 	return it.run, more
 }
 
-// settle retires one in-flight run: done marks the item's final outcome,
-// !done means the run requeued itself (retry) and stays charged.
-func (q *Queue) settle(done bool) {
+// settle retires one in-flight run as completed.
+func (q *Queue) settle() {
 	q.mu.Lock()
 	q.inflight--
-	if done {
-		q.completed++
-	} else {
-		// The run scheduled its own Requeue (retry backoff); keep it
-		// charged so Drained stays false across the backoff window.
-		q.retrying++
-	}
+	q.completed++
 	q.mu.Unlock()
 }

@@ -120,15 +120,11 @@ func (p *Plan) capture(ws *walkState) {
 
 // callProtected runs the direct bypass's handler behind the fault hook —
 // the one per-call barrier. ok is false when the handler panicked: it
-// counts as fired with no result. A metered call reports its cost.
-func (p *Plan) callProtected(cpu *vtime.CPU, args []any) (res any, ok bool) {
+// counts as fired with no result.
+func (p *Plan) callProtected(args []any) (res any, ok bool) {
 	st := p.direct
 	defer p.captureHandler(st.b.Tag, &ok)
-	start := cpu.Now()
 	res = runBody(st.b, st.inline, args)
-	if cpu != nil {
-		p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
-	}
 	ok = true
 	return
 }

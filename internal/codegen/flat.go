@@ -400,11 +400,7 @@ segments:
 		if barrier {
 			ws.pos, ws.phase = n, inDefault
 		}
-		start := cpu.Now()
 		out.Result = runBody(st.b, st.inline, args)
-		if obs && barrier && cpu != nil {
-			p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
-		}
 		out.UsedDefault = true
 		if obs && rec != nil {
 			rec.handler(st.idx, trace.ModeDefault, true)
@@ -459,11 +455,7 @@ func (p *Plan) runStep(at int, hit bool, args []any, ws *walkState, out *Outcome
 		if ws != nil {
 			ws.pos, ws.phase = at, inHandler
 		}
-		start := cpu.Now()
 		res = runBody(st.b, st.inline, args)
-		if cpu != nil && p.protect != nil { // a metered barrier: overrun budgets
-			p.protect.SyncCost(st.b.Tag, cpu.Now().Sub(start))
-		}
 		if ws != nil {
 			ws.phase = inWalk
 		}

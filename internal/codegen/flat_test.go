@@ -213,8 +213,6 @@ func (h *recHook) GuardPanic(tag, _ any, _ []byte) {
 	}
 }
 
-func (*recHook) SyncCost(any, vtime.Duration) {}
-
 // barrierRun is what one raise of a protected plan did, as the bare and the
 // metered barrier must agree on it.
 type barrierRun struct {

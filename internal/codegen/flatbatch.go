@@ -55,7 +55,7 @@ func (p *Plan) executeDirect(env *Env, args []any, rec *recorder) Outcome {
 	cpu.ChargeN(vtime.CallDirectArg, p.info.Arity)
 	out, completed := Outcome{Fired: 1}, true
 	if p.protect != nil {
-		out.Result, completed = p.callProtected(cpu, args)
+		out.Result, completed = p.callProtected(args)
 	} else {
 		out.Result = runBody(st.b, st.inline, args)
 	}

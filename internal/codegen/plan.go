@@ -37,9 +37,6 @@ type FaultHook interface {
 	// GuardPanic reports a recovered panic in an out-of-line guard; the
 	// guard counts as failed.
 	GuardPanic(tag any, val any, stack []byte)
-	// SyncCost reports the virtual-time cost of one synchronous handler
-	// invocation on a metered dispatcher (for overrun budgets).
-	SyncCost(tag any, cost vtime.Duration)
 }
 
 // ResultFn folds handler results: it is called separately for each result
@@ -124,8 +121,8 @@ type Options struct {
 	Trace *trace.Tracer
 	// Protect, when non-nil, compiles fault capture into the plan: a panic
 	// in a handler body or an out-of-line guard goes to the hook instead of
-	// the raiser, and so do virtual-time overruns. A panicking handler
-	// counts as fired with no result; a panicking guard counts as failed.
+	// the raiser. A panicking handler counts as fired with no result; a
+	// panicking guard counts as failed.
 	// Plans compiled without it carry no recovery code at all (DESIGN.md
 	// decision 12).
 	Protect FaultHook

@@ -76,8 +76,7 @@ func TestExecuteSyncStepsZeroAllocs(t *testing.T) {
 
 	// A filter plan on the plain stencil, bare and behind the barrier (its
 	// filter runs at a segment boundary), and the observed walk: metered
-	// raises of a guarded plan and of a protected one (the barrier, with
-	// SyncCost).
+	// raises of a guarded plan and of a protected one (the barrier).
 	guarded := []*Binding{
 		{Guards: []Guard{{Pred: ArgEq(0, 1)}, {Fn: func(any, []any) bool { return true }}},
 			Fn: func(any, []any) any { return nil }},

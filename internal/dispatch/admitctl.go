@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spin/internal/admit"
 	"spin/internal/journal"
@@ -49,8 +48,8 @@ func WithAdmission(cfg AdmissionConfig) Option {
 // mechanism-free admission package (queues, pool, degradation state
 // machine) and the dispatch machinery. It owns the shared worker pool —
 // which also backs the default spawner — creates per-event queues, wraps
-// admitted invocations in the supervised run (watchdog, panic capture,
-// retry), and turns the Degrader's level transitions into commits (see
+// admitted invocations in the supervised run (watchdog, panic capture),
+// and turns the Degrader's level transitions into commits (see
 // Event.commit). applyMu serializes level application, so a transition
 // can sweep every event without holding mu across the sweep.
 type admitCtl struct {
@@ -70,7 +69,6 @@ type admitCtl struct {
 	baseShd int64
 	lastSub int64 // shed-rate window: submissions at last observation
 	lastShd int64 // and sheds at last observation
-	rng     uint64
 
 	applyMu sync.Mutex
 	level   atomic.Int32 // applied degradation level, for accessors
@@ -89,7 +87,6 @@ func newAdmitCtl(d *Dispatcher, cfg AdmissionConfig) *admitCtl {
 		d:          d,
 		pool:       admit.NewPool(cfg.Workers),
 		defaultPol: cfg.Default,
-		rng:        uint64(time.Now().UnixNano()) | 1,
 	}
 	if len(cfg.Levels) > 0 {
 		a.degrader = admit.NewDegrader(cfg.Levels, cfg.Hold)
@@ -195,18 +192,6 @@ func (a *admitCtl) noteAdmission() {
 	}
 }
 
-// nextRand is an xorshift64* word for retry jitter.
-func (a *admitCtl) nextRand() uint64 {
-	a.mu.Lock()
-	x := a.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	a.rng = x
-	a.mu.Unlock()
-	return x * 0x2545F4914F6CDD1D
-}
-
 // observe feeds one load sample (aggregate queue depth, shed rate over the
 // window since the previous observation) to the degradation controller and
 // applies any level transition it decides.
@@ -263,32 +248,15 @@ func (a *admitCtl) applyLevel(from, to int) {
 // capture into the fault ledger, a wall-clock watchdog with cooperative
 // cancellation, watchdog survival for the pool (Abandon raises the worker
 // cap while the invocation squats a worker, Reclaim lowers it if the
-// invocation ever returns), and jittered exponential-backoff retry for
-// transiently failing (panicking) runs, bounded by the policy's Retry
-// count. Every failed attempt is charged against the binding's fault
-// budget, so a handler that fails its way through retries still marches
-// toward quarantine.
-func (a *admitCtl) supervised(q *admit.Queue, b *Binding, invoke func(context.Context) any, attempt int) admit.Work {
-	return func() bool {
-		d := a.d
-		_, ok, abandoned := d.watchdog(b, d.faults.asyncDeadline(b), invoke, a.pool.Abandon)
-		if abandoned {
+// invocation ever returns). A failed run is final: its panic or deadline
+// fault is charged against the binding's fault budget.
+func (a *admitCtl) supervised(b *Binding, invoke func(context.Context) any) admit.Work {
+	return func() {
+		if _, _, abandoned := a.d.watchdog(b, b.deadline, invoke, a.pool.Abandon); abandoned {
 			// A replacement worker may have started when the watchdog
 			// abandoned this invocation; hand the extra capacity back.
 			a.pool.Reclaim()
-			return true
 		}
-		if ok {
-			return true
-		}
-		pol := q.Policy()
-		if attempt >= pol.Retry {
-			return true // out of retries: final outcome
-		}
-		next := a.supervised(q, b, invoke, attempt+1)
-		delay := pol.Backoff(attempt+1, a.nextRand())
-		d.afterFunc(delay, func() { q.Requeue(next) })
-		return false // stays charged to the queue until the retry settles
 	}
 }
 
@@ -311,7 +279,7 @@ func runAsync(q *admit.Queue, tag any, arity int, invoke func(context.Context) a
 	d.admit.noteAdmission()
 	// The raiser has already proceeded (fire-and-forget): a shed here is
 	// accounted in the queue's stats and trace span, not returned.
-	_ = q.Submit(context.Background(), tag, d.admit.supervised(q, b, invoke, 0))
+	_ = q.Submit(context.Background(), tag, d.admit.supervised(b, invoke))
 }
 
 // submitRaise admits one whole asynchronous raise: the plan executes on a
@@ -323,9 +291,8 @@ func (d *Dispatcher) submitRaise(q *admit.Queue, e *Event, args []any) error {
 	d.cpu.ChargeTo(vtime.AccountKernel, vtime.ThreadSpawnBase)
 	d.cpu.ChargeNTo(vtime.AccountKernel, vtime.ThreadSpawnArg, len(args))
 	d.admit.noteAdmission()
-	return q.Submit(context.Background(), e, func() bool {
+	return q.Submit(context.Background(), e, func() {
 		_, _ = e.raiseWith(e.plan.Load(), args) // the raise owns args
-		return true
 	})
 }
 

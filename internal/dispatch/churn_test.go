@@ -5,17 +5,29 @@ import (
 	"runtime"
 	"testing"
 
+	"spin/internal/admit"
+	"spin/internal/journal"
 	"spin/internal/rtti"
 	"spin/internal/trace"
 )
 
+// discardSink is a journal sink that keeps no bytes, so a churn row's heap
+// measures the dispatcher, not the journal's copy of its records.
+type discardSink struct{}
+
+func (discardSink) Append([]byte) error { return nil }
+func (discardSink) Seal() error         { return nil }
+func (discardSink) Close() error        { return nil }
+
 // TestControlPlaneChurnBounded toggles each control-plane op 100k times on
-// one traced event with four bindings, raising it now and then so the
-// ring names the plans in turn. Every toggle recompiles and republishes the
-// plan, registering a trace program; none may leave state behind: after
-// runtime.GC the live heap stays flat, and the tracer's program count stays
-// within what the ring can still name. Install and uninstall churn has its
-// own test (TestTracedInstallChurnHeapFlat), and so has SetAdmission
+// one traced, journaled event with four bindings, raising it now and then
+// so the ring names the plans in turn. The dispatcher has one degradation
+// rung, which compiles out bindings 1 and 3 (priority 1). Every toggle
+// recompiles and republishes the plan, registering a trace program; none
+// may leave state behind: after runtime.GC the live heap stays flat, and
+// the tracer's program count stays within what the ring can still name.
+// Install and uninstall churn has its own test
+// (TestTracedInstallChurnHeapFlat), and so has SetAdmission
 // (TestSetAdmissionChurnRetiresQueues).
 func TestControlPlaneChurnBounded(t *testing.T) {
 	const toggles, every = 100_000, 100
@@ -44,19 +56,46 @@ func TestControlPlaneChurnBounded(t *testing.T) {
 			}
 			return nil
 		}},
+		{"SetQuotas", func(d *Dispatcher, _ *Event, _ *trace.Tracer, _ []*Binding) error {
+			d.SetQuotas(8, 64)
+			d.SetQuotas(0, 0)
+			return nil
+		}},
+		{"Degrade", func(d *Dispatcher, _ *Event, _ *trace.Tracer, _ []*Binding) error {
+			if _, _, changed := d.forceDegradationLevel(1); !changed {
+				return fmt.Errorf("forceDegradationLevel(1) changed nothing")
+			}
+			if _, _, changed := d.forceDegradationLevel(0); !changed {
+				return fmt.Errorf("forceDegradationLevel(0) changed nothing")
+			}
+			return nil
+		}},
+		{"QuarantineBinding", func(d *Dispatcher, _ *Event, _ *trace.Tracer, bs []*Binding) error {
+			if !d.quarantineBinding(bs[1]) {
+				return fmt.Errorf("quarantineBinding left binding 1 in")
+			}
+			if !d.readmitBinding(bs[1]) {
+				return fmt.Errorf("readmitBinding found binding 1 in")
+			}
+			return nil
+		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			tracer := trace.New(trace.Config{Capacity: 256})
-			d := New(WithTracer(tracer))
+			j := journal.New(journal.Config{Sink: discardSink{}, FlushInterval: -1})
+			defer j.Close()
+			d := New(WithTracer(tracer), WithJournal(j), WithAdmission(AdmissionConfig{
+				Levels: []admit.Level{{Name: "brownout", MinPriority: 1}},
+			}))
 			e := mustDefine(t, d, "M.Churn", rtti.Sig(nil, rtti.Word))
 			bs := make([]*Binding, 4)
 			for i := range bs {
-				m := testModule
+				m, prio := testModule, 0
 				if i%2 == 1 {
-					m = ext // bindings 1 and 3 are the module's
+					m, prio = ext, 1 // bindings 1 and 3 are the module's
 				}
 				proc := &rtti.Proc{Name: fmt.Sprintf("H%d", i), Module: m, Sig: rtti.Sig(nil, rtti.Word)}
-				b, err := e.Install(handler(proc, func(any, []any) any { return nil }))
+				b, err := e.Install(handler(proc, func(any, []any) any { return nil }), WithPriority(prio))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,8 +122,10 @@ func TestControlPlaneChurnBounded(t *testing.T) {
 					}
 				}
 			}
+			j.Flush()
 			grown := int64(heap()) - int64(warm)
-			t.Logf("live heap grew %d bytes; %d trace programs registered", grown, tracer.Programs())
+			t.Logf("live heap grew %d bytes; %d trace programs registered; %d records journaled",
+				grown, tracer.Programs(), j.Stats().Records)
 			if grown > 1<<20 {
 				t.Errorf("live heap grew %d bytes over %d toggles, want under 1 MiB", grown, toggles*9/10)
 			}

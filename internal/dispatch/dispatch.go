@@ -289,18 +289,18 @@ func runEphemeral(tag any, invoke func(context.Context) any) (any, bool) {
 // spawnHandler supervises one asynchronous handler invocation: the handler
 // runs on its own thread of control (via spawn) under the watchdog, so a
 // panicking asynchronous handler is recorded as a fault instead of
-// crashing the process. When the binding (or the fault policy) carries an
-// asynchronous deadline and the dispatcher runs in real time, the watchdog
-// cancels the invocation's context at the deadline and records a deadline
-// fault; as with EPHEMERAL handlers, cancellation is cooperative. On the
-// pooled spawner an abandoned invocation hands its squatted worker's
-// capacity back (Abandon) so stuck invocations cannot starve the pool, and
-// its eventual return takes it again (Reclaim).
+// crashing the process. When the binding carries a deadline (WithDeadline)
+// and the dispatcher runs in real time, the watchdog cancels the
+// invocation's context at the deadline and records a deadline fault; as
+// with EPHEMERAL handlers, cancellation is cooperative. On the pooled
+// spawner an abandoned invocation hands its squatted worker's capacity
+// back (Abandon) so stuck invocations cannot starve the pool, and its
+// eventual return takes it again (Reclaim).
 func (d *Dispatcher) spawnHandler(tag any, arity int, invoke func(context.Context) any) {
 	b, _ := tag.(*Binding)
 	var deadline time.Duration
-	if d.sim == nil {
-		deadline = d.faults.asyncDeadline(b)
+	if d.sim == nil && b != nil {
+		deadline = b.deadline
 	}
 	var abandon func()
 	if d.pooledSpawn {

@@ -904,7 +904,7 @@ func TestControlChargeIsOneRecompile(t *testing.T) {
 		{"SetAdmission on", false, func() error { e.SetAdmission(&pol); return nil }},
 		{"SetAdmission off", false, func() error { e.SetAdmission(nil); return nil }},
 		{"fault probation and restore", false, func() error {
-			if !d.faults.ledger.Observe(bs[3], nil, fault.Record{Kind: fault.KindPanic}).Quarantine {
+			if !d.faults.ledger.Observe(bs[3], fault.Record{Kind: fault.KindPanic}).Quarantine {
 				return errors.New("ledger did not quarantine")
 			}
 			d.faults.quarantine(bs[3], fault.Action{Quarantine: true, Backoff: time.Millisecond})

@@ -409,97 +409,6 @@ func TestPurityMonitorSurvivesEnforcement(t *testing.T) {
 	}
 }
 
-// TestSyncBudgetOverrun: on a metered dispatcher, a synchronous handler
-// whose virtual-time cost exceeds SyncBudget is an overrun fault; with
-// Budget 1 it quarantines immediately.
-func TestSyncBudgetOverrun(t *testing.T) {
-	clock := &vtime.Clock{}
-	cpu := vtime.NewCPU(clock, vtime.AlphaModel())
-	d := New(WithCPU(cpu), WithFaultPolicy(fault.Policy{
-		Budget:     1,
-		SyncBudget: vtime.Micros(1),
-		Backoff:    time.Hour,
-	}))
-	e := mustDefine(t, d, "M.P", rtti.Sig(nil))
-	var other atomic.Int64
-	if _, err := e.Install(handler(voidProc("Cheap"), func(any, []any) any {
-		other.Add(1)
-		return nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Install(handler(voidProc("Expensive"), func(any, []any) any {
-		cpu.ChargeN(vtime.ThreadSpawnBase, 100) // far beyond 1us
-		return nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Raise(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, b.Quarantined, "overrun quarantine")
-	if !hasRecord(d.FaultLedger(), fault.KindOverrun, "Expensive") {
-		t.Error("no overrun record in ledger")
-	}
-	if _, err := e.Raise(); err != nil {
-		t.Fatalf("raise after quarantine failed: %v", err)
-	}
-	if other.Load() != 2 {
-		t.Errorf("cheap handler fired %d times, want 2", other.Load())
-	}
-}
-
-// TestModuleBudgetQuarantinesModule: exhausting the module-level budget
-// quarantines every binding the module installed and denies it new
-// installations until readmission.
-func TestModuleBudgetQuarantinesModule(t *testing.T) {
-	rogue := rtti.NewModule("Rogue", "R")
-	d := New(WithFaultPolicy(fault.Policy{
-		Budget:       100, // per-binding budget out of reach
-		ModuleBudget: 2,
-		Backoff:      30 * time.Millisecond,
-		Probation:    30 * time.Millisecond,
-	}))
-	e := mustDefine(t, d, "M.P", rtti.Sig(nil))
-	if _, err := e.Install(handler(voidProc("Good"), func(any, []any) any { return nil })); err != nil {
-		t.Fatal(err)
-	}
-	boomProc := &rtti.Proc{Name: "R.Boom", Module: rogue, Sig: rtti.Sig(nil)}
-	otherProc := &rtti.Proc{Name: "R.Other", Module: rogue, Sig: rtti.Sig(nil)}
-	bad, err := e.Install(Handler{Proc: boomProc, Fn: func(any, []any) any { panic("x") }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sibling, err := e.Install(Handler{Proc: otherProc, Fn: func(any, []any) any { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 2; i++ {
-		if _, err := e.Raise(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool { return d.ModuleQuarantined(rogue) }, "module quarantine")
-	if !bad.Quarantined() || !sibling.Quarantined() {
-		t.Error("module quarantine did not cover all of the module's bindings")
-	}
-	// New installations from the quarantined module are denied.
-	if _, err := e.Install(Handler{Proc: &rtti.Proc{Name: "R.New", Module: rogue, Sig: rtti.Sig(nil)},
-		Fn: func(any, []any) any { return nil }}); !errors.Is(err, ErrModuleQuarantined) {
-		t.Fatalf("install under module quarantine: err = %v, want ErrModuleQuarantined", err)
-	}
-	// Backoff passes; the module is readmitted, its bindings recompiled
-	// back in, and installation rights return.
-	waitFor(t, func() bool { return !d.ModuleQuarantined(rogue) }, "module readmission")
-	waitFor(t, func() bool { return !sibling.Quarantined() }, "sibling binding readmitted")
-	if _, err := e.Install(Handler{Proc: &rtti.Proc{Name: "R.New2", Module: rogue, Sig: rtti.Sig(nil)},
-		Fn: func(any, []any) any { return nil }}); err != nil {
-		t.Fatalf("install after readmission failed: %v", err)
-	}
-}
-
 // TestUninstallForgetsLedgerEntry: uninstalling a quarantined binding
 // drops its ledger entry, so the pending readmission timer is a no-op.
 func TestUninstallForgetsLedgerEntry(t *testing.T) {
@@ -542,10 +451,4 @@ func TestRecordOnlyModeDoesNotProtectPlans(t *testing.T) {
 	if d.FaultLedger().Policy().Enforcing() {
 		t.Error("record-only ledger claims to be enforcing")
 	}
-}
-
-// ModuleQuarantined reports whether m is currently under module-level
-// quarantine.
-func (d *Dispatcher) ModuleQuarantined(m *rtti.Module) bool {
-	return d.faults.moduleQuarantined(m)
 }

@@ -13,9 +13,9 @@ import (
 // faultCtl is the dispatcher's fault controller: the bridge between the
 // mechanism-free fault ledger (internal/fault) and the dispatch machinery
 // that carries its decisions out. It implements codegen.FaultHook, so a
-// plan compiled with protection delivers recovered panics and metered
-// handler costs here; the controller turns the ledger's verdicts into plan
-// commits (quarantine, readmission; see Event.commit).
+// plan compiled with protection delivers recovered panics here; the
+// controller turns the ledger's verdicts into plan commits (quarantine,
+// readmission; see Event.commit).
 type faultCtl struct {
 	d       *Dispatcher
 	ledger  *fault.Ledger
@@ -61,21 +61,6 @@ func (f *faultCtl) GuardPanic(tag, val any, stack []byte) {
 	})
 }
 
-// SyncCost implements codegen.FaultHook: the metered virtual-time cost of
-// one synchronous handler invocation. Costs above the policy's SyncBudget
-// are budgeted overrun faults.
-func (f *faultCtl) SyncCost(tag any, cost vtime.Duration) {
-	if f.policy.SyncBudget <= 0 || cost <= f.policy.SyncBudget {
-		return
-	}
-	b, _ := tag.(*Binding)
-	f.observe(b, fault.Record{
-		Kind:   fault.KindOverrun,
-		Origin: fault.OriginHandler,
-		Cost:   cost,
-	})
-}
-
 // handlerPanic records a panic recovered by a supervisor (EPHEMERAL or
 // asynchronous invocation) rather than by a protected plan.
 func (f *faultCtl) handlerPanic(b *Binding, val any, stack []byte) {
@@ -96,42 +81,22 @@ func (f *faultCtl) deadline(b *Binding, d time.Duration) {
 	})
 }
 
-// asyncDeadline resolves the watchdog deadline for an asynchronous
-// invocation of b: the binding's own (WithDeadline), else the policy-wide
-// AsyncDeadline, else none.
-func (f *faultCtl) asyncDeadline(b *Binding) time.Duration {
-	if b != nil && b.deadline > 0 {
-		return b.deadline
-	}
-	return f.policy.AsyncDeadline
-}
-
 // observe stamps the record with the binding's identity, charges it
 // against the ledger, and carries out whatever action the ledger returns.
 func (f *faultCtl) observe(b *Binding, r fault.Record) {
-	var key, modKey any
-	var mod *rtti.Module
+	var key any
 	if b != nil {
 		key = b
 		r.Event = b.event.name
 		r.Handler = b.HandlerName()
-		if mod = b.Installer(); mod != nil {
+		if mod := b.Installer(); mod != nil {
 			r.Module = mod.Name()
-			modKey = mod
 		}
 	}
 	if t := f.d.tracer; t != nil {
 		t.Fault(r.Event, r.Handler, uint64(r.Kind))
 	}
-	act := f.ledger.Observe(key, modKey, r)
-	if b == nil {
-		return
-	}
-	if act.Module && mod != nil {
-		f.quarantineModule(mod, act)
-		return
-	}
-	if act.Quarantine {
+	if act := f.ledger.Observe(key, r); act.Quarantine {
 		f.quarantine(b, act)
 	}
 }
@@ -222,20 +187,6 @@ func (f *faultCtl) moduleQuarantined(m *rtti.Module) bool {
 	return f.qModules[m]
 }
 
-// quarantineModule is the ledger-triggered module quarantine: the module's
-// fault budget ran out, so every binding it installed is compiled out and
-// readmission is scheduled after the action's backoff.
-func (f *faultCtl) quarantineModule(m *rtti.Module, act fault.Action) {
-	f.d.QuarantineModule(m)
-	if t := f.d.tracer; t != nil {
-		t.Quarantine("*", m.Name(), act.Level)
-	}
-	f.d.afterFunc(act.Backoff, func() {
-		f.d.ReadmitModule(m)
-		f.d.afterFunc(f.policy.Probation, func() { f.ledger.Restore(m) })
-	})
-}
-
 // setModuleDenied changes only the install-denial set: module quarantine
 // and readmission flip it before sweeping the bindings, and replay of a
 // module marker flips only it (the per-binding compile-outs a module
@@ -252,9 +203,8 @@ func (d *Dispatcher) setModuleDenied(m *rtti.Module, denied bool) {
 
 // QuarantineModule compiles every binding installed by m out of its
 // event's plan and denies the module new installations until
-// ReadmitModule. It returns the number of bindings quarantined. Kernels
-// call this when a linker domain is quarantined; the fault controller
-// calls it when a module exhausts its module-level fault budget.
+// ReadmitModule. It returns the number of bindings quarantined. The
+// operator calls it, and journal replay re-applies its records.
 func (d *Dispatcher) QuarantineModule(m *rtti.Module) int {
 	if m == nil {
 		return 0
@@ -282,9 +232,6 @@ func (d *Dispatcher) ReadmitModule(m *rtti.Module) int {
 		return 0
 	}
 	d.setModuleDenied(m, false)
-	// Move the module's ledger entry (if the module budget put it there)
-	// to probation, so a relapse can re-quarantine at the next level.
-	d.faults.ledger.Readmit(m)
 	d.record(journal.Record{Kind: journal.KindModuleReadmit, Module: m.Name()})
 	n := 0
 	d.sweep(func(t *txn, b *Binding) {

@@ -225,23 +225,13 @@ func (e *Event) Install(h Handler, opts ...InstallOption) (*Binding, error) {
 			t.traceReject(trace.RejectQuota, b)
 			return err
 		}
-		// Admission accounting: a module that declared an async quota on its
-		// rtti descriptor may not hold more asynchronous bindings than it
-		// promised (§2.6's resource accounting extended to threads of control).
-		if b.async {
-			if err := t.d.quota.chargeAsync(b.Installer()); err != nil {
-				t.d.quota.release(b.Installer())
-				t.traceReject(trace.RejectQuota, b)
-				return err
-			}
-		}
 		if err := t.authorize(OpInstall, b); err != nil {
-			t.releaseQuotas(b)
+			t.d.quota.release(b.Installer())
 			t.traceReject(trace.RejectAuth, b)
 			return err
 		}
 		if err := t.install(b); err != nil {
-			t.releaseQuotas(b)
+			t.d.quota.release(b.Installer())
 			return err
 		}
 		return nil
@@ -278,7 +268,7 @@ func (t *txn) retire(b *Binding) {
 		t.bindings = slices.Delete(t.bindings, b.pos, b.pos+1)
 		t.moved(b.pos)
 		if !b.intrinsic {
-			t.releaseQuotas(b)
+			t.d.quota.release(b.Installer())
 		}
 	}
 	b.installed = false
@@ -302,14 +292,6 @@ func (t *txn) moved(i int) {
 func (t *txn) changed(b *Binding) {
 	if !b.isDefault {
 		t.dirty = min(t.dirty, b.pos)
-	}
-}
-
-// releaseQuotas returns b's installation and admission accounting.
-func (t *txn) releaseQuotas(b *Binding) {
-	t.d.quota.release(b.Installer())
-	if b.async {
-		t.d.quota.releaseAsync(b.Installer())
 	}
 }
 

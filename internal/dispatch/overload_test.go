@@ -294,98 +294,6 @@ func TestSetAdmissionPerEvent(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffRecoversTransientFailure: a panicking async handler is
-// requeued with backoff and eventually succeeds, with the attempts counted
-// on the queue ledger and charged to the fault ledger.
-func TestRetryBackoffRecoversTransientFailure(t *testing.T) {
-	pol := admit.Policy{Mode: admit.Shed, Depth: 8,
-		Retry: 3, RetryBackoff: time.Millisecond}
-	d := New(WithAdmission(AdmissionConfig{Workers: 1, Default: &pol}))
-	e := mustDefine(t, d, "Flaky.Tick", rtti.Sig(nil, rtti.Word))
-	var attempts atomic.Int64
-	done := make(chan struct{})
-	_, err := e.Install(handler(voidProc("H", rtti.Word), func(any, []any) any {
-		if attempts.Add(1) <= 2 {
-			panic("transient")
-		}
-		close(done)
-		return nil
-	}), Async())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Raise(7); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("handler never succeeded (attempts=%d)", attempts.Load())
-	}
-	s := waitDrained(t, e.AdmissionQueue(), 5*time.Second)
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-	if s.Retried != 2 {
-		t.Fatalf("retried = %d, want 2", s.Retried)
-	}
-}
-
-// TestRetryExhaustionIsFinal: a handler that never stops panicking gives up
-// after the policy's retry budget.
-func TestRetryExhaustionIsFinal(t *testing.T) {
-	pol := admit.Policy{Mode: admit.Shed, Depth: 8,
-		Retry: 2, RetryBackoff: time.Millisecond}
-	d := New(WithAdmission(AdmissionConfig{Workers: 1, Default: &pol}))
-	e := mustDefine(t, d, "Flaky.Tick", rtti.Sig(nil, rtti.Word))
-	var attempts atomic.Int64
-	_, _ = e.Install(handler(voidProc("H", rtti.Word), func(any, []any) any {
-		attempts.Add(1)
-		panic("permanent")
-	}), Async())
-	if _, err := e.Raise(7); err != nil {
-		t.Fatal(err)
-	}
-	s := waitDrained(t, e.AdmissionQueue(), 5*time.Second)
-	if got := attempts.Load(); got != 3 { // first run + 2 retries
-		t.Fatalf("attempts = %d, want 3", got)
-	}
-	if s.Completed != 1 || s.Retried != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-// TestModuleAsyncQuota: a module descriptor's async admission quota bounds
-// its Async() installations; uninstalling releases the slot.
-func TestModuleAsyncQuota(t *testing.T) {
-	d := New(syncSpawner())
-	e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word))
-	mod := rtti.NewModule("Greedy").WithAsyncQuota(1)
-	h := func(name string) Handler {
-		return Handler{
-			Proc: &rtti.Proc{Name: name, Module: mod, Sig: rtti.Sig(nil, rtti.Word)},
-			Fn:   func(any, []any) any { return nil },
-		}
-	}
-	b1, err := e.Install(h("H1"), Async())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Install(h("H2"), Async()); !errors.Is(err, ErrAdmitQuota) {
-		t.Fatalf("second async install err = %v, want ErrAdmitQuota", err)
-	}
-	// Synchronous installations are not charged against the async quota.
-	if _, err := e.Install(h("H3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Uninstall(b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Install(h("H4"), Async()); err != nil {
-		t.Fatalf("install after release: %v", err)
-	}
-}
-
 // TestDegradationLevels walks the controller deterministically: a gated
 // worker builds real queue depth, one forced observation escalates, the
 // optional (priority-classed) binding is compiled out of its event's plan,

@@ -28,10 +28,6 @@ import (
 // accounting.
 var ErrQuotaExceeded = errors.New("dispatch: handler installation quota exceeded")
 
-// ErrAdmitQuota reports an asynchronous handler installation denied by the
-// installing module's declared admission quota (rtti.Module.WithAsyncQuota).
-var ErrAdmitQuota = errors.New("dispatch: module async admission quota exceeded")
-
 // quotas tracks per-module and global binding counts for one dispatcher.
 type quotas struct {
 	mu        sync.Mutex
@@ -39,9 +35,6 @@ type quotas struct {
 	global    int // max bindings across all modules; 0 = unlimited
 	counts    map[*rtti.Module]int
 	total     int
-	// asyncCounts tracks installed asynchronous bindings per module, for
-	// the admission quotas modules declare on their rtti descriptors.
-	asyncCounts map[*rtti.Module]int
 }
 
 // charge accounts one installation to m, denying it if a limit would be
@@ -81,40 +74,6 @@ func (q *quotas) release(m *rtti.Module) {
 	}
 	if m != nil && q.counts[m] > 0 {
 		q.counts[m]--
-	}
-}
-
-// chargeAsync accounts one asynchronous handler installation against the
-// module's declared admission quota. Unlike the memory quotas above, the
-// limit lives on the rtti descriptor: a module that wants to install
-// unbounded async handlers must say so in its published identity.
-func (q *quotas) chargeAsync(m *rtti.Module) error {
-	limit := m.AsyncQuota()
-	if limit <= 0 {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.asyncCounts == nil {
-		q.asyncCounts = make(map[*rtti.Module]int)
-	}
-	if q.asyncCounts[m] >= limit {
-		return fmt.Errorf("%w: module %s at its quota of %d",
-			ErrAdmitQuota, m.Name(), limit)
-	}
-	q.asyncCounts[m]++
-	return nil
-}
-
-// releaseAsync returns one asynchronous installation's accounting.
-func (q *quotas) releaseAsync(m *rtti.Module) {
-	if m.AsyncQuota() <= 0 {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.asyncCounts[m] > 0 {
-		q.asyncCounts[m]--
 	}
 }
 

@@ -3,20 +3,19 @@
 // EPHEMERAL handlers "may be safely terminated at any point" (§2.4) and a
 // misbehaving handler can be dynamically uninstalled — but the paper leaves
 // the policy of *when* to the event's authority. This package supplies that
-// policy layer: every handler misbehavior (panic, deadline overrun,
-// virtual-time overrun) becomes a Record in a Ledger; per-binding and
-// per-module fault budgets turn repeated misbehavior into an Action
-// (quarantine the binding, or the whole module); probation re-admits
+// policy layer: every handler misbehavior (panic, deadline overrun) becomes
+// a Record in a Ledger; a per-binding fault budget turns repeated
+// misbehavior into an Action (quarantine the binding); probation re-admits
 // quarantined bindings with a tightened budget and exponential backoff, and
 // re-quarantines them on relapse.
 //
 // The ledger is deliberately mechanism-free: it never touches the
-// dispatcher. Keys are opaque (the dispatcher uses *Binding and
-// *rtti.Module pointers), and an Action only reports what the policy
-// decided; the dispatcher carries it out by recompiling the event's
-// dispatch plan without the quarantined binding and publishing it through
-// the same atomic plan swap installations use — so the no-fault fast path
-// carries no fault-handling instructions at all (see DESIGN.md decision 12).
+// dispatcher. Keys are opaque (the dispatcher uses *Binding pointers), and
+// an Action only reports what the policy decided; the dispatcher carries it
+// out by recompiling the event's dispatch plan without the quarantined
+// binding and publishing it through the same atomic plan swap
+// installations use — so the no-fault fast path carries no fault-handling
+// instructions at all (see DESIGN.md decision 12).
 package fault
 
 import (
@@ -36,9 +35,7 @@ const (
 	// KindDeadline is a watchdog deadline overrun (EPHEMERAL or async
 	// handlers with a wall-clock deadline).
 	KindDeadline
-	// KindOverrun is a synchronous handler exceeding its virtual-time
-	// budget (metered dispatchers only).
-	KindOverrun
+	_ // 3 is retired; trace spans carry the values of the kinds below
 	// KindBadResult is a handler returning a malformed result (currently
 	// raised only by the injection harness).
 	KindBadResult
@@ -61,8 +58,6 @@ func (k Kind) String() string {
 		return "panic"
 	case KindDeadline:
 		return "deadline"
-	case KindOverrun:
-		return "overrun"
 	case KindBadResult:
 		return "bad-result"
 	case KindCompare:
@@ -90,7 +85,7 @@ func (o Origin) String() string {
 	return "handler"
 }
 
-// State is a binding's (or module's) lifecycle state under fault policy.
+// State is a binding's lifecycle state under fault policy.
 type State uint8
 
 const (
@@ -131,10 +126,9 @@ type Record struct {
 	// Value is the recovered panic value (KindPanic, KindCompare).
 	Value any
 	// Stack is the goroutine stack captured at recovery (nil for
-	// deadline and overrun records).
+	// deadline records).
 	Stack []byte
-	// Cost is the virtual-time cost observed (KindOverrun), or the
-	// configured deadline (KindDeadline).
+	// Cost is the configured deadline (KindDeadline).
 	Cost vtime.Duration
 }
 
@@ -163,10 +157,6 @@ type Policy struct {
 	// ProbationBudget is the tightened budget applied during probation;
 	// zero selects 1 (a single relapse re-quarantines).
 	ProbationBudget int
-	// ModuleBudget bounds the total budgeted faults across all of one
-	// module's bindings; exceeding it quarantines the whole module. Zero
-	// disables module-level quarantine.
-	ModuleBudget int
 	// Backoff is the initial quarantine duration before probation; zero
 	// selects 100ms. On a simulated machine it elapses in virtual time.
 	Backoff time.Duration
@@ -178,19 +168,8 @@ type Policy struct {
 	// Probation is how long a re-admitted binding must stay fault-free
 	// before being restored to full health; zero selects Backoff.
 	Probation time.Duration
-	// AsyncDeadline is the default wall-clock watchdog deadline applied to
-	// asynchronous handlers that did not declare one; zero leaves async
-	// handlers unwatched.
-	AsyncDeadline time.Duration
-	// SyncBudget is the virtual-time budget for one synchronous handler
-	// invocation on a metered dispatcher; exceeding it records a
-	// KindOverrun fault. Zero disables overrun accounting.
-	SyncBudget vtime.Duration
 	// History is the ledger's record ring capacity; zero selects 256.
 	History int
-	// OnFault, when non-nil, observes every record as it is captured.
-	// Called with the ledger unlocked; must not block dispatch for long.
-	OnFault func(Record)
 }
 
 // DefaultPolicy returns an enforcing policy with conventional settings:
@@ -230,9 +209,6 @@ type Action struct {
 	// Quarantine directs the caller to compile the faulting binding out
 	// of its event's plan.
 	Quarantine bool
-	// Module directs the caller to quarantine every binding of the
-	// faulting module (the module budget was exhausted).
-	Module bool
 	// Backoff is how long the quarantine should last before probation.
 	Backoff time.Duration
 	// Level is the quarantine generation (0 for the first quarantine,
@@ -249,7 +225,7 @@ type entry struct {
 
 // Ledger captures fault records and applies Policy. All methods are safe
 // for concurrent use. Keys are opaque; the dispatcher keys bindings by
-// *Binding and modules by *rtti.Module.
+// *Binding.
 type Ledger struct {
 	policy Policy
 
@@ -259,7 +235,6 @@ type Ledger struct {
 	next    int      // ring write cursor
 	total   int      // records ever captured
 	entries map[any]*entry
-	modules map[any]int // moduleKey -> budgeted fault count
 }
 
 // NewLedger creates a ledger applying policy (normalized: zero fields get
@@ -269,18 +244,16 @@ func NewLedger(policy Policy) *Ledger {
 	return &Ledger{
 		policy:  policy,
 		entries: make(map[any]*entry),
-		modules: make(map[any]int),
 	}
 }
 
 // Policy returns the ledger's normalized policy.
 func (l *Ledger) Policy() Policy { return l.policy }
 
-// record appends r to the ring. Caller holds l.mu; returns the stamped
-// record for OnFault delivery outside the lock. The ring grows with the
-// faults, so a ledger that never sees one holds none: only once it holds
-// policy.History records does it wrap.
-func (l *Ledger) record(r Record) Record {
+// record stamps r and appends it to the ring. Caller holds l.mu. The ring
+// grows with the faults, so a ledger that never sees one holds none: only
+// once it holds policy.History records does it wrap.
+func (l *Ledger) record(r Record) {
 	l.seq++
 	r.Seq = l.seq
 	l.total++
@@ -290,25 +263,22 @@ func (l *Ledger) record(r Record) Record {
 		l.ring[l.next] = r
 	}
 	l.next = (l.next + 1) % l.policy.History
-	return r
 }
 
 // Note captures an observational record that never counts against any
 // budget (e.g. KindCompare from the purity monitor).
 func (l *Ledger) Note(r Record) {
 	l.mu.Lock()
-	r = l.record(r)
+	l.record(r)
 	l.mu.Unlock()
-	if l.policy.OnFault != nil {
-		l.policy.OnFault(r)
-	}
 }
 
-// Observe captures a budgeted fault attributed to key (and, when moduleKey
-// is non-nil, to its module) and returns the policy's verdict.
-func (l *Ledger) Observe(key, moduleKey any, r Record) Action {
+// Observe captures a budgeted fault attributed to key and returns the
+// policy's verdict.
+func (l *Ledger) Observe(key any, r Record) Action {
 	l.mu.Lock()
-	r = l.record(r)
+	defer l.mu.Unlock()
+	l.record(r)
 
 	var act Action
 	if l.policy.Budget > 0 && key != nil {
@@ -337,29 +307,6 @@ func (l *Ledger) Observe(key, moduleKey any, r Record) Action {
 				act = Action{Quarantine: true, Backoff: l.backoffFor(e.level), Level: e.level}
 			}
 		}
-		if moduleKey != nil && l.policy.ModuleBudget > 0 {
-			l.modules[moduleKey]++
-			if l.modules[moduleKey] >= l.policy.ModuleBudget {
-				l.modules[moduleKey] = 0
-				me := l.entries[moduleKey]
-				if me == nil {
-					me = &entry{}
-					l.entries[moduleKey] = me
-				}
-				if me.state != Quarantined {
-					me.state = Quarantined
-					act.Module = true
-					if !act.Quarantine {
-						act = Action{Module: true, Backoff: l.backoffFor(me.level), Level: me.level}
-					}
-					me.level++
-				}
-			}
-		}
-	}
-	l.mu.Unlock()
-	if l.policy.OnFault != nil {
-		l.policy.OnFault(r)
 	}
 	return act
 }
@@ -414,7 +361,6 @@ func (l *Ledger) Forget(key any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.entries, key)
-	delete(l.modules, key)
 }
 
 // State reports key's lifecycle state.

@@ -10,8 +10,8 @@ func TestLedgerRecordOnlyByDefault(t *testing.T) {
 	l := NewLedger(Policy{}) // zero value: record-only
 	key := new(int)
 	for i := 0; i < 10; i++ {
-		act := l.Observe(key, nil, Record{Kind: KindPanic, Handler: "H"})
-		if act.Quarantine || act.Module {
+		act := l.Observe(key, Record{Kind: KindPanic, Handler: "H"})
+		if act.Quarantine {
 			t.Fatalf("record-only ledger produced an action: %+v", act)
 		}
 	}
@@ -29,13 +29,13 @@ func TestLedgerQuarantineProbationRelapse(t *testing.T) {
 	key := new(int)
 
 	r := Record{Kind: KindPanic, Handler: "H"}
-	if act := l.Observe(key, nil, r); act.Quarantine {
+	if act := l.Observe(key, r); act.Quarantine {
 		t.Fatal("quarantined on first fault with budget 3")
 	}
-	if act := l.Observe(key, nil, r); act.Quarantine {
+	if act := l.Observe(key, r); act.Quarantine {
 		t.Fatal("quarantined on second fault with budget 3")
 	}
-	act := l.Observe(key, nil, r)
+	act := l.Observe(key, r)
 	if !act.Quarantine || act.Level != 0 || act.Backoff != 10*time.Millisecond {
 		t.Fatalf("third fault: act = %+v, want level-0 quarantine with 10ms backoff", act)
 	}
@@ -44,7 +44,7 @@ func TestLedgerQuarantineProbationRelapse(t *testing.T) {
 	}
 
 	// Faults while quarantined (stragglers) never re-trigger.
-	if act := l.Observe(key, nil, r); act.Quarantine {
+	if act := l.Observe(key, r); act.Quarantine {
 		t.Fatal("straggler fault re-quarantined")
 	}
 
@@ -56,7 +56,7 @@ func TestLedgerQuarantineProbationRelapse(t *testing.T) {
 	}
 
 	// Relapse: one fault on probation re-quarantines with doubled backoff.
-	act = l.Observe(key, nil, r)
+	act = l.Observe(key, r)
 	if !act.Quarantine || act.Level != 1 || act.Backoff != 20*time.Millisecond {
 		t.Fatalf("relapse: act = %+v, want level-1 quarantine with 20ms backoff", act)
 	}
@@ -77,48 +77,26 @@ func TestLedgerBackoffCapped(t *testing.T) {
 	key := new(int)
 	r := Record{Kind: KindPanic}
 
-	act := l.Observe(key, nil, r)
+	act := l.Observe(key, r)
 	if act.Backoff != 10*time.Millisecond {
 		t.Fatalf("level 0 backoff = %v", act.Backoff)
 	}
 	l.Readmit(key)
-	act = l.Observe(key, nil, r)
+	act = l.Observe(key, r)
 	if act.Backoff != 20*time.Millisecond {
 		t.Fatalf("level 1 backoff = %v", act.Backoff)
 	}
 	l.Readmit(key)
-	act = l.Observe(key, nil, r)
+	act = l.Observe(key, r)
 	if act.Backoff != 35*time.Millisecond {
 		t.Fatalf("level 2 backoff = %v, want capped 35ms", act.Backoff)
-	}
-}
-
-func TestLedgerModuleBudget(t *testing.T) {
-	p := Policy{Budget: 100, ModuleBudget: 3}
-	l := NewLedger(p)
-	mod := new(int)
-	k1, k2 := new(int), new(int)
-	r := Record{Kind: KindPanic}
-
-	l.Observe(k1, mod, r)
-	l.Observe(k2, mod, r)
-	act := l.Observe(k1, mod, r)
-	if !act.Module {
-		t.Fatalf("third module fault: act = %+v, want Module", act)
-	}
-	if l.State(mod) != Quarantined {
-		t.Fatalf("module state = %v, want Quarantined", l.State(mod))
-	}
-	// Neither binding was individually quarantined (budget 100).
-	if l.State(k1) != Healthy || l.State(k2) != Healthy {
-		t.Fatal("individual bindings quarantined by module budget")
 	}
 }
 
 func TestLedgerForget(t *testing.T) {
 	l := NewLedger(Policy{Budget: 1})
 	key := new(int)
-	l.Observe(key, nil, Record{Kind: KindPanic})
+	l.Observe(key, Record{Kind: KindPanic})
 	if l.State(key) != Quarantined {
 		t.Fatal("not quarantined")
 	}
@@ -173,23 +151,6 @@ func TestLedgerRingGrowsWithFaults(t *testing.T) {
 				t.Fatalf("after %d records: record %d seq = %d, want %d (oldest-first)", upto, i, r.Seq, want)
 			}
 		}
-	}
-}
-
-func TestLedgerOnFault(t *testing.T) {
-	var mu sync.Mutex
-	var seen []Record
-	l := NewLedger(Policy{OnFault: func(r Record) {
-		mu.Lock()
-		seen = append(seen, r)
-		mu.Unlock()
-	}})
-	l.Observe(new(int), nil, Record{Kind: KindPanic})
-	l.Note(Record{Kind: KindCompare})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 || seen[0].Kind != KindPanic || seen[1].Kind != KindCompare {
-		t.Fatalf("OnFault saw %v", seen)
 	}
 }
 

@@ -68,6 +68,9 @@ func statusText(code int) string {
 // never sends one must not grow server memory without limit.
 const maxRequestLine = 8 << 10
 
+// docRoot prefixes request paths in the file system.
+const docRoot = "/www"
+
 // Config assembles a server.
 type Config struct {
 	Stack *netstack.Stack
@@ -75,9 +78,6 @@ type Config struct {
 	Sched *sched.Scheduler
 	// Port defaults to 80.
 	Port uint16
-	// DocRoot prefixes request paths in the file system; defaults to
-	// "/www".
-	DocRoot string
 	// Prefix namespaces the event name, like the other substrates.
 	Prefix string
 	// ReadTimeout closes a connection that stays idle — no request bytes
@@ -97,11 +97,10 @@ type Config struct {
 
 // Server is a running web server extension.
 type Server struct {
-	stack   *netstack.Stack
-	fsys    *fs.FS
-	sched   *sched.Scheduler
-	port    uint16
-	docRoot string
+	stack *netstack.Stack
+	fsys  *fs.FS
+	sched *sched.Scheduler
+	port  uint16
 
 	// Request is the Httpd.Request event: raised once per parsed HTTP
 	// request, with the URL path as its argument.
@@ -140,15 +139,11 @@ type Server struct {
 // New defines the Httpd.Request event and starts the accept loop. The
 // server serves until its listener is closed.
 func New(d *dispatch.Dispatcher, cfg Config) (*Server, error) {
-	s := &Server{stack: cfg.Stack, fsys: cfg.FS, sched: cfg.Sched,
-		port: cfg.Port, docRoot: cfg.DocRoot,
+	s := &Server{stack: cfg.Stack, fsys: cfg.FS, sched: cfg.Sched, port: cfg.Port,
 		readTimeout: cfg.ReadTimeout, writeTimeout: cfg.WriteTimeout,
 		conns: make(map[*netstack.TCPConn]*sched.Strand)}
 	if s.port == 0 {
 		s.port = 80
-	}
-	if s.docRoot == "" {
-		s.docRoot = "/www"
 	}
 
 	sig := rtti.Signature{Args: []rtti.Type{rtti.Text}, Result: ResponseType}
@@ -255,7 +250,7 @@ func (s *Server) intrinsicRequest(clo any, args []any) any {
 	if path == "/" {
 		path = "/index.html"
 	}
-	body, ok := s.fsys.Get(s.docRoot + "/" + strings.TrimPrefix(path, "/"))
+	body, ok := s.fsys.Get(docRoot + "/" + strings.TrimPrefix(path, "/"))
 	if !ok {
 		return &Response{Status: 404, Body: []byte("not found\n")}
 	}

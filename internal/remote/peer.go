@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"spin/internal/admit"
 	"spin/internal/dispatch"
@@ -65,10 +66,6 @@ type PeerConfig struct {
 	// MaxAttempts bounds transmissions per raise (first send plus
 	// retries); 0 selects 4.
 	MaxAttempts int
-	// Retry shapes the backoff between attempts (admit.Policy's
-	// RetryBackoff/RetryFactor/MaxRetryBackoff fields); the delay doubles
-	// as the per-attempt ack timeout.
-	Retry admit.Policy
 	// Breaker tunes the circuit; see BreakerConfig.
 	Breaker BreakerConfig
 	// Seed drives retry jitter deterministically.
@@ -125,6 +122,21 @@ type PeerStats struct {
 	// HeartbeatsSent and HeartbeatMisses count the health probe traffic.
 	HeartbeatsSent  int64
 	HeartbeatMisses int64
+}
+
+// retryDelay is the jittered exponential delay of transmission attempt
+// (1-based), which doubles as that attempt's ack timeout: 5ms, doubling per
+// attempt up to 1s. rand (a word of entropy) lands it in [d/2, d], so the
+// retries of a burst of losses spread out instead of returning in lockstep.
+func retryDelay(attempt int, rand uint64) time.Duration {
+	const base, maxd = 5 * time.Millisecond, time.Second
+	d := base
+	for i := 1; i < attempt && d < maxd; i++ {
+		d *= 2
+	}
+	d = min(d, maxd)
+	half := d / 2
+	return half + time.Duration(rand%uint64(half+1))
 }
 
 // splitmix64 advances a deterministic jitter stream for retry backoff
@@ -306,7 +318,7 @@ func (p *Peer) sendAttempt(pr *pendingRaise) {
 	p.send(pr.frame)
 	pr.epoch = p.epoch
 	attempt := pr.attempt
-	timeout := vtime.Duration(p.cfg.Retry.Backoff(attempt, splitmix64(&p.rng)).Nanoseconds())
+	timeout := vtime.Duration(retryDelay(attempt, splitmix64(&p.rng)).Nanoseconds())
 	_ = p.cfg.Sched.After(timeout, func() { p.onTimeout(pr, attempt) })
 }
 

@@ -26,9 +26,6 @@ type ReceiverConfig struct {
 	// EventPrefix is prepended to wire event names before dispatcher
 	// lookup (the two-machine rigs namespace machine B's events "B:").
 	EventPrefix string
-	// WindowSize is the per-sender dedup window; 0 selects
-	// DefaultWindowSize.
-	WindowSize int
 }
 
 // ReceiverStats counts the receiver's verdicts.
@@ -144,7 +141,7 @@ func (r *Receiver) handle(c *netstack.TCPConn, m *Message) {
 func (r *Receiver) applyRaise(m *Message) *Message {
 	w := r.windows[m.Sender]
 	if w == nil {
-		w = newWindow(r.cfg.WindowSize)
+		w = newWindow(DefaultWindowSize)
 		r.windows[m.Sender] = w
 	}
 	switch w.Admit(m.Token) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spin/internal/admit"
 	"spin/internal/dispatch"
@@ -209,6 +210,23 @@ func TestRemoteRetryUnderDropDeliversExactlyOnce(t *testing.T) {
 	}
 	if w := r.recv.windows["machine-a"]; w == nil || w.Admitted != n {
 		t.Fatalf("dedup window admitted = %v, want %d", w, n)
+	}
+}
+
+// TestBackoffIsExponentialBoundedAndJittered: each attempt's delay doubles
+// from 5ms up to the 1s cap, and lands in [d/2, d] by its entropy word.
+func TestBackoffIsExponentialBoundedAndJittered(t *testing.T) {
+	for attempt, want := range map[int]time.Duration{1: 5 * time.Millisecond, 2: 10 * time.Millisecond, 3: 20 * time.Millisecond, 4: 40 * time.Millisecond, 9: time.Second, 20: time.Second} {
+		for r := uint64(0); r < 100; r += 7 {
+			d := retryDelay(attempt, r)
+			if d < want/2 || d > want {
+				t.Fatalf("attempt %d rand %d: backoff %v outside [%v, %v]", attempt, r, d, want/2, want)
+			}
+		}
+	}
+	// Jitter actually varies with the entropy word.
+	if retryDelay(3, 1) == retryDelay(3, 1e9) {
+		t.Fatal("backoff ignored its jitter source")
 	}
 }
 

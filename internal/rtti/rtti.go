@@ -189,11 +189,6 @@ type Module struct {
 	// interfaces lists the interface names this module exports; the
 	// linker consults it during symbol resolution.
 	interfaces []string
-	// asyncQuota bounds the number of asynchronous handlers the module may
-	// have installed at once (0 = unlimited). Declared on the descriptor —
-	// rather than dispatcher-wide — so a module's admission footprint is
-	// part of its published identity, the way its interfaces are.
-	asyncQuota int
 }
 
 // NewModule declares a module descriptor. The name is for diagnostics
@@ -208,22 +203,6 @@ func (m *Module) Name() string {
 		return "<anonymous>"
 	}
 	return m.name
-}
-
-// WithAsyncQuota declares the module's asynchronous-handler admission
-// quota and returns the module for chaining at declaration time.
-func (m *Module) WithAsyncQuota(n int) *Module {
-	m.asyncQuota = n
-	return m
-}
-
-// AsyncQuota returns the module's declared asynchronous-handler quota
-// (0 = unlimited).
-func (m *Module) AsyncQuota() int {
-	if m == nil {
-		return 0
-	}
-	return m.asyncQuota
 }
 
 // Interfaces returns the names of interfaces the module exports.

@@ -48,10 +48,10 @@ const (
 	// KindReject is a control-plane rejection (quota or authorizer).
 	KindReject
 	// KindFault is a captured handler/guard fault (panic, deadline
-	// overrun, virtual-time overrun); Detail carries the fault class.
+	// overrun); Detail carries the fault class.
 	KindFault
-	// KindQuarantine marks a binding (or module) compiled out of its
-	// event's dispatch plan; Detail carries the quarantine generation.
+	// KindQuarantine marks a binding compiled out of its event's dispatch
+	// plan; Detail carries the quarantine generation.
 	KindQuarantine
 	// KindProbation marks a quarantined binding re-admitted under a
 	// tightened budget, or restored to full health (Pass set).
@@ -472,7 +472,7 @@ func (t *Tracer) Reject(event string, reason RejectReason, module string) {
 }
 
 // Fault records a control-plane fault span: a handler or guard misbehaved
-// (panicked, overran a deadline or a virtual-time budget). detail is the
+// (panicked, or overran a deadline). detail is the
 // fault subsystem's kind code, recorded opaquely.
 func (t *Tracer) Fault(event, handler string, detail uint64) {
 	t.instant(event, handler, KindFault, 0, detail)

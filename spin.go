@@ -72,10 +72,10 @@ type (
 )
 
 // Fault isolation (see internal/fault and DESIGN.md decision 12): handler
-// panics, deadline overruns, and virtual-time budget overruns are recorded
-// per binding; under an enforcing FaultPolicy, bindings that exhaust their
-// budget are quarantined — compiled out of their event's dispatch plan —
-// then re-admitted on probation after exponential backoff.
+// panics and deadline overruns are recorded per binding; under an enforcing
+// FaultPolicy, bindings that exhaust their budget are quarantined —
+// compiled out of their event's dispatch plan — then re-admitted on
+// probation after exponential backoff.
 type (
 	// FaultPolicy sets fault budgets, deadlines, and backoff.
 	FaultPolicy = fault.Policy
@@ -113,7 +113,7 @@ type (
 	// AdmissionConfig configures a dispatcher's overload control.
 	AdmissionConfig = dispatch.AdmissionConfig
 	// AdmitPolicy is one event's admission policy (mode, queue depth,
-	// block timeout, retry schedule).
+	// block timeout).
 	AdmitPolicy = admit.Policy
 	// AdmitMode selects the full-queue behaviour (Block, Shed,
 	// ShedOldest, Coalesce).
