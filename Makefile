@@ -30,7 +30,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:55252 EXPERIMENTS.md:49040 README.md:22530
+DOC_CEILINGS = DESIGN.md:55244 EXPERIMENTS.md:49040 README.md:22421
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc

@@ -75,11 +75,14 @@ func walkBehindBarrier[R, G, O shapeAxis](p *Plan, args []any, ws *walkState) {
 }
 
 // capture is the stencil's deferred barrier. A panicking guard evaluates
-// false: the step is skipped. A panicking handler counts as fired with no
-// result: the fold is skipped. The hook may re-panic (the dispatcher's
-// purity monitor does, to surface ErrGuardMutatedArgs at the raise point);
-// the re-panic propagates past the recovered frame. A sampled raise records
-// the failed guard's or the terminated handler's span.
+// false: the step is skipped; or, when the hook returns an error, the walk
+// ends with the raise rejected: Fired -1 and the error as the result, and
+// one filter firing, so that the frame's firings come to zero and the
+// caller's excess add takes back the one firing its raised count stands
+// for. A panicking handler counts as fired with no result: the fold is
+// skipped. The hook may re-panic (the dispatcher's does when it enforces
+// no policy); the re-panic propagates past the recovered frame. A sampled
+// raise records the failed guard's or the terminated handler's span.
 func (p *Plan) capture(ws *walkState) {
 	phase := ws.phase
 	if phase < inGuard {
@@ -93,9 +96,12 @@ func (p *Plan) capture(ws *walkState) {
 	ws.pos, ws.phase = pos+1, inWalk
 	rec := ws.recorder()
 	if phase == inGuard {
-		p.protect.GuardPanic(p.flat[pos].tag, v, debug.Stack())
+		err := p.protect.GuardPanic(p.flat[pos].tag, v, debug.Stack())
 		if rec != nil {
 			rec.guard(pos, ws.guard, false, false)
+		}
+		if err != nil {
+			ws.out, ws.filtered, ws.phase = Outcome{Fired: -1, Result: err}, 1, walkDone
 		}
 		return
 	}

@@ -196,21 +196,25 @@ type faultCall struct {
 
 // recHook records the captures a protected plan delivers, in order. A
 // non-nil repanic is what GuardPanic panics with after recording, the way
-// the dispatcher's hook re-panics the purity monitor's verdict.
+// the dispatcher's hook passes a panic on to the raiser when it enforces no
+// policy; a non-nil reject is the error GuardPanic rejects the raise with,
+// the way the dispatcher's hook rejects the purity monitor's verdict.
 type recHook struct {
 	calls   []faultCall
 	repanic any
+	reject  error
 }
 
 func (h *recHook) HandlerPanic(tag, _ any, _ []byte) {
 	h.calls = append(h.calls, faultCall{tag: tag})
 }
 
-func (h *recHook) GuardPanic(tag, _ any, _ []byte) {
+func (h *recHook) GuardPanic(tag, _ any, _ []byte) error {
 	h.calls = append(h.calls, faultCall{guard: true, tag: tag})
 	if h.repanic != nil {
 		panic(h.repanic)
 	}
+	return h.reject
 }
 
 // barrierRun is what one raise of a protected plan did, as the bare and the
@@ -355,38 +359,61 @@ func TestBarrierEdges(t *testing.T) {
 }
 
 // TestBarrierLeavesOtherPanicsAlone: the barrier recovers only what the
-// phase byte says is extension code. A hook that re-panics (the purity
-// monitor's ErrGuardMutatedArgs) surfaces at the raise point, and so does a
-// panic in the result handler, which reaches no hook.
+// phase byte says is extension code. A hook that re-panics surfaces at the
+// raise point, and so does a panic in the result handler, which reaches no
+// hook. A hook that rejects the raise ends the walk at the guard: the later
+// step does not run, the outcome carries the hook's error, and the raise's
+// excess add takes back its one firing.
 func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
 	verdict := errors.New("guard mutated its arguments")
 	for _, metered := range []bool{false, true} {
-		raise := func(p *Plan) (val any) {
+		var excess stripe.Counter
+		raise := func(p *Plan) (out Outcome, val any) {
 			defer func() { val = recover() }()
-			p.Execute(&Env{CPU: meteredCPU(metered)}, []any{uint64(1)}, 0)
-			return nil
+			return p.Execute(&Env{CPU: meteredCPU(metered), FiredExcess: &excess}, []any{uint64(1)}, 0), nil
 		}
-		hook := &recHook{repanic: verdict}
+		later := 0
 		bs := []*Binding{
 			{Tag: 0, Guards: []Guard{{Fn: func(any, []any) bool { panic("monitor") }}}, Fn: func(any, []any) any { return nil }},
-			{Tag: 1, Fn: func(any, []any) any { return nil }},
+			{Tag: 1, Fn: countingHandler(&later, nil)},
 		}
+		hook := &recHook{repanic: verdict}
 		p := Compile(nil, 0, info(1, false), bs, nil, nil, Options{Protect: hook})
-		if got := raise(p); got != verdict {
+		if _, got := raise(p); got != verdict {
 			t.Errorf("metered=%v: raise panicked with %v, want the hook's re-panic", metered, got)
 		}
 		if !reflect.DeepEqual(hook.calls, []faultCall{{guard: true, tag: 0}}) {
 			t.Errorf("metered=%v: hook calls %+v", metered, hook.calls)
 		}
 
+		hook = &recHook{reject: verdict}
+		p = Compile(nil, 0, info(1, false), bs, nil, nil, Options{Protect: hook})
+		out, got := raise(p)
+		if got != nil || out.Rejection() != verdict || later != 0 || excess.Load() != -1 ||
+			!reflect.DeepEqual(hook.calls, []faultCall{{guard: true, tag: 0}}) {
+			t.Errorf("metered=%v: rejecting hook: %+v (rejection %v), panic %v, later step ran %d, excess %d, hook %+v",
+				metered, out, out.Rejection(), got, later, excess.Load(), hook.calls)
+		}
+
 		hook = &recHook{}
 		n := 0
 		bs = []*Binding{{Tag: 0, Fn: countingHandler(&n, uint64(1))}, {Tag: 1, Fn: countingHandler(&n, uint64(2))}}
 		p = Compile(nil, 0, info(1, true), bs, func(any, any, int) any { panic("fold") }, nil, Options{Protect: hook})
-		if got := raise(p); got != "fold" || len(hook.calls) != 0 || n != 1 {
+		if _, got := raise(p); got != "fold" || len(hook.calls) != 0 || n != 1 {
 			t.Errorf("metered=%v: result-handler panic: raise panicked with %v, %d hook calls, %d handlers ran",
 				metered, got, len(hook.calls), n)
 		}
+	}
+}
+
+// TestOutcomeFitsRegisters: Outcome stays at four fields. The compiler
+// keeps a struct of at most four fields as SSA values; a fifth makes every
+// Outcome a stack temporary, which took the bypass raise's lat_p05_ns from
+// 21.6 to 38.7 ns (raise_hot, median of 8 pairs, worse in 8 of 8) while
+// every tier slowed together, past the ratio gates' sight.
+func TestOutcomeFitsRegisters(t *testing.T) {
+	if n := reflect.TypeOf(Outcome{}).NumField(); n > 4 {
+		t.Fatalf("Outcome has %d fields, want at most 4", n)
 	}
 }
 

@@ -64,7 +64,10 @@ func (r *obsRig) runEphemeral(tag any, invoke func(context.Context) any) (any, b
 }
 
 func (r *obsRig) HandlerPanic(tag, val any, _ []byte) { r.log("HandlerPanic %v: %v", tag, val) }
-func (r *obsRig) GuardPanic(tag, val any, _ []byte)   { r.log("GuardPanic %v: %v", tag, val) }
+func (r *obsRig) GuardPanic(tag, val any, _ []byte) error {
+	r.log("GuardPanic %v: %v", tag, val)
+	return nil
+}
 
 // bind builds a named handler returning res; body, when non-nil, runs first
 // (it may charge the CPU or panic).

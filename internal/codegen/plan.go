@@ -35,8 +35,10 @@ type FaultHook interface {
 	// handler counts as fired with no result.
 	HandlerPanic(tag any, val any, stack []byte)
 	// GuardPanic reports a recovered panic in an out-of-line guard; the
-	// guard counts as failed.
-	GuardPanic(tag any, val any, stack []byte)
+	// guard counts as failed. A non-nil error rejects the raise instead:
+	// the walk stops at the guard, the raise counts no firing, and its
+	// Outcome carries the error (Outcome.Rejection).
+	GuardPanic(tag any, val any, stack []byte) error
 }
 
 // ResultFn folds handler results: it is called separately for each result
@@ -122,7 +124,8 @@ type Options struct {
 	// Protect, when non-nil, compiles fault capture into the plan: a panic
 	// in a handler body or an out-of-line guard goes to the hook instead of
 	// the raiser. A panicking handler counts as fired with no result; a
-	// panicking guard counts as failed.
+	// panicking guard counts as failed, or rejects the raise when the hook
+	// says so (FaultHook.GuardPanic).
 	// Plans compiled without it carry no recovery code at all (DESIGN.md
 	// decision 12).
 	Protect FaultHook
@@ -240,12 +243,16 @@ type Env struct {
 	FiredExcess *stripe.Counter
 }
 
-// Outcome reports what a raise did.
+// Outcome reports what a raise did. It keeps to four fields: the compiler
+// keeps a struct of at most four as SSA values, and a fifth makes every
+// Outcome a stack temporary on the raise path (TestOutcomeFitsRegisters).
 type Outcome struct {
 	// Result is the merged result (meaningful only when the event has a
-	// result and Fired > 0 or UsedDefault).
+	// result and Fired > 0 or UsedDefault), or the rejection's error when
+	// Fired is -1.
 	Result any
-	// Fired counts handlers that ran, excluding the default handler.
+	// Fired counts handlers that ran, excluding the default handler; -1
+	// marks a raise the fault hook rejected (Rejection).
 	Fired int
 	// Ambiguous is set when multiple handlers produced results but no
 	// result handler was installed to merge them; Result then holds the
@@ -254,6 +261,16 @@ type Outcome struct {
 	// UsedDefault is set when no handler fired and the default handler
 	// supplied the result.
 	UsedDefault bool
+}
+
+// Rejection returns the error the fault hook rejected the raise with, or
+// nil when the plan ran it.
+func (o Outcome) Rejection() error {
+	if o.Fired >= 0 {
+		return nil
+	}
+	err, _ := o.Result.(error)
+	return err
 }
 
 // Compile generates the dispatch routine for an event. prev is the event's
@@ -592,9 +609,10 @@ func (r *recorder) merge(index int) {
 	r.prog.Merge(r.raise, index, r.start, r.cost(r.start))
 }
 
-// end closes the raise's span group with its outcome.
+// end closes the raise's span group with its outcome; a rejected raise
+// fired nothing.
 func (r *recorder) end(out Outcome) {
-	r.prog.RaiseEnd(r.raise, r.stamp(), r.cost(r.begin), out.Fired, out.Ambiguous, out.UsedDefault)
+	r.prog.RaiseEnd(r.raise, r.stamp(), r.cost(r.begin), max(out.Fired, 0), out.Ambiguous, out.UsedDefault)
 }
 
 // evalGuards is runStep's guard evaluation: one step's guards, each charged

@@ -111,7 +111,7 @@ func TestStencilFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
 	j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
 	sim := vtime.NewSimulator(&vtime.Clock{})
 	d := New(WithJournal(j), WithSimulator(sim),
-		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}))
+		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond}))
 	e := mustDefine(t, d, "F.Gone", rtti.Sig(nil, rtti.Word))
 	g := Guard{Proc: guardProc("G", rtti.Word), Fn: func(any, []any) bool { return true }}
 	ran := 0

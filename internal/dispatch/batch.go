@@ -41,7 +41,8 @@ type BatchOutcome struct {
 	NoHandler int
 	Ambiguous int
 	// Rejected counts frames that failed argument validation (arity, and
-	// dynamic types under purity checking) or async-raise legality.
+	// dynamic types under purity checking) or async-raise legality, and
+	// frames the purity monitor rejected.
 	Rejected int
 	// Shed counts async frames the admission policy shed.
 	Shed int
@@ -138,9 +139,10 @@ func (e *Event) RaiseBatch2(flat []any) BatchOutcome { return e.raiseBatchFlat(f
 // flat. A run of frames on a Batchable plan goes to its frame loop
 // (executeBatch), reloading and continuing on the new plan whenever the
 // loop reports it was superseded mid-batch. Every other frame is a single
-// raise (raiseOne): on any other plan, on a metered dispatcher, under
-// purity checking, and when width is not the event's arity (each frame
-// rejected). An asynchronous event's batch is a loop of RaiseAsync. flat
+// raise (raiseOne): on any other plan (a purity-checked dispatcher's are
+// protected), on a metered dispatcher, and when width is not the event's
+// arity (each frame rejected). An asynchronous event's batch is a loop of
+// RaiseAsync. flat
 // is borrowed: it is never retained past the call or written, so the
 // caller may reuse it at once — the batch copies flat once where a single
 // raise would copy its frame (copyFrame), and an asynchronous event's,
@@ -168,7 +170,7 @@ func (e *Event) raiseBatchFlat(flat []any, width, n int) BatchOutcome {
 		}
 		return out
 	}
-	single := e.d.purity || e.d.cpu != nil || width != e.sig.Arity()
+	single := e.d.cpu != nil || width != e.sig.Arity()
 	idx := stripe.Index()
 	owned := false
 	for done := 0; done < n; {

@@ -48,11 +48,11 @@ func TestControlPlaneChurnBounded(t *testing.T) {
 			return e.SetOrder(bs[1], Order{Kind: OrderLast})
 		}},
 		{"QuarantineModule", func(d *Dispatcher, _ *Event, _ *trace.Tracer, _ []*Binding) error {
-			if n := d.QuarantineModule(ext); n != 2 {
-				return fmt.Errorf("QuarantineModule quarantined %d bindings, want 2", n)
+			if n := d.quarantineModule(ext); n != 2 {
+				return fmt.Errorf("quarantineModule quarantined %d bindings, want 2", n)
 			}
-			if n := d.ReadmitModule(ext); n != 2 {
-				return fmt.Errorf("ReadmitModule readmitted %d bindings, want 2", n)
+			if n := d.readmitModule(ext); n != 2 {
+				return fmt.Errorf("readmitModule readmitted %d bindings, want 2", n)
 			}
 			return nil
 		}},

@@ -119,9 +119,10 @@ func WithSimulator(sim *vtime.Simulator) Option {
 }
 
 // WithPurityChecking makes the dispatcher verify, on every evaluation, that
-// out-of-line FUNCTIONAL guards did not mutate their arguments. This is the
-// runtime stand-in for Modula-3's compiler-verified FUNCTIONAL attribute;
-// it is meant for testing, not production dispatch.
+// out-of-line FUNCTIONAL guards did not mutate their arguments; a raise
+// whose guard did fails with ErrGuardMutatedArgs. This is the runtime
+// stand-in for Modula-3's compiler-verified FUNCTIONAL attribute; it is
+// meant for testing, not production dispatch.
 func WithPurityChecking() Option {
 	return func(d *Dispatcher) { d.purity = true }
 }
@@ -157,8 +158,10 @@ func (d *Dispatcher) Tracer() *trace.Tracer { return d.tracer }
 // on probation after exponential backoff (see internal/fault and DESIGN.md
 // decision 12). Without this option the dispatcher still records faults
 // from its supervised paths (EPHEMERAL and asynchronous handlers, the
-// purity monitor) into a record-only ledger, but never quarantines and
-// compiles no recovery barriers into synchronous dispatch.
+// purity monitor's comparisons) into a record-only ledger, but never
+// quarantines, and compiles recovery barriers into synchronous dispatch
+// only under WithPurityChecking, whose monitor rejects a raise through
+// them while every other panic goes on to the raiser.
 func WithFaultPolicy(p fault.Policy) Option {
 	return func(d *Dispatcher) { d.faultPolicy = &p }
 }

@@ -146,6 +146,11 @@ func TestArgTypeCheckingInPurityMode(t *testing.T) {
 	if _, err := e.Raise("wrong", "ok"); !errors.Is(err, ErrBadArgType) {
 		t.Fatalf("err = %v", err)
 	}
+	// The lone handler is a bypass, but a purity-checked batch still checks
+	// each frame's types.
+	if out := e.RaiseBatch2([]any{1, "ok", "wrong", "ok"}); out.Raised != 1 || out.Rejected != 1 {
+		t.Fatalf("batch: %+v, want 1 raised and 1 rejected", out)
+	}
 }
 
 func TestInstallTypechecking(t *testing.T) {
@@ -294,16 +299,84 @@ func TestGuardMustBeFunctional(t *testing.T) {
 	}
 }
 
+// TestPurityMonitorCatchesMutatingGuard: a mutating FUNCTIONAL guard
+// rejects the raise with ErrGuardMutatedArgs through every raise entry, on
+// a plain, a metered, a traced and an enforcing dispatcher. A rejected
+// raise counts no firing. Any other guard or handler panic reaches the
+// raiser unless a fault policy captures it.
 func TestPurityMonitorCatchesMutatingGuard(t *testing.T) {
-	d := New(WithPurityChecking())
-	e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word))
-	evil := Guard{Proc: guardProc("Evil", rtti.Word), Fn: func(clo any, args []any) bool {
-		args[0] = 999 // FUNCTIONAL violation
-		return true
-	}}
-	_, _ = e.Install(handler(voidProc("H", rtti.Word), func(any, []any) any { return nil }), WithGuard(evil))
-	if _, err := e.Raise(1); !errors.Is(err, ErrGuardMutatedArgs) {
-		t.Fatalf("err = %v, want ErrGuardMutatedArgs", err)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"plain", nil},
+		{"metered", WithCPU(vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel()))},
+		{"traced", WithTracer(trace.New(trace.Config{Capacity: 256, Sample: 1}))},
+		{"faultPolicy", WithFaultPolicy(fault.DefaultPolicy())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{WithPurityChecking()}
+			if tc.opt != nil {
+				opts = append(opts, tc.opt)
+			}
+			d := New(opts...)
+			enforcing := d.FaultLedger().Policy().Enforcing()
+			e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word))
+			// Argument 0 makes the guard mutate its arguments, 1 makes it
+			// panic, 2 makes the handler panic.
+			evil := Guard{Proc: guardProc("Evil", rtti.Word), Fn: func(clo any, args []any) bool {
+				switch args[0] {
+				case uint64(0):
+					args[0] = 999 // FUNCTIONAL violation
+				case uint64(1):
+					panic("guard")
+				}
+				return true
+			}}
+			h := handler(voidProc("H", rtti.Word), func(_ any, args []any) any {
+				if args[0] == uint64(2) {
+					panic("handler")
+				}
+				return nil
+			})
+			if _, err := e.Install(h, WithGuard(evil)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Raise(uint64(0)); !errors.Is(err, ErrGuardMutatedArgs) {
+				t.Fatalf("err = %v, want ErrGuardMutatedArgs", err)
+			}
+			if _, err := e.Raise1(uint64(0)); !errors.Is(err, ErrGuardMutatedArgs) {
+				t.Fatalf("Raise1: err = %v, want ErrGuardMutatedArgs", err)
+			}
+			if rep, err := e.RaiseReport(uint64(0)); !errors.Is(err, ErrGuardMutatedArgs) || rep != (RaiseReport{}) {
+				t.Fatalf("RaiseReport: %+v, err = %v, want a zero report and ErrGuardMutatedArgs", rep, err)
+			}
+			if st := e.Stats(); st.Raised != 3 || st.Fired != 0 {
+				t.Fatalf("after 3 rejections: Raised %d, Fired %d, want 3, 0", st.Raised, st.Fired)
+			}
+			raise := func(arg uint64) (val any, err error) {
+				defer func() { val = recover() }()
+				_, err = e.Raise(arg)
+				return nil, err
+			}
+			// With a policy the guard panic fails the guard and the handler
+			// panic counts as fired; without one both reach the raiser, each
+			// counted as one firing.
+			wantFired := int64(2)
+			if val, err := raise(1); enforcing && !errors.Is(err, ErrNoHandler) || !enforcing && val != "guard" {
+				t.Errorf("guard panic: raiser saw panic %v, err %v", val, err)
+			}
+			if val, err := raise(2); enforcing && (val != nil || err != nil) || !enforcing && val != "handler" {
+				t.Errorf("handler panic: raiser saw panic %v, err %v", val, err)
+			}
+			if enforcing {
+				wantFired = 1
+			}
+			if st := e.Stats(); st.Raised != 5 || st.Fired != wantFired {
+				t.Errorf("after 3 rejections, a guard and a handler panic: Raised %d, Fired %d, want 5, %d",
+					st.Raised, st.Fired, wantFired)
+			}
+		})
 	}
 }
 
@@ -856,7 +929,7 @@ func TestControlChargeIsOneRecompile(t *testing.T) {
 	cpu := vtime.NewCPU(clock, vtime.AlphaModel())
 	sim := vtime.NewSimulator(clock)
 	d := New(WithCPU(cpu), WithSimulator(sim),
-		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}),
+		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond}),
 		WithAdmission(AdmissionConfig{Levels: []admit.Level{{Name: "brownout", MinPriority: 1}}}))
 	nop := func(any, []any) any { return nil }
 	h := func(name string) Handler { return handler(voidProc(name, rtti.Word), nop) }
@@ -895,8 +968,8 @@ func TestControlChargeIsOneRecompile(t *testing.T) {
 		{"RemoveImposedGuards", true, func() error { return e.RemoveImposedGuards(bs[0], testModule) }},
 		{"QuarantineBinding", false, func() error { d.quarantineBinding(bs[1]); return nil }},
 		{"ReadmitBinding", false, func() error { d.readmitBinding(bs[1]); return nil }},
-		{"QuarantineModule", false, func() error { d.QuarantineModule(ext); return nil }},
-		{"ReadmitModule", false, func() error { d.ReadmitModule(ext); return nil }},
+		{"QuarantineModule", false, func() error { d.quarantineModule(ext); return nil }},
+		{"ReadmitModule", false, func() error { d.readmitModule(ext); return nil }},
 		{"ForceDegradationLevel up", false, func() error { d.forceDegradationLevel(1); return nil }},
 		{"ForceDegradationLevel down", false, func() error { d.forceDegradationLevel(0); return nil }},
 		{"Trace on", false, func() error { e.Trace(tr); return nil }},

@@ -19,9 +19,10 @@ import (
 // that cannot own their stripe's frame cell (frameCell): a raise from
 // inside a handler of the same event on the same stripe, another
 // goroutine's raise on a busy stripe, a wrong arity, and every raise under
-// purity checking. So a steady-state raise performs no heap allocation
-// either way. A plan that may retain its frame past the raise runs on a
-// private copy instead (copyFrame).
+// purity checking, whose argument types only the pooled path checks. So a
+// steady-state raise performs no heap allocation either way. A plan that
+// may retain its frame past the raise runs on a private copy instead
+// (copyFrame).
 var argPool = sync.Pool{
 	New: func() any {
 		b := make([]any, 0, cellArity)
@@ -45,8 +46,9 @@ type Event struct {
 	authority *rtti.Module
 	async     bool
 	// ownArity is the arity Raise1..Raise5 raise on a frame cell: the
-	// event's, when it is 1 to cellArity and purity checking is off (a
-	// purity-checked raise checks its argument types first), else 0.
+	// event's, when it is 1 to cellArity and purity checking is off, else
+	// 0. The cell path skips checkArgs, so a purity-checked raise, whose
+	// argument types checkArgs checks, takes the pooled path.
 	ownArity int
 
 	mu         sync.Mutex
@@ -379,7 +381,10 @@ func (e *Event) recompile(charge bool) {
 	}
 	info := codegen.EventInfo{Name: e.name, Arity: e.sig.Arity(), HasResult: e.sig.HasResult()}
 	opts := codegen.Options{Trace: e.tracer, Admit: e.admitQ, Async: runAsync, RunEphemeral: runEphemeral}
-	if e.d.faults.enforce {
+	if e.d.faults.enforce || e.d.purity {
+		// The purity monitor rejects a raise through the fault barrier
+		// (faultCtl.GuardPanic), which is all a policy-less purity-checked
+		// plan uses it for: the hook re-panics every other value.
 		opts.Protect = e.d.faults
 	}
 	plan := codegen.Compile(prev, keep, info, specs, e.resultFn, def, opts)
@@ -509,25 +514,27 @@ func (e *Event) raiseWith(plan *codegen.Plan, args []any) (any, error) {
 		return nil, err
 	}
 	idx := stripe.Index()
-	out, err := e.raiseCounted(plan, args, idx, e.cells[idx].count(1))
-	if err == nil && (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
+	out := e.raiseCounted(plan, args, idx, e.cells[idx].count(1))
+	if (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
 		return out.Result, nil
 	}
-	return e.finishRaise(out, err)
+	return e.finishRaise(out)
 }
 
 // raiseOut is raiseWith before the outcome mapping: it validates, counts,
 // and executes one raise, returning the raw plan outcome. The error covers
-// argument validation and purity-monitor rejections — the cases a loop of
-// raises rejects before dispatch; finishRaise maps the outcome itself. A
-// batch's loop of single raises (raiseOne) calls it per frame so it can
-// fold outcomes without re-deriving them from the (any, error) contract.
+// argument validation and purity-monitor rejections (Outcome.Rejection) —
+// the cases a loop of raises rejects; the rest of the outcome is the
+// caller's to map. RaiseReport and a batch's loop of single raises
+// (raiseOne) call it so they can fold outcomes without re-deriving them
+// from the (any, error) contract.
 func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error) {
 	if err := e.checkArgs(args); err != nil {
 		return codegen.Outcome{}, err
 	}
 	idx := stripe.Index()
-	return e.raiseCounted(plan, args, idx, e.cells[idx].count(1))
+	out := e.raiseCounted(plan, args, idx, e.cells[idx].count(1))
+	return out, out.Rejection()
 }
 
 // raiseCounted executes one raise already validated and counted on stripe
@@ -535,57 +542,27 @@ func (e *Event) raiseOut(plan *codegen.Plan, args []any) (codegen.Outcome, error
 // draw. One stripe hash serves everything a raise touches on a stripe: its
 // cell's raise count, which counts the raise before the plan runs, and the
 // executor's add to the fired excess, if it fires other than one handler.
-func (e *Event) raiseCounted(plan *codegen.Plan, args []any, idx int, raised int64) (codegen.Outcome, error) {
+// Under purity checking the plan runs behind the fault barrier, which ends
+// a rejected raise's walk with its firing taken back (codegen.FaultHook).
+func (e *Event) raiseCounted(plan *codegen.Plan, args []any, idx int, raised int64) codegen.Outcome {
 	var out codegen.Outcome
-	switch {
-	case e.d.purity:
-		// Purity checking installs guard monitors that report a mutating
-		// FUNCTIONAL guard by panicking inside plan execution; only then
-		// does the raise need a recover barrier. The production path below
-		// carries none.
-		return e.raiseOutMonitored(plan, args, idx, raised)
-	case e.d.cpu != nil:
-		out = e.executeMetered(plan, args, idx)
-	default:
-		out = plan.Execute(e.env, args, idx)
-	}
-	e.sample(raised, out.Fired)
-	return out, nil
-}
-
-// sample is the sampled raise journaling of a raise counted raised on its
-// cell: a journal-off dispatcher pays one nil check; an off-sample draw is
-// one mask test on the raise's count.
-func (e *Event) sample(raised int64, fired int) {
-	if jr := e.d.jrnl; jr != nil && jr.SampleCount(uint64(raised)) {
-		jr.SampleHit(e.name, fired)
-	}
-}
-
-// raiseOutMonitored is raiseOut's purity-checking tail: identical execution
-// and sampling behind a recover barrier that surfaces the monitor's
-// ErrGuardMutatedArgs panic as an error at the raise point. A rejected
-// raise counts no firing and draws no sample: the walk stopped before its
-// excess add, and the rejection takes back the one firing its raised add
-// stands for.
-func (e *Event) raiseOutMonitored(plan *codegen.Plan, args []any, idx int, raised int64) (out codegen.Outcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r == ErrGuardMutatedArgs {
-				e.firedExcess.AddAt(idx, -1)
-				out, err = codegen.Outcome{}, fmt.Errorf("%w: event %s", ErrGuardMutatedArgs, e.name)
-				return
-			}
-			panic(r)
-		}
-	}()
 	if e.d.cpu != nil {
 		out = e.executeMetered(plan, args, idx)
 	} else {
 		out = plan.Execute(e.env, args, idx)
 	}
 	e.sample(raised, out.Fired)
-	return out, nil
+	return out
+}
+
+// sample is the sampled raise journaling of a raise counted raised on its
+// cell: a journal-off dispatcher pays one nil check; an off-sample draw is
+// one mask test on the raise's count. A rejected raise (fired < 0) records
+// nothing.
+func (e *Event) sample(raised int64, fired int) {
+	if jr := e.d.jrnl; jr != nil && jr.SampleCount(uint64(raised)) && fired >= 0 {
+		jr.SampleHit(e.name, fired)
+	}
 }
 
 // executeMetered runs one raise of plan on a metered dispatcher: the
@@ -601,10 +578,10 @@ func (e *Event) executeMetered(plan *codegen.Plan, args []any, idx int) codegen.
 	return out
 }
 
-// finishRaise maps a plan outcome, or raiseOut's error, to the raise result
-// and error contract: raiseWith's error path.
-func (e *Event) finishRaise(out codegen.Outcome, err error) (any, error) {
-	if err != nil {
+// finishRaise maps a plan outcome to the raise result and error contract:
+// raiseWith's slow path, a rejection's included.
+func (e *Event) finishRaise(out codegen.Outcome) (any, error) {
+	if err := out.Rejection(); err != nil {
 		return nil, err
 	}
 	if out.Fired == 0 && !out.UsedDefault {
@@ -641,11 +618,11 @@ func (e *Event) raiseOwned(frame []any, idx int, raised int64) (any, error) {
 	if copyFrame(plan, true) {
 		frame = slices.Clone(frame)
 	}
-	out, err := e.raiseCounted(plan, frame, idx, raised)
-	if err == nil && (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
+	out := e.raiseCounted(plan, frame, idx, raised)
+	if (out.Fired > 0 || out.UsedDefault) && !out.Ambiguous {
 		return out.Result, nil
 	}
-	return e.finishRaise(out, err)
+	return e.finishRaise(out)
 }
 
 // raisePooled runs a synchronous raise of plan over a pooled argument

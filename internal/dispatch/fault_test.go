@@ -48,12 +48,7 @@ func TestQuarantineProbationRelapse(t *testing.T) {
 	// test steps the simulator: each state is held exactly until asserted,
 	// however slow the host. Only the fault storm itself is real
 	// concurrency.
-	pol := fault.Policy{
-		Budget:          3,
-		ProbationBudget: 1,
-		Backoff:         300 * time.Millisecond,
-		Probation:       300 * time.Millisecond,
-	}
+	pol := fault.Policy{Budget: 3, Backoff: 300 * time.Millisecond}
 	sim := vtime.NewSimulator(&vtime.Clock{})
 	d := New(WithFaultPolicy(pol), WithSimulator(sim))
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.Word))
@@ -142,7 +137,7 @@ func TestQuarantineProbationRelapse(t *testing.T) {
 	}
 
 	// Phase 3: a single faulting invocation during probation relapses at
-	// the next quarantine level (ProbationBudget 1).
+	// the next quarantine level: one fault on probation re-quarantines.
 	if _, err := e.Raise1(7); err != nil {
 		t.Fatalf("probation raise failed: %v", err)
 	}
@@ -392,8 +387,9 @@ func TestGuardPanicEvaluatesFalse(t *testing.T) {
 }
 
 // TestPurityMonitorSurvivesEnforcement: the purity monitor's
-// ErrGuardMutatedArgs panic must re-propagate through the fault hook to
-// the raise point instead of being swallowed as an extension fault.
+// ErrGuardMutatedArgs verdict rejects the raise through the fault hook, so
+// it reaches the raise point instead of being swallowed as an extension
+// fault, and the ledger records no fault for it.
 func TestPurityMonitorSurvivesEnforcement(t *testing.T) {
 	d := New(WithPurityChecking(), WithFaultPolicy(fault.DefaultPolicy()))
 	e := mustDefine(t, d, "M.P", rtti.Sig(nil, rtti.RefAny))
@@ -406,6 +402,9 @@ func TestPurityMonitorSurvivesEnforcement(t *testing.T) {
 	}
 	if _, err := e.Raise("original"); !errors.Is(err, ErrGuardMutatedArgs) {
 		t.Fatalf("err = %v, want ErrGuardMutatedArgs", err)
+	}
+	if n := d.FaultLedger().Total(); n != 0 {
+		t.Errorf("the ledger recorded %d faults for a purity rejection, want 0", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -39,7 +40,12 @@ func newFaultCtl(d *Dispatcher, pol fault.Policy) *faultCtl {
 
 // HandlerPanic implements codegen.FaultHook for synchronous handler,
 // filter, and default-handler panics recovered inside a protected plan.
+// Without an enforcing policy the plan is protected only for the purity
+// monitor, so the panic goes on to the raiser.
 func (f *faultCtl) HandlerPanic(tag, val any, stack []byte) {
+	if !f.enforce {
+		panic(val)
+	}
 	b, _ := tag.(*Binding)
 	f.handlerPanic(b, val, stack)
 }
@@ -47,18 +53,24 @@ func (f *faultCtl) HandlerPanic(tag, val any, stack []byte) {
 // GuardPanic implements codegen.FaultHook for out-of-line guard panics.
 // The purity monitor reports a mutating FUNCTIONAL guard by panicking
 // ErrGuardMutatedArgs; that is a raiser-visible contract violation, not an
-// extension fault, so it is re-panicked to surface at the raise point.
-func (f *faultCtl) GuardPanic(tag, val any, stack []byte) {
+// extension fault, so it rejects the raise with the error. Any other value
+// is an extension fault under an enforcing policy and goes on to the
+// raiser without one, as HandlerPanic's does.
+func (f *faultCtl) GuardPanic(tag, val any, stack []byte) error {
+	b, _ := tag.(*Binding)
 	if val == ErrGuardMutatedArgs {
+		return fmt.Errorf("%w: event %s", ErrGuardMutatedArgs, b.event.name)
+	}
+	if !f.enforce {
 		panic(val)
 	}
-	b, _ := tag.(*Binding)
 	f.observe(b, fault.Record{
 		Kind:   fault.KindPanic,
 		Origin: fault.OriginGuard,
 		Value:  val,
 		Stack:  stack,
 	})
+	return nil
 }
 
 // handlerPanic records a panic recovered by a supervisor (EPHEMERAL or
@@ -138,7 +150,7 @@ func (f *faultCtl) readmit(b *Binding) {
 		return nil
 	})
 	if ok {
-		f.d.afterFunc(f.policy.Probation, func() { f.restore(b) })
+		f.d.afterFunc(f.policy.Backoff, func() { f.restore(b) })
 	}
 }
 
@@ -201,11 +213,12 @@ func (d *Dispatcher) setModuleDenied(m *rtti.Module, denied bool) {
 	d.faults.mu.Unlock()
 }
 
-// QuarantineModule compiles every binding installed by m out of its
+// quarantineModule compiles every binding installed by m out of its
 // event's plan and denies the module new installations until
-// ReadmitModule. It returns the number of bindings quarantined. The
-// operator calls it, and journal replay re-applies its records.
-func (d *Dispatcher) QuarantineModule(m *rtti.Module) int {
+// readmitModule. It returns the number of bindings quarantined. No program
+// calls it: the control-plane tests and the replay fuzzer drive it, and
+// journal replay re-applies its records.
+func (d *Dispatcher) quarantineModule(m *rtti.Module) int {
 	if m == nil {
 		return 0
 	}
@@ -223,11 +236,11 @@ func (d *Dispatcher) QuarantineModule(m *rtti.Module) int {
 	return n
 }
 
-// ReadmitModule lifts a module quarantine: the module may install handlers
+// readmitModule lifts a module quarantine: the module may install handlers
 // again and its quarantined bindings are compiled back into their events'
 // plans. Bindings individually quarantined by their own fault budget are
 // governed by their own probation timers and stay out.
-func (d *Dispatcher) ReadmitModule(m *rtti.Module) int {
+func (d *Dispatcher) readmitModule(m *rtti.Module) int {
 	if m == nil {
 		return 0
 	}

@@ -470,7 +470,7 @@ func FuzzJournalReplay(f *testing.F) {
 		jA := journal.New(journal.Config{Sink: sink, BatchRecords: 4, FlushInterval: -1})
 		sim := vtime.NewSimulator(&vtime.Clock{})
 		dA := New(WithJournal(jA), WithSimulator(sim), WithAdmission(ladder),
-			WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}))
+			WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond}))
 		eA := mustDefine(t, dA, "J.Fuzz", rtti.Sig(nil, rtti.Word), WithOwner(ext))
 
 		for _, op := range ops {
@@ -522,9 +522,9 @@ func FuzzJournalReplay(f *testing.F) {
 				_ = eA.SetDefaultHandler(h)
 			case 8:
 				if op&0x10 != 0 {
-					dA.QuarantineModule(ext)
+					dA.quarantineModule(ext)
 				} else {
-					dA.ReadmitModule(ext)
+					dA.readmitModule(ext)
 				}
 			case 9:
 				dA.forceDegradationLevel(int(op>>4) % 3)
@@ -659,7 +659,7 @@ func TestFaultOnUninstalledBindingLeavesReplayableJournal(t *testing.T) {
 			j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
 			sim := vtime.NewSimulator(&vtime.Clock{})
 			d := New(WithJournal(j), WithSimulator(sim),
-				WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}))
+				WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond}))
 			e := mustDefine(t, d, "F.Gone", rtti.Sig(nil, rtti.Word))
 
 			var self *Binding
@@ -707,8 +707,7 @@ func TestFaultRacingUninstallLeavesReplayableJournal(t *testing.T) {
 		sink := journal.NewMemSink()
 		j := journal.New(journal.Config{Sink: sink, FlushInterval: -1})
 		sim := vtime.NewSimulator(&vtime.Clock{})
-		d := New(WithJournal(j), WithSimulator(sim), WithFaultPolicy(fault.Policy{Budget: 1,
-			Backoff: time.Millisecond, Probation: time.Millisecond}))
+		d := New(WithJournal(j), WithSimulator(sim), WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond}))
 		e := mustDefine(t, d, "F.Race", rtti.Sig(nil, rtti.Word))
 		b, err := e.Install(handler(voidProc("Bad", rtti.Word), func(any, []any) any {
 			panic("boom")
@@ -756,7 +755,7 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 	sim := vtime.NewSimulator(&vtime.Clock{})
 	tr := trace.New(trace.Config{})
 	d := New(WithJournal(j), WithSimulator(sim), WithTracer(tr),
-		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond, Probation: time.Millisecond}),
+		WithFaultPolicy(fault.Policy{Budget: 1, Backoff: time.Millisecond}),
 		WithAdmission(AdmissionConfig{Levels: []admit.Level{
 			{Name: "brownout", MinPriority: 2}, {Name: "shed", MinPriority: 1}}}))
 	nop := func(any, []any) any { return nil }
@@ -915,16 +914,16 @@ func TestControlPlaneJournalGolden(t *testing.T) {
 		install(mod, extH("X2"), WithPriority(1))
 		install(mod, h("Mine"))
 		d.quarantineBinding(x1)
-		if n := d.QuarantineModule(ext); n != 1 {
-			t.Fatalf("QuarantineModule flipped %d, want 1", n)
+		if n := d.quarantineModule(ext); n != 1 {
+			t.Fatalf("quarantineModule flipped %d, want 1", n)
 		}
 		if _, err := mod.Install(extH("X3")); !errors.Is(err, ErrModuleQuarantined) {
 			t.Fatalf("install by quarantined module: %v", err)
 		}
 	})
 	step("module readmit", func() {
-		if n := d.ReadmitModule(ext); n != 2 {
-			t.Fatalf("ReadmitModule restored %d, want 2", n)
+		if n := d.readmitModule(ext); n != 2 {
+			t.Fatalf("readmitModule restored %d, want 2", n)
 		}
 	})
 	for _, level := range []int{1, 2, 2, 0} {

@@ -30,7 +30,8 @@ type RaiseReport struct {
 // structurally. A raise that fires no handler and has no default is NOT
 // an error here — it returns a zero report — so a remote receiver can
 // distinguish "dispatched, nobody listening" from a failed dispatch.
-// Errors are reserved for argument validation and purity rejections.
+// Errors are reserved for argument validation and purity rejections
+// (ErrGuardMutatedArgs), which return a zero report.
 func (e *Event) RaiseReport(args ...any) (RaiseReport, error) {
 	if e.async {
 		err := e.RaiseAsync(args...)

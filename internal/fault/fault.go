@@ -148,58 +148,37 @@ func (r Record) String() string {
 
 // Policy configures fault budgets and lifecycle timing. The zero value is
 // record-only: faults are captured in the ledger but never quarantine
-// anything (Budget 0 disables enforcement).
+// anything (Budget 0 disables enforcement). The rest of the lifecycle is
+// fixed: one fault on probation re-quarantines, probation lasts Backoff,
+// each relapse doubles the backoff up to 100 × Backoff, and the ledger
+// keeps the last 256 records.
 type Policy struct {
 	// Budget is the number of budgeted faults a healthy binding may
 	// accumulate before being quarantined (the Budget-th fault triggers).
 	// Zero disables quarantine entirely (record-only).
 	Budget int
-	// ProbationBudget is the tightened budget applied during probation;
-	// zero selects 1 (a single relapse re-quarantines).
-	ProbationBudget int
-	// Backoff is the initial quarantine duration before probation; zero
-	// selects 100ms. On a simulated machine it elapses in virtual time.
+	// Backoff is the initial quarantine duration before probation, and
+	// the length of probation; zero selects 100ms. On a simulated machine
+	// it elapses in virtual time.
 	Backoff time.Duration
-	// BackoffFactor multiplies the backoff on each relapse; values below 2
-	// select 2.
-	BackoffFactor int
-	// MaxBackoff caps the backoff growth; zero selects 100 * Backoff.
-	MaxBackoff time.Duration
-	// Probation is how long a re-admitted binding must stay fault-free
-	// before being restored to full health; zero selects Backoff.
-	Probation time.Duration
-	// History is the ledger's record ring capacity; zero selects 256.
-	History int
 }
+
+// history is the ledger's record ring capacity.
+const history = 256
 
 // DefaultPolicy returns an enforcing policy with conventional settings:
 // three faults quarantine a binding, probation tolerates none, backoff
 // starts at 100ms and doubles per relapse.
 func DefaultPolicy() Policy {
-	return Policy{Budget: 3, ProbationBudget: 1, Backoff: 100 * time.Millisecond}
+	return Policy{Budget: 3, Backoff: 100 * time.Millisecond}
 }
 
 // Enforcing reports whether the policy can quarantine anything.
 func (p Policy) Enforcing() bool { return p.Budget > 0 }
 
 func (p *Policy) normalize() {
-	if p.ProbationBudget <= 0 {
-		p.ProbationBudget = 1
-	}
 	if p.Backoff <= 0 {
 		p.Backoff = 100 * time.Millisecond
-	}
-	if p.BackoffFactor < 2 {
-		p.BackoffFactor = 2
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 100 * p.Backoff
-	}
-	if p.Probation <= 0 {
-		p.Probation = p.Backoff
-	}
-	if p.History <= 0 {
-		p.History = 256
 	}
 }
 
@@ -231,7 +210,7 @@ type Ledger struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	ring    []Record // grown by append up to policy.History, then oldest overwritten
+	ring    []Record // grown by append up to history, then oldest overwritten
 	next    int      // ring write cursor
 	total   int      // records ever captured
 	entries map[any]*entry
@@ -252,17 +231,17 @@ func (l *Ledger) Policy() Policy { return l.policy }
 
 // record stamps r and appends it to the ring. Caller holds l.mu. The ring
 // grows with the faults, so a ledger that never sees one holds none: only
-// once it holds policy.History records does it wrap.
+// once it holds history records does it wrap.
 func (l *Ledger) record(r Record) {
 	l.seq++
 	r.Seq = l.seq
 	l.total++
-	if len(l.ring) < l.policy.History {
+	if len(l.ring) < history {
 		l.ring = append(l.ring, r)
 	} else {
 		l.ring[l.next] = r
 	}
-	l.next = (l.next + 1) % l.policy.History
+	l.next = (l.next + 1) % history
 }
 
 // Note captures an observational record that never counts against any
@@ -292,13 +271,11 @@ func (l *Ledger) Observe(key any, r Record) Action {
 			// A straggling invocation (e.g. an abandoned EPHEMERAL
 			// handler) faulted after quarantine; record only.
 		case Probation:
-			e.faults++
-			if e.faults >= l.policy.ProbationBudget {
-				e.state = Quarantined
-				e.faults = 0
-				e.level++
-				act = Action{Quarantine: true, Backoff: l.backoffFor(e.level), Level: e.level}
-			}
+			// A relapse: one fault on probation re-quarantines.
+			e.state = Quarantined
+			e.faults = 0
+			e.level++
+			act = Action{Quarantine: true, Backoff: l.backoffFor(e.level), Level: e.level}
 		default: // Healthy
 			e.faults++
 			if e.faults >= l.policy.Budget {
@@ -311,14 +288,13 @@ func (l *Ledger) Observe(key any, r Record) Action {
 	return act
 }
 
-// backoffFor computes the exponential backoff for a quarantine generation.
-// Caller holds l.mu.
+// backoffFor computes the exponential backoff for a quarantine generation:
+// Backoff doubled per level, capped at 100 × Backoff. Caller holds l.mu.
 func (l *Ledger) backoffFor(level int) time.Duration {
-	b := l.policy.Backoff
+	b, most := l.policy.Backoff, 100*l.policy.Backoff
 	for i := 0; i < level; i++ {
-		b *= time.Duration(l.policy.BackoffFactor)
-		if b >= l.policy.MaxBackoff {
-			return l.policy.MaxBackoff
+		if b *= 2; b >= most {
+			return most
 		}
 	}
 	return b
@@ -396,7 +372,7 @@ func (l *Ledger) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]Record, 0, len(l.ring))
-	if len(l.ring) < l.policy.History {
+	if len(l.ring) < history {
 		return append(out, l.ring...)
 	}
 	out = append(out, l.ring[l.next:]...)

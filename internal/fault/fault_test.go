@@ -24,7 +24,7 @@ func TestLedgerRecordOnlyByDefault(t *testing.T) {
 }
 
 func TestLedgerQuarantineProbationRelapse(t *testing.T) {
-	p := Policy{Budget: 3, ProbationBudget: 1, Backoff: 10 * time.Millisecond}
+	p := Policy{Budget: 3, Backoff: 10 * time.Millisecond}
 	l := NewLedger(p)
 	key := new(int)
 
@@ -71,25 +71,22 @@ func TestLedgerQuarantineProbationRelapse(t *testing.T) {
 	}
 }
 
+// TestLedgerBackoffCapped: each relapse doubles the backoff, up to the
+// fixed cap of 100 × Backoff.
 func TestLedgerBackoffCapped(t *testing.T) {
-	p := Policy{Budget: 1, Backoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
-	l := NewLedger(p)
+	l := NewLedger(Policy{Budget: 1, Backoff: 10 * time.Millisecond})
 	key := new(int)
 	r := Record{Kind: KindPanic}
-
-	act := l.Observe(key, r)
-	if act.Backoff != 10*time.Millisecond {
-		t.Fatalf("level 0 backoff = %v", act.Backoff)
-	}
-	l.Readmit(key)
-	act = l.Observe(key, r)
-	if act.Backoff != 20*time.Millisecond {
-		t.Fatalf("level 1 backoff = %v", act.Backoff)
-	}
-	l.Readmit(key)
-	act = l.Observe(key, r)
-	if act.Backoff != 35*time.Millisecond {
-		t.Fatalf("level 2 backoff = %v, want capped 35ms", act.Backoff)
+	want := 10 * time.Millisecond
+	for level := 0; level < 10; level++ {
+		if level > 0 {
+			l.Readmit(key)
+		}
+		act := l.Observe(key, r)
+		if act.Level != level || act.Backoff != want {
+			t.Fatalf("level %d: act = %+v, want backoff %v", level, act, want)
+		}
+		want = min(2*want, time.Second)
 	}
 }
 
@@ -110,39 +107,39 @@ func TestLedgerForget(t *testing.T) {
 }
 
 func TestLedgerRingRetention(t *testing.T) {
-	l := NewLedger(Policy{History: 4})
-	for i := 0; i < 7; i++ {
+	l := NewLedger(Policy{})
+	for i := 0; i < history+3; i++ {
 		l.Note(Record{Kind: KindCompare, Handler: "H"})
 	}
 	recs := l.Records()
-	if len(recs) != 4 {
-		t.Fatalf("retained %d records, want 4", len(recs))
+	if len(recs) != history {
+		t.Fatalf("retained %d records, want %d", len(recs), history)
 	}
 	for i, r := range recs {
 		if want := uint64(4 + i); r.Seq != want {
 			t.Fatalf("record %d seq = %d, want %d (oldest-first)", i, r.Seq, want)
 		}
 	}
-	if l.Total() != 7 {
-		t.Fatalf("total = %d, want 7", l.Total())
+	if l.Total() != history+3 {
+		t.Fatalf("total = %d, want %d", l.Total(), history+3)
 	}
 }
 
-// TestLedgerRingGrowsWithFaults: a fresh ledger holds no ring, and one
-// with History 4 returns its records oldest-first after 0, 3 and 10 records,
-// growing to 4 and then wrapping.
+// TestLedgerRingGrowsWithFaults: a fresh ledger holds no ring, and returns
+// its records oldest-first after 0, 3 and history+7 records, growing to its
+// capacity of history and then wrapping.
 func TestLedgerRingGrowsWithFaults(t *testing.T) {
-	l := NewLedger(Policy{History: 4})
+	l := NewLedger(Policy{})
 	if l.ring != nil {
 		t.Fatalf("fresh ledger holds a ring of capacity %d", cap(l.ring))
 	}
 	noted := 0
-	for _, upto := range []int{0, 3, 10} {
+	for _, upto := range []int{0, 3, history + 7} {
 		for ; noted < upto; noted++ {
 			l.Note(Record{Kind: KindCompare, Handler: "H"})
 		}
 		recs := l.Records()
-		first := max(upto-4, 0) + 1 // the oldest retained seq
+		first := max(upto-history, 0) + 1 // the oldest retained seq
 		if len(recs) != upto-first+1 {
 			t.Fatalf("after %d records: retained %d, want %d", upto, len(recs), upto-first+1)
 		}

@@ -42,10 +42,13 @@ const (
 	// DefaultFlushInterval seals a non-empty batch at least this often,
 	// bounding how long a record stays unsealed (the durability window).
 	DefaultFlushInterval = 10 * time.Millisecond
-	// DefaultQueueDepth bounds the ingress channel between emitters and
-	// the batcher worker.
-	DefaultQueueDepth = 1024
 )
+
+// queueDepth bounds the ingress channel between emitters and the batcher
+// worker: sixteen batches of DefaultBatchRecords, so a lifecycle emitter
+// blocks, and a sampled raise record is shed, only when the worker has
+// fallen that far behind.
+const queueDepth = 1024
 
 // sampleOff marks raise sampling disabled; the hot path sees one
 // comparison and returns.
@@ -70,9 +73,6 @@ type Config struct {
 	// selects DefaultFlushInterval, negative disables the timer (size
 	// triggers and Close only — for deterministic tests).
 	FlushInterval time.Duration
-	// QueueDepth bounds the ingress channel; zero selects
-	// DefaultQueueDepth.
-	QueueDepth int
 }
 
 // Stats is a snapshot of the journal's accounting.
@@ -128,14 +128,11 @@ func New(cfg Config) *Journal {
 	if cfg.FlushInterval == 0 {
 		cfg.FlushInterval = DefaultFlushInterval
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	j := &Journal{
 		sink:       cfg.Sink,
 		cfg:        cfg,
 		sampleMask: sampleOff,
-		ch:         make(chan Record, cfg.QueueDepth),
+		ch:         make(chan Record, queueDepth),
 		flushCh:    make(chan chan struct{}),
 		done:       make(chan struct{}),
 	}

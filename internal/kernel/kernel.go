@@ -13,7 +13,6 @@ package kernel
 import (
 	"spin/internal/dispatch"
 	"spin/internal/fault"
-	"spin/internal/journal"
 	"spin/internal/linker"
 	"spin/internal/rtti"
 	"spin/internal/sched"
@@ -44,20 +43,6 @@ type Config struct {
 	// their events' dispatch plans (see internal/fault). Nil leaves the
 	// dispatcher in record-only mode.
 	FaultPolicy *fault.Policy
-	// Admission, when non-nil, enables overload control machine-wide:
-	// asynchronous raises and handler invocations pass through bounded
-	// admission queues drained by a size-capped worker pool, and the
-	// degradation controller (when levels are configured) disables
-	// optional bindings by priority class as load crosses thresholds
-	// (see internal/admit).
-	Admission *dispatch.AdmissionConfig
-	// Journal, when non-nil, attaches a durable lifecycle journal
-	// machine-wide: every handler lifecycle transition (install,
-	// uninstall, quarantine, readmission, degradation, quota change) is
-	// recorded in tamper-evident sealed batches, plus 1-in-N sampled
-	// raises (see internal/journal). ReplayJournal reconstructs the
-	// dispatcher state from a previous boot's journal.
-	Journal *journal.Journal
 	// ShareWith, when non-nil, makes this machine share the given
 	// machine's virtual clock and simulator — required for multi-machine
 	// experiments (the Table 2 UDP roundtrip runs two machines on one
@@ -107,12 +92,6 @@ func Boot(cfg Config) (*Machine, error) {
 	if cfg.FaultPolicy != nil {
 		dopts = append(dopts, dispatch.WithFaultPolicy(*cfg.FaultPolicy))
 	}
-	if cfg.Admission != nil {
-		dopts = append(dopts, dispatch.WithAdmission(*cfg.Admission))
-	}
-	if cfg.Journal != nil {
-		dopts = append(dopts, dispatch.WithJournal(cfg.Journal))
-	}
 	m.Dispatcher = dispatch.New(dopts...)
 	m.Nexus = linker.NewNexus()
 
@@ -159,18 +138,6 @@ func Boot(cfg Config) (*Machine, error) {
 // exported interfaces, then the image initializer's handler registrations.
 func (m *Machine) LoadExtension(img *linker.Image) (*linker.Domain, error) {
 	return m.Nexus.Load(img)
-}
-
-// ReplayJournal reconstructs the dispatcher's binding, quarantine,
-// quota, and degradation state from a previous boot's journal: the
-// sealed records are re-driven, in order, through the dispatcher's
-// normal install path. Call it after Boot and after defining the events
-// and loading the extensions whose handlers the resolver maps names back
-// to. Only the sealed (fsynced, chain-verified) prefix is applied; a
-// crash's unsealed tail is reported in the summary but never trusted.
-func (m *Machine) ReplayJournal(data []byte, resolve dispatch.JournalResolve) (journal.Summary, error) {
-	_, sum, err := m.Dispatcher.ReplayJournal(data, resolve)
-	return sum, err
 }
 
 // Run drives the machine's simulator until quiescence (metered machines

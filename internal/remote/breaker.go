@@ -6,11 +6,11 @@ import "spin/internal/vtime"
 // loop and the wire: while Closed it passes raises through; TripBudget
 // consecutive failures open it, and while Open every raise is rejected
 // locally (shed or re-routed to a fallback) without touching the wire.
-// After Cooldown of virtual time the breaker half-opens and admits a
-// bounded number of probe raises; one success closes it, one failure
-// re-opens it for another cooldown. Transitions are reported through
-// OnTransition so the peer can charge them to the fault ledger, emit
-// trace spans, and move the admission degrader.
+// After Cooldown of virtual time the breaker half-opens and admits one
+// probe raise; its success closes it, its failure re-opens it for another
+// cooldown. Transitions are reported through OnTransition so the peer can
+// charge them to the fault ledger, emit trace spans, and move the
+// admission degrader.
 
 // BreakerState enumerates the circuit states.
 type BreakerState int
@@ -45,9 +45,6 @@ type BreakerConfig struct {
 	// Cooldown is the virtual-time hold in Open before half-opening
 	// (default 50ms — about a hundred calibrated round trips).
 	Cooldown vtime.Duration
-	// HalfOpenProbes is how many in-flight probes HalfOpen admits before
-	// rejecting further traffic until a verdict lands (default 1).
-	HalfOpenProbes int
 }
 
 // DefaultCooldown is the Open hold before a half-open probe.
@@ -64,8 +61,9 @@ type Breaker struct {
 	consecFails int
 	// openedAt stamps the trip, starting the cooldown.
 	openedAt vtime.Time
-	// probes counts in-flight half-open probes.
-	probes int
+	// probing marks the one half-open probe in flight: HalfOpen rejects
+	// further traffic until its verdict lands.
+	probing bool
 	// Trips counts Closed/HalfOpen→Open transitions over the breaker's
 	// lifetime.
 	Trips int64
@@ -81,9 +79,6 @@ func newBreaker(cfg BreakerConfig, clock *vtime.Clock) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = DefaultCooldown
 	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 1
-	}
 	return &Breaker{cfg: cfg, clock: clock}
 }
 
@@ -92,20 +87,20 @@ func newBreaker(cfg BreakerConfig, clock *vtime.Clock) *Breaker {
 func (b *Breaker) State() BreakerState {
 	if b.state == BreakerOpen && b.clock.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
 		b.transition(BreakerHalfOpen)
-		b.probes = 0
+		b.probing = false
 	}
 	return b.state
 }
 
 // allow reports whether a raise may go to the wire now. In HalfOpen it
-// admits up to HalfOpenProbes in-flight probes.
+// admits one in-flight probe.
 func (b *Breaker) allow() bool {
 	switch b.State() {
 	case BreakerClosed:
 		return true
 	case BreakerHalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
-			b.probes++
+		if !b.probing {
+			b.probing = true
 			return true
 		}
 		return false
@@ -122,7 +117,7 @@ func (b *Breaker) success() {
 		b.transition(BreakerClosed)
 	}
 	b.consecFails = 0
-	b.probes = 0
+	b.probing = false
 }
 
 // failure records a raise that exhausted its deadline or lost its
@@ -151,7 +146,7 @@ func (b *Breaker) forceOpen() {
 func (b *Breaker) trip() {
 	b.openedAt = b.clock.Now()
 	b.consecFails = 0
-	b.probes = 0
+	b.probing = false
 	b.Trips++
 	b.transition(BreakerOpen)
 }

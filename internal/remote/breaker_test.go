@@ -65,7 +65,7 @@ func TestBreakerHalfOpensAfterCooldownAndClosesOnProbeSuccess(t *testing.T) {
 		t.Fatal("probe rejected")
 	}
 	if b.allow() {
-		t.Fatal("second probe admitted with HalfOpenProbes=1")
+		t.Fatal("second probe admitted while the first is in flight")
 	}
 	b.success()
 	if b.State() != BreakerClosed || !b.allow() {

@@ -68,8 +68,6 @@ type PeerConfig struct {
 	MaxAttempts int
 	// Breaker tunes the circuit; see BreakerConfig.
 	Breaker BreakerConfig
-	// Seed drives retry jitter deterministically.
-	Seed uint64
 
 	// HeartbeatEvery probes peer health on this period; 0 disables
 	// heartbeats (and partition detection).
@@ -165,7 +163,9 @@ type pendingRaise struct {
 type Peer struct {
 	cfg     PeerConfig
 	breaker *Breaker
-	rng     uint64
+	// rng is the retry jitter stream (splitmix64), which every peer starts
+	// at zero: a peer's retry schedule is a function of its raises alone.
+	rng uint64
 
 	conn    *netstack.TCPConn
 	epoch   int      // increments per dial; stale-conn detection for retries
@@ -197,7 +197,7 @@ func NewPeer(cfg PeerConfig) *Peer {
 	if cfg.HeartbeatMisses <= 0 {
 		cfg.HeartbeatMisses = 3
 	}
-	p := &Peer{cfg: cfg, rng: cfg.Seed, pending: make(map[uint64]*pendingRaise)}
+	p := &Peer{cfg: cfg, pending: make(map[uint64]*pendingRaise)}
 	p.breaker = newBreaker(cfg.Breaker, cfg.Clock)
 	p.breaker.OnTransition = p.onBreaker
 	return p

@@ -77,7 +77,8 @@ type (
 // compiled out of their event's dispatch plan — then re-admitted on
 // probation after exponential backoff.
 type (
-	// FaultPolicy sets fault budgets, deadlines, and backoff.
+	// FaultPolicy sets the fault budget and the quarantine backoff; the
+	// rest of the lifecycle is fixed (see internal/fault).
 	FaultPolicy = fault.Policy
 	// FaultRecord is one recorded fault.
 	FaultRecord = fault.Record
