@@ -30,7 +30,7 @@ spinvet:
 # The documentation diet's ratchet, checked by `make lint`: each file may
 # not grow past its byte ceiling. A change may lower a ceiling to the size
 # it leaves; raising one needs a CHANGES.md line saying why.
-DOC_CEILINGS = DESIGN.md:55244 EXPERIMENTS.md:49040 README.md:22421
+DOC_CEILINGS = DESIGN.md:55236 EXPERIMENTS.md:49040 README.md:22421
 
 # The standing allocation invariants from the fast-path, tracing, fault,
 # overload, journal, and remote PRs: a synchronous raise stays 0-alloc
@@ -111,14 +111,15 @@ bench:
 
 # Benchmark-regression smoke gate: the specialized inline-plan raise must
 # stay within 25% of the committed inline/bypass ratio, the bypass batch
-# loop above its floor, and the remote plane, a filter plan and the growth
-# of install cost with the handler list under their ceilings
+# loop above its floor, and the remote plane, a filter plan, the growth
+# of install cost with the handler list and a hardened raise against a
+# plain one under their ceilings
 # (the committed figures are constants beside the gates in
 # benchsmoke_test.go). Ratio-based so it is meaningful on any host.
 # Selected by prefix, so a new TestBenchSmoke* joins the gate; the target
 # first counts what the prefix selects and fails below BENCHSMOKE_GATES, so
 # a gate renamed out of the prefix breaks CI instead of silently leaving it.
-BENCHSMOKE_GATES = 5
+BENCHSMOKE_GATES = 6
 benchsmoke:
 	@listing="$$($(GO) test -list '^TestBenchSmoke' .)" || { echo "$$listing"; exit 1; }; \
 	n="$$(echo "$$listing" | grep -c '^TestBenchSmoke')"; \
@@ -129,20 +130,32 @@ benchsmoke:
 # The end-to-end benchmark's own checks (benchmark/README.md): its module's
 # tests, then one second of each workload, whose output checks (served
 # counts, fired totals, fold values, journal verification) make run.sh
-# exit non-zero. No timing is asserted.
-BENCH_WORKLOADS = http_session http_large udp_fanin raise_hot raise_heavy ctl_churn
+# exit non-zero. No timing is asserted. The workloads are the names in
+# BENCHMARK.json's "workloads" array, read from the file on every run, so
+# the list cannot drift from the benchmark; finding none fails.
+BENCH_WORKLOADS_AWK = /"workloads"[[:space:]]*:/ { if (/\]/) exit; w = 1; next } \
+	w && /^[[:space:]]*\],?[[:space:]]*$$/ { exit } \
+	w && match($$0, /"name"[[:space:]]*:[[:space:]]*"[^"]*"/) { \
+		s = substr($$0, RSTART, RLENGTH); sub(/^"name"[[:space:]]*:[[:space:]]*"/, "", s); print substr(s, 1, length(s) - 1) }
 benchcheck:
 	cd benchmark && $(GO) test ./...
-	set -e; for w in $(BENCH_WORKLOADS); do \
-		bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0; \
+	@workloads="$$(awk '$(BENCH_WORKLOADS_AWK)' BENCHMARK.json)"; \
+	[ -n "$$workloads" ] || { echo "benchcheck: BENCHMARK.json lists no workloads"; exit 1; }; \
+	echo "benchcheck: workloads" $$workloads; \
+	for w in $$workloads; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
 
-# CPU profile of the parallel raise benchmarks. EXPERIMENTS.md ("Reading
-# the inline-plan profile") explains what to look for in the output of
-# `go tool pprof -top raise.prof`.
+# CPU profiles of the parallel raise benchmarks (raise.prof) and of the
+# hardened raise against the plain one (hardened.prof). EXPERIMENTS.md
+# ("Reading the inline-plan profile") explains what to look for in the
+# output of `go tool pprof -top raise.prof`; in hardened.prof the barrier
+# stencil, flatFrame[...,on,...], should cost what the plain one does.
 profile:
 	$(GO) test -bench BenchmarkRaiseParallel -run '^$$' -benchtime 2s -cpuprofile raise.prof -o raise.test .
 	$(GO) tool pprof -top -nodecount 15 raise.test raise.prof
+	$(GO) test -bench BenchmarkHardenedRaise -run '^$$' -benchtime 2s -cpuprofile hardened.prof -o raise.test .
+	$(GO) tool pprof -top -nodecount 15 raise.test hardened.prof
 
 # Calibrated virtual-time reproductions of the paper's tables (clock:
 # model). `make test` pins them through cmd/spin/testdata/tables_*.golden.

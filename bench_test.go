@@ -19,6 +19,7 @@ import (
 	"spin/internal/bench"
 	"spin/internal/codegen"
 	"spin/internal/dispatch"
+	"spin/internal/fault"
 	"spin/internal/rtti"
 	"spin/internal/trace"
 	"spin/internal/vtime"
@@ -45,7 +46,7 @@ func benchArgs(n int) []any {
 
 // buildEvent assembles a Table 1 configuration: `handlers` handlers, each
 // with one guard, inline or out-of-line, on an unmetered dispatcher.
-func buildEvent(b *testing.B, args, handlers int, inline bool, opts ...dispatch.Option) *dispatch.Event {
+func buildEvent(b testing.TB, args, handlers int, inline bool, opts ...dispatch.Option) *dispatch.Event {
 	b.Helper()
 	d := dispatch.New(opts...)
 	ev, err := d.DefineEvent("Bench.Event", benchSig(args))
@@ -582,4 +583,32 @@ func BenchmarkRaiseParallel(b *testing.B) {
 			}
 		})
 	})
+}
+
+// hardenedEvents builds ctl_churn's raise shape twice: 32 closure-guarded
+// bindings, on a plain dispatcher and on a hardened one (a fault policy),
+// whose plan runs the same stencil behind its per-frame recover barrier.
+func hardenedEvents(tb testing.TB) (plain, hardened *dispatch.Event) {
+	const bindings = 32
+	return buildEvent(tb, 1, bindings, false),
+		buildEvent(tb, 1, bindings, false, dispatch.WithFaultPolicy(fault.Policy{Budget: 3}))
+}
+
+// BenchmarkHardenedRaise measures what the fault barrier costs a raise
+// through Raise1: the plain and the hardened event of hardenedEvents.
+func BenchmarkHardenedRaise(b *testing.B) {
+	plain, hardened := hardenedEvents(b)
+	for _, c := range []struct {
+		name string
+		ev   *dispatch.Event
+	}{{"plain", plain}, {"hardened", hardened}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.ev.Raise1(uint64(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -10,8 +10,10 @@ package spin
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spin/internal/codegen"
 	"spin/internal/dispatch"
@@ -48,6 +50,14 @@ const (
 	// when committed; 2.34x and 1.43x with the guard index copied and the
 	// binding list rebuilt per append; 2-vCPU Xeon).
 	installScalingCeiling = 1.2
+	// hardenedCeiling is a ceiling with tolerance baked in: ctl_churn's
+	// raise shape on a hardened dispatcher must cost at most this multiple
+	// of the same raise on a plain one (medians of 41 pairs, six runs each:
+	// 1.12-1.18x when committed, 1.23-1.32x with the barrier walk writing
+	// its state around every call and its outcome after every firing;
+	// 2-vCPU Xeon). What remains is the barrier's fixed cost per raise,
+	// about 15 ns: a one-binding raise reads it too.
+	hardenedCeiling = 1.25
 )
 
 func requireSmoke(t *testing.T) {
@@ -99,6 +109,40 @@ func bestRatio(t *testing.T, baseLabel string, base func() error, subjLabel stri
 		}
 	}
 	return best
+}
+
+// pairedRatio is bestRatio for a gate whose margin is smaller than the
+// drift between one-second trials: after the same warm-up it times the two
+// calls in 41 back-to-back pairs of bursts of about 5 ms, alternating which
+// goes first, so that a noisy neighbour slows both halves of a pair alike,
+// and returns the median subject/base ratio.
+func pairedRatio(t *testing.T, baseLabel string, base func() error, subjLabel string, subj func() error) float64 {
+	t.Helper()
+	n := int(5e6/measureNs(t, "warmup-"+baseLabel, base)) + 1
+	measureNs(t, "warmup-"+subjLabel, subj)
+	burst := func(call func() error) float64 {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return float64(time.Since(start))
+	}
+	ratios := make([]float64, 41)
+	for i := range ratios {
+		if i%2 == 0 {
+			b := burst(base)
+			ratios[i] = burst(subj) / b
+		} else {
+			s := burst(subj)
+			ratios[i] = s / burst(base)
+		}
+	}
+	slices.Sort(ratios)
+	t.Logf("%s/%s over %d pairs of %d calls: quartiles %.2fx, %.2fx, %.2fx",
+		subjLabel, baseLabel, len(ratios), n, ratios[10], ratios[20], ratios[30])
+	return ratios[20]
 }
 
 // bypassEvent defines name on d with one unguarded intrinsic handler, the
@@ -291,5 +335,25 @@ func TestBenchSmokeInstallScaling(t *testing.T) {
 			t.Errorf("%s: 256/(8x32) append ratio %.2fx exceeds committed %.2fx ceiling: installs pay for the residents again",
 				kind.name, best, installScalingCeiling)
 		}
+	}
+}
+
+// TestBenchSmokeHardened is the fault barrier's gate: ctl_churn's raise
+// shape (hardenedEvents, 32 call-guarded bindings) through Raise1 on a
+// hardened dispatcher must cost at most hardenedCeiling times the same
+// raise on a plain one. The barrier walk writes only the position and phase
+// before each out-of-line call and, on a void event, the firing count; the
+// walk that also reset the phase after each call and copied the Outcome
+// after each firing read about 1.3x.
+func TestBenchSmokeHardened(t *testing.T) {
+	requireSmoke(t)
+	plain, hardened := hardenedEvents(t)
+	if got, want := hardened.Plan().Executor(false), "stencil[void,guarded,barrier]"; got != want {
+		t.Fatalf("hardened plan runs %s, want %s", got, want)
+	}
+
+	if ratio := pairedRatio(t, "plain", raise1(plain.Raise1), "hardened", raise1(hardened.Raise1)); ratio > hardenedCeiling {
+		t.Errorf("hardened/plain raise ratio %.2fx exceeds committed %.2fx ceiling: the barrier walk pays per step again",
+			ratio, hardenedCeiling)
 	}
 }

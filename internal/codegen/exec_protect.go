@@ -17,12 +17,15 @@ import (
 // walkPhase says what a protected frame's walk is inside. Only a guard or a
 // handler is the extension's code: a panic in any other phase — a result
 // handler, an Env supervisor, the walk itself — is not recovered and
-// reaches the raiser with its stack intact.
+// reaches the raiser with its stack intact. The stencil sets a call's
+// phase before the call and leaves it set behind it, through inline leaves
+// and bodies, which cannot panic: it returns to inWalk only before a
+// result handler or a predicate tree and at each segment boundary.
 type walkPhase uint8
 
 const (
 	walkEntry walkPhase = iota // the frame is not behind its barrier yet
-	inWalk                     // between calls
+	inWalk                     // outside the extension's code
 	walkDone                   // the frame is complete
 	inGuard                    // out-of-line guard number guard of step pos
 	inHandler                  // the body of step pos
@@ -31,9 +34,11 @@ const (
 
 // walkState is one frame's walk (see flatFrame): the observed walk's Env
 // and recorder, and, behind a barrier, the walk itself, kept in the frame
-// entry's stack frame so that it survives the unwind of the walk's. The
-// recorder is held by value: out.Result reaches the result handler, and
-// escape analysis does not tell the fields apart.
+// entry's stack frame so that it survives the unwind of the walk's. Behind
+// a barrier, out is what a capture resumes from: the whole Outcome on a
+// result event, only its Fired count on a void one. The recorder is held
+// by value: out.Result reaches the result handler, and escape analysis
+// does not tell the fields apart.
 type walkState struct {
 	env        *Env
 	rec        recorder // rec.prog is nil when the raise is unsampled

@@ -71,7 +71,8 @@ type flatStep struct {
 	// Inline body, embedded (inline == true).
 	inline bool
 	body   Body
-	// Out-of-line body (inline == false).
+	// Out-of-line body (inline == false): fn is nil when ctxFn is set, so
+	// the stencil's first test picks the plain body.
 	fn    HandlerFn
 	ctxFn CtxHandlerFn
 	clo   any
@@ -130,8 +131,8 @@ func (lo *lowered) flatten() {
 	fs.tag = b.Tag
 	if fs.inline = lo.st.inline; fs.inline {
 		fs.body = *b.Inline
-	} else {
-		fs.fn, fs.ctxFn, fs.clo = b.Fn, b.CtxFn, b.Closure
+	} else if fs.ctxFn, fs.clo = b.CtxFn, b.Closure; fs.ctxFn == nil {
+		fs.fn = b.Fn
 	}
 }
 
@@ -193,8 +194,10 @@ type shapeAxis interface{ ~[1]byte | ~[2]byte }
 // records it; it charges each lookup in the guard index as one inline
 // guard. A barrier instantiation (exec_protect.go) re-enters itself through
 // walkBehindBarrier until the walk is done, keeping its state in locals and
-// writing ws where a capture would need it: the segment at each segment,
-// the step and phase around each call, the outcome after each firing.
+// writing ws only where a capture reads it: the segment at each segment,
+// the step and phase before each guard call and handler body (nothing
+// after: see walkPhase), and after each firing the outcome, or on a void
+// event only its firing count.
 //
 // The stencil counts firings only in what it returns: the Outcome, and the
 // frame's firings, filters included, of which the caller adds those beyond
@@ -259,86 +262,102 @@ segments:
 		for k := range seg {
 			s := &seg[k]
 			if useGuards {
-				// The embedded first leaf (g0), then the pooled ones (p0..p1),
-				// through one switch.
-				pr := &s.g0
-				j := s.p0
-				for {
-					switch pr.op {
-					case PredGlobalEq:
-						if pr.cell.Load() != pr.k {
-							continue steps
-						}
-					case PredGlobalNe:
-						if pr.cell.Load() == pr.k {
-							continue steps
-						}
-					case PredArgEq:
-						if w, ok := argWord(args, pr.arg); !ok || w != pr.k {
-							continue steps
-						}
-					case PredArgNe:
-						if w, ok := argWord(args, pr.arg); !ok || w == pr.k {
-							continue steps
-						}
-					case PredArgLt:
-						if w, ok := argWord(args, pr.arg); !ok || w >= pr.k {
-							continue steps
-						}
-					case PredFalse:
+				if pr := &s.g0; pr.op == predOpCall && s.p0 == s.p1 {
+					// A lone call guard, the commonest guarded step: no leaf
+					// switch.
+					if barrier {
+						ws.pos, ws.phase = i+k, inGuard
+					}
+					if !pr.fn(pr.clo, args) {
 						continue steps
-					case predOpTree:
-						if !pr.tree.Eval(args) {
-							continue steps
-						}
-					case predOpCall:
-						if barrier {
-							ws.pos, ws.phase = i+k, inGuard
-						}
-						pass := pr.fn(pr.clo, args)
-						if barrier {
-							ws.phase = inWalk
-						}
-						if !pass {
-							continue steps
-						}
 					}
-					if j >= s.p1 {
-						break
+				} else {
+					// The embedded first leaf (g0), then the pooled ones
+					// (p0..p1), through one switch.
+					j := s.p0
+					for {
+						switch pr.op {
+						case PredGlobalEq:
+							if pr.cell.Load() != pr.k {
+								continue steps
+							}
+						case PredGlobalNe:
+							if pr.cell.Load() == pr.k {
+								continue steps
+							}
+						case PredArgEq:
+							if w, ok := argWord(args, pr.arg); !ok || w != pr.k {
+								continue steps
+							}
+						case PredArgNe:
+							if w, ok := argWord(args, pr.arg); !ok || w == pr.k {
+								continue steps
+							}
+						case PredArgLt:
+							if w, ok := argWord(args, pr.arg); !ok || w >= pr.k {
+								continue steps
+							}
+						case PredFalse:
+							continue steps
+						case predOpTree:
+							if barrier {
+								ws.phase = inWalk
+							}
+							if !pr.tree.Eval(args) {
+								continue steps
+							}
+						case predOpCall:
+							if barrier {
+								ws.pos, ws.phase = i+k, inGuard
+							}
+							if !pr.fn(pr.clo, args) {
+								continue steps
+							}
+						}
+						if j >= s.p1 {
+							break
+						}
+						pr = &preds[j]
+						j++
 					}
-					pr = &preds[j]
-					j++
 				}
 			}
 			if barrier {
 				ws.pos, ws.phase = i+k, inHandler
 			}
 			var res any
-			if s.inline {
-				res = s.body.Run(args)
-			} else if s.ctxFn != nil {
-				res = s.ctxFn(context.Background(), s.clo, args)
-			} else {
+			if s.fn != nil {
 				res = s.fn(s.clo, args)
-			}
-			if barrier {
-				ws.phase = inWalk
+			} else if s.inline {
+				res = s.body.Run(args)
+			} else {
+				res = s.ctxFn(context.Background(), s.clo, args)
 			}
 			out.Fired++
-			if hasResult {
-				if p.resultFn != nil {
-					out.Result = p.resultFn(out.Result, res, out.Fired-1)
-				} else {
-					if haveResult {
-						out.Ambiguous = true
-					}
-					out.Result = res
-					haveResult = true
+			if !hasResult {
+				if barrier {
+					ws.out.Fired = out.Fired
 				}
+				continue
+			}
+			if p.resultFn != nil {
+				if barrier {
+					ws.phase = inWalk
+				}
+				out.Result = p.resultFn(out.Result, res, out.Fired-1)
+			} else {
+				if haveResult {
+					out.Ambiguous = true
+				}
+				out.Result = res
+				haveResult = true
 			}
 			if barrier {
 				ws.out, ws.haveResult = out, haveResult
 			}
+		}
+		if barrier {
+			ws.phase = inWalk
 		}
 		// Segment boundary: the run and boundary state is re-read from p.runs
 		// and p.bounds here, so the step loop carries nothing for it.

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spin/internal/admit"
 	"spin/internal/stripe"
 	"spin/internal/vtime"
 )
@@ -235,20 +237,24 @@ func meteredCPU(metered bool) *vtime.CPU {
 	return vtime.NewCPU(&vtime.Clock{}, vtime.AlphaModel())
 }
 
-// TestBarrierEdges walks the per-frame barrier's corners: every case runs on
-// the bare barrier (unmetered) and on the metered one (the observed walk)
-// and the two must agree on the outcome, the fire sequence, the fold
-// indices and the hook's call sequence; the cases also pin the values
-// themselves.
+// TestBarrierEdges walks the per-frame barrier's corners, on the fold shape
+// and on the void one, which keeps only its firing count where a capture
+// reads it: every case runs on the bare barrier (unmetered) and on the
+// metered one (the observed walk) and the two must agree on the outcome,
+// the fire sequence, the fold indices and the hook's call sequence; the
+// cases also pin the values themselves.
 func TestBarrierEdges(t *testing.T) {
 	const n = 4
-	// plan builds n call-guarded result bindings (binding i returns i, tag i)
-	// and a default handler (tag n). guardAt and handlerAt name the binding
-	// whose guard or handler panics (-1: none; n as handlerAt: the default);
-	// pass is what the healthy guards return.
+	// plan builds n call-guarded bindings (binding i returns i, tag i) and a
+	// default handler (tag n), on a result event or, void, on one without.
+	// guardAt and handlerAt name the binding whose guard or handler panics
+	// (-1: none; n as handlerAt: the default); pass is what the healthy
+	// guards return. With leaf, each call guard follows an inline leaf that
+	// passes, so the step's guard is two leaves, not a lone call.
 	type shape struct {
 		guardAt, handlerAt int
 		pass, fold         bool
+		void, leaf         bool
 	}
 	run := func(sh shape, metered bool) barrierRun {
 		var r barrierRun
@@ -260,13 +266,17 @@ func TestBarrierEdges(t *testing.T) {
 		bs := make([]*Binding, n)
 		for i := range bs {
 			i := i
-			bs[i] = &Binding{Tag: i,
-				Guards: []Guard{{Fn: func(any, []any) bool {
-					if i == sh.guardAt {
-						panic("guard")
-					}
-					return sh.pass
-				}}},
+			call := Guard{Fn: func(any, []any) bool {
+				if i == sh.guardAt {
+					panic("guard")
+				}
+				return sh.pass
+			}}
+			guards := []Guard{call}
+			if sh.leaf {
+				guards = []Guard{{Pred: ArgNe(0, 0)}, call}
+			}
+			bs[i] = &Binding{Tag: i, Guards: guards,
 				Fn: func(any, []any) any {
 					r.fired[i]++
 					if i == sh.handlerAt {
@@ -290,13 +300,21 @@ func TestBarrierEdges(t *testing.T) {
 				return sum + res.(uint64)
 			}
 		}
-		p := Compile(nil, 0, info(1, true), bs, resultFn, def, opts)
+		p := Compile(nil, 0, info(1, !sh.void), bs, resultFn, def, opts)
 		want := "stencil[fold,guarded,barrier]"
-		if metered {
+		switch {
+		case sh.void && metered:
+			want = "stencil[void,observed,barrier]"
+		case sh.void:
+			want = "stencil[void,guarded,barrier]"
+		case metered:
 			want = "stencil[fold,observed,barrier]"
 		}
 		if got := p.Executor(metered); got != want {
 			t.Fatalf("executor %s, want %s", got, want)
+		}
+		if fs := &p.flat[0]; (fs.g0.op == predOpCall && fs.p0 == fs.p1) == sh.leaf {
+			t.Fatalf("leaf %v: step 0 lowered to %d leaves, the first op %d", sh.leaf, 1+fs.p1-fs.p0, fs.g0.op)
 		}
 		var excess stripe.Counter
 		r.out = p.Execute(&Env{CPU: meteredCPU(metered), FiredExcess: &excess}, []any{uint64(1)}, 0)
@@ -356,14 +374,39 @@ func TestBarrierEdges(t *testing.T) {
 		r.total != 1 || !reflect.DeepEqual(r.faults, []faultCall{{tag: n}}) {
 		t.Errorf("default panics: %+v", r)
 	}
+
+	// The void shape, ctl_churn's: a capture reads the firing count alone.
+	for pos := 0; pos < n; pos++ {
+		fired := []int64{1, 1, 1, 1, 0}
+		r := both(fmt.Sprintf("void: handler %d panics", pos), shape{guardAt: -1, handlerAt: pos, pass: true, void: true})
+		if r.out != (Outcome{Fired: n}) || r.total != n || !reflect.DeepEqual(r.fired, fired) ||
+			!reflect.DeepEqual(r.faults, []faultCall{{tag: pos}}) {
+			t.Errorf("void: handler %d panics: %+v", pos, r)
+		}
+		fired[pos] = 0
+		for _, leaf := range []bool{false, true} {
+			name := fmt.Sprintf("void: guard %d panics, behind a leaf %v", pos, leaf)
+			r = both(name, shape{guardAt: pos, handlerAt: -1, pass: true, void: true, leaf: leaf})
+			if r.out != (Outcome{Fired: n - 1}) || r.total != n-1 || !reflect.DeepEqual(r.fired, fired) ||
+				!reflect.DeepEqual(r.faults, []faultCall{{guard: true, tag: pos}}) {
+				t.Errorf("%s: %+v", name, r)
+			}
+		}
+	}
+	r = both("void: default panics", shape{guardAt: -1, handlerAt: n, void: true})
+	if r.out != (Outcome{UsedDefault: true}) || !reflect.DeepEqual(r.fired, []int64{0, 0, 0, 0, 1}) ||
+		r.total != 1 || !reflect.DeepEqual(r.faults, []faultCall{{tag: n}}) {
+		t.Errorf("void: default panics: %+v", r)
+	}
 }
 
 // TestBarrierLeavesOtherPanicsAlone: the barrier recovers only what the
 // phase byte says is extension code. A hook that re-panics surfaces at the
-// raise point, and so does a panic in the result handler, which reaches no
-// hook. A hook that rejects the raise ends the walk at the guard: the later
-// step does not run, the outcome carries the hook's error, and the raise's
-// excess add takes back its one firing.
+// raise point, and so does a panic in the result handler or in a step
+// supervisor behind a guarded step, which reach no hook. A hook that
+// rejects the raise ends the walk at the guard: the later step does not
+// run, the outcome carries the hook's error, and the raise's excess add
+// takes back its one firing.
 func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
 	verdict := errors.New("guard mutated its arguments")
 	for _, metered := range []bool{false, true} {
@@ -401,6 +444,20 @@ func TestBarrierLeavesOtherPanicsAlone(t *testing.T) {
 		p = Compile(nil, 0, info(1, true), bs, func(any, any, int) any { panic("fold") }, nil, Options{Protect: hook})
 		if _, got := raise(p); got != "fold" || len(hook.calls) != 0 || n != 1 {
 			t.Errorf("metered=%v: result-handler panic: raise panicked with %v, %d hook calls, %d handlers ran",
+				metered, got, len(hook.calls), n)
+		}
+
+		// The walk leaves the guarded step's phase behind at the segment
+		// boundary, so the async step's supervisor runs outside the barrier.
+		hook, n = &recHook{}, 0
+		bs = []*Binding{
+			{Tag: 0, Guards: []Guard{{Fn: func(any, []any) bool { return true }}}, Fn: countingHandler(&n, nil)},
+			{Tag: 1, Async: true, Fn: countingHandler(&n, nil)},
+		}
+		spawn := func(*admit.Queue, any, int, func(context.Context) any) { panic("supervisor") }
+		p = Compile(nil, 0, info(1, false), bs, nil, nil, Options{Protect: hook, Async: spawn})
+		if _, got := raise(p); got != "supervisor" || len(hook.calls) != 0 || n != 1 {
+			t.Errorf("metered=%v: supervisor panic: raise panicked with %v, %d hook calls, %d handlers ran",
 				metered, got, len(hook.calls), n)
 		}
 	}

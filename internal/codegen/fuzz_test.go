@@ -105,6 +105,9 @@ const (
 	tailAnd  = 1 // And(ArgEq, leaf-or-shallow-tree): further leaves in one guard
 	tailCall = 2 // a second, out-of-line guard
 	tailPred = 3 // a second inline guard, as an authorizer imposes one
+	// tailAlone, set in a tailCall byte, drops the equality: the call guard
+	// is the binding's only guard, the step's one leaf.
+	tailAlone = 4
 )
 
 // rewrite is a generated filter's rewrite, carried as its binding's
@@ -122,9 +125,10 @@ func (w rewrite) apply(args []any) {
 
 // genBindings decodes n bindings. Two in five start with an equality test
 // on an argument, so consecutive runs form and the guard index engages;
-// those carry a tail that may add leaves behind the equality. One in five
-// is a filter, maybe guarded, overwriting an argument word — ahead of a
-// run, the very word the run discriminates on. Of the rest, a third are
+// those carry a tail that may add leaves behind the equality, or leave a
+// lone call guard in its place. One in five is a filter, maybe guarded,
+// overwriting an argument word — ahead of a run, the very word the run
+// discriminates on. Of the rest, a third are
 // async and a third ephemeral: boundary steps, which split a run their
 // equality would have joined. Every handler and filter reports its index
 // through fire and returns it as its result.
@@ -151,7 +155,7 @@ func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, 
 		default:
 			arg := int(r.byte()) % arity
 			eq := ArgEq(arg, uint64(r.byte()%4))
-			switch r.byte() % 4 {
+			switch tail := r.byte(); tail % 4 {
 			case tailNone:
 				guards = []Guard{{Pred: eq}}
 			case tailAnd:
@@ -162,6 +166,9 @@ func genBindings(r *fuzzReader, n, arity int, cell *atomic.Uint64, name string, 
 					w, ok := argWord(args, arity-1)
 					return ok && w < limit
 				}}}
+				if tail&tailAlone != 0 {
+					guards = guards[1:]
+				}
 			default:
 				guards = []Guard{{Pred: eq}, {Pred: GlobalNe(cell, uint64(r.byte()%4))}}
 			}
@@ -243,6 +250,7 @@ func seedEqCall(arg, k, limit byte) []byte {
 	return []byte{kindEq, arg, k, tailCall, limit}
 }
 func seedEqPred(arg, k, k2 byte) []byte { return []byte{kindEq, arg, k, tailPred, k2} }
+func seedCall(limit byte) []byte        { return []byte{kindEq, 0, 0, tailCall | tailAlone, limit} } // last arg < limit
 func seedLt(arg, k byte) []byte         { return []byte{kindTree, 4, arg, k} }
 func seedFilter(arg, k byte) []byte     { return []byte{kindFilter, 0, k, arg} } // unguarded: arg = k
 func seedAsyncEq(arg, k byte) []byte    { return []byte{kindEq + modeAsync, arg, k, tailNone} }
@@ -297,6 +305,10 @@ var indexSeeds = []struct {
 	// An ephemeral step on the same key splitting two indexed runs of 4.
 	{2, 3, [][]byte{seedEq(0, 1), seedEq(0, 2), seedEq(0, 1), seedEq(0, 3), seedEphemeralEq(0, 1),
 		seedEq(0, 1), seedEq(0, 2), seedEq(0, 3), seedEq(0, 1)}},
+	// Lone call guards on the last argument word (steps 0, 3 and 8) ahead
+	// of, splitting and behind the runs, and an unguarded step (9).
+	{2, 4, [][]byte{seedCall(2), seedEq(0, 1), seedEq(0, 2), seedCall(3), seedEq(0, 1), seedEq(0, 3),
+		seedEq(0, 1), seedEq(0, 2), seedCall(1), seedUnguarded}},
 }
 
 // indexSeedRaises: hits on each small constant, a total miss where 0 is no
@@ -806,6 +818,16 @@ func FuzzBatchDispatch(f *testing.F) {
 		for _, faults := range [][]byte{{1, 1 << fs.step, 0, 0, 0}, {1, 0, 0, 1 << fs.step, 0}} {
 			header := []byte{seed.arity, byte(len(seed.bindings) - 1), 1, 1, 1, seed.churn + 1}
 			f.Add(seedJoin(header, faults, seedJoin(seed.bindings...), frames))
+		}
+	}
+	// Faults on the lone call guards' seed: their handlers panic, or a
+	// panicking call guard follows each lone one, two leaves; a panicking
+	// guard on the unguarded step is a lone call guard itself.
+	lone := indexSeeds[len(indexSeeds)-1]
+	for _, faults := range [][]byte{{1, 0x09, 0x01, 0, 0}, {1, 0, 0, 0x09, 0x03}} {
+		for _, result := range [][]byte{{0, 0}, {1, 1}} { // void, fold
+			header := []byte{lone.arity, byte(len(lone.bindings) - 1), result[0], result[1], 1, lone.churn + 1}
+			f.Add(seedJoin(header, faults, seedJoin(lone.bindings...), frames))
 		}
 	}
 	f.Add([]byte{1, 3, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 8, 3, 1, 4, 0, 1, 2, 3, 0, 1, 2, 3})
